@@ -11,8 +11,8 @@ import (
 	"accentmig/internal/workload"
 )
 
-// TestChaosSmoke is the bounded campaign behind `make chaossmoke`: a
-// few dozen randomized fault plans across strategy × window × dedup
+// TestChaosSmoke is the bounded chaos campaign `go test` runs: a few
+// dozen randomized fault plans across strategy × window × dedup
 // scenarios, every trial checked against the chaos invariants. Any
 // violation fails with the shrunk minimal reproducer in the message.
 func TestChaosSmoke(t *testing.T) {

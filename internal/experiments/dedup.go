@@ -94,16 +94,11 @@ func (e *Engine) Dedup(cfg Config, kinds []workload.Kind) (*DedupTable, error) {
 		}
 	}
 
-	out := make([]*TrialResult, len(cells))
-	errs := make([]error, len(cells))
-	e.fanOut(len(cells), func(i int) {
-		c := cells[i]
-		out[i], errs[i] = e.Trial(c.cfg, c.kind, c.strat, 0)
+	out, err := sweep(e, cells, func(c cell) (*TrialResult, error) {
+		return e.Trial(c.cfg, c.kind, c.strat, 0)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	t := &DedupTable{Kinds: kinds}

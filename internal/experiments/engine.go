@@ -41,9 +41,9 @@ type Engine struct {
 	cache map[cacheKey]*cacheEntry
 }
 
-// cacheKey addresses one memoized trial. variant separates the grid
-// trials (run to remote completion) from the held-at-destination
-// excision trials the timing tables use.
+// cacheKey addresses one memoized trial. variant names the memoized
+// method, and with it the result type: grid and hold trials share a
+// config fingerprint and GridKey{k, s, 0}, so without it they collide.
 type cacheKey struct {
 	fp      uint64
 	variant uint8
@@ -59,13 +59,11 @@ const (
 
 // cacheEntry is a single-flight slot: the first requester computes, any
 // concurrent or later requester blocks on done and shares the result.
+// val holds the *T of whichever memoized method owns the key's variant.
 type cacheEntry struct {
-	done  chan struct{}
-	tr    *TrialResult
-	hold  *HoldResult
-	res   *ResilienceOutcome
-	shard *ShardStressResult
-	err   error
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // NewEngine returns an engine with the given worker-pool width
@@ -90,25 +88,6 @@ func (e *Engine) SetDisk(d *DiskCache) { e.disk = d }
 
 // Disk reports the attached persistent cache, if any.
 func (e *Engine) Disk() *DiskCache { return e.disk }
-
-// diskLoad consults the persistent cache for an owner about to
-// simulate key. A payload of the wrong variant (possible only through
-// a stale or hand-damaged file, since the variant is in the filename)
-// counts as a miss.
-func (e *Engine) diskLoad(key cacheKey) (*memoPayload, bool) {
-	if e.disk == nil {
-		return nil, false
-	}
-	return e.disk.load(key)
-}
-
-// diskStore writes a freshly computed result behind the in-memory
-// cache. Errors are never stored: a failed trial re-runs next process.
-func (e *Engine) diskStore(key cacheKey, p *memoPayload) {
-	if e.disk != nil {
-		e.disk.store(key, p)
-	}
-}
 
 // Workers reports the resolved pool width.
 func (e *Engine) Workers() int {
@@ -157,49 +136,52 @@ func (c Config) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// lookup returns the single-flight slot for key and whether this caller
-// owns the computation.
-func (e *Engine) lookup(key cacheKey) (*cacheEntry, bool) {
+// memo returns the memoized result for key, computing it with run on
+// this goroutine if no one has yet. Concurrent requesters of one key
+// share a single computation. The owner consults the disk level before
+// running, and writes a freshly computed result behind only after the
+// waiters are released. Errors are never stored on disk: a failed trial
+// re-runs next process.
+func memo[T any](e *Engine, key cacheKey, run func() (*T, error)) (*T, error) {
 	e.mu.Lock()
 	if ent, ok := e.cache[key]; ok {
 		e.mu.Unlock()
 		<-ent.done
-		return ent, false
+		return ent.val.(*T), ent.err
 	}
 	ent := &cacheEntry{done: make(chan struct{})}
 	e.cache[key] = ent
 	e.mu.Unlock()
-	return ent, true
+
+	if v, ok := diskLoad[T](e.disk, key); ok {
+		ent.val = v
+		close(ent.done)
+		return v, nil
+	}
+	v, err := run()
+	ent.val, ent.err = v, err
+	close(ent.done)
+	if err == nil && e.disk != nil {
+		e.disk.store(key, v)
+	}
+	return v, err
 }
 
 // Trial returns the memoized result for one grid cell, simulating it on
 // this goroutine if no one has yet. Configs with a Sink installed run
 // uncached so their flight-recorder stream is always emitted.
 func (e *Engine) Trial(cfg Config, k workload.Kind, s core.Strategy, pf int) (*TrialResult, error) {
-	if cfg.Sink != nil {
-		return RunTrial(cfg, k, s, pf)
-	}
-	return e.trialFP(cfg.fingerprint(), cfg, k, s, pf)
+	return e.trial(cfg.fingerprint(), cfg, GridKey{k, s, pf})
 }
 
-// trialFP is Trial with the config fingerprint supplied by the caller,
+// trial is Trial with the config fingerprint supplied by the caller,
 // so sweeps hash the config once instead of once per cell.
-func (e *Engine) trialFP(fp uint64, cfg Config, k workload.Kind, s core.Strategy, pf int) (*TrialResult, error) {
-	key := cacheKey{fp: fp, variant: variantGrid, GridKey: GridKey{k, s, pf}}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Trial != nil {
-			ent.tr = p.Trial
-			close(ent.done)
-		} else {
-			ent.tr, ent.err = RunTrial(cfg, k, s, pf)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Trial: ent.tr})
-			}
-		}
+func (e *Engine) trial(fp uint64, cfg Config, g GridKey) (*TrialResult, error) {
+	run := func() (*TrialResult, error) { return RunTrial(cfg, g.Kind, g.Strategy, g.Prefetch) }
+	if cfg.Sink != nil {
+		return run()
 	}
-	return ent.tr, ent.err
+	return memo(e, cacheKey{fp: fp, variant: variantGrid, GridKey: g}, run)
 }
 
 // HoldResult is what a held-at-destination migration trial measures:
@@ -241,55 +223,29 @@ func RunHoldTrial(cfg Config, k workload.Kind, strat core.Strategy) (*HoldResult
 
 // HoldTrial is the memoized form of RunHoldTrial.
 func (e *Engine) HoldTrial(cfg Config, k workload.Kind, s core.Strategy) (*HoldResult, error) {
-	if cfg.Sink != nil {
-		return RunHoldTrial(cfg, k, s)
-	}
-	return e.holdFP(cfg.fingerprint(), cfg, k, s)
+	return e.hold(cfg.fingerprint(), cfg, holdPair{k, s})
 }
 
-// holdFP is HoldTrial with a caller-supplied config fingerprint.
-func (e *Engine) holdFP(fp uint64, cfg Config, k workload.Kind, s core.Strategy) (*HoldResult, error) {
-	key := cacheKey{fp: fp, variant: variantHold, GridKey: GridKey{k, s, 0}}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Hold != nil {
-			ent.hold = p.Hold
-			close(ent.done)
-		} else {
-			ent.hold, ent.err = RunHoldTrial(cfg, k, s)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Hold: ent.hold})
-			}
-		}
+// hold is HoldTrial with a caller-supplied config fingerprint.
+func (e *Engine) hold(fp uint64, cfg Config, p holdPair) (*HoldResult, error) {
+	run := func() (*HoldResult, error) { return RunHoldTrial(cfg, p.kind, p.strat) }
+	if cfg.Sink != nil {
+		return run()
 	}
-	return ent.hold, ent.err
+	return memo(e, cacheKey{fp: fp, variant: variantHold, GridKey: GridKey{p.kind, p.strat, 0}}, run)
 }
 
 // ResilienceTrial is the memoized form of RunResilienceTrial. The
 // trial options join the config in the cache key, so sweeps varying
 // retry budgets over one fault plan stay distinct.
 func (e *Engine) ResilienceTrial(cfg Config, k workload.Kind, s core.Strategy, ropts ResilienceOptions) (*ResilienceOutcome, error) {
+	run := func() (*ResilienceOutcome, error) { return RunResilienceTrial(cfg, k, s, ropts) }
 	if cfg.Sink != nil {
-		return RunResilienceTrial(cfg, k, s, ropts)
+		return run()
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%#v", cfg.fingerprint(), ropts)
-	key := cacheKey{fp: h.Sum64(), variant: variantResilience, GridKey: GridKey{k, s, 0}}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Res != nil {
-			ent.res = p.Res
-			close(ent.done)
-		} else {
-			ent.res, ent.err = RunResilienceTrial(cfg, k, s, ropts)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Res: ent.res})
-			}
-		}
-	}
-	return ent.res, ent.err
+	return memo(e, cacheKey{fp: h.Sum64(), variant: variantResilience, GridKey: GridKey{k, s, 0}}, run)
 }
 
 // ShardTrial is the memoized form of RunShardStress. Only the
@@ -305,21 +261,10 @@ func (e *Engine) ShardTrial(o ShardStressOptions) (*ShardStressResult, error) {
 	keyOpts.Shards = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "shardstress|%d|%#v", xrand.BaseSeed(), keyOpts)
-	key := cacheKey{fp: h.Sum64(), variant: variantShard}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Shard != nil {
-			ent.shard = p.Shard
-			close(ent.done)
-		} else {
-			ent.shard, _, ent.err = RunShardStress(o)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Shard: ent.shard})
-			}
-		}
-	}
-	return ent.shard, ent.err
+	return memo(e, cacheKey{fp: h.Sum64(), variant: variantShard}, func() (*ShardStressResult, error) {
+		res, _, err := RunShardStress(o)
+		return res, err
+	})
 }
 
 // forParallel prepares a config for concurrent trials: a shared
@@ -377,34 +322,28 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Trials simulates the given grid cells concurrently (memoized) and
-// returns their results in key order. On error the first failure in key
-// order is reported.
-func (e *Engine) Trials(cfg Config, keys []GridKey) ([]*TrialResult, error) {
-	cfg = cfg.forParallel(e.Workers())
-	out := make([]*TrialResult, len(keys))
-	errs := make([]error, len(keys))
-	if cfg.Sink != nil {
-		e.fanOut(len(keys), func(i int) {
-			out[i], errs[i] = e.Trial(cfg, keys[i].Kind, keys[i].Strategy, keys[i].Prefetch)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	fp := cfg.fingerprint() // hashed once for the whole sweep
-	e.fanOut(len(keys), func(i int) {
-		out[i], errs[i] = e.trialFP(fp, cfg, keys[i].Kind, keys[i].Strategy, keys[i].Prefetch)
-	})
+// sweep runs fn over cells on the engine's worker pool and returns the
+// results in cell order. On error the first failure in cell order is
+// reported.
+func sweep[C, T any](e *Engine, cells []C, fn func(C) (T, error)) ([]T, error) {
+	out := make([]T, len(cells))
+	errs := make([]error, len(cells))
+	e.fanOut(len(cells), func(i int) { out[i], errs[i] = fn(cells[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// Trials simulates the given grid cells concurrently (memoized) and
+// returns their results in key order. On error the first failure in key
+// order is reported.
+func (e *Engine) Trials(cfg Config, keys []GridKey) ([]*TrialResult, error) {
+	cfg = cfg.forParallel(e.Workers())
+	fp := cfg.fingerprint() // hashed once for the whole sweep
+	return sweep(e, keys, func(g GridKey) (*TrialResult, error) { return e.trial(fp, cfg, g) })
 }
 
 // holdPair addresses one held-at-destination trial.
@@ -417,29 +356,8 @@ type holdPair struct {
 // (memoized) and returns results in pair order.
 func (e *Engine) holdTrials(cfg Config, pairs []holdPair) ([]*HoldResult, error) {
 	cfg = cfg.forParallel(e.Workers())
-	out := make([]*HoldResult, len(pairs))
-	errs := make([]error, len(pairs))
-	if cfg.Sink != nil {
-		e.fanOut(len(pairs), func(i int) {
-			out[i], errs[i] = e.HoldTrial(cfg, pairs[i].kind, pairs[i].strat)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	fp := cfg.fingerprint() // hashed once for the whole sweep
-	e.fanOut(len(pairs), func(i int) {
-		out[i], errs[i] = e.holdFP(fp, cfg, pairs[i].kind, pairs[i].strat)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return sweep(e, pairs, func(p holdPair) (*HoldResult, error) { return e.hold(fp, cfg, p) })
 }
 
 // GridKeys enumerates the full paper grid for the given workloads in

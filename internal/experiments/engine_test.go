@@ -2,12 +2,58 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"accentmig/internal/core"
 	"accentmig/internal/obs"
 	"accentmig/internal/workload"
 )
+
+// TestMemoSingleFlight has many goroutines request one key at once:
+// run executes exactly once and every caller receives its pointer.
+func TestMemoSingleFlight(t *testing.T) {
+	const n = 16
+	e := NewEngine(0)
+	key := cacheKey{fp: 1, variant: variantGrid}
+	var started, runs atomic.Int32
+	allStarted := make(chan struct{})
+	run := func() (*TrialResult, error) {
+		runs.Add(1)
+		// Hold the computation open until every requester is on its way.
+		<-allStarted
+		return &TrialResult{BytesTotal: 7}, nil
+	}
+	got := make([]*TrialResult, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if started.Add(1) == n {
+				close(allStarted)
+			}
+			v, err := memo(e, key, run)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = v
+		}()
+	}
+	wg.Wait()
+	if r := runs.Load(); r != 1 {
+		t.Fatalf("run executed %d times, want 1", r)
+	}
+	for i, v := range got {
+		if v == nil || v != got[0] {
+			t.Fatalf("caller %d got %p, want the shared %p", i, v, got[0])
+		}
+	}
+	if c := e.CachedCells(); c != 1 {
+		t.Fatalf("cached cells = %d, want 1", c)
+	}
+}
 
 // TestParallelGridMatchesSequential is the engine's centerpiece
 // invariant: a grid swept on a wide worker pool must be deep-equal to

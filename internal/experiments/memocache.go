@@ -16,12 +16,13 @@ import (
 )
 
 // memoEpoch is the on-disk schema version of a cached trial. Bump it
-// whenever the encoded result types (TrialResult, HoldResult,
-// ResilienceOutcome and everything they embed) or the simulation's
-// observable semantics change in a way the config fingerprint cannot
-// see; old entries become unreachable (they live in a differently named
-// subdirectory) and are eventually pruned.
-const memoEpoch = 1
+// whenever the entry body (the gob encoding of the result value itself:
+// TrialResult, HoldResult, ResilienceOutcome, ShardStressResult and
+// everything they embed) or the simulation's observable semantics
+// change in a way the config fingerprint cannot see; old entries become
+// unreachable (they live in a differently named subdirectory) and are
+// eventually pruned.
+const memoEpoch = 2
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.
@@ -36,17 +37,6 @@ const DefaultCacheDir = ".migcache"
 // modification time) are pruned until the cache is back under 3/4 of
 // the cap.
 const DefaultCacheBytes = 256 << 20
-
-// memoPayload is the gob-encoded body of one cache entry. Exactly one
-// pointer is non-nil, matching the entry's variant. Adding a field is
-// compatible with existing cache files: gob tolerates the missing
-// field, and new variants get fresh filenames anyway.
-type memoPayload struct {
-	Trial *TrialResult
-	Hold  *HoldResult
-	Res   *ResilienceOutcome
-	Shard *ShardStressResult
-}
 
 // DiskStats counts disk-cache traffic for one process.
 type DiskStats struct {
@@ -127,7 +117,7 @@ func (k cacheKey) filename() string {
 	return fmt.Sprintf("%016x-%d-%d-%d-%d.memo", k.fp, k.variant, int(k.Kind), int(k.Strategy), k.Prefetch)
 }
 
-// checksum is FNV-64a over the encoded payload; it guards against torn
+// checksum is FNV-64a over the encoded body; it guards against torn
 // writes and bit rot, not adversaries.
 func checksum(b []byte) uint64 {
 	h := fnv.New64a()
@@ -135,17 +125,23 @@ func checksum(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// load fetches and verifies one entry. Any failure — absent, torn,
-// truncated, bit-flipped, undecodable — reports a miss; corrupt files
-// are additionally removed so they are rebuilt by the write-behind.
-func (d *DiskCache) load(key cacheKey) (*memoPayload, bool) {
+// diskLoad fetches and verifies one entry from d, which may be nil (no
+// disk level). Any failure — absent, torn, truncated, bit-flipped,
+// undecodable — reports a miss; corrupt files are additionally removed
+// so they are rebuilt by the write-behind. The key's variant is in the
+// filename, so an entry of another result type is reachable only
+// through a hand-damaged file.
+func diskLoad[T any](d *DiskCache, key cacheKey) (*T, bool) {
+	if d == nil {
+		return nil, false
+	}
 	path := filepath.Join(d.dir, key.filename())
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		d.misses.Add(1)
 		return nil, false
 	}
-	p, ok := decodeEntry(raw)
+	v, ok := decodeEntry[T](raw)
 	if !ok {
 		d.rejects.Add(1)
 		d.misses.Add(1)
@@ -153,13 +149,23 @@ func (d *DiskCache) load(key cacheKey) (*memoPayload, bool) {
 		return nil, false
 	}
 	d.hits.Add(1)
-	return p, true
+	return v, true
+}
+
+// frameEntry wraps an encoded body in the entry framing decodeEntry
+// checks: magic, body length, body checksum.
+func frameEntry(body []byte) []byte {
+	buf := make([]byte, 0, 24+len(body))
+	buf = append(buf, memoMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(body)))
+	buf = binary.LittleEndian.AppendUint64(buf, checksum(body))
+	return append(buf, body...)
 }
 
 // decodeEntry validates the framing (magic, length, checksum) and gob-
-// decodes the payload.
-func decodeEntry(raw []byte) (*memoPayload, bool) {
-	const hdr = 8 + 8 + 8 // magic + payload length + checksum
+// decodes the body as a T.
+func decodeEntry[T any](raw []byte) (*T, bool) {
+	const hdr = 8 + 8 + 8 // magic + body length + checksum
 	if len(raw) < hdr || !bytes.Equal(raw[:8], memoMagic[:]) {
 		return nil, false
 	}
@@ -169,27 +175,24 @@ func decodeEntry(raw []byte) (*memoPayload, bool) {
 	if uint64(len(body)) != n || checksum(body) != sum {
 		return nil, false
 	}
-	var p memoPayload
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
 		return nil, false
 	}
-	return &p, true
+	return &v, true
 }
 
 // store persists one entry atomically: encode, write to a temp file in
 // the same directory, fsync-free rename into place. Failures are
 // swallowed — the cache is an accelerator, never a correctness
-// dependency — and a size cap overrun triggers a prune.
-func (d *DiskCache) store(key cacheKey, p *memoPayload) {
+// dependency — and a size cap overrun triggers a prune. v is the result
+// pointer itself; its gob encoding is the entry body.
+func (d *DiskCache) store(key cacheKey, v any) {
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(p); err != nil {
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
 		return
 	}
-	buf := make([]byte, 0, 24+body.Len())
-	buf = append(buf, memoMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(body.Len()))
-	buf = binary.LittleEndian.AppendUint64(buf, checksum(body.Bytes()))
-	buf = append(buf, body.Bytes()...)
+	buf := frameEntry(body.Bytes())
 
 	tmp, err := os.CreateTemp(d.dir, "tmp-*")
 	if err != nil {

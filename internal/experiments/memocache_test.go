@@ -17,15 +17,15 @@ import (
 // a freshly simulated value and one decoded from disk compare equal
 // despite gob's canonicalizations (empty slices decode as nil), while
 // any real value drift — a changed number anywhere in the tree — does
-// not. Exactly one field pair should be set, mirroring memoPayload.
-func sameResult(t *testing.T, a, b *memoPayload) bool {
+// not.
+func sameResult[T any](t *testing.T, a, b *T) bool {
 	t.Helper()
-	norm := func(p *memoPayload) *memoPayload {
+	norm := func(p *T) *T {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 			t.Fatal(err)
 		}
-		var out memoPayload
+		var out T
 		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
@@ -106,14 +106,14 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 		t.Fatalf("warm hits = %d, want %d", st.Hits, want)
 	}
 	for i := range keys {
-		if !sameResult(t, &memoPayload{Trial: coldTrials[i]}, &memoPayload{Trial: warmTrials[i]}) {
+		if !sameResult(t, coldTrials[i], warmTrials[i]) {
 			t.Errorf("%v: warm trial drifted from cold", keys[i])
 		}
 	}
-	if !sameResult(t, &memoPayload{Hold: coldHold}, &memoPayload{Hold: warmHold}) {
+	if !sameResult(t, coldHold, warmHold) {
 		t.Error("warm hold trial drifted from cold")
 	}
-	if !sameResult(t, &memoPayload{Res: coldRes}, &memoPayload{Res: warmRes}) {
+	if !sameResult(t, coldRes, warmRes) {
 		t.Error("warm resilience trial drifted from cold")
 	}
 }
@@ -163,7 +163,7 @@ func TestDiskCacheCorruptionFallback(t *testing.T) {
 		t.Fatalf("corrupt entries surfaced an error: %v", err)
 	}
 	for i := range keys {
-		if !sameResult(t, &memoPayload{Trial: coldTrials[i]}, &memoPayload{Trial: warmTrials[i]}) {
+		if !sameResult(t, coldTrials[i], warmTrials[i]) {
 			t.Errorf("%v: recomputed trial drifted", keys[i])
 		}
 	}
@@ -182,10 +182,12 @@ func TestDiskCacheCorruptionFallback(t *testing.T) {
 }
 
 // TestDiskCacheVariantsAreDistinct guards the filename keying: a grid
-// trial and a hold trial of the same (kind, strategy) must not collide.
+// trial, a hold trial and a resilience trial of the same (kind,
+// strategy) must not collide.
 func TestDiskCacheVariantsAreDistinct(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{}
+	ropts := ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: time.Minute}
 	cold, cd := newDiskEngine(t, dir)
 	if _, err := cold.Trial(cfg, workload.Minprog, core.PureCopy, 0); err != nil {
 		t.Fatal(err)
@@ -193,11 +195,14 @@ func TestDiskCacheVariantsAreDistinct(t *testing.T) {
 	if _, err := cold.HoldTrial(cfg, workload.Minprog, core.PureCopy); err != nil {
 		t.Fatal(err)
 	}
-	if st := cd.Stats(); st.Writes != 2 {
-		t.Fatalf("writes = %d, want 2 distinct entries", st.Writes)
+	if _, err := cold.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts); err != nil {
+		t.Fatal(err)
 	}
-	if files := entryFiles(t, cd); len(files) != 2 {
-		t.Fatalf("entry files = %d, want 2", len(files))
+	if st := cd.Stats(); st.Writes != 3 {
+		t.Fatalf("writes = %d, want 3 distinct entries", st.Writes)
+	}
+	if files := entryFiles(t, cd); len(files) != 3 {
+		t.Fatalf("entry files = %d, want 3", len(files))
 	}
 }
 
@@ -210,19 +215,18 @@ func TestDiskCachePrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := func(i int) cacheKey { return cacheKey{fp: uint64(i), variant: variantGrid} }
-	payload := &memoPayload{Trial: &TrialResult{BytesTotal: 1}}
 	const n = 40
 	for i := 0; i < n; i++ {
-		d.store(key(i), payload)
+		d.store(key(i), &TrialResult{BytesTotal: 1})
 		time.Sleep(2 * time.Millisecond) // distinct mtimes for eviction order
 	}
 	if got := d.scanSize(); got > 8192 {
 		t.Fatalf("cache size %d exceeds cap 8192 after prune", got)
 	}
-	if _, ok := d.load(key(0)); ok {
+	if _, ok := diskLoad[TrialResult](d, key(0)); ok {
 		t.Error("oldest entry survived the prune")
 	}
-	if _, ok := d.load(key(n - 1)); !ok {
+	if _, ok := diskLoad[TrialResult](d, key(n-1)); !ok {
 		t.Error("newest entry was pruned")
 	}
 }
@@ -247,4 +251,23 @@ func TestDiskCacheSkipsErrors(t *testing.T) {
 	if st := wd.Stats(); st.Hits != 0 {
 		t.Fatalf("failed trial was served from disk (hits = %d)", st.Hits)
 	}
+}
+
+// FuzzDecodeEntry feeds the disk-entry decoder arbitrary file bytes, and
+// an arbitrary body wrapped in a valid frame so gob decoding is reached
+// past the checksum. Decoding must never panic, and anything it does
+// not accept is a miss: no value, and never a value from a bad frame.
+// The seed corpus in testdata/fuzz holds a real Minprog pure-copy entry
+// and damaged variants of it.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw, body []byte) {
+		if v, ok := decodeEntry[TrialResult](raw); ok != (v != nil) {
+			t.Fatalf("decodeEntry(raw) = %v, %v", v, ok)
+		} else if ok && !bytes.Equal(raw, frameEntry(raw[24:])) {
+			t.Fatal("decoded an entry with a corrupt frame")
+		}
+		if v, ok := decodeEntry[TrialResult](frameEntry(body)); ok != (v != nil) {
+			t.Fatalf("decodeEntry(framed body) = %v, %v", v, ok)
+		}
+	})
 }

@@ -106,16 +106,11 @@ func (e *Engine) Pipeline(cfg Config, kinds []workload.Kind) (*PipelineTable, er
 		}
 	}
 
-	out := make([]*TrialResult, len(cells))
-	errs := make([]error, len(cells))
-	e.fanOut(len(cells), func(i int) {
-		c := cells[i]
-		out[i], errs[i] = e.Trial(c.cfg, c.kind, c.strat, c.pf)
+	out, err := sweep(e, cells, func(c cell) (*TrialResult, error) {
+		return e.Trial(c.cfg, c.kind, c.strat, c.pf)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	t := &PipelineTable{Kinds: kinds}

@@ -298,6 +298,7 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 	// baseline rows and break the fixed-seed determinism contract.
 	cfg.Faults = nil
 	cfg.Recovery = nil
+	cfg = cfg.forParallel(e.Workers())
 
 	type cell struct {
 		row   *ResilienceRow
@@ -377,15 +378,14 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 		})
 	}
 
-	errs := make([]error, len(cells))
-	e.fanOut(len(cells), func(i int) {
-		c := cells[i]
-		c.row.Outcomes[c.idx], errs[i] = e.ResilienceTrial(c.cfg, resilienceKind, c.strat, c.opts)
+	outs, err := sweep(e, cells, func(c cell) (*ResilienceOutcome, error) {
+		return e.ResilienceTrial(c.cfg, resilienceKind, c.strat, c.opts)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		c.row.Outcomes[c.idx] = outs[i]
 	}
 	return t, nil
 }

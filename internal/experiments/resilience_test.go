@@ -1,13 +1,46 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"accentmig/internal/obs"
 )
 
-// TestResilienceDeterministic is the regression behind `make
-// faultcheck`: the full resilience experiment — lossy sweeps, crash
-// scenarios, a partition — must produce byte-identical output across
+// exclusiveSink records whether Emit was ever entered while another
+// Emit was still running. Sinks are not safe for concurrent use, so an
+// engine sharing one across workers must serialize it; the yield inside
+// Emit widens the window an unserialized caller would hit.
+type exclusiveSink struct {
+	busy, overlapped atomic.Bool
+}
+
+func (s *exclusiveSink) Emit(obs.Event) {
+	if !s.busy.CompareAndSwap(false, true) {
+		s.overlapped.Store(true)
+		return
+	}
+	runtime.Gosched()
+	s.busy.Store(false)
+}
+
+// TestResilienceSerializesSharedSink runs the resilience sweep on two
+// workers with one shared sink, which must never see concurrent Emits.
+func TestResilienceSerializesSharedSink(t *testing.T) {
+	sink := &exclusiveSink{}
+	if _, err := NewEngine(2).Resilience(Config{Sink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if sink.overlapped.Load() {
+		t.Fatal("two workers emitted into the shared sink concurrently")
+	}
+}
+
+// TestResilienceDeterministic pins the determinism contract: the full
+// resilience experiment — lossy sweeps, crash scenarios, a partition —
+// must produce byte-identical output across
 // independent engines, whose worker pools interleave trials
 // differently. Fault injection is seeded and per-trial, so parallelism
 // must not leak into results.

@@ -10,7 +10,7 @@ import (
 	"accentmig/internal/workload"
 )
 
-// TestProfSmoke is the CI profiler gate (make profsmoke): one traced
+// TestProfSmoke is the CI profiler gate: one traced
 // Lisp-Del migration must reconstruct into a connected critical path
 // with positive downtime and blame fractions that sum to exactly 1.
 func TestProfSmoke(t *testing.T) {

@@ -5,8 +5,8 @@ import "testing"
 // The zero-alloc gates below pin the memory data plane's steady state:
 // once a process is warm, servicing resident references, re-filling
 // pages, and rebuilding AMaps must not touch the heap at all. These run
-// in short mode so `make benchsmoke` (and CI) catches an allocation
-// regression the moment it lands.
+// in short mode too, so every `go test` catches an allocation regression
+// the moment it lands.
 
 // warmSpace builds a space with n materialized resident pages at VA 0,
 // backed by a pooled segment.

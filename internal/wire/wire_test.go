@@ -60,7 +60,7 @@ func TestRoundTripDataAttachment(t *testing.T) {
 func TestRoundTripMultiPageRun(t *testing.T) {
 	att := &ipc.MemAttachment{
 		Kind: ipc.AttachData, Size: 4 * 512,
-		Runs: []vm.PageRun{{Index: 3, Count: 4, Data: bytes.Repeat([]byte{0xCD}, 4 * 512)}},
+		Runs: []vm.PageRun{{Index: 3, Count: 4, Data: bytes.Repeat([]byte{0xCD}, 4*512)}},
 	}
 	out := roundTrip(t, &ipc.Message{Op: 1, Mem: []*ipc.MemAttachment{att}})
 	oa := out.Mem[0]
