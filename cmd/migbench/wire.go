@@ -81,6 +81,7 @@ type DedupWireRow struct {
 // segment shared across process instances.
 func runDedupWireOnce(mode vm.DedupConfig) (DedupWireRow, error) {
 	k := sim.New()
+	defer k.Close()
 	mcfg := machine.Config{Dedup: mode}
 	src := machine.New(k, "src", mcfg)
 	dst := machine.New(k, "dst", mcfg)
@@ -149,6 +150,7 @@ type ResumeWireRow struct {
 // maxRetries above 0 lets the retry complete on the healed link.
 func runResumeWireOnce(resume bool, maxRetries int) (ResumeWireRow, error) {
 	k := sim.New()
+	defer k.Close()
 	mcfg := machine.Config{Dedup: vm.DedupConfig{Resume: resume}}
 	src := machine.New(k, "src", mcfg)
 	dst := machine.New(k, "dst", mcfg)
@@ -214,6 +216,7 @@ func runResumeWireOnce(resume bool, maxRetries int) (ResumeWireRow, error) {
 // fields, which the caller measures around this call).
 func runWireOnce(window int) (WireRow, error) {
 	k := sim.New()
+	defer k.Close()
 	mcfg := machine.Config{}
 	if window > 1 {
 		mcfg.Net.Window = window

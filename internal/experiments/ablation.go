@@ -41,6 +41,7 @@ func FormatAblation(title string, rows []AblationRow) string {
 // any page size and network speed, which is what the ablations need.
 func syntheticTrial(cfg Config, realPages, touchedPages int, strat core.Strategy, prefetch int) (*TrialResult, error) {
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	ps := uint64(tb.Src.PageSize())
 	pr, err := tb.Src.NewProcess("synthetic", 2)
 	if err != nil {

@@ -61,6 +61,7 @@ func BystanderImpact(cfg Config) ([]BystanderRow, error) {
 // migrating off the same machine under the given strategy.
 func bystanderRun(cfg Config, strat *core.Strategy) (time.Duration, error) {
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 
 	by, err := tb.Src.NewProcess("bystander", 0)
 	if err != nil {
@@ -144,6 +145,7 @@ type ResidualPoint struct {
 // is the §4.4.3 cost-distribution story seen from the source's side.
 func ResidualSeries(cfg Config, kind workload.Kind, prefetch int, step time.Duration) ([]ResidualPoint, error) {
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	built, err := workload.Build(tb.Src, kind)
 	if err != nil {
 		return nil, err
@@ -199,6 +201,7 @@ type HopPenaltyRow struct {
 // the Balancer's dispersal-aware candidate scoring.
 func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 	k := sim.New()
+	defer k.Close()
 	var ms []*machine.Machine
 	var mgrs []*core.Manager
 	for i := 0; i < 3; i++ {

@@ -256,6 +256,7 @@ func TestManifestCrashClearsLedger(t *testing.T) {
 	cfg.Faults = killFirstAttempt(t, cfg)
 	cfg = resilienceDefaults(cfg)
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	built, err := workload.Build(tb.Src, resilienceKind)
 	if err != nil {
 		t.Fatal(err)

@@ -162,6 +162,7 @@ func NearestHolder(cfg Config) ([]NearestHolderRow, error) {
 func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 	var row NearestHolderRow
 	k := sim.New()
+	defer k.Close()
 	mcfg := cfg.Machine
 	mcfg.Dedup = vm.DedupConfig{Enabled: dedup}
 	origin := machine.New(k, "origin", mcfg)

@@ -197,6 +197,7 @@ type HoldResult struct {
 // behind the paper's timing tables.
 func RunHoldTrial(cfg Config, k workload.Kind, strat core.Strategy) (*HoldResult, error) {
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	b, err := workload.Build(tb.Src, k)
 	if err != nil {
 		return nil, err

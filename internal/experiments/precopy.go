@@ -76,6 +76,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tb.K.Close()
 	var rep *core.PreCopyReport
 	var runErr error
 	tb.K.Go("driver", func(p *sim.Proc) {
@@ -102,6 +103,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer tb.K.Close()
 		var down, total time.Duration
 		var stopErr error
 		tb.K.Go("driver", func(p *sim.Proc) {

@@ -148,6 +148,7 @@ func resilienceDefaults(cfg Config) Config {
 func RunResilienceTrial(cfg Config, k workload.Kind, strat core.Strategy, ropts ResilienceOptions) (*ResilienceOutcome, error) {
 	cfg = resilienceDefaults(cfg)
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	built, err := workload.Build(tb.Src, k)
 	if err != nil {
 		return nil, err

@@ -518,11 +518,13 @@ func RunShardStress(o ShardStressOptions) (*ShardStressResult, *ShardStressPerf,
 	kernels := make([]*sim.Kernel, o.Machines)
 	if sharded {
 		cl = sim.NewCluster(o.Machines, ssLinkCfg.Latency)
+		defer cl.Close()
 		for i := range kernels {
 			kernels[i] = cl.Lane(i)
 		}
 	} else {
 		k := sim.New()
+		defer k.Close()
 		for i := range kernels {
 			kernels[i] = k
 		}

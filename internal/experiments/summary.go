@@ -84,6 +84,7 @@ func Summarize(cfg Config, g *Grid, kinds []workload.Kind) (*Summary, error) {
 // 40.8 ms).
 func MeasureFaultCosts(cfg Config) (remote, local time.Duration, err error) {
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	// Local disk fault on the source machine.
 	as := vm.MustNewAddressSpace(vm.Config{PageSize: tb.Src.PageSize()})
 	reg, err := as.Validate(0, 8*uint64(tb.Src.PageSize()), "probe")

@@ -30,6 +30,7 @@ func Table41(cfg Config) ([]Row41, error) {
 			return nil, err
 		}
 		u := b.Proc.AS.Usage()
+		tb.K.Close()
 		rows = append(rows, Row41{
 			Kind:     k,
 			Real:     u.Real,

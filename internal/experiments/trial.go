@@ -282,6 +282,7 @@ func (tr *TrialResult) TransferredTotalPct() float64 {
 // prefetch on a fresh testbed and runs it to completion.
 func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*TrialResult, error) {
 	tb := NewTestbed(cfg)
+	defer tb.K.Close()
 	built, err := workload.Build(tb.Src, k)
 	if err != nil {
 		return nil, err

@@ -14,6 +14,11 @@
 // A Kernel and everything scheduled on it belong to one goroutine (plus
 // the proc goroutines it interleaves); kernels are cheap, so concurrent
 // simulations each get their own Kernel rather than sharing one.
+//
+// A drained kernel's blocked procs stay parked on their goroutines, and
+// those stacks keep everything the simulation built reachable. Callers
+// Close a kernel once they have read its results, which unwinds the
+// parked procs and lets the whole simulation be collected.
 package sim
 
 import (
@@ -37,8 +42,11 @@ type Kernel struct {
 	// single unbuffered channel suffices.
 	yield chan struct{}
 
-	cur      *Proc // proc currently executing, nil in callback context
-	live     int   // procs started and not yet finished
+	cur *Proc // proc currently executing, nil in callback context
+	// procs holds every proc created and not yet finished. Each proc
+	// records its slot, so finishing is a swap-remove and a finished
+	// proc is never kept reachable.
+	procs    []*Proc
 	ran      uint64
 	stopped  bool
 	deadline time.Duration
@@ -146,7 +154,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Run dispatches events until the event heap is empty, the deadline set
 // by RunUntil is reached, or Stop is called. It returns the virtual time
 // at which it stopped. Procs that are still blocked when the heap drains
-// simply remain parked; this mirrors an idle operating system.
+// remain parked, mirroring an idle operating system, until Close reaps
+// them.
 func (k *Kernel) Run() time.Duration {
 	if k.cur != nil {
 		panic("sim: Run called from proc context")
@@ -219,11 +228,36 @@ func (k *Kernel) NextEventAt() (time.Duration, bool) {
 	return k.events.h[0].at, true
 }
 
-// LiveProcs reports the number of procs that have been started and have
+// LiveProcs reports the number of procs that have been created and have
 // not yet returned. A nonzero value with an idle heap means those procs
-// are blocked forever (e.g. servers waiting for requests), which is the
-// normal end state of an OS simulation.
-func (k *Kernel) LiveProcs() int { return k.live }
+// are blocked for good (e.g. servers waiting for requests); the caller
+// Closes the kernel once it has read its results.
+func (k *Kernel) LiveProcs() int { return len(k.procs) }
+
+// Close reaps a kernel whose results have been read. Every proc still
+// parked is unwound through the Kill path: its deferred calls run and
+// its goroutine exits. Procs that never started are finished, and the
+// pending events are dropped, so no goroutine keeps the simulation
+// reachable. The sink is detached first, so nothing a proc does while
+// unwinding reaches a trace. Close panics in proc context; a second
+// call finds nothing left to reap.
+func (k *Kernel) Close() {
+	if k.cur != nil {
+		panic("sim: Close called from proc context")
+	}
+	k.sink = nil
+	for n := len(k.procs); n > 0; n = len(k.procs) {
+		p := k.procs[n-1]
+		p.killed = true
+		if p.started {
+			p.unpark()
+		} else {
+			p.finish()
+		}
+	}
+	k.events = eventHeap{}
+	k.nowq = nowRing{}
+}
 
 // nowRing is a head-indexed FIFO ring of zero-delay events for the
 // current instant. The same-instant case dominates dispatch (every

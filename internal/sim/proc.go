@@ -15,8 +15,12 @@ type Proc struct {
 	k      *Kernel
 	name   string
 	resume chan struct{}
+	slot   int // index in k.procs while live
 	killed bool
-	done   bool
+	// started is set once launch has run: the proc has a goroutine that
+	// is parked or finished, so only a started proc can be unparked.
+	started bool
+	done    bool
 
 	// unparkFn is p.unpark bound once at creation, so the Sleep and
 	// UnparkExternal hot paths schedule it without allocating a fresh
@@ -35,9 +39,9 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	if fn == nil {
 		panic("sim: Go with nil function")
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), slot: len(k.procs)}
 	p.unparkFn = p.unpark
-	k.live++
+	k.procs = append(k.procs, p)
 	k.Schedule(0, func() { p.launch(fn) })
 	return p
 }
@@ -49,6 +53,7 @@ func (p *Proc) launch(fn func(p *Proc)) {
 		p.finish()
 		return
 	}
+	p.started = true
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -57,13 +62,11 @@ func (p *Proc) launch(fn func(p *Proc)) {
 				} else {
 					// Re-panic on the kernel side so the failure
 					// surfaces with this goroutine's stack attached.
-					p.done = true
-					p.k.live--
+					p.finish()
 					panic(r)
 				}
 			}
-			p.done = true
-			p.k.live--
+			p.finish()
 			p.k.cur = nil
 			p.k.yield <- struct{}{}
 		}()
@@ -73,9 +76,16 @@ func (p *Proc) launch(fn func(p *Proc)) {
 	<-p.k.yield
 }
 
+// finish marks the proc done and swap-removes it from the kernel's live
+// set, so the kernel no longer references it.
 func (p *Proc) finish() {
 	p.done = true
-	p.k.live--
+	procs := p.k.procs
+	last := len(procs) - 1
+	procs[p.slot] = procs[last]
+	procs[p.slot].slot = p.slot
+	procs[last] = nil
+	p.k.procs = procs[:last]
 }
 
 // park hands control back to the kernel and blocks until unparked. It

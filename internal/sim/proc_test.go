@@ -116,6 +116,10 @@ func TestBlockedProcLeavesKernelIdle(t *testing.T) {
 	if !k.Idle() {
 		t.Error("kernel not idle with only a blocked server")
 	}
+	k.Close()
+	if k.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d after Close, want 0", k.LiveProcs())
+	}
 }
 
 func TestManyProcsDeterministic(t *testing.T) {

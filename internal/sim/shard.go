@@ -325,6 +325,14 @@ func (c *Cluster) deliver(hi time.Duration) {
 	}
 }
 
+// Close reaps every lane (see Kernel.Close). Call it once the run's
+// results have been read.
+func (c *Cluster) Close() {
+	for _, k := range c.lanes {
+		k.Close()
+	}
+}
+
 // EventsRun reports the total events dispatched across all lanes.
 func (c *Cluster) EventsRun() uint64 {
 	var n uint64
