@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check smoke identity report bench clean
+.PHONY: all build test race vet fmt check smoke identity benchmod report bench clean
 
 all: build
 
@@ -19,7 +19,7 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
-check: build vet fmt test race smoke identity
+check: build vet fmt test race smoke identity benchmod
 
 # Smoke gate for what no test runs: the VM microbenchmark bodies at a
 # token iteration count, and the window/streaming sweep end to end on a
@@ -27,6 +27,12 @@ check: build vet fmt test race smoke identity
 smoke:
 	$(GO) test -count=1 -run xxx -bench . -benchtime 100x ./internal/vmbench/
 	$(GO) run ./cmd/migsim -exp pipeline -kinds Minprog,Lisp-Del > /dev/null
+
+# The benchmark of record is its own module under bench/, importing
+# internal/ through a replace directive; nothing else compiles it, so an
+# internal API change that breaks it would otherwise go unnoticed.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Stop-and-wait identity gate: the default configuration must produce
 # byte-identical experiment output to the committed golden.

@@ -147,14 +147,13 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	// keep their own IOU descriptors.
 	ctx := &Context{}
 	var runs []CollapsedRun
-	lazy := &ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true}
-	res := &ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true, Resident: true, Copy: true}
+	var lazy, res [][]byte // page images bound for each collapsed attachment
 	var imagAtts []*ipc.MemAttachment
 	var resident, real int
 	for _, e := range amap.Entries {
 		switch e.Access {
 		case vm.RealMem:
-			rs, nres, n := collapseRealRun(pr.AS, e, strat, lazy, res)
+			rs, nres, n := collapseRealRun(pr.AS, e, strat, &lazy, &res)
 			runs = append(runs, rs...)
 			resident += nres
 			real += n
@@ -168,13 +167,11 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 		// RealZeroMem runs travel only in the AMap.
 	}
 	var attachments []*ipc.MemAttachment
-	if res.PageCount() > 0 {
-		res.Size = uint64(res.PageCount()) * uint64(pr.AS.PageSize())
-		attachments = append(attachments, res)
+	if len(res) > 0 {
+		attachments = append(attachments, collapsedAttachment(res, pr.AS.PageSize(), true))
 	}
-	if lazy.PageCount() > 0 {
-		lazy.Size = uint64(lazy.PageCount()) * uint64(pr.AS.PageSize())
-		attachments = append(attachments, lazy)
+	if len(lazy) > 0 {
+		attachments = append(attachments, collapsedAttachment(lazy, pr.AS.PageSize(), false))
 	}
 	attachments = append(attachments, imagAtts...)
 	m.CPU.UseHigh(p, tun.CollapseBase+
@@ -257,13 +254,13 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	return ctx, nil
 }
 
-// collapseRealRun appends one RealMem accessibility run to the
-// collapsed area. Under the resident-set strategy the run is split at
-// residency boundaries, resident pages going to the res attachment
-// (physically copied) and the rest to lazy; the other strategies keep
-// the run whole in the lazy attachment (pure-copy forces physical
+// collapseRealRun builds the collapsed-area run table for one RealMem
+// accessibility run and gathers its page images. Under the resident-set
+// strategy the run is split at residency boundaries, resident pages
+// going to res (physically copied) and the rest to lazy; the other
+// strategies keep the run whole in lazy (pure-copy forces physical
 // transmission with the message-level NoIOUs bit instead).
-func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, res *ipc.MemAttachment) ([]CollapsedRun, int, int) {
+func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, res *[][]byte) ([]CollapsedRun, int, int) {
 	ps := uint64(as.PageSize())
 	var runs []CollapsedRun
 	resident, total := 0, 0
@@ -297,27 +294,31 @@ func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, 
 			runs = append(runs, CollapsedRun{VA: a, Pages: 1, Resident: markRes})
 		}
 		if dst != nil {
-			appendCollapsedPage(dst, pg.Data, int(ps))
+			*dst = append(*dst, pg.Data)
 		}
 	}
 	return runs, resident, total
 }
 
-// appendCollapsedPage copies one page image onto the tail of a
-// collapsed attachment. Collapsed pages are densely numbered from zero,
-// so the whole attachment is a single run whose buffer the attachment
-// owns — the source segment's frames can be recycled the moment the
-// process is excised, and the staged context survives rollback.
-func appendCollapsedPage(dst *ipc.MemAttachment, data []byte, pageSize int) {
-	if len(dst.Runs) == 0 {
-		dst.Runs = append(dst.Runs, vm.PageRun{Index: 0})
+// collapsedAttachment copies gathered page images into one exactly
+// sized run, short or missing images zero-padded to a full page.
+// Collapsed pages are densely numbered from zero, so the whole
+// attachment is a single run whose buffer the attachment owns — the
+// source segment's frames can be recycled the moment the process is
+// excised, and the staged context survives rollback.
+func collapsedAttachment(pages [][]byte, pageSize int, resident bool) *ipc.MemAttachment {
+	data := make([]byte, len(pages)*pageSize)
+	for i, pg := range pages {
+		copy(data[i*pageSize:(i+1)*pageSize], pg)
 	}
-	run := &dst.Runs[0]
-	run.Data = append(run.Data, data...)
-	if short := run.Count*pageSize + pageSize - len(run.Data); short > 0 {
-		run.Data = append(run.Data, make([]byte, short)...)
+	return &ipc.MemAttachment{
+		Kind:      ipc.AttachData,
+		Size:      uint64(len(data)),
+		Collapsed: true,
+		Resident:  resident,
+		Copy:      resident,
+		Runs:      []vm.PageRun{{Index: 0, Count: len(pages), Data: data}},
 	}
-	run.Count++
 }
 
 // collapseImagRun re-expresses a pre-existing imaginary run as an IOU

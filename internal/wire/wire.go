@@ -2,9 +2,16 @@
 // everything a NetMsgServer forwards is provably self-contained — the
 // §3.1 property that context messages "do not have to be preprocessed
 // in any way". The simulator could pass Go pointers between machines;
-// instead, every wire crossing encodes to a frame and decodes a fresh
-// copy at the peer, making accidental cross-machine sharing impossible
-// and catching any forgotten field the moment a test round-trips it.
+// instead, every wire crossing encodes to a frame and decodes it at
+// the peer, making accidental cross-machine sharing impossible and
+// catching any forgotten field the moment a test round-trips it.
+//
+// The frame is the crossing's one fresh copy: EncodeMessage allocates
+// it once at its exact length and copies every page image into it, and
+// DecodeMessage hands out page runs as capped windows onto it (an
+// append reallocates instead of spilling into the next run). A decoded
+// message therefore owns its frame; a caller must not reuse a frame
+// after decoding it.
 //
 // Costs are still charged from ipc.Message.WireBytes (the calibrated
 // analytic estimate); the encoded frame length tracks it closely and
@@ -70,58 +77,90 @@ type rdr struct {
 
 type truncated struct{}
 
+// need consumes the next n bytes and returns them as a window capped
+// at its own length. The bounds check comes before anything is sized
+// from n, so a corrupt length cannot make the decoder allocate.
 func (r *rdr) need(n int) []byte {
-	if r.off+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.off {
 		panic(truncated{})
 	}
-	v := r.b[r.off : r.off+n]
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
 }
-func (r *rdr) u8() uint8   { return r.need(1)[0] }
-func (r *rdr) u32() uint32 { return binary.BigEndian.Uint32(r.need(4)) }
-func (r *rdr) u64() uint64 { return binary.BigEndian.Uint64(r.need(8)) }
-func (r *rdr) i64() int64  { return int64(r.u64()) }
-func (r *rdr) bool() bool  { return r.u8() != 0 }
-func (r *rdr) bytes() []byte {
-	n := int(r.u32())
-	out := make([]byte, n)
-	copy(out, r.need(n))
-	return out
-}
-func (r *rdr) str() string { return string(r.bytes()) }
+func (r *rdr) u8() uint8     { return r.need(1)[0] }
+func (r *rdr) u32() uint32   { return binary.BigEndian.Uint32(r.need(4)) }
+func (r *rdr) u64() uint64   { return binary.BigEndian.Uint64(r.need(8)) }
+func (r *rdr) i64() int64    { return int64(r.u64()) }
+func (r *rdr) bool() bool    { return r.u8() != 0 }
+func (r *rdr) bytes() []byte { return r.need(int(r.u32())) }
+func (r *rdr) str() string   { return string(r.bytes()) }
 
-// EncodeMessage serializes m, deep-copying all attachment data. The
-// body is encoded through its op's registered codec; with no codec the
-// body is carried out-of-band in extras (it is a simulation-internal
-// payload that never reaches real bytes).
+// EncodeMessage serializes m into a fresh frame allocated once at its
+// exact length, copying all attachment data into it. The body is
+// encoded through its op's registered codec; with no codec the body is
+// carried out-of-band in extras (it is a simulation-internal payload
+// that never reaches real bytes).
 func EncodeMessage(m *ipc.Message) (frame []byte, extras []any, err error) {
-	w := &buf{}
+	body, coded, extras, err := encodeBody(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := &buf{b: make([]byte, 0, frameLen(m, body, coded))}
 	w.i64(int64(m.Op))
 	w.u64(uint64(m.To))
 	w.u64(uint64(m.ReplyTo))
 	w.u32(uint32(m.BodyBytes))
 	w.bool(m.NoIOUs)
 	w.bool(m.FaultSupport)
-
-	if codec, ok := bodyCodecs[m.Op]; ok && m.Body != nil {
-		body, ex, err := codec.Encode(m.Body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: encode op %#x body: %w", m.Op, err)
-		}
-		w.u8(1)
+	w.bool(coded)
+	if coded {
 		w.bytes(body)
-		extras = ex
-	} else {
-		w.u8(0)
-		extras = []any{m.Body}
 	}
-
 	w.u32(uint32(len(m.Mem)))
 	for _, a := range m.Mem {
 		encodeAttachment(w, a)
 	}
 	return w.b, extras, nil
+}
+
+// encodeBody runs m's body codec. coded reports whether the body
+// travels in the frame; otherwise it rides in extras by reference.
+func encodeBody(m *ipc.Message) (body []byte, coded bool, extras []any, err error) {
+	codec, ok := bodyCodecs[m.Op]
+	if !ok || m.Body == nil {
+		return nil, false, []any{m.Body}, nil
+	}
+	body, extras, err = codec.Encode(m.Body)
+	if err != nil {
+		return nil, false, nil, fmt.Errorf("wire: encode op %#x body: %w", m.Op, err)
+	}
+	return body, true, extras, nil
+}
+
+// Encoded sizes of the frame's fixed parts.
+const (
+	// envelopeBytes: op, to, reply-to, body bytes, NoIOUs,
+	// FaultSupport, body-present flag, and the attachment count.
+	envelopeBytes = 8 + 8 + 8 + 4 + 1 + 1 + 1 + 4
+	// attachmentBytes: kind, VA, size, three flags, segment id, offset
+	// and size, backing port, CompBytes, and the Sums and Runs counts.
+	attachmentBytes = 1 + 8 + 8 + 3 + 8 + 8 + 8 + 8 + 4 + 4 + 4
+	// runHeaderBytes: index, count and data length of one page run.
+	runHeaderBytes = 8 + 4 + 4
+)
+
+// frameLen is the length EncodeMessage gives m's frame, given the body
+// its codec produced.
+func frameLen(m *ipc.Message, body []byte, coded bool) int {
+	n := envelopeBytes
+	if coded {
+		n += 4 + len(body)
+	}
+	for _, a := range m.Mem {
+		n += attachmentBytes + 8*len(a.Sums) + len(a.Runs)*runHeaderBytes + a.DataBytes()
+	}
+	return n
 }
 
 func encodeAttachment(w *buf, a *ipc.MemAttachment) {
@@ -149,7 +188,10 @@ func encodeAttachment(w *buf, a *ipc.MemAttachment) {
 }
 
 // DecodeMessage reconstructs a message from a frame, consuming the
-// extras its encoder produced.
+// extras its encoder produced. Decoded page runs, in attachments and
+// in bodies, are capped windows onto frame rather than copies: the
+// message takes ownership of the frame, which the caller must not
+// reuse or modify afterwards.
 func DecodeMessage(frame []byte, extras []any) (m *ipc.Message, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -213,6 +255,9 @@ func decodeAttachment(r *rdr) *ipc.MemAttachment {
 	}
 	a.CompBytes = int(r.u32())
 	if n := int(r.u32()); n > 0 {
+		if n > (len(r.b)-r.off)/8 {
+			panic(truncated{})
+		}
 		a.Sums = make([]uint64, n)
 		for i := range a.Sums {
 			a.Sums[i] = r.u64()
@@ -228,8 +273,10 @@ func decodeAttachment(r *rdr) *ipc.MemAttachment {
 }
 
 // Transfer encodes and immediately decodes a message — the simulator's
-// wire crossing. The result shares no mutable byte state with the
-// input (codec-less bodies pass by reference, documented above).
+// wire crossing. Attachment page images are copied once, into the
+// private frame, and the result's page runs are windows onto that
+// frame, so the result shares no mutable byte state with the input
+// (codec-less bodies pass by reference, documented above).
 func Transfer(m *ipc.Message) (*ipc.Message, error) {
 	frame, extras, err := EncodeMessage(m)
 	if err != nil {
@@ -246,13 +293,14 @@ func Transfer(m *ipc.Message) (*ipc.Message, error) {
 	return out, nil
 }
 
-// FrameBytes reports the encoded frame length without keeping it.
+// FrameBytes reports the length of m's encoded frame. It runs only
+// the body codec; attachments are measured, not encoded.
 func FrameBytes(m *ipc.Message) (int, error) {
-	frame, _, err := EncodeMessage(m)
+	body, coded, _, err := encodeBody(m)
 	if err != nil {
 		return 0, err
 	}
-	return len(frame), nil
+	return frameLen(m, body, coded), nil
 }
 
 // FragCount reports how many link-level fragments a frame of n bytes

@@ -2,6 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,11 +17,31 @@ import (
 
 func roundTrip(t *testing.T, m *ipc.Message) *ipc.Message {
 	t.Helper()
+	if err := checkFrameShape(m); err != nil {
+		t.Error(err)
+	}
 	out, err := Transfer(m)
 	if err != nil {
 		t.Fatalf("Transfer: %v", err)
 	}
 	return out
+}
+
+// checkFrameShape reports a frame for m that is not allocated exactly
+// once at the length FrameBytes predicts.
+func checkFrameShape(m *ipc.Message) error {
+	frame, _, err := EncodeMessage(m)
+	if err != nil {
+		return err
+	}
+	fb, err := FrameBytes(m)
+	if err != nil {
+		return err
+	}
+	if len(frame) != fb || cap(frame) != fb {
+		return fmt.Errorf("op %#x: frame len %d cap %d, FrameBytes %d", m.Op, len(frame), cap(frame), fb)
+	}
+	return nil
 }
 
 func TestRoundTripEnvelope(t *testing.T) {
@@ -54,6 +79,13 @@ func TestRoundTripDataAttachment(t *testing.T) {
 	att.Runs[1].Data[0] = 0xFF
 	if oa.Runs[1].Data[0] == 0xFF {
 		t.Error("decoded message shares page buffers with the source")
+	}
+	// Decoded runs are capped windows onto one frame: growing the first
+	// past its end must reallocate, not overwrite the next run's header
+	// and data.
+	_ = append(oa.Runs[0].Data, bytes.Repeat([]byte{0xEE}, 64)...)
+	if oa.Runs[1].Index != 7 || !bytes.Equal(oa.Runs[1].Data, bytes.Repeat([]byte{0xAB}, 512)) {
+		t.Error("appending to a decoded run overwrote the next run")
 	}
 }
 
@@ -208,7 +240,11 @@ func TestQuickAttachmentRoundTrip(t *testing.T) {
 				att.AppendPage(uint64(i), d)
 			}
 		}
-		out, err := Transfer(&ipc.Message{Op: 3, Mem: []*ipc.MemAttachment{att}})
+		m := &ipc.Message{Op: 3, Mem: []*ipc.MemAttachment{att}}
+		if checkFrameShape(m) != nil {
+			return false
+		}
+		out, err := Transfer(m)
 		if err != nil {
 			return false
 		}
@@ -232,4 +268,101 @@ func TestQuickAttachmentRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTransferAllocsIndependentOfSize: a crossing allocates one frame of
+// the exact length and decodes page runs as windows onto it, so its
+// allocation count does not grow with the payload, and the page images
+// are allocated once, in the frame.
+func TestTransferAllocsIndependentOfSize(t *testing.T) {
+	msg := func(pages int) *ipc.Message {
+		return &ipc.Message{Op: 1, BodyBytes: 64, Mem: []*ipc.MemAttachment{{
+			Kind: ipc.AttachData, Size: uint64(pages) * 512, Collapsed: true,
+			Runs: []vm.PageRun{{Index: 0, Count: pages, Data: make([]byte, pages*512)}},
+		}}}
+	}
+	transfer := func(m *ipc.Message) func() {
+		return func() {
+			if _, err := Transfer(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	big := msg(4096)
+	if a, b := testing.AllocsPerRun(20, transfer(msg(1))), testing.AllocsPerRun(20, transfer(big)); a != b {
+		t.Errorf("Transfer allocs: %v for 1 page, %v for 4096 pages", a, b)
+	}
+	const runs = 20
+	transferBig := transfer(big)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		transferBig()
+	}
+	runtime.ReadMemStats(&after)
+	fb, err := FrameBytes(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One frame, rounded up to the allocator's page size, plus the
+	// message structs; a second copy of the payload would double it.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(fb)*3/2 {
+		t.Errorf("Transfer of a %d-byte frame allocates %d bytes", fb, per)
+	}
+}
+
+// TestDecodeHugeLengthDoesNotAllocate: lengths and counts read from a
+// frame are checked against the bytes that remain before anything is
+// sized from them, so a short frame that claims a 2 GiB body or four
+// billion page sums fails as truncated without allocating.
+func TestDecodeHugeLengthDoesNotAllocate(t *testing.T) {
+	// A zeroed envelope up to the body-present flag, the flag, and a
+	// body length of 2 GiB: 35 bytes in all.
+	body := append(make([]byte, envelopeBytes-5), 1)
+	body = binary.BigEndian.AppendUint32(body, 1<<31)
+	att, _, err := EncodeMessage(&ipc.Message{Op: 1, Mem: []*ipc.MemAttachment{{Kind: ipc.AttachData}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first attachment's Sums count follows its CompBytes field.
+	sumsAt := envelopeBytes + attachmentBytes - 8
+	binary.BigEndian.PutUint32(att[sumsAt:], 1<<32-1)
+	for name, frame := range map[string][]byte{"body": body, "sums": att} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeMessage(frame, []any{nil})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+			t.Errorf("%s: DecodeMessage = %v, want a truncated-frame error", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", name, len(frame), grew)
+		}
+	}
+}
+
+// FuzzDecodeMessage feeds the frame decoder arbitrary bytes. Decoding
+// must never panic, and a frame it accepts must survive a re-encode:
+// decoding the re-encoded message gives back an equal message. The
+// seed corpus in testdata/fuzz covers every frame section: envelope,
+// collapsed data with page sums, multi-run data, a streaming read
+// reply, a truncated frame and a frame claiming a 2 GiB body.
+func FuzzDecodeMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		m, err := DecodeMessage(frame, []any{nil})
+		if err != nil {
+			return
+		}
+		again, extras, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatalf("re-encode of a decoded frame: %v", err)
+		}
+		m2, err := DecodeMessage(again, extras)
+		if err != nil {
+			t.Fatalf("decode of a re-encoded frame: %v", err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("round trip changed the message:\n%+v\n%+v", m, m2)
+		}
+	})
 }
