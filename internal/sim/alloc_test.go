@@ -62,6 +62,52 @@ func TestAllocsProfileOff(t *testing.T) {
 	}
 }
 
+// TestAllocsProcHandoff pins the proc hand-off: a queue ping-pong
+// between two procs parks and resumes each of them once per round trip,
+// and none of that may allocate once the queues' backing arrays are warm.
+func TestAllocsProcHandoff(t *testing.T) {
+	k := New()
+	start := NewQueue[int](k)
+	req := NewQueue[int](k)
+	rsp := NewQueue[int](k)
+	k.Go("server", func(p *Proc) {
+		for {
+			v := req.Pop(p)
+			if v < 0 {
+				return
+			}
+			rsp.Push(v)
+		}
+	})
+	k.Go("client", func(p *Proc) {
+		for {
+			n := start.Pop(p)
+			if n < 0 {
+				req.Push(-1)
+				return
+			}
+			for i := 0; i < n; i++ {
+				req.Push(i)
+				rsp.Pop(p)
+			}
+		}
+	})
+	start.Push(16)
+	k.Run()
+	avg := testing.AllocsPerRun(200, func() {
+		start.Push(32)
+		k.Run()
+	})
+	start.Push(-1)
+	k.Run()
+	if avg != 0 {
+		t.Errorf("proc hand-off allocates %.2f objects per 32-round-trip batch, want 0", avg)
+	}
+	if k.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d, want 0", k.LiveProcs())
+	}
+}
+
 // TestHeapOrderingProperty drives the 4-ary heap with an adversarial
 // schedule pattern and checks the kernel's dispatch contract: events
 // fire in timestamp order, FIFO within a timestamp.
@@ -195,4 +241,16 @@ func BenchmarkQueuePingPong(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 	_ = got
+}
+
+// BenchmarkProcSpawn measures a proc's whole life: Go, the start event
+// that makes its coroutine and runs the body, and its return.
+func BenchmarkProcSpawn(b *testing.B) {
+	k := New()
+	body := func(p *Proc) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.Go("p", body)
+		k.Run()
+	}
 }

@@ -4,18 +4,20 @@
 // model operating-system activity in one of two styles:
 //
 //   - callbacks scheduled at a virtual time (Kernel.Schedule), and
-//   - sequential processes (Proc) that run as goroutines but are
-//     interleaved cooperatively, exactly one at a time, so that a whole
-//     simulation is deterministic and race-free by construction.
+//   - sequential processes (Proc) whose bodies run as coroutines that
+//     the kernel resumes from its event loop, exactly one at a time, so
+//     that a whole simulation is deterministic and race-free by
+//     construction.
 //
 // Events at the same virtual time fire in scheduling order (FIFO), which
 // makes every run of a simulation bit-for-bit reproducible.
 //
-// A Kernel and everything scheduled on it belong to one goroutine (plus
-// the proc goroutines it interleaves); kernels are cheap, so concurrent
-// simulations each get their own Kernel rather than sharing one.
+// A Kernel and everything scheduled on it belong to one goroutine at a
+// time (proc bodies run on coroutines that goroutine switches to and
+// back from); kernels are cheap, so concurrent simulations each get
+// their own Kernel rather than sharing one.
 //
-// A drained kernel's blocked procs stay parked on their goroutines, and
+// A drained kernel's blocked procs stay parked on their coroutines, and
 // those stacks keep everything the simulation built reachable. Callers
 // Close a kernel once they have read its results, which unwinds the
 // parked procs and lets the whole simulation be collected.
@@ -37,11 +39,6 @@ type Kernel struct {
 	events eventHeap
 	nowq   nowRing // zero-delay events for the current instant
 
-	// yield is the rendezvous on which the currently running Proc hands
-	// control back to the kernel. Only one Proc runs at a time, so a
-	// single unbuffered channel suffices.
-	yield chan struct{}
-
 	cur *Proc // proc currently executing, nil in callback context
 	// procs holds every proc created and not yet finished. Each proc
 	// records its slot, so finishing is a swap-remove and a finished
@@ -58,9 +55,7 @@ type Kernel struct {
 }
 
 // New returns an empty kernel with the clock at zero.
-func New() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -236,7 +231,7 @@ func (k *Kernel) LiveProcs() int { return len(k.procs) }
 
 // Close reaps a kernel whose results have been read. Every proc still
 // parked is unwound through the Kill path: its deferred calls run and
-// its goroutine exits. Procs that never started are finished, and the
+// its coroutine ends. Procs that never started are finished, and the
 // pending events are dropped, so no goroutine keeps the simulation
 // reachable. The sink is detached first, so nothing a proc does while
 // unwinding reaches a trace. Close panics in proc context; a second

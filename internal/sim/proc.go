@@ -5,21 +5,24 @@ import (
 	"time"
 )
 
-// Proc is a sequential simulated process. Its body runs on a dedicated
-// goroutine, but the kernel guarantees that at most one proc goroutine
-// executes at any real instant: a proc runs until it blocks on a kernel
-// primitive (Sleep, Queue.Pop, Resource.Acquire, ...) and only then does
-// the kernel dispatch the next event. This gives straight-line,
+// Proc is a sequential simulated process. Its body runs as a coroutine
+// that the kernel resumes from its event loop: a proc runs until it
+// blocks on a kernel primitive (Sleep, Queue.Pop, Resource.Acquire, ...),
+// which switches straight back to the event that resumed it, and only
+// then does the kernel dispatch the next event. At most one body runs at
+// any real instant, and a hand-off is a direct coroutine switch that
+// never goes through the Go scheduler. This gives straight-line,
 // blocking-style OS code with fully deterministic interleaving.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	slot   int // index in k.procs while live
-	killed bool
-	// started is set once launch has run: the proc has a goroutine that
-	// is parked or finished, so only a started proc can be unparked.
-	started bool
+	k    *Kernel
+	name string
+	slot int // index in k.procs while live
+	// next resumes the body until it parks or returns; yield, called
+	// from inside the body, suspends it. launch sets both.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
+	killed  bool
+	started bool // launch has run: only a started proc can be unparked
 	done    bool
 
 	// unparkFn is p.unpark bound once at creation, so the Sleep and
@@ -28,8 +31,8 @@ type Proc struct {
 	unparkFn func()
 }
 
-// killSignal is panicked inside a proc goroutine to unwind it when the
-// proc has been killed while parked.
+// killSignal is panicked inside a proc body to unwind it when the proc
+// has been killed while parked.
 type killSignal struct{ p *Proc }
 
 // Go starts fn as a new simulated process at the current virtual time.
@@ -39,41 +42,11 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	if fn == nil {
 		panic("sim: Go with nil function")
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), slot: len(k.procs)}
+	p := &Proc{k: k, name: name, slot: len(k.procs)}
 	p.unparkFn = p.unpark
 	k.procs = append(k.procs, p)
 	k.Schedule(0, func() { p.launch(fn) })
 	return p
-}
-
-// launch runs in kernel context: it spins up the proc goroutine and
-// waits for it to park or finish before returning to the event loop.
-func (p *Proc) launch(fn func(p *Proc)) {
-	if p.killed {
-		p.finish()
-		return
-	}
-	p.started = true
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if ks, ok := r.(killSignal); ok && ks.p == p {
-					// Normal unwind of a killed proc.
-				} else {
-					// Re-panic on the kernel side so the failure
-					// surfaces with this goroutine's stack attached.
-					p.finish()
-					panic(r)
-				}
-			}
-			p.finish()
-			p.k.cur = nil
-			p.k.yield <- struct{}{}
-		}()
-		p.k.cur = p
-		fn(p)
-	}()
-	<-p.k.yield
 }
 
 // finish marks the proc done and swap-removes it from the kernel's live
@@ -86,31 +59,6 @@ func (p *Proc) finish() {
 	procs[p.slot].slot = p.slot
 	procs[last] = nil
 	p.k.procs = procs[:last]
-}
-
-// park hands control back to the kernel and blocks until unparked. It
-// must be called from the proc's own goroutine.
-func (p *Proc) park() {
-	if p.k.cur != p {
-		panic(fmt.Sprintf("sim: proc %q parking while not current", p.name))
-	}
-	p.k.cur = nil
-	p.k.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSignal{p})
-	}
-	p.k.cur = p
-}
-
-// unpark runs in kernel context and transfers control to the parked
-// proc, returning once the proc parks again or finishes.
-func (p *Proc) unpark() {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.k.yield
 }
 
 // Name reports the name the proc was created with.
@@ -132,9 +80,10 @@ func (p *Proc) Done() bool { return p.done }
 // Fast path: when every queued event is strictly later than the wake
 // time, the wake event would be dispatched immediately after parking
 // with nothing running in between, so Sleep just advances the clock in
-// place. That elides the two yield-channel round trips (park + unpark)
-// that otherwise dominate the cost of fine-grained sleeps; observable
-// ordering is unchanged because no other event could have interleaved.
+// place. That elides the wake event and both coroutine switches (park
+// and unpark) that otherwise dominate the cost of fine-grained sleeps;
+// observable ordering is unchanged because no other event could have
+// interleaved.
 // The path also applies under a RunUntil deadline as long as the wake
 // time does not overshoot it (RunUntil dispatches events at exactly the
 // deadline, so waking at k.deadline in place is equivalent); cluster

@@ -148,3 +148,38 @@ func TestManyProcsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestProcPanicReachesRun: a panic in a proc body surfaces from Run in
+// the caller's goroutine, here from a body resumed by a queue hand-off.
+// The panicking proc is finished and the kernel is back out of proc
+// context, so the caller can still Close it and unwind the others.
+func TestProcPanicReachesRun(t *testing.T) {
+	k := New()
+	q := NewQueue[int](k)
+	idle := NewQueue[int](k)
+	unwound := false
+	k.Go("bystander", func(p *Proc) {
+		defer func() { unwound = true }()
+		idle.Pop(p)
+	})
+	k.Go("bomb", func(p *Proc) {
+		q.Pop(p)
+		panic("boom")
+	})
+	k.Schedule(time.Millisecond, func() { q.Push(1) })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.Run()
+	}()
+	if got != "boom" {
+		t.Fatalf("Run panicked with %v, want boom", got)
+	}
+	if k.LiveProcs() != 1 {
+		t.Errorf("LiveProcs = %d after the panic, want 1 (the bystander)", k.LiveProcs())
+	}
+	k.Close()
+	if !unwound || k.LiveProcs() != 0 {
+		t.Errorf("Close after a proc panic: bystander unwound %v, LiveProcs %d", unwound, k.LiveProcs())
+	}
+}

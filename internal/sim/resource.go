@@ -29,10 +29,17 @@ type Resource struct {
 	waitObs func(time.Duration)
 }
 
+// resWaiter is one queued claim on a unit: a proc blocked in Acquire,
+// or (p nil) a callback queued by AcquireFunc, which carries its wake
+// func, its name and its wait start instead of a proc's stack.
 type resWaiter struct {
 	p       *Proc
 	high    bool
 	granted bool // the unit was handed off directly by Release
+
+	wake  func()
+	who   string
+	since time.Duration
 }
 
 // getWaiter takes a waiter from the free list or allocates one.
@@ -61,7 +68,9 @@ func (r *Resource) Name() string { return r.name }
 // InUse reports the currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of procs blocked in Acquire.
+// QueueLen reports the number of queued waiters: procs blocked in
+// Acquire and callbacks queued by AcquireFunc. A killed proc's waiter
+// counts until Release discards it.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // enqueue inserts the waiter respecting class priority.
@@ -123,7 +132,7 @@ func (r *Resource) acquire(p *Proc, high bool) {
 			// this grant). inUse was never decremented.
 			r.acquires++
 			r.free = append(r.free, w)
-			r.observeWait(p, waitStart)
+			r.observeWait(p.name, waitStart)
 			return
 		}
 		// Spurious wakeup; retry. The stale waiter stays queued until
@@ -132,12 +141,43 @@ func (r *Resource) acquire(p *Proc, high bool) {
 	r.account()
 	r.inUse++
 	r.acquires++
-	r.observeWait(p, waitStart)
+	r.observeWait(p.name, waitStart)
+}
+
+// AcquireFunc is Acquire for callback code, which cannot block: wake
+// runs holding one unit, at once if a unit is free, otherwise in a
+// zero-delay event once Release hands this waiter a unit. The waiter
+// queues at normal priority in the same queue as procs, under the same
+// FIFO and no-barging rules, so the grant lands when a proc's wake-up
+// would have. who names the waiter in the flight recorder, as a proc's
+// name does.
+func (r *Resource) AcquireFunc(who string, wake func()) {
+	if r.inUse < r.capacity {
+		r.account()
+		r.inUse++
+		r.acquires++
+		wake()
+		return
+	}
+	w := r.getWaiter(nil, false)
+	w.wake, w.who, w.since = wake, who, r.k.now
+	r.enqueue(w)
+}
+
+// grantFunc runs in the zero-delay event Release schedules for a
+// callback waiter it handed a unit to.
+func (r *Resource) grantFunc(w *resWaiter) {
+	wake, who, since := w.wake, w.who, w.since
+	*w = resWaiter{}
+	r.acquires++
+	r.free = append(r.free, w)
+	r.observeWait(who, since)
+	wake()
 }
 
 // observeWait reports the queueing delay since waitStart (negative:
 // none) to the wait observer and the flight recorder.
-func (r *Resource) observeWait(p *Proc, waitStart time.Duration) {
+func (r *Resource) observeWait(who string, waitStart time.Duration) {
 	if waitStart < 0 {
 		return
 	}
@@ -152,15 +192,17 @@ func (r *Resource) observeWait(p *Proc, waitStart time.Duration) {
 		r.k.Emit(obs.Event{
 			Kind:    obs.QueueWait,
 			Machine: machineOf(r.name),
-			Proc:    p.name,
+			Proc:    who,
 			Name:    r.name,
 			Dur:     d,
 		})
 	}
 }
 
-// Release returns one unit and wakes the longest-waiting proc, if any.
-// It may be called from kernel or proc context.
+// Release returns one unit and hands it to the longest-waiting waiter,
+// if any: a proc is scheduled to resume, a callback waiter's wake func
+// to run, at the current virtual time. It may be called from kernel or
+// proc context.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource " + r.name)
@@ -173,6 +215,10 @@ func (r *Resource) Release() {
 		w := r.waiters[0]
 		r.waiters[0] = nil
 		r.waiters = r.waiters[1:]
+		if w.p == nil {
+			r.k.Schedule(0, func() { r.grantFunc(w) })
+			return
+		}
 		if w.p.killed || w.p.done {
 			r.free = append(r.free, w)
 			continue

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
+
+	"accentmig/internal/obs"
 )
 
 func TestResourceSerializesUse(t *testing.T) {
@@ -221,5 +225,85 @@ func TestResourcePriorityFIFOWithinClass(t *testing.T) {
 		if order[i] != want {
 			t.Fatalf("order = %v", order)
 		}
+	}
+}
+
+// TestAcquireFuncSharesQueue: a callback waiter queues with procs under
+// the same rules. It is FIFO among normal-priority waiters, admitted
+// behind a later high-priority proc, and handed the unit directly by
+// Release, so a releaser that re-acquires at once queues behind it. Its
+// wait reaches the observer and the flight recorder under its name.
+func TestAcquireFuncSharesQueue(t *testing.T) {
+	k := New()
+	sink := obs.NewMemorySink()
+	k.SetSink(sink)
+	r := NewResource(k, "m.arm", 1)
+	var waits []time.Duration
+	r.SetWaitObserver(func(d time.Duration) { waits = append(waits, d) })
+	var order []string
+	got := func(name string) { order = append(order, fmt.Sprintf("%s@%v", name, k.Now())) }
+	k.Go("holder", func(p *Proc) {
+		r.Acquire(p)
+		p.Sleep(10 * time.Millisecond)
+		r.Release()
+		r.Acquire(p)
+		got("holder")
+		r.Release()
+	})
+	k.Go("user", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		r.Acquire(p)
+		got("user")
+		p.Sleep(time.Millisecond)
+		r.Release()
+	})
+	k.Schedule(2*time.Millisecond, func() {
+		r.AcquireFunc("cb", func() {
+			got("cb")
+			k.Schedule(time.Millisecond, r.Release)
+		})
+		if n := r.QueueLen(); n != 2 {
+			t.Errorf("QueueLen = %d with a proc and a callback waiting, want 2", n)
+		}
+	})
+	k.Go("kernel", func(p *Proc) {
+		p.Sleep(3 * time.Millisecond)
+		r.AcquireHigh(p)
+		got("kernel")
+		p.Sleep(time.Millisecond)
+		r.Release()
+	})
+	k.Run()
+	want := []string{"kernel@10ms", "user@11ms", "cb@12ms", "holder@13ms"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("grant order = %v, want %v", order, want)
+	}
+	wantWaits := []time.Duration{7 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond, 3 * time.Millisecond}
+	if !reflect.DeepEqual(waits, wantWaits) {
+		t.Errorf("observed waits = %v, want %v", waits, wantWaits)
+	}
+	if r.Acquires() != 5 || r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Errorf("Acquires %d, InUse %d, QueueLen %d; want 5, 0, 0", r.Acquires(), r.InUse(), r.QueueLen())
+	}
+	var cbWait time.Duration
+	for _, ev := range sink.Events() {
+		if ev.Kind == obs.QueueWait && ev.Proc == "cb" {
+			cbWait = ev.Dur
+		}
+	}
+	if cbWait != 10*time.Millisecond {
+		t.Errorf("flight recorder QueueWait for cb = %v, want 10ms", cbWait)
+	}
+}
+
+// TestAcquireFuncFreeUnitRunsAtOnce: with a unit free, AcquireFunc
+// takes it and runs wake before returning, with no event in between.
+func TestAcquireFuncFreeUnitRunsAtOnce(t *testing.T) {
+	k := New()
+	r := NewResource(k, "r", 1)
+	ran := false
+	r.AcquireFunc("cb", func() { ran = true })
+	if !ran || r.InUse() != 1 || r.Acquires() != 1 || !k.Idle() {
+		t.Errorf("ran %v, InUse %d, Acquires %d, idle %v; want true, 1, 1, true", ran, r.InUse(), r.Acquires(), k.Idle())
 	}
 }

@@ -255,6 +255,28 @@ func TestClusterLanePanicPropagates(t *testing.T) {
 	cl.Run(2)
 }
 
+// TestClusterLaneProcPanicPropagates: a panic in a proc body on a lane
+// surfaces from Run as that lane's panic, like one in a lane event.
+func TestClusterLaneProcPanicPropagates(t *testing.T) {
+	cl := NewCluster(2, time.Millisecond)
+	q := NewQueue[int](cl.Lane(1))
+	cl.Lane(1).Go("bomb", func(p *Proc) {
+		q.Pop(p)
+		panic("boom")
+	})
+	cl.Lane(1).Schedule(time.Microsecond, func() { q.Push(1) })
+	cl.Lane(0).Schedule(time.Microsecond, func() {})
+	defer func() {
+		r := recover()
+		s, ok := r.(string)
+		if !ok || !strings.HasPrefix(s, "sim: lane 1 panicked") || !strings.Contains(s, "boom") {
+			t.Fatalf("panic = %v, want sim: lane 1 panicked: boom", r)
+		}
+		cl.Close()
+	}()
+	cl.Run(2)
+}
+
 // TestClusterOneLaneDelegates: the degenerate one-lane cluster takes
 // the sequential Kernel.Run code path verbatim — no windows, no barrier
 // machinery.
