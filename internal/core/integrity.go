@@ -21,9 +21,12 @@ import (
 
 // stampIntegrity checksums the outgoing RIMAS payload in place of the
 // message (attachment structs are copied first, so the rollback
-// snapshot — which shares them — stays pristine). The hashing sweep
-// costs one HashPerPageCPU per page; indexing the shipped bytes is
-// what lets the destination's repair read find them here later.
+// snapshot — which shares them — stays pristine). The checksums are
+// the attachments' page names: the ones the manifest already computed
+// when it ran (elision carries them over), hashed here otherwise. The
+// sweep is charged one HashPerPageCPU per page either way; indexing the
+// shipped bytes is what lets the destination's repair read find them
+// here later.
 func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context, d vm.DedupConfig) {
 	ps := mgr.M.PageSize()
 	mem := make([]*ipc.MemAttachment, len(ctx.RIMAS.Mem))
@@ -34,13 +37,12 @@ func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context, d vm.DedupConfig) 
 			continue
 		}
 		cp := *a
-		sums := make([]uint64, 0, cp.PageCount())
+		sums := cp.PageHashes(ps)
+		k := 0
 		for _, run := range cp.Runs {
 			for j := 0; j < run.Count; j++ {
-				pg := run.Page(j, ps)
-				h, _ := vm.HashPage(pg, ps)
-				sums = append(sums, h)
-				mgr.M.Index.Put(h, pg)
+				mgr.M.Index.Put(sums[k], run.Page(j, ps))
+				k++
 			}
 		}
 		cp.Sums = sums

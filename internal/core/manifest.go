@@ -91,6 +91,9 @@ func denseFromZero(a *ipc.MemAttachment) bool {
 // message and predicts, per attachment, whether the transport will
 // physically ship it. It returns the manifest and the total page count
 // hashed (zero means the exchange is pointless and should be skipped).
+// The manifest shares each attachment's cached page names
+// (MemAttachment.PageHashes), so the integrity stamp and the
+// transport's IOU-cache indexing read them instead of hashing again.
 func buildManifest(procName string, attempt int, rimas *ipc.Message, net netmsg.Config, ps int) (*ManifestBody, int) {
 	mb := &ManifestBody{ProcName: procName, Attempt: attempt}
 	pages := 0
@@ -98,11 +101,7 @@ func buildManifest(procName string, attempt int, rimas *ipc.Message, net netmsg.
 		ma := ManifestAtt{}
 		if a.Kind == ipc.AttachData && a.PageCount() > 0 && denseFromZero(a) {
 			ma.WillShip = !net.WillAbsorb(a.Copy, rimas.NoIOUs, a.PageCount())
-			run := a.Runs[0]
-			for j := 0; j < run.Count; j++ {
-				h, _ := vm.HashPage(run.Page(j, ps), ps)
-				ma.Hashes = append(ma.Hashes, h)
-			}
+			ma.Hashes = a.PageHashes(ps)
 			pages += len(ma.Hashes)
 		}
 		mb.Atts = append(mb.Atts, ma)
@@ -204,16 +203,20 @@ func classifyManifest(mb *ManifestBody, index *vm.ContentIndex, led *vm.Delivery
 // is set in needed, grouped back into contiguous runs. Run data slices
 // alias the original dense buffer — nothing is copied, and the
 // original attachment (held by the rollback snapshot) is untouched.
+// The copy carries the cached names of the pages it keeps.
 func elideAttachment(a *ipc.MemAttachment, needed []byte, ps int) (*ipc.MemAttachment, int) {
 	na := *a
 	na.Runs = nil
 	run := a.Runs[0]
+	names := a.PageHashes(ps) // computed by buildManifest
+	kept := make([]uint64, 0, len(names))
 	elided := 0
 	for j := 0; j < run.Count; j++ {
 		if needed[j>>3]&(1<<(j&7)) == 0 {
 			elided++
 			continue
 		}
+		kept = append(kept, names[j])
 		lo := j * ps
 		hi := lo + ps
 		if hi > len(run.Data) {
@@ -227,6 +230,7 @@ func elideAttachment(a *ipc.MemAttachment, needed []byte, ps int) (*ipc.MemAttac
 			na.Runs = append(na.Runs, vm.PageRun{Index: uint64(j), Count: 1, Data: run.Data[lo:hi]})
 		}
 	}
+	na.SetPageHashes(kept, ps)
 	return &na, elided
 }
 

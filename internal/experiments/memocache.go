@@ -22,7 +22,7 @@ import (
 // change in a way the config fingerprint cannot see; old entries become
 // unreachable (they live in a differently named subdirectory) and are
 // eventually pruned.
-const memoEpoch = 2
+const memoEpoch = 3
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.

@@ -116,6 +116,13 @@ type MemAttachment struct {
 	SegOff  uint64 // offset of VA within that segment
 	SegSize uint64 // full segment size
 	Backing PortID // port owing the data
+
+	// hashes caches the vm.HashPage name of every payload page, in run
+	// order, hashed at page size hashPS (see PageHashes). It is a
+	// host-side value: no codec encodes it, WireBytes never prices it,
+	// and a decoded attachment starts without it.
+	hashes []uint64
+	hashPS int
 }
 
 // DataBytes reports the physical payload carried by the attachment.
@@ -130,9 +137,50 @@ func (a *MemAttachment) PageCount() int {
 
 // AppendPage appends a single page image as its own one-page run —
 // the incremental construction path for builders whose pages are not
-// already contiguous in memory (pre-copy snapshots, tests).
+// already contiguous in memory (pre-copy snapshots, tests). It drops
+// any cached page names.
 func (a *MemAttachment) AppendPage(index uint64, data []byte) {
 	a.Runs = append(a.Runs, vm.PageRun{Index: index, Count: 1, Data: data})
+	a.hashes, a.hashPS = nil, 0
+}
+
+// PageHashes returns the vm.HashPage name of every page the attachment
+// carries, in run order: entry i names the i-th page across Runs. The
+// first call hashes the runs through vm.HashRun; later calls at the
+// same page size return the same slice, which callers must not modify.
+// Every source-side consumer (the dedup manifest, the integrity stamp,
+// IOU-cache indexing) reads these, so an outgoing page is hashed once.
+// The page data must not change once named.
+func (a *MemAttachment) PageHashes(pageSize int) []uint64 {
+	if hs := a.CachedPageHashes(pageSize); hs != nil {
+		return hs
+	}
+	hs := make([]uint64, 0, a.PageCount())
+	for _, r := range a.Runs {
+		hs = vm.HashRun(hs, r, pageSize)
+	}
+	a.hashes, a.hashPS = hs, pageSize
+	return hs
+}
+
+// CachedPageHashes returns the names PageHashes computed, or
+// SetPageHashes installed, at this page size; nil if there are none. It
+// never hashes.
+func (a *MemAttachment) CachedPageHashes(pageSize int) []uint64 {
+	if a.hashPS != pageSize {
+		return nil
+	}
+	return a.hashes
+}
+
+// SetPageHashes installs names the caller already holds for exactly
+// the pages of Runs, in run order: how a copy that keeps some of an
+// attachment's pages carries their names instead of hashing again.
+func (a *MemAttachment) SetPageHashes(hs []uint64, pageSize int) {
+	if len(hs) != a.PageCount() {
+		panic(fmt.Sprintf("ipc: %d page names for %d pages", len(hs), a.PageCount()))
+	}
+	a.hashes, a.hashPS = hs, pageSize
 }
 
 // descriptor sizes for wire accounting.

@@ -494,67 +494,119 @@ func (m *Machine) MakeResident(pr *Process, addrs []vm.Addr) error {
 }
 
 // ImageHash digests a resident process's logical memory image: every
-// region in address order, every materialized page's content, and the
-// presence/absence of each page. Two runs of the same program that end
-// with the same memory state produce the same hash; a corrupted,
-// zero-filled, or missing page changes it. Used by the chaos
-// campaign's image-identity invariant.
+// region in address order, and for each page slot of a region whether
+// the page is present and, if so, its content name (vm.HashPage). Two
+// runs of the same program that end with the same memory state produce
+// the same hash; a corrupted, zero-filled, moved or missing page
+// changes it. Used by the chaos campaign's image-identity invariant.
+//
+// The digest is one FNV-1a chain over bytes: each region's start
+// address (8 bytes, little-endian), then per page slot a zero byte for
+// an absent page, or a one byte and the page's 8-byte name for a
+// present one. The marker keeps a present zero page (name ZeroHash)
+// apart from an absent page.
 func (m *Machine) ImageHash(name string) (uint64, bool) {
 	pr, ok := m.procs[name]
 	if !ok {
 		return 0, false
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	// An absent page mixes a zero byte: h ^= 0 is a no-op, so the whole
-	// page costs one h *= prime64. A run of n absent pages is therefore
-	// h *= prime64^n, computable in O(log n) by square-and-multiply —
-	// uint64 multiplication is already mod 2^64. This is what makes
-	// hashing a sparse 4 GB Lisp space (8M page slots, ~4K materialized)
-	// cheap: the gaps are skipped by bitmap run sweeps and collapse to a
-	// handful of multiplies, bit-identical to the page-at-a-time walk.
-	skipAbsent := func(h uint64, n uint64) uint64 {
-		p := uint64(prime64)
-		for ; n > 0; n >>= 1 {
-			if n&1 != 0 {
-				h *= p
-			}
-			p *= p
-		}
-		return h
-	}
-	h := uint64(offset64)
+	d := imageDigest{h: fnvOffset64, ps: m.cfg.PageSize}
 	ps := uint64(m.cfg.PageSize)
 	for _, r := range pr.AS.Regions() {
-		v := uint64(r.Start)
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xff
-			h *= prime64
-		}
+		d.region(uint64(r.Start))
 		first := r.SegOff / ps
 		last := (r.SegOff + r.Size() + ps - 1) / ps
 		for idx := first; idx < last; {
 			start, end, ok := r.Seg.NextRun(idx, last-1)
 			if !ok {
-				h = skipAbsent(h, last-idx)
+				d.absent += last - idx
 				break
 			}
-			h = skipAbsent(h, start-idx)
+			d.absent += start - idx
 			for i := start; i < end; i++ {
-				pg := r.Seg.Page(i)
-				h ^= 1
-				h *= prime64
-				for _, b := range pg.Data {
-					h ^= uint64(b)
-					h *= prime64
-				}
+				d.present(r.Seg.Page(i).Data)
 			}
 			idx = end
 		}
 	}
-	return h, true
+	return d.sum(), true
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// imageDigest is ImageHash's chain. Present pages are named four at a
+// time through vm.HashPages, across run boundaries, so it batches them
+// with the count of absent pages before each and folds the batch in
+// order once it is full.
+//
+// An absent page is a zero byte: h ^= 0 is a no-op, so it costs one
+// h *= prime, and a gap of n absent pages is h *= prime^n, computed in
+// O(log n) by square-and-multiply (uint64 multiplication is already mod
+// 2^64). That keeps a sparse 4 GB Lisp space (8M page slots, ~4K
+// present) cheap, with the same value as a walk one slot at a time.
+type imageDigest struct {
+	h      uint64
+	ps     int
+	absent uint64 // absent pages since the last batched present page
+
+	n     int       // present pages batched
+	pages [4][]byte // their images, in slot order
+	gaps  [4]uint64 // absent pages before each
+	names [4]uint64 // scratch for their names
+}
+
+// present batches one present page.
+func (d *imageDigest) present(data []byte) {
+	d.pages[d.n], d.gaps[d.n] = data, d.absent
+	d.absent = 0
+	d.n++
+	if d.n == len(d.pages) {
+		d.flush()
+	}
+}
+
+// flush names the batched pages and folds them into the chain.
+func (d *imageDigest) flush() {
+	for k, name := range vm.HashPages(d.names[:0], d.pages[:d.n], d.ps) {
+		d.skip(d.gaps[k])
+		d.h = (d.h ^ 1) * fnvPrime64
+		d.mix64(name)
+	}
+	d.n = 0
+}
+
+// region folds everything pending, then the start of the next region.
+func (d *imageDigest) region(start uint64) {
+	d.sum()
+	d.mix64(start)
+}
+
+// sum folds everything pending and returns the digest so far.
+func (d *imageDigest) sum() uint64 {
+	d.flush()
+	d.skip(d.absent)
+	d.absent = 0
+	return d.h
+}
+
+// skip folds n absent pages: h *= prime^n.
+func (d *imageDigest) skip(n uint64) {
+	for p := uint64(fnvPrime64); n > 0; n >>= 1 {
+		if n&1 != 0 {
+			d.h *= p
+		}
+		p *= p
+	}
+}
+
+// mix64 folds the eight bytes of v, low byte first.
+func (d *imageDigest) mix64(v uint64) {
+	for i := 0; i < 8; i++ {
+		d.h = (d.h ^ v>>(8*i)&0xff) * fnvPrime64
+	}
 }
 
 // FrameCensus counts pool frames reachable from live segments: the sum

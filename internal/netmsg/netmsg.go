@@ -700,13 +700,17 @@ func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
 		// Register absorbed contents so a later migration (or a nearest-
 		// holder fault from anywhere) can discover the pages this machine
 		// now backs — they are the "surviving from a prior visit" case.
+		// The names are the ones the sender's manifest or integrity
+		// stamp already computed, when either ran.
 		ps := s.cfg.FragBytes
+		names := a.PageHashes(ps)
+		k := 0
 		for _, run := range a.Runs {
 			for i := 0; i < run.Count; i++ {
-				pg := run.Page(i, ps)
-				if h, zero := vm.HashPage(pg, ps); !zero {
-					s.index.Put(h, pg)
+				if h := names[k]; h != vm.ZeroHash {
+					s.index.Put(h, run.Page(i, ps))
 				}
+				k++
 			}
 		}
 		s.cpu.UseHigh(p, time.Duration(pages)*s.hashPerCPU)

@@ -1,6 +1,9 @@
 package vm
 
-import "time"
+import (
+	"encoding/binary"
+	"time"
+)
 
 // Content hashing for the content-addressed page store. Pages are named
 // by a 64-bit FNV-1a hash over their full page-size image (short run
@@ -27,56 +30,129 @@ const (
 // hash as zeros. The second result reports whether the page is entirely
 // zero, in which case the hash is the ZeroHash sentinel.
 func HashPage(data []byte, pageSize int) (uint64, bool) {
-	h := fnvOffset64
-	zero := true
-	n := len(data)
-	if n > pageSize {
-		n = pageSize
-	}
-	for i := 0; i < n; i++ {
-		b := data[i]
-		if b != 0 {
-			zero = false
+	h := finishPage(fnvOffset64, data, 0, pageSize)
+	return h, h == ZeroHash
+}
+
+// HashRun appends HashPage's name of every page of r to dst, in page
+// order, and returns the extended slice. It is the sweep every hashing
+// path uses: the pages go through HashPages four at a time. With enough
+// capacity in dst it does not allocate.
+func HashRun(dst []uint64, r PageRun, pageSize int) []uint64 {
+	var group [4][]byte
+	for i := 0; i < r.Count; i += len(group) {
+		n := min(len(group), r.Count-i)
+		for k := 0; k < n; k++ {
+			group[k] = r.Page(i+k, pageSize)
 		}
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	if zero {
-		return ZeroHash, true
-	}
-	// Hash the implicit zero tail so partial and full images of the
-	// same page agree.
-	for i := n; i < pageSize; i++ {
-		h *= fnvPrime64
-	}
-	if h == ZeroHash {
-		h = 1 // keep the sentinel unambiguous
-	}
-	return h, false
-}
-
-// PageHash names one page of an attachment or segment by (index, hash).
-// It is the unit of the migration manifest and of the elided-page and
-// hash-hint lists riding ipc.MemAttachment.
-type PageHash struct {
-	Index uint64 // page index (attachment-relative or segment-relative)
-	Hash  uint64 // HashPage of the page image; ZeroHash for zero pages
-}
-
-// PageHashWireBytes is the wire price of one PageHash entry: an 8-byte
-// hash plus a 4-byte page index (manifests and elision lists cover at
-// most a few thousand pages, so indexes fit in 32 bits on the wire).
-const PageHashWireBytes = 12
-
-// HashRun appends (index, hash) entries for every page of a run to dst
-// and returns the extended slice. It is the manifest-building sweep:
-// one pass over the run's bytes, no allocation beyond dst's growth.
-func HashRun(dst []PageHash, r PageRun, pageSize int) []PageHash {
-	for i := 0; i < r.Count; i++ {
-		h, _ := HashPage(r.Page(i, pageSize), pageSize)
-		dst = append(dst, PageHash{Index: r.Index + uint64(i), Hash: h})
+		dst = HashPages(dst, group[:n], pageSize)
 	}
 	return dst
+}
+
+// HashPages appends HashPage's name of each image in pages to dst and
+// returns the extended slice. The images need not be contiguous or of
+// one length. Four pages are hashed abreast, as four independent
+// FNV-1a chains: one chain waits on its multiply for every byte, four
+// keep the multiplier busy. With enough capacity in dst it does not
+// allocate.
+func HashPages(dst []uint64, pages [][]byte, pageSize int) []uint64 {
+	for len(pages) > 1 {
+		// Two or three pages left: the last one fills the spare lanes.
+		// The chains run side by side, so a spare lane is nearly free.
+		last := len(pages) - 1
+		names := hash4(pages[0], pages[1], pages[min(2, last)], pages[min(3, last)], pageSize)
+		n := min(4, len(pages))
+		dst = append(dst, names[:n]...)
+		pages = pages[n:]
+	}
+	if len(pages) == 1 {
+		h, _ := HashPage(pages[0], pageSize)
+		dst = append(dst, h)
+	}
+	return dst
+}
+
+// hash4 names four page images at once. The chains run together over
+// the bytes all four pages have; each then finishes alone (a short
+// final page ends early, and its tail is hashed as zeros).
+func hash4(p0, p1, p2, p3 []byte, pageSize int) [4]uint64 {
+	n := min(len(p0), len(p1), len(p2), len(p3), pageSize) &^ 1
+	h0, h1, h2, h3 := fnvChains4(p0[:n], p1, p2, p3)
+	return [4]uint64{
+		finishPage(h0, p0, n, pageSize),
+		finishPage(h1, p1, n, pageSize),
+		finishPage(h2, p2, n, pageSize),
+		finishPage(h3, p3, n, pageSize),
+	}
+}
+
+// fnvChains4 runs four FNV-1a chains over len(a) bytes of each slice;
+// len(a) must be even and no longer than the others. Two bytes per
+// step halve the loop overhead. It is kept apart from hash4 so the
+// eight live values (four chains, four slice bases) stay in registers.
+func fnvChains4(a, b, c, d []byte) (h0, h1, h2, h3 uint64) {
+	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+	h0, h1, h2, h3 = fnvOffset64, fnvOffset64, fnvOffset64, fnvOffset64
+	for i := 1; i < len(a); i += 2 {
+		h0 = (h0 ^ uint64(a[i-1])) * fnvPrime64
+		h1 = (h1 ^ uint64(b[i-1])) * fnvPrime64
+		h2 = (h2 ^ uint64(c[i-1])) * fnvPrime64
+		h3 = (h3 ^ uint64(d[i-1])) * fnvPrime64
+		h0 = (h0 ^ uint64(a[i])) * fnvPrime64
+		h1 = (h1 ^ uint64(b[i])) * fnvPrime64
+		h2 = (h2 ^ uint64(c[i])) * fnvPrime64
+		h3 = (h3 ^ uint64(d[i])) * fnvPrime64
+	}
+	return h0, h1, h2, h3
+}
+
+// finishPage completes one chain that has hashed the first n bytes of
+// data, returning what HashPage(data, pageSize) returns. The chain
+// itself tells a zero page: after m zero bytes it holds exactly
+// fnvOffset64·prime^m, so only a page that lands there is scanned.
+// The zero tail of a short page is one multiply by prime^(pageSize-m).
+func finishPage(h uint64, data []byte, n, pageSize int) uint64 {
+	m := min(len(data), pageSize)
+	for _, b := range data[n:m] {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	if h == fnvOffset64*primePow(m) && allZero(data[:m]) {
+		return ZeroHash
+	}
+	h *= primePow(pageSize - m)
+	if h == ZeroHash {
+		h = 1 // keep the sentinel unambiguous, as HashPage does
+	}
+	return h
+}
+
+// primePow returns fnvPrime64^n mod 2^64 by square-and-multiply: the
+// effect of n zero bytes on an FNV-1a chain, since h ^= 0 is a no-op.
+func primePow(n int) uint64 {
+	r, p := uint64(1), fnvPrime64
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r *= p
+		}
+		p *= p
+	}
+	return r
+}
+
+// allZero reports whether every byte of b is zero, eight at a time.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ModelCompressedSize estimates the post-compression size of a page

@@ -1,6 +1,9 @@
 package vm
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestHashPageZeroDetection(t *testing.T) {
 	zero := make([]byte, DefaultPageSize)
@@ -49,25 +52,118 @@ func TestHashPageDistinguishesContent(t *testing.T) {
 	}
 }
 
+// refHashPage is the definition HashPage and the four-abreast kernel
+// must reproduce: one byte-serial FNV-1a chain over the page image with
+// its missing tail as zeros, the all-zero page named ZeroHash, and a
+// non-zero page that lands on ZeroHash renamed 1.
+func refHashPage(data []byte, pageSize int) uint64 {
+	h := fnvOffset64
+	zero := true
+	for i := 0; i < pageSize; i++ {
+		var b byte
+		if i < len(data) {
+			b = data[i]
+		}
+		if b != 0 {
+			zero = false
+		}
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	switch {
+	case zero:
+		return ZeroHash
+	case h == ZeroHash:
+		return 1
+	}
+	return h
+}
+
+func TestHashPageMatchesReference(t *testing.T) {
+	ps := DefaultPageSize
+	rng := rand.New(rand.NewSource(1))
+	for it := 0; it < 500; it++ {
+		data := make([]byte, rng.Intn(ps+1))
+		for i := range data {
+			if rng.Intn(8) == 0 {
+				data[i] = byte(rng.Intn(256))
+			}
+		}
+		got, zero := HashPage(data, ps)
+		if want := refHashPage(data, ps); got != want || zero != (want == ZeroHash) {
+			t.Fatalf("len %d: HashPage = %#x zero=%v, want %#x", len(data), got, zero, want)
+		}
+	}
+}
+
+// TestHashRun checks the four-abreast kernel against HashPage page by
+// page: every run length from 0 to 9 (so every lane count and every
+// remainder), zero pages mixed in at every lane, and a short final page.
 func TestHashRun(t *testing.T) {
 	ps := DefaultPageSize
-	data := make([]byte, 3*ps)
+	rng := rand.New(rand.NewSource(2))
+	for count := 0; count <= 9; count++ {
+		for _, tail := range []int{ps, ps - 1, 17, 1} {
+			if count == 0 && tail != ps {
+				continue
+			}
+			size := count * ps
+			if count > 0 {
+				size = (count-1)*ps + tail
+			}
+			data := make([]byte, size)
+			for i := range data {
+				data[i] = byte(rng.Intn(256))
+			}
+			for p := 0; p < count; p++ {
+				if rng.Intn(3) == 0 { // a zero page
+					clear(data[p*ps : min((p+1)*ps, size)])
+				}
+			}
+			r := PageRun{Index: 5, Count: count, Data: data}
+			dst := make([]uint64, 1, 1+count)
+			dst[0] = 99
+			got := HashRun(dst, r, ps)
+			if len(got) != 1+count || got[0] != 99 {
+				t.Fatalf("count %d tail %d: HashRun returned %d entries %v, want 99 then %d names", count, tail, len(got), got, count)
+			}
+			for p := 0; p < count; p++ {
+				want, _ := HashPage(r.Page(p, ps), ps)
+				if got[1+p] != want {
+					t.Errorf("count %d tail %d page %d: HashRun %#x, HashPage %#x", count, tail, p, got[1+p], want)
+				}
+			}
+		}
+	}
+}
+
+func TestHashPagesMixedLengths(t *testing.T) {
+	ps := DefaultPageSize
+	full := make([]byte, ps)
+	for i := range full {
+		full[i] = byte(i*7 + 1)
+	}
+	pages := [][]byte{full, nil, full[:3], make([]byte, ps), full[:ps-1], {0, 0, 9}, full}
+	got := HashPages(nil, pages, ps)
+	for i, pg := range pages {
+		if want := refHashPage(pg, ps); got[i] != want {
+			t.Errorf("page %d (len %d): %#x, want %#x", i, len(pg), got[i], want)
+		}
+	}
+}
+
+func TestAllocsHashRun(t *testing.T) {
+	ps := DefaultPageSize
+	data := make([]byte, 64*ps)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	r := PageRun{Index: 5, Count: 3, Data: data}
-	hs := HashRun(nil, r, ps)
-	if len(hs) != 3 {
-		t.Fatalf("got %d entries, want 3", len(hs))
-	}
-	for i, ph := range hs {
-		if ph.Index != 5+uint64(i) {
-			t.Errorf("entry %d index %d, want %d", i, ph.Index, 5+i)
-		}
-		want, _ := HashPage(data[i*ps:(i+1)*ps], ps)
-		if ph.Hash != want {
-			t.Errorf("entry %d hash mismatch", i)
-		}
+	r := PageRun{Count: 64, Data: data}
+	dst := make([]uint64, 0, r.Count)
+	allocs := testing.AllocsPerRun(50, func() {
+		dst = HashRun(dst[:0], r, ps)
+	})
+	if allocs != 0 {
+		t.Errorf("HashRun into a preallocated dst allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

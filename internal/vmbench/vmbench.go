@@ -132,6 +132,31 @@ func PageHash(b *testing.B) {
 	}
 }
 
+// HashRun measures naming a 64-page run through the four-abreast
+// kernel: the sweep that hashes an outgoing attachment's pages once per
+// migration and names every present page of an image digest. It
+// reports ns/page beside ns/op, to read against PageHash. Must be
+// zero-alloc.
+func HashRun(b *testing.B) {
+	const pages = 64
+	data := make([]byte, pages*vm.DefaultPageSize)
+	for i := range data {
+		data[i] = byte(i*31 + 7)
+	}
+	r := vm.PageRun{Count: pages, Data: data}
+	dst := make([]uint64, 0, pages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = vm.HashRun(dst[:0], r, vm.DefaultPageSize)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/page")
+	if len(dst) != pages || dst[0] == vm.ZeroHash {
+		b.Fatalf("named %d pages, first %#x", len(dst), dst[0])
+	}
+}
+
 // ContentIndexHit measures a verified index lookup: the map probe plus
 // the guard re-hash of the remembered frame. This is the destination's
 // per-page cost of classifying a manifest against content it already

@@ -48,6 +48,12 @@ var bodyCodecs = map[int]BodyCodec{}
 // the same op win, which lets tests stub protocols.
 func RegisterBody(op int, c BodyCodec) { bodyCodecs[op] = c }
 
+// LookupBody returns the codec registered for op, if any.
+func LookupBody(op int) (BodyCodec, bool) {
+	c, ok := bodyCodecs[op]
+	return c, ok
+}
+
 // buf is a tiny append-only encoder.
 type buf struct{ b []byte }
 

@@ -89,6 +89,49 @@ func TestRoundTripDataAttachment(t *testing.T) {
 	}
 }
 
+// TestPageNamesStayOnHost checks that an attachment's cached page
+// names are host-side only: naming the pages changes neither the frame
+// bytes nor the priced size, and the decoded copy starts unnamed.
+func TestPageNamesStayOnHost(t *testing.T) {
+	ps := vm.DefaultPageSize
+	data := make([]byte, 3*ps-40)
+	for i := range data {
+		data[i] = byte(i*5 + 3)
+	}
+	mk := func() *ipc.Message {
+		return &ipc.Message{Op: 0x42, BodyBytes: 16, Mem: []*ipc.MemAttachment{{
+			Kind: ipc.AttachData, Size: uint64(len(data)), Collapsed: true,
+			Runs: []vm.PageRun{{Index: 0, Count: 3, Data: data}},
+			Sums: []uint64{1, 2, 3},
+		}}}
+	}
+	plain, named := mk(), mk()
+	if len(named.Mem[0].PageHashes(ps)) != 3 {
+		t.Fatal("attachment not named")
+	}
+	want, _, err := EncodeMessage(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := EncodeMessage(named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("cached page names changed the frame bytes")
+	}
+	if named.WireBytes() != plain.WireBytes() {
+		t.Errorf("WireBytes %d with cached names, %d without", named.WireBytes(), plain.WireBytes())
+	}
+	out := roundTrip(t, named)
+	if out.Mem[0].CachedPageHashes(ps) != nil {
+		t.Error("the decoded attachment arrived with cached page names")
+	}
+	if again, _, _ := EncodeMessage(out); !bytes.Equal(again, want) {
+		t.Error("re-encoding the decoded message changed the frame bytes")
+	}
+}
+
 func TestRoundTripMultiPageRun(t *testing.T) {
 	att := &ipc.MemAttachment{
 		Kind: ipc.AttachData, Size: 4 * 512,
