@@ -21,11 +21,12 @@ fmt:
 
 check: build vet fmt test race smoke identity benchmod
 
-# Smoke gate for what no test runs: the VM microbenchmark bodies at a
-# token iteration count, and the window/streaming sweep end to end on a
-# two-workload subset (no test calls Pipeline).
+# Smoke gate for what no test runs: the VM and workload-install
+# microbenchmark bodies at a token iteration count, and the
+# window/streaming sweep end to end on a two-workload subset (no test
+# calls Pipeline).
 smoke:
-	$(GO) test -count=1 -run xxx -bench . -benchtime 100x ./internal/vmbench/
+	$(GO) test -count=1 -run xxx -bench . -benchtime 100x ./internal/vmbench/ ./internal/workload/
 	$(GO) run ./cmd/migsim -exp pipeline -kinds Minprog,Lisp-Del > /dev/null
 
 # The benchmark of record is its own module under bench/, importing

@@ -72,17 +72,6 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 	}
 	ps := uint64(m.PageSize())
 
-	// Zero-filled regions are reborn from the AMap alone.
-	for _, e := range cb.AMap.Entries {
-		if e.Access != vm.RealZeroMem {
-			continue
-		}
-		if _, err := as.Validate(e.Start, e.Size(), "zero"); err != nil {
-			return nil, t, fmt.Errorf("core: insert %q: %w", cb.ProcName, err)
-		}
-		t.ZeroRuns++
-	}
-
 	pr := &machine.Process{
 		Name:             cb.ProcName,
 		AS:               as,
@@ -234,32 +223,57 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 		}
 		lazySeg = seg
 	}
+	// Map the address space in one pass in address order — zero-filled
+	// regions reborn from the AMap alone, collapsed runs, and imaginary
+	// attachments at their own VAs — so every MapSegment appends to the
+	// region list instead of shifting it. Each source is already sorted
+	// by address; the pass merges them.
 	var resOff, lazyOff uint64
-	for _, run := range runTable {
-		seg := lazySeg
-		off := &lazyOff
-		if run.Resident {
-			seg = resSeg
-			off = &resOff
+	zeros := cb.AMap.Entries
+unfold:
+	for ri, ii := 0, 0; ; {
+		for len(zeros) > 0 && zeros[0].Access != vm.RealZeroMem {
+			zeros = zeros[1:]
 		}
-		if seg == nil {
-			return nil, t, fmt.Errorf("core: insert %q: run table references missing attachment", cb.ProcName)
+		zeroFirst := len(zeros) > 0 &&
+			(ri == len(runTable) || zeros[0].Start < runTable[ri].VA) &&
+			(ii == len(imagAtts) || zeros[0].Start < imagAtts[ii].VA)
+		runFirst := ri < len(runTable) && (ii == len(imagAtts) || runTable[ri].VA < imagAtts[ii].VA)
+		var err error
+		switch {
+		case zeroFirst:
+			_, err = as.Validate(zeros[0].Start, zeros[0].Size(), "zero")
+			zeros = zeros[1:]
+			t.ZeroRuns++
+		case runFirst:
+			run := runTable[ri]
+			ri++
+			seg, off := lazySeg, &lazyOff
+			if run.Resident {
+				seg, off = resSeg, &resOff
+			}
+			if seg == nil {
+				return nil, t, fmt.Errorf("core: insert %q: run table references missing attachment", cb.ProcName)
+			}
+			size := uint64(run.Pages) * ps
+			_, err = as.MapSegment(run.VA, size, seg, *off, seg.Name)
+			*off += size
+		case ii < len(imagAtts):
+			a := imagAtts[ii]
+			ii++
+			seg := vm.NewImaginarySegment(fmt.Sprintf("%s.owed@%#x", cb.ProcName, a.VA), a.SegSize, int(ps), uint64(a.Backing))
+			attachPool(m, seg)
+			seg.ID = a.SegID
+			if _, err = as.MapSegment(a.VA, a.Size, seg, a.SegOff, seg.Name); err == nil {
+				registerDeathNotice(m, seg)
+				t.IOURuns++
+			}
+		default:
+			break unfold
 		}
-		size := uint64(run.Pages) * ps
-		if _, err := as.MapSegment(run.VA, size, seg, *off, seg.Name); err != nil {
+		if err != nil {
 			return nil, t, fmt.Errorf("core: insert %q: %w", cb.ProcName, err)
 		}
-		*off += size
-	}
-	for _, a := range imagAtts {
-		seg := vm.NewImaginarySegment(fmt.Sprintf("%s.owed@%#x", cb.ProcName, a.VA), a.SegSize, int(ps), uint64(a.Backing))
-		attachPool(m, seg)
-		seg.ID = a.SegID
-		if _, err := as.MapSegment(a.VA, a.Size, seg, a.SegOff, seg.Name); err != nil {
-			return nil, t, fmt.Errorf("core: insert %q: %w", cb.ProcName, err)
-		}
-		registerDeathNotice(m, seg)
-		t.IOURuns++
 	}
 	t.ArrivedPages = arrived
 

@@ -609,34 +609,6 @@ func (d *imageDigest) mix64(v uint64) {
 	}
 }
 
-// FrameCensus counts pool frames reachable from live segments: the sum
-// of materialized pages over every distinct segment mapped by every
-// resident process. The chaos campaign's frame-leak invariant compares
-// it against Pool.InUse() — a pool frame not reachable from any live
-// segment has leaked.
-func (m *Machine) FrameCensus() uint64 {
-	var total uint64
-	var seen []*vm.Segment
-	for _, name := range m.ProcNames() {
-		pr := m.procs[name]
-		for _, r := range pr.AS.Regions() {
-			dup := false
-			for _, s := range seen {
-				if s == r.Seg {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen = append(seen, r.Seg)
-			total += uint64(r.Seg.MaterializedPages())
-		}
-	}
-	return total
-}
-
 // PageElapse is a tiny helper for tests: how long one op takes.
 func PageElapse(k *sim.Kernel, fn func(p *sim.Proc)) time.Duration {
 	var start, end time.Duration

@@ -79,8 +79,8 @@ func (p *FramePool) Put(f []byte) {
 func (p *FramePool) FreeFrames() int { return len(p.free) }
 
 // InUse reports how many handed-out frames have not been recycled.
-// The chaos campaign's frame-leak invariant compares it against a
-// census of frames actually reachable from live segments.
+// The chaos campaign's frame-leak invariant compares each machine's
+// InUse at the end of a trial with the fault-free golden trial's.
 func (p *FramePool) InUse() uint64 { return p.stats.Gets - p.stats.Puts }
 
 // Stats returns a snapshot of pool traffic.

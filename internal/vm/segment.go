@@ -43,13 +43,18 @@ type Page struct {
 	Data  []byte
 	State PageState
 
+	// borrowed marks Data as a slice the segment does not own (see
+	// Borrow): it is never written through and never recycled. The mark
+	// is host-side only; Shared and every simulated cost ignore it.
+	borrowed bool
+
 	// Version counts content mutations, so incremental transfer schemes
 	// (pre-copy) can detect staleness cheaply.
 	Version uint64
 
 	// shares counts COW sharers including this page; a shared page's
-	// Data must be copied before a write. A page owns its Data when
-	// shares == nil or *shares == 1.
+	// Data must be copied before a write. A page that is not borrowed
+	// owns its Data when shares == nil or *shares == 1.
 	shares *int
 }
 
@@ -168,26 +173,22 @@ func (s *Segment) Materialize(index uint64, data []byte) *Page {
 	if len(data) > s.pageSize {
 		panic(fmt.Sprintf("vm: materialize with %d bytes > page size %d", len(data), s.pageSize))
 	}
-	p, present := s.table.ensure(index, s.Pages())
+	p, present := s.table.ensure(index)
 	if !present {
 		// The slot may be recycled from an earlier page's tenure; reset
 		// everything but keep any frame left behind for reuse.
 		p.Index = index
 		p.State = PageState{}
 		p.Version = 0
-		if p.shares != nil {
-			p.shares = nil
-			p.Data = nil // was COW-shared: the bytes belong to the sharers
-		}
-	} else if p.Shared() {
-		// Re-materializing over a shared mapping detaches this page from
-		// the sharing set without disturbing the other sharers' count —
-		// their deferred-copy accounting is unchanged, exactly as before.
-		p.shares = nil
-		p.Data = nil
-	} else {
-		p.shares = nil
 	}
+	if p.borrowed || p.Shared() || (!present && p.shares != nil) {
+		// The bytes belong to a lender or to the COW sharers: drop the
+		// reference without writing into it. Sharers keep their count,
+		// so their deferred-copy accounting is unchanged.
+		p.Data = nil
+	}
+	p.shares = nil
+	p.borrowed = false
 	if p.Data == nil {
 		p.Data = s.frame()
 	}
@@ -220,9 +221,31 @@ func (s *Segment) MaterializeZero(index uint64) *Page {
 	return s.Materialize(index, nil)
 }
 
+// Borrow installs page index, which must not be materialized yet, over
+// data the segment does not own, such as an immutable template image
+// shared by many processes. The page reads data in place; a write or a
+// Materialize first gives it a private frame, and releasing the segment
+// never recycles data. The caller must keep data unchanged while any
+// page borrows it.
+func (s *Segment) Borrow(index uint64, data []byte) *Page {
+	if index >= s.Pages() {
+		panic(fmt.Sprintf("vm: borrow page %d beyond segment %q (%d pages)", index, s.Name, s.Pages()))
+	}
+	if len(data) > s.pageSize {
+		panic(fmt.Sprintf("vm: borrow with %d bytes > page size %d", len(data), s.pageSize))
+	}
+	p, present := s.table.ensure(index)
+	if present {
+		panic(fmt.Sprintf("vm: borrow over materialized page %d of %q", index, s.Name))
+	}
+	*p = Page{Index: index, Data: data, borrowed: true}
+	return p
+}
+
 // AdoptShared installs a page at index that shares data copy-on-write
 // with the given source page (large-message map-in, §2.1). Both pages
-// become COW sharers of the same backing bytes.
+// become COW sharers of the same backing bytes; a borrowed source
+// lends them to the sharer too.
 func (s *Segment) AdoptShared(index uint64, src *Page) *Page {
 	if index >= s.Pages() {
 		panic(fmt.Sprintf("vm: adopt page %d beyond segment %q", index, s.Name))
@@ -232,14 +255,15 @@ func (s *Segment) AdoptShared(index uint64, src *Page) *Page {
 		src.shares = &n
 	}
 	*src.shares++
-	p, present := s.table.ensure(index, s.Pages())
-	if present && p.Data != nil && !p.Shared() && s.pool != nil {
+	p, present := s.table.ensure(index)
+	if present && p.Data != nil && !p.Shared() && !p.borrowed && s.pool != nil {
 		// Overwriting a privately owned page: its frame is free again.
 		s.pool.Put(p.Data)
 	}
 	p.Index = index
 	p.Data = src.Data
 	p.shares = src.shares
+	p.borrowed = src.borrowed
 	p.State = src.State
 	p.State.Resident = false // residency is per-site, set by the caller
 	p.State.OnDisk = false
@@ -287,8 +311,8 @@ func (s *Segment) ReadInto(index uint64, off int, dst []byte) {
 }
 
 // Write stores data into the page at index starting at off, performing
-// the deferred copy if the page is COW-shared, and marks it dirty. The
-// page must already be materialized.
+// the deferred copy if the page is COW-shared or borrowed, and marks it
+// dirty. The page must already be materialized.
 func (s *Segment) Write(index uint64, off int, data []byte) {
 	p := s.table.get(index)
 	if p == nil {
@@ -299,14 +323,18 @@ func (s *Segment) Write(index uint64, off int, data []byte) {
 	p.MarkWritten()
 }
 
-// breakCOW gives p a private copy of its data if it is currently shared.
-// It reports whether a copy was performed (the deferred-copy event the
-// IPC cost model charges for).
+// breakCOW gives p a private copy of its data if it is currently shared
+// or borrowed. It reports whether a COW share was broken (the
+// deferred-copy event the IPC cost model charges for); copying a
+// borrowed page that no one else maps is host-side and reports false.
 func (s *Segment) breakCOW(p *Page) bool {
-	if !p.Shared() {
+	shared := p.Shared()
+	if !shared && !p.borrowed {
 		return false
 	}
-	*p.shares--
+	if shared {
+		*p.shares--
+	}
 	fresh := s.frame()
 	copy(fresh, p.Data)
 	if len(p.Data) < len(fresh) {
@@ -314,11 +342,13 @@ func (s *Segment) breakCOW(p *Page) bool {
 	}
 	p.Data = fresh
 	p.shares = nil
-	return true
+	p.borrowed = false
+	return shared
 }
 
 // BreakCOW exposes the deferred-copy operation for the IPC layer, which
-// must charge its cost. It reports whether a physical copy happened.
+// must charge its cost. It reports whether a COW share was broken; the
+// host-side copy of a borrowed page is not one.
 func (s *Segment) BreakCOW(index uint64) bool {
 	p := s.table.get(index)
 	if p == nil {
@@ -329,8 +359,9 @@ func (s *Segment) BreakCOW(index uint64) bool {
 
 // ReleaseFrames returns every privately owned page frame to the
 // attached pool and empties the page table. COW-shared frames are left
-// to their surviving sharers. Called when a segment's data is no longer
-// needed (segment death, process excision after collapse).
+// to their surviving sharers, and borrowed data to its lender. Called
+// when a segment's data is no longer needed (segment death, process
+// excision after collapse).
 func (s *Segment) ReleaseFrames() {
 	if s.table.count == 0 {
 		s.table = pageTable{}
@@ -339,7 +370,7 @@ func (s *Segment) ReleaseFrames() {
 	last := s.Pages() - 1
 	for idx, ok := s.table.nextPresent(0, last); ok; idx, ok = s.table.nextPresent(idx+1, last) {
 		p := s.table.get(idx)
-		if s.pool != nil && p.Data != nil && p.shares == nil {
+		if s.pool != nil && p.Data != nil && p.shares == nil && !p.borrowed {
 			s.pool.Put(p.Data)
 		}
 		p.Data = nil

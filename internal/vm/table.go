@@ -15,9 +15,11 @@ import "math/bits"
 //     be batched into single multi-page transfer operations.
 //
 // Chunks cover tableChunkPages page slots each. The top level is a
-// dense slice indexed by chunk number — even a fully validated 4 GB
-// Lisp space is only 32 Ki chunk pointers, while lookups stay a shift,
-// a mask, and two indexing operations.
+// dense slice indexed by chunk number, grown on demand to the highest
+// chunk ever materialized: a fully validated 4 GB Lisp space whose
+// pages sit in its low 30 MB carries about 235 chunk pointers, not
+// 32 Ki, and every sweep stops at the last of them. Lookups stay a
+// shift, a mask, and two indexing operations.
 
 const (
 	tableChunkShift = 8
@@ -42,12 +44,6 @@ type pageTable struct {
 	count  int          // materialized pages across all chunks
 }
 
-// init sizes the top level for a segment spanning nPages page slots.
-// The top level is allocated lazily on first materialization.
-func (t *pageTable) topLen(nPages uint64) int {
-	return int((nPages + tableChunkPages - 1) / tableChunkPages)
-}
-
 // get returns the materialized page at idx, or nil. idx must be within
 // the segment (the caller bounds-checks against Segment.Pages).
 func (t *pageTable) get(idx uint64) *Page {
@@ -66,13 +62,14 @@ func (t *pageTable) get(idx uint64) *Page {
 	return &c.pages[slot]
 }
 
-// ensure returns the page slot for idx, creating its chunk if needed,
-// and reports whether the slot already held a materialized page.
-func (t *pageTable) ensure(idx uint64, nPages uint64) (*Page, bool) {
-	if t.chunks == nil {
-		t.chunks = make([]*pageChunk, t.topLen(nPages))
-	}
+// ensure returns the page slot for idx, creating its chunk (and growing
+// the top level to reach it) if needed, and reports whether the slot
+// already held a materialized page.
+func (t *pageTable) ensure(idx uint64) (*Page, bool) {
 	ci := idx >> tableChunkShift
+	if ci >= uint64(len(t.chunks)) {
+		t.chunks = append(t.chunks, make([]*pageChunk, ci+1-uint64(len(t.chunks)))...)
+	}
 	c := t.chunks[ci]
 	if c == nil {
 		c = &pageChunk{}

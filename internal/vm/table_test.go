@@ -23,7 +23,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			tbl.clear(idx)
 			delete(ref, idx)
 		} else {
-			p, present := tbl.ensure(idx, nPages)
+			p, present := tbl.ensure(idx)
 			if present != ref[idx] {
 				t.Fatalf("step %d: ensure(%d) present=%v, ref=%v", step, idx, present, ref[idx])
 			}
@@ -111,7 +111,7 @@ func TestTableChunkBoundaryRuns(t *testing.T) {
 	}
 	for _, sp := range spans {
 		for i := sp[0]; i <= sp[1]; i++ {
-			p, _ := tbl.ensure(i, nPages)
+			p, _ := tbl.ensure(i)
 			p.Index = i
 		}
 	}

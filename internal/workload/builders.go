@@ -12,19 +12,10 @@ import (
 // 24 pages touched after migration (all within the resident set — the
 // paper's RS column shows Minprog's touches are covered by residency),
 // and almost no computation: the "null trap" of migration trials.
-func (b *builder) minprog() ([]trace.Op, error) {
-	code, err := b.region(0x00000, 320, "code")
-	if err != nil {
-		return nil, err
-	}
-	data, err := b.region(0x40000, 200, "data")
-	if err != nil {
-		return nil, err
-	}
-	stack, err := b.region(0x80000, 125, "stack")
-	if err != nil {
-		return nil, err
-	}
+func (b *builder) minprog() []trace.Op {
+	code := b.region(0x00000, 320, "code")
+	data := b.region(0x40000, 200, "data")
+	stack := b.region(0x80000, 125, "stack")
 	codeReal := b.scatter(code, 320, 160, 18)
 	dataReal := b.scatter(data, 200, 80, 22)
 	stackReal := b.scatter(stack, 125, 38, 10)
@@ -44,24 +35,21 @@ func (b *builder) minprog() ([]trace.Op, error) {
 		trace.Compute{D: 20 * time.Millisecond},
 		trace.IOWait{D: 40 * time.Millisecond}, // print + wait for input
 	)
-	return ops, nil
+	return ops
 }
 
 // lispTouchPlan describes how a Lisp variant touches memory remotely.
 type lispTouchPlan func(b *builder, runs [][]vm.Addr) []trace.Op
 
 // lisp validates the full 4 GB space at birth (§4.1: "Lisp processes
-// validate their entire 4 gigabyte address spaces"), materializes the
-// Lisp core image as realPages pages scattered across the low tens of
+// validate their entire 4 gigabyte address spaces"), places the Lisp
+// core image as realPages pages scattered across the low tens of
 // megabytes in ~runCount runs, and defers touch behaviour to the plan.
-func (b *builder) lisp(realPages, runCount uint64, plan lispTouchPlan) ([]trace.Op, error) {
+func (b *builder) lisp(realPages, runCount uint64, plan lispTouchPlan) []trace.Op {
 	const totalPages = 4_228_129_280 / pg
-	reg, err := b.region(0, totalPages, "lisp-space")
-	if err != nil {
-		return nil, err
-	}
+	reg := b.region(0, totalPages, "lisp-space")
 	b.scatter(reg, 60_000, realPages, runCount)
-	return plan(b, consecutiveRuns(b.real)), nil
+	return plan(b, consecutiveRuns(b.real))
 }
 
 // consecutiveRuns groups sorted-by-construction addresses into maximal
@@ -217,11 +205,8 @@ const (
 // file-processing shape — mapped files touched sequentially and in
 // their entirety (§4.2.3) — and differ in how far processing has
 // advanced at migration time.
-func (b *builder) pasmac(k Kind) ([]trace.Op, error) {
-	text, err := b.region(pmText, 300, "text")
-	if err != nil {
-		return nil, err
-	}
+func (b *builder) pasmac(k Kind) []trace.Op {
+	text := b.region(pmText, 300, "text")
 	var heapReal uint64
 	var stackPages uint64
 	switch k {
@@ -232,28 +217,14 @@ func (b *builder) pasmac(k Kind) ([]trace.Op, error) {
 	case PMEnd:
 		heapReal, stackPages = 28, 117
 	}
-	heap, err := b.region(pmHeap, 500, "heap")
-	if err != nil {
-		return nil, err
-	}
-	input, err := b.region(pmInput, 320, "input-file")
-	if err != nil {
-		return nil, err
-	}
-	defs, err := b.region(pmDefs, 223, "def-files")
-	if err != nil {
-		return nil, err
-	}
+	heap := b.region(pmHeap, 500, "heap")
+	input := b.region(pmInput, 320, "input-file")
+	defs := b.region(pmDefs, 223, "def-files")
 	if k == PMEnd {
-		out, err := b.region(pmOutput, 280, "output-file")
-		if err != nil {
-			return nil, err
-		}
+		out := b.region(pmOutput, 280, "output-file")
 		b.fill(out, 0, 90) // output written so far
 	}
-	if _, err := b.region(pmStack, stackPages, "stack"); err != nil {
-		return nil, err
-	}
+	b.region(pmStack, stackPages, "stack")
 
 	b.fill(text, 0, 300)
 	b.fill(input, 0, 320)
@@ -328,7 +299,7 @@ func (b *builder) pasmac(k Kind) ([]trace.Op, error) {
 		ops = append(ops, writeBurst(pmOutput+90*pg, 150, 5*time.Millisecond)...)
 		ops = append(ops, trace.Compute{D: 2 * time.Second})
 	}
-	return ops, nil
+	return ops
 }
 
 // writeBurst writes n fresh pages starting at base (FillZero + dirty).
@@ -356,19 +327,10 @@ func addrRange(base vm.Addr, from, to int) []vm.Addr {
 // code and tables scattered behind it, and a trace that settles into a
 // tight loop: touch the working set, think for half a second, tick the
 // game clock.
-func (b *builder) chess() ([]trace.Op, error) {
-	code, err := b.region(0x00000, 350, "code")
-	if err != nil {
-		return nil, err
-	}
-	data, err := b.region(0x40000, 300, "data")
-	if err != nil {
-		return nil, err
-	}
-	screen, err := b.region(0x80000, 328, "screen")
-	if err != nil {
-		return nil, err
-	}
+func (b *builder) chess() []trace.Op {
+	code := b.region(0x00000, 350, "code")
+	data := b.region(0x40000, 300, "data")
+	screen := b.region(0x80000, 328, "screen")
 	b.fill(code, 0, 200)
 	b.scatterAt(code, 200, 150, 100, 14)
 	dataReal := b.scatter(data, 300, 60, 30)
@@ -388,7 +350,7 @@ func (b *builder) chess() ([]trace.Op, error) {
 		trace.WSLoop{Start: 0, Pages: 60, Iters: 520, Compute: 550 * time.Millisecond},
 		trace.IOWait{D: 2 * time.Second},
 	)
-	return ops, nil
+	return ops
 }
 
 // makeSample picks n addresses deterministically without residency

@@ -114,7 +114,8 @@ func (sp SyntheticSpec) validate() error {
 
 // BuildSynthetic constructs a custom process on m from the spec. Like
 // the representatives, it stops at a MigratePoint before its touch
-// phase, so it is ready for any migration strategy.
+// phase, so it is ready for any migration strategy. Its template is
+// drawn afresh on every call and installed the way Build installs one.
 func BuildSynthetic(m *machine.Machine, spec SyntheticSpec) (*Built, error) {
 	sp := spec.withDefaults()
 	if err := sp.validate(); err != nil {
@@ -123,21 +124,11 @@ func BuildSynthetic(m *machine.Machine, spec SyntheticSpec) (*Built, error) {
 	if m.PageSize() != pg {
 		return nil, fmt.Errorf("workload: synthetic %q requires %d-byte pages", sp.Name, pg)
 	}
-	pr, err := m.NewProcess(sp.Name, 2)
-	if err != nil {
-		return nil, err
-	}
-	b := &builder{m: m, pr: pr, rng: xrand.New(sp.Seed ^ 0x51f7e71c)}
+	b := &builder{rng: xrand.New(sp.Seed ^ 0x51f7e71c)}
 
-	reg, err := b.region(0, uint64(sp.TotalPages), sp.Name+".data")
-	if err != nil {
-		return nil, err
-	}
+	reg := b.region(0, uint64(sp.TotalPages), sp.Name+".data")
 	real := b.scatter(reg, uint64(sp.TotalPages), uint64(sp.RealPages), uint64(sp.RealRuns))
-	resident := b.makeResidentSubset(real, sp.ResidentPages)
-	if err := m.MakeResident(pr, resident); err != nil {
-		return nil, err
-	}
+	b.makeResidentSubset(real, sp.ResidentPages)
 
 	var touched []vm.Addr
 	switch sp.Pattern {
@@ -148,6 +139,7 @@ func BuildSynthetic(m *machine.Machine, spec SyntheticSpec) (*Built, error) {
 	case WorkingSet:
 		touched = append(touched, real[:sp.TouchedPages]...)
 	}
+	b.touched = len(touched)
 
 	ops := []trace.Op{trace.MigratePoint{}}
 	switch sp.Pattern {
@@ -168,15 +160,13 @@ func BuildSynthetic(m *machine.Machine, spec SyntheticSpec) (*Built, error) {
 		ops = append(ops, touchOps(touched, sp.PerTouch, sp.Writes)...)
 		ops = append(ops, trace.Compute{D: sp.ExtraCompute})
 	}
-	pr.Program = &trace.Program{Ops: ops}
 
-	return &Built{
-		Kind:          Kind(-1),
-		Proc:          pr,
-		RealAddrs:     b.real,
-		ResidentAddrs: b.resident,
-		TouchedPost:   len(touched),
-	}, nil
+	built, err := b.template(ops).install(m, sp.Name, 2)
+	if err != nil {
+		return nil, err
+	}
+	built.Kind = Kind(-1)
+	return built, nil
 }
 
 func min(a, b int) int {

@@ -105,6 +105,9 @@ func PaperNumbers(k Kind) Paper {
 }
 
 // Built is a constructed representative, ready to run and migrate.
+//
+// Proc.Program, RealAddrs and ResidentAddrs are shared with every other
+// install of the same template: they are read-only.
 type Built struct {
 	Kind Kind
 	Proc *machine.Process
@@ -121,80 +124,127 @@ type Built struct {
 
 const pg = 512 // the Accent page size; workload geometry is in pages
 
-// Build constructs representative k as a process on m. The process is
+// Build installs representative k as a process on m. The process is
 // left at rest; start it with m.Start and it will run to its
 // MigratePoint.
+//
+// The layout depends only on k and the base seed, so it is drawn once
+// (see templateOf) and every Build installs the same template: the real
+// pages borrow their images from the shared fill rows instead of
+// copying them into frames of m's pool.
 func Build(m *machine.Machine, k Kind) (*Built, error) {
 	if m.PageSize() != pg {
 		return nil, fmt.Errorf("workload: %v requires %d-byte pages, machine has %d", k, pg, m.PageSize())
 	}
-	pr, err := m.NewProcess(k.String(), 3)
+	if k < Minprog || k > Chess {
+		return nil, fmt.Errorf("workload: unknown kind %d", int(k))
+	}
+	built, err := templateOf(k).install(m, k.String(), 3)
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{
-		m:   m,
-		pr:  pr,
-		rng: xrand.New(0x5eed0000 + uint64(k)),
-	}
-	var post []trace.Op
-	switch k {
-	case Minprog:
-		post, err = b.minprog()
-	case LispT:
-		post, err = b.lisp(4303, 300, lispTTrace)
-	case LispDel:
-		post, err = b.lisp(4297, 350, lispDelTrace)
-	case PMStart:
-		post, err = b.pasmac(PMStart)
-	case PMMid:
-		post, err = b.pasmac(PMMid)
-	case PMEnd:
-		post, err = b.pasmac(PMEnd)
-	case Chess:
-		post, err = b.chess()
-	default:
-		err = fmt.Errorf("workload: unknown kind %d", int(k))
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	ops := []trace.Op{trace.Compute{D: 10 * time.Millisecond}, trace.MigratePoint{}}
-	ops = append(ops, post...)
-	pr.Program = &trace.Program{Ops: ops}
-
-	sort.Slice(b.real, func(i, j int) bool { return b.real[i] < b.real[j] })
-	if err := m.MakeResident(pr, b.resident); err != nil {
-		return nil, err
-	}
-	built := &Built{
-		Kind:          k,
-		Proc:          pr,
-		RealAddrs:     b.real,
-		ResidentAddrs: b.resident,
-		TouchedPost:   b.touched,
-	}
-	if err := b.check(k); err != nil {
+	built.Kind = k
+	if err := check(k, built.Proc.AS.Usage()); err != nil {
 		return nil, err
 	}
 	return built, nil
 }
 
-// builder accumulates layout state for one workload.
-type builder struct {
-	m        *machine.Machine
-	pr       *machine.Process
-	rng      *xrand.RNG
-	real     []vm.Addr
-	resident []vm.Addr
+// template is one process's layout: its regions, which pages are real
+// and which resident, and its reference program. It holds no pages,
+// frames or address space — every real page's image is the fill row
+// its address names — so one template serves any number of machines
+// concurrently, and nothing may modify it.
+type template struct {
+	regions  []region  // sorted by start
+	real     []vm.Addr // address order
+	resident []vm.Addr // MakeResident order
+	program  *trace.Program
 	touched  int
 }
 
-// check verifies the construction against the published numbers.
-func (b *builder) check(k Kind) error {
+// templateKey names a representative's layout: the kind and the base
+// seed its RNG was drawn under.
+type templateKey struct {
+	kind Kind
+	seed uint64
+}
+
+// templates holds one lazily drawn template per key, each behind a
+// sync.OnceValue so concurrent first Builds draw it once.
+var templates sync.Map // templateKey → func() *template
+
+// templateOf returns representative k's template for the current base
+// seed, drawing it on first use.
+func templateOf(k Kind) *template {
+	key := templateKey{k, xrand.BaseSeed()}
+	f, ok := templates.Load(key)
+	if !ok {
+		f, _ = templates.LoadOrStore(key, sync.OnceValue(func() *template { return newTemplate(k) }))
+	}
+	return f.(func() *template)()
+}
+
+// newTemplate draws representative k's layout and program.
+func newTemplate(k Kind) *template {
+	b := &builder{rng: xrand.New(0x5eed0000 + uint64(k))}
+	var post []trace.Op
+	switch k {
+	case Minprog:
+		post = b.minprog()
+	case LispT:
+		post = b.lisp(4303, 300, lispTTrace)
+	case LispDel:
+		post = b.lisp(4297, 350, lispDelTrace)
+	case PMStart, PMMid, PMEnd:
+		post = b.pasmac(k)
+	case Chess:
+		post = b.chess()
+	}
+	ops := []trace.Op{trace.Compute{D: 10 * time.Millisecond}, trace.MigratePoint{}}
+	return b.template(append(ops, post...))
+}
+
+// install recreates t as process name on m: it validates the regions in
+// address order, installs every real page by reference to its fill row
+// with OnDisk set, shares the program and address lists, and makes the
+// resident set resident in t's order — per machine, since residency can
+// evict.
+func (t *template) install(m *machine.Machine, name string, nports int) (*Built, error) {
+	pr, err := m.NewProcess(name, nports)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range t.regions {
+		if _, err := pr.AS.Validate(r.start, r.pages*pg, r.name); err != nil {
+			return nil, err
+		}
+	}
+	regs, ri := pr.AS.Regions(), 0
+	for _, a := range t.real {
+		for regs[ri].End <= a {
+			ri++
+		}
+		r := regs[ri]
+		i := uint64(a-r.Start) / pg
+		r.Seg.Borrow(i, fillRow(byte(uint64(r.Start)+i*31))).State.OnDisk = true
+	}
+	pr.Program = t.program
+	if err := m.MakeResident(pr, t.resident); err != nil {
+		return nil, err
+	}
+	return &Built{
+		Proc:          pr,
+		RealAddrs:     t.real,
+		ResidentAddrs: t.resident,
+		TouchedPost:   t.touched,
+	}, nil
+}
+
+// check verifies an installed representative against the published
+// numbers.
+func check(k Kind, u vm.Usage) error {
 	paper := PaperNumbers(k)
-	u := b.pr.AS.Usage()
 	if u.Total != paper.TotalBytes {
 		return fmt.Errorf("workload %v: Total = %d, paper %d", k, u.Total, paper.TotalBytes)
 	}
@@ -207,17 +257,48 @@ func (b *builder) check(k Kind) error {
 	return nil
 }
 
-// region validates pages of address space at start.
-func (b *builder) region(start vm.Addr, pages uint64, name string) (*vm.Region, error) {
-	return b.pr.AS.Validate(start, pages*pg, name)
+// region is one validated range of a template.
+type region struct {
+	start vm.Addr
+	pages uint64
+	name  string
 }
 
-// fillRows holds every distinct page image fill can produce. The
-// content formula byte(reg.Start + i*31 + j*7) depends on (Start, i)
-// only through its low byte, so there are exactly 256 page images;
-// building them once and handing the shared row to Materialize (which
-// copies) removes the per-page allocation and byte loop from every
-// workload build — a few percent of whole-trial time.
+// builder records one process's layout as its builders draw it.
+type builder struct {
+	rng      *xrand.RNG
+	regions  []region
+	real     []vm.Addr
+	resident []vm.Addr
+	touched  int
+}
+
+// template freezes the recorded layout with its program.
+func (b *builder) template(ops []trace.Op) *template {
+	sort.Slice(b.real, func(i, j int) bool { return b.real[i] < b.real[j] })
+	sort.Slice(b.regions, func(i, j int) bool { return b.regions[i].start < b.regions[j].start })
+	return &template{
+		regions:  b.regions,
+		real:     b.real,
+		resident: b.resident,
+		program:  &trace.Program{Ops: ops},
+		touched:  b.touched,
+	}
+}
+
+// region records pages of address space at start to be validated.
+func (b *builder) region(start vm.Addr, pages uint64, name string) region {
+	r := region{start: start, pages: pages, name: name}
+	b.regions = append(b.regions, r)
+	return r
+}
+
+// fillRows holds every distinct page image a real page can have. The
+// content formula byte(start + i*31 + j*7), for page i of the region
+// at start, depends on (start, i) only through its low byte, so there
+// are exactly 256 page images.
+// Installs borrow the rows in place (vm.Segment.Borrow), so they are
+// immutable once built.
 var (
 	fillRows     [256][pg]byte
 	fillRowsOnce sync.Once
@@ -234,25 +315,23 @@ func fillRow(s byte) []byte {
 	return fillRows[s][:]
 }
 
-// fill materializes [from, to) page indices of the region as real,
-// disk-backed pages with deterministic content, recording addresses.
-func (b *builder) fill(reg *vm.Region, from, to uint64) {
+// fill records [from, to) page indices of the region as real,
+// disk-backed pages.
+func (b *builder) fill(reg region, from, to uint64) {
 	for i := from; i < to; i++ {
-		page := reg.Seg.Materialize(i, fillRow(byte(uint64(reg.Start)+i*31)))
-		page.State.OnDisk = true
-		b.real = append(b.real, reg.Start+vm.Addr(i*pg))
+		b.real = append(b.real, reg.start+vm.Addr(i*pg))
 	}
 }
 
-// scatter materializes exactly `pages` real pages within the first
-// `window` pages of reg, in approximately `runs` contiguous runs, and
-// returns the addresses in address order.
-func (b *builder) scatter(reg *vm.Region, window, pages, runs uint64) []vm.Addr {
+// scatter records exactly `pages` real pages within the first `window`
+// pages of reg, in approximately `runs` contiguous runs, and returns the
+// addresses in address order.
+func (b *builder) scatter(reg region, window, pages, runs uint64) []vm.Addr {
 	return b.scatterAt(reg, 0, window, pages, runs)
 }
 
 // scatterAt is scatter starting at page index `from` within the region.
-func (b *builder) scatterAt(reg *vm.Region, from, window, pages, runs uint64) []vm.Addr {
+func (b *builder) scatterAt(reg region, from, window, pages, runs uint64) []vm.Addr {
 	if runs < 1 {
 		runs = 1
 	}

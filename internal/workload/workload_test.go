@@ -1,11 +1,17 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"accentmig/internal/machine"
 	"accentmig/internal/sim"
+	"accentmig/internal/trace"
 	"accentmig/internal/vm"
+	"accentmig/internal/xrand"
 )
 
 func build(t *testing.T, k Kind) (*machine.Machine, *Built) {
@@ -119,21 +125,197 @@ func TestLispSpacesDwarfOthers(t *testing.T) {
 	}
 }
 
-func TestBuildDeterministic(t *testing.T) {
-	_, a := build(t, LispDel)
-	_, b := build(t, LispDel)
-	if len(a.RealAddrs) != len(b.RealAddrs) {
-		t.Fatal("real layouts differ in size")
+// referenceInstall installs tp on m the direct way, as a check on
+// install: every real page is materialized by copy into a pool frame,
+// with its bytes computed from the fill formula, not borrowed.
+func referenceInstall(t *testing.T, m *machine.Machine, tp *template, name string) *Built {
+	t.Helper()
+	pr, err := m.NewProcess(name, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a.RealAddrs {
-		if a.RealAddrs[i] != b.RealAddrs[i] {
-			t.Fatalf("layouts diverge at %d", i)
+	for _, r := range tp.regions {
+		if _, err := pr.AS.Validate(r.start, r.pages*pg, r.name); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for i := range a.ResidentAddrs {
-		if a.ResidentAddrs[i] != b.ResidentAddrs[i] {
-			t.Fatalf("resident sets diverge at %d", i)
+	for _, a := range tp.real {
+		pl, ok := pr.AS.Resolve(a)
+		if !ok {
+			t.Fatalf("real page %#x outside every region", a)
 		}
+		data := make([]byte, pg)
+		for j := range data {
+			data[j] = byte(uint64(pl.Region.Start) + pl.PageIdx*31 + uint64(j)*7)
+		}
+		pl.Seg.Materialize(pl.PageIdx, data).State.OnDisk = true
+	}
+	pr.Program = &trace.Program{Ops: slices.Clone(tp.program.Ops)}
+	if err := m.MakeResident(pr, tp.resident); err != nil {
+		t.Fatal(err)
+	}
+	return &Built{
+		Proc:          pr,
+		RealAddrs:     slices.Clone(tp.real),
+		ResidentAddrs: slices.Clone(tp.resident),
+		TouchedPost:   tp.touched,
+	}
+}
+
+// TestInstallMatchesReference: at two base seeds, every kind's install
+// (borrowed pages, shared program and lists) must be indistinguishable
+// from the reference that materializes the same layout by copy.
+func TestInstallMatchesReference(t *testing.T) {
+	t.Cleanup(func() { xrand.SetBaseSeed(0) })
+	for _, seed := range []uint64{0, 7} {
+		xrand.SetBaseSeed(seed)
+		for _, k := range Kinds() {
+			gm, got := build(t, k)
+			wm := machine.New(sim.New(), "host", machine.Config{})
+			want := referenceInstall(t, wm, templateOf(k), k.String())
+			name := fmt.Sprintf("seed %d %v", seed, k)
+
+			gr, wr := got.Proc.AS.Regions(), want.Proc.AS.Regions()
+			if len(gr) != len(wr) {
+				t.Fatalf("%s: %d regions, reference %d", name, len(gr), len(wr))
+			}
+			for i := range gr {
+				g, w := gr[i], wr[i]
+				if g.Start != w.Start || g.End != w.End || g.SegOff != w.SegOff || g.Name != w.Name || g.Seg.Class != w.Seg.Class {
+					t.Errorf("%s: region %d = %q [%#x,%#x)+%d, reference %q [%#x,%#x)+%d",
+						name, i, g.Name, g.Start, g.End, g.SegOff, w.Name, w.Start, w.End, w.SegOff)
+				}
+			}
+			gh, _ := gm.ImageHash(k.String())
+			wh, _ := wm.ImageHash(k.String())
+			if gh != wh {
+				t.Errorf("%s: ImageHash %#x, reference %#x", name, gh, wh)
+			}
+			for _, a := range want.RealAddrs {
+				gp, _ := got.Proc.AS.Resolve(a)
+				wp, _ := want.Proc.AS.Resolve(a)
+				g, w := gp.Seg.Page(gp.PageIdx), wp.Seg.Page(wp.PageIdx)
+				if g == nil || g.State != w.State {
+					t.Errorf("%s: page %#x = %+v, reference %+v", name, a, g, w.State)
+					break
+				}
+			}
+			if n, wn := got.Proc.AS.TouchedPages(), want.Proc.AS.TouchedPages(); n != wn {
+				t.Errorf("%s: %d pages present, reference %d", name, n, wn)
+			}
+			if gu, wu := got.Proc.AS.Usage(), want.Proc.AS.Usage(); gu != wu {
+				t.Errorf("%s: Usage %+v, reference %+v", name, gu, wu)
+			}
+			if !reflect.DeepEqual(got.Proc.Program.Ops, want.Proc.Program.Ops) {
+				t.Errorf("%s: programs differ", name)
+			}
+			if !slices.Equal(got.RealAddrs, want.RealAddrs) || !slices.Equal(got.ResidentAddrs, want.ResidentAddrs) {
+				t.Errorf("%s: address lists differ from the reference", name)
+			}
+			if got.TouchedPost != want.TouchedPost {
+				t.Errorf("%s: TouchedPost %d, reference %d", name, got.TouchedPost, want.TouchedPost)
+			}
+		}
+	}
+}
+
+// TestImageHashPinned pins each representative's base-seed-0 image to
+// the digest the copy-per-page Build produced, so the template and its
+// install can never drift from the calibrated layout.
+func TestImageHashPinned(t *testing.T) {
+	want := map[Kind]uint64{
+		Minprog: 0x749792bf7e363992,
+		LispT:   0x873d369450875d06,
+		LispDel: 0xcf2da0973d5bf146,
+		PMStart: 0x431028a1593e53fa,
+		PMMid:   0xb113e33154e5f356,
+		PMEnd:   0x844972e73f6a9325,
+		Chess:   0xdc444f595fefc673,
+	}
+	for _, k := range Kinds() {
+		m, _ := build(t, k)
+		if h, _ := m.ImageHash(k.String()); h != want[k] {
+			t.Errorf("%v: ImageHash %#x, want %#x", k, h, want[k])
+		}
+	}
+}
+
+// TestBaseSeedRedrawsLayout: a new base seed draws a new layout for
+// every kind, and restoring the seed gives back the original one.
+func TestBaseSeedRedrawsLayout(t *testing.T) {
+	t.Cleanup(func() { xrand.SetBaseSeed(0) })
+	type layout struct {
+		image          uint64
+		real, resident []vm.Addr
+	}
+	draw := func(k Kind) layout {
+		m, b := build(t, k)
+		h, _ := m.ImageHash(k.String())
+		return layout{h, b.RealAddrs, b.ResidentAddrs}
+	}
+	for _, k := range Kinds() {
+		xrand.SetBaseSeed(0)
+		orig := draw(k)
+		xrand.SetBaseSeed(7)
+		if l := draw(k); l.image == orig.image || slices.Equal(l.real, orig.real) {
+			t.Errorf("%v: base seed 7 left the layout unchanged", k)
+		}
+		xrand.SetBaseSeed(0)
+		if l := draw(k); l.image != orig.image || !slices.Equal(l.real, orig.real) || !slices.Equal(l.resident, orig.resident) {
+			t.Errorf("%v: restoring base seed 0 did not restore the layout", k)
+		}
+	}
+}
+
+// TestBuildUnknownKindLeavesNoProcess: an unknown kind is refused before
+// anything is installed on the machine.
+func TestBuildUnknownKindLeavesNoProcess(t *testing.T) {
+	m := machine.New(sim.New(), "host", machine.Config{})
+	for _, k := range []Kind{-1, Chess + 1} {
+		if _, err := Build(m, k); err == nil {
+			t.Errorf("Build(%v) accepted an unknown kind", k)
+		}
+	}
+	if n := m.Procs(); n != 0 {
+		t.Errorf("machine holds %d processes after failed Builds, want 0", n)
+	}
+}
+
+// TestTemplateDrawnOnce: concurrent first uses of a kind share one
+// template.
+func TestTemplateDrawnOnce(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([]*template, 4)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = templateOf(PMMid)
+		}(i)
+	}
+	wg.Wait()
+	for _, tp := range got[1:] {
+		if tp != got[0] {
+			t.Fatal("concurrent templateOf calls drew separate templates")
+		}
+	}
+}
+
+// BenchmarkBuild times one install of each representative on a fresh
+// machine, whose construction is not timed.
+func BenchmarkBuild(b *testing.B) {
+	for _, k := range Kinds() {
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := machine.New(sim.New(), "host", machine.Config{})
+				b.StartTimer()
+				if _, err := Build(m, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
