@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -252,5 +253,48 @@ func BenchmarkProcSpawn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Go("p", body)
 		k.Run()
+	}
+}
+
+// BenchmarkResourceHighBehindBacklog measures high-priority admission
+// behind a normal-priority backlog, the shape of a demand disk read
+// arriving while write-backs queue for the arm. N callback waiters keep
+// their places in the queue throughout; two procs take turns holding
+// the unit, each re-acquiring at high priority while the other holds
+// it, so every iteration is one high-priority wait ahead of N normal
+// waiters and one hand-off.
+func BenchmarkResourceHighBehindBacklog(b *testing.B) {
+	for _, n := range []int{16, 4096} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			k := New()
+			defer k.Close()
+			r := NewResource(k, "arm", 1)
+			r.AcquireFunc("holder", func() {})
+			served := 0
+			for i := 0; i < n; i++ {
+				r.AcquireFunc("writeback", func() { served++ })
+			}
+			left := b.N
+			turn := func(p *Proc) {
+				for {
+					r.AcquireHigh(p)
+					if left == 0 {
+						return // keep the unit, so the backlog is never served
+					}
+					left--
+					r.Release()
+				}
+			}
+			k.Go("a", turn)
+			k.Go("b", turn)
+			k.Schedule(0, r.Release) // the holder lets go once both wait
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run()
+			b.StopTimer()
+			if left != 0 || served != 0 {
+				b.Fatalf("%d turns left, %d backlog waiters served; want 0, 0", left, served)
+			}
+		})
 	}
 }

@@ -8,17 +8,14 @@ import "time"
 // item is available. Items are delivered in FIFO order and waiters are
 // served in FIFO order.
 //
-// Both the item buffer and the waiter list are head-indexed rings over
-// a reusable backing array, and waiters retired by delivery are kept on
-// a free list, so steady-state producer/consumer traffic allocates
-// nothing per message.
+// Both the item buffer and the waiter list are rings, and waiters
+// retired by delivery are kept on a free list, so steady-state
+// producer/consumer traffic allocates nothing per message, and a queue
+// that never drains stops growing at its peak depth.
 type Queue[T any] struct {
-	k     *Kernel
-	items []T
-	ihead int
-
-	waiters []*qwaiter[T]
-	whead   int
+	k       *Kernel
+	items   ring[T]
+	waiters ring[*qwaiter[T]]
 	free    []*qwaiter[T]
 }
 
@@ -41,13 +38,13 @@ func NewQueue[T any](k *Kernel) *Queue[T] {
 }
 
 // Len reports the number of buffered (undelivered) items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.ihead }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Waiting reports the number of procs currently blocked in Pop.
 func (q *Queue[T]) Waiting() int {
 	n := 0
-	for _, w := range q.waiters[q.whead:] {
-		if !w.cancelled && !w.p.killed && !w.p.done {
+	for i := 0; i < q.waiters.len(); i++ {
+		if w := q.waiters.at(i); !w.cancelled && !w.p.killed && !w.p.done {
 			n++
 		}
 	}
@@ -73,44 +70,12 @@ func (q *Queue[T]) putWaiter(w *qwaiter[T]) {
 	q.free = append(q.free, w)
 }
 
-// popItem removes and returns the head buffered item. The caller must
-// have checked Len() > 0.
-func (q *Queue[T]) popItem() T {
-	var zero T
-	v := q.items[q.ihead]
-	q.items[q.ihead] = zero
-	q.ihead++
-	if q.ihead == len(q.items) {
-		q.items = q.items[:0]
-		q.ihead = 0
-	}
-	return v
-}
-
-// popWaiter removes and returns the head waiter, or nil if none remain.
-func (q *Queue[T]) popWaiter() *qwaiter[T] {
-	if q.whead == len(q.waiters) {
-		return nil
-	}
-	w := q.waiters[q.whead]
-	q.waiters[q.whead] = nil
-	q.whead++
-	if q.whead == len(q.waiters) {
-		q.waiters = q.waiters[:0]
-		q.whead = 0
-	}
-	return w
-}
-
 // Push appends v. If a proc is blocked in Pop, the item is handed
 // directly to the longest-waiting live one and that proc is scheduled to
 // resume at the current virtual time.
 func (q *Queue[T]) Push(v T) {
-	for {
-		w := q.popWaiter()
-		if w == nil {
-			break
-		}
+	for q.waiters.len() > 0 {
+		w := q.waiters.pop()
 		if w.cancelled || w.p.killed || w.p.done {
 			q.putWaiter(w)
 			continue
@@ -120,17 +85,17 @@ func (q *Queue[T]) Push(v T) {
 		w.p.UnparkExternal()
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Pop removes and returns the head item, blocking p until one exists.
 func (q *Queue[T]) Pop(p *Proc) T {
 	for {
 		if q.Len() > 0 {
-			return q.popItem()
+			return q.items.pop()
 		}
 		w := q.getWaiter(p)
-		q.waiters = append(q.waiters, w)
+		q.waiters.push(w)
 		p.park()
 		if w.delivered {
 			v := w.item
@@ -153,7 +118,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return q.popItem(), true
+	return q.items.pop(), true
 }
 
 // PopTimeout behaves like Pop but gives up after d of virtual time,
@@ -163,11 +128,11 @@ func (q *Queue[T]) PopTimeout(p *Proc, d time.Duration) (T, bool) {
 		return q.TryPop()
 	}
 	if q.Len() > 0 {
-		return q.popItem(), true
+		return q.items.pop(), true
 	}
 	w := q.getWaiter(p)
 	gen := w.gen
-	q.waiters = append(q.waiters, w)
+	q.waiters.push(w)
 	q.k.Schedule(d, func() {
 		if w.gen == gen && !w.delivered && !w.cancelled {
 			w.cancelled = true

@@ -10,13 +10,17 @@ import (
 // (FIFO within each class), used to model contended hardware such as a
 // CPU, a disk arm, or a network interface. High-priority acquisition
 // models kernel and system-server work that preempts user computation
-// at the next scheduling boundary.
+// at the next scheduling boundary. Each class queues in its own ring,
+// and Release serves the high ring first, so admitting a high-priority
+// waiter ahead of a long normal backlog (a demand disk read behind
+// queued write-backs) costs O(1) and moves no waiter.
 type Resource struct {
 	k        *Kernel
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	high     ring[*resWaiter]
+	normal   ring[*resWaiter]
 	free     []*resWaiter // retired waiters, reused to avoid per-wait allocation
 
 	// accounting
@@ -71,22 +75,15 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen reports the number of queued waiters: procs blocked in
 // Acquire and callbacks queued by AcquireFunc. A killed proc's waiter
 // counts until Release discards it.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.high.len() + r.normal.len() }
 
-// enqueue inserts the waiter respecting class priority.
+// enqueue queues the waiter at the tail of its class.
 func (r *Resource) enqueue(w *resWaiter) {
-	if !w.high {
-		r.waiters = append(r.waiters, w)
-		return
+	if w.high {
+		r.high.push(w)
+	} else {
+		r.normal.push(w)
 	}
-	// Insert after the last queued high-priority waiter.
-	idx := 0
-	for idx < len(r.waiters) && r.waiters[idx].high {
-		idx++
-	}
-	r.waiters = append(r.waiters, nil)
-	copy(r.waiters[idx+1:], r.waiters[idx:])
-	r.waiters[idx] = w
 }
 
 // Acquires reports the number of successful acquisitions.
@@ -211,10 +208,13 @@ func (r *Resource) Release() {
 	// Hand the unit directly to the longest-waiting live waiter, so the
 	// releaser cannot barge back in ahead of it; only if no waiter is
 	// live does the unit become free.
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters[0] = nil
-		r.waiters = r.waiters[1:]
+	for r.QueueLen() > 0 {
+		var w *resWaiter
+		if r.high.len() > 0 {
+			w = r.high.pop()
+		} else {
+			w = r.normal.pop()
+		}
 		if w.p == nil {
 			r.k.Schedule(0, func() { r.grantFunc(w) })
 			return

@@ -178,3 +178,28 @@ func TestBorrowOverMaterializedPagePanics(t *testing.T) {
 	data, _ := lender()
 	s.Borrow(0, data)
 }
+
+// TestReadPastShortPage: a page whose data is shorter than the page (a
+// short slice given to Borrow, or shared through AdoptShared) reads as
+// zeros past its data, whatever the offset, as ReadInto already does.
+func TestReadPastShortPage(t *testing.T) {
+	s, _ := pooledSegment(2)
+	short := bytes.Repeat([]byte{0x5A}, 100)
+	s.Borrow(0, short)
+	sharer := NewSegment("sharer", DefaultPageSize, DefaultPageSize)
+	sharer.AdoptShared(0, s.Page(0))
+	for _, seg := range []*Segment{s, sharer} {
+		if got := seg.Read(0, 200, 50); !bytes.Equal(got, make([]byte, 50)) {
+			t.Errorf("%s: read past the data = %x, want zeros", seg.Name, got)
+		}
+		want := append(bytes.Repeat([]byte{0x5A}, 40), make([]byte, 60)...)
+		if got := seg.Read(0, 60, 100); !bytes.Equal(got, want) {
+			t.Errorf("%s: read across the end of the data = %x, want %x", seg.Name, got, want)
+		}
+		into := bytes.Repeat([]byte{0xFF}, 100)
+		seg.ReadInto(0, 60, into)
+		if !bytes.Equal(into, want) {
+			t.Errorf("%s: ReadInto across the end of the data = %x, want %x", seg.Name, into, want)
+		}
+	}
+}

@@ -11,14 +11,11 @@ type Evicted struct {
 	WasDirty bool
 }
 
-type frameKey struct {
-	segID uint64
-	index uint64
-}
-
 // frameNode is one LRU list node. Nodes live in a flat slice and link
 // by index, so steady-state insert/evict cycles recycle nodes through
-// the free chain instead of allocating container/list elements.
+// the free chain instead of allocating container/list elements. A
+// resident page names its node in Page.frame, so a touch follows that
+// link instead of hashing a (segment, index) key.
 type frameNode struct {
 	seg        *Segment
 	index      uint64
@@ -31,6 +28,12 @@ const nilNode = int32(-1)
 // replacement. Under Accent physical memory acts as a disk cache
 // (§4.2.3), so frames are shared across all processes on the machine
 // and stale file pages linger until squeezed out.
+//
+// A segment's pages link into one PhysMem at a time (the machine's):
+// the link lives in the page, not in this structure. It outlives a
+// ReleaseFrames that no Remove or RemoveSegment preceded, as an entry
+// keyed by (segment, index) would: the page table keeps a linked
+// page's slot until the frame is evicted or removed.
 type PhysMem struct {
 	capFrames int
 	nodes     []frameNode
@@ -38,7 +41,6 @@ type PhysMem struct {
 	tail      int32 // least recently used
 	free      int32 // chain of recycled nodes through next
 	used      int
-	index     map[frameKey]int32
 
 	// evictScratch backs the slice Insert returns; it is reused on the
 	// next Insert, so callers must consume evictions before re-inserting.
@@ -56,7 +58,6 @@ func NewPhysMem(frames int) *PhysMem {
 		head:      nilNode,
 		tail:      nilNode,
 		free:      nilNode,
-		index:     make(map[frameKey]int32, frames),
 	}
 }
 
@@ -68,8 +69,33 @@ func (pm *PhysMem) Len() int { return pm.used }
 
 // Resident reports whether the page occupies a frame.
 func (pm *PhysMem) Resident(seg *Segment, index uint64) bool {
-	_, ok := pm.index[frameKey{seg.ID, index}]
-	return ok
+	return pm.node(seg, index) != nilNode
+}
+
+// node returns the LRU node holding the page, or nilNode.
+func (pm *PhysMem) node(seg *Segment, index uint64) int32 {
+	p, _ := seg.table.lookup(index)
+	if p == nil {
+		return nilNode
+	}
+	return p.frame - 1
+}
+
+// drop frees node n: it leaves the LRU list for the free chain and its
+// page's link is cleared. drop returns the page, marked non-resident,
+// or nil if the page is no longer materialized.
+func (pm *PhysMem) drop(n int32) *Page {
+	fe := &pm.nodes[n]
+	p, present := fe.seg.table.lookup(fe.index)
+	p.frame = 0
+	pm.unlink(n)
+	pm.release(n)
+	pm.used--
+	if !present {
+		return nil
+	}
+	p.State.Resident = false
+	return p
 }
 
 // alloc obtains a node slot, reusing the free chain first.
@@ -123,8 +149,8 @@ func (pm *PhysMem) release(n int32) {
 // Touch marks the page most recently used. It reports whether the page
 // was resident.
 func (pm *PhysMem) Touch(seg *Segment, index uint64) bool {
-	n, ok := pm.index[frameKey{seg.ID, index}]
-	if !ok {
+	n := pm.node(seg, index)
+	if n == nilNode {
 		return false
 	}
 	if pm.head != n {
@@ -144,8 +170,7 @@ func (pm *PhysMem) Insert(seg *Segment, index uint64) []Evicted {
 	if pg == nil {
 		panic(fmt.Sprintf("vm: Insert of unmaterialized page %d of %q", index, seg.Name))
 	}
-	key := frameKey{seg.ID, index}
-	if n, ok := pm.index[key]; ok {
+	if n := pg.frame - 1; n != nilNode {
 		if pm.head != n {
 			pm.unlink(n)
 			pm.pushFront(n)
@@ -157,14 +182,9 @@ func (pm *PhysMem) Insert(seg *Segment, index uint64) []Evicted {
 	for pm.used >= pm.capFrames {
 		back := pm.tail
 		fe := pm.nodes[back]
-		pm.unlink(back)
-		pm.release(back)
-		pm.used--
-		delete(pm.index, frameKey{fe.seg.ID, fe.index})
 		ev := Evicted{Seg: fe.seg, Index: fe.index}
-		if vp := fe.seg.Page(fe.index); vp != nil {
+		if vp := pm.drop(back); vp != nil {
 			ev.WasDirty = vp.State.Dirty
-			vp.State.Resident = false
 			vp.State.OnDisk = true
 			vp.State.Dirty = false
 		}
@@ -180,7 +200,7 @@ func (pm *PhysMem) Insert(seg *Segment, index uint64) []Evicted {
 	pm.nodes[n].seg = seg
 	pm.nodes[n].index = index
 	pm.pushFront(n)
-	pm.index[key] = n
+	pg.frame = n + 1
 	pm.used++
 	pg.State.Resident = true
 	return evicted
@@ -190,17 +210,8 @@ func (pm *PhysMem) Insert(seg *Segment, index uint64) []Evicted {
 // page keeps whatever disk state it had. Used when pages leave the
 // machine wholesale (process excision).
 func (pm *PhysMem) Remove(seg *Segment, index uint64) {
-	key := frameKey{seg.ID, index}
-	n, ok := pm.index[key]
-	if !ok {
-		return
-	}
-	pm.unlink(n)
-	pm.release(n)
-	pm.used--
-	delete(pm.index, key)
-	if pg := seg.Page(index); pg != nil {
-		pg.State.Resident = false
+	if n := pm.node(seg, index); n != nilNode {
+		pm.drop(n)
 	}
 }
 
@@ -209,16 +220,8 @@ func (pm *PhysMem) RemoveSegment(seg *Segment) {
 	var next int32
 	for n := pm.head; n != nilNode; n = next {
 		next = pm.nodes[n].next
-		fe := pm.nodes[n]
-		if fe.seg.ID != seg.ID {
-			continue
-		}
-		pm.unlink(n)
-		pm.release(n)
-		pm.used--
-		delete(pm.index, frameKey{fe.seg.ID, fe.index})
-		if pg := fe.seg.Page(fe.index); pg != nil {
-			pg.State.Resident = false
+		if pm.nodes[n].seg == seg {
+			pm.drop(n)
 		}
 	}
 }

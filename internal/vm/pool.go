@@ -23,8 +23,8 @@ type FramePool struct {
 }
 
 // arenaFrames is the number of page frames carved from one arena
-// allocation (128 KB at the Accent page size — the same granularity as
-// one page-table chunk).
+// allocation (128 KB at the Accent page size, the data of one 256-page
+// window of a segment's page table).
 const arenaFrames = 256
 
 // FramePoolStats counts pool traffic for the performance report.

@@ -34,10 +34,10 @@ type PageState struct {
 
 // Page is one materialized page of a segment. Unmaterialized pages
 // (conceptual zeros, or imaginary pages not yet fetched) have no Page.
-// Pages live by value inside page-table chunks; pointers returned by
-// Segment methods stay valid for the life of the segment (chunks are
-// never reallocated), but callers must not retain them across segment
-// death.
+// Pages live by value in the page table's slab, whose blocks are never
+// moved: a pointer returned by a Segment method stays valid, and is the
+// same pointer for the same index, until ReleaseFrames; callers must
+// not retain it across segment death.
 type Page struct {
 	Index uint64 // page index within the segment
 	Data  []byte
@@ -47,6 +47,11 @@ type Page struct {
 	// Borrow): it is never written through and never recycled. The mark
 	// is host-side only; Shared and every simulated cost ignore it.
 	borrowed bool
+
+	// frame links the page to its PhysMem LRU node (node index + 1; 0:
+	// no frame). Only PhysMem sets it. It sits in the padding after
+	// borrowed, so a Page stays 56 bytes.
+	frame int32
 
 	// Version counts content mutations, so incremental transfer schemes
 	// (pre-copy) can detect staleness cheaply.
@@ -238,7 +243,7 @@ func (s *Segment) Borrow(index uint64, data []byte) *Page {
 	if present {
 		panic(fmt.Sprintf("vm: borrow over materialized page %d of %q", index, s.Name))
 	}
-	*p = Page{Index: index, Data: data, borrowed: true}
+	*p = Page{Index: index, Data: data, borrowed: true, frame: p.frame}
 	return p
 }
 
@@ -279,7 +284,8 @@ var zeroRead [1 << 16]byte
 // Read returns up to n bytes of the page at index starting at off. A
 // missing page reads as zeros — served from a shared zero buffer, so
 // the returned slice is READ-ONLY; callers that mutate must copy (or
-// use ReadInto with their own buffer).
+// use ReadInto with their own buffer). Bytes past the page's data (a
+// short page) read as zeros too.
 func (s *Segment) Read(index uint64, off, n int) []byte {
 	p := s.table.get(index)
 	if p == nil || p.Data == nil {
@@ -289,7 +295,9 @@ func (s *Segment) Read(index uint64, off, n int) []byte {
 		return make([]byte, n)
 	}
 	out := make([]byte, n)
-	copy(out, p.Data[off:])
+	if off < len(p.Data) {
+		copy(out, p.Data[off:])
+	}
 	return out
 }
 
@@ -363,10 +371,6 @@ func (s *Segment) BreakCOW(index uint64) bool {
 // when a segment's data is no longer needed (segment death, process
 // excision after collapse).
 func (s *Segment) ReleaseFrames() {
-	if s.table.count == 0 {
-		s.table = pageTable{}
-		return
-	}
 	last := s.Pages() - 1
 	for idx, ok := s.table.nextPresent(0, last); ok; idx, ok = s.table.nextPresent(idx+1, last) {
 		p := s.table.get(idx)
@@ -379,7 +383,7 @@ func (s *Segment) ReleaseFrames() {
 			break
 		}
 	}
-	s.table = pageTable{}
+	s.table.reset()
 }
 
 // Ref records a new mapping reference (a region now maps this segment).

@@ -3,12 +3,12 @@ package vm
 import "math/bits"
 
 // The page table is the data-plane replacement for the old
-// map[uint64]*Page: a two-level sparse structure whose leaves are dense
-// chunks of Page slots plus an occupancy bitmap. It buys three things
-// the map could not give at once:
+// map[uint64]*Page: a two-level sparse structure whose leaves are
+// pointer-free chunks of slot numbers plus an occupancy bitmap. It buys
+// three things the map could not give at once:
 //
 //   - O(1) lookup with no hashing and no per-page *Page allocation
-//     (pages live by value inside chunks);
+//     (pages live by value in a per-segment slab);
 //   - in-order iteration for free, so BuildAMap emits coalesced runs in
 //     a single ordered sweep with no key extraction and no sort;
 //   - run discovery by bitmap scan, so contiguous materialized runs can
@@ -18,8 +18,16 @@ import "math/bits"
 // dense slice indexed by chunk number, grown on demand to the highest
 // chunk ever materialized: a fully validated 4 GB Lisp space whose
 // pages sit in its low 30 MB carries about 235 chunk pointers, not
-// 32 Ki, and every sweep stops at the last of them. Lookups stay a
-// shift, a mask, and two indexing operations.
+// 32 Ki, and every sweep stops at the last of them.
+//
+// A chunk holds no Page: each of its slots names a page in the slab, a
+// list of fixed-size Page blocks filled in materialization order and
+// never moved. A sparse segment therefore pays about 1 KB per chunk it
+// touches (which the collector never scans) plus one Page per page it
+// holds. A page keeps its slab slot for the life of the table, across
+// clear and a later ensure, so every *Page handed out for an index is
+// the same pointer.
+// A lookup is a few shifts and masks and four indexing operations.
 
 const (
 	tableChunkShift = 8
@@ -28,12 +36,18 @@ const (
 	tableChunkPages = 1 << tableChunkShift
 	tableChunkMask  = tableChunkPages - 1
 	tableWords      = tableChunkPages / 64
+
+	slabBlockShift = 6
+	// slabBlockPages is the Page count of one slab block (3.5 KB).
+	slabBlockPages = 1 << slabBlockShift
+	slabBlockMask  = slabBlockPages - 1
 )
 
-// pageChunk is one leaf: a dense array of Page slots and the occupancy
-// bitmap that says which slots hold a materialized page.
+// pageChunk is one leaf: the slab slot of every page index in its
+// window that was ever materialized, and the occupancy bitmap that says
+// which of them hold a materialized page now. It holds no pointer.
 type pageChunk struct {
-	pages [tableChunkPages]Page
+	slots [tableChunkPages]int32 // 1 + slab slot; 0: no slot yet
 	bits  [tableWords]uint64
 	live  int
 }
@@ -41,7 +55,15 @@ type pageChunk struct {
 // pageTable is the two-level sparse page table of one segment.
 type pageTable struct {
 	chunks []*pageChunk // indexed by pageIdx >> tableChunkShift; nil = empty
-	count  int          // materialized pages across all chunks
+	slab   []*[slabBlockPages]Page
+	slots  int32 // slab pages handed out
+	count  int   // materialized pages across all chunks
+}
+
+// page returns the slab page a chunk slot names (1-based).
+func (t *pageTable) page(s int32) *Page {
+	s--
+	return &t.slab[s>>slabBlockShift][s&slabBlockMask]
 }
 
 // get returns the materialized page at idx, or nil. idx must be within
@@ -59,12 +81,32 @@ func (t *pageTable) get(idx uint64) *Page {
 	if c.bits[slot>>6]&(1<<(slot&63)) == 0 {
 		return nil
 	}
-	return &c.pages[slot]
+	return t.page(c.slots[slot])
+}
+
+// lookup returns the slab page idx was ever given, materialized or not
+// (nil if none), and whether it is materialized now. PhysMem reaches a
+// page's LRU link through it, since a link outlives a clear.
+func (t *pageTable) lookup(idx uint64) (*Page, bool) {
+	ci := idx >> tableChunkShift
+	if ci >= uint64(len(t.chunks)) {
+		return nil, false
+	}
+	c := t.chunks[ci]
+	if c == nil {
+		return nil, false
+	}
+	slot := idx & tableChunkMask
+	s := c.slots[slot]
+	if s == 0 {
+		return nil, false
+	}
+	return t.page(s), c.bits[slot>>6]&(1<<(slot&63)) != 0
 }
 
 // ensure returns the page slot for idx, creating its chunk (and growing
-// the top level to reach it) if needed, and reports whether the slot
-// already held a materialized page.
+// the top level to reach it) and its slab page if needed, and reports
+// whether the slot already held a materialized page.
 func (t *pageTable) ensure(idx uint64) (*Page, bool) {
 	ci := idx >> tableChunkShift
 	if ci >= uint64(len(t.chunks)) {
@@ -76,6 +118,15 @@ func (t *pageTable) ensure(idx uint64) (*Page, bool) {
 		t.chunks[ci] = c
 	}
 	slot := idx & tableChunkMask
+	s := c.slots[slot]
+	if s == 0 {
+		if t.slots&slabBlockMask == 0 {
+			t.slab = append(t.slab, new([slabBlockPages]Page))
+		}
+		t.slots++
+		s = t.slots
+		c.slots[slot] = s
+	}
 	word, bit := slot>>6, uint64(1)<<(slot&63)
 	present := c.bits[word]&bit != 0
 	if !present {
@@ -83,26 +134,59 @@ func (t *pageTable) ensure(idx uint64) (*Page, bool) {
 		c.live++
 		t.count++
 	}
-	return &c.pages[slot], present
+	return t.page(s), present
 }
 
-// clear removes the page at idx from the table, returning the former
-// slot (for frame recycling) or nil if it was not materialized.
+// clear removes the page at idx from the table, returning its slot (for
+// frame recycling) or nil if it was not materialized. The slot stays
+// assigned to idx.
 func (t *pageTable) clear(idx uint64) *Page {
-	ci := idx >> tableChunkShift
-	if ci >= uint64(len(t.chunks)) || t.chunks[ci] == nil {
+	p, present := t.lookup(idx)
+	if !present {
 		return nil
 	}
-	c := t.chunks[ci]
+	c := t.chunks[idx>>tableChunkShift]
 	slot := idx & tableChunkMask
-	word, bit := slot>>6, uint64(1)<<(slot&63)
-	if c.bits[word]&bit == 0 {
-		return nil
-	}
-	c.bits[word] &^= bit
+	c.bits[slot>>6] &^= 1 << (slot & 63)
 	c.live--
 	t.count--
-	return &c.pages[slot]
+	return p
+}
+
+// reset empties the table. If no page links to a PhysMem frame, the
+// whole table is dropped. Otherwise every slot is kept and every slab
+// page is zeroed except its link, so a frame that outlives its page is
+// found again if the index is materialized anew, as a frame keyed by
+// (segment, index) would be.
+func (t *pageTable) reset() {
+	if !t.linked() {
+		*t = pageTable{}
+		return
+	}
+	for _, b := range t.slab {
+		for i := range b {
+			b[i] = Page{frame: b[i].frame}
+		}
+	}
+	for _, c := range t.chunks {
+		if c != nil {
+			c.bits = [tableWords]uint64{}
+			c.live = 0
+		}
+	}
+	t.count = 0
+}
+
+// linked reports whether any slab page links to a PhysMem frame.
+func (t *pageTable) linked() bool {
+	for _, b := range t.slab {
+		for i := range b {
+			if b[i].frame != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // nextPresent finds the first materialized page index >= from, or

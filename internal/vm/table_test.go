@@ -10,25 +10,49 @@ import (
 // randomized materialize/clear sequence and checks every query against
 // a plain map reference. The table replaced map[uint64]*Page on the
 // data plane, so any divergence here is exactly the kind of bug that
-// would silently change experiment output.
+// would silently change experiment output. Every ensure and get of an
+// index must also return the same *Page, across clear and re-ensure:
+// PhysMem's LRU link lives in the page.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	const nPages = 5 * tableChunkPages // spans several chunks
 	rng := rand.New(rand.NewSource(42))
 	var tbl pageTable
 	ref := map[uint64]bool{}
+	ptrs := map[uint64]*Page{}
+	samePage := func(step int, op string, idx uint64, p *Page) {
+		t.Helper()
+		if first, ok := ptrs[idx]; ok && first != p {
+			t.Fatalf("step %d: %s(%d) = %p, first handed out %p", step, op, idx, p, first)
+		}
+		ptrs[idx] = p
+	}
 
 	for step := 0; step < 4000; step++ {
 		idx := uint64(rng.Intn(nPages))
-		if rng.Intn(3) == 0 {
-			tbl.clear(idx)
+		switch rng.Intn(3) {
+		case 0:
+			p := tbl.clear(idx)
+			if (p != nil) != ref[idx] {
+				t.Fatalf("step %d: clear(%d) = %v, ref=%v", step, idx, p, ref[idx])
+			}
+			if p != nil {
+				samePage(step, "clear", idx, p)
+			}
 			delete(ref, idx)
-		} else {
+		default:
 			p, present := tbl.ensure(idx)
 			if present != ref[idx] {
 				t.Fatalf("step %d: ensure(%d) present=%v, ref=%v", step, idx, present, ref[idx])
 			}
+			samePage(step, "ensure", idx, p)
+			if present && p.Index != idx {
+				t.Fatalf("step %d: ensure(%d) returned the page of index %d", step, idx, p.Index)
+			}
 			p.Index = idx
 			ref[idx] = true
+		}
+		if q := uint64(rng.Intn(nPages)); ref[q] {
+			samePage(step, "get", q, tbl.get(q))
 		}
 	}
 
@@ -36,9 +60,12 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		t.Fatalf("count = %d, ref has %d", tbl.count, len(ref))
 	}
 	for idx := uint64(0); idx < nPages; idx++ {
-		got := tbl.get(idx) != nil
-		if got != ref[idx] {
+		p := tbl.get(idx)
+		if got := p != nil; got != ref[idx] {
 			t.Fatalf("get(%d) = %v, ref = %v", idx, got, ref[idx])
+		}
+		if p != nil {
+			samePage(-1, "get", idx, p)
 		}
 	}
 
