@@ -21,12 +21,12 @@ fmt:
 
 check: build vet fmt test race smoke identity benchmod
 
-# Smoke gate for what no test runs: the VM, workload-install and sim
-# kernel microbenchmark bodies at a token iteration count, and the
-# window/streaming sweep end to end on a two-workload subset (no test
-# calls Pipeline).
+# Smoke gate for what no test runs: the VM, workload-install, sim
+# kernel, excise and wire-crossing microbenchmark bodies at a token
+# iteration count, and the window/streaming sweep end to end on a
+# two-workload subset (no test calls Pipeline).
 smoke:
-	$(GO) test -count=1 -run xxx -bench . -benchtime 100x ./internal/vmbench/ ./internal/workload/ ./internal/sim/
+	$(GO) test -count=1 -run xxx -bench . -benchtime 100x ./internal/vmbench/ ./internal/workload/ ./internal/sim/ ./internal/core/
 	$(GO) run ./cmd/migsim -exp pipeline -kinds Minprog,Lisp-Del > /dev/null
 
 # The benchmark of record is its own module under bench/, importing

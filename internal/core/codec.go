@@ -18,30 +18,8 @@ import (
 // from the frame alone. Pending-mail bodies without codecs of their
 // own ride in the frame's extras, in order.
 
-// enc/dec mirror wire's little helpers (kept private there; the small
-// duplication buys package independence).
-type enc struct{ b []byte }
-
-func (w *enc) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *enc) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *enc) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *enc) i64(v int64)  { w.u64(uint64(v)) }
-func (w *enc) dur(v time.Duration) {
-	w.i64(int64(v))
-}
-func (w *enc) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *enc) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
-}
-func (w *enc) str(v string) { w.bytes([]byte(v)) }
-
+// Bodies are written through wire.Encoder, measured and then written
+// straight into the frame; dec is the matching reader.
 type dec struct {
 	b   []byte
 	off int
@@ -76,6 +54,17 @@ func (r *dec) u64() uint64 {
 	}
 	return binary.BigEndian.Uint64(v)
 }
+
+// count reads an item count and checks it against the bytes left, at
+// least size bytes an item, so a slice made from it is sized once and
+// never larger than the body could fill.
+func (r *dec) count(size int) int {
+	n := int(r.u32())
+	if n > (len(r.b)-r.off)/size {
+		panic(fmt.Errorf("core: truncated body"))
+	}
+	return n
+}
 func (r *dec) i64() int64         { return int64(r.u64()) }
 func (r *dec) dur() time.Duration { return time.Duration(r.i64()) }
 func (r *dec) boolv() bool        { return r.u8() != 0 }
@@ -105,29 +94,31 @@ func guard(fn func() (any, error)) (v any, err error) {
 	return fn()
 }
 
-func encodeAMap(w *enc, m *vm.AMap) {
-	w.i64(int64(m.PageSize))
-	w.u32(uint32(len(m.Entries)))
+func encodeAMap(w *wire.Encoder, m *vm.AMap) {
+	w.I64(int64(m.PageSize))
+	w.U32(uint32(len(m.Entries)))
 	for _, e := range m.Entries {
-		w.u64(uint64(e.Start))
-		w.u64(uint64(e.End))
-		w.u8(uint8(e.Access))
+		w.U64(uint64(e.Start))
+		w.U64(uint64(e.End))
+		w.U8(uint8(e.Access))
 	}
-	w.i64(int64(m.Stats.Regions))
-	w.i64(int64(m.Stats.Runs))
-	w.i64(int64(m.Stats.MaterializedPages))
-	w.u64(m.Stats.ValidatedPages)
+	w.I64(int64(m.Stats.Regions))
+	w.I64(int64(m.Stats.Runs))
+	w.I64(int64(m.Stats.MaterializedPages))
+	w.U64(m.Stats.ValidatedPages)
 }
 
 func decodeAMap(r *dec) *vm.AMap {
 	m := &vm.AMap{PageSize: int(r.i64())}
-	n := int(r.u32())
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, vm.AMapEntry{
-			Start:  vm.Addr(r.u64()),
-			End:    vm.Addr(r.u64()),
-			Access: vm.Accessibility(r.u8()),
-		})
+	if n := r.count(8 + 8 + 1); n > 0 {
+		m.Entries = make([]vm.AMapEntry, n)
+		for i := range m.Entries {
+			m.Entries[i] = vm.AMapEntry{
+				Start:  vm.Addr(r.u64()),
+				End:    vm.Addr(r.u64()),
+				Access: vm.Accessibility(r.u8()),
+			}
+		}
 	}
 	m.Stats.Regions = int(r.i64())
 	m.Stats.Runs = int(r.i64())
@@ -147,48 +138,48 @@ const (
 	opTagMigrate
 )
 
-func encodeProgram(w *enc, pr *trace.Program) error {
+func encodeProgram(w *wire.Encoder, pr *trace.Program) error {
 	if pr == nil {
-		w.u32(0)
+		w.U32(0)
 		return nil
 	}
-	w.u32(uint32(len(pr.Ops)))
+	w.U32(uint32(len(pr.Ops)))
 	for _, op := range pr.Ops {
 		switch o := op.(type) {
 		case trace.Compute:
-			w.u8(opTagCompute)
-			w.dur(o.D)
+			w.U8(opTagCompute)
+			w.I64(int64(o.D))
 		case trace.IOWait:
-			w.u8(opTagIOWait)
-			w.dur(o.D)
+			w.U8(opTagIOWait)
+			w.I64(int64(o.D))
 		case trace.Touch:
-			w.u8(opTagTouch)
-			w.u64(uint64(o.Addr))
-			w.bool(o.Write)
+			w.U8(opTagTouch)
+			w.U64(uint64(o.Addr))
+			w.Bool(o.Write)
 		case trace.SeqScan:
-			w.u8(opTagSeqScan)
-			w.u64(uint64(o.Start))
-			w.u64(o.Bytes)
-			w.u64(o.Stride)
-			w.bool(o.Write)
-			w.dur(o.PerTouch)
+			w.U8(opTagSeqScan)
+			w.U64(uint64(o.Start))
+			w.U64(o.Bytes)
+			w.U64(o.Stride)
+			w.Bool(o.Write)
+			w.I64(int64(o.PerTouch))
 		case trace.RandTouch:
-			w.u8(opTagRandTouch)
-			w.u64(uint64(o.Start))
-			w.u64(o.Bytes)
-			w.i64(int64(o.Count))
-			w.u64(o.Seed)
-			w.bool(o.Write)
-			w.dur(o.PerTouch)
+			w.U8(opTagRandTouch)
+			w.U64(uint64(o.Start))
+			w.U64(o.Bytes)
+			w.I64(int64(o.Count))
+			w.U64(o.Seed)
+			w.Bool(o.Write)
+			w.I64(int64(o.PerTouch))
 		case trace.WSLoop:
-			w.u8(opTagWSLoop)
-			w.u64(uint64(o.Start))
-			w.i64(int64(o.Pages))
-			w.i64(int64(o.Iters))
-			w.dur(o.Compute)
-			w.bool(o.Write)
+			w.U8(opTagWSLoop)
+			w.U64(uint64(o.Start))
+			w.I64(int64(o.Pages))
+			w.I64(int64(o.Iters))
+			w.I64(int64(o.Compute))
+			w.Bool(o.Write)
 		case trace.MigratePoint:
-			w.u8(opTagMigrate)
+			w.U8(opTagMigrate)
 		default:
 			return fmt.Errorf("core: cannot encode trace op %T", op)
 		}
@@ -236,40 +227,38 @@ func decodeProgram(r *dec) (*trace.Program, error) {
 
 func init() {
 	wire.RegisterBody(OpCore, wire.BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *wire.Encoder, v any) error {
 			cb, ok := v.(*CoreBody)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *CoreBody, got %T", v)
+				return fmt.Errorf("want *CoreBody, got %T", v)
 			}
-			w := &enc{}
-			var extras []any
-			w.str(cb.ProcName)
+			w.Str(cb.ProcName)
 			encodeAMap(w, cb.AMap)
-			w.u32(uint32(len(cb.Rights)))
+			w.U32(uint32(len(cb.Rights)))
 			for _, rt := range cb.Rights {
-				w.u64(uint64(rt.ID))
-				w.str(rt.Name)
-				w.u32(uint32(len(rt.Pending)))
+				w.U64(uint64(rt.ID))
+				w.Str(rt.Name)
+				w.U32(uint32(len(rt.Pending)))
 				for _, pm := range rt.Pending {
 					frame, ex, err := wire.EncodeMessage(pm)
 					if err != nil {
-						return nil, nil, fmt.Errorf("pending mail: %w", err)
+						return fmt.Errorf("pending mail: %w", err)
 					}
-					w.bytes(frame)
-					w.u32(uint32(len(ex)))
-					extras = append(extras, ex...)
+					w.Bytes(frame)
+					w.U32(uint32(len(ex)))
+					w.Extra(ex...)
 				}
 			}
-			w.i64(int64(cb.MicrostateBytes))
-			w.i64(int64(cb.KernelStackBytes))
-			w.i64(int64(cb.PCBBytes))
-			w.i64(int64(cb.PC))
+			w.I64(int64(cb.MicrostateBytes))
+			w.I64(int64(cb.KernelStackBytes))
+			w.I64(int64(cb.PCBBytes))
+			w.I64(int64(cb.PC))
 			if err := encodeProgram(w, cb.Program); err != nil {
-				return nil, nil, err
+				return err
 			}
-			w.i64(int64(cb.Prefetch))
-			w.i64(int64(cb.Attempt))
-			return w.b, extras, nil
+			w.I64(int64(cb.Prefetch))
+			w.I64(int64(cb.Attempt))
+			return nil
 		},
 		Decode: func(b []byte, extras []any) (any, error) {
 			return guard(func() (any, error) {
@@ -313,33 +302,32 @@ func init() {
 	})
 
 	wire.RegisterBody(OpRIMAS, wire.BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *wire.Encoder, v any) error {
 			rb, ok := v.(*RIMASBody)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *RIMASBody, got %T", v)
+				return fmt.Errorf("want *RIMASBody, got %T", v)
 			}
-			w := &enc{}
-			w.str(rb.ProcName)
-			w.bool(rb.HoldAtDest)
-			w.bool(rb.PreCopied)
-			w.u32(uint32(len(rb.Runs)))
+			w.Str(rb.ProcName)
+			w.Bool(rb.HoldAtDest)
+			w.Bool(rb.PreCopied)
+			w.U32(uint32(len(rb.Runs)))
 			for _, run := range rb.Runs {
-				w.u64(uint64(run.VA))
-				w.u32(run.Pages)
-				w.bool(run.Resident)
+				w.U64(uint64(run.VA))
+				w.U32(run.Pages)
+				w.Bool(run.Resident)
 			}
-			w.i64(int64(rb.Attempt))
-			return w.b, nil, nil
+			w.I64(int64(rb.Attempt))
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			return guard(func() (any, error) {
 				r := &dec{b: b}
 				rb := &RIMASBody{ProcName: r.str(), HoldAtDest: r.boolv(), PreCopied: r.boolv()}
-				n := int(r.u32())
-				for i := 0; i < n; i++ {
-					rb.Runs = append(rb.Runs, CollapsedRun{
-						VA: vm.Addr(r.u64()), Pages: r.u32(), Resident: r.boolv(),
-					})
+				if n := r.count(8 + 4 + 1); n > 0 {
+					rb.Runs = make([]CollapsedRun, n)
+					for i := range rb.Runs {
+						rb.Runs[i] = CollapsedRun{VA: vm.Addr(r.u64()), Pages: r.u32(), Resident: r.boolv()}
+					}
 				}
 				rb.Attempt = int(r.i64())
 				return rb, nil
@@ -348,26 +336,25 @@ func init() {
 	})
 
 	ackCodec := wire.BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *wire.Encoder, v any) error {
 			ab, ok := v.(*AckBody)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *AckBody, got %T", v)
+				return fmt.Errorf("want *AckBody, got %T", v)
 			}
-			w := &enc{}
-			w.str(ab.ProcName)
-			w.dur(ab.CoreArrived)
-			w.dur(ab.RIMASArrived)
-			w.dur(ab.InsertDone)
-			w.dur(ab.Insert.Overall)
-			w.i64(int64(ab.Insert.ArrivedPages))
-			w.i64(int64(ab.Insert.IOURuns))
-			w.i64(int64(ab.Insert.ZeroRuns))
-			w.i64(int64(ab.Insert.ElidedPages))
-			w.i64(int64(ab.Insert.ResumedPages))
-			w.i64(int64(ab.Insert.RepairedPages))
-			w.str(ab.Err)
-			w.i64(int64(ab.Attempt))
-			return w.b, nil, nil
+			w.Str(ab.ProcName)
+			w.I64(int64(ab.CoreArrived))
+			w.I64(int64(ab.RIMASArrived))
+			w.I64(int64(ab.InsertDone))
+			w.I64(int64(ab.Insert.Overall))
+			w.I64(int64(ab.Insert.ArrivedPages))
+			w.I64(int64(ab.Insert.IOURuns))
+			w.I64(int64(ab.Insert.ZeroRuns))
+			w.I64(int64(ab.Insert.ElidedPages))
+			w.I64(int64(ab.Insert.ResumedPages))
+			w.I64(int64(ab.Insert.RepairedPages))
+			w.Str(ab.Err)
+			w.I64(int64(ab.Attempt))
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			return guard(func() (any, error) {
@@ -393,15 +380,14 @@ func init() {
 	wire.RegisterBody(OpCoreAck, ackCodec)
 
 	wire.RegisterBody(OpPreCopy, wire.BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *wire.Encoder, v any) error {
 			pb, ok := v.(*PreCopyBody)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *PreCopyBody, got %T", v)
+				return fmt.Errorf("want *PreCopyBody, got %T", v)
 			}
-			w := &enc{}
-			w.str(pb.ProcName)
-			w.i64(int64(pb.Round))
-			return w.b, nil, nil
+			w.Str(pb.ProcName)
+			w.I64(int64(pb.Round))
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			return guard(func() (any, error) {

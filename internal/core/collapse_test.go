@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -12,28 +13,34 @@ import (
 	"accentmig/internal/workload"
 )
 
-// referenceCollapse is the straightforward collapse the exact-size one
-// must match: it walks the AMap page by page, appending each page image
-// (zero-padded to a full page) onto the tail of its collapsed
-// attachment, and returns what ExciseProcess ships for pr under strat.
-// It only reads the address space, so it can run just before the
-// excision it checks.
-func referenceCollapse(t *testing.T, pr *machine.Process, strat Strategy) (atts []*ipc.MemAttachment, runs []CollapsedRun, real, resident int) {
+// refAtt is what the reference collapse expects of one attachment:
+// its fields (Runs aside) and, for a collapsed one, the page images in
+// collapse order, each zero-padded to a full page, with the source
+// page's image as the collapse found it.
+type refAtt struct {
+	att    ipc.MemAttachment
+	images [][]byte
+	srcs   [][]byte
+}
+
+// referenceCollapse is the straightforward collapse ExciseProcess must
+// match: it walks the AMap page by page, appending a zero-padded copy
+// of each page image to its collapsed attachment, and returns what
+// ExciseProcess ships for pr under strat. It only reads the address
+// space, so it can run just before the excision it checks.
+func referenceCollapse(t *testing.T, pr *machine.Process, strat Strategy) (atts []refAtt, runs []CollapsedRun, real, resident int) {
 	as := pr.AS
 	ps := uint64(as.PageSize())
-	lazy := &ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true}
-	res := &ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true, Resident: true, Copy: true}
-	appendPage := func(dst *ipc.MemAttachment, data []byte) {
-		if len(dst.Runs) == 0 {
-			dst.Runs = append(dst.Runs, vm.PageRun{Index: 0})
-		}
-		run := &dst.Runs[0]
-		run.Data = append(run.Data, data...)
-		run.Data = append(run.Data, make([]byte, uint64(run.Count+1)*ps-uint64(len(run.Data)))...)
-		run.Count++
-		dst.Size += ps
+	lazy := &refAtt{att: ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true}}
+	res := &refAtt{att: ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true, Resident: true, Copy: true}}
+	appendPage := func(dst *refAtt, data []byte) {
+		img := make([]byte, ps)
+		copy(img, data)
+		dst.images = append(dst.images, img)
+		dst.srcs = append(dst.srcs, data)
+		dst.att.Size += ps
 	}
-	var imagAtts []*ipc.MemAttachment
+	var imagAtts []refAtt
 	for _, e := range vm.BuildAMap(as).Entries {
 		switch e.Access {
 		case vm.RealMem:
@@ -71,12 +78,12 @@ func referenceCollapse(t *testing.T, pr *machine.Process, strat Strategy) (atts 
 			if err != nil {
 				t.Fatal(err)
 			}
-			imagAtts = append(imagAtts, att)
+			imagAtts = append(imagAtts, refAtt{att: *att})
 		}
 	}
-	for _, a := range []*ipc.MemAttachment{res, lazy} {
-		if a.PageCount() > 0 {
-			atts = append(atts, a)
+	for _, a := range []*refAtt{res, lazy} {
+		if len(a.images) > 0 {
+			atts = append(atts, *a)
 		}
 	}
 	atts = append(atts, imagAtts...)
@@ -87,10 +94,15 @@ func referenceCollapse(t *testing.T, pr *machine.Process, strat Strategy) (atts 
 }
 
 // checkCollapse excises pr from m under strat and compares the RIMAS
-// message with the reference collapse taken just before.
+// message with the reference collapse taken just before: the same
+// attachments, and in each collapsed one the same page images in the
+// same order, zero-padded, one page-size run per page. A full-size
+// image must travel by reference — the run aliases the source page's
+// image — and a short or missing one as a padded copy.
 func checkCollapse(t *testing.T, k *sim.Kernel, m *machine.Machine, pr *machine.Process, strat Strategy) {
 	t.Helper()
-	wantAtts, wantRuns, wantReal, wantRes := referenceCollapse(t, pr, strat)
+	want, wantRuns, wantReal, wantRes := referenceCollapse(t, pr, strat)
+	ps := pr.AS.PageSize()
 	var ctx *Context
 	var err error
 	k.Go("excise", func(p *sim.Proc) {
@@ -101,8 +113,35 @@ func checkCollapse(t *testing.T, k *sim.Kernel, m *machine.Machine, pr *machine.
 	if err != nil {
 		t.Fatalf("ExciseProcess: %v", err)
 	}
-	if !reflect.DeepEqual(ctx.RIMAS.Mem, wantAtts) {
-		t.Errorf("attachments differ from the reference collapse:\n got %s\nwant %s", describeAtts(ctx.RIMAS.Mem), describeAtts(wantAtts))
+	got := ctx.RIMAS.Mem
+	if len(got) != len(want) {
+		t.Fatalf("%d attachments, want %d:\n got %s", len(got), len(want), describeAtts(got))
+	}
+	for i, a := range got {
+		w := want[i]
+		meta := *a
+		meta.Runs = nil
+		if !reflect.DeepEqual(meta, w.att) {
+			t.Errorf("attachment %d: got %s, want %s", i, describeAtts([]*ipc.MemAttachment{a}), describeAtts([]*ipc.MemAttachment{&w.att}))
+		}
+		if len(a.Runs) != len(w.images) {
+			t.Errorf("attachment %d: %d runs, want one for each of %d pages", i, len(a.Runs), len(w.images))
+			continue
+		}
+		for j, run := range a.Runs {
+			switch {
+			case run.Index != uint64(j) || run.Count != 1:
+				t.Errorf("attachment %d run %d: {index %d, count %d}, want {%d, 1}", i, j, run.Index, run.Count, j)
+			case len(run.Data) != ps || cap(run.Data) != ps:
+				t.Errorf("attachment %d page %d: len %d cap %d, want a capped page of %d", i, j, len(run.Data), cap(run.Data), ps)
+			case !bytes.Equal(run.Data, w.images[j]):
+				t.Errorf("attachment %d page %d: image differs from the zero-padded source", i, j)
+			case len(w.srcs[j]) == ps && &run.Data[0] != &w.srcs[j][0]:
+				t.Errorf("attachment %d page %d: full-size image copied instead of shared", i, j)
+			case len(w.srcs[j]) > 0 && len(w.srcs[j]) < ps && &run.Data[0] == &w.srcs[j][0]:
+				t.Errorf("attachment %d page %d: short image shared instead of padded", i, j)
+			}
+		}
 	}
 	if got := ctx.RIMAS.Body.(*RIMASBody).Runs; !reflect.DeepEqual(got, wantRuns) {
 		t.Errorf("run table: got %d runs %v, want %d runs %v", len(got), got, len(wantRuns), wantRuns)
@@ -110,12 +149,10 @@ func checkCollapse(t *testing.T, k *sim.Kernel, m *machine.Machine, pr *machine.
 	if ctx.RealPages != wantReal || ctx.ResidentPages != wantRes {
 		t.Errorf("RealPages/ResidentPages = %d/%d, want %d/%d", ctx.RealPages, ctx.ResidentPages, wantReal, wantRes)
 	}
-	for i, a := range ctx.RIMAS.Mem {
-		for _, run := range a.Runs {
-			if a.Collapsed && cap(run.Data) != len(run.Data) {
-				t.Errorf("attachment %d: collapsed run has len %d but cap %d", i, len(run.Data), cap(run.Data))
-			}
-		}
+	// The dead process's frames leave the pool with a context that
+	// carries them and return to it when a pre-copied context does not.
+	if st := m.Pool.Stats(); strat == PreCopied && st.Disowned != 0 || strat != PreCopied && st.Puts != 0 {
+		t.Errorf("%v excise: %d frames recycled, %d disowned", strat, st.Puts, st.Disowned)
 	}
 }
 
@@ -132,9 +169,11 @@ func describeAtts(atts []*ipc.MemAttachment) string {
 
 var collapseStrategies = []Strategy{PureCopy, PureIOU, ResidentSet, PreCopied}
 
-// TestCollapseMatchesReference: the exact-size collapse ships the same
-// attachments, run table and page counts as the per-page reference for
-// every paper workload under every strategy that collapses RealMem.
+// TestCollapseMatchesReference: the by-reference collapse ships the
+// same attachments, page images, run table and page counts as the
+// copying reference for every paper workload under every strategy that
+// collapses RealMem, and shares every full-size image instead of
+// copying it.
 func TestCollapseMatchesReference(t *testing.T) {
 	for _, kind := range workload.Kinds() {
 		for _, strat := range collapseStrategies {
@@ -153,7 +192,7 @@ func TestCollapseMatchesReference(t *testing.T) {
 
 // TestCollapsePadsShortAndMissingImages: a page whose image is short or
 // absent still occupies a full, zero-padded page of its collapsed
-// attachment.
+// attachment, as a copy of its own.
 func TestCollapsePadsShortAndMissingImages(t *testing.T) {
 	damage := map[string]func(pg *vm.Page){
 		"short":    func(pg *vm.Page) { pg.Data = pg.Data[:100] },

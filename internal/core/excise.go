@@ -146,8 +146,14 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	// run table records how to unfold it. Pre-existing imaginary runs
 	// keep their own IOU descriptors.
 	ctx := &Context{}
+	ps := pr.AS.PageSize()
 	var runs []CollapsedRun
-	var lazy, res [][]byte // page images bound for each collapsed attachment
+	// The page images bound for each collapsed attachment, one
+	// page-size run each. The lazy half usually takes every page.
+	var lazy, res []vm.PageRun
+	if strat != PreCopied && strat != ResidentSet {
+		lazy = make([]vm.PageRun, 0, amap.Stats.MaterializedPages)
+	}
 	var imagAtts []*ipc.MemAttachment
 	var resident, real int
 	for _, e := range amap.Entries {
@@ -168,10 +174,10 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	}
 	var attachments []*ipc.MemAttachment
 	if len(res) > 0 {
-		attachments = append(attachments, collapsedAttachment(res, pr.AS.PageSize(), true))
+		attachments = append(attachments, collapsedAttachment(res, ps, true))
 	}
 	if len(lazy) > 0 {
-		attachments = append(attachments, collapsedAttachment(lazy, pr.AS.PageSize(), false))
+		attachments = append(attachments, collapsedAttachment(lazy, ps, false))
 	}
 	attachments = append(attachments, imagAtts...)
 	m.CPU.UseHigh(p, tun.CollapseBase+
@@ -186,9 +192,15 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	}
 	for seg := range segs {
 		m.Phys.RemoveSegment(seg)
-		// The collapsed attachments own copies of every page image, so
-		// the dead process's frames can go straight back to the pool.
-		seg.ReleaseFrames()
+		// The collapsed attachments refer to the dead process's frames
+		// in place, so the frames leave the pool with the context. A
+		// pre-copied context carries no page image, and its frames are
+		// recycled.
+		if strat == PreCopied {
+			seg.ReleaseFrames()
+		} else {
+			seg.DisownFrames()
+		}
 	}
 	rights := make([]PortRight, 0, len(pr.Ports))
 	pendingBytes := 0
@@ -255,12 +267,13 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 }
 
 // collapseRealRun builds the collapsed-area run table for one RealMem
-// accessibility run and gathers its page images. Under the resident-set
+// accessibility run and gathers its page images, each as its own
+// one-page run numbered on from the last. Under the resident-set
 // strategy the run is split at residency boundaries, resident pages
 // going to res (physically copied) and the rest to lazy; the other
 // strategies keep the run whole in lazy (pure-copy forces physical
 // transmission with the message-level NoIOUs bit instead).
-func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, res *[][]byte) ([]CollapsedRun, int, int) {
+func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, res *[]vm.PageRun) ([]CollapsedRun, int, int) {
 	ps := uint64(as.PageSize())
 	var runs []CollapsedRun
 	resident, total := 0, 0
@@ -294,30 +307,39 @@ func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, 
 			runs = append(runs, CollapsedRun{VA: a, Pages: 1, Resident: markRes})
 		}
 		if dst != nil {
-			*dst = append(*dst, pg.Data)
+			*dst = append(*dst, vm.PageRun{Index: uint64(len(*dst)), Count: 1, Data: collapsedImage(pg.Data, int(ps))})
 		}
 	}
 	return runs, resident, total
 }
 
-// collapsedAttachment copies gathered page images into one exactly
-// sized run, short or missing images zero-padded to a full page.
-// Collapsed pages are densely numbered from zero, so the whole
-// attachment is a single run whose buffer the attachment owns — the
-// source segment's frames can be recycled the moment the process is
-// excised, and the staged context survives rollback.
-func collapsedAttachment(pages [][]byte, pageSize int, resident bool) *ipc.MemAttachment {
-	data := make([]byte, len(pages)*pageSize)
-	for i, pg := range pages {
-		copy(data[i*pageSize:(i+1)*pageSize], pg)
+// collapsedImage is the image a collapsed attachment carries for a page
+// holding data. A full page goes by reference, capped at its length:
+// the dead process's frame, which leaves the pool with the context, or
+// the borrowed fill row, which is never written. A short or missing
+// image is copied, zero-padded to a full page.
+func collapsedImage(data []byte, ps int) []byte {
+	if len(data) == ps {
+		return data[:ps:ps]
 	}
+	img := make([]byte, ps)
+	copy(img, data)
+	return img
+}
+
+// collapsedAttachment wraps gathered page runs as a collapsed
+// attachment. Collapsed pages are densely numbered from zero, one
+// page-size run each, so nothing is copied to build it; the images stay
+// unchanged for as long as the context lives, which is what lets the
+// staged context survive rollback.
+func collapsedAttachment(runs []vm.PageRun, pageSize int, resident bool) *ipc.MemAttachment {
 	return &ipc.MemAttachment{
 		Kind:      ipc.AttachData,
-		Size:      uint64(len(data)),
+		Size:      uint64(len(runs) * pageSize),
 		Collapsed: true,
 		Resident:  resident,
 		Copy:      resident,
-		Runs:      []vm.PageRun{{Index: 0, Count: len(pages), Data: data}},
+		Runs:      runs,
 	}
 }
 

@@ -20,8 +20,10 @@ var coreBodyOps = []int{
 // same bytes again. The seed corpus in testdata/fuzz holds a body of
 // every op written by the codecs themselves (a Core context with
 // pending mail, a RIMAS run table, acks, a pre-copy round, a manifest
-// built from a real attachment and its answer), a truncated manifest
-// and an empty Core body.
+// built from a real attachment and its answer), a truncated manifest,
+// an empty Core body, and Core contexts whose pending mail is a RIMAS
+// frame of one-page collapsed runs, a read reply of several runs, or a
+// frame whose run count exceeds its bytes.
 func FuzzDecodeBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
 		codec, ok := wire.LookupBody(coreBodyOps[int(op)%len(coreBodyOps)])
@@ -32,7 +34,7 @@ func FuzzDecodeBody(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, extras, err := codec.Encode(v)
+		again, extras, err := codec.Marshal(v)
 		if err != nil {
 			t.Fatalf("re-encode of a decoded %T: %v", v, err)
 		}
@@ -43,7 +45,7 @@ func FuzzDecodeBody(f *testing.F) {
 		if !reflect.DeepEqual(v, v2) {
 			t.Fatalf("round trip changed the body:\n%+v\n%+v", v, v2)
 		}
-		third, _, err := codec.Encode(v2)
+		third, _, err := codec.Marshal(v2)
 		if err != nil || !bytes.Equal(third, again) {
 			t.Fatalf("a second re-encode changed the bytes (err %v)", err)
 		}

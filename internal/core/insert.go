@@ -99,6 +99,11 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 	// RIMAS attachment list, so twin recipes can copy from the shipped
 	// original wherever it landed.
 	built := make(map[int]*vm.Segment)
+	// Pages of a wire-decoded RIMAS message are windows onto its frame,
+	// which nothing else references: they become the pages' frames in
+	// place. A rollback reinstalls the source's own context, whose page
+	// images the context keeps, so it copies them.
+	owned := rimasMsg.Owned()
 	mkSegment := func(ai int, a *ipc.MemAttachment, label string) (*vm.Segment, error) {
 		switch a.Kind {
 		case ipc.AttachData:
@@ -109,7 +114,7 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 			for _, run := range a.Runs {
 				for j := 0; j < run.Count; j++ {
 					idx := run.Index + uint64(j)
-					pg := seg.Materialize(idx, run.Page(j, int(ps)))
+					pg := seg.Receive(idx, run.Page(j, int(ps)), owned)
 					// Arrived data exists nowhere on the local disk yet:
 					// an eviction must write it out.
 					pg.State.Dirty = true
@@ -328,8 +333,7 @@ func recipeActsFor(rcp *dedupRecipe, ai int) []recipeAct {
 // the delivery ledger.
 func applyRecipe(m *machine.Machine, seg *vm.Segment, acts []recipeAct, built map[int]*vm.Segment) (int, int, error) {
 	rebuilt, resumed := 0, 0
-	install := func(idx uint64, data []byte, hash uint64) {
-		pg := seg.Materialize(idx, data)
+	install := func(idx uint64, pg *vm.Page, hash uint64) {
 		pg.State.Dirty = true
 		m.Pager.Install(seg, idx)
 		if m.Index != nil && hash != vm.ZeroHash {
@@ -352,11 +356,13 @@ func applyRecipe(m *machine.Machine, seg *vm.Segment, acts []recipeAct, built ma
 				return rebuilt, resumed, fmt.Errorf("manifest page %d missing from shipped runs", i)
 			}
 		case actZero:
-			install(idx, nil, vm.ZeroHash)
+			install(idx, seg.MaterializeZero(idx), vm.ZeroHash)
 		case actLocal:
-			install(idx, act.data, act.hash)
+			// A private copy made at classification: adopt it.
+			install(idx, seg.Adopt(idx, act.data), act.hash)
 		case actResume:
-			install(idx, act.data, act.hash)
+			// The ledger keeps its copy.
+			install(idx, seg.Materialize(idx, act.data), act.hash)
 			resumed++
 		case actTwin:
 			twinSeg := built[act.twinAtt]
@@ -367,7 +373,7 @@ func applyRecipe(m *machine.Machine, seg *vm.Segment, acts []recipeAct, built ma
 			if src == nil {
 				return rebuilt, resumed, fmt.Errorf("twin page %d/%d not materialized", act.twinAtt, act.twinIdx)
 			}
-			install(idx, src.Data, act.hash)
+			install(idx, seg.Materialize(idx, src.Data), act.hash)
 		}
 	}
 	return rebuilt, resumed, nil

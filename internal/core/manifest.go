@@ -79,12 +79,19 @@ func (ab *ManifestAckBody) Bytes() int {
 	return n
 }
 
-// denseFromZero reports whether the attachment's pages are a single
-// run numbered densely from zero — the shape every collapsed RIMAS
-// attachment has, and the shape the manifest's implicit page ordinals
-// rely on.
+// denseFromZero reports whether the attachment's runs number its pages
+// densely from zero, each run starting where the last one ended — the
+// shape every collapsed RIMAS attachment has, and the shape the
+// manifest's implicit page ordinals rely on.
 func denseFromZero(a *ipc.MemAttachment) bool {
-	return len(a.Runs) == 1 && a.Runs[0].Index == 0
+	next := uint64(0)
+	for _, r := range a.Runs {
+		if r.Index != next {
+			return false
+		}
+		next += uint64(r.Count)
+	}
+	return len(a.Runs) > 0
 }
 
 // buildManifest hashes every describable data attachment of the RIMAS
@@ -156,15 +163,16 @@ type dedupRecipe struct {
 // the destination): zero pages and intra-message duplicates still
 // elide. led may be nil (resume disabled): a retry's retained pages
 // then reship like any others. Local-hit bytes are copied out of the
-// index immediately — the underlying frames may be recycled before
-// insert time; ledger bytes are already stable copies.
+// index immediately, into a full page that insert time adopts as the
+// page's frame — the underlying frames may be recycled before then;
+// ledger bytes are already stable copies, which the ledger keeps.
 func classifyManifest(mb *ManifestBody, index *vm.ContentIndex, led *vm.DeliveryLedger, ps int) (*dedupRecipe, *ManifestAckBody) {
-	rcp := &dedupRecipe{attempt: mb.Attempt}
-	ack := &ManifestAckBody{ProcName: mb.ProcName, Attempt: mb.Attempt}
+	rcp := &dedupRecipe{attempt: mb.Attempt, atts: make([]recipeAtt, 0, len(mb.Atts))}
+	ack := &ManifestAckBody{ProcName: mb.ProcName, Attempt: mb.Attempt, Needed: make([][]byte, 0, len(mb.Atts))}
 	type src struct{ att, idx int }
 	seen := make(map[uint64]src)
 	for ai, att := range mb.Atts {
-		ra := recipeAtt{willShip: att.WillShip}
+		ra := recipeAtt{willShip: att.WillShip, acts: make([]recipeAct, 0, len(att.Hashes))}
 		var bitmap []byte
 		if att.WillShip && len(att.Hashes) > 0 {
 			bitmap = make([]byte, (len(att.Hashes)+7)/8)
@@ -179,7 +187,7 @@ func classifyManifest(mb *ManifestBody, index *vm.ContentIndex, led *vm.Delivery
 				ra.acts = append(ra.acts, recipeAct{kind: actZero})
 			default:
 				if data, ok := index.Lookup(h); ok {
-					cp := make([]byte, len(data))
+					cp := make([]byte, ps)
 					copy(cp, data)
 					ra.acts = append(ra.acts, recipeAct{kind: actLocal, hash: h, data: cp})
 				} else if data := led.Lookup(mb.ProcName, h, ps); data != nil {
@@ -200,34 +208,37 @@ func classifyManifest(mb *ManifestBody, index *vm.ContentIndex, led *vm.Delivery
 }
 
 // elideAttachment returns a copy of a keeping only the pages whose bit
-// is set in needed, grouped back into contiguous runs. Run data slices
-// alias the original dense buffer — nothing is copied, and the
-// original attachment (held by the rollback snapshot) is untouched.
-// The copy carries the cached names of the pages it keeps.
+// is set in needed; a's runs must number its pages densely from zero
+// (denseFromZero). Kept pages of one run that stay contiguous are
+// grouped back into one run. Run data slices alias the original
+// images — nothing is copied, and the original attachment (held by the
+// rollback snapshot) is untouched. The copy carries the cached names of
+// the pages it keeps.
 func elideAttachment(a *ipc.MemAttachment, needed []byte, ps int) (*ipc.MemAttachment, int) {
 	na := *a
 	na.Runs = nil
-	run := a.Runs[0]
 	names := a.PageHashes(ps) // computed by buildManifest
 	kept := make([]uint64, 0, len(names))
 	elided := 0
-	for j := 0; j < run.Count; j++ {
-		if needed[j>>3]&(1<<(j&7)) == 0 {
-			elided++
-			continue
-		}
-		kept = append(kept, names[j])
-		lo := j * ps
-		hi := lo + ps
-		if hi > len(run.Data) {
-			hi = len(run.Data)
-		}
-		if n := len(na.Runs); n > 0 && na.Runs[n-1].Index+uint64(na.Runs[n-1].Count) == uint64(j) {
-			last := &na.Runs[n-1]
-			last.Count++
-			last.Data = run.Data[int(last.Index)*ps : hi]
-		} else {
-			na.Runs = append(na.Runs, vm.PageRun{Index: uint64(j), Count: 1, Data: run.Data[lo:hi]})
+	for _, run := range a.Runs {
+		grow := false // the last kept run lies in this run and ends just before page j
+		for i := 0; i < run.Count; i++ {
+			j := int(run.Index) + i
+			if needed[j>>3]&(1<<(j&7)) == 0 {
+				elided++
+				grow = false
+				continue
+			}
+			kept = append(kept, names[j])
+			hi := min((i+1)*ps, len(run.Data))
+			if grow {
+				last := &na.Runs[len(na.Runs)-1]
+				last.Count++
+				last.Data = run.Data[int(last.Index-run.Index)*ps : hi]
+			} else {
+				na.Runs = append(na.Runs, vm.PageRun{Index: uint64(j), Count: 1, Data: run.Data[i*ps : hi]})
+				grow = true
+			}
 		}
 	}
 	na.SetPageHashes(kept, ps)
@@ -254,36 +265,39 @@ func compressAttachment(a *ipc.MemAttachment, ps int) int {
 
 func init() {
 	wire.RegisterBody(OpManifest, wire.BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *wire.Encoder, v any) error {
 			mb, ok := v.(*ManifestBody)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *ManifestBody, got %T", v)
+				return fmt.Errorf("want *ManifestBody, got %T", v)
 			}
-			w := &enc{}
-			w.str(mb.ProcName)
-			w.i64(int64(mb.Attempt))
-			w.u32(uint32(len(mb.Atts)))
+			w.Str(mb.ProcName)
+			w.I64(int64(mb.Attempt))
+			w.U32(uint32(len(mb.Atts)))
 			for _, a := range mb.Atts {
-				w.bool(a.WillShip)
-				w.u32(uint32(len(a.Hashes)))
+				w.Bool(a.WillShip)
+				w.U32(uint32(len(a.Hashes)))
 				for _, h := range a.Hashes {
-					w.u64(h)
+					w.U64(h)
 				}
 			}
-			return w.b, nil, nil
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			return guard(func() (any, error) {
 				r := &dec{b: b}
 				mb := &ManifestBody{ProcName: r.str(), Attempt: int(r.i64())}
-				n := int(r.u32())
-				for i := 0; i < n; i++ {
-					a := ManifestAtt{WillShip: r.boolv()}
-					np := int(r.u32())
-					for j := 0; j < np; j++ {
-						a.Hashes = append(a.Hashes, r.u64())
+				if n := r.count(1 + 4); n > 0 {
+					mb.Atts = make([]ManifestAtt, n)
+					for i := range mb.Atts {
+						a := &mb.Atts[i]
+						a.WillShip = r.boolv()
+						if np := r.count(8); np > 0 {
+							a.Hashes = make([]uint64, np)
+							for j := range a.Hashes {
+								a.Hashes[j] = r.u64()
+							}
+						}
 					}
-					mb.Atts = append(mb.Atts, a)
 				}
 				return mb, nil
 			})
@@ -291,31 +305,30 @@ func init() {
 	})
 
 	wire.RegisterBody(OpManifestAck, wire.BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *wire.Encoder, v any) error {
 			ab, ok := v.(*ManifestAckBody)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *ManifestAckBody, got %T", v)
+				return fmt.Errorf("want *ManifestAckBody, got %T", v)
 			}
-			w := &enc{}
-			w.str(ab.ProcName)
-			w.i64(int64(ab.Attempt))
-			w.u32(uint32(len(ab.Needed)))
+			w.Str(ab.ProcName)
+			w.I64(int64(ab.Attempt))
+			w.U32(uint32(len(ab.Needed)))
 			for _, bm := range ab.Needed {
-				w.bytes(bm)
+				w.Bytes(bm)
 			}
-			return w.b, nil, nil
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			return guard(func() (any, error) {
 				r := &dec{b: b}
 				ab := &ManifestAckBody{ProcName: r.str(), Attempt: int(r.i64())}
-				n := int(r.u32())
-				for i := 0; i < n; i++ {
-					bm := r.bytes()
-					if len(bm) == 0 {
-						bm = nil
+				if n := r.count(4); n > 0 {
+					ab.Needed = make([][]byte, n)
+					for i := range ab.Needed {
+						if bm := r.bytes(); len(bm) > 0 {
+							ab.Needed[i] = bm
+						}
 					}
-					ab.Needed = append(ab.Needed, bm)
 				}
 				return ab, nil
 			})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"accentmig/internal/ipc"
 	"accentmig/internal/machine"
 	"accentmig/internal/netlink"
 	"accentmig/internal/sim"
@@ -287,5 +288,27 @@ func TestManifestRollbackSurvivesElision(t *testing.T) {
 	}
 	if doneErr != nil {
 		t.Fatalf("post-rollback execution: %v", doneErr)
+	}
+}
+
+// TestDenseFromZero: the manifest describes an attachment only when its
+// runs number its pages densely from zero, however they are split.
+func TestDenseFromZero(t *testing.T) {
+	run := func(idx uint64, n int) vm.PageRun { return vm.PageRun{Index: idx, Count: n, Data: make([]byte, n*512)} }
+	for _, c := range []struct {
+		runs []vm.PageRun
+		want bool
+	}{
+		{[]vm.PageRun{run(0, 3)}, true},
+		{[]vm.PageRun{run(0, 1), run(1, 1), run(2, 1)}, true},
+		{[]vm.PageRun{run(0, 2), run(2, 1)}, true},
+		{[]vm.PageRun{run(1, 2)}, false},
+		{[]vm.PageRun{run(0, 1), run(2, 1)}, false},
+		{[]vm.PageRun{run(0, 2), run(1, 1)}, false},
+		{nil, false},
+	} {
+		if got := denseFromZero(&ipc.MemAttachment{Kind: ipc.AttachData, Runs: c.runs}); got != c.want {
+			t.Errorf("runs %v: denseFromZero = %v, want %v", c.runs, got, c.want)
+		}
 	}
 }

@@ -199,25 +199,13 @@ type Store struct {
 	segs map[uint64]*StoreSegment
 }
 
-// storeRun is one contiguous extent of owed pages: count pages starting
-// at start, bytes concatenated in data (aliasing the attachment buffer
-// the run arrived in — absorption is copy-free), with a delivered
-// bitmap per page.
+// storeRun is one contiguous extent of owed pages starting at start:
+// one image per page in pages (aliasing the buffers the pages arrived
+// in — absorption is copy-free), with a delivered bitmap per page.
 type storeRun struct {
 	start     uint64
-	count     int
-	data      []byte
+	pages     [][]byte
 	delivered []uint64 // bitmap, one bit per page of the run
-}
-
-// page returns the i-th page's bytes.
-func (r *storeRun) page(i, pageSize int) []byte {
-	lo := i * pageSize
-	hi := lo + pageSize
-	if hi > len(r.data) {
-		hi = len(r.data)
-	}
-	return r.data[lo:hi]
 }
 
 func (r *storeRun) isDelivered(i int) bool {
@@ -281,6 +269,14 @@ func (s *Store) Drop(id uint64) int {
 	return seg.Remaining()
 }
 
+// Each calls fn for every live segment, in no particular order, for
+// inspection: what a backer holds, image by image.
+func (s *Store) Each(fn func(*StoreSegment)) {
+	for _, g := range s.segs {
+		fn(g)
+	}
+}
+
 // Segments reports the live segment count.
 func (s *Store) Segments() int { return len(s.segs) }
 
@@ -298,7 +294,7 @@ func (s *Store) TotalRemaining() int {
 func (g *StoreSegment) findRun(idx uint64) (int, int) {
 	ri := sort.Search(len(g.runs), func(i int) bool {
 		r := &g.runs[i]
-		return r.start+uint64(r.count) > idx
+		return r.start+uint64(len(r.pages)) > idx
 	})
 	if ri < len(g.runs) && idx >= g.runs[ri].start {
 		return ri, int(idx - g.runs[ri].start)
@@ -310,40 +306,41 @@ func (g *StoreSegment) findRun(idx uint64) (int, int) {
 // concatenated in data. The data slice is retained (absorption is
 // copy-free); it must not overlap pages the store already holds.
 func (g *StoreSegment) PutRun(idx uint64, count int, data []byte) {
-	if count <= 0 {
+	pages := make([][]byte, count)
+	for i := range pages {
+		pages[i] = vm.PageRun{Count: count, Data: data}.Page(i, g.PageSize)
+	}
+	g.PutPages(idx, pages)
+}
+
+// PutPages stores consecutive pages starting at idx, one image each.
+// The page list and the images are retained, not copied; the pages
+// must not overlap pages the store already holds.
+func (g *StoreSegment) PutPages(idx uint64, pages [][]byte) {
+	if len(pages) == 0 {
 		return
 	}
 	r := storeRun{
 		start:     idx,
-		count:     count,
-		data:      data,
-		delivered: make([]uint64, (count+63)/64),
+		pages:     pages,
+		delivered: make([]uint64, (len(pages)+63)/64),
 	}
 	at := sort.Search(len(g.runs), func(i int) bool { return g.runs[i].start >= idx })
 	g.runs = append(g.runs, storeRun{})
 	copy(g.runs[at+1:], g.runs[at:])
 	g.runs[at] = r
-	g.pageCount += count
+	g.pageCount += len(pages)
 }
 
 // Put stores the image for page idx. The data slice is retained. A page
-// the store already holds is replaced in place.
+// the store already holds has its image replaced, never written into:
+// the old image may be shared.
 func (g *StoreSegment) Put(idx uint64, data []byte) {
 	if ri, off := g.findRun(idx); ri >= 0 {
-		r := &g.runs[ri]
-		if r.count == 1 {
-			r.data = data
-			return
-		}
-		// Replacing inside a multi-page run: overwrite the page's slot.
-		slot := r.page(off, g.PageSize)
-		n := copy(slot, data)
-		for i := n; i < len(slot); i++ {
-			slot[i] = 0
-		}
+		g.runs[ri].pages[off] = data
 		return
 	}
-	g.PutRun(idx, 1, data)
+	g.PutPages(idx, [][]byte{data})
 }
 
 // Get returns the image for page idx if the store holds it.
@@ -352,7 +349,7 @@ func (g *StoreSegment) Get(idx uint64) ([]byte, bool) {
 	if ri < 0 {
 		return nil, false
 	}
-	return g.runs[ri].page(off, g.PageSize), true
+	return g.runs[ri].pages[off], true
 }
 
 // Pages reports how many page images the segment holds.
@@ -372,41 +369,38 @@ func (g *StoreSegment) deliver(ri, off int) {
 }
 
 // appendPage adds page (ri, off) to the reply, extending the final
-// reply run when the page is contiguous with it in both index space and
-// the underlying store run — copy-free run slicing.
-func (g *StoreSegment) appendPage(rep *ReadReply, lastRi *int, ri, off int) {
+// reply run when the page follows it in index space and its image
+// starts where the run's data ends in the same buffer (pages stored
+// from one PutRun buffer) — copy-free run slicing. Other pages each
+// start a run of their own.
+func (g *StoreSegment) appendPage(rep *ReadReply, ri, off int) {
 	r := &g.runs[ri]
 	idx := r.start + uint64(off)
-	if n := len(rep.Runs); n > 0 && *lastRi == ri {
+	pg := r.pages[off]
+	if n := len(rep.Runs); n > 0 {
 		last := &rep.Runs[n-1]
-		if last.Index+uint64(last.Count) == idx {
+		if d := last.Data; last.Index+uint64(last.Count) == idx && len(d) == last.Count*g.PageSize &&
+			len(pg) > 0 && cap(d)-len(d) >= len(pg) && &d[:len(d)+1][len(d)] == &pg[0] {
 			last.Count++
-			lo := int(last.Index-r.start) * g.PageSize
-			hi := (off + 1) * g.PageSize
-			if hi > len(r.data) {
-				hi = len(r.data)
-			}
-			last.Data = r.data[lo:hi]
+			last.Data = d[:len(d)+len(pg)]
 			return
 		}
 	}
-	rep.Runs = append(rep.Runs, vm.PageRun{Index: idx, Count: 1, Data: r.page(off, g.PageSize)})
-	*lastRi = ri
+	rep.Runs = append(rep.Runs, vm.PageRun{Index: idx, Count: 1, Data: pg})
 }
 
 // Serve answers a ReadRequest: the demanded page plus up to prefetch
 // nearby undelivered pages scanning forward from it. It returns nil if
 // the demanded page is not held (a protocol error by the requester —
 // the backer only owes pages it cached). Reply data aliases the store's
-// run buffers — no page is copied to serve it.
+// page images — no page is copied to serve it.
 func (g *StoreSegment) Serve(req *ReadRequest) *ReadReply {
 	ri, off := g.findRun(req.PageIdx)
 	if ri < 0 {
 		return nil
 	}
 	rep := &ReadReply{SegID: g.ID}
-	lastRi := -1
-	g.appendPage(rep, &lastRi, ri, off)
+	g.appendPage(rep, ri, off)
 	g.deliver(ri, off)
 	for i := uint64(1); i <= uint64(req.Prefetch); i++ {
 		idx := req.PageIdx + i
@@ -414,7 +408,7 @@ func (g *StoreSegment) Serve(req *ReadRequest) *ReadReply {
 		if pri < 0 || g.runs[pri].isDelivered(poff) {
 			continue
 		}
-		g.appendPage(rep, &lastRi, pri, poff)
+		g.appendPage(rep, pri, poff)
 		g.deliver(pri, poff)
 	}
 	return rep
@@ -431,15 +425,14 @@ func (g *StoreSegment) FlushAll() *ReadReply { return g.Flush(0) }
 // so the sweep emits coalesced reply runs with no sort and no copy.
 func (g *StoreSegment) Flush(max int) *ReadReply {
 	rep := &ReadReply{SegID: g.ID}
-	lastRi := -1
 	taken := 0
 	for ri := range g.runs {
 		r := &g.runs[ri]
-		for off := 0; off < r.count; off++ {
+		for off := range r.pages {
 			if r.isDelivered(off) {
 				continue
 			}
-			g.appendPage(rep, &lastRi, ri, off)
+			g.appendPage(rep, ri, off)
 			g.deliver(ri, off)
 			taken++
 			if max > 0 && taken >= max {

@@ -1,6 +1,7 @@
 package imag
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -207,5 +208,43 @@ func TestQuickNoDoubleDelivery(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPutReplacesImage: replacing a page the store holds swaps in the
+// new image and never writes into the old one, which may be shared
+// (an absorbed attachment's images are an excised process's frames).
+func TestPutReplacesImage(t *testing.T) {
+	seg := NewStore().AddSegment(1, 4*512, 512)
+	data := make([]byte, 4*512)
+	for i := range data {
+		data[i] = byte(i / 512)
+	}
+	was := append([]byte(nil), data...)
+	seg.PutRun(0, 4, data)
+	img := []byte{0xaa, 0xbb}
+	seg.Put(1, img)
+	if got, ok := seg.Get(1); !ok || &got[0] != &img[0] {
+		t.Errorf("Get(1) = %v, want the new image", got)
+	}
+	if string(data) != string(was) {
+		t.Error("Put wrote into the image it replaced")
+	}
+	if seg.Pages() != 4 {
+		t.Errorf("Pages = %d, want 4", seg.Pages())
+	}
+}
+
+// TestServeKeepsSeparateImagesApart: consecutive pages whose images sit
+// in different buffers come back as separate reply runs, even when the
+// first buffer has room past its page.
+func TestServeKeepsSeparateImagesApart(t *testing.T) {
+	seg := NewStore().AddSegment(1, 4*512, 512)
+	a := make([]byte, 2*512) // spare capacity after page 0's image
+	b := bytes.Repeat([]byte{0xbb}, 512)
+	seg.PutPages(0, [][]byte{a[:512], b})
+	pages := flatten(seg.Serve(&ReadRequest{PageIdx: 0, Prefetch: 1}), 512)
+	if len(pages) != 2 || pages[1].Index != 1 || !bytes.Equal(pages[1].Data, b) {
+		t.Fatalf("served %+v, want page 1 to be its own image", pages)
 	}
 }

@@ -90,7 +90,9 @@ type MemAttachment struct {
 
 	// AttachData fields. Page data travels run-batched: each PageRun is
 	// one header plus the bytes of Count consecutive pages (indices are
-	// page offsets from the attachment's base address).
+	// page offsets from the attachment's base address). A collapsed
+	// attachment carries one page-size run per page, the page's image by
+	// reference: its neighbours' images live in other buffers.
 	Runs []vm.PageRun
 	Copy bool // per-attachment NoIOU: intermediaries must not replace this data with an IOU
 
@@ -146,7 +148,7 @@ func (a *MemAttachment) AppendPage(index uint64, data []byte) {
 
 // PageHashes returns the vm.HashPage name of every page the attachment
 // carries, in run order: entry i names the i-th page across Runs. The
-// first call hashes the runs through vm.HashRun; later calls at the
+// first call hashes the pages through vm.HashPages; later calls at the
 // same page size return the same slice, which callers must not modify.
 // Every source-side consumer (the dedup manifest, the integrity stamp,
 // IOU-cache indexing) reads these, so an outgoing page is hashed once.
@@ -156,9 +158,20 @@ func (a *MemAttachment) PageHashes(pageSize int) []uint64 {
 		return hs
 	}
 	hs := make([]uint64, 0, a.PageCount())
+	// Pages are gathered across runs, so one-page runs (a collapsed
+	// attachment's) still hash four abreast.
+	var batch [64][]byte
+	n := 0
 	for _, r := range a.Runs {
-		hs = vm.HashRun(hs, r, pageSize)
+		for j := 0; j < r.Count; j++ {
+			batch[n] = r.Page(j, pageSize)
+			if n++; n == len(batch) {
+				hs = vm.HashPages(hs, batch[:], pageSize)
+				n = 0
+			}
+		}
 	}
+	hs = vm.HashPages(hs, batch[:n], pageSize)
 	a.hashes, a.hashPS = hs, pageSize
 	return hs
 }
@@ -223,7 +236,23 @@ type Message struct {
 	// local scheduling hint, not part of the encoded frame — each hop
 	// that needs it sets it from the request body.
 	Background bool
+
+	// owned is the ownership bit (see Owned); only MarkOwned sets it.
+	owned bool
 }
+
+// Owned reports whether m came out of wire.DecodeMessage: its page
+// buffers, in attachments and in bodies, are windows onto a frame that
+// nothing else references, so a receiver may adopt them into its
+// segments (vm.Segment.Adopt) instead of copying them. Any other
+// message — a sender's own, a same-machine delivery, the context a
+// rollback reinstalls — shares its page images with someone, and its
+// receiver copies them (vm.Segment.Materialize).
+func (m *Message) Owned() bool { return m.owned }
+
+// MarkOwned sets the ownership bit. wire.DecodeMessage is its only
+// caller, which a test in package wire enforces.
+func (m *Message) MarkOwned() { m.owned = true }
 
 // WireBytes reports the message's encoded size: header, body, and
 // attachment descriptors plus physical payloads.

@@ -687,33 +687,37 @@ func (s *Server) corruptDelivered(m *ipc.Message, pl *peerLink) {
 // the attachment base.
 func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
 	segID := imag.NextSegID()
-	seg := s.store.AddSegment(segID, a.Size, s.cfg.FragBytes)
-	// Run buffers are adopted whole — the cache aliases the attachment's
-	// contiguous run data instead of copying page by page.
+	ps := s.cfg.FragBytes
+	seg := s.store.AddSegment(segID, a.Size, ps)
+	// The cache aliases the attachment's page images instead of copying
+	// them: each stretch of consecutive pages becomes one page list (one
+	// for a collapsed attachment, whose pages number densely from zero).
+	pages := make([][]byte, 0, a.PageCount())
+	first, start := 0, uint64(0) // the current stretch: pages[first:], from page start
 	for _, run := range a.Runs {
-		seg.PutRun(run.Index, run.Count, run.Data)
+		if run.Index != start+uint64(len(pages)-first) {
+			seg.PutPages(start, pages[first:])
+			first, start = len(pages), run.Index
+		}
+		for i := 0; i < run.Count; i++ {
+			pages = append(pages, run.Page(i, ps))
+		}
 	}
-	pages := a.PageCount()
-	s.cpu.UseHigh(p, time.Duration(pages)*s.cfg.CachePerPageCPU)
-	s.stats.CachedPages += uint64(pages)
+	seg.PutPages(start, pages[first:])
+	s.cpu.UseHigh(p, time.Duration(len(pages))*s.cfg.CachePerPageCPU)
+	s.stats.CachedPages += uint64(len(pages))
 	if s.index != nil {
 		// Register absorbed contents so a later migration (or a nearest-
 		// holder fault from anywhere) can discover the pages this machine
 		// now backs — they are the "surviving from a prior visit" case.
 		// The names are the ones the sender's manifest or integrity
 		// stamp already computed, when either ran.
-		ps := s.cfg.FragBytes
-		names := a.PageHashes(ps)
-		k := 0
-		for _, run := range a.Runs {
-			for i := 0; i < run.Count; i++ {
-				if h := names[k]; h != vm.ZeroHash {
-					s.index.Put(h, run.Page(i, ps))
-				}
-				k++
+		for k, h := range a.PageHashes(ps) {
+			if h != vm.ZeroHash {
+				s.index.Put(h, pages[k])
 			}
 		}
-		s.cpu.UseHigh(p, time.Duration(pages)*s.hashPerCPU)
+		s.cpu.UseHigh(p, time.Duration(len(pages))*s.hashPerCPU)
 	}
 	return &ipc.MemAttachment{
 		Kind:      ipc.AttachIOU,

@@ -542,8 +542,9 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			// A page may have arrived earlier via prefetch and a duplicate
 			// can show up under retries; newest data wins either way. The
 			// per-page map-in charge and residency insertion keep their
-			// original order even though data arrives run-batched.
-			pl.Seg.Materialize(idx, run.Page(j, ps))
+			// original order even though data arrives run-batched. A
+			// wire-decoded reply's pages become frames in place.
+			pl.Seg.Receive(idx, run.Page(j, ps), rep.Owned())
 			pg.cpu.UseHigh(p, pg.cfg.MapInCPU)
 			pg.insert(pl.Seg, idx)
 			if pg.index != nil {
@@ -626,7 +627,7 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	if rep.Op != imag.OpReadReply || !ok || body.PageCount() == 0 {
 		return false
 	}
-	pl.Seg.Materialize(pl.PageIdx, body.Runs[0].Page(0, pl.Seg.PageSize()))
+	pl.Seg.Receive(pl.PageIdx, body.Runs[0].Page(0, pl.Seg.PageSize()), rep.Owned())
 	pg.cpu.UseHigh(p, pg.cfg.MapInCPU)
 	pg.insert(pl.Seg, pl.PageIdx)
 	if page := pl.Seg.Page(pl.PageIdx); page != nil {
@@ -700,7 +701,7 @@ func (pg *Pager) ensureStreamRecv() {
 					idx := run.Index + uint64(j)
 					key := pageKey{seg.ID, idx}
 					if seg.Page(idx) == nil {
-						seg.Materialize(idx, run.Page(j, ps))
+						seg.Receive(idx, run.Page(j, ps), m.Owned())
 						// Mapping in opportunistic pages yields the CPU
 						// to fault handling.
 						pg.cpu.Use(p, pg.cfg.MapInCPU)

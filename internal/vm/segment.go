@@ -202,6 +202,51 @@ func (s *Segment) Materialize(index uint64, data []byte) *Page {
 	return p
 }
 
+// Adopt installs data as page index's own frame without copying it.
+// The segment takes the buffer over: the caller must hand it a page
+// image nothing else references or will write, which in this simulator
+// means a page window of a message that wire.DecodeMessage produced
+// (ipc.Message.Owned) or a private copy made for this page. The window is capped at its length, so an append
+// through the page cannot reach the bytes after it. A window shorter
+// than a page is copied instead (Materialize), since an owned frame
+// always spans a full page. The attached pool counts an adopted buffer
+// as handed out, and ReleaseFrames recycles it like any frame.
+func (s *Segment) Adopt(index uint64, data []byte) *Page {
+	if len(data) != s.pageSize {
+		return s.Materialize(index, data)
+	}
+	if index >= s.Pages() {
+		panic(fmt.Sprintf("vm: adopt page %d beyond segment %q (%d pages)", index, s.Name, s.Pages()))
+	}
+	p, present := s.table.ensure(index)
+	if !present {
+		p.Index = index
+		p.State = PageState{}
+		p.Version = 0
+	}
+	if s.pool != nil {
+		if p.Data != nil && !p.borrowed && !p.Shared() && (present || p.shares == nil) {
+			// The frame Materialize would have written into is free again.
+			s.pool.Put(p.Data)
+		}
+		s.pool.adopt()
+	}
+	p.shares = nil
+	p.borrowed = false
+	p.Data = data[:len(data):len(data)]
+	return p
+}
+
+// Receive installs a page image that arrived in a message: adopted in
+// place when the message owns its page buffers (owned is the message's
+// ipc.Message.Owned), copied otherwise.
+func (s *Segment) Receive(index uint64, data []byte, owned bool) *Page {
+	if owned {
+		return s.Adopt(index, data)
+	}
+	return s.Materialize(index, data)
+}
+
 // MaterializeRun installs count consecutive pages starting at start
 // from data, which holds the pages' bytes concatenated in order (the
 // final page may be partial). It returns the first installed page.
@@ -368,14 +413,29 @@ func (s *Segment) BreakCOW(index uint64) bool {
 // ReleaseFrames returns every privately owned page frame to the
 // attached pool and empties the page table. COW-shared frames are left
 // to their surviving sharers, and borrowed data to its lender. Called
-// when a segment's data is no longer needed (segment death, process
-// excision after collapse).
-func (s *Segment) ReleaseFrames() {
+// when a segment's data is no longer needed (segment death, a
+// pre-copied process's excision).
+func (s *Segment) ReleaseFrames() { s.release(true) }
+
+// DisownFrames empties the page table like ReleaseFrames, but the
+// privately owned frames leave the pool instead of returning to it:
+// the pool counts them returned and never hands them out again. An
+// excised process's collapsed context refers to its page images in
+// place, so they must stay unchanged for as long as the context lives.
+func (s *Segment) DisownFrames() { s.release(false) }
+
+// release empties the page table, recycling (or disowning) every
+// privately owned frame.
+func (s *Segment) release(recycle bool) {
 	last := s.Pages() - 1
 	for idx, ok := s.table.nextPresent(0, last); ok; idx, ok = s.table.nextPresent(idx+1, last) {
 		p := s.table.get(idx)
 		if s.pool != nil && p.Data != nil && p.shares == nil && !p.borrowed {
-			s.pool.Put(p.Data)
+			if recycle {
+				s.pool.Put(p.Data)
+			} else {
+				s.pool.disown(p.Data)
+			}
 		}
 		p.Data = nil
 		p.shares = nil

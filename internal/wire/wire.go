@@ -6,12 +6,22 @@
 // the peer, making accidental cross-machine sharing impossible and
 // catching any forgotten field the moment a test round-trips it.
 //
-// The frame is the crossing's one fresh copy: EncodeMessage allocates
-// it once at its exact length and copies every page image into it, and
+// The frame is the crossing's one host copy of each page image:
+// EncodeMessage measures the message, allocates the frame once at its
+// exact length and writes the body and every page image straight into
+// it (body codecs write through the same two-pass Encoder), and
 // DecodeMessage hands out page runs as capped windows onto it (an
-// append reallocates instead of spilling into the next run). A decoded
-// message therefore owns its frame; a caller must not reuse a frame
-// after decoding it.
+// append reallocates instead of spilling into the next run).
+//
+// The ownership rule: a message DecodeMessage returns owns its frame,
+// and carries the ownership bit to say so (ipc.Message.Owned); only
+// the decoder sets it. Its receiver may adopt the page windows as page
+// frames (vm.Segment.Adopt) instead of copying them. Every other
+// message shares its page images with something that keeps them — a
+// dead process's context, an IOU store, a workload template — so its
+// receiver copies them (vm.Segment.Materialize): a sender's own
+// message, a same-machine delivery, the context a rollback reinstalls.
+// A caller must not reuse a frame after decoding it.
 //
 // Costs are still charged from ipc.Message.WireBytes (the calibrated
 // analytic estimate); the encoded frame length tracks it closely and
@@ -33,13 +43,32 @@ import (
 	"accentmig/internal/vm"
 )
 
-// BodyCodec encodes and decodes one op's body type. Extras carry
-// opaque references that cannot be byte-encoded (bodies of nested
-// pending mail without codecs); they ride alongside the frame and must
-// be consumed in order by Decode. Most codecs ignore them.
+// BodyCodec encodes and decodes one op's body type. Encode writes the
+// body through w and is called twice per encoding: once to measure,
+// once to write the same fields into the frame (see Encoder). Extras carry opaque
+// references that cannot be byte-encoded (bodies of nested pending
+// mail without codecs); they ride alongside the frame and must be
+// consumed in order by Decode. Most codecs ignore them.
 type BodyCodec struct {
-	Encode func(v any) (frame []byte, extras []any, err error)
+	Encode func(w *Encoder, v any) error
 	Decode func(frame []byte, extras []any) (v any, err error)
+}
+
+// Marshal encodes v alone into a buffer of its exact length: the body
+// bytes a frame carries for it, and the extras riding beside them.
+func (c BodyCodec) Marshal(v any) (body []byte, extras []any, err error) {
+	var m Encoder
+	if err := c.Encode(&m, v); err != nil {
+		return nil, nil, err
+	}
+	w := &Encoder{b: make([]byte, m.n)}
+	if err := c.Encode(w, v); err != nil {
+		return nil, nil, err
+	}
+	if w.n != m.n {
+		return nil, nil, fmt.Errorf("codec wrote %d bytes, measured %d", w.n, m.n)
+	}
+	return w.b, w.extras, nil
 }
 
 var bodyCodecs = map[int]BodyCodec{}
@@ -54,25 +83,79 @@ func LookupBody(op int) (BodyCodec, bool) {
 	return c, ok
 }
 
-// buf is a tiny append-only encoder.
-type buf struct{ b []byte }
+// Encoder writes big-endian fields in two passes: a measuring pass,
+// with no buffer, only counts bytes; a writing pass fills a buffer
+// allocated once at that count. Whoever drives it (EncodeMessage,
+// Marshal) makes both passes, and a codec must write the same fields
+// in each, so every frame and body is allocated once at its exact
+// length and page images are copied once, straight into it.
+type Encoder struct {
+	b      []byte // nil while measuring
+	n      int    // bytes measured or written so far
+	extras []any  // collected while writing
+}
 
-func (w *buf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *buf) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *buf) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *buf) i64(v int64)  { w.u64(uint64(v)) }
-func (w *buf) bool(v bool) {
+// U8 writes one byte.
+func (w *Encoder) U8(v uint8) {
+	if w.b != nil {
+		w.b[w.n] = v
+	}
+	w.n++
+}
+
+// U32 writes v big-endian.
+func (w *Encoder) U32(v uint32) {
+	if w.b != nil {
+		binary.BigEndian.PutUint32(w.b[w.n:], v)
+	}
+	w.n += 4
+}
+
+// U64 writes v big-endian.
+func (w *Encoder) U64(v uint64) {
+	if w.b != nil {
+		binary.BigEndian.PutUint64(w.b[w.n:], v)
+	}
+	w.n += 8
+}
+
+// I64 writes v as its two's-complement uint64.
+func (w *Encoder) I64(v int64) { w.U64(uint64(v)) }
+
+// Bool writes v as one byte, 1 or 0.
+func (w *Encoder) Bool(v bool) {
 	if v {
-		w.u8(1)
+		w.U8(1)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
 }
-func (w *buf) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
+
+// Bytes writes v's length and then its bytes.
+func (w *Encoder) Bytes(v []byte) {
+	w.U32(uint32(len(v)))
+	if w.b != nil {
+		copy(w.b[w.n:], v)
+	}
+	w.n += len(v)
 }
-func (w *buf) str(v string) { w.bytes([]byte(v)) }
+
+// Str writes v like Bytes.
+func (w *Encoder) Str(v string) {
+	w.U32(uint32(len(v)))
+	if w.b != nil {
+		copy(w.b[w.n:], v)
+	}
+	w.n += len(v)
+}
+
+// Extra appends opaque references that ride beside the frame, in
+// order. Only the writing pass keeps them.
+func (w *Encoder) Extra(vs ...any) {
+	if w.b != nil {
+		w.extras = append(w.extras, vs...)
+	}
+}
 
 // rdr is the matching decoder; it panics with errTruncated via helpers
 // and the public functions recover it into an error.
@@ -102,46 +185,101 @@ func (r *rdr) bool() bool    { return r.u8() != 0 }
 func (r *rdr) bytes() []byte { return r.need(int(r.u32())) }
 func (r *rdr) str() string   { return string(r.bytes()) }
 
+// count reads an item count and checks it against the bytes left, at
+// least size bytes an item, so a slice made from it is sized once and
+// never larger than the frame could fill.
+func (r *rdr) count(size int) int {
+	n := int(r.u32())
+	if n > (len(r.b)-r.off)/size {
+		panic(truncated{})
+	}
+	return n
+}
+
+// runs decodes a run list written by writeRuns: page data windows onto
+// the frame, the slice sized once from its checked count.
+func (r *rdr) runs() []vm.PageRun {
+	n := r.count(runHeaderBytes)
+	if n == 0 {
+		return nil
+	}
+	runs := make([]vm.PageRun, n)
+	for i := range runs {
+		runs[i].Index = r.u64()
+		runs[i].Count = int(r.u32())
+		runs[i].Data = r.bytes()
+	}
+	return runs
+}
+
+// writeRuns writes a run list: its count, then each run's index, page
+// count and data.
+func writeRuns(w *Encoder, runs []vm.PageRun) {
+	w.U32(uint32(len(runs)))
+	for _, run := range runs {
+		w.U64(run.Index)
+		w.U32(uint32(run.Count))
+		w.Bytes(run.Data)
+	}
+}
+
 // EncodeMessage serializes m into a fresh frame allocated once at its
-// exact length, copying all attachment data into it. The body is
-// encoded through its op's registered codec; with no codec the body is
-// carried out-of-band in extras (it is a simulation-internal payload
+// exact length: a measuring pass sizes it, and a writing pass copies
+// the body and every attachment page image straight into it. The body
+// is encoded through its op's registered codec; with no codec the body
+// is carried out-of-band in extras (it is a simulation-internal payload
 // that never reaches real bytes).
 func EncodeMessage(m *ipc.Message) (frame []byte, extras []any, err error) {
-	body, coded, extras, err := encodeBody(m)
+	codec, coded := bodyCodec(m)
+	var meas Encoder
+	bodyLen, err := writeMessage(&meas, m, codec, coded, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &buf{b: make([]byte, 0, frameLen(m, body, coded))}
-	w.i64(int64(m.Op))
-	w.u64(uint64(m.To))
-	w.u64(uint64(m.ReplyTo))
-	w.u32(uint32(m.BodyBytes))
-	w.bool(m.NoIOUs)
-	w.bool(m.FaultSupport)
-	w.bool(coded)
-	if coded {
-		w.bytes(body)
+	w := &Encoder{b: make([]byte, meas.n)}
+	if _, err := writeMessage(w, m, codec, coded, bodyLen); err != nil {
+		return nil, nil, err
 	}
-	w.u32(uint32(len(m.Mem)))
+	if w.n != meas.n {
+		return nil, nil, fmt.Errorf("wire: op %#x body codec wrote %d bytes, measured %d", m.Op, w.n, meas.n)
+	}
+	if !coded {
+		w.extras = []any{m.Body}
+	}
+	return w.b, w.extras, nil
+}
+
+// bodyCodec returns m's body codec. coded reports whether the body
+// travels in the frame; otherwise it rides in extras by reference.
+func bodyCodec(m *ipc.Message) (BodyCodec, bool) {
+	codec, ok := bodyCodecs[m.Op]
+	return codec, ok && m.Body != nil
+}
+
+// writeMessage writes m's frame through w and returns the length of
+// the body its codec wrote. The body's length prefix comes first, so a
+// writing pass passes in the bodyLen its measuring pass returned.
+func writeMessage(w *Encoder, m *ipc.Message, codec BodyCodec, coded bool, bodyLen int) (int, error) {
+	w.I64(int64(m.Op))
+	w.U64(uint64(m.To))
+	w.U64(uint64(m.ReplyTo))
+	w.U32(uint32(m.BodyBytes))
+	w.Bool(m.NoIOUs)
+	w.Bool(m.FaultSupport)
+	w.Bool(coded)
+	if coded {
+		w.U32(uint32(bodyLen))
+		start := w.n
+		if err := codec.Encode(w, m.Body); err != nil {
+			return 0, fmt.Errorf("wire: encode op %#x body: %w", m.Op, err)
+		}
+		bodyLen = w.n - start
+	}
+	w.U32(uint32(len(m.Mem)))
 	for _, a := range m.Mem {
 		encodeAttachment(w, a)
 	}
-	return w.b, extras, nil
-}
-
-// encodeBody runs m's body codec. coded reports whether the body
-// travels in the frame; otherwise it rides in extras by reference.
-func encodeBody(m *ipc.Message) (body []byte, coded bool, extras []any, err error) {
-	codec, ok := bodyCodecs[m.Op]
-	if !ok || m.Body == nil {
-		return nil, false, []any{m.Body}, nil
-	}
-	body, extras, err = codec.Encode(m.Body)
-	if err != nil {
-		return nil, false, nil, fmt.Errorf("wire: encode op %#x body: %w", m.Op, err)
-	}
-	return body, true, extras, nil
+	return bodyLen, nil
 }
 
 // Encoded sizes of the frame's fixed parts.
@@ -156,48 +294,31 @@ const (
 	runHeaderBytes = 8 + 4 + 4
 )
 
-// frameLen is the length EncodeMessage gives m's frame, given the body
-// its codec produced.
-func frameLen(m *ipc.Message, body []byte, coded bool) int {
-	n := envelopeBytes
-	if coded {
-		n += 4 + len(body)
-	}
-	for _, a := range m.Mem {
-		n += attachmentBytes + 8*len(a.Sums) + len(a.Runs)*runHeaderBytes + a.DataBytes()
-	}
-	return n
-}
-
-func encodeAttachment(w *buf, a *ipc.MemAttachment) {
-	w.u8(uint8(a.Kind))
-	w.u64(uint64(a.VA))
-	w.u64(a.Size)
-	w.bool(a.Collapsed)
-	w.bool(a.Resident)
-	w.bool(a.Copy)
-	w.u64(a.SegID)
-	w.u64(a.SegOff)
-	w.u64(a.SegSize)
-	w.u64(uint64(a.Backing))
-	w.u32(uint32(a.CompBytes))
-	w.u32(uint32(len(a.Sums)))
+func encodeAttachment(w *Encoder, a *ipc.MemAttachment) {
+	w.U8(uint8(a.Kind))
+	w.U64(uint64(a.VA))
+	w.U64(a.Size)
+	w.Bool(a.Collapsed)
+	w.Bool(a.Resident)
+	w.Bool(a.Copy)
+	w.U64(a.SegID)
+	w.U64(a.SegOff)
+	w.U64(a.SegSize)
+	w.U64(uint64(a.Backing))
+	w.U32(uint32(a.CompBytes))
+	w.U32(uint32(len(a.Sums)))
 	for _, s := range a.Sums {
-		w.u64(s)
+		w.U64(s)
 	}
-	w.u32(uint32(len(a.Runs)))
-	for _, run := range a.Runs {
-		w.u64(run.Index)
-		w.u32(uint32(run.Count))
-		w.bytes(run.Data)
-	}
+	writeRuns(w, a.Runs)
 }
 
 // DecodeMessage reconstructs a message from a frame, consuming the
 // extras its encoder produced. Decoded page runs, in attachments and
 // in bodies, are capped windows onto frame rather than copies: the
 // message takes ownership of the frame, which the caller must not
-// reuse or modify afterwards.
+// reuse or modify afterwards, and is marked owned (ipc.Message.Owned)
+// so its receiver may adopt the windows as page frames.
 func DecodeMessage(frame []byte, extras []any) (m *ipc.Message, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -236,13 +357,16 @@ func DecodeMessage(frame []byte, extras []any) (m *ipc.Message, err error) {
 		m.Body = extras[0]
 	}
 
-	n := int(r.u32())
-	for i := 0; i < n; i++ {
-		m.Mem = append(m.Mem, decodeAttachment(r))
+	if n := r.count(attachmentBytes); n > 0 {
+		m.Mem = make([]*ipc.MemAttachment, n)
+		for i := range m.Mem {
+			m.Mem[i] = decodeAttachment(r)
+		}
 	}
 	if r.off != len(frame) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(frame)-r.off)
 	}
+	m.MarkOwned()
 	return m, nil
 }
 
@@ -260,21 +384,13 @@ func decodeAttachment(r *rdr) *ipc.MemAttachment {
 		Backing:   ipc.PortID(r.u64()),
 	}
 	a.CompBytes = int(r.u32())
-	if n := int(r.u32()); n > 0 {
-		if n > (len(r.b)-r.off)/8 {
-			panic(truncated{})
-		}
+	if n := r.count(8); n > 0 {
 		a.Sums = make([]uint64, n)
 		for i := range a.Sums {
 			a.Sums[i] = r.u64()
 		}
 	}
-	n := int(r.u32())
-	for i := 0; i < n; i++ {
-		idx := r.u64()
-		count := int(r.u32())
-		a.Runs = append(a.Runs, vm.PageRun{Index: idx, Count: count, Data: r.bytes()})
-	}
+	a.Runs = r.runs()
 	return a
 }
 
@@ -299,14 +415,15 @@ func Transfer(m *ipc.Message) (*ipc.Message, error) {
 	return out, nil
 }
 
-// FrameBytes reports the length of m's encoded frame. It runs only
-// the body codec; attachments are measured, not encoded.
+// FrameBytes reports the length of m's encoded frame: EncodeMessage's
+// measuring pass, which copies nothing.
 func FrameBytes(m *ipc.Message) (int, error) {
-	body, coded, _, err := encodeBody(m)
-	if err != nil {
+	codec, coded := bodyCodec(m)
+	var meas Encoder
+	if _, err := writeMessage(&meas, m, codec, coded, 0); err != nil {
 		return 0, err
 	}
-	return frameLen(m, body, coded), nil
+	return meas.n, nil
 }
 
 // FragCount reports how many link-level fragments a frame of n bytes
@@ -331,17 +448,16 @@ func FragCount(n, fragBytes, headroom int) int {
 
 func init() {
 	RegisterBody(imag.OpReadRequest, BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *Encoder, v any) error {
 			rq, ok := v.(*imag.ReadRequest)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *imag.ReadRequest, got %T", v)
+				return fmt.Errorf("want *imag.ReadRequest, got %T", v)
 			}
-			w := &buf{}
-			w.u64(rq.SegID)
-			w.u64(rq.PageIdx)
-			w.i64(int64(rq.Prefetch))
-			w.u64(rq.StreamTo)
-			return w.b, nil, nil
+			w.U64(rq.SegID)
+			w.U64(rq.PageIdx)
+			w.I64(int64(rq.Prefetch))
+			w.U64(rq.StreamTo)
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			r := &rdr{b: b}
@@ -354,43 +470,33 @@ func init() {
 		},
 	})
 	replyCodec := BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *Encoder, v any) error {
 			rp, ok := v.(*imag.ReadReply)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *imag.ReadReply, got %T", v)
+				return fmt.Errorf("want *imag.ReadReply, got %T", v)
 			}
-			w := &buf{}
-			w.u64(rp.SegID)
-			w.bool(rp.Streaming)
-			w.u32(uint32(len(rp.Runs)))
-			for _, run := range rp.Runs {
-				w.u64(run.Index)
-				w.u32(uint32(run.Count))
-				w.bytes(run.Data)
-			}
+			w.U64(rp.SegID)
+			w.Bool(rp.Streaming)
+			writeRuns(w, rp.Runs)
 			// StreamRuns are index/count pairs only — the promised pages'
 			// data travels in the background replies that follow.
-			w.u32(uint32(len(rp.StreamRuns)))
+			w.U32(uint32(len(rp.StreamRuns)))
 			for _, run := range rp.StreamRuns {
-				w.u64(run.Index)
-				w.u32(uint32(run.Count))
+				w.U64(run.Index)
+				w.U32(uint32(run.Count))
 			}
-			return w.b, nil, nil
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			r := &rdr{b: b}
 			rp := &imag.ReadReply{SegID: r.u64(), Streaming: r.bool()}
-			n := int(r.u32())
-			for i := 0; i < n; i++ {
-				idx := r.u64()
-				count := int(r.u32())
-				rp.Runs = append(rp.Runs, vm.PageRun{Index: idx, Count: count, Data: r.bytes()})
-			}
-			n = int(r.u32())
-			for i := 0; i < n; i++ {
-				idx := r.u64()
-				count := int(r.u32())
-				rp.StreamRuns = append(rp.StreamRuns, vm.PageRun{Index: idx, Count: count})
+			rp.Runs = r.runs()
+			if n := r.count(8 + 4); n > 0 {
+				rp.StreamRuns = make([]vm.PageRun, n)
+				for i := range rp.StreamRuns {
+					rp.StreamRuns[i].Index = r.u64()
+					rp.StreamRuns[i].Count = int(r.u32())
+				}
 			}
 			return rp, nil
 		},
@@ -398,14 +504,13 @@ func init() {
 	RegisterBody(imag.OpReadReply, replyCodec)
 	RegisterBody(imag.OpFlushReply, replyCodec)
 	RegisterBody(imag.OpSegmentDeath, BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *Encoder, v any) error {
 			d, ok := v.(*imag.SegmentDeath)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *imag.SegmentDeath, got %T", v)
+				return fmt.Errorf("want *imag.SegmentDeath, got %T", v)
 			}
-			w := &buf{}
-			w.u64(d.SegID)
-			return w.b, nil, nil
+			w.U64(d.SegID)
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			r := &rdr{b: b}
@@ -413,16 +518,15 @@ func init() {
 		},
 	})
 	RegisterBody(imag.OpReadError, BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *Encoder, v any) error {
 			e, ok := v.(*imag.ReadError)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *imag.ReadError, got %T", v)
+				return fmt.Errorf("want *imag.ReadError, got %T", v)
 			}
-			w := &buf{}
-			w.u64(e.SegID)
-			w.u64(e.PageIdx)
-			w.str(e.Reason)
-			return w.b, nil, nil
+			w.U64(e.SegID)
+			w.U64(e.PageIdx)
+			w.Str(e.Reason)
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			r := &rdr{b: b}
@@ -434,16 +538,15 @@ func init() {
 		},
 	})
 	RegisterBody(imag.OpHashRead, BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *Encoder, v any) error {
 			h, ok := v.(*imag.HashRead)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *imag.HashRead, got %T", v)
+				return fmt.Errorf("want *imag.HashRead, got %T", v)
 			}
-			w := &buf{}
-			w.u64(h.Hash)
-			w.u64(h.SegID)
-			w.u64(h.Page)
-			return w.b, nil, nil
+			w.U64(h.Hash)
+			w.U64(h.SegID)
+			w.U64(h.Page)
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			r := &rdr{b: b}
@@ -451,15 +554,14 @@ func init() {
 		},
 	})
 	RegisterBody(imag.OpFlush, BodyCodec{
-		Encode: func(v any) ([]byte, []any, error) {
+		Encode: func(w *Encoder, v any) error {
 			f, ok := v.(*imag.FlushRequest)
 			if !ok {
-				return nil, nil, fmt.Errorf("want *imag.FlushRequest, got %T", v)
+				return fmt.Errorf("want *imag.FlushRequest, got %T", v)
 			}
-			w := &buf{}
-			w.u64(f.SegID)
-			w.u32(uint32(f.MaxPages))
-			return w.b, nil, nil
+			w.U64(f.SegID)
+			w.U32(uint32(f.MaxPages))
+			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
 			r := &rdr{b: b}

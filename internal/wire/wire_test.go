@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -354,10 +359,63 @@ func TestTransferAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
+// TestOnlyTheDecoderOwnsMessages: a decoded message carries the
+// ownership bit and the message it was encoded from does not, and no
+// code but DecodeMessage sets the bit — a receiver adopts an owned
+// message's page windows as frames, which is safe only for a frame
+// nothing else references.
+func TestOnlyTheDecoderOwnsMessages(t *testing.T) {
+	m := &ipc.Message{Op: 1, Mem: []*ipc.MemAttachment{{
+		Kind: ipc.AttachData, Size: 512,
+		Runs: []vm.PageRun{{Index: 0, Count: 1, Data: make([]byte, 512)}},
+	}}}
+	if out := roundTrip(t, m); !out.Owned() || m.Owned() {
+		t.Errorf("decoded message owned %v, its source owned %v; want true, false", out.Owned(), m.Owned())
+	}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	var callers []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "MarkOwned" {
+					callers = append(callers, filepath.ToSlash(path)+":"+fn.Name.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "../../internal/wire/wire.go:DecodeMessage"; len(callers) != 1 || callers[0] != want {
+		t.Errorf("MarkOwned used by %v, want only %s", callers, want)
+	}
+}
+
 // TestDecodeHugeLengthDoesNotAllocate: lengths and counts read from a
 // frame are checked against the bytes that remain before anything is
-// sized from them, so a short frame that claims a 2 GiB body or four
-// billion page sums fails as truncated without allocating.
+// sized from them, so a short frame that claims a 2 GiB body, four
+// billion page sums or four billion page runs fails as truncated
+// without allocating.
 func TestDecodeHugeLengthDoesNotAllocate(t *testing.T) {
 	// A zeroed envelope up to the body-present flag, the flag, and a
 	// body length of 2 GiB: 35 bytes in all.
@@ -367,10 +425,13 @@ func TestDecodeHugeLengthDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first attachment's Sums count follows its CompBytes field.
+	// The first attachment's Sums count follows its CompBytes field, and
+	// its Runs count the Sums.
 	sumsAt := envelopeBytes + attachmentBytes - 8
+	runs := bytes.Clone(att)
 	binary.BigEndian.PutUint32(att[sumsAt:], 1<<32-1)
-	for name, frame := range map[string][]byte{"body": body, "sums": att} {
+	binary.BigEndian.PutUint32(runs[sumsAt+4:], 1<<32-1)
+	for name, frame := range map[string][]byte{"body": body, "sums": att, "runs": runs} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := DecodeMessage(frame, []any{nil})
@@ -388,8 +449,10 @@ func TestDecodeHugeLengthDoesNotAllocate(t *testing.T) {
 // must never panic, and a frame it accepts must survive a re-encode:
 // decoding the re-encoded message gives back an equal message. The
 // seed corpus in testdata/fuzz covers every frame section: envelope,
-// collapsed data with page sums, multi-run data, a streaming read
-// reply, a truncated frame and a frame claiming a 2 GiB body.
+// collapsed data with page sums, a collapsed attachment of one-page
+// runs, multi-run data, a streaming read reply, a read reply of several
+// runs, a truncated frame, a frame claiming a 2 GiB body and one whose
+// run count exceeds its bytes.
 func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, err := DecodeMessage(frame, []any{nil})
