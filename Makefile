@@ -35,12 +35,12 @@ smoke:
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Stop-and-wait identity gate: the default configuration must produce
-# byte-identical experiment output to the committed golden.
+# Identity gate: migsim's output must not move. `-exp all` must match
+# testdata/exp_all.golden byte for byte, and every configuration listed
+# in testdata/identity.txt must reproduce its committed digests of
+# stdout, stderr and exit status (scripts/identity.sh).
 identity:
-	$(GO) run ./cmd/migsim -exp all > /tmp/identity.out
-	cmp /tmp/identity.out testdata/exp_all.golden
-	@echo "identity: default-path output matches testdata/exp_all.golden"
+	@d=$$(mktemp -d) && $(GO) build -o "$$d/migsim" ./cmd/migsim && sh scripts/identity.sh "$$d/migsim"; s=$$?; rm -rf "$$d"; exit $$s
 
 # Regenerate the measured side of EXPERIMENTS.md.
 report:
