@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check smoke identity benchmod report bench clean
+.PHONY: all build test race vet fmt check smoke identity unreached benchmod report bench clean
 
 all: build
 
@@ -42,18 +42,24 @@ benchmod:
 identity:
 	@d=$$(mktemp -d) && $(GO) build -o "$$d/migsim" ./cmd/migsim && sh scripts/identity.sh "$$d/migsim"; s=$$?; rm -rf "$$d"; exit $$s
 
+# Report only, not part of check: build migsim, migreport, the examples
+# and the benchmark with coverage, run them all, and list the functions
+# in internal/ that no run reaches (scripts/unreached.sh).
+unreached:
+	sh scripts/unreached.sh
+
 # Regenerate the measured side of EXPERIMENTS.md.
 report:
 	$(GO) run ./cmd/migreport > EXPERIMENTS.md
 
-# Regenerate the simulator-performance baselines: per-cell wall-clock
-# plus sequential-vs-engine sweep timings (BENCH_grid.json), the
-# VM-layer microbenchmarks (BENCH_vm.json), and the transport window
-# sweep (BENCH_wire.json). The engine sweep pins four workers so the
-# parallel measurement exercises real contention even on single-core
-# runners.
+# Regenerate BENCH_grid.json: per-cell wall-clock, sequential-vs-engine
+# and disk-cache sweep timings, and the shard sweep. The engine sweep
+# pins four workers so the parallel measurement exercises real
+# contention even on single-core runners. The VM microbenchmarks run
+# under `go test -bench ./internal/vmbench`, and the 1 MB transfer's
+# simulated results are pinned by TestTransfer1MBPinned.
 bench:
-	$(GO) run ./cmd/migbench -parallel 4 -o BENCH_grid.json -vm BENCH_vm.json -wire BENCH_wire.json
+	$(GO) run ./cmd/migbench -parallel 4 -o BENCH_grid.json
 
 clean:
 	$(GO) clean ./...

@@ -11,18 +11,10 @@
 // sequentially, once through the parallel engine on a fresh cache — and
 // reports the end-to-end speedup.
 //
-// It also measures the VM-layer microbenchmarks (resident-touch
-// latency, sparse-4GB AMap rebuild, COW break) with allocation counts
-// and writes them to a second report (BENCH_vm.json by default), and
-// the pipelined-transport sweep (the same 1 MB pure-copy migration at
-// each send-window setting) to a third (BENCH_wire.json by default).
-//
 // Usage:
 //
-//	migbench                 # grid -> BENCH_grid.json, vm -> BENCH_vm.json, wire -> BENCH_wire.json
+//	migbench                 # grid -> BENCH_grid.json
 //	migbench -o out.json -kinds Minprog,Chess -parallel 8
-//	migbench -vmonly -vm /tmp/vm.json
-//	migbench -wireonly -wire /tmp/wire.json
 package main
 
 import (
@@ -231,29 +223,8 @@ func main() {
 	out := flag.String("o", "BENCH_grid.json", "output file")
 	kindsFlag := flag.String("kinds", "", "comma-separated workload filter (default: all seven)")
 	parallel := flag.Int("parallel", 0, "engine worker-pool width (0 = GOMAXPROCS)")
-	vmOut := flag.String("vm", "BENCH_vm.json", "VM microbenchmark output file (empty = skip)")
-	vmOnly := flag.Bool("vmonly", false, "run only the VM microbenchmarks")
-	wireOut := flag.String("wire", "BENCH_wire.json", "transport window-sweep output file (empty = skip)")
-	wireOnly := flag.Bool("wireonly", false, "run only the transport window sweep")
 	memoDir := flag.String("memo-cache-dir", "", "directory for the disk-cache cold/warm sweep (default: fresh temp dir, removed afterwards)")
 	flag.Parse()
-
-	if *wireOut != "" && !*vmOnly {
-		if err := runWireBenchmarks(*wireOut); err != nil {
-			fatal(err)
-		}
-	}
-	if *wireOnly {
-		return
-	}
-	if *vmOut != "" {
-		if err := runVMBenchmarks(*vmOut); err != nil {
-			fatal(err)
-		}
-	}
-	if *vmOnly {
-		return
-	}
 
 	kinds, err := parseKinds(*kindsFlag)
 	if err != nil {

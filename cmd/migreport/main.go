@@ -358,8 +358,8 @@ func report() error {
 	fmt.Println("destination's delivery ledger (attempt N+1 ships only what attempt N")
 	fmt.Println("failed to deliver) and corrupt pages are caught by per-page")
 	fmt.Println("checksums at install and re-fetched by hash. Reproduce with `migsim")
-	fmt.Println("-exp chaos -chaos-trials N`; retry wire-cost rows are in")
-	fmt.Println("BENCH_wire.json (`resume_bytes_saved_pct`). See docs/RESILIENCE.md.")
+	fmt.Println("-exp chaos -chaos-trials N`; what the ledger saves a retried 1 MB")
+	fmt.Println("transfer is pinned by `TestTransfer1MBPinned`. See docs/RESILIENCE.md.")
 	fmt.Println()
 	ch, err := experiments.Chaos(cfg, 64, 1)
 	if err != nil {

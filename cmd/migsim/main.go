@@ -88,7 +88,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	kindsFlag := flag.String("kinds", "", "comma-separated workload filter (default: all seven)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	flag.IntVar(&tunables.physFrames, "physframes", 0, "physical memory frames per machine (0 = default 600)")
+	flag.IntVar(&tunables.physFrames, "physframes", 0, "physical memory frames per machine (0 = default 600); each built workload's resident set must fit (590 frames for all seven)")
 	flag.IntVar(&tunables.bandwidth, "bandwidth", 0, "link rate in bytes/sec (0 = default 375000)")
 	flag.Float64Var(&tunables.dropProb, "droprate", 0, "frame loss probability on the link (shorthand for a uniform fault plan)")
 	flag.StringVar(&tunables.faultsPath, "faults", "", "JSON fault plan file injected into every trial (see docs/RESILIENCE.md)")

@@ -41,16 +41,11 @@ func InsertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 	return insertProcess(p, m, coreMsg, rimasMsg, nil, nil, tun)
 }
 
-// InsertProcessStaged is InsertProcess with a pre-copy stage: page
-// contents for PreCopied handoffs, keyed by VA, gathered by earlier
-// OpPreCopy rounds.
-func InsertProcessStaged(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, staged map[vm.Addr][]byte, tun Tuning) (*machine.Process, InsertTimings, error) {
-	return insertProcess(p, m, coreMsg, rimasMsg, staged, nil, tun)
-}
-
-// insertProcess is the full insertion path: InsertProcessStaged plus
-// the manifest recipe, which rebuilds pages the source elided and
-// seeds fault-time hash hints for pages riding IOUs.
+// insertProcess is the full insertion path: InsertProcess plus the
+// pre-copy stage — page contents for PreCopied handoffs, keyed by VA,
+// gathered by earlier OpPreCopy rounds — and the manifest recipe, which
+// rebuilds pages the source elided and seeds fault-time hash hints for
+// pages riding IOUs.
 func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, staged map[vm.Addr][]byte, rcp *dedupRecipe, tun Tuning) (*machine.Process, InsertTimings, error) {
 	start := p.Now()
 	var t InsertTimings

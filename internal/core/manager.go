@@ -108,8 +108,7 @@ type Manager struct {
 	// recipes holds each process's classified page-manifest recipe — how
 	// to rebuild the pages the source was told not to ship — awaiting
 	// the RIMAS message that consumes it.
-	recipes  map[string]*dedupRecipe
-	inserted uint64
+	recipes map[string]*dedupRecipe
 }
 
 type pending struct {
@@ -130,9 +129,6 @@ func NewManager(m *machine.Machine, tun Tuning) *Manager {
 	m.K.Go(m.Name+".migmgr", mgr.serve)
 	return mgr
 }
-
-// Inserted reports how many processes this manager has reconstructed.
-func (mgr *Manager) Inserted() uint64 { return mgr.inserted }
 
 // phase records the migration phase [start, end] twice — in the
 // machine's metrics recorder and in the flight recorder — with the same
@@ -261,7 +257,6 @@ func (mgr *Manager) handleRIMAS(p *sim.Proc, rb *RIMASBody, m *ipc.Message) {
 		if err != nil {
 			ack.Err = err.Error()
 		} else {
-			mgr.inserted++
 			// The real image is installed: whatever the delivery ledger
 			// retained for this migration is now redundant.
 			mgr.M.Ledger.Forget(rb.ProcName)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"accentmig/internal/core"
+	"accentmig/internal/faults"
 	"accentmig/internal/workload"
 )
 
@@ -115,6 +117,69 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	}
 	if !sameResult(t, coldRes, warmRes) {
 		t.Error("warm resilience trial drifted from cold")
+	}
+}
+
+// TestTrialPathsAgreeOverRandomConfigs draws configs over the fields
+// migsim exposes — the page store's dedup, compress, integrity and
+// resume modes, the send window, outstanding fetches, and a drop plan
+// with a retry policy — and gives each a cheap kind, a strategy and a
+// prefetch. A direct RunTrial must equal a cold disk-backed engine's
+// Trial, and a fresh engine over the same directory must then serve
+// every cell from disk with the same result.
+func TestTrialPathsAgreeOverRandomConfigs(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(21))
+	kinds := []workload.Kind{workload.Minprog, workload.Chess, workload.PMEnd}
+	strats := []core.Strategy{core.PureCopy, core.PureIOU, core.ResidentSet}
+	pfs := core.PrefetchValues()
+	cfgs := make([]Config, n)
+	keys := make([]GridKey, n)
+	for i := range cfgs {
+		c := &cfgs[i]
+		c.Machine.Dedup.Enabled = rng.Intn(2) == 0
+		c.Machine.Dedup.Compress = c.Machine.Dedup.Enabled && rng.Intn(2) == 0
+		c.Machine.Dedup.Integrity = rng.Intn(2) == 0
+		c.Machine.Dedup.Resume = rng.Intn(2) == 0
+		c.Machine.Net.Window = []int{0, 4, 16}[rng.Intn(3)]
+		c.Machine.Pager.Outstanding = []int{0, 2, 4}[rng.Intn(3)]
+		if rng.Intn(2) == 0 {
+			c.Faults = faults.FromDropRate(0.01+0.04*rng.Float64(), 0)
+			c.Recovery = &ResilienceOptions{MaxRetries: 1 + rng.Intn(2), Degrade: rng.Intn(2) == 0, AckTimeout: 15 * time.Minute}
+		}
+		keys[i] = GridKey{kinds[rng.Intn(len(kinds))], strats[rng.Intn(len(strats))], pfs[rng.Intn(len(pfs))]}
+	}
+
+	dir := t.TempDir()
+	cold, _ := newDiskEngine(t, dir)
+	direct := make([]*TrialResult, n)
+	for i, g := range keys {
+		var err error
+		direct[i], err = RunTrial(cfgs[i], g.Kind, g.Strategy, g.Prefetch)
+		if err != nil {
+			t.Fatalf("config %d %+v, %v: %v", i, cfgs[i].Machine, g, err)
+		}
+		memo, err := cold.Trial(cfgs[i], g.Kind, g.Strategy, g.Prefetch)
+		if err != nil {
+			t.Fatalf("config %d, %v: memoized: %v", i, g, err)
+		}
+		if !reflect.DeepEqual(direct[i], memo) {
+			t.Errorf("config %d, %v: memoized trial differs from direct", i, g)
+		}
+	}
+
+	warm, wd := newDiskEngine(t, dir)
+	for i, g := range keys {
+		got, err := warm.Trial(cfgs[i], g.Kind, g.Strategy, g.Prefetch)
+		if err != nil {
+			t.Fatalf("config %d, %v: disk-warm: %v", i, g, err)
+		}
+		if !sameResult(t, direct[i], got) {
+			t.Errorf("config %d, %v: disk-warm trial differs from direct", i, g)
+		}
+	}
+	if st := wd.Stats(); st.Misses != 0 || st.Rejects != 0 || st.Hits == 0 {
+		t.Errorf("warm stats = %+v, want every cell served from disk", st)
 	}
 }
 

@@ -348,9 +348,6 @@ func NewSystem(k *sim.Kernel, name string, cpu *sim.Resource, cfg Config) *Syste
 	}
 }
 
-// Config exposes the active cost model.
-func (s *System) Config() Config { return s.cfg }
-
 // AllocPort creates a new port owned by this machine.
 func (s *System) AllocPort(name string) *Port {
 	p := &Port{ID: PortID(nextPortID.Add(1)), Name: name, sys: s, queue: sim.NewQueue[*Message](s.k)}

@@ -25,8 +25,8 @@ import (
 // Config parameterizes a machine. Zero values select the calibrated
 // Perq-era defaults throughout.
 type Config struct {
-	// PhysFrames is physical memory size in page frames (default 2048
-	// frames = 1 MB of 512-byte pages, a typical Perq).
+	// PhysFrames is physical memory size in page frames (default 600
+	// frames = 300 KB of 512-byte pages).
 	PhysFrames int
 	// Quantum is the CPU scheduling quantum: user compute bursts hold
 	// the CPU at most this long before other work can interleave
@@ -607,16 +607,4 @@ func (d *imageDigest) mix64(v uint64) {
 	for i := 0; i < 8; i++ {
 		d.h = (d.h ^ v>>(8*i)&0xff) * fnvPrime64
 	}
-}
-
-// PageElapse is a tiny helper for tests: how long one op takes.
-func PageElapse(k *sim.Kernel, fn func(p *sim.Proc)) time.Duration {
-	var start, end time.Duration
-	k.Go("measure", func(p *sim.Proc) {
-		start = p.Now()
-		fn(p)
-		end = p.Now()
-	})
-	k.Run()
-	return end - start
 }

@@ -20,10 +20,9 @@ import (
 // Recorder is single-goroutine by design: the simulation kernel runs
 // exactly one Proc at a time (see package sim), so every producer —
 // pager, link, NetMsgServer, migration manager — records from what is
-// effectively one thread of control, and Recorder uses no locks. Code
-// that records from multiple OS goroutines concurrently (e.g. trials
-// running on separate kernels feeding one aggregate) must wrap it in a
-// SyncRecorder instead.
+// effectively one thread of control, and Recorder uses no locks. A
+// Recorder belongs to one trial's kernel: concurrent trials each record
+// into their own.
 type Recorder struct {
 	bucket  time.Duration
 	buckets map[int64]*rateBucket
@@ -119,10 +118,6 @@ func (r *Recorder) AddMessage(cpu time.Duration) {
 	r.messages++
 	r.msgTime += cpu
 }
-
-// AddMessageTime adds message-processing CPU time without bumping the
-// message count, for per-endpoint accounting of a message counted once.
-func (r *Recorder) AddMessageTime(cpu time.Duration) { r.msgTime += cpu }
 
 // Inc bumps a free-form named counter (faults by kind, prefetch hits...).
 func (r *Recorder) Inc(name string, delta uint64) { r.counters[name] += delta }
@@ -249,15 +244,6 @@ func (r *Recorder) Dist(name string) *Distribution { return r.dists[name] }
 
 // Counter reads a named counter.
 func (r *Recorder) Counter(name string) uint64 { return r.counters[name] }
-
-// Counters returns a copy of all named counters.
-func (r *Recorder) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
-	}
-	return out
-}
 
 // BytesTotal reports all bytes recorded.
 func (r *Recorder) BytesTotal() uint64 { return r.bytesTotal }

@@ -70,12 +70,11 @@ func TestMessages(t *testing.T) {
 	r := NewRecorder(time.Second)
 	r.AddMessage(10 * time.Millisecond)
 	r.AddMessage(5 * time.Millisecond)
-	r.AddMessageTime(3 * time.Millisecond)
 	if r.Messages() != 2 {
 		t.Errorf("Messages = %d, want 2", r.Messages())
 	}
-	if r.MessageTime() != 18*time.Millisecond {
-		t.Errorf("MessageTime = %v, want 18ms", r.MessageTime())
+	if r.MessageTime() != 15*time.Millisecond {
+		t.Errorf("MessageTime = %v, want 15ms", r.MessageTime())
 	}
 }
 
@@ -107,11 +106,6 @@ func TestCounters(t *testing.T) {
 	r.Inc("faults.imag", 2)
 	if r.Counter("faults.imag") != 5 {
 		t.Errorf("Counter = %d, want 5", r.Counter("faults.imag"))
-	}
-	m := r.Counters()
-	m["faults.imag"] = 999
-	if r.Counter("faults.imag") != 5 {
-		t.Error("Counters() did not return a copy")
 	}
 }
 

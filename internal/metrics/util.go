@@ -116,22 +116,3 @@ func (t *UtilTrack) BusyFrac(bucket time.Duration, i int) float64 {
 	}
 	return float64(t.Busy[i]) / float64(bucket)
 }
-
-// MeanDepth reports bucket i's mean queue depth.
-func (t *UtilTrack) MeanDepth(bucket time.Duration, i int) float64 {
-	if t == nil || i < 0 || i >= len(t.Wait) || bucket <= 0 {
-		return 0
-	}
-	return float64(t.Wait[i]) / float64(bucket)
-}
-
-// Buckets reports the number of buckets the track spans.
-func (t *UtilTrack) Buckets() int {
-	if t == nil {
-		return 0
-	}
-	if len(t.Busy) > len(t.Wait) {
-		return len(t.Busy)
-	}
-	return len(t.Wait)
-}

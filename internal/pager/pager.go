@@ -298,9 +298,10 @@ func (pg *Pager) faultResolved(p *sim.Proc, kind string, addr vm.Addr, start tim
 }
 
 // Touch makes the page under addr resident, faulting as needed, and
-// updates LRU. write additionally marks the page dirty (performing any
-// deferred COW copy). This is the MMU+fault path every simulated memory
-// reference takes.
+// updates LRU. write additionally marks the page dirty, first giving a
+// borrowed page its private frame (a host-side copy no simulated cost
+// charges). This is the MMU+fault path every simulated memory reference
+// takes.
 func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write bool) error {
 	pl, ok := as.Resolve(addr)
 	if !ok {
@@ -356,10 +357,7 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		pg.inc("prefetch.hit")
 	}
 	if write {
-		if pl.Seg.BreakCOW(pl.PageIdx) {
-			// Deferred copy: charge the 512-byte page copy.
-			pg.cpu.UseHigh(p, time.Duration(as.PageSize())*pg.sys.Config().CopyPerByte)
-		}
+		pl.Seg.BreakCOW(pl.PageIdx)
 		pl.Seg.Page(pl.PageIdx).MarkWritten()
 	}
 	return nil

@@ -310,31 +310,6 @@ func TestBackerLostAfterMaxRetries(t *testing.T) {
 	}
 }
 
-func TestCOWBreakChargedOnWrite(t *testing.T) {
-	r := newRig(t, 16)
-	reg, _ := r.as.Validate(0, 512, "d")
-	src := vm.NewSegment("src", 512, 512)
-	src.Materialize(0, []byte("shared"))
-	reg.Seg.AdoptShared(0, src.Page(0))
-	var cowT, plainT time.Duration
-	r.k.Go("u", func(p *sim.Proc) {
-		r.pg.Touch(p, r.as, 0, false) // map in
-		start := p.Now()
-		r.pg.Touch(p, r.as, 0, true) // first write: breaks COW
-		cowT = p.Now() - start
-		start = p.Now()
-		r.pg.Touch(p, r.as, 0, true) // second write: already private
-		plainT = p.Now() - start
-	})
-	r.k.Run()
-	if cowT <= plainT {
-		t.Errorf("COW-breaking write (%v) not more expensive than plain write (%v)", cowT, plainT)
-	}
-	if src.Page(0).Shared() {
-		t.Error("source page still shared after write")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	r := newRig(t, 4)
 	r.as.Validate(0, 512, "d")

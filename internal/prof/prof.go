@@ -167,17 +167,6 @@ func (b *Breakdown) Fraction(c Class) float64 {
 	return float64(b[c]) / float64(t)
 }
 
-// Dominant reports the class with the largest share.
-func (b *Breakdown) Dominant() Class {
-	best := Other
-	for _, c := range Classes() {
-		if b[c] > b[best] {
-			best = c
-		}
-	}
-	return best
-}
-
 // Options parameterizes a Build. The zero value matches the standard
 // two-machine testbed.
 type Options struct {

@@ -45,7 +45,6 @@ type Kernel struct {
 	// proc is never kept reachable.
 	procs    []*Proc
 	ran      uint64
-	stopped  bool
 	deadline time.Duration
 	hasDL    bool
 
@@ -143,20 +142,15 @@ func (k *Kernel) ScheduleAt(t time.Duration, fn func()) {
 	k.Schedule(t-k.now, fn)
 }
 
-// Stop makes Run return after the currently dispatching event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run dispatches events until the event heap is empty, the deadline set
-// by RunUntil is reached, or Stop is called. It returns the virtual time
-// at which it stopped. Procs that are still blocked when the heap drains
-// remain parked, mirroring an idle operating system, until Close reaps
-// them.
+// Run dispatches events until the event heap is empty or the deadline
+// set by RunUntil is reached. It returns the virtual time at which it
+// stopped. Procs that are still blocked when the heap drains remain
+// parked, mirroring an idle operating system, until Close reaps them.
 func (k *Kernel) Run() time.Duration {
 	if k.cur != nil {
 		panic("sim: Run called from proc context")
 	}
-	k.stopped = false
-	for !k.stopped {
+	for {
 		// Heap entries already due fire before the now-ring: they were
 		// scheduled before the clock reached this instant, so they are
 		// earlier in FIFO order than any ring entry (see Schedule).

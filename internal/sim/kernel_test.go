@@ -97,28 +97,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New()
-	n := 0
-	for i := 0; i < 5; i++ {
-		k.Schedule(time.Duration(i)*time.Millisecond, func() {
-			n++
-			if n == 2 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if n != 2 {
-		t.Errorf("ran %d events after Stop, want 2", n)
-	}
-	// Run may be resumed.
-	k.Run()
-	if n != 5 {
-		t.Errorf("total events %d after resumed Run, want 5", n)
-	}
-}
-
 func TestScheduleAtPastPanics(t *testing.T) {
 	k := New()
 	k.Schedule(time.Second, func() {})

@@ -94,7 +94,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if (!k.hasDL || k.now+d <= k.deadline) && !k.stopped && k.nowq.empty() && (len(k.events.h) == 0 || k.events.h[0].at > k.now+d) {
+	if (!k.hasDL || k.now+d <= k.deadline) && k.nowq.empty() && (len(k.events.h) == 0 || k.events.h[0].at > k.now+d) {
 		if k.cur != p {
 			panic(fmt.Sprintf("sim: proc %q sleeping while not current", p.name))
 		}
@@ -132,13 +132,9 @@ func (p *Proc) Kill() {
 	})
 }
 
-// Park blocks the proc until some other party calls UnparkExternal. It
-// is a low-level escape hatch used by higher-level primitives (Queue,
-// Resource, Gate) in this package and by tests.
-func (p *Proc) Park() { p.park() }
-
 // UnparkExternal schedules the proc to resume at the current virtual
-// time. It must pair with a Park.
+// time. The proc must be parked in one of this package's waits (a
+// Queue, a Resource or a Gate) that expects this call to end it.
 func (p *Proc) UnparkExternal() {
 	p.k.Schedule(0, p.unparkFn)
 }

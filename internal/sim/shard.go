@@ -105,9 +105,6 @@ func NewCluster(n int, lookahead time.Duration) *Cluster {
 	return c
 }
 
-// Lanes reports the number of lanes.
-func (c *Cluster) Lanes() int { return len(c.lanes) }
-
 // Lane returns lane i's kernel. Everything that belongs to one machine —
 // its procs, queues, resources — is built on its own lane's kernel.
 func (c *Cluster) Lane(i int) *Kernel { return c.lanes[i] }

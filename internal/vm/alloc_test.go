@@ -161,19 +161,6 @@ func TestAllocsSegmentReadMissingPage(t *testing.T) {
 	}
 }
 
-func TestAllocsReadInto(t *testing.T) {
-	seg := NewSegment("sparse", 16*DefaultPageSize, DefaultPageSize)
-	seg.Materialize(2, []byte("materialized"))
-	dst := make([]byte, DefaultPageSize)
-	allocs := testing.AllocsPerRun(200, func() {
-		seg.ReadInto(2, 0, dst) // present page
-		seg.ReadInto(9, 0, dst) // missing page: zero fill
-	})
-	if allocs != 0 {
-		t.Errorf("ReadInto allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 func TestAllocsIntegrityOff(t *testing.T) {
 	// With per-page checksums off, RIMAS attachments carry no Sums and
 	// the destination's install loop reduces to a slice-length check:

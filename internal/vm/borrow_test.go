@@ -31,9 +31,6 @@ func TestBorrowReadsInPlaceWithoutFrames(t *testing.T) {
 	if &pg.Data[0] != &data[0] {
 		t.Error("Borrow copied the data; want it read in place")
 	}
-	if pg.Shared() {
-		t.Error("a borrowed page reports Shared; the mark must stay host-side")
-	}
 	if got := s.Read(2, 0, DefaultPageSize); !bytes.Equal(got, want) {
 		t.Error("borrowed page reads back different bytes")
 	}
@@ -46,9 +43,7 @@ func TestWriteToBorrowedPageCopiesFirst(t *testing.T) {
 	s, pool := pooledSegment(1)
 	data, want := lender()
 	s.Borrow(0, data)
-	if s.BreakCOW(0) {
-		t.Error("BreakCOW on an unshared borrowed page reported a COW break")
-	}
+	s.BreakCOW(0)
 	if got := pool.Stats().Gets; got != 1 {
 		t.Errorf("BreakCOW drew %d pool frames, want 1", got)
 	}
@@ -100,46 +95,6 @@ func TestMaterializeOverBorrowedPageKeepsLenderIntact(t *testing.T) {
 	}
 }
 
-func TestAdoptSharedFromBorrowedPage(t *testing.T) {
-	pool := NewFramePool(DefaultPageSize)
-	src := NewSegment("src", DefaultPageSize, DefaultPageSize)
-	src.SetPool(pool)
-	dst := NewSegment("dst", DefaultPageSize, DefaultPageSize)
-	dst.SetPool(pool)
-	data, want := lender()
-	spg := src.Borrow(0, data)
-	dpg := dst.AdoptShared(0, spg)
-	if !spg.Shared() || !dpg.Shared() {
-		t.Fatal("AdoptShared did not make both pages COW sharers")
-	}
-	if !dpg.borrowed {
-		t.Error("AdoptShared dropped the borrowed mark")
-	}
-
-	// The first write breaks the share exactly as for an owned page.
-	if !dst.BreakCOW(0) {
-		t.Error("breaking a real COW share of a borrowed page reported no copy")
-	}
-	dst.Write(0, 0, []byte("dst"))
-	// The survivor is no longer shared but still borrows: its write is
-	// an uncharged host-side copy.
-	if src.BreakCOW(0) {
-		t.Error("the last sharer's copy of borrowed data reported a COW break")
-	}
-	src.Write(0, 0, []byte("src"))
-	if !bytes.Equal(data, want) {
-		t.Fatal("a sharer's write reached the borrowed bytes")
-	}
-	if string(dst.Read(0, 0, 3)) != "dst" || string(src.Read(0, 0, 3)) != "src" {
-		t.Error("sharers do not see their own writes")
-	}
-	src.ReleaseFrames()
-	dst.ReleaseFrames()
-	if got := pool.InUse(); got != 0 {
-		t.Errorf("InUse = %d after both sharers released, want 0", got)
-	}
-}
-
 func TestReleaseFramesNeverRecyclesBorrowedData(t *testing.T) {
 	s, pool := pooledSegment(8)
 	data, _ := lender()
@@ -151,18 +106,6 @@ func TestReleaseFramesNeverRecyclesBorrowedData(t *testing.T) {
 		t.Errorf("ReleaseFrames recycled borrowed data: %+v, %d free", st, pool.FreeFrames())
 	}
 	if got := pool.InUse(); got != 0 {
-		t.Errorf("InUse = %d, want 0", got)
-	}
-
-	// An AdoptShared over a borrowed page must not recycle it either.
-	s2, pool2 := pooledSegment(1)
-	s2.Borrow(0, data)
-	other := NewSegment("o", DefaultPageSize, DefaultPageSize)
-	s2.AdoptShared(0, other.Materialize(0, []byte("x")))
-	if st := pool2.Stats(); st.Puts != 0 {
-		t.Errorf("AdoptShared recycled a borrowed slice: %+v", st)
-	}
-	if got := pool2.InUse(); got != 0 {
 		t.Errorf("InUse = %d, want 0", got)
 	}
 }
@@ -180,26 +123,17 @@ func TestBorrowOverMaterializedPagePanics(t *testing.T) {
 }
 
 // TestReadPastShortPage: a page whose data is shorter than the page (a
-// short slice given to Borrow, or shared through AdoptShared) reads as
-// zeros past its data, whatever the offset, as ReadInto already does.
+// short slice given to Borrow) reads as zeros past its data, whatever
+// the offset.
 func TestReadPastShortPage(t *testing.T) {
 	s, _ := pooledSegment(2)
 	short := bytes.Repeat([]byte{0x5A}, 100)
 	s.Borrow(0, short)
-	sharer := NewSegment("sharer", DefaultPageSize, DefaultPageSize)
-	sharer.AdoptShared(0, s.Page(0))
-	for _, seg := range []*Segment{s, sharer} {
-		if got := seg.Read(0, 200, 50); !bytes.Equal(got, make([]byte, 50)) {
-			t.Errorf("%s: read past the data = %x, want zeros", seg.Name, got)
-		}
-		want := append(bytes.Repeat([]byte{0x5A}, 40), make([]byte, 60)...)
-		if got := seg.Read(0, 60, 100); !bytes.Equal(got, want) {
-			t.Errorf("%s: read across the end of the data = %x, want %x", seg.Name, got, want)
-		}
-		into := bytes.Repeat([]byte{0xFF}, 100)
-		seg.ReadInto(0, 60, into)
-		if !bytes.Equal(into, want) {
-			t.Errorf("%s: ReadInto across the end of the data = %x, want %x", seg.Name, into, want)
-		}
+	if got := s.Read(0, 200, 50); !bytes.Equal(got, make([]byte, 50)) {
+		t.Errorf("read past the data = %x, want zeros", got)
+	}
+	want := append(bytes.Repeat([]byte{0x5A}, 40), make([]byte, 60)...)
+	if got := s.Read(0, 60, 100); !bytes.Equal(got, want) {
+		t.Errorf("read across the end of the data = %x, want %x", got, want)
 	}
 }

@@ -193,47 +193,3 @@ func TestQuickUsagePartition(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestFitzgeraldCOWEconomy reproduces the §2.1 observation (from
-// Fitzgerald's study) that almost none of the data passed by reference
-// between processes is ever physically copied: share a large message
-// into many consumers, let each modify a single page, and count the
-// deferred copies actually performed.
-func TestFitzgeraldCOWEconomy(t *testing.T) {
-	const pages = 5000
-	const consumers = 20
-	src := NewSegment("message", pages*512, 512)
-	for i := uint64(0); i < pages; i++ {
-		src.Materialize(i, []byte{byte(i)})
-	}
-	var sinks []*Segment
-	for c := 0; c < consumers; c++ {
-		dst := NewSegment("sink", pages*512, 512)
-		for i := uint64(0); i < pages; i++ {
-			dst.AdoptShared(i, src.Page(i))
-		}
-		sinks = append(sinks, dst)
-	}
-	copies := 0
-	for c, dst := range sinks {
-		// Each consumer reads widely and writes one page.
-		for i := uint64(0); i < pages; i += 100 {
-			_ = dst.Read(i, 0, 8)
-		}
-		if dst.BreakCOW(uint64(c)) {
-			copies++
-		}
-		dst.Write(uint64(c), 0, []byte("mine"))
-	}
-	sharedTransfers := pages * consumers
-	pctCopied := 100 * float64(copies) / float64(sharedTransfers)
-	if pctCopied > 0.05 {
-		t.Errorf("%.3f%% of shared pages physically copied; Fitzgerald measured ~0.02%%", pctCopied)
-	}
-	// Source data is untouched despite all the consumer writes.
-	for c := 0; c < consumers; c++ {
-		if got := src.Read(uint64(c), 0, 1)[0]; got != byte(c) {
-			t.Fatalf("source page %d corrupted by a consumer write", c)
-		}
-	}
-}

@@ -45,22 +45,18 @@ type Page struct {
 
 	// borrowed marks Data as a slice the segment does not own (see
 	// Borrow): it is never written through and never recycled. The mark
-	// is host-side only; Shared and every simulated cost ignore it.
+	// is host-side only; no simulated cost reads it. A page that is not
+	// borrowed owns its Data.
 	borrowed bool
 
 	// frame links the page to its PhysMem LRU node (node index + 1; 0:
 	// no frame). Only PhysMem sets it. It sits in the padding after
-	// borrowed, so a Page stays 56 bytes.
+	// borrowed, so a Page is 48 bytes.
 	frame int32
 
 	// Version counts content mutations, so incremental transfer schemes
 	// (pre-copy) can detect staleness cheaply.
 	Version uint64
-
-	// shares counts COW sharers including this page; a shared page's
-	// Data must be copied before a write. A page that is not borrowed
-	// owns its Data when shares == nil or *shares == 1.
-	shares *int
 }
 
 // MarkWritten records a mutation: the page becomes dirty relative to
@@ -69,9 +65,6 @@ func (p *Page) MarkWritten() {
 	p.State.Dirty = true
 	p.Version++
 }
-
-// Shared reports whether the page currently shares its Data copy-on-write.
-func (p *Page) Shared() bool { return p.shares != nil && *p.shares > 1 }
 
 // Segment is a memory object: a numbered container of pages. Real
 // segments are backed by local memory/disk; imaginary segments are
@@ -162,12 +155,6 @@ func (s *Segment) NextRun(from, last uint64) (start, end uint64, ok bool) {
 	return s.table.nextRun(from, last)
 }
 
-// MaterializedInRange counts materialized pages within [first, last]
-// by bitmap popcount.
-func (s *Segment) MaterializedInRange(first, last uint64) int {
-	return s.table.countRange(first, last)
-}
-
 // Materialize installs data for page index, creating the Page if
 // needed. The data is copied; len(data) must equal the page size (or be
 // shorter for the final partial page).
@@ -186,13 +173,11 @@ func (s *Segment) Materialize(index uint64, data []byte) *Page {
 		p.State = PageState{}
 		p.Version = 0
 	}
-	if p.borrowed || p.Shared() || (!present && p.shares != nil) {
-		// The bytes belong to a lender or to the COW sharers: drop the
-		// reference without writing into it. Sharers keep their count,
-		// so their deferred-copy accounting is unchanged.
+	if p.borrowed {
+		// The bytes belong to a lender: drop the reference without
+		// writing into it.
 		p.Data = nil
 	}
-	p.shares = nil
 	p.borrowed = false
 	if p.Data == nil {
 		p.Data = s.frame()
@@ -225,13 +210,12 @@ func (s *Segment) Adopt(index uint64, data []byte) *Page {
 		p.Version = 0
 	}
 	if s.pool != nil {
-		if p.Data != nil && !p.borrowed && !p.Shared() && (present || p.shares == nil) {
+		if p.Data != nil && !p.borrowed {
 			// The frame Materialize would have written into is free again.
 			s.pool.Put(p.Data)
 		}
 		s.pool.adopt()
 	}
-	p.shares = nil
 	p.borrowed = false
 	p.Data = data[:len(data):len(data)]
 	return p
@@ -292,35 +276,6 @@ func (s *Segment) Borrow(index uint64, data []byte) *Page {
 	return p
 }
 
-// AdoptShared installs a page at index that shares data copy-on-write
-// with the given source page (large-message map-in, §2.1). Both pages
-// become COW sharers of the same backing bytes; a borrowed source
-// lends them to the sharer too.
-func (s *Segment) AdoptShared(index uint64, src *Page) *Page {
-	if index >= s.Pages() {
-		panic(fmt.Sprintf("vm: adopt page %d beyond segment %q", index, s.Name))
-	}
-	if src.shares == nil {
-		n := 1
-		src.shares = &n
-	}
-	*src.shares++
-	p, present := s.table.ensure(index)
-	if present && p.Data != nil && !p.Shared() && !p.borrowed && s.pool != nil {
-		// Overwriting a privately owned page: its frame is free again.
-		s.pool.Put(p.Data)
-	}
-	p.Index = index
-	p.Data = src.Data
-	p.shares = src.shares
-	p.borrowed = src.borrowed
-	p.State = src.State
-	p.State.Resident = false // residency is per-site, set by the caller
-	p.State.OnDisk = false
-	p.Version = 0
-	return p
-}
-
 // zeroRead serves reads of unmaterialized pages without allocating: a
 // shared all-zero buffer handed out read-only. Reads longer than the
 // buffer (page sizes beyond 64 KB) fall back to allocation.
@@ -328,9 +283,8 @@ var zeroRead [1 << 16]byte
 
 // Read returns up to n bytes of the page at index starting at off. A
 // missing page reads as zeros — served from a shared zero buffer, so
-// the returned slice is READ-ONLY; callers that mutate must copy (or
-// use ReadInto with their own buffer). Bytes past the page's data (a
-// short page) read as zeros too.
+// the returned slice is READ-ONLY; callers that mutate must copy.
+// Bytes past the page's data (a short page) read as zeros too.
 func (s *Segment) Read(index uint64, off, n int) []byte {
 	p := s.table.get(index)
 	if p == nil || p.Data == nil {
@@ -346,26 +300,9 @@ func (s *Segment) Read(index uint64, off, n int) []byte {
 	return out
 }
 
-// ReadInto fills dst from the page at index starting at off, zeroing
-// any part not covered by materialized data (missing page, or a read
-// past the page's extent). It is the copy-free counterpart of Read for
-// callers that own a reusable buffer.
-func (s *Segment) ReadInto(index uint64, off int, dst []byte) {
-	p := s.table.get(index)
-	if p == nil || p.Data == nil {
-		clear(dst)
-		return
-	}
-	n := 0
-	if off < len(p.Data) {
-		n = copy(dst, p.Data[off:])
-	}
-	clear(dst[n:])
-}
-
 // Write stores data into the page at index starting at off, performing
-// the deferred copy if the page is COW-shared or borrowed, and marks it
-// dirty. The page must already be materialized.
+// the deferred copy if the page is borrowed, and marks it dirty. The
+// page must already be materialized.
 func (s *Segment) Write(index uint64, off int, data []byte) {
 	p := s.table.get(index)
 	if p == nil {
@@ -376,17 +313,11 @@ func (s *Segment) Write(index uint64, off int, data []byte) {
 	p.MarkWritten()
 }
 
-// breakCOW gives p a private copy of its data if it is currently shared
-// or borrowed. It reports whether a COW share was broken (the
-// deferred-copy event the IPC cost model charges for); copying a
-// borrowed page that no one else maps is host-side and reports false.
-func (s *Segment) breakCOW(p *Page) bool {
-	shared := p.Shared()
-	if !shared && !p.borrowed {
-		return false
-	}
-	if shared {
-		*p.shares--
+// breakCOW gives a borrowed page a private copy of its data, the copy
+// on first write; an owned page is left as it is.
+func (s *Segment) breakCOW(p *Page) {
+	if !p.borrowed {
+		return
 	}
 	fresh := s.frame()
 	copy(fresh, p.Data)
@@ -394,27 +325,22 @@ func (s *Segment) breakCOW(p *Page) bool {
 		clear(fresh[len(p.Data):])
 	}
 	p.Data = fresh
-	p.shares = nil
 	p.borrowed = false
-	return shared
 }
 
-// BreakCOW exposes the deferred-copy operation for the IPC layer, which
-// must charge its cost. It reports whether a COW share was broken; the
-// host-side copy of a borrowed page is not one.
-func (s *Segment) BreakCOW(index uint64) bool {
-	p := s.table.get(index)
-	if p == nil {
-		return false
+// BreakCOW makes the page at index, if it is borrowed, private ahead of
+// a write. The copy is host-side: no simulated cost is charged for it.
+// A missing or owned page is left as it is.
+func (s *Segment) BreakCOW(index uint64) {
+	if p := s.table.get(index); p != nil {
+		s.breakCOW(p)
 	}
-	return s.breakCOW(p)
 }
 
 // ReleaseFrames returns every privately owned page frame to the
-// attached pool and empties the page table. COW-shared frames are left
-// to their surviving sharers, and borrowed data to its lender. Called
-// when a segment's data is no longer needed (segment death, a
-// pre-copied process's excision).
+// attached pool and empties the page table. Borrowed data is left to
+// its lender. Called when a segment's data is no longer needed (segment
+// death, a pre-copied process's excision).
 func (s *Segment) ReleaseFrames() { s.release(true) }
 
 // DisownFrames empties the page table like ReleaseFrames, but the
@@ -430,7 +356,7 @@ func (s *Segment) release(recycle bool) {
 	last := s.Pages() - 1
 	for idx, ok := s.table.nextPresent(0, last); ok; idx, ok = s.table.nextPresent(idx+1, last) {
 		p := s.table.get(idx)
-		if s.pool != nil && p.Data != nil && p.shares == nil && !p.borrowed {
+		if s.pool != nil && p.Data != nil && !p.borrowed {
 			if recycle {
 				s.pool.Put(p.Data)
 			} else {
@@ -438,7 +364,6 @@ func (s *Segment) release(recycle bool) {
 			}
 		}
 		p.Data = nil
-		p.shares = nil
 		if idx == last {
 			break
 		}

@@ -59,77 +59,6 @@ func TestWriteUnmaterializedPanics(t *testing.T) {
 	s.Write(0, 0, []byte("x"))
 }
 
-func TestCOWSharingAndBreak(t *testing.T) {
-	src := NewSegment("src", 512, 512)
-	src.Materialize(0, []byte("shared data"))
-	dst := NewSegment("dst", 512, 512)
-	pg := dst.AdoptShared(0, src.Page(0))
-	if !pg.Shared() || !src.Page(0).Shared() {
-		t.Fatal("pages not marked shared after adopt")
-	}
-	if &src.Page(0).Data[0] != &pg.Data[0] {
-		t.Fatal("adopted page does not share backing bytes")
-	}
-	// Read-only access does not copy.
-	if string(dst.Read(0, 0, 6)) != "shared" {
-		t.Error("shared read wrong")
-	}
-	// Write breaks the share; the other copy is untouched.
-	dst.Write(0, 0, []byte("DST"))
-	if string(src.Read(0, 0, 6)) != "shared" {
-		t.Error("COW write leaked into source")
-	}
-	if string(dst.Read(0, 0, 6)) != "DSTred" {
-		t.Errorf("dst after write = %q", dst.Read(0, 0, 6))
-	}
-	if src.Page(0).Shared() || dst.Page(0).Shared() {
-		t.Error("pages still marked shared after break")
-	}
-}
-
-func TestCOWThreeWay(t *testing.T) {
-	src := NewSegment("src", 512, 512)
-	src.Materialize(0, []byte("abc"))
-	d1 := NewSegment("d1", 512, 512)
-	d2 := NewSegment("d2", 512, 512)
-	d1.AdoptShared(0, src.Page(0))
-	d2.AdoptShared(0, src.Page(0))
-	d1.Write(0, 0, []byte("X"))
-	// src and d2 still share.
-	if !src.Page(0).Shared() || !d2.Page(0).Shared() {
-		t.Error("remaining sharers lost their share marking")
-	}
-	if string(d2.Read(0, 0, 3)) != "abc" {
-		t.Error("d2 corrupted by d1's write")
-	}
-	d2.Write(0, 1, []byte("Y"))
-	if string(src.Read(0, 0, 3)) != "abc" {
-		t.Error("src corrupted")
-	}
-	if string(d2.Read(0, 0, 3)) != "aYc" {
-		t.Errorf("d2 = %q", d2.Read(0, 0, 3))
-	}
-}
-
-func TestBreakCOWReporting(t *testing.T) {
-	src := NewSegment("src", 512, 512)
-	src.Materialize(0, []byte("z"))
-	if src.BreakCOW(0) {
-		t.Error("BreakCOW on unshared page reported a copy")
-	}
-	dst := NewSegment("dst", 512, 512)
-	dst.AdoptShared(0, src.Page(0))
-	if !dst.BreakCOW(0) {
-		t.Error("BreakCOW on shared page reported no copy")
-	}
-	if dst.BreakCOW(0) {
-		t.Error("second BreakCOW reported a copy")
-	}
-	if dst.BreakCOW(5) {
-		t.Error("BreakCOW on missing page reported a copy")
-	}
-}
-
 func TestRefcountDeath(t *testing.T) {
 	s := NewSegment("s", 512, 512)
 	died := 0

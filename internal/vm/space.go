@@ -184,30 +184,6 @@ func classifyPlace(pl Place) Accessibility {
 	return RealMem
 }
 
-// ClassifyFault reports what servicing a touch of a requires right now.
-func (as *AddressSpace) ClassifyFault(a Addr) FaultKind {
-	pl, ok := as.Resolve(a)
-	if !ok {
-		return AddressError
-	}
-	pg := pl.Seg.Page(pl.PageIdx)
-	switch {
-	case pg == nil && pl.Seg.Class == ImagSeg:
-		return ImagFault
-	case pg == nil:
-		return FillZeroFault
-	case pg.State.Resident:
-		return NoFault
-	case pg.State.OnDisk:
-		return DiskFault
-	default:
-		// Materialized but neither resident nor on disk: data exists in
-		// the segment (e.g. just arrived in a message) and only the
-		// mapping is missing — the cheap RealMem case in §2.3.
-		return NoFault
-	}
-}
-
 // Usage summarizes an address space's composition in bytes, the
 // quantities of Table 4-1 plus residency for Table 4-2.
 type Usage struct {

@@ -112,34 +112,10 @@ func TestImaginaryClassification(t *testing.T) {
 	if got := as.Classify(0x2000); got != ImagMem {
 		t.Errorf("unfetched imaginary = %v, want ImagMem", got)
 	}
-	if got := as.ClassifyFault(0x2000); got != ImagFault {
-		t.Errorf("fault kind = %v, want ImagFault", got)
-	}
 	// Fetch the page: becomes locally backed.
 	seg.Materialize(0, []byte{1, 2, 3})
 	if got := as.Classify(0x2000); got != RealMem {
 		t.Errorf("fetched imaginary = %v, want RealMem", got)
-	}
-}
-
-func TestClassifyFaultKinds(t *testing.T) {
-	as := mustSpace(t)
-	r, _ := as.Validate(0, 4*512, "d")
-	if got := as.ClassifyFault(0); got != FillZeroFault {
-		t.Errorf("untouched = %v, want FillZeroFault", got)
-	}
-	pg := r.Seg.MaterializeZero(0)
-	pg.State.Resident = true
-	if got := as.ClassifyFault(0); got != NoFault {
-		t.Errorf("resident = %v, want NoFault", got)
-	}
-	pg.State.Resident = false
-	pg.State.OnDisk = true
-	if got := as.ClassifyFault(0); got != DiskFault {
-		t.Errorf("on disk = %v, want DiskFault", got)
-	}
-	if got := as.ClassifyFault(Addr(MaxSpace - 1)); got != AddressError {
-		t.Errorf("unmapped = %v, want AddressError", got)
 	}
 }
 

@@ -207,25 +207,3 @@ func TestPoolArenaFramesAreIsolated(t *testing.T) {
 	}
 	_ = f2
 }
-
-// TestReleaseFramesLeavesSharedData: COW sharers must survive their
-// sibling segment's frame release.
-func TestReleaseFramesLeavesSharedData(t *testing.T) {
-	pool := NewFramePool(DefaultPageSize)
-	src := NewSegment("src", DefaultPageSize, DefaultPageSize)
-	src.SetPool(pool)
-	spg := src.Materialize(0, []byte("shared bytes"))
-	dst := NewSegment("dst", DefaultPageSize, DefaultPageSize)
-	dst.SetPool(pool)
-	dst.AdoptShared(0, spg)
-
-	before := pool.FreeFrames()
-	src.ReleaseFrames()
-	got := dst.Read(0, 0, 12)
-	if string(got) != "shared bytes" {
-		t.Fatalf("sharer lost its data after sibling release: %q", got)
-	}
-	if free := pool.FreeFrames(); free != before {
-		t.Errorf("shared frame was recycled: free count %d -> %d", before, free)
-	}
-}

@@ -1,7 +1,7 @@
 // Package vm models the Accent virtual memory system at page
 // granularity: sparse address spaces of up to 4 gigabytes, segments
-// (real and imaginary) holding actual page data, copy-on-write sharing,
-// lazy zero-fill, physical memory with LRU replacement, and the
+// (real and imaginary) holding actual page data, borrowed page images
+// copied on first write, lazy zero-fill, physical memory with LRU replacement, and the
 // Accessibility Map (AMap) machinery that migration depends on.
 //
 // The package is purely mechanical: it classifies addresses and moves
@@ -78,40 +78,4 @@ func (c Config) validate() error {
 		return fmt.Errorf("vm: page size %d is not a power of two >= 8", ps)
 	}
 	return nil
-}
-
-// FaultKind classifies what servicing a touch of an address requires.
-type FaultKind int
-
-const (
-	// NoFault: the page is resident; the reference proceeds directly.
-	NoFault FaultKind = iota
-	// FillZeroFault: first touch of validated-but-untouched memory; a
-	// zero frame is conjured without consulting the disk.
-	FillZeroFault
-	// DiskFault: the page image must be read from the local disk.
-	DiskFault
-	// ImagFault: the page must be requested from the segment's backing
-	// port through the IPC system.
-	ImagFault
-	// AddressError: the address is BadMem.
-	AddressError
-)
-
-// String names the fault kind.
-func (f FaultKind) String() string {
-	switch f {
-	case NoFault:
-		return "NoFault"
-	case FillZeroFault:
-		return "FillZeroFault"
-	case DiskFault:
-		return "DiskFault"
-	case ImagFault:
-		return "ImagFault"
-	case AddressError:
-		return "AddressError"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(f))
-	}
 }

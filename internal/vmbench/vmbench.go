@@ -1,8 +1,8 @@
 // Package vmbench holds the VM-layer microbenchmark bodies shared by
-// `go test -bench` (bench_test.go here) and cmd/migbench, which runs
-// them through testing.Benchmark to publish BENCH_vm.json. Keeping one
-// copy of each body guarantees the CI gate and the published baseline
-// measure the same code path.
+// `go test -bench` (bench_test.go here) and the benchmark of record's
+// layer probes (bench/probes.go), which run them through
+// testing.Benchmark. Keeping one copy of each body guarantees that the
+// smoke gate and the probes measure the same code path.
 package vmbench
 
 import (
@@ -82,27 +82,44 @@ func BuildAMapSparse(b *testing.B) {
 	}
 }
 
-// COWBreak measures the deferred-copy cycle: map a shared page in
-// (AdoptShared) and break the share with a private copy drawn from the
-// frame pool. Steady state recycles one frame per iteration and must
-// be zero-alloc.
+// COWBreak measures the copy on first write: BreakCOW of a borrowed
+// page, which copies the lender's image into a private frame from the
+// pool. This is the copy a process pays the first time it writes a page
+// of its installed template. Pages are borrowed one page-table chunk at
+// a time and released together, so the pool recycles their frames. One
+// page stays resident, as a running process's pages are, so a release
+// keeps the table's slots. Must be zero-alloc.
 func COWBreak(b *testing.B) {
+	const pages = 256 // one page-table chunk
 	pool := vm.NewFramePool(vm.DefaultPageSize)
-	src := vm.NewSegment("src", vm.DefaultPageSize, vm.DefaultPageSize)
-	src.SetPool(pool)
-	srcPg := src.Materialize(0, make([]byte, vm.DefaultPageSize))
-	dst := vm.NewSegment("dst", vm.DefaultPageSize, vm.DefaultPageSize)
-	dst.SetPool(pool)
-	// Warm one cycle so the pool holds the recycled frame.
-	dst.AdoptShared(0, srcPg)
-	dst.BreakCOW(0)
+	seg := vm.NewSegment("cow", pages*vm.DefaultPageSize, vm.DefaultPageSize)
+	seg.SetPool(pool)
+	image := make([]byte, vm.DefaultPageSize)
+	for i := range image {
+		image[i] = byte(i*31 + 7)
+	}
+	phys := vm.NewPhysMem(1)
+	// Warm one chunk so the pool and the table hold every frame and
+	// slot the loop reuses.
+	for i := uint64(0); i < pages; i++ {
+		seg.Borrow(i, image)
+		seg.BreakCOW(i)
+	}
+	phys.Insert(seg, 0)
+	seg.ReleaseFrames()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.AdoptShared(0, srcPg)
-		if !dst.BreakCOW(0) {
-			b.Fatal("break performed no copy")
+		idx := uint64(i % pages)
+		seg.Borrow(idx, image)
+		seg.BreakCOW(idx)
+		if idx == pages-1 {
+			seg.ReleaseFrames()
 		}
+	}
+	b.StopTimer()
+	if got, want := pool.Stats().Gets, uint64(pages+b.N); got != want {
+		b.Fatalf("%d pool frames drawn, want %d: one per break", got, want)
 	}
 }
 

@@ -209,8 +209,12 @@ func newTemplate(k Kind) *template {
 // address order, installs every real page by reference to its fill row
 // with OnDisk set, shares the program and address lists, and makes the
 // resident set resident in t's order — per machine, since residency can
-// evict.
+// evict. It refuses, before creating the process, a resident set larger
+// than m's physical memory: making it resident would evict part of it.
 func (t *template) install(m *machine.Machine, name string, nports int) (*Built, error) {
+	if n, frames := len(t.resident), m.Phys.Capacity(); n > frames {
+		return nil, fmt.Errorf("workload %s: resident set of %d pages does not fit in %d physical frames", name, n, frames)
+	}
 	pr, err := m.NewProcess(name, nports)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -366,6 +367,29 @@ func TestPageSizeGuard(t *testing.T) {
 	}
 }
 
+// TestResidentSetMustFitPhysMem: one frame fewer than a representative's
+// resident set is refused before the process exists, with an error that
+// names both sizes; exactly the resident set builds, every resident page
+// in place.
+func TestResidentSetMustFitPhysMem(t *testing.T) {
+	for _, k := range Kinds() {
+		frames := int(PaperNumbers(k).ResidentBytes / pg)
+		m := machine.New(sim.New(), "short", machine.Config{PhysFrames: frames - 1})
+		_, err := Build(m, k)
+		want := fmt.Sprintf("resident set of %d pages does not fit in %d physical frames", frames, frames-1)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v at %d frames: err = %v, want one containing %q", k, frames-1, err, want)
+		}
+		if n := m.Procs(); n != 0 {
+			t.Errorf("%v: machine holds %d processes after the refused Build, want 0", k, n)
+		}
+		exact := machine.New(sim.New(), "exact", machine.Config{PhysFrames: frames})
+		if _, err := Build(exact, k); err != nil {
+			t.Errorf("%v at exactly %d frames: %v", k, frames, err)
+		}
+	}
+}
+
 // TestResidentSubsetOfReal: every resident page is a real page.
 func TestResidentSubsetOfReal(t *testing.T) {
 	for _, k := range Kinds() {
@@ -432,71 +456,5 @@ func TestChessIsLongLived(t *testing.T) {
 	}
 	if chess/minprog < 100 {
 		t.Errorf("longevity ratio = %.0f, want >> 100", chess/minprog)
-	}
-}
-
-func TestBuildSyntheticPatterns(t *testing.T) {
-	for _, pat := range []AccessPattern{Sequential, Random, WorkingSet} {
-		pat := pat
-		t.Run(pat.String(), func(t *testing.T) {
-			m := machine.New(sim.New(), "host", machine.Config{})
-			b, err := BuildSynthetic(m, SyntheticSpec{
-				Name: "syn", RealPages: 64, TouchedPages: 16, Pattern: pat, Seed: 7,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := b.Proc.AS.Usage()
-			if u.Real != 64*512 {
-				t.Errorf("Real = %d", u.Real)
-			}
-			if u.Resident != 16*512 {
-				t.Errorf("Resident = %d", u.Resident)
-			}
-			m.Start(b.Proc)
-			m.K.Run()
-			if b.Proc.Status != machine.AtMigrationPoint {
-				t.Fatalf("status = %v", b.Proc.Status)
-			}
-			m.Start(b.Proc)
-			m.K.Run()
-			if b.Proc.Status != machine.Finished || b.Proc.ExecError != nil {
-				t.Fatalf("status = %v err = %v", b.Proc.Status, b.Proc.ExecError)
-			}
-		})
-	}
-}
-
-func TestBuildSyntheticValidation(t *testing.T) {
-	m := machine.New(sim.New(), "host", machine.Config{})
-	if _, err := BuildSynthetic(m, SyntheticSpec{RealPages: 10, TotalPages: 5}); err == nil {
-		t.Error("Real > Total accepted")
-	}
-	if _, err := BuildSynthetic(m, SyntheticSpec{RealPages: 10, TouchedPages: 20}); err == nil {
-		t.Error("Touched > Real accepted")
-	}
-	if _, err := BuildSynthetic(m, SyntheticSpec{RealPages: 10, ResidentPages: 20}); err == nil {
-		t.Error("Resident > Real accepted")
-	}
-}
-
-func TestSyntheticMigrates(t *testing.T) {
-	// The synthetic workload plugs into the same migration machinery.
-	k := sim.New()
-	src := machine.New(k, "src", machine.Config{})
-	_ = src
-	m := machine.New(k, "host2", machine.Config{})
-	_ = m
-	// Full migration plumbing lives in core; here just confirm the
-	// Built shape matches what RunTrial-style drivers need.
-	b, err := BuildSynthetic(src, SyntheticSpec{RealPages: 32, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Proc.Program.MigrateIndex() != 0 {
-		t.Errorf("MigrateIndex = %d, want 0", b.Proc.Program.MigrateIndex())
-	}
-	if len(b.Proc.Ports) == 0 {
-		t.Error("synthetic process has no port rights")
 	}
 }
