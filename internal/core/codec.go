@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -19,80 +18,8 @@ import (
 // own ride in the frame's extras, in order.
 
 // Bodies are written through wire.Encoder, measured and then written
-// straight into the frame; dec is the matching reader.
-type dec struct {
-	b   []byte
-	off int
-}
-
-func (r *dec) need(n int) ([]byte, error) {
-	if r.off+n > len(r.b) {
-		return nil, fmt.Errorf("core: truncated body")
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v, nil
-}
-func (r *dec) u8() uint8 {
-	v, err := r.need(1)
-	if err != nil {
-		panic(err)
-	}
-	return v[0]
-}
-func (r *dec) u32() uint32 {
-	v, err := r.need(4)
-	if err != nil {
-		panic(err)
-	}
-	return binary.BigEndian.Uint32(v)
-}
-func (r *dec) u64() uint64 {
-	v, err := r.need(8)
-	if err != nil {
-		panic(err)
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-// count reads an item count and checks it against the bytes left, at
-// least size bytes an item, so a slice made from it is sized once and
-// never larger than the body could fill.
-func (r *dec) count(size int) int {
-	n := int(r.u32())
-	if n > (len(r.b)-r.off)/size {
-		panic(fmt.Errorf("core: truncated body"))
-	}
-	return n
-}
-func (r *dec) i64() int64         { return int64(r.u64()) }
-func (r *dec) dur() time.Duration { return time.Duration(r.i64()) }
-func (r *dec) boolv() bool        { return r.u8() != 0 }
-func (r *dec) bytes() []byte {
-	n := int(r.u32())
-	v, err := r.need(n)
-	if err != nil {
-		panic(err)
-	}
-	out := make([]byte, n)
-	copy(out, v)
-	return out
-}
-func (r *dec) str() string { return string(r.bytes()) }
-
-// guard converts the dec panics into errors at codec boundaries.
-func guard(fn func() (any, error)) (v any, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok {
-				v, err = nil, e
-				return
-			}
-			panic(rec)
-		}
-	}()
-	return fn()
-}
+// straight into the frame, and read back through wire.Decode, which
+// turns a truncated body into an error.
 
 func encodeAMap(w *wire.Encoder, m *vm.AMap) {
 	w.I64(int64(m.PageSize))
@@ -108,22 +35,22 @@ func encodeAMap(w *wire.Encoder, m *vm.AMap) {
 	w.U64(m.Stats.ValidatedPages)
 }
 
-func decodeAMap(r *dec) *vm.AMap {
-	m := &vm.AMap{PageSize: int(r.i64())}
-	if n := r.count(8 + 8 + 1); n > 0 {
+func decodeAMap(r *wire.Decoder) *vm.AMap {
+	m := &vm.AMap{PageSize: int(r.I64())}
+	if n := r.Count(8 + 8 + 1); n > 0 {
 		m.Entries = make([]vm.AMapEntry, n)
 		for i := range m.Entries {
 			m.Entries[i] = vm.AMapEntry{
-				Start:  vm.Addr(r.u64()),
-				End:    vm.Addr(r.u64()),
-				Access: vm.Accessibility(r.u8()),
+				Start:  vm.Addr(r.U64()),
+				End:    vm.Addr(r.U64()),
+				Access: vm.Accessibility(r.U8()),
 			}
 		}
 	}
-	m.Stats.Regions = int(r.i64())
-	m.Stats.Runs = int(r.i64())
-	m.Stats.MaterializedPages = int(r.i64())
-	m.Stats.ValidatedPages = r.u64()
+	m.Stats.Regions = int(r.I64())
+	m.Stats.Runs = int(r.I64())
+	m.Stats.MaterializedPages = int(r.I64())
+	m.Stats.ValidatedPages = r.U64()
 	return m
 }
 
@@ -187,34 +114,34 @@ func encodeProgram(w *wire.Encoder, pr *trace.Program) error {
 	return nil
 }
 
-func decodeProgram(r *dec) (*trace.Program, error) {
-	n := int(r.u32())
+func decodeProgram(r *wire.Decoder) (*trace.Program, error) {
+	n := int(r.U32())
 	if n == 0 {
 		return nil, nil
 	}
 	pr := &trace.Program{}
 	for i := 0; i < n; i++ {
-		switch tag := r.u8(); tag {
+		switch tag := r.U8(); tag {
 		case opTagCompute:
-			pr.Ops = append(pr.Ops, trace.Compute{D: r.dur()})
+			pr.Ops = append(pr.Ops, trace.Compute{D: time.Duration(r.I64())})
 		case opTagIOWait:
-			pr.Ops = append(pr.Ops, trace.IOWait{D: r.dur()})
+			pr.Ops = append(pr.Ops, trace.IOWait{D: time.Duration(r.I64())})
 		case opTagTouch:
-			pr.Ops = append(pr.Ops, trace.Touch{Addr: vm.Addr(r.u64()), Write: r.boolv()})
+			pr.Ops = append(pr.Ops, trace.Touch{Addr: vm.Addr(r.U64()), Write: r.Bool()})
 		case opTagSeqScan:
 			pr.Ops = append(pr.Ops, trace.SeqScan{
-				Start: vm.Addr(r.u64()), Bytes: r.u64(), Stride: r.u64(),
-				Write: r.boolv(), PerTouch: r.dur(),
+				Start: vm.Addr(r.U64()), Bytes: r.U64(), Stride: r.U64(),
+				Write: r.Bool(), PerTouch: time.Duration(r.I64()),
 			})
 		case opTagRandTouch:
 			pr.Ops = append(pr.Ops, trace.RandTouch{
-				Start: vm.Addr(r.u64()), Bytes: r.u64(), Count: int(r.i64()),
-				Seed: r.u64(), Write: r.boolv(), PerTouch: r.dur(),
+				Start: vm.Addr(r.U64()), Bytes: r.U64(), Count: int(r.I64()),
+				Seed: r.U64(), Write: r.Bool(), PerTouch: time.Duration(r.I64()),
 			})
 		case opTagWSLoop:
 			pr.Ops = append(pr.Ops, trace.WSLoop{
-				Start: vm.Addr(r.u64()), Pages: int(r.i64()), Iters: int(r.i64()),
-				Compute: r.dur(), Write: r.boolv(),
+				Start: vm.Addr(r.U64()), Pages: int(r.I64()), Iters: int(r.I64()),
+				Compute: time.Duration(r.I64()), Write: r.Bool(),
 			})
 		case opTagMigrate:
 			pr.Ops = append(pr.Ops, trace.MigratePoint{})
@@ -261,17 +188,16 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, extras []any) (any, error) {
-			return guard(func() (any, error) {
-				r := &dec{b: b}
-				cb := &CoreBody{ProcName: r.str()}
+			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
+				cb := &CoreBody{ProcName: r.Str()}
 				cb.AMap = decodeAMap(r)
-				nRights := int(r.u32())
+				nRights := int(r.U32())
 				for i := 0; i < nRights; i++ {
-					rt := PortRight{ID: ipc.PortID(r.u64()), Name: r.str()}
-					nMail := int(r.u32())
+					rt := PortRight{ID: ipc.PortID(r.U64()), Name: r.Str()}
+					nMail := int(r.U32())
 					for j := 0; j < nMail; j++ {
-						frame := r.bytes()
-						nex := int(r.u32())
+						frame := r.Bytes()
+						nex := int(r.U32())
 						if nex > len(extras) {
 							return nil, fmt.Errorf("core: pending mail wants %d extras, have %d", nex, len(extras))
 						}
@@ -285,17 +211,17 @@ func init() {
 					}
 					cb.Rights = append(cb.Rights, rt)
 				}
-				cb.MicrostateBytes = int(r.i64())
-				cb.KernelStackBytes = int(r.i64())
-				cb.PCBBytes = int(r.i64())
-				cb.PC = int(r.i64())
+				cb.MicrostateBytes = int(r.I64())
+				cb.KernelStackBytes = int(r.I64())
+				cb.PCBBytes = int(r.I64())
+				cb.PC = int(r.I64())
 				var err error
 				cb.Program, err = decodeProgram(r)
 				if err != nil {
 					return nil, err
 				}
-				cb.Prefetch = int(r.i64())
-				cb.Attempt = int(r.i64())
+				cb.Prefetch = int(r.I64())
+				cb.Attempt = int(r.I64())
 				return cb, nil
 			})
 		},
@@ -320,16 +246,15 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			return guard(func() (any, error) {
-				r := &dec{b: b}
-				rb := &RIMASBody{ProcName: r.str(), HoldAtDest: r.boolv(), PreCopied: r.boolv()}
-				if n := r.count(8 + 4 + 1); n > 0 {
+			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
+				rb := &RIMASBody{ProcName: r.Str(), HoldAtDest: r.Bool(), PreCopied: r.Bool()}
+				if n := r.Count(8 + 4 + 1); n > 0 {
 					rb.Runs = make([]CollapsedRun, n)
 					for i := range rb.Runs {
-						rb.Runs[i] = CollapsedRun{VA: vm.Addr(r.u64()), Pages: r.u32(), Resident: r.boolv()}
+						rb.Runs[i] = CollapsedRun{VA: vm.Addr(r.U64()), Pages: r.U32(), Resident: r.Bool()}
 					}
 				}
-				rb.Attempt = int(r.i64())
+				rb.Attempt = int(r.I64())
 				return rb, nil
 			})
 		},
@@ -357,21 +282,20 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			return guard(func() (any, error) {
-				r := &dec{b: b}
-				ab := &AckBody{ProcName: r.str()}
-				ab.CoreArrived = r.dur()
-				ab.RIMASArrived = r.dur()
-				ab.InsertDone = r.dur()
-				ab.Insert.Overall = r.dur()
-				ab.Insert.ArrivedPages = int(r.i64())
-				ab.Insert.IOURuns = int(r.i64())
-				ab.Insert.ZeroRuns = int(r.i64())
-				ab.Insert.ElidedPages = int(r.i64())
-				ab.Insert.ResumedPages = int(r.i64())
-				ab.Insert.RepairedPages = int(r.i64())
-				ab.Err = r.str()
-				ab.Attempt = int(r.i64())
+			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
+				ab := &AckBody{ProcName: r.Str()}
+				ab.CoreArrived = time.Duration(r.I64())
+				ab.RIMASArrived = time.Duration(r.I64())
+				ab.InsertDone = time.Duration(r.I64())
+				ab.Insert.Overall = time.Duration(r.I64())
+				ab.Insert.ArrivedPages = int(r.I64())
+				ab.Insert.IOURuns = int(r.I64())
+				ab.Insert.ZeroRuns = int(r.I64())
+				ab.Insert.ElidedPages = int(r.I64())
+				ab.Insert.ResumedPages = int(r.I64())
+				ab.Insert.RepairedPages = int(r.I64())
+				ab.Err = r.Str()
+				ab.Attempt = int(r.I64())
 				return ab, nil
 			})
 		},
@@ -390,9 +314,8 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			return guard(func() (any, error) {
-				r := &dec{b: b}
-				return &PreCopyBody{ProcName: r.str(), Round: int(r.i64())}, nil
+			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
+				return &PreCopyBody{ProcName: r.Str(), Round: int(r.I64())}, nil
 			})
 		},
 	})

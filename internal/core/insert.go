@@ -298,8 +298,8 @@ unfold:
 		time.Duration(len(cb.Rights))*tun.PerPortRight+
 		time.Duration(len(cb.AMap.Entries)+len(rimasMsg.Mem))*tun.InsertPerRun+
 		time.Duration(t.ArrivedPages+t.ElidedPages)*tun.InsertPerArrivedPage+
-		time.Duration(compPages)*m.DedupConfig().DecompressPerPageCPU+
-		time.Duration(verified)*m.DedupConfig().HashPerPageCPU)
+		time.Duration(compPages)*vm.DecompressPerPageCPU+
+		time.Duration(verified)*vm.HashPerPageCPU)
 
 	if err := m.Adopt(pr); err != nil {
 		return nil, t, err

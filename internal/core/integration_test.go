@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"accentmig/internal/faults"
 	"accentmig/internal/ipc"
 
 	"accentmig/internal/machine"
@@ -99,7 +100,8 @@ func TestMigrationOverLossyLink(t *testing.T) {
 	}
 	src := machine.New(k, "src", cfg)
 	dst := machine.New(k, "dst", cfg)
-	link := machine.Connect(src, dst, netlink.Config{DropProb: 0.10, DropSeed: 99})
+	link := machine.Connect(src, dst, netlink.Config{})
+	link.SetFaults(faults.NewInjector(faults.FromDropRate(0.10, 99), ""))
 	srcM := NewManager(src, DefaultTuning())
 	dstM := NewManager(dst, DefaultTuning())
 	src.Net.AddRoute(dstM.Port.ID, "dst")

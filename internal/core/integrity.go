@@ -24,10 +24,10 @@ import (
 // snapshot — which shares them — stays pristine). The checksums are
 // the attachments' page names: the ones the manifest already computed
 // when it ran (elision carries them over), hashed here otherwise. The
-// sweep is charged one HashPerPageCPU per page either way; indexing the
-// shipped bytes is what lets the destination's repair read find them
-// here later.
-func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context, d vm.DedupConfig) {
+// sweep is charged one vm.HashPerPageCPU per page either way; indexing
+// the shipped bytes is what lets the destination's repair read find
+// them here later.
+func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context) {
 	ps := mgr.M.PageSize()
 	mem := make([]*ipc.MemAttachment, len(ctx.RIMAS.Mem))
 	copy(mem, ctx.RIMAS.Mem)
@@ -53,5 +53,5 @@ func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context, d vm.DedupConfig) 
 		return
 	}
 	ctx.RIMAS.Mem = mem
-	mgr.M.CPU.UseHigh(p, time.Duration(pages)*d.HashPerPageCPU)
+	mgr.M.CPU.UseHigh(p, time.Duration(pages)*vm.HashPerPageCPU)
 }

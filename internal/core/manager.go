@@ -215,7 +215,7 @@ func (mgr *Manager) handleManifest(p *sim.Proc, mb *ManifestBody, m *ipc.Message
 	// Classification work: each page costs one hash lookup (the index
 	// and the delivery ledger both verify hits by re-hashing).
 	if d := mgr.M.DedupConfig(); d.ManifestActive() && total > 0 {
-		mgr.M.CPU.UseHigh(p, time.Duration(total)*d.HashPerPageCPU)
+		mgr.M.CPU.UseHigh(p, time.Duration(total)*vm.HashPerPageCPU)
 	}
 	rcp, ack := classifyManifest(mb, mgr.M.Index, mgr.M.Ledger, mgr.M.PageSize())
 	// A manifest of an older, abandoned attempt must not clobber the
@@ -457,8 +457,8 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 			return nil, fail(err)
 		}
 	}
-	if d := mgr.M.DedupConfig(); d.Integrity {
-		mgr.stampIntegrity(p, ctx, d)
+	if mgr.M.DedupConfig().Integrity {
+		mgr.stampIntegrity(p, ctx)
 	}
 	ctx.RIMAS.To = destPort
 	ctx.RIMAS.ReplyTo = reply.ID
@@ -519,6 +519,42 @@ func (mgr *Manager) adoptedReport(p *sim.Proc, procName string, ctx *Context, ac
 // succeeded. An OpSendFailed nack from the transport becomes
 // ErrPeerDead.
 func (mgr *Manager) awaitAck(p *sim.Proc, reply *ipc.Port, wantOp, attempt int, timeout time.Duration, procName, phase string) (ack *AckBody, adopted bool, err error) {
+	err = mgr.awaitReply(p, reply, timeout, func(m *ipc.Message) (bool, error) {
+		if _, stale := m.Body.(*ManifestAckBody); stale {
+			return false, nil // manifest ack limping in from an abandoned attempt
+		}
+		ab, ok := m.Body.(*AckBody)
+		if !ok {
+			return false, fmt.Errorf("core: malformed migration ack for %q: op %#x body %T",
+				procName, m.Op, m.Body)
+		}
+		if ab.Attempt != attempt {
+			if m.Op == OpMigrateAck && ab.Err == "" {
+				ack, adopted = ab, true
+				return true, nil
+			}
+			return false, nil // stale ack of an abandoned attempt
+		}
+		if m.Op != wantOp {
+			return false, nil // duplicate of an already-consumed ack
+		}
+		ack = ab
+		return true, nil
+	}, func(cause error, reason string) error {
+		if cause == ErrPeerDead {
+			return fmt.Errorf("%w: %q in %s (attempt %d): %s", cause, procName, phase, attempt, reason)
+		}
+		return fmt.Errorf("%w: %q awaiting ack in %s (attempt %d)", cause, procName, phase, attempt)
+	})
+	return ack, adopted, err
+}
+
+// awaitReply receives messages on reply until take accepts one (or
+// fails), bounded by the per-phase timeout (non-positive waits
+// forever). A timeout returns fail(ErrPhaseTimeout, ""), and an
+// OpSendFailed nack from the transport fail(ErrPeerDead, reason): fail
+// formats the caller's error text, and only on those paths.
+func (mgr *Manager) awaitReply(p *sim.Proc, reply *ipc.Port, timeout time.Duration, take func(*ipc.Message) (bool, error), fail func(cause error, reason string) error) error {
 	deadline := p.Now() + timeout
 	for {
 		var m *ipc.Message
@@ -527,14 +563,11 @@ func (mgr *Manager) awaitAck(p *sim.Proc, reply *ipc.Port, wantOp, attempt int, 
 		} else {
 			remain := deadline - p.Now()
 			if remain <= 0 {
-				return nil, false, fmt.Errorf("%w: %q awaiting ack in %s (attempt %d)",
-					ErrPhaseTimeout, procName, phase, attempt)
+				return fail(ErrPhaseTimeout, "")
 			}
 			var got bool
-			m, got = mgr.M.IPC.ReceiveTimeout(p, reply, remain)
-			if !got {
-				return nil, false, fmt.Errorf("%w: %q awaiting ack in %s (attempt %d)",
-					ErrPhaseTimeout, procName, phase, attempt)
+			if m, got = mgr.M.IPC.ReceiveTimeout(p, reply, remain); !got {
+				return fail(ErrPhaseTimeout, "")
 			}
 		}
 		if m.Op == ipc.OpSendFailed {
@@ -542,27 +575,11 @@ func (mgr *Manager) awaitAck(p *sim.Proc, reply *ipc.Port, wantOp, attempt int, 
 			if sf, ok := m.Body.(*ipc.SendFailure); ok {
 				reason = sf.Reason
 			}
-			return nil, false, fmt.Errorf("%w: %q in %s (attempt %d): %s",
-				ErrPeerDead, procName, phase, attempt, reason)
+			return fail(ErrPeerDead, reason)
 		}
-		if _, stale := m.Body.(*ManifestAckBody); stale {
-			continue // manifest ack limping in from an abandoned attempt
+		if done, err := take(m); done || err != nil {
+			return err
 		}
-		ab, ok := m.Body.(*AckBody)
-		if !ok {
-			return nil, false, fmt.Errorf("core: malformed migration ack for %q: op %#x body %T",
-				procName, m.Op, m.Body)
-		}
-		if ab.Attempt != attempt {
-			if m.Op == OpMigrateAck && ab.Err == "" {
-				return ab, true, nil
-			}
-			continue // stale ack of an abandoned attempt
-		}
-		if m.Op != wantOp {
-			continue // duplicate of an already-consumed ack
-		}
-		return ab, false, nil
 	}
 }
 
@@ -579,7 +596,7 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 		return nil
 	}
 	// Hashing sweeps the collapsed pages once, at manifest build.
-	mgr.M.CPU.UseHigh(p, time.Duration(pages)*d.HashPerPageCPU)
+	mgr.M.CPU.UseHigh(p, time.Duration(pages)*vm.HashPerPageCPU)
 	if err := mgr.M.IPC.Send(p, &ipc.Message{
 		Op:        OpManifest,
 		To:        destPort,
@@ -617,7 +634,7 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 				mem[i] = &cp
 			}
 			np := compressAttachment(mem[i], ps)
-			mgr.M.CPU.UseHigh(p, time.Duration(np)*d.CompressPerPageCPU)
+			mgr.M.CPU.UseHigh(p, time.Duration(np)*vm.CompressPerPageCPU)
 		}
 	}
 	ctx.RIMAS.Mem = mem
@@ -631,39 +648,21 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 
 // awaitManifestAck waits for the manifest answer of the current
 // attempt, bounded by the per-phase timeout.
-func (mgr *Manager) awaitManifestAck(p *sim.Proc, reply *ipc.Port, attempt int, timeout time.Duration, procName string) (*ManifestAckBody, error) {
-	deadline := p.Now() + timeout
-	for {
-		var m *ipc.Message
-		if timeout <= 0 {
-			m = mgr.M.IPC.Receive(p, reply)
-		} else {
-			remain := deadline - p.Now()
-			if remain <= 0 {
-				return nil, fmt.Errorf("%w: %q awaiting manifest ack (attempt %d)",
-					ErrPhaseTimeout, procName, attempt)
-			}
-			var got bool
-			m, got = mgr.M.IPC.ReceiveTimeout(p, reply, remain)
-			if !got {
-				return nil, fmt.Errorf("%w: %q awaiting manifest ack (attempt %d)",
-					ErrPhaseTimeout, procName, attempt)
-			}
-		}
-		if m.Op == ipc.OpSendFailed {
-			reason := "unknown"
-			if sf, ok := m.Body.(*ipc.SendFailure); ok {
-				reason = sf.Reason
-			}
-			return nil, fmt.Errorf("%w: %q awaiting manifest ack (attempt %d): %s",
-				ErrPeerDead, procName, attempt, reason)
-		}
+func (mgr *Manager) awaitManifestAck(p *sim.Proc, reply *ipc.Port, attempt int, timeout time.Duration, procName string) (ack *ManifestAckBody, err error) {
+	err = mgr.awaitReply(p, reply, timeout, func(m *ipc.Message) (bool, error) {
 		ab, ok := m.Body.(*ManifestAckBody)
 		if !ok || ab.Attempt != attempt {
-			continue // stale ack of an earlier attempt or phase
+			return false, nil // stale ack of an earlier attempt or phase
 		}
-		return ab, nil
-	}
+		ack = ab
+		return true, nil
+	}, func(cause error, reason string) error {
+		if cause == ErrPeerDead {
+			return fmt.Errorf("%w: %q awaiting manifest ack (attempt %d): %s", cause, procName, attempt, reason)
+		}
+		return fmt.Errorf("%w: %q awaiting manifest ack (attempt %d)", cause, procName, attempt)
+	})
+	return ack, err
 }
 
 // rollback reinstates an excised process on the source machine from

@@ -283,18 +283,17 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			return guard(func() (any, error) {
-				r := &dec{b: b}
-				mb := &ManifestBody{ProcName: r.str(), Attempt: int(r.i64())}
-				if n := r.count(1 + 4); n > 0 {
+			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
+				mb := &ManifestBody{ProcName: r.Str(), Attempt: int(r.I64())}
+				if n := r.Count(1 + 4); n > 0 {
 					mb.Atts = make([]ManifestAtt, n)
 					for i := range mb.Atts {
 						a := &mb.Atts[i]
-						a.WillShip = r.boolv()
-						if np := r.count(8); np > 0 {
+						a.WillShip = r.Bool()
+						if np := r.Count(8); np > 0 {
 							a.Hashes = make([]uint64, np)
 							for j := range a.Hashes {
-								a.Hashes[j] = r.u64()
+								a.Hashes[j] = r.U64()
 							}
 						}
 					}
@@ -319,13 +318,12 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			return guard(func() (any, error) {
-				r := &dec{b: b}
-				ab := &ManifestAckBody{ProcName: r.str(), Attempt: int(r.i64())}
-				if n := r.count(4); n > 0 {
+			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
+				ab := &ManifestAckBody{ProcName: r.Str(), Attempt: int(r.I64())}
+				if n := r.Count(4); n > 0 {
 					ab.Needed = make([][]byte, n)
 					for i := range ab.Needed {
-						if bm := r.bytes(); len(bm) > 0 {
+						if bm := r.Bytes(); len(bm) > 0 {
 							ab.Needed[i] = bm
 						}
 					}

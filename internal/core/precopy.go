@@ -32,25 +32,15 @@ type PreCopyBody struct {
 	Round    int
 }
 
-// PreCopyOptions tune the iterative transfer.
-type PreCopyOptions struct {
-	// MaxRounds bounds the iterations before the process is stopped
-	// regardless of dirtying rate (default 4).
-	MaxRounds int
-	// StopThresholdPages stops iterating early once a round would
-	// resend at most this many pages (default 8).
-	StopThresholdPages int
-}
-
-func (o PreCopyOptions) withDefaults() PreCopyOptions {
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 4
-	}
-	if o.StopThresholdPages == 0 {
-		o.StopThresholdPages = 8
-	}
-	return o
-}
+// The iterative transfer's stop rule.
+const (
+	// preCopyMaxRounds bounds the iterations before the process is
+	// stopped regardless of dirtying rate.
+	preCopyMaxRounds = 4
+	// preCopyStopPages stops iterating early once a round would resend
+	// at most this many pages.
+	preCopyStopPages = 8
+)
 
 // PreCopyReport accounts one pre-copy migration.
 type PreCopyReport struct {
@@ -131,8 +121,7 @@ func (mgr *Manager) stageRound(p *sim.Proc, procName string, destPort ipc.PortID
 // PreCopyTo migrates procName to the manager at destPort using
 // iterative pre-copy. The process keeps running during the copy rounds;
 // writes race the transfer and are caught by page versioning.
-func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID, opts PreCopyOptions) (*PreCopyReport, error) {
-	opts = opts.withDefaults()
+func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID) (*PreCopyReport, error) {
 	pr, ok := mgr.M.Process(procName)
 	if !ok {
 		return nil, fmt.Errorf("core: no process %q on %s", procName, mgr.M.Name)
@@ -141,9 +130,9 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID,
 	rep := &PreCopyReport{}
 	sent := make(map[vm.Addr]uint64)
 
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < preCopyMaxRounds; round++ {
 		stale := collectStale(pr, sent)
-		if round > 0 && len(stale) <= opts.StopThresholdPages {
+		if round > 0 && len(stale) <= preCopyStopPages {
 			break
 		}
 		if len(stale) == 0 {

@@ -48,7 +48,7 @@ func TestPreCopyMigration(t *testing.T) {
 	var err error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		p.Sleep(time.Second) // let it run and dirty some pages
-		rep, err = tb.srcM.PreCopyTo(p, "writer", tb.dstM.Port.ID, PreCopyOptions{})
+		rep, err = tb.srcM.PreCopyTo(p, "writer", tb.dstM.Port.ID)
 	})
 	tb.k.Run()
 	if err != nil {
@@ -113,7 +113,7 @@ func TestPreCopyDataIntegrityUnderWrites(t *testing.T) {
 
 	tb.k.Go("driver", func(p *sim.Proc) {
 		p.Sleep(500 * time.Millisecond)
-		if _, err := tb.srcM.PreCopyTo(p, "writer", tb.dstM.Port.ID, PreCopyOptions{}); err != nil {
+		if _, err := tb.srcM.PreCopyTo(p, "writer", tb.dstM.Port.ID); err != nil {
 			t.Errorf("PreCopyTo: %v", err)
 			return
 		}
@@ -168,7 +168,7 @@ func TestPreCopyDowntimeBeatsPureCopy(t *testing.T) {
 		tb.k.Go("driver", func(p *sim.Proc) {
 			p.Sleep(time.Second)
 			if pre {
-				rep, err := tb.srcM.PreCopyTo(p, "job", tb.dstM.Port.ID, PreCopyOptions{})
+				rep, err := tb.srcM.PreCopyTo(p, "job", tb.dstM.Port.ID)
 				if err != nil {
 					t.Error(err)
 					return
@@ -218,7 +218,7 @@ func TestPreCopyOnFinishedProcess(t *testing.T) {
 	var err error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		p.Sleep(time.Minute) // long after the program ends
-		rep, err = tb.srcM.PreCopyTo(p, "quick", tb.dstM.Port.ID, PreCopyOptions{})
+		rep, err = tb.srcM.PreCopyTo(p, "quick", tb.dstM.Port.ID)
 	})
 	tb.k.Run()
 	if err != nil {

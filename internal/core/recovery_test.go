@@ -46,7 +46,8 @@ func TestDegradeLadder(t *testing.T) {
 // process must be rolled back onto the source — memory intact — and
 // resume execution there as if migration had never been tried.
 func TestAbortRollsBackAndResumesLocally(t *testing.T) {
-	tb := newFaultTestbed(t, netlink.Config{DropProb: 1.0, DropSeed: 5}, machine.Config{})
+	tb := newFaultTestbed(t, netlink.Config{}, machine.Config{})
+	tb.link.SetFaults(faults.NewInjector(faults.FromDropRate(1.0, 5), ""))
 	pr := tb.makeProc(t, "job", 16, 4, 6)
 	tb.src.Start(pr)
 	var rep *Report

@@ -207,7 +207,7 @@ func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 	for i := 0; i < 3; i++ {
 		m := machine.New(k, fmt.Sprintf("m%d", i), cfg.Machine)
 		ms = append(ms, m)
-		mgrs = append(mgrs, core.NewManager(m, cfg.tuning()))
+		mgrs = append(mgrs, core.NewManager(m, core.DefaultTuning()))
 	}
 	for i := 0; i < 3; i++ {
 		for j := i + 1; j < 3; j++ {

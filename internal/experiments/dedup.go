@@ -183,7 +183,7 @@ func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 	mgrs := make([]*core.Manager, len(ms))
 	recs := make([]*metrics.Recorder, len(ms))
 	for i, m := range ms {
-		mgrs[i] = core.NewManager(m, cfg.tuning())
+		mgrs[i] = core.NewManager(m, core.DefaultTuning())
 	}
 	for i, m := range ms {
 		recs[i] = metrics.NewRecorder(time.Second)

@@ -113,11 +113,12 @@ func (e *Engine) CachedCells() int {
 }
 
 // fingerprint hashes everything about a Config that can influence a
-// trial's outcome: the machine and link cost models, the tuning
-// constants, and the process-wide base seed perturbing the workload
-// reference traces. The Sink is deliberately excluded — it observes a
-// trial without affecting it — and sink-carrying configs skip the cache
-// anyway. The fingerprint also keys the persistent disk cache, so it
+// trial's outcome: the machine and link configs, the migration tuning
+// (core.DefaultTuning), and the process-wide base seed perturbing the
+// workload reference traces. The calibration constants are not config
+// values, so a change to one must bump memoEpoch instead. The Sink is
+// deliberately excluded — it observes a trial without affecting it —
+// and sink-carrying configs skip the cache anyway. The fingerprint also keys the persistent disk cache, so it
 // must be stable across processes: every nested config struct is a
 // plain value type (no pointers, maps, or funcs), which makes the %#v
 // rendering a canonical form for a fixed Go version — and the disk
@@ -126,7 +127,7 @@ func (e *Engine) CachedCells() int {
 // hence the fingerprint) can never revive a stale entry.
 func (c Config) fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v|%#v|%#v|%d", c.Machine, c.Link, c.tuning(), xrand.BaseSeed())
+	fmt.Fprintf(h, "%#v|%#v|%#v|%d", c.Machine, c.Link, core.DefaultTuning(), xrand.BaseSeed())
 	if c.Faults != nil {
 		fmt.Fprintf(h, "|%#v", *c.Faults)
 	}

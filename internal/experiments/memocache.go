@@ -19,9 +19,11 @@ import (
 // whenever the entry body (the gob encoding of the result value itself:
 // TrialResult, HoldResult, ResilienceOutcome, ShardStressResult and
 // everything they embed) or the simulation's observable semantics
-// change in a way the config fingerprint cannot see; old entries become
-// unreachable (they live in a differently named subdirectory) and are
-// eventually pruned.
+// change in a way the config fingerprint cannot see — a changed
+// calibration constant (DESIGN.md §3 tables them; netmsg's fragCPU or
+// vm.HashPerPageCPU, say) is one, since constants are not config
+// fields; old entries become unreachable (they live in a differently
+// named subdirectory) and are eventually pruned.
 const memoEpoch = 3
 
 // memoMagic heads every cache entry so a torn or foreign file is

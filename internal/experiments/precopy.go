@@ -81,7 +81,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 	var runErr error
 	tb.K.Go("driver", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		rep, runErr = tb.SrcMgr.PreCopyTo(p, "writer", tb.DstMgr.Port.ID, core.PreCopyOptions{})
+		rep, runErr = tb.SrcMgr.PreCopyTo(p, "writer", tb.DstMgr.Port.ID)
 	})
 	tb.K.RunUntil(30 * time.Minute)
 	if runErr != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -49,6 +50,13 @@ const (
 	ssServeFetchCPU = 200 * time.Microsecond
 	ssFetchReply    = ssHdrBytes + ssPage
 
+	// ssInflightCap bounds concurrent inbound migrations per machine;
+	// offers beyond it are rejected.
+	ssInflightCap = 2
+	// ssFetches is the number of residual page fetches a migrated
+	// process performs against its source's backer before resuming.
+	ssFetches = 8
+
 	// ssGrace keeps control daemons and backers serving after the
 	// migration horizon so every in-flight transfer and residual fetch
 	// drains; it is far beyond any plausible tail, and the invariant
@@ -82,12 +90,6 @@ type ShardStressOptions struct {
 	// ProcOps is the number of compute/IO ops per process program
 	// (default 120).
 	ProcOps int
-	// InflightCap bounds concurrent inbound migrations per machine;
-	// offers beyond it are rejected (default 2).
-	InflightCap int
-	// Fetches is the number of residual page fetches a migrated process
-	// performs against its source's backer before resuming (default 8).
-	Fetches int
 	// Seed perturbs every per-machine decision stream (default 1987).
 	Seed uint64
 }
@@ -104,12 +106,6 @@ func (o ShardStressOptions) withDefaults() ShardStressOptions {
 	}
 	if o.ProcOps == 0 {
 		o.ProcOps = 120
-	}
-	if o.InflightCap == 0 {
-		o.InflightCap = 2
-	}
-	if o.Fetches == 0 {
-		o.Fetches = 8
 	}
 	if o.Seed == 0 {
 		o.Seed = 1987
@@ -355,7 +351,7 @@ func (n *ssNode) handle(p *sim.Proc, s *ssState, msg ssMsg) {
 	switch msg.kind {
 	case ssOffer:
 		from := s.nodes[msg.src]
-		if p.Now() >= s.span || n.inflightIn >= s.opts.InflightCap {
+		if p.Now() >= s.span || n.inflightIn >= ssInflightCap {
 			n.rejects++
 			n.sendCtrl(p, from, ssMsg{kind: ssReject, src: n.idx, mig: msg.mig})
 			return
@@ -463,7 +459,7 @@ func (n *ssNode) insert(p *sim.Proc, s *ssState, mig *ssMig) {
 	n.m.K.Go(mig.name+".warm", func(wp *sim.Proc) {
 		replyQ := sim.NewQueue[int](n.m.K)
 		var stall time.Duration
-		for i := 0; i < s.opts.Fetches; i++ {
+		for i := 0; i < ssFetches; i++ {
 			t0 := wp.Now()
 			f := &ssFetch{from: n.idx, reply: replyQ}
 			backq := src.backq
@@ -684,8 +680,10 @@ func ssQuantile(sorted []time.Duration, q float64) time.Duration {
 // ShardStress runs the experiment behind `migsim -exp shardstress`: the
 // deterministic scenario table at two cluster scales (memoized through
 // the engine), followed by a live sequential-vs-sharded comparison at
-// the base scale that verifies byte-identity and reports the host-side
-// throughput figures.
+// the base scale that verifies byte-identity and reports each kernel's
+// event count and the sharded run's windows and cross-lane events. Its
+// output depends on its arguments alone: host timings are the
+// benchmark's to measure (bench/, workload cluster-32).
 func ShardStress(e *Engine, shards int) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Shard-stress: many-machine migration load (lookahead %v, arrivals + concurrent migrations)\n\n", ssLinkCfg.Latency)
@@ -712,40 +710,14 @@ func ShardStress(e *Engine, shards int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	identical := shardResultsEqual(seqRes, shRes)
-	fmt.Fprintf(&b, "\nExecution modes at %d machines (host-measured, varies run to run):\n", seqRes.Machines)
-	fmt.Fprintf(&b, "  sequential kernel: %8.0f events/s (%d events, wall %v)\n",
-		seqPerf.EventsPerSec, seqPerf.Events, seqPerf.Wall.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  %d-worker lanes:    %8.0f events/s (%d events, wall %v, %d windows, %d cross events, barrier stall %.1f%%)\n",
-		shPerf.Workers, shPerf.EventsPerSec, shPerf.Events, shPerf.Wall.Round(time.Millisecond),
-		shPerf.Windows, shPerf.CrossEvents, shPerf.StallPct)
+	identical := reflect.DeepEqual(seqRes, shRes)
+	fmt.Fprintf(&b, "\nExecution modes at %d machines:\n", seqRes.Machines)
+	fmt.Fprintf(&b, "  sequential kernel: %d events\n", seqPerf.Events)
+	fmt.Fprintf(&b, "  %d-worker lanes:    %d events, %d windows, %d cross events\n",
+		shPerf.Workers, shPerf.Events, shPerf.Windows, shPerf.CrossEvents)
 	fmt.Fprintf(&b, "  sharded result byte-identical to sequential: %v\n", identical)
 	if !identical {
 		return "", fmt.Errorf("shardstress: sharded result diverges from sequential kernel")
 	}
 	return b.String(), nil
-}
-
-// shardResultsEqual compares the deterministic surface of two runs.
-func shardResultsEqual(a, b *ShardStressResult) bool {
-	if a.Machines != b.Machines || a.Spawned != b.Spawned || a.Finished != b.Finished ||
-		a.Offers != b.Offers || a.Accepted != b.Accepted || a.Rejected != b.Rejected ||
-		a.Cancelled != b.Cancelled || a.Completed != b.Completed ||
-		a.BytesOnWire != b.BytesOnWire || a.Frames != b.Frames ||
-		a.DownP50 != b.DownP50 || a.DownP99 != b.DownP99 || a.DownMax != b.DownMax ||
-		a.MigP50 != b.MigP50 || a.MigP99 != b.MigP99 || a.FetchStallMean != b.FetchStallMean ||
-		len(a.PerMachine) != len(b.PerMachine) || len(a.Migrations) != len(b.Migrations) {
-		return false
-	}
-	for i := range a.PerMachine {
-		if a.PerMachine[i] != b.PerMachine[i] {
-			return false
-		}
-	}
-	for i := range a.Migrations {
-		if a.Migrations[i] != b.Migrations[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -159,7 +159,7 @@ func TestShardStressReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"machines", "byte-identical to sequential: true", "barrier stall"} {
+	for _, want := range []string{"machines", "byte-identical to sequential: true", "cross events"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

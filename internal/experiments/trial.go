@@ -26,11 +26,10 @@ import (
 type Config struct {
 	Machine machine.Config
 	Link    netlink.Config
-	Tuning  *core.Tuning // nil selects core.DefaultTuning
 
 	// Faults, when non-nil, is the failure scenario for every testbed
-	// built from this config: its drop schedule replaces the link's
-	// DropProb shorthand and its crashes are armed on the kernel.
+	// built from this config: its drop schedule becomes the link's
+	// failure model and its crashes are armed on the kernel.
 	Faults *faults.Plan
 
 	// Recovery, when non-nil, sets the source manager's retry policy
@@ -42,13 +41,6 @@ type Config struct {
 	// Sink, when non-nil, receives the flight-recorder event stream of
 	// every kernel built from this config.
 	Sink obs.Sink
-}
-
-func (c Config) tuning() core.Tuning {
-	if c.Tuning != nil {
-		return *c.Tuning
-	}
-	return core.DefaultTuning()
 }
 
 // applyRecovery folds the config's retry policy into migration options.
@@ -95,8 +87,8 @@ func NewTestbed(cfg Config) *Testbed {
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 	link.SetRecorder(rec)
-	srcMgr := core.NewManager(src, cfg.tuning())
-	dstMgr := core.NewManager(dst, cfg.tuning())
+	srcMgr := core.NewManager(src, core.DefaultTuning())
+	dstMgr := core.NewManager(dst, core.DefaultTuning())
 	src.Net.AddRoute(dstMgr.Port.ID, "dst")
 	dst.Net.AddRoute(srcMgr.Port.ID, "src")
 	// Integrity repair re-fetches corrupt pages by hash through the

@@ -67,7 +67,7 @@ func TestStatsCountsAllOperations(t *testing.T) {
 func TestReceiveChargesCPU(t *testing.T) {
 	k := sim.New()
 	cpu := sim.NewResource(k, "cpu", 1)
-	s := NewSystem(k, "m0", cpu, Config{})
+	s := NewSystem(k, "m0", cpu, vm.DefaultPageSize, Config{})
 	port := s.AllocPort("svc")
 	var sendBusy, totalBusy time.Duration
 	k.Go("tx", func(p *sim.Proc) {
@@ -87,7 +87,7 @@ func TestReceiveChargesCPU(t *testing.T) {
 func TestCopyThresholdBoundary(t *testing.T) {
 	k := sim.New()
 	cpu := sim.NewResource(k, "cpu", 1)
-	s := NewSystem(k, "m0", cpu, Config{CopyThreshold: 1000})
+	s := NewSystem(k, "m0", cpu, vm.DefaultPageSize, Config{CopyThreshold: 1000})
 	at, _ := s.transferCPU(&Message{BodyBytes: 1000})
 	over, copied := s.transferCPU(&Message{BodyBytes: 1001})
 	if copied {

@@ -279,39 +279,61 @@ func (m *Message) WireBytes() int {
 	return n
 }
 
-// Config sets the IPC cost model. Zero values select defaults
-// calibrated for the Perq-era testbed.
+// PageSpans walks the layout WireBytes prices and calls fn with the
+// byte span [lo, hi) of each payload page, its image header plus its
+// image, in order. It returns the layout's end offset, which is
+// WireBytes. The pages of a compressed attachment have no spans of
+// their own and are skipped.
+func (m *Message) PageSpans(pageSize int, fn func(lo, hi int, page []byte)) int {
+	off := msgHeaderBytes + m.BodyBytes
+	for _, a := range m.Mem {
+		switch a.Kind {
+		case AttachData:
+			off += dataDescBytes + len(a.Sums)*pageSumBytes
+			if a.CompBytes > 0 {
+				off += a.PageCount()*pageImageHeader + a.CompBytes
+				continue
+			}
+			for _, run := range a.Runs {
+				for i := 0; i < run.Count; i++ {
+					pg := run.Page(i, pageSize)
+					lo := off
+					off += pageImageHeader + len(pg)
+					fn(lo, off, pg)
+				}
+			}
+		case AttachIOU:
+			off += iouDescBytes
+		}
+	}
+	return off
+}
+
+// The kernel's message-handling costs, calibrated for the Perq-era
+// testbed (DESIGN.md §3).
+const (
+	// perMsgCPU is the fixed kernel cost of queueing or dequeueing one
+	// message.
+	perMsgCPU = 2 * time.Millisecond
+	// copyPerByte is the cost of physically copying payload (≈0.7 MB/s
+	// Perq memcpy).
+	copyPerByte = 1500 * time.Nanosecond
+	// mapPerPage is the cost of map-in/map-out per page for large
+	// messages transferred by COW mapping.
+	mapPerPage = 20 * time.Microsecond
+)
+
+// Config sets the IPC copy-or-map policy. The zero value selects the
+// calibrated default.
 type Config struct {
 	// CopyThreshold: messages at or below this many payload bytes are
 	// physically copied; larger ones are memory-mapped copy-on-write.
 	CopyThreshold int
-	// PerMsgCPU is the fixed kernel cost of queueing or dequeueing one
-	// message.
-	PerMsgCPU time.Duration
-	// CopyPerByte is the cost of physically copying payload.
-	CopyPerByte time.Duration
-	// MapPerPage is the cost of map-in/map-out per page for large
-	// messages transferred by COW mapping.
-	MapPerPage time.Duration
-	// PageSize is used to count pages for MapPerPage.
-	PageSize int
 }
 
 func (c Config) withDefaults() Config {
 	if c.CopyThreshold == 0 {
 		c.CopyThreshold = 4096
-	}
-	if c.PerMsgCPU == 0 {
-		c.PerMsgCPU = 2 * time.Millisecond
-	}
-	if c.CopyPerByte == 0 {
-		c.CopyPerByte = 1500 * time.Nanosecond // ≈0.7 MB/s Perq memcpy
-	}
-	if c.MapPerPage == 0 {
-		c.MapPerPage = 20 * time.Microsecond
-	}
-	if c.PageSize == 0 {
-		c.PageSize = vm.DefaultPageSize
 	}
 	return c
 }
@@ -323,12 +345,13 @@ type Router func(m *Message) bool
 
 // System is one machine's IPC facility.
 type System struct {
-	k      *sim.Kernel
-	cpu    *sim.Resource
-	cfg    Config
-	name   string
-	ports  map[PortID]*Port
-	router Router
+	k        *sim.Kernel
+	cpu      *sim.Resource
+	cfg      Config
+	pageSize int
+	name     string
+	ports    map[PortID]*Port
+	router   Router
 
 	sends    uint64
 	receives uint64
@@ -337,16 +360,21 @@ type System struct {
 }
 
 // NewSystem returns the IPC system for one machine. cpu is the
-// machine's CPU: all IPC handling work contends for it.
-func NewSystem(k *sim.Kernel, name string, cpu *sim.Resource, cfg Config) *System {
+// machine's CPU: all IPC handling work contends for it. pageSize is the
+// machine's page size, the unit of mapped transfers.
+func NewSystem(k *sim.Kernel, name string, cpu *sim.Resource, pageSize int, cfg Config) *System {
 	return &System{
-		k:     k,
-		cpu:   cpu,
-		cfg:   cfg.withDefaults(),
-		name:  name,
-		ports: make(map[PortID]*Port),
+		k:        k,
+		cpu:      cpu,
+		cfg:      cfg.withDefaults(),
+		pageSize: pageSize,
+		name:     name,
+		ports:    make(map[PortID]*Port),
 	}
 }
+
+// PageSize reports the machine's page size.
+func (s *System) PageSize() int { return s.pageSize }
 
 // AllocPort creates a new port owned by this machine.
 func (s *System) AllocPort(name string) *Port {
@@ -406,10 +434,10 @@ func (s *System) transferCPU(m *Message) (time.Duration, bool) {
 		}
 	}
 	if payload <= s.cfg.CopyThreshold {
-		return time.Duration(payload) * s.cfg.CopyPerByte, true
+		return time.Duration(payload) * copyPerByte, true
 	}
-	pages := (payload + s.cfg.PageSize - 1) / s.cfg.PageSize
-	return time.Duration(pages) * s.cfg.MapPerPage, false
+	pages := (payload + s.pageSize - 1) / s.pageSize
+	return time.Duration(pages) * mapPerPage, false
 }
 
 // SetRouter installs the network-forwarding hook consulted when a
@@ -442,8 +470,8 @@ func (s *System) emitMsg(kind obs.Kind, p *sim.Proc, m *Message, cost time.Durat
 // router or no route the send fails with ErrDeadPort.
 func (s *System) Send(p *sim.Proc, m *Message) error {
 	xfer, copied := s.transferCPU(m)
-	s.cpu.UseHigh(p, s.cfg.PerMsgCPU+xfer)
-	s.emitMsg(obs.MsgSend, p, m, s.cfg.PerMsgCPU+xfer)
+	s.cpu.UseHigh(p, perMsgCPU+xfer)
+	s.emitMsg(obs.MsgSend, p, m, perMsgCPU+xfer)
 	dst, ok := s.ports[m.To]
 	if !ok || dst.dead {
 		if s.router != nil && s.router(m) {
@@ -472,8 +500,8 @@ func (s *System) Send(p *sim.Proc, m *Message) error {
 func (s *System) Receive(p *sim.Proc, port *Port) *Message {
 	m := port.queue.Pop(p)
 	xfer, _ := s.transferCPU(m)
-	s.cpu.UseHigh(p, s.cfg.PerMsgCPU+xfer)
-	s.emitMsg(obs.MsgRecv, p, m, s.cfg.PerMsgCPU+xfer)
+	s.cpu.UseHigh(p, perMsgCPU+xfer)
+	s.emitMsg(obs.MsgRecv, p, m, perMsgCPU+xfer)
 	s.receives++
 	return m
 }
@@ -486,8 +514,8 @@ func (s *System) ReceiveTimeout(p *sim.Proc, port *Port, d time.Duration) (*Mess
 		return nil, false
 	}
 	xfer, _ := s.transferCPU(m)
-	s.cpu.UseHigh(p, s.cfg.PerMsgCPU+xfer)
-	s.emitMsg(obs.MsgRecv, p, m, s.cfg.PerMsgCPU+xfer)
+	s.cpu.UseHigh(p, perMsgCPU+xfer)
+	s.emitMsg(obs.MsgRecv, p, m, perMsgCPU+xfer)
 	s.receives++
 	return m, true
 }

@@ -11,7 +11,7 @@ import (
 
 func newSys(k *sim.Kernel) *System {
 	cpu := sim.NewResource(k, "cpu", 1)
-	return NewSystem(k, "m0", cpu, Config{})
+	return NewSystem(k, "m0", cpu, vm.DefaultPageSize, Config{})
 }
 
 func TestSendReceive(t *testing.T) {
@@ -79,7 +79,7 @@ func TestMappedTransferCheaperThanCopy(t *testing.T) {
 	if copied {
 		t.Fatal("large message took the copy path")
 	}
-	copyCost := time.Duration(bytes) * s.cfg.CopyPerByte
+	copyCost := time.Duration(bytes) * copyPerByte
 	if mapped*5 > copyCost {
 		t.Errorf("map cost %v not clearly below copy cost %v", mapped, copyCost)
 	}
@@ -186,7 +186,7 @@ func TestAdoptPort(t *testing.T) {
 func TestSendChargesCPU(t *testing.T) {
 	k := sim.New()
 	cpu := sim.NewResource(k, "cpu", 1)
-	s := NewSystem(k, "m0", cpu, Config{})
+	s := NewSystem(k, "m0", cpu, vm.DefaultPageSize, Config{})
 	port := s.AllocPort("svc")
 	k.Go("client", func(p *sim.Proc) {
 		s.Send(p, &Message{To: port.ID, BodyBytes: 1000})
@@ -199,10 +199,7 @@ func TestSendChargesCPU(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.CopyThreshold == 0 || c.PerMsgCPU == 0 || c.CopyPerByte == 0 || c.MapPerPage == 0 {
+	if c.CopyThreshold == 0 {
 		t.Errorf("defaults missing: %+v", c)
-	}
-	if c.PageSize != vm.DefaultPageSize {
-		t.Errorf("PageSize = %d", c.PageSize)
 	}
 }

@@ -105,3 +105,44 @@ func TestPageRunAccessors(t *testing.T) {
 		t.Errorf("RunDataBytes = %d, want %d", got, len(data))
 	}
 }
+
+// TestPageSpansWalkTheWireLayout: over a message mixing data
+// attachments (one with a short last page, one with Sums), an IOU and
+// a compressed attachment, PageSpans reports increasing, disjoint
+// spans, each one page header plus its image long, for exactly the
+// uncompressed pages, and ends at WireBytes.
+func TestPageSpansWalkTheWireLayout(t *testing.T) {
+	ps := vm.DefaultPageSize
+	short := make([]byte, 2*ps+100)
+	for i := range short {
+		short[i] = byte(i)
+	}
+	m := &Message{BodyBytes: 40, Mem: []*MemAttachment{
+		{Kind: AttachData, Runs: []vm.PageRun{{Index: 0, Count: 3, Data: short}}},
+		{Kind: AttachIOU, SegID: 7, SegSize: 1 << 20},
+		{Kind: AttachData, Sums: []uint64{1, 2},
+			Runs: []vm.PageRun{{Index: 4, Count: 1, Data: make([]byte, ps)}, {Index: 9, Count: 1, Data: make([]byte, ps)}}},
+		{Kind: AttachData, CompBytes: 300, Runs: []vm.PageRun{{Index: 0, Count: 2, Data: make([]byte, 2*ps)}}},
+	}}
+	var pages [][]byte
+	last := 0
+	end := m.PageSpans(ps, func(lo, hi int, page []byte) {
+		if lo < last {
+			t.Errorf("span [%d, %d) starts before the previous one ended at %d", lo, hi, last)
+		}
+		if hi-lo != pageImageHeader+len(page) {
+			t.Errorf("span [%d, %d) is %d bytes for a %d-byte image", lo, hi, hi-lo, len(page))
+		}
+		last = hi
+		pages = append(pages, page)
+	})
+	if len(pages) != 5 {
+		t.Fatalf("%d spans, want 5: the compressed attachment's pages have none", len(pages))
+	}
+	if len(pages[2]) != 100 || pages[2][0] != short[2*ps] {
+		t.Errorf("third span carries %d bytes, want the 100-byte short last page", len(pages[2]))
+	}
+	if end != m.WireBytes() {
+		t.Errorf("PageSpans ends at %d, WireBytes is %d", end, m.WireBytes())
+	}
+}

@@ -12,7 +12,7 @@ func TestQuantumSlicesLongCompute(t *testing.T) {
 	// A kernel-priority user of the CPU must get in within one quantum
 	// even while a process executes a very long compute op.
 	k := sim.New()
-	m := New(k, "host", Config{Quantum: 50 * time.Millisecond})
+	m := New(k, "host", Config{})
 	pr, _ := m.NewProcess("cruncher", 0)
 	pr.Program = &trace.Program{Ops: []trace.Op{trace.Compute{D: 10 * time.Second}}}
 	m.Start(pr)

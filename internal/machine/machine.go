@@ -22,17 +22,19 @@ import (
 	"accentmig/internal/xrand"
 )
 
+// quantum is the CPU scheduling quantum: user compute bursts hold the
+// CPU at most this long before other work can interleave.
+const quantum = 50 * time.Millisecond
+
 // Config parameterizes a machine. Zero values select the calibrated
 // Perq-era defaults throughout.
 type Config struct {
 	// PhysFrames is physical memory size in page frames (default 600
 	// frames = 300 KB of 512-byte pages).
 	PhysFrames int
-	// Quantum is the CPU scheduling quantum: user compute bursts hold
-	// the CPU at most this long before other work can interleave
-	// (default 50 ms).
-	Quantum time.Duration
-	// PageSize for all address spaces on this machine.
+	// PageSize for all address spaces on this machine. The IPC system's
+	// mapped-transfer unit and the NetMsgServer's fragment payload
+	// follow it.
 	PageSize int
 	Disk     disk.Config
 	IPC      ipc.Config
@@ -51,14 +53,6 @@ func (c Config) withDefaults() Config {
 	if c.PageSize == 0 {
 		c.PageSize = vm.DefaultPageSize
 	}
-	if c.Quantum == 0 {
-		c.Quantum = 50 * time.Millisecond
-	}
-	c.IPC.PageSize = c.PageSize
-	if c.Net.FragBytes == 0 {
-		c.Net.FragBytes = c.PageSize
-	}
-	c.Dedup = c.Dedup.WithDefaults()
 	return c
 }
 
@@ -171,7 +165,7 @@ type Machine struct {
 func New(k *sim.Kernel, name string, cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	cpu := sim.NewResource(k, name+".cpu", 1)
-	sys := ipc.NewSystem(k, name, cpu, cfg.IPC)
+	sys := ipc.NewSystem(k, name, cpu, cfg.PageSize, cfg.IPC)
 	dsk := disk.New(k, name+".disk", cfg.Disk)
 	phys := vm.NewPhysMem(cfg.PhysFrames)
 	pg := pager.New(k, name, cpu, phys, dsk, sys, cfg.Pager)
@@ -191,12 +185,12 @@ func New(k *sim.Kernel, name string, cfg Config) *Machine {
 	}
 	if cfg.Dedup.Enabled || cfg.Dedup.Integrity {
 		m.Index = vm.NewContentIndex(cfg.PageSize)
-		srv.SetContentIndex(m.Index, cfg.Dedup.HashPerPageCPU)
-		pg.SetContentIndex(m.Index, cfg.Dedup)
+		srv.SetContentIndex(m.Index)
+		pg.SetContentIndex(m.Index)
 	}
 	if cfg.Dedup.Resume {
 		m.Ledger = vm.NewDeliveryLedger()
-		srv.SetLedger(m.Ledger, cfg.PageSize)
+		srv.SetLedger(m.Ledger)
 	}
 	srv.Start()
 	return m
@@ -216,9 +210,9 @@ func (m *Machine) PageSize() int { return m.cfg.PageSize }
 // (zero-valued when the store is disabled).
 func (m *Machine) DedupConfig() vm.DedupConfig { return m.cfg.Dedup }
 
-// NetConfig reports the machine's network-server configuration (with
-// defaults applied), so protocol layers can predict transport decisions
-// — e.g. which attachments the server will absorb as IOUs.
+// NetConfig reports the machine's network-server configuration, so
+// protocol layers can predict transport decisions — e.g. which
+// attachments the server will absorb as IOUs.
 func (m *Machine) NetConfig() netmsg.Config { return m.cfg.Net }
 
 // SetRecorder points the machine's metric producers at rec. CPU
@@ -436,7 +430,7 @@ func (m *Machine) exec(p *sim.Proc, pr *Process) error {
 // work (high-priority acquirers) can interleave with long user bursts.
 func (m *Machine) compute(p *sim.Proc, d time.Duration) {
 	for d > 0 {
-		q := m.cfg.Quantum
+		q := quantum
 		if d < q {
 			q = d
 		}

@@ -1,6 +1,6 @@
 // Package netlink models the shared Ethernet joining the testbed
 // machines: a half-duplex medium with propagation latency, a raw bit
-// rate, and optional failure injection (frame drops). All migration
+// rate, and optional failure injection (a faults.Injector). All migration
 // traffic crosses a Link, which is also where byte accounting for
 // Figures 4-3 and 4-5 happens.
 package netlink
@@ -21,12 +21,6 @@ type Config struct {
 	Latency time.Duration
 	// BytesPerSecond is the raw medium rate.
 	BytesPerSecond int
-	// DropProb is the probability a frame is lost (failure injection);
-	// zero for a reliable link. It is shorthand that compiles to a
-	// single-knob faults.Plan; richer scenarios use SetFaults.
-	DropProb float64
-	// DropSeed seeds the drop stream.
-	DropSeed uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -54,21 +48,14 @@ type Link struct {
 	bytesMove uint64
 }
 
-// New returns a link on kernel k.
+// New returns a reliable link on kernel k; SetFaults makes it lossy.
 func New(k *sim.Kernel, name string, cfg Config) *Link {
-	cfg = cfg.withDefaults()
-	l := &Link{
-		cfg:  cfg,
+	return &Link{
+		cfg:  cfg.withDefaults(),
 		k:    k,
 		name: name,
 		wire: sim.NewResource(k, name+".wire", 1),
 	}
-	if cfg.DropProb > 0 {
-		// The empty stream name reproduces the pre-plan drop sequence
-		// for a given DropSeed exactly.
-		l.inj = faults.NewInjector(faults.FromDropRate(cfg.DropProb, cfg.DropSeed), "")
-	}
-	return l
 }
 
 // SetFaults replaces the link's failure model with inj (nil restores a

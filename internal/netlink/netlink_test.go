@@ -4,9 +4,18 @@ import (
 	"testing"
 	"time"
 
+	"accentmig/internal/faults"
 	"accentmig/internal/metrics"
 	"accentmig/internal/sim"
 )
+
+// lossy returns a link that loses each frame with probability p, drawn
+// from a stream seeded by seed.
+func lossy(k *sim.Kernel, p float64, seed uint64) *Link {
+	l := New(k, "net", Config{})
+	l.SetFaults(faults.NewInjector(faults.FromDropRate(p, seed), ""))
+	return l
+}
 
 func TestTransmitTiming(t *testing.T) {
 	k := sim.New()
@@ -69,7 +78,7 @@ func TestNilRecorderSafe(t *testing.T) {
 
 func TestDropInjection(t *testing.T) {
 	k := sim.New()
-	l := New(k, "net", Config{DropProb: 0.5, DropSeed: 42})
+	l := lossy(k, 0.5, 42)
 	delivered, dropped := 0, 0
 	k.Go("tx", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
@@ -95,7 +104,7 @@ func TestDropInjection(t *testing.T) {
 func TestDropDeterministic(t *testing.T) {
 	run := func() []bool {
 		k := sim.New()
-		l := New(k, "net", Config{DropProb: 0.3, DropSeed: 7})
+		l := lossy(k, 0.3, 7)
 		var outcomes []bool
 		k.Go("tx", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {

@@ -21,36 +21,56 @@ import (
 	"accentmig/internal/wire"
 )
 
-// Config sets the server's cost model and caching policy.
-type Config struct {
-	// FragBytes is the network fragmentation unit.
-	FragBytes int
-	// FragCPU is the per-fragment handling cost on each side.
-	FragCPU time.Duration
-	// SmallCPU is the handling cost for small control messages (at or
-	// below SmallBytes on the wire).
-	SmallCPU time.Duration
-	// SmallBytes is the control-message size threshold.
-	SmallBytes int
-	// CachePerPageCPU is the cost of absorbing one page into the IOU
+// The server's calibrated costs and wire framing (DESIGN.md §3). The
+// fragment payload is the machine's page size, so a one-page payload
+// plus its headers fills one fragment.
+const (
+	// fragCPU is the per-fragment handling cost on each side.
+	fragCPU = 13 * time.Millisecond
+	// smallCPU is the handling cost for a small control message, one
+	// fragment of at most smallBytes on the wire.
+	smallCPU = 3 * time.Millisecond
+	// smallBytes is the control-message size threshold.
+	smallBytes = 256
+	// cachePerPageCPU is the cost of absorbing one page into the IOU
 	// cache when the server elects to become a backer.
-	CachePerPageCPU time.Duration
-	// ServeCPU is the backer's cost to service one read request beyond
+	cachePerPageCPU = 20 * time.Microsecond
+	// serveCPU is the backer's cost to service one read request beyond
 	// the IPC costs.
-	ServeCPU time.Duration
+	serveCPU = 3 * time.Millisecond
+	// cacheMinPages is the server's own-initiative threshold (§2.4): an
+	// attachment smaller than this many pages is cheaper to ship than
+	// to back, so it passes through physically.
+	cacheMinPages = 4
+	// frameOverhead is per-fragment wire framing bytes.
+	frameOverhead = 32
+	// fragHeadroom is extra per-fragment capacity for protocol headers,
+	// so a one-page payload plus its headers still fits one fragment.
+	fragHeadroom = 128
+)
+
+// Reliable-delivery parameters. They engage only on links that can
+// drop frames (link.MayDrop()); on reliable links the transport behaves
+// — and costs — exactly as it did before they existed.
+const (
+	// ackBytes is the payload size of an acknowledgement frame.
+	ackBytes = 32
+	// retransmitBackoff is the initial wait before resending an
+	// unacknowledged frame; it doubles per attempt up to maxBackoff.
+	retransmitBackoff = 200 * time.Millisecond
+	// maxBackoff caps the exponential backoff.
+	maxBackoff = 2 * time.Second
+	// maxAttempts is how many times a frame is sent before the peer is
+	// declared dead.
+	maxAttempts = 10
+)
+
+// Config sets the server's caching and transport policy.
+type Config struct {
 	// DisableIOUCache turns off the caching behaviour (it is on by
 	// default); senders can also veto per message (NoIOUs) or per
 	// attachment (Copy).
 	DisableIOUCache bool
-	// CacheMinPages is the server's own-initiative threshold (§2.4): an
-	// attachment smaller than this many pages is cheaper to ship than
-	// to back, so it passes through physically. Default 4.
-	CacheMinPages int
-	// FrameOverhead is per-fragment wire framing bytes.
-	FrameOverhead int
-	// FragHeadroom is extra per-fragment capacity for protocol headers,
-	// so a one-page payload plus its headers still fits one fragment.
-	FragHeadroom int
 	// Window is how many fragments of a multi-fragment transfer may be
 	// in flight at once. 0 or 1 reproduces the Accent protocol's
 	// effective stop-and-wait behaviour (the paper-faithful default,
@@ -59,76 +79,6 @@ type Config struct {
 	// Window fragments overlaps sender CPU, wire, and receiver CPU and
 	// is confirmed by one cumulative + selective ack frame.
 	Window int
-
-	// Reliable-delivery parameters. They engage only on links that can
-	// drop frames (link.MayDrop()); on reliable links the transport
-	// behaves — and costs — exactly as it did before they existed.
-
-	// AckBytes is the payload size of an acknowledgement frame.
-	AckBytes int
-	// RetransmitBackoff is the initial wait before resending an
-	// unacknowledged frame; it doubles per attempt up to MaxBackoff.
-	RetransmitBackoff time.Duration
-	// MaxBackoff caps the exponential backoff.
-	MaxBackoff time.Duration
-	// MaxAttempts is how many times a frame is sent before the peer is
-	// declared dead. Default 10.
-	MaxAttempts int
-}
-
-func (c Config) withDefaults() Config {
-	if c.FragBytes == 0 {
-		c.FragBytes = 512
-	}
-	if c.FragCPU == 0 {
-		c.FragCPU = 13 * time.Millisecond
-	}
-	if c.SmallCPU == 0 {
-		c.SmallCPU = 3 * time.Millisecond
-	}
-	if c.SmallBytes == 0 {
-		c.SmallBytes = 256
-	}
-	if c.CachePerPageCPU == 0 {
-		c.CachePerPageCPU = 20 * time.Microsecond
-	}
-	if c.ServeCPU == 0 {
-		c.ServeCPU = 3 * time.Millisecond
-	}
-	if c.FrameOverhead == 0 {
-		c.FrameOverhead = 32
-	}
-	if c.CacheMinPages == 0 {
-		c.CacheMinPages = 4
-	}
-	if c.FragHeadroom == 0 {
-		c.FragHeadroom = 128
-	}
-	if c.AckBytes == 0 {
-		c.AckBytes = 32
-	}
-	if c.RetransmitBackoff == 0 {
-		c.RetransmitBackoff = 200 * time.Millisecond
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 10
-	}
-	return c
-}
-
-// FragUnit is the fragmentation unit: FragBytes of payload plus
-// FragHeadroom of protocol headers per fragment.
-func (c Config) FragUnit() int { return c.FragBytes + c.FragHeadroom }
-
-// FragsFor reports how many fragments a message of n wire bytes
-// occupies (always at least one). It delegates to wire.FragCount so
-// the transport's fragment math and the frame encoder share one unit
-// and cannot drift.
-func (c Config) FragsFor(n int) int {
-	return wire.FragCount(n, c.FragBytes, c.FragHeadroom)
 }
 
 // WillAbsorb reports whether forward would absorb a data attachment
@@ -137,8 +87,7 @@ func (c Config) FragsFor(n int) int {
 // protocol layers (the dedup manifest) can predict which attachments
 // will physically ship. It must mirror forward's test exactly.
 func (c Config) WillAbsorb(copyFlag, noIOUs bool, pages int) bool {
-	c = c.withDefaults()
-	return !c.DisableIOUCache && !noIOUs && !copyFlag && pages >= c.CacheMinPages
+	return !c.DisableIOUCache && !noIOUs && !copyFlag && pages >= cacheMinPages
 }
 
 // Stats counts server activity.
@@ -175,6 +124,9 @@ type Server struct {
 	cpu  *sim.Resource
 	sys  *ipc.System
 	cfg  Config
+	// ps is the machine's page size: the payload of one fragment and
+	// the stride that slices attachments into pages.
+	ps int
 
 	peers  map[string]*peerLink
 	routes map[ipc.PortID]string // remote port → peer name
@@ -192,15 +144,13 @@ type Server struct {
 	// disabled). The server registers every page it absorbs, making its
 	// IOU cache — the pages a migrated-away process left behind —
 	// discoverable by hash, and answers OpHashRead against it.
-	index      *vm.ContentIndex
-	hashPerCPU time.Duration
+	index *vm.ContentIndex
 
 	// ledger retains page content from migration transfers to THIS
 	// machine that aborted partway (nil unless resume is configured).
 	// Senders credit it with the whole pages of every fragment the
 	// peer acknowledged before the transfer died.
-	ledger   *vm.DeliveryLedger
-	ledgerPS int
+	ledger *vm.DeliveryLedger
 
 	rec   *metrics.Recorder
 	stats Stats
@@ -228,7 +178,8 @@ func New(k *sim.Kernel, name string, cpu *sim.Resource, sys *ipc.System, cfg Con
 		name:     name,
 		cpu:      cpu,
 		sys:      sys,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		ps:       sys.PageSize(),
 		peers:    make(map[string]*peerLink),
 		routes:   make(map[ipc.PortID]string),
 		outbound: sim.NewQueue[struct{}](k),
@@ -267,22 +218,25 @@ func (s *Server) Store() *imag.Store { return s.store }
 func (s *Server) SetRecorder(rec *metrics.Recorder) { s.rec = rec }
 
 // SetContentIndex attaches the machine's content index; absorbed pages
-// are registered in it (charging hashPerPageCPU each) and OpHashRead
-// requests are answered from it. A nil index keeps the server's paths
-// byte-identical to a build without the dedup store.
-func (s *Server) SetContentIndex(ix *vm.ContentIndex, hashPerPageCPU time.Duration) {
-	s.index = ix
-	s.hashPerCPU = hashPerPageCPU
-}
+// are registered in it (charging vm.HashPerPageCPU each) and
+// OpHashRead requests are answered from it. A nil index keeps the
+// server's paths byte-identical to a build without the dedup store.
+func (s *Server) SetContentIndex(ix *vm.ContentIndex) { s.index = ix }
 
 // SetLedger attaches the machine's delivery ledger (resumable
-// migration). pageSize is the page stride used to slice aborted
-// transfers into creditable pages. A nil ledger keeps every transport
-// path byte-identical to a build without resume support.
-func (s *Server) SetLedger(l *vm.DeliveryLedger, pageSize int) {
-	s.ledger = l
-	s.ledgerPS = pageSize
-}
+// migration). A nil ledger keeps every transport path byte-identical
+// to a build without resume support.
+func (s *Server) SetLedger(l *vm.DeliveryLedger) { s.ledger = l }
+
+// fragUnit is the fragmentation unit: one page of payload plus
+// fragHeadroom of protocol headers per fragment.
+func (s *Server) fragUnit() int { return s.ps + fragHeadroom }
+
+// fragsFor reports how many fragments a message of n wire bytes
+// occupies (always at least one). It delegates to wire.FragCount so
+// the transport's fragment math and the frame encoder share one unit
+// and cannot drift.
+func (s *Server) fragsFor(n int) int { return wire.FragCount(n, s.ps, fragHeadroom) }
 
 // Ledger exposes the delivery ledger (nil unless resume is on).
 func (s *Server) Ledger() *vm.DeliveryLedger { return s.ledger }
@@ -347,7 +301,7 @@ func (s *Server) forward(p *sim.Proc, m *ipc.Message, pl *peerLink) {
 	// pass IOUs in their place (§2.4, §3.1).
 	if !s.cfg.DisableIOUCache && !m.NoIOUs {
 		for i, a := range m.Mem {
-			if a.Kind != ipc.AttachData || a.Copy || a.PageCount() < s.cfg.CacheMinPages {
+			if a.Kind != ipc.AttachData || a.Copy || a.PageCount() < cacheMinPages {
 				continue
 			}
 			m.Mem[i] = s.absorb(p, a)
@@ -382,49 +336,41 @@ func (s *Server) forward(p *sim.Proc, m *ipc.Message, pl *peerLink) {
 	}
 
 	bytes := m.WireBytes()
-	unit := s.cfg.FragUnit()
-	frags := s.cfg.FragsFor(bytes)
+	frags := s.fragsFor(bytes)
+	// Control messages are cheaper to process than data-bearing ones.
+	cost := fragCPU
+	if frags == 1 && bytes <= smallBytes {
+		cost = smallCPU
+	}
 	var handling time.Duration
 
-	if frags == 1 {
-		// Control messages are cheaper to process than data-bearing
-		// ones.
-		perSide := s.cfg.FragCPU
-		if bytes <= s.cfg.SmallBytes {
-			perSide = s.cfg.SmallCPU
+	switch {
+	case frags == 1 && pl.link.MayDrop():
+		// Lossy link: sequence-numbered ack/retransmit datagram. A lost
+		// control message now produces a retransmit (and eventually a
+		// dead-peer nack) instead of wedging the receiver forever.
+		delivered, h := s.sendReliable(p, pl, m, bytes, cost)
+		handling += h
+		if !delivered {
+			s.stats.Lost++
+			s.account(m, handling)
+			s.nack(p, m)
+			return
 		}
-		if pl.link.MayDrop() {
-			// Lossy link: sequence-numbered ack/retransmit datagram. A
-			// lost control message now produces a retransmit (and
-			// eventually a dead-peer nack) instead of wedging the
-			// receiver forever.
-			delivered, h := s.sendReliable(p, pl, m, bytes, perSide)
-			handling += h
-			if !delivered {
-				s.stats.Lost++
-				s.account(m, handling)
-				s.nack(p, m)
-				return
-			}
-		} else {
-			s.cpu.UseHigh(p, perSide)
-			handling += perSide
-			pl.link.Transmit(p, bytes+s.cfg.FrameOverhead, m.FaultSupport)
-			pl.peer.cpu.UseHigh(p, perSide)
-			handling += perSide
-		}
-	} else if s.cfg.Window > 1 {
+	case frags > 1 && s.cfg.Window > 1:
 		// Pipelined sliding-window transfer (see window.go): bursts of
 		// up to Window fragments in flight, cumulative + selective acks,
 		// same dead-peer semantics as stop-and-wait.
 		if !s.forwardWindowed(p, m, pl, bytes, frags, &handling) {
 			return
 		}
-	} else {
-		// Multi-fragment transfer: stop-and-wait per-fragment ARQ makes
-		// it reliable at the cost of retransmission time and bytes. A
-		// fragment that exhausts its retransmit budget declares the
-		// peer dead and abandons the whole transfer.
+	default:
+		// Stop-and-wait per-fragment ARQ makes the transfer reliable at
+		// the cost of retransmission time and bytes; on a reliable link
+		// every fragment goes through on its first attempt. A fragment
+		// that exhausts its retransmit budget declares the peer dead and
+		// abandons the whole transfer.
+		unit := s.fragUnit()
 		rem := bytes
 		for f := 0; f < frags; f++ {
 			n := unit
@@ -433,14 +379,14 @@ func (s *Server) forward(p *sim.Proc, m *ipc.Message, pl *peerLink) {
 			}
 			rem -= n
 			sent := false
-			backoff := s.cfg.RetransmitBackoff
-			for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
+			backoff := retransmitBackoff
+			for attempt := 0; attempt < maxAttempts; attempt++ {
 				if attempt > 0 {
-					backoff = s.backoffWait(p, backoff, n+s.cfg.FrameOverhead, m.Op)
+					backoff = s.backoffWait(p, backoff, n+frameOverhead, m.Op)
 				}
-				s.cpu.UseHigh(p, s.cfg.FragCPU)
-				handling += s.cfg.FragCPU
-				if pl.link.Transmit(p, n+s.cfg.FrameOverhead, m.FaultSupport) {
+				s.cpu.UseHigh(p, cost)
+				handling += cost
+				if pl.link.Transmit(p, n+frameOverhead, m.FaultSupport) {
 					sent = true
 					break
 				}
@@ -457,8 +403,8 @@ func (s *Server) forward(p *sim.Proc, m *ipc.Message, pl *peerLink) {
 				s.nack(p, m)
 				return
 			}
-			pl.peer.cpu.UseHigh(p, s.cfg.FragCPU)
-			handling += s.cfg.FragCPU
+			pl.peer.cpu.UseHigh(p, cost)
+			handling += cost
 		}
 	}
 	s.stats.Forwarded++
@@ -508,8 +454,8 @@ func (s *Server) backoffWait(p *sim.Proc, backoff time.Duration, frame int, op i
 		})
 	}
 	backoff *= 2
-	if backoff > s.cfg.MaxBackoff {
-		backoff = s.cfg.MaxBackoff
+	if backoff > maxBackoff {
+		backoff = maxBackoff
 	}
 	return backoff
 }
@@ -517,15 +463,15 @@ func (s *Server) backoffWait(p *sim.Proc, backoff time.Duration, frame int, op i
 // sendReliable pushes a single-fragment message across a lossy link as
 // a sequence-numbered datagram: send, await ack, retransmit with
 // capped exponential backoff, and declare the peer dead after
-// MaxAttempts sends. It reports whether the message reached the peer;
+// maxAttempts sends. It reports whether the message reached the peer;
 // handling is the CPU charged. A duplicate (data arrived but its ack
 // was lost) costs the peer only cheap recognition by sequence number.
 func (s *Server) sendReliable(p *sim.Proc, pl *peerLink, m *ipc.Message, bytes int, perSide time.Duration) (bool, time.Duration) {
 	var handling time.Duration
-	frame := bytes + s.cfg.FrameOverhead
-	backoff := s.cfg.RetransmitBackoff
+	frame := bytes + frameOverhead
+	backoff := retransmitBackoff
 	delivered := false
-	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			backoff = s.backoffWait(p, backoff, frame, m.Op)
 		}
@@ -540,11 +486,11 @@ func (s *Server) sendReliable(p *sim.Proc, pl *peerLink, m *ipc.Message, bytes i
 			delivered = true
 		} else {
 			s.stats.Duplicates++
-			pl.peer.cpu.UseHigh(p, s.cfg.SmallCPU)
-			handling += s.cfg.SmallCPU
+			pl.peer.cpu.UseHigh(p, smallCPU)
+			handling += smallCPU
 		}
 		s.stats.AckFrames++
-		if pl.link.Transmit(p, s.cfg.AckBytes+s.cfg.FrameOverhead, m.FaultSupport) {
+		if pl.link.Transmit(p, ackBytes+frameOverhead, m.FaultSupport) {
 			return true, handling
 		}
 	}
@@ -582,14 +528,14 @@ func (s *Server) nack(p *sim.Proc, m *ipc.Message) {
 }
 
 // creditPartial runs after a multi-fragment transfer is abandoned: it
-// walks the message's wire layout (the same accounting WireBytes
-// prices) and credits every payload page whose full byte span —
-// page header plus image — rode a fragment the peer acknowledged, so
-// the next attempt's manifest exchange can elide it. covered reports
-// whether the encoded byte span [lo, hi) reached the peer. Compressed
-// attachments are skipped: their pages have no independent byte spans
-// on the wire. A page that the failure model corrupts in flight is
-// not credited — the receiver would retain bytes whose hash can never
+// walks the message's wire layout (ipc.Message.PageSpans, the
+// accounting WireBytes prices) and credits every payload page whose
+// full byte span — page header plus image — rode a fragment the peer
+// acknowledged, so the next attempt's manifest exchange can elide it.
+// covered reports whether the encoded byte span [lo, hi) reached the
+// peer. Compressed attachments have no page spans on the wire and are
+// skipped. A page that the failure model corrupts in flight is not
+// credited — the receiver would retain bytes whose hash can never
 // match a manifest entry.
 func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covered func(lo, hi int) bool) {
 	led := pl.peer.ledger
@@ -601,39 +547,21 @@ func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covere
 		return
 	}
 	proc := body.MigrationProc()
-	ps := pl.peer.ledgerPS
+	ps := pl.peer.ps
 	mayCorrupt := pl.link.MayCorrupt()
 	credited := uint64(0)
-	off := 64 + m.BodyBytes // msgHeaderBytes: the header and body lead the frame
-	for _, a := range m.Mem {
-		switch a.Kind {
-		case ipc.AttachData:
-			off += 24 + len(a.Sums)*8 // dataDescBytes + priced checksums
-			if a.CompBytes > 0 {
-				off += a.PageCount()*8 + a.CompBytes
-				continue
-			}
-			for _, run := range a.Runs {
-				for i := 0; i < run.Count; i++ {
-					pg := run.Page(i, ps)
-					start := off
-					off += 8 + len(pg) // pageImageHeader + image
-					if !covered(start, off) {
-						continue
-					}
-					if mayCorrupt && pl.link.CorruptPage(s.k.Now()) {
-						continue
-					}
-					if h, zero := vm.HashPage(pg, ps); !zero {
-						led.Credit(proc, h, pg)
-						credited++
-					}
-				}
-			}
-		case ipc.AttachIOU:
-			off += 48 // iouDescBytes
+	m.PageSpans(ps, func(lo, hi int, pg []byte) {
+		if !covered(lo, hi) {
+			return
 		}
-	}
+		if mayCorrupt && pl.link.CorruptPage(s.k.Now()) {
+			return
+		}
+		if h, zero := vm.HashPage(pg, ps); !zero {
+			led.Credit(proc, h, pg)
+			credited++
+		}
+	})
 	if credited > 0 {
 		s.stats.CreditedPages += credited
 		if s.rec != nil {
@@ -659,7 +587,7 @@ func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covere
 // rollback snapshot. Unprotected attachments are left alone — the
 // corrupt fault models damage on the checksummed migration stream.
 func (s *Server) corruptDelivered(m *ipc.Message, pl *peerLink) {
-	ps := s.cfg.FragBytes
+	ps := s.ps
 	for _, a := range m.Mem {
 		if a.Kind != ipc.AttachData || len(a.Sums) == 0 {
 			continue
@@ -687,7 +615,7 @@ func (s *Server) corruptDelivered(m *ipc.Message, pl *peerLink) {
 // the attachment base.
 func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
 	segID := imag.NextSegID()
-	ps := s.cfg.FragBytes
+	ps := s.ps
 	seg := s.store.AddSegment(segID, a.Size, ps)
 	// The cache aliases the attachment's page images instead of copying
 	// them: each stretch of consecutive pages becomes one page list (one
@@ -704,7 +632,7 @@ func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
 		}
 	}
 	seg.PutPages(start, pages[first:])
-	s.cpu.UseHigh(p, time.Duration(len(pages))*s.cfg.CachePerPageCPU)
+	s.cpu.UseHigh(p, time.Duration(len(pages))*cachePerPageCPU)
 	s.stats.CachedPages += uint64(len(pages))
 	if s.index != nil {
 		// Register absorbed contents so a later migration (or a nearest-
@@ -717,7 +645,7 @@ func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
 				s.index.Put(h, pages[k])
 			}
 		}
-		s.cpu.UseHigh(p, time.Duration(len(pages))*s.hashPerCPU)
+		s.cpu.UseHigh(p, time.Duration(len(pages))*vm.HashPerPageCPU)
 	}
 	return &ipc.MemAttachment{
 		Kind:      ipc.AttachIOU,
@@ -788,7 +716,7 @@ func (s *Server) backer(p *sim.Proc) {
 				if live {
 					reason = "page not held"
 				}
-				s.cpu.UseHigh(p, s.cfg.ServeCPU)
+				s.cpu.UseHigh(p, serveCPU)
 				s.replyErr(p, m, &imag.ReadError{
 					SegID:   req.SegID,
 					PageIdx: req.PageIdx,
@@ -796,7 +724,7 @@ func (s *Server) backer(p *sim.Proc) {
 				})
 				continue
 			}
-			s.cpu.UseHigh(p, s.cfg.ServeCPU)
+			s.cpu.UseHigh(p, serveCPU)
 			s.stats.Served++
 			if s.rec != nil {
 				s.rec.Inc("pages.shipped.fault", uint64(rep.PageCount()))
@@ -850,7 +778,7 @@ func (s *Server) backer(p *sim.Proc) {
 			if !ok {
 				continue
 			}
-			s.cpu.UseHigh(p, s.cfg.ServeCPU)
+			s.cpu.UseHigh(p, serveCPU)
 			data, held := s.index.Lookup(req.Hash)
 			if !held {
 				s.replyErr(p, m, &imag.ReadError{
@@ -892,7 +820,7 @@ func (s *Server) backer(p *sim.Proc) {
 				continue
 			}
 			rep := seg.Flush(req.MaxPages)
-			s.cpu.UseHigh(p, s.cfg.ServeCPU)
+			s.cpu.UseHigh(p, serveCPU)
 			s.reply(p, m, imag.OpFlushReply, rep, false)
 		case imag.OpSegmentDeath:
 			if d, ok := m.Body.(*imag.SegmentDeath); ok {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"accentmig/internal/disk"
+	"accentmig/internal/faults"
 	"accentmig/internal/imag"
 	"accentmig/internal/ipc"
 	"accentmig/internal/metrics"
@@ -25,7 +26,7 @@ type node struct {
 
 func newNode(k *sim.Kernel, name string) *node {
 	cpu := sim.NewResource(k, name+".cpu", 1)
-	sys := ipc.NewSystem(k, name, cpu, ipc.Config{})
+	sys := ipc.NewSystem(k, name, cpu, vm.DefaultPageSize, ipc.Config{})
 	srv := New(k, name, cpu, sys, Config{})
 	phys := vm.NewPhysMem(2048)
 	dsk := disk.New(k, name+".disk", disk.Config{})
@@ -41,6 +42,12 @@ func pair(k *sim.Kernel, linkCfg netlink.Config) (*node, *node, *netlink.Link) {
 	a.srv.Start()
 	b.srv.Start()
 	return a, b, link
+}
+
+// dropping is a link failure model that loses each frame with
+// probability p, drawn from a stream seeded by seed.
+func dropping(p float64, seed uint64) *faults.Injector {
+	return faults.NewInjector(faults.FromDropRate(p, seed), "")
 }
 
 func TestForwardSmallMessage(t *testing.T) {
@@ -332,7 +339,8 @@ func TestFlushDissolvesResidualDependency(t *testing.T) {
 
 func TestDroppedDatagramCounted(t *testing.T) {
 	k := sim.New()
-	a, b, _ := pair(k, netlink.Config{DropProb: 1.0, DropSeed: 3})
+	a, b, link := pair(k, netlink.Config{})
+	link.SetFaults(dropping(1.0, 3))
 	dst := b.sys.AllocPort("svc")
 	a.srv.AddRoute(dst.ID, "B")
 	delivered := false
@@ -354,7 +362,8 @@ func TestDroppedDatagramCounted(t *testing.T) {
 
 func TestBulkARQSurvivesLoss(t *testing.T) {
 	k := sim.New()
-	a, b, _ := pair(k, netlink.Config{DropProb: 0.3, DropSeed: 11})
+	a, b, link := pair(k, netlink.Config{})
+	link.SetFaults(dropping(0.3, 11))
 	dst := b.sys.AllocPort("svc")
 	a.srv.AddRoute(dst.ID, "B")
 	att := &ipc.MemAttachment{Kind: ipc.AttachData, Size: 20 * 512,

@@ -17,7 +17,8 @@ import (
 // eventually arrives.
 func TestReliableSingleFragmentSurvivesLoss(t *testing.T) {
 	k := sim.New()
-	a, b, _ := pair(k, netlink.Config{DropProb: 0.4, DropSeed: 7})
+	a, b, link := pair(k, netlink.Config{})
+	link.SetFaults(dropping(0.4, 7))
 	dst := b.sys.AllocPort("svc")
 	a.srv.AddRoute(dst.ID, "B")
 	const n = 10
@@ -57,7 +58,8 @@ func TestReliableSingleFragmentSurvivesLoss(t *testing.T) {
 // cause instead of waiting out its own timeout.
 func TestDeadPeerNackUnblocksCaller(t *testing.T) {
 	k := sim.New()
-	a, b, _ := pair(k, netlink.Config{DropProb: 1.0, DropSeed: 3})
+	a, b, link := pair(k, netlink.Config{})
+	link.SetFaults(dropping(1.0, 3))
 	dst := b.sys.AllocPort("svc")
 	a.srv.AddRoute(dst.ID, "B")
 	reply := a.sys.AllocPort("reply")

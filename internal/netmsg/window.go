@@ -105,11 +105,11 @@ func (s *Server) helpers(pl *peerLink) *winHelpers {
 // selective ack, and only fragments the ack reports missing are
 // resent (a fragment that arrived twice because its ack was lost costs
 // the peer cheap duplicate recognition, as in sendReliable). A
-// fragment that exhausts MaxAttempts undelivered declares the peer
+// fragment that exhausts maxAttempts undelivered declares the peer
 // dead and abandons the transfer, exactly like stop-and-wait. Reports
 // whether the message got through; the caller delivers it.
 func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, bytes, frags int, handling *time.Duration) bool {
-	unit := s.cfg.FragUnit()
+	unit := s.fragUnit()
 	pending := make([]*winFrag, frags)
 	rem := bytes
 	for f := range pending {
@@ -121,7 +121,7 @@ func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, byte
 		pending[f] = &winFrag{n: n, off: f * unit}
 	}
 	s.stats.Windowed++
-	backoff := s.cfg.RetransmitBackoff
+	backoff := retransmitBackoff
 	for len(pending) > 0 {
 		allDelivered := true
 		exhausted := false
@@ -129,7 +129,7 @@ func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, byte
 			if !f.delivered {
 				allDelivered = false
 			}
-			if f.attempts >= s.cfg.MaxAttempts {
+			if f.attempts >= maxAttempts {
 				exhausted = true
 				if !f.delivered {
 					s.stats.DeadPeers++
@@ -178,7 +178,7 @@ func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, byte
 				return true
 			}
 			if progress {
-				backoff = s.cfg.RetransmitBackoff
+				backoff = retransmitBackoff
 				continue
 			}
 		}
@@ -187,8 +187,8 @@ func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, byte
 		p.Sleep(backoff)
 		s.stats.BackoffTime += backoff
 		backoff *= 2
-		if backoff > s.cfg.MaxBackoff {
-			backoff = s.cfg.MaxBackoff
+		if backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 	return true
@@ -197,7 +197,7 @@ func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, byte
 // sendWindow transmits one burst of fragments as a three-stage
 // pipeline and reports whether the peer's ack frame made it back.
 //
-// The recurrence: the sender emits fragment i at i*FragCPU; the frame
+// The recurrence: the sender emits fragment i at i*fragCPU; the frame
 // starts crossing when both the sender has finished it and the wire is
 // free; it lands latency after it leaves the wire; the receiver
 // processes arrivals in order whenever its CPU is free. Stage busy
@@ -205,7 +205,7 @@ func (s *Server) forwardWindowed(p *sim.Proc, m *ipc.Message, pl *peerLink, byte
 // one occupancy each through the helper processes while the forwarder
 // waits out the analytic makespan.
 func (s *Server) sendWindow(p *sim.Proc, pl *peerLink, m *ipc.Message, batch []*winFrag, handling *time.Duration) bool {
-	cs := s.cfg.FragCPU
+	cs := fragCPU
 	lat := pl.link.Latency()
 	rate := time.Duration(pl.link.Rate())
 	start := p.Now()
@@ -215,7 +215,7 @@ func (s *Server) sendWindow(p *sim.Proc, pl *peerLink, m *ipc.Message, batch []*
 	wireFree := cs // wire can first be claimed once fragment 0 is built
 	resentFrames, resentBytes, totalBytes := 0, 0, 0
 	for i, f := range batch {
-		frame := f.n + s.cfg.FrameOverhead
+		frame := f.n + frameOverhead
 		totalBytes += frame
 		if f.attempts > 0 {
 			s.stats.Retransmits++
@@ -244,7 +244,7 @@ func (s *Server) sendWindow(p *sim.Proc, pl *peerLink, m *ipc.Message, batch []*
 			// Duplicate of an already-received fragment (its ack was
 			// lost): recognized cheaply by sequence number.
 			s.stats.Duplicates++
-			cost = s.cfg.SmallCPU
+			cost = smallCPU
 		}
 		f.delivered = true
 		if rxBusy == 0 {
@@ -269,7 +269,7 @@ func (s *Server) sendWindow(p *sim.Proc, pl *peerLink, m *ipc.Message, batch []*
 		if rxFree > roundEnd {
 			roundEnd = rxFree
 		}
-		ackFrame := s.cfg.AckBytes + s.cfg.FrameOverhead
+		ackFrame := ackBytes + frameOverhead
 		ackArrive := rxFree + time.Duration(ackFrame)*time.Second/rate + lat
 		s.stats.AckFrames++
 		if pl.link.Judge(start+ackArrive, ackFrame, m.FaultSupport) {

@@ -17,7 +17,7 @@ import (
 // newNodeW is newNode with a transport send window.
 func newNodeW(k *sim.Kernel, name string, window int) *node {
 	cpu := sim.NewResource(k, name+".cpu", 1)
-	sys := ipc.NewSystem(k, name, cpu, ipc.Config{})
+	sys := ipc.NewSystem(k, name, cpu, vm.DefaultPageSize, ipc.Config{})
 	srv := New(k, name, cpu, sys, Config{Window: window})
 	phys := vm.NewPhysMem(2048)
 	dsk := disk.New(k, name+".disk", disk.Config{})
@@ -35,22 +35,24 @@ func pairW(k *sim.Kernel, window int, linkCfg netlink.Config) (*node, *node, *ne
 	return a, b, link
 }
 
-// bulkTransfer pushes a pages-page NoIOUs copy from A to B and returns
-// the arrival time, the received message, and both servers. busy adds
-// a periodic background timer, modeling the never-empty event heap of
-// a real migration run — without it, serialized sleeps take the
-// kernel's same-instant fast path and dispatch no events at all, which
-// would make event-count comparisons meaningless.
-func bulkTransfer(t *testing.T, window, pages int, busy bool, linkCfg netlink.Config) (time.Duration, *ipc.Message, *node, *node, uint64) {
+// bulkTransfer pushes a pages-page NoIOUs copy from A to B over a link
+// failing by inj (nil for a reliable one) and returns the arrival time,
+// the received message, and both servers. busy adds a periodic
+// background timer, modeling the never-empty event heap of a real
+// migration run — without it, serialized sleeps take the kernel's
+// same-instant fast path and dispatch no events at all, which would
+// make event-count comparisons meaningless.
+func bulkTransfer(t *testing.T, window, pages int, busy bool, inj *faults.Injector) (time.Duration, *ipc.Message, *node, *node, uint64) {
 	t.Helper()
 	k := sim.New()
 	var a, b *node
+	var link *netlink.Link
 	if window == 0 {
-		a2, b2, _ := pair(k, linkCfg)
-		a, b = a2, b2
+		a, b, link = pair(k, netlink.Config{})
 	} else {
-		a, b, _ = pairW(k, window, linkCfg)
+		a, b, link = pairW(k, window, netlink.Config{})
 	}
+	link.SetFaults(inj)
 	stop := false
 	if busy {
 		k.Go("ticker", func(p *sim.Proc) {
@@ -85,8 +87,8 @@ func bulkTransfer(t *testing.T, window, pages int, busy bool, linkCfg netlink.Co
 // stop-and-wait code path — same virtual end time, same scheduler
 // event count, same stats — as the untouched default config.
 func TestWindowOneIdenticalToDefault(t *testing.T) {
-	tDef, _, aDef, _, evDef := bulkTransfer(t, 0, 100, false, netlink.Config{})
-	tW1, _, aW1, _, evW1 := bulkTransfer(t, 1, 100, false, netlink.Config{})
+	tDef, _, aDef, _, evDef := bulkTransfer(t, 0, 100, false, nil)
+	tW1, _, aW1, _, evW1 := bulkTransfer(t, 1, 100, false, nil)
 	if tDef != tW1 {
 		t.Errorf("arrival: default %v, Window=1 %v", tDef, tW1)
 	}
@@ -104,8 +106,8 @@ func TestWindowOneIdenticalToDefault(t *testing.T) {
 // run — schedule fewer DES events than per-fragment stop-and-wait.
 func TestWindowedFasterAndIntact(t *testing.T) {
 	const pages = 200
-	t1, got1, _, _, ev1 := bulkTransfer(t, 1, pages, true, netlink.Config{})
-	t16, got16, a16, _, ev16 := bulkTransfer(t, 16, pages, true, netlink.Config{})
+	t1, got1, _, _, ev1 := bulkTransfer(t, 1, pages, true, nil)
+	t16, got16, a16, _, ev16 := bulkTransfer(t, 16, pages, true, nil)
 	if got16 == nil || got1 == nil {
 		t.Fatal("transfer not delivered")
 	}
@@ -131,12 +133,12 @@ func TestWindowedFasterAndIntact(t *testing.T) {
 // resend of the full transfer.
 func TestWindowedSelectiveRetransmit(t *testing.T) {
 	const pages = 64
-	arrived, got, a, _, _ := bulkTransfer(t, 16, pages, false, netlink.Config{DropProb: 0.25, DropSeed: 7})
+	arrived, got, a, _, _ := bulkTransfer(t, 16, pages, false, dropping(0.25, 7))
 	if got == nil {
 		t.Fatal("transfer lost despite windowed ARQ")
 	}
 	st := a.srv.Stats()
-	frags := a.srv.cfg.FragsFor(pages*512 + 256) // payload plus header slack
+	frags := a.srv.fragsFor(pages*512 + 256) // payload plus header slack
 	if st.Retransmits == 0 {
 		t.Fatal("no retransmits on a 25%-loss link")
 	}
@@ -154,7 +156,7 @@ func TestWindowedSelectiveRetransmit(t *testing.T) {
 // TestWindowedDeadPeer: the dead-peer declaration must still fire when
 // a windowed transfer exhausts its retransmit budget.
 func TestWindowedDeadPeer(t *testing.T) {
-	_, got, a, _, _ := bulkTransfer(t, 16, 32, false, netlink.Config{DropProb: 1.0, DropSeed: 3})
+	_, got, a, _, _ := bulkTransfer(t, 16, 32, false, dropping(1.0, 3))
 	if got != nil {
 		t.Fatal("message delivered over a 100%-loss link")
 	}
@@ -208,23 +210,23 @@ func TestWindowedPartitionMidTransfer(t *testing.T) {
 }
 
 // TestFragUnitAgreesWithWire: the transport's fragment math and the
-// wire encoder's accounting must share one fragmentation unit
-// (FragBytes + FragHeadroom, via wire.FragCount) exactly — no more
+// wire encoder's accounting must share one fragmentation unit (the
+// page size plus fragHeadroom, via wire.FragCount) exactly — no more
 // loose ratio bounds. For representative data-plane messages the test
 // round-trips the frame and asserts (a) the re-encoded frame length is
 // identical, so a forwarded-then-reforwarded message fragments the
 // same way at every hop, and (b) the encoded frame never needs more
 // fragments than the transport charged for it from WireBytes.
 func TestFragUnitAgreesWithWire(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if got, want := cfg.FragUnit(), cfg.FragBytes+cfg.FragHeadroom; got != want {
-		t.Fatalf("FragUnit = %d, want %d", got, want)
+	srv := newNode(sim.New(), "A").srv
+	if got, want := srv.fragUnit(), vm.DefaultPageSize+fragHeadroom; got != want {
+		t.Fatalf("fragUnit = %d, want %d", got, want)
 	}
-	// Exact agreement on the unit: the transport's FragsFor is the same
+	// Exact agreement on the unit: the transport's fragsFor is the same
 	// computation as wire.FragCount for every length.
-	for n := 0; n < 4*cfg.FragUnit(); n += 97 {
-		if got, want := cfg.FragsFor(n), wire.FragCount(n, cfg.FragBytes, cfg.FragHeadroom); got != want {
-			t.Fatalf("FragsFor(%d) = %d, wire.FragCount = %d", n, got, want)
+	for n := 0; n < 4*srv.fragUnit(); n += 97 {
+		if got, want := srv.fragsFor(n), wire.FragCount(n, vm.DefaultPageSize, fragHeadroom); got != want {
+			t.Fatalf("fragsFor(%d) = %d, wire.FragCount = %d", n, got, want)
 		}
 	}
 	for _, pages := range []int{1, 4, 32, 200} {
@@ -246,8 +248,8 @@ func TestFragUnitAgreesWithWire(t *testing.T) {
 		if len(frame2) != len(frame) {
 			t.Errorf("%d pages: round-trip changed frame length %d -> %d", pages, len(frame), len(frame2))
 		}
-		fromFrame := wire.FragCount(len(frame), cfg.FragBytes, cfg.FragHeadroom)
-		charged := cfg.FragsFor(m.WireBytes())
+		fromFrame := wire.FragCount(len(frame), vm.DefaultPageSize, fragHeadroom)
+		charged := srv.fragsFor(m.WireBytes())
 		if fromFrame > charged {
 			t.Errorf("%d pages: encoded frame needs %d fragments but the transport charged only %d (frame %d B, WireBytes %d)",
 				pages, fromFrame, charged, len(frame), m.WireBytes())

@@ -50,21 +50,26 @@ const (
 	OrphanZeroFill
 )
 
-// Config sets the fault cost model. Zero values select defaults
-// calibrated so a local disk fault lands near the paper's 40.8 ms and a
-// remote imaginary fault near 115 ms.
-type Config struct {
-	// FillZeroCPU is the whole cost of a FillZero fault: reserve a
+// The fault cost model, calibrated so a local disk fault lands near
+// the paper's 40.8 ms and a remote imaginary fault near 115 ms
+// (DESIGN.md §3).
+const (
+	// fillZeroCPU is the whole cost of a FillZero fault: reserve a
 	// frame, zero it, map it. The disk is never consulted.
-	FillZeroCPU time.Duration
-	// FaultCPU is the base fault-handling overhead (trap, map lookup,
+	fillZeroCPU = 3 * time.Millisecond
+	// faultCPU is the base fault-handling overhead (trap, map lookup,
 	// resume) charged on disk and imaginary faults.
-	FaultCPU time.Duration
-	// ImagCPU is the extra Pager/Scheduler work on the faulting side of
+	faultCPU = 7 * time.Millisecond
+	// imagCPU is the extra Pager/Scheduler work on the faulting side of
 	// an imaginary fault (building the request, fielding the reply).
-	ImagCPU time.Duration
-	// MapInCPU is charged per page mapped in from a fault reply.
-	MapInCPU time.Duration
+	imagCPU = 38 * time.Millisecond
+	// mapInCPU is charged per page mapped in from a fault reply.
+	mapInCPU = 2 * time.Millisecond
+)
+
+// Config sets the pager's recovery and streaming policy. Zero values
+// select the defaults.
+type Config struct {
 	// RetryTimeout bounds the wait for an imaginary read reply; on
 	// expiry the request is resent. Zero waits forever (reliable link).
 	RetryTimeout time.Duration
@@ -88,18 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FillZeroCPU == 0 {
-		c.FillZeroCPU = 3 * time.Millisecond
-	}
-	if c.FaultCPU == 0 {
-		c.FaultCPU = 7 * time.Millisecond
-	}
-	if c.ImagCPU == 0 {
-		c.ImagCPU = 38 * time.Millisecond
-	}
-	if c.MapInCPU == 0 {
-		c.MapInCPU = 2 * time.Millisecond
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 8
 	}
@@ -176,7 +169,6 @@ type Pager struct {
 	// that content (nearest by link cost; wired by the testbed), letting
 	// a fault bypass a distant origin backer.
 	index    *vm.ContentIndex
-	dedup    vm.DedupConfig
 	hints    map[pageKey]uint64
 	resolver func(hash uint64) (ipc.PortID, bool)
 }
@@ -219,12 +211,9 @@ func (pg *Pager) Outstanding() int {
 // SetRecorder directs counters to rec (may be nil).
 func (pg *Pager) SetRecorder(rec *metrics.Recorder) { pg.rec = rec }
 
-// SetContentIndex attaches the machine's content index and the dedup
-// cost knobs; faults on hinted pages may then be served locally.
-func (pg *Pager) SetContentIndex(ix *vm.ContentIndex, cfg vm.DedupConfig) {
-	pg.index = ix
-	pg.dedup = cfg
-}
+// SetContentIndex attaches the machine's content index; faults on
+// hinted pages may then be served locally.
+func (pg *Pager) SetContentIndex(ix *vm.ContentIndex) { pg.index = ix }
 
 // SetHolderResolver installs the nearest-holder lookup: given a content
 // hash, return the backing port of the closest machine (by link cost)
@@ -323,7 +312,7 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		// FillZero: conjure a zero frame; never touches the disk.
 		start := p.Now()
 		pg.faultStart(p, "fillzero", addr)
-		pg.cpu.UseHigh(p, pg.cfg.FillZeroCPU)
+		pg.cpu.UseHigh(p, fillZeroCPU)
 		pl.Seg.MaterializeZero(pl.PageIdx)
 		pg.insert(pl.Seg, pl.PageIdx)
 		pg.stats.FillZero++
@@ -335,7 +324,7 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 	case page.State.OnDisk:
 		start := p.Now()
 		pg.faultStart(p, "disk", addr)
-		pg.cpu.UseHigh(p, pg.cfg.FaultCPU)
+		pg.cpu.UseHigh(p, faultCPU)
 		pg.dsk.Read(p, as.PageSize())
 		pg.insert(pl.Seg, pl.PageIdx)
 		pg.stats.DiskFaults++
@@ -346,7 +335,7 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		// Materialized, not resident, not on disk: data just arrived in
 		// a message; only the mapping is missing (§2.3's cheap RealMem
 		// case).
-		pg.cpu.UseHigh(p, pg.cfg.MapInCPU)
+		pg.cpu.UseHigh(p, mapInCPU)
 		pg.insert(pl.Seg, pl.PageIdx)
 		pg.stats.MapIns++
 	}
@@ -436,7 +425,7 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 		// reply: park until the stream delivers it. The residual wait is
 		// a fraction of a full request round trip, and skipping the
 		// duplicate request keeps the wire clear for the stream itself.
-		pg.cpu.UseHigh(p, pg.cfg.FaultCPU)
+		pg.cpu.UseHigh(p, faultCPU)
 		pg.stats.StreamWaits++
 		pg.inc("fault.streamwait")
 		q := sim.NewQueue[struct{}](pg.k)
@@ -451,14 +440,14 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 		}
 		q.PopTimeout(p, timeout)
 		if pl.Seg.Page(pl.PageIdx) != nil {
-			pg.cpu.UseHigh(p, pg.cfg.MapInCPU)
+			pg.cpu.UseHigh(p, mapInCPU)
 			pg.insert(pl.Seg, pl.PageIdx)
 			return nil
 		}
 		// The stream never delivered; fall through to a full request.
-		pg.cpu.UseHigh(p, pg.cfg.ImagCPU)
+		pg.cpu.UseHigh(p, imagCPU)
 	} else {
-		pg.cpu.UseHigh(p, pg.cfg.FaultCPU+pg.cfg.ImagCPU)
+		pg.cpu.UseHigh(p, faultCPU+imagCPU)
 	}
 
 	// Windowed streaming: ask the backer to split its reply — the
@@ -543,7 +532,7 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			// original order even though data arrives run-batched. A
 			// wire-decoded reply's pages become frames in place.
 			pl.Seg.Receive(idx, run.Page(j, ps), rep.Owned())
-			pg.cpu.UseHigh(p, pg.cfg.MapInCPU)
+			pg.cpu.UseHigh(p, mapInCPU)
 			pg.insert(pl.Seg, idx)
 			if pg.index != nil {
 				// The page's content is now local: index it under its
@@ -583,7 +572,7 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	key := pageKey{pl.Seg.ID, pl.PageIdx}
 	if data, hit := pg.index.Lookup(h); hit {
-		pg.cpu.UseHigh(p, pg.cfg.FaultCPU+pg.dedup.LocalServeCPU+pg.cfg.MapInCPU)
+		pg.cpu.UseHigh(p, faultCPU+vm.LocalServeCPU+mapInCPU)
 		pl.Seg.Materialize(pl.PageIdx, data)
 		pg.insert(pl.Seg, pl.PageIdx)
 		delete(pg.hints, key)
@@ -598,7 +587,7 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	if !ok || port == ipc.PortID(pl.Seg.BackingPort) {
 		return false
 	}
-	pg.cpu.UseHigh(p, pg.cfg.FaultCPU+pg.cfg.ImagCPU)
+	pg.cpu.UseHigh(p, faultCPU+imagCPU)
 	reply := pg.sys.AllocPort("hash-reply")
 	defer pg.sys.RemovePort(reply)
 	err := pg.sys.Send(p, &ipc.Message{
@@ -626,7 +615,7 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 		return false
 	}
 	pl.Seg.Receive(pl.PageIdx, body.Runs[0].Page(0, pl.Seg.PageSize()), rep.Owned())
-	pg.cpu.UseHigh(p, pg.cfg.MapInCPU)
+	pg.cpu.UseHigh(p, mapInCPU)
 	pg.insert(pl.Seg, pl.PageIdx)
 	if page := pl.Seg.Page(pl.PageIdx); page != nil {
 		pg.index.Put(h, page.Data)
@@ -648,7 +637,7 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 // failure path.
 func (pg *Pager) RepairPage(p *sim.Proc, seg *vm.Segment, idx, hash uint64) bool {
 	if hash == vm.ZeroHash {
-		pg.cpu.UseHigh(p, pg.cfg.FillZeroCPU)
+		pg.cpu.UseHigh(p, fillZeroCPU)
 		seg.MaterializeZero(idx)
 		pg.insert(seg, idx)
 	} else if !pg.contentFault(p, vm.Place{Seg: seg, PageIdx: idx}, hash) {
@@ -702,7 +691,7 @@ func (pg *Pager) ensureStreamRecv() {
 						seg.Receive(idx, run.Page(j, ps), m.Owned())
 						// Mapping in opportunistic pages yields the CPU
 						// to fault handling.
-						pg.cpu.Use(p, pg.cfg.MapInCPU)
+						pg.cpu.Use(p, mapInCPU)
 						pg.insert(seg, idx)
 						pg.stats.PrefetchedPages++
 						pg.prefetched[key] = true
@@ -733,7 +722,7 @@ func (pg *Pager) orphan(p *sim.Proc, pl vm.Place, cause error) error {
 	if pg.cfg.Orphan != OrphanZeroFill {
 		return cause
 	}
-	pg.cpu.UseHigh(p, pg.cfg.FillZeroCPU)
+	pg.cpu.UseHigh(p, fillZeroCPU)
 	pl.Seg.MaterializeZero(pl.PageIdx)
 	pg.insert(pl.Seg, pl.PageIdx)
 	pg.stats.ZeroFills++

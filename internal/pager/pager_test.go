@@ -27,7 +27,7 @@ type rig struct {
 func newRigQuick(frames int) *rig {
 	k := sim.New()
 	cpu := sim.NewResource(k, "cpu", 1)
-	sys := ipc.NewSystem(k, "m0", cpu, ipc.Config{})
+	sys := ipc.NewSystem(k, "m0", cpu, vm.DefaultPageSize, ipc.Config{})
 	dsk := disk.New(k, "d0", disk.Config{})
 	phys := vm.NewPhysMem(frames)
 	pg := New(k, "m0", cpu, phys, dsk, sys, Config{})
@@ -39,7 +39,7 @@ func newRig(t *testing.T, frames int) *rig {
 	t.Helper()
 	k := sim.New()
 	cpu := sim.NewResource(k, "cpu", 1)
-	sys := ipc.NewSystem(k, "m0", cpu, ipc.Config{})
+	sys := ipc.NewSystem(k, "m0", cpu, vm.DefaultPageSize, ipc.Config{})
 	dsk := disk.New(k, "d0", disk.Config{})
 	phys := vm.NewPhysMem(frames)
 	pg := New(k, "m0", cpu, phys, dsk, sys, Config{})

@@ -208,41 +208,25 @@ type DedupConfig struct {
 	// attachments, verifies them at install time, and repairs
 	// mismatches by single-page hash reads back to the source.
 	Integrity bool
+}
 
+// The content-addressed store's costs, charged only while the store
+// is on. Hashing 512 bytes is a fast pass over one page (~a tenth of
+// the 2 ms map-in cost); the modeled compressor costs about a quarter
+// of the 13 ms fragment handling it can save; a local serve is a frame
+// copy plus map-in bookkeeping.
+const (
 	// HashPerPageCPU is charged at the source for hashing one page when
 	// building a manifest (and at any machine indexing a page).
-	HashPerPageCPU time.Duration
+	HashPerPageCPU = 200 * time.Microsecond
 	// CompressPerPageCPU / DecompressPerPageCPU are charged per shipped
 	// page at the source / destination when Compress is on.
-	CompressPerPageCPU   time.Duration
-	DecompressPerPageCPU time.Duration
+	CompressPerPageCPU   = 3 * time.Millisecond
+	DecompressPerPageCPU = 1 * time.Millisecond
 	// LocalServeCPU is charged when a fault is satisfied from the
 	// destination's own content index instead of the wire.
-	LocalServeCPU time.Duration
-}
-
-// WithDefaults fills unset cost knobs. Hashing 512 bytes is a fast
-// pass over one page (~a tenth of the 2 ms map-in cost); the modeled
-// compressor costs about a quarter of the 13 ms fragment handling it
-// can save; a local serve is a frame copy plus map-in bookkeeping.
-func (c DedupConfig) WithDefaults() DedupConfig {
-	if !c.Enabled && !c.Resume && !c.Integrity {
-		return c
-	}
-	if c.HashPerPageCPU == 0 {
-		c.HashPerPageCPU = 200 * time.Microsecond
-	}
-	if c.CompressPerPageCPU == 0 {
-		c.CompressPerPageCPU = 3 * time.Millisecond
-	}
-	if c.DecompressPerPageCPU == 0 {
-		c.DecompressPerPageCPU = 1 * time.Millisecond
-	}
-	if c.LocalServeCPU == 0 {
-		c.LocalServeCPU = 1 * time.Millisecond
-	}
-	return c
-}
+	LocalServeCPU = 1 * time.Millisecond
+)
 
 // ManifestActive reports whether migrations run the OpManifest
 // exchange: for content elision (Enabled), for ledger-driven resume

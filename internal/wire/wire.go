@@ -157,19 +157,40 @@ func (w *Encoder) Extra(vs ...any) {
 	}
 }
 
-// rdr is the matching decoder; it panics with errTruncated via helpers
-// and the public functions recover it into an error.
-type rdr struct {
+// Decoder reads the big-endian fields an Encoder wrote, in the same
+// order. A read past the end of its buffer panics; Decode and
+// DecodeMessage turn that panic into an error.
+type Decoder struct {
 	b   []byte
 	off int
 }
 
 type truncated struct{}
 
+// Decode runs fn over a Decoder reading b and returns what fn returns.
+// A read past the end of b becomes an error, so a body codec that
+// decodes through it never panics on a truncated body.
+func Decode(b []byte, fn func(*Decoder) (any, error)) (v any, err error) {
+	defer untruncate(&err, "body", len(b))
+	return fn(&Decoder{b: b})
+}
+
+// untruncate turns the panic a Decoder raises on a read past the end
+// of an n-byte buffer into *err, naming what was read; any other panic
+// goes on. It must be deferred directly.
+func untruncate(err *error, what string, n int) {
+	if rec := recover(); rec != nil {
+		if _, ok := rec.(truncated); !ok {
+			panic(rec)
+		}
+		*err = fmt.Errorf("wire: truncated %s (%d bytes)", what, n)
+	}
+}
+
 // need consumes the next n bytes and returns them as a window capped
 // at its own length. The bounds check comes before anything is sized
 // from n, so a corrupt length cannot make the decoder allocate.
-func (r *rdr) need(n int) []byte {
+func (r *Decoder) need(n int) []byte {
 	if n < 0 || n > len(r.b)-r.off {
 		panic(truncated{})
 	}
@@ -177,19 +198,35 @@ func (r *rdr) need(n int) []byte {
 	r.off += n
 	return v
 }
-func (r *rdr) u8() uint8     { return r.need(1)[0] }
-func (r *rdr) u32() uint32   { return binary.BigEndian.Uint32(r.need(4)) }
-func (r *rdr) u64() uint64   { return binary.BigEndian.Uint64(r.need(8)) }
-func (r *rdr) i64() int64    { return int64(r.u64()) }
-func (r *rdr) bool() bool    { return r.u8() != 0 }
-func (r *rdr) bytes() []byte { return r.need(int(r.u32())) }
-func (r *rdr) str() string   { return string(r.bytes()) }
 
-// count reads an item count and checks it against the bytes left, at
+// U8 reads one byte.
+func (r *Decoder) U8() uint8 { return r.need(1)[0] }
+
+// U32 reads a big-endian uint32.
+func (r *Decoder) U32() uint32 { return binary.BigEndian.Uint32(r.need(4)) }
+
+// U64 reads a big-endian uint64.
+func (r *Decoder) U64() uint64 { return binary.BigEndian.Uint64(r.need(8)) }
+
+// I64 reads an int64 written by Encoder.I64.
+func (r *Decoder) I64() int64 { return int64(r.U64()) }
+
+// Bool reads a byte written by Encoder.Bool.
+func (r *Decoder) Bool() bool { return r.U8() != 0 }
+
+// Bytes reads a length and then that many bytes, returned as a window
+// onto the buffer capped at its own length, not a copy: nothing writes
+// a frame after decoding it.
+func (r *Decoder) Bytes() []byte { return r.need(int(r.U32())) }
+
+// Str reads a string written by Encoder.Str.
+func (r *Decoder) Str() string { return string(r.Bytes()) }
+
+// Count reads an item count and checks it against the bytes left, at
 // least size bytes an item, so a slice made from it is sized once and
-// never larger than the frame could fill.
-func (r *rdr) count(size int) int {
-	n := int(r.u32())
+// never larger than the buffer could fill.
+func (r *Decoder) Count(size int) int {
+	n := int(r.U32())
 	if n > (len(r.b)-r.off)/size {
 		panic(truncated{})
 	}
@@ -198,16 +235,16 @@ func (r *rdr) count(size int) int {
 
 // runs decodes a run list written by writeRuns: page data windows onto
 // the frame, the slice sized once from its checked count.
-func (r *rdr) runs() []vm.PageRun {
-	n := r.count(runHeaderBytes)
+func (r *Decoder) runs() []vm.PageRun {
+	n := r.Count(runHeaderBytes)
 	if n == 0 {
 		return nil
 	}
 	runs := make([]vm.PageRun, n)
 	for i := range runs {
-		runs[i].Index = r.u64()
-		runs[i].Count = int(r.u32())
-		runs[i].Data = r.bytes()
+		runs[i].Index = r.U64()
+		runs[i].Count = int(r.U32())
+		runs[i].Data = r.Bytes()
 	}
 	return runs
 }
@@ -319,28 +356,20 @@ func encodeAttachment(w *Encoder, a *ipc.MemAttachment) {
 // message takes ownership of the frame, which the caller must not
 // reuse or modify afterwards, and is marked owned (ipc.Message.Owned)
 // so its receiver may adopt the windows as page frames.
-func DecodeMessage(frame []byte, extras []any) (m *ipc.Message, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(truncated); ok {
-				m, err = nil, fmt.Errorf("wire: truncated frame (%d bytes)", len(frame))
-				return
-			}
-			panic(rec)
-		}
-	}()
-	r := &rdr{b: frame}
-	m = &ipc.Message{
-		Op:      int(r.i64()),
-		To:      ipc.PortID(r.u64()),
-		ReplyTo: ipc.PortID(r.u64()),
+func DecodeMessage(frame []byte, extras []any) (_ *ipc.Message, err error) {
+	defer untruncate(&err, "frame", len(frame))
+	r := &Decoder{b: frame}
+	m := &ipc.Message{
+		Op:      int(r.I64()),
+		To:      ipc.PortID(r.U64()),
+		ReplyTo: ipc.PortID(r.U64()),
 	}
-	m.BodyBytes = int(r.u32())
-	m.NoIOUs = r.bool()
-	m.FaultSupport = r.bool()
+	m.BodyBytes = int(r.U32())
+	m.NoIOUs = r.Bool()
+	m.FaultSupport = r.Bool()
 
-	if r.u8() == 1 {
-		body := r.bytes()
+	if r.U8() == 1 {
+		body := r.Bytes()
 		codec, ok := bodyCodecs[m.Op]
 		if !ok {
 			return nil, fmt.Errorf("wire: frame carries op %#x body but no codec is registered", m.Op)
@@ -357,7 +386,7 @@ func DecodeMessage(frame []byte, extras []any) (m *ipc.Message, err error) {
 		m.Body = extras[0]
 	}
 
-	if n := r.count(attachmentBytes); n > 0 {
+	if n := r.Count(attachmentBytes); n > 0 {
 		m.Mem = make([]*ipc.MemAttachment, n)
 		for i := range m.Mem {
 			m.Mem[i] = decodeAttachment(r)
@@ -370,24 +399,24 @@ func DecodeMessage(frame []byte, extras []any) (m *ipc.Message, err error) {
 	return m, nil
 }
 
-func decodeAttachment(r *rdr) *ipc.MemAttachment {
+func decodeAttachment(r *Decoder) *ipc.MemAttachment {
 	a := &ipc.MemAttachment{
-		Kind:      ipc.AttachKind(r.u8()),
-		VA:        vm.Addr(r.u64()),
-		Size:      r.u64(),
-		Collapsed: r.bool(),
-		Resident:  r.bool(),
-		Copy:      r.bool(),
-		SegID:     r.u64(),
-		SegOff:    r.u64(),
-		SegSize:   r.u64(),
-		Backing:   ipc.PortID(r.u64()),
+		Kind:      ipc.AttachKind(r.U8()),
+		VA:        vm.Addr(r.U64()),
+		Size:      r.U64(),
+		Collapsed: r.Bool(),
+		Resident:  r.Bool(),
+		Copy:      r.Bool(),
+		SegID:     r.U64(),
+		SegOff:    r.U64(),
+		SegSize:   r.U64(),
+		Backing:   ipc.PortID(r.U64()),
 	}
-	a.CompBytes = int(r.u32())
-	if n := r.count(8); n > 0 {
+	a.CompBytes = int(r.U32())
+	if n := r.Count(8); n > 0 {
 		a.Sums = make([]uint64, n)
 		for i := range a.Sums {
-			a.Sums[i] = r.u64()
+			a.Sums[i] = r.U64()
 		}
 	}
 	a.Runs = r.runs()
@@ -446,6 +475,11 @@ func FragCount(n, fragBytes, headroom int) int {
 
 // --- built-in codecs for the copy-on-reference protocol ---
 
+// DecodeMessage is the only caller of these codecs' Decode, and its
+// recovery covers a truncated body, so they read through a Decoder of
+// their own rather than through Decode: a fault's request and reply
+// then decode without a heap allocation.
+
 func init() {
 	RegisterBody(imag.OpReadRequest, BodyCodec{
 		Encode: func(w *Encoder, v any) error {
@@ -460,12 +494,12 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			r := &rdr{b: b}
+			r := &Decoder{b: b}
 			return &imag.ReadRequest{
-				SegID:    r.u64(),
-				PageIdx:  r.u64(),
-				Prefetch: int(r.i64()),
-				StreamTo: r.u64(),
+				SegID:    r.U64(),
+				PageIdx:  r.U64(),
+				Prefetch: int(r.I64()),
+				StreamTo: r.U64(),
 			}, nil
 		},
 	})
@@ -488,14 +522,14 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			r := &rdr{b: b}
-			rp := &imag.ReadReply{SegID: r.u64(), Streaming: r.bool()}
+			r := &Decoder{b: b}
+			rp := &imag.ReadReply{SegID: r.U64(), Streaming: r.Bool()}
 			rp.Runs = r.runs()
-			if n := r.count(8 + 4); n > 0 {
+			if n := r.Count(8 + 4); n > 0 {
 				rp.StreamRuns = make([]vm.PageRun, n)
 				for i := range rp.StreamRuns {
-					rp.StreamRuns[i].Index = r.u64()
-					rp.StreamRuns[i].Count = int(r.u32())
+					rp.StreamRuns[i].Index = r.U64()
+					rp.StreamRuns[i].Count = int(r.U32())
 				}
 			}
 			return rp, nil
@@ -513,8 +547,8 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			r := &rdr{b: b}
-			return &imag.SegmentDeath{SegID: r.u64()}, nil
+			r := &Decoder{b: b}
+			return &imag.SegmentDeath{SegID: r.U64()}, nil
 		},
 	})
 	RegisterBody(imag.OpReadError, BodyCodec{
@@ -529,11 +563,11 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			r := &rdr{b: b}
+			r := &Decoder{b: b}
 			return &imag.ReadError{
-				SegID:   r.u64(),
-				PageIdx: r.u64(),
-				Reason:  r.str(),
+				SegID:   r.U64(),
+				PageIdx: r.U64(),
+				Reason:  r.Str(),
 			}, nil
 		},
 	})
@@ -549,8 +583,8 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			r := &rdr{b: b}
-			return &imag.HashRead{Hash: r.u64(), SegID: r.u64(), Page: r.u64()}, nil
+			r := &Decoder{b: b}
+			return &imag.HashRead{Hash: r.U64(), SegID: r.U64(), Page: r.U64()}, nil
 		},
 	})
 	RegisterBody(imag.OpFlush, BodyCodec{
@@ -564,8 +598,8 @@ func init() {
 			return nil
 		},
 		Decode: func(b []byte, _ []any) (any, error) {
-			r := &rdr{b: b}
-			return &imag.FlushRequest{SegID: r.u64(), MaxPages: int(r.u32())}, nil
+			r := &Decoder{b: b}
+			return &imag.FlushRequest{SegID: r.U64(), MaxPages: int(r.U32())}, nil
 		},
 	})
 }
