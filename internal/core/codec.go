@@ -14,12 +14,12 @@ import (
 // making the Core and RIMAS context messages genuinely byte-
 // serializable: the destination reconstructs the AMap, the run table,
 // the port rights (with their pending mail), and the reference program
-// from the frame alone. Pending-mail bodies without codecs of their
-// own ride in the frame's extras, in order.
+// from the frame alone. Pending mail nests as whole messages
+// (wire.Encoder.Message), whose extras ride beside the outer frame.
 
 // Bodies are written through wire.Encoder, measured and then written
-// straight into the frame, and read back through wire.Decode, which
-// turns a truncated body into an error.
+// straight into the frame, and read back through wire.Decoder, whose
+// caller turns a truncated body into an error.
 
 func encodeAMap(w *wire.Encoder, m *vm.AMap) {
 	w.I64(int64(m.PageSize))
@@ -167,13 +167,9 @@ func init() {
 				w.Str(rt.Name)
 				w.U32(uint32(len(rt.Pending)))
 				for _, pm := range rt.Pending {
-					frame, ex, err := wire.EncodeMessage(pm)
-					if err != nil {
+					if err := w.Message(pm); err != nil {
 						return fmt.Errorf("pending mail: %w", err)
 					}
-					w.Bytes(frame)
-					w.U32(uint32(len(ex)))
-					w.Extra(ex...)
 				}
 			}
 			w.I64(int64(cb.MicrostateBytes))
@@ -187,43 +183,34 @@ func init() {
 			w.I64(int64(cb.Attempt))
 			return nil
 		},
-		Decode: func(b []byte, extras []any) (any, error) {
-			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
-				cb := &CoreBody{ProcName: r.Str()}
-				cb.AMap = decodeAMap(r)
-				nRights := int(r.U32())
-				for i := 0; i < nRights; i++ {
-					rt := PortRight{ID: ipc.PortID(r.U64()), Name: r.Str()}
-					nMail := int(r.U32())
-					for j := 0; j < nMail; j++ {
-						frame := r.Bytes()
-						nex := int(r.U32())
-						if nex > len(extras) {
-							return nil, fmt.Errorf("core: pending mail wants %d extras, have %d", nex, len(extras))
-						}
-						ex := extras[:nex]
-						extras = extras[nex:]
-						pm, err := wire.DecodeMessage(frame, ex)
-						if err != nil {
-							return nil, fmt.Errorf("pending mail: %w", err)
-						}
-						rt.Pending = append(rt.Pending, pm)
+		Decode: func(r *wire.Decoder) (any, error) {
+			cb := &CoreBody{ProcName: r.Str()}
+			cb.AMap = decodeAMap(r)
+			nRights := int(r.U32())
+			for i := 0; i < nRights; i++ {
+				rt := PortRight{ID: ipc.PortID(r.U64()), Name: r.Str()}
+				nMail := int(r.U32())
+				for j := 0; j < nMail; j++ {
+					pm, err := r.Message()
+					if err != nil {
+						return nil, fmt.Errorf("pending mail: %w", err)
 					}
-					cb.Rights = append(cb.Rights, rt)
+					rt.Pending = append(rt.Pending, pm)
 				}
-				cb.MicrostateBytes = int(r.I64())
-				cb.KernelStackBytes = int(r.I64())
-				cb.PCBBytes = int(r.I64())
-				cb.PC = int(r.I64())
-				var err error
-				cb.Program, err = decodeProgram(r)
-				if err != nil {
-					return nil, err
-				}
-				cb.Prefetch = int(r.I64())
-				cb.Attempt = int(r.I64())
-				return cb, nil
-			})
+				cb.Rights = append(cb.Rights, rt)
+			}
+			cb.MicrostateBytes = int(r.I64())
+			cb.KernelStackBytes = int(r.I64())
+			cb.PCBBytes = int(r.I64())
+			cb.PC = int(r.I64())
+			var err error
+			cb.Program, err = decodeProgram(r)
+			if err != nil {
+				return nil, err
+			}
+			cb.Prefetch = int(r.I64())
+			cb.Attempt = int(r.I64())
+			return cb, nil
 		},
 	})
 
@@ -245,18 +232,16 @@ func init() {
 			w.I64(int64(rb.Attempt))
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
-				rb := &RIMASBody{ProcName: r.Str(), HoldAtDest: r.Bool(), PreCopied: r.Bool()}
-				if n := r.Count(8 + 4 + 1); n > 0 {
-					rb.Runs = make([]CollapsedRun, n)
-					for i := range rb.Runs {
-						rb.Runs[i] = CollapsedRun{VA: vm.Addr(r.U64()), Pages: r.U32(), Resident: r.Bool()}
-					}
+		Decode: func(r *wire.Decoder) (any, error) {
+			rb := &RIMASBody{ProcName: r.Str(), HoldAtDest: r.Bool(), PreCopied: r.Bool()}
+			if n := r.Count(8 + 4 + 1); n > 0 {
+				rb.Runs = make([]CollapsedRun, n)
+				for i := range rb.Runs {
+					rb.Runs[i] = CollapsedRun{VA: vm.Addr(r.U64()), Pages: r.U32(), Resident: r.Bool()}
 				}
-				rb.Attempt = int(r.I64())
-				return rb, nil
-			})
+			}
+			rb.Attempt = int(r.I64())
+			return rb, nil
 		},
 	})
 
@@ -281,23 +266,21 @@ func init() {
 			w.I64(int64(ab.Attempt))
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
-				ab := &AckBody{ProcName: r.Str()}
-				ab.CoreArrived = time.Duration(r.I64())
-				ab.RIMASArrived = time.Duration(r.I64())
-				ab.InsertDone = time.Duration(r.I64())
-				ab.Insert.Overall = time.Duration(r.I64())
-				ab.Insert.ArrivedPages = int(r.I64())
-				ab.Insert.IOURuns = int(r.I64())
-				ab.Insert.ZeroRuns = int(r.I64())
-				ab.Insert.ElidedPages = int(r.I64())
-				ab.Insert.ResumedPages = int(r.I64())
-				ab.Insert.RepairedPages = int(r.I64())
-				ab.Err = r.Str()
-				ab.Attempt = int(r.I64())
-				return ab, nil
-			})
+		Decode: func(r *wire.Decoder) (any, error) {
+			ab := &AckBody{ProcName: r.Str()}
+			ab.CoreArrived = time.Duration(r.I64())
+			ab.RIMASArrived = time.Duration(r.I64())
+			ab.InsertDone = time.Duration(r.I64())
+			ab.Insert.Overall = time.Duration(r.I64())
+			ab.Insert.ArrivedPages = int(r.I64())
+			ab.Insert.IOURuns = int(r.I64())
+			ab.Insert.ZeroRuns = int(r.I64())
+			ab.Insert.ElidedPages = int(r.I64())
+			ab.Insert.ResumedPages = int(r.I64())
+			ab.Insert.RepairedPages = int(r.I64())
+			ab.Err = r.Str()
+			ab.Attempt = int(r.I64())
+			return ab, nil
 		},
 	}
 	wire.RegisterBody(OpMigrateAck, ackCodec)
@@ -313,10 +296,8 @@ func init() {
 			w.I64(int64(pb.Round))
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
-				return &PreCopyBody{ProcName: r.Str(), Round: int(r.I64())}, nil
-			})
+		Decode: func(r *wire.Decoder) (any, error) {
+			return &PreCopyBody{ProcName: r.Str(), Round: int(r.I64())}, nil
 		},
 	})
 	wire.RegisterBody(OpPreCopyAck, ackCodec)

@@ -39,41 +39,53 @@ func DissolveIOUs(p *sim.Proc, m *machine.Machine, pr *machine.Process) (int, er
 			continue
 		}
 		seen[seg.ID] = true
-		for {
-			rep, err := m.IPC.Call(p, &ipc.Message{
-				Op:           imag.OpFlush,
-				To:           ipc.PortID(seg.BackingPort),
-				Body:         &imag.FlushRequest{SegID: seg.ID, MaxPages: FlushChunkPages},
-				BodyBytes:    imag.FlushRequestBytes,
-				FaultSupport: true,
-			})
-			if err != nil {
-				return fetched, fmt.Errorf("core: dissolve segment %d: %w", seg.ID, err)
-			}
-			body, ok := rep.Body.(*imag.ReadReply)
-			if !ok {
-				return fetched, fmt.Errorf("core: dissolve segment %d: bad reply %T", seg.ID, rep.Body)
-			}
-			ps := seg.PageSize()
-			for _, run := range body.Runs {
-				for j := 0; j < run.Count; j++ {
-					idx := run.Index + uint64(j)
-					// Skip pages already fetched by earlier faults.
-					if seg.Page(idx) != nil {
-						continue
-					}
-					vp := seg.Materialize(idx, run.Page(j, ps))
-					vp.MarkWritten() // no local disk copy yet
-					m.Pager.Install(seg, idx)
-					fetched++
-				}
-			}
-			if body.PageCount() < FlushChunkPages {
-				break
-			}
+		n, err := flushSegment(p, m, seg)
+		fetched += n
+		if err != nil {
+			return fetched, err
 		}
 	}
 	return fetched, nil
+}
+
+// flushSegment asks seg's backer for its still-owed pages in chunks
+// until a short chunk says none are left, and installs each page that
+// no fault fetched first. It returns how many pages it installed.
+func flushSegment(p *sim.Proc, m *machine.Machine, seg *vm.Segment) (int, error) {
+	fetched := 0
+	for {
+		rep, err := m.IPC.Call(p, &ipc.Message{
+			Op:           imag.OpFlush,
+			To:           ipc.PortID(seg.BackingPort),
+			Body:         &imag.FlushRequest{SegID: seg.ID, MaxPages: FlushChunkPages},
+			BodyBytes:    imag.FlushRequestBytes,
+			FaultSupport: true,
+		})
+		if err != nil {
+			return fetched, fmt.Errorf("core: dissolve segment %d: %w", seg.ID, err)
+		}
+		body, ok := rep.Body.(*imag.ReadReply)
+		if !ok {
+			return fetched, fmt.Errorf("core: dissolve segment %d: bad reply %T", seg.ID, rep.Body)
+		}
+		ps := seg.PageSize()
+		for _, run := range body.Runs {
+			for j := 0; j < run.Count; j++ {
+				idx := run.Index + uint64(j)
+				// Skip pages already fetched by earlier faults.
+				if seg.Page(idx) != nil {
+					continue
+				}
+				vp := seg.Receive(idx, run.Page(j, ps))
+				vp.MarkWritten() // no local disk copy yet
+				m.Pager.Install(seg, idx)
+				fetched++
+			}
+		}
+		if body.PageCount() < FlushChunkPages {
+			return fetched, nil
+		}
+	}
 }
 
 // dissolveWindowed drains each imaginary segment with up to k chunked
@@ -101,41 +113,7 @@ func dissolveWindowed(p *sim.Proc, m *machine.Machine, pr *machine.Process, k in
 		for w := 0; w < k; w++ {
 			m.K.Go(fmt.Sprintf("%s.dissolve%d", m.Name, w), func(wp *sim.Proc) {
 				var res flushResult
-				for {
-					rep, err := m.IPC.Call(wp, &ipc.Message{
-						Op:           imag.OpFlush,
-						To:           ipc.PortID(seg.BackingPort),
-						Body:         &imag.FlushRequest{SegID: seg.ID, MaxPages: FlushChunkPages},
-						BodyBytes:    imag.FlushRequestBytes,
-						FaultSupport: true,
-					})
-					if err != nil {
-						res.err = fmt.Errorf("core: dissolve segment %d: %w", seg.ID, err)
-						break
-					}
-					body, ok := rep.Body.(*imag.ReadReply)
-					if !ok {
-						res.err = fmt.Errorf("core: dissolve segment %d: bad reply %T", seg.ID, rep.Body)
-						break
-					}
-					ps := seg.PageSize()
-					for j := range body.Runs {
-						run := body.Runs[j]
-						for i := 0; i < run.Count; i++ {
-							idx := run.Index + uint64(i)
-							if seg.Page(idx) != nil {
-								continue
-							}
-							vp := seg.Materialize(idx, run.Page(i, ps))
-							vp.MarkWritten() // no local disk copy yet
-							m.Pager.Install(seg, idx)
-							res.fetched++
-						}
-					}
-					if body.PageCount() < FlushChunkPages {
-						break
-					}
-				}
+				res.fetched, res.err = flushSegment(wp, m, seg)
 				done.Push(res)
 			})
 		}

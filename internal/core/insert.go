@@ -94,11 +94,6 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 	// RIMAS attachment list, so twin recipes can copy from the shipped
 	// original wherever it landed.
 	built := make(map[int]*vm.Segment)
-	// Pages of a wire-decoded RIMAS message are windows onto its frame,
-	// which nothing else references: they become the pages' frames in
-	// place. A rollback reinstalls the source's own context, whose page
-	// images the context keeps, so it copies them.
-	owned := rimasMsg.Owned()
 	mkSegment := func(ai int, a *ipc.MemAttachment, label string) (*vm.Segment, error) {
 		switch a.Kind {
 		case ipc.AttachData:
@@ -109,7 +104,9 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 			for _, run := range a.Runs {
 				for j := 0; j < run.Count; j++ {
 					idx := run.Index + uint64(j)
-					pg := seg.Receive(idx, run.Page(j, int(ps)), owned)
+					// The page borrows the image the message carried, be it
+					// the wire's or, in a rollback, the context's own.
+					pg := seg.Receive(idx, run.Page(j, int(ps)))
 					// Arrived data exists nowhere on the local disk yet:
 					// an eviction must write it out.
 					pg.State.Dirty = true
@@ -353,11 +350,11 @@ func applyRecipe(m *machine.Machine, seg *vm.Segment, acts []recipeAct, built ma
 		case actZero:
 			install(idx, seg.MaterializeZero(idx), vm.ZeroHash)
 		case actLocal:
-			// A private copy made at classification: adopt it.
-			install(idx, seg.Adopt(idx, act.data), act.hash)
+			// The private copy made at classification.
+			install(idx, seg.Receive(idx, act.data), act.hash)
 		case actResume:
-			// The ledger keeps its copy.
-			install(idx, seg.Materialize(idx, act.data), act.hash)
+			// The ledger's copy, which nothing writes.
+			install(idx, seg.Receive(idx, act.data), act.hash)
 			resumed++
 		case actTwin:
 			twinSeg := built[act.twinAtt]
@@ -368,7 +365,8 @@ func applyRecipe(m *machine.Machine, seg *vm.Segment, acts []recipeAct, built ma
 			if src == nil {
 				return rebuilt, resumed, fmt.Errorf("twin page %d/%d not materialized", act.twinAtt, act.twinIdx)
 			}
-			install(idx, seg.Materialize(idx, src.Data), act.hash)
+			// The shipped original, still the image its message carried.
+			install(idx, seg.Receive(idx, src.Data), act.hash)
 		}
 	}
 	return rebuilt, resumed, nil

@@ -282,24 +282,22 @@ func init() {
 			}
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
-				mb := &ManifestBody{ProcName: r.Str(), Attempt: int(r.I64())}
-				if n := r.Count(1 + 4); n > 0 {
-					mb.Atts = make([]ManifestAtt, n)
-					for i := range mb.Atts {
-						a := &mb.Atts[i]
-						a.WillShip = r.Bool()
-						if np := r.Count(8); np > 0 {
-							a.Hashes = make([]uint64, np)
-							for j := range a.Hashes {
-								a.Hashes[j] = r.U64()
-							}
+		Decode: func(r *wire.Decoder) (any, error) {
+			mb := &ManifestBody{ProcName: r.Str(), Attempt: int(r.I64())}
+			if n := r.Count(1 + 4); n > 0 {
+				mb.Atts = make([]ManifestAtt, n)
+				for i := range mb.Atts {
+					a := &mb.Atts[i]
+					a.WillShip = r.Bool()
+					if np := r.Count(8); np > 0 {
+						a.Hashes = make([]uint64, np)
+						for j := range a.Hashes {
+							a.Hashes[j] = r.U64()
 						}
 					}
 				}
-				return mb, nil
-			})
+			}
+			return mb, nil
 		},
 	})
 
@@ -317,19 +315,17 @@ func init() {
 			}
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			return wire.Decode(b, func(r *wire.Decoder) (any, error) {
-				ab := &ManifestAckBody{ProcName: r.Str(), Attempt: int(r.I64())}
-				if n := r.Count(4); n > 0 {
-					ab.Needed = make([][]byte, n)
-					for i := range ab.Needed {
-						if bm := r.Bytes(); len(bm) > 0 {
-							ab.Needed[i] = bm
-						}
+		Decode: func(r *wire.Decoder) (any, error) {
+			ab := &ManifestAckBody{ProcName: r.Str(), Attempt: int(r.I64())}
+			if n := r.Count(4); n > 0 {
+				ab.Needed = make([][]byte, n)
+				for i := range ab.Needed {
+					if bm := r.Bytes(); len(bm) > 0 {
+						ab.Needed[i] = bm
 					}
 				}
-				return ab, nil
-			})
+			}
+			return ab, nil
 		},
 	})
 }

@@ -285,6 +285,11 @@ func (c Config) forParallel(workers int) Config {
 // sub-millisecond memoized cells are not dominated by cross-core
 // contention on the dispatch counter. Batches stay small relative to
 // n/w to keep the tail balanced when cell costs are skewed.
+//
+// Each cell ends with a yield to the Go scheduler: a trial's procs hand
+// off as coroutines, which never enter it, so on one P a collection's
+// mark worker would wait for the 10 ms preemption tick while the trial
+// allocates on, and the overrun doubles the next heap goal.
 func (e *Engine) fanOut(n int, fn func(i int)) {
 	w := e.Workers()
 	if w > n {
@@ -293,6 +298,7 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
+			runtime.Gosched()
 		}
 		return
 	}
@@ -317,6 +323,7 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 				}
 				for i := lo; i < hi; i++ {
 					fn(i)
+					runtime.Gosched()
 				}
 			}
 		}()

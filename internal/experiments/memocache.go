@@ -23,8 +23,10 @@ import (
 // calibration constant (DESIGN.md §3 tables them; netmsg's fragCPU or
 // vm.HashPerPageCPU, say) is one, since constants are not config
 // fields; old entries become unreachable (they live in a differently
-// named subdirectory) and are eventually pruned.
-const memoEpoch = 3
+// named subdirectory) and are eventually pruned. Epoch 4: pages cross
+// the wire by reference and receivers borrow them, so a
+// ResilienceOutcome's SrcFrames and DstFrames changed.
+const memoEpoch = 4
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.

@@ -236,23 +236,7 @@ type Message struct {
 	// local scheduling hint, not part of the encoded frame — each hop
 	// that needs it sets it from the request body.
 	Background bool
-
-	// owned is the ownership bit (see Owned); only MarkOwned sets it.
-	owned bool
 }
-
-// Owned reports whether m came out of wire.DecodeMessage: its page
-// buffers, in attachments and in bodies, are windows onto a frame that
-// nothing else references, so a receiver may adopt them into its
-// segments (vm.Segment.Adopt) instead of copying them. Any other
-// message — a sender's own, a same-machine delivery, the context a
-// rollback reinstalls — shares its page images with someone, and its
-// receiver copies them (vm.Segment.Materialize).
-func (m *Message) Owned() bool { return m.owned }
-
-// MarkOwned sets the ownership bit. wire.DecodeMessage is its only
-// caller, which a test in package wire enforces.
-func (m *Message) MarkOwned() { m.owned = true }
 
 // WireBytes reports the message's encoded size: header, body, and
 // attachment descriptors plus physical payloads.
@@ -441,8 +425,12 @@ func (s *System) transferCPU(m *Message) (time.Duration, bool) {
 }
 
 // SetRouter installs the network-forwarding hook consulted when a
-// destination port is not local (the NetMsgServer's role).
-func (s *System) SetRouter(r Router) { s.router = r }
+// destination port is not local (the NetMsgServer's role), and returns
+// the hook it replaces, so a caller may chain to it.
+func (s *System) SetRouter(r Router) (prev Router) {
+	prev, s.router = s.router, r
+	return prev
+}
 
 // emitMsg records one message crossing the user/kernel boundary; cost
 // is the handling CPU just charged, ending at the current instant.

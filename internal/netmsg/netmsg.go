@@ -8,6 +8,7 @@
 package netmsg
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -410,9 +411,10 @@ func (s *Server) forward(p *sim.Proc, m *ipc.Message, pl *peerLink) {
 	s.stats.Forwarded++
 	s.account(m, handling)
 
-	// The message crosses the wire as bytes: encode and hand the peer a
-	// freshly decoded copy, guaranteeing context messages are
-	// self-contained (§3.1) and that machines never share page buffers.
+	// The message crosses the wire as a frame: encode and hand the peer
+	// a freshly decoded message, guaranteeing context messages are
+	// self-contained (§3.1). Its page images are the sender's, which no
+	// one writes once a message carries them (see package wire).
 	decoded, err := wire.Transfer(m)
 	if err != nil {
 		// A codec failure is a protocol bug, not a runtime condition.
@@ -582,20 +584,27 @@ func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covere
 
 // corruptDelivered applies the failure model's bit-flips to a freshly
 // decoded inbound message: each integrity-protected payload page may
-// arrive damaged (corruption the link CRC missed). The decoded copy
-// owns its buffers, so flipping here can never touch the sender's
-// rollback snapshot. Unprotected attachments are left alone — the
-// corrupt fault models damage on the checksummed migration stream.
+// arrive damaged (corruption the link CRC missed). The decoded run
+// lists are the message's own, but their images are the sender's — its
+// rollback snapshot — so a run is copied before its first flip and the
+// damage lands in the copy. Unprotected attachments are left alone —
+// the corrupt fault models damage on the checksummed migration stream.
 func (s *Server) corruptDelivered(m *ipc.Message, pl *peerLink) {
 	ps := s.ps
 	for _, a := range m.Mem {
 		if a.Kind != ipc.AttachData || len(a.Sums) == 0 {
 			continue
 		}
-		for _, run := range a.Runs {
+		for ri := range a.Runs {
+			run := &a.Runs[ri]
+			copied := false
 			for i := 0; i < run.Count; i++ {
 				if !pl.link.CorruptPage(s.k.Now()) {
 					continue
+				}
+				if !copied {
+					run.Data = bytes.Clone(run.Data)
+					copied = true
 				}
 				pg := run.Page(i, ps)
 				if len(pg) > 0 {
@@ -805,10 +814,12 @@ func (s *Server) backer(p *sim.Proc) {
 			}
 			// The reply is a normal read reply stamped with the
 			// requester's segment and page, so the faulter's install
-			// path cannot tell content routing from origin backing.
+			// path cannot tell content routing from origin backing. It
+			// carries a copy: the index aliases live frames, which
+			// their pages may still write.
 			s.reply(p, m, imag.OpReadReply, &imag.ReadReply{
 				SegID: req.SegID,
-				Runs:  []vm.PageRun{{Index: req.Page, Count: 1, Data: data}},
+				Runs:  []vm.PageRun{{Index: req.Page, Count: 1, Data: bytes.Clone(data)}},
 			}, false)
 		case imag.OpFlush:
 			req, ok := m.Body.(*imag.FlushRequest)

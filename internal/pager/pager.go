@@ -12,6 +12,7 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -529,9 +530,8 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			// A page may have arrived earlier via prefetch and a duplicate
 			// can show up under retries; newest data wins either way. The
 			// per-page map-in charge and residency insertion keep their
-			// original order even though data arrives run-batched. A
-			// wire-decoded reply's pages become frames in place.
-			pl.Seg.Receive(idx, run.Page(j, ps), rep.Owned())
+			// original order even though data arrives run-batched.
+			pl.Seg.Receive(idx, run.Page(j, ps))
 			pg.cpu.UseHigh(p, mapInCPU)
 			pg.insert(pl.Seg, idx)
 			if pg.index != nil {
@@ -565,15 +565,15 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 }
 
 // contentFault tries to satisfy an imaginary fault by content instead
-// of by origin: first the local index (a frame copy, no wire), then a
-// HashRead to the nearest holder the resolver names. It reports whether
-// the page was installed; false means the caller proceeds with the
-// ordinary backing-port request.
+// of by origin: first the local index (a private copy, since the index
+// aliases live frames; no wire), then a HashRead to the nearest holder
+// the resolver names. It reports whether the page was installed; false
+// means the caller proceeds with the ordinary backing-port request.
 func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	key := pageKey{pl.Seg.ID, pl.PageIdx}
 	if data, hit := pg.index.Lookup(h); hit {
 		pg.cpu.UseHigh(p, faultCPU+vm.LocalServeCPU+mapInCPU)
-		pl.Seg.Materialize(pl.PageIdx, data)
+		pl.Seg.Receive(pl.PageIdx, bytes.Clone(data))
 		pg.insert(pl.Seg, pl.PageIdx)
 		delete(pg.hints, key)
 		pg.stats.LocalServes++
@@ -614,7 +614,7 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	if rep.Op != imag.OpReadReply || !ok || body.PageCount() == 0 {
 		return false
 	}
-	pl.Seg.Receive(pl.PageIdx, body.Runs[0].Page(0, pl.Seg.PageSize()), rep.Owned())
+	pl.Seg.Receive(pl.PageIdx, body.Runs[0].Page(0, pl.Seg.PageSize()))
 	pg.cpu.UseHigh(p, mapInCPU)
 	pg.insert(pl.Seg, pl.PageIdx)
 	if page := pl.Seg.Page(pl.PageIdx); page != nil {
@@ -632,13 +632,15 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 // re-hash, so the index can never hand the damage back), then a
 // HashRead to the holder the resolver names — for a migration install,
 // the source, which indexed every shipped page when it stamped the
-// checksums. A zero hash needs no fetch at all. Reports whether the
-// page now holds verified content; false sends the caller to its own
-// failure path.
+// checksums. A zero hash needs no fetch at all: the page borrows no
+// image, which reads as zeros. Like the install it repairs, a repair
+// borrows (vm.Segment.Receive), so it never changes the pool count.
+// Reports whether the page now holds verified content; false sends the
+// caller to its own failure path.
 func (pg *Pager) RepairPage(p *sim.Proc, seg *vm.Segment, idx, hash uint64) bool {
 	if hash == vm.ZeroHash {
 		pg.cpu.UseHigh(p, fillZeroCPU)
-		seg.MaterializeZero(idx)
+		seg.Receive(idx, nil)
 		pg.insert(seg, idx)
 	} else if !pg.contentFault(p, vm.Place{Seg: seg, PageIdx: idx}, hash) {
 		return false
@@ -688,7 +690,7 @@ func (pg *Pager) ensureStreamRecv() {
 					idx := run.Index + uint64(j)
 					key := pageKey{seg.ID, idx}
 					if seg.Page(idx) == nil {
-						seg.Receive(idx, run.Page(j, ps), m.Owned())
+						seg.Receive(idx, run.Page(j, ps))
 						// Mapping in opportunistic pages yields the CPU
 						// to fault handling.
 						pg.cpu.Use(p, mapInCPU)

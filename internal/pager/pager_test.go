@@ -382,3 +382,34 @@ func TestQuickTouchSequenceInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLocalHitIsAPrivateCopy: the content index aliases live frames, so
+// a fault served from it installs a private copy, and the frame's page
+// writing afterwards leaves the served page as it was.
+func TestLocalHitIsAPrivateCopy(t *testing.T) {
+	r := newRig(t, 16)
+	content := []byte("indexed content")
+	live := vm.NewSegment("live", 512, 512)
+	h, _ := vm.HashPage(live.Materialize(0, content).Data, 512)
+	ix := vm.NewContentIndex(512)
+	ix.Put(h, live.Page(0).Data)
+	r.pg.SetContentIndex(ix)
+	owed := vm.NewImaginarySegment("owed", 512, 512, 99)
+	if _, err := r.as.MapSegment(0x4000, 512, owed, 0, "owed"); err != nil {
+		t.Fatal(err)
+	}
+	r.pg.RegisterHint(owed.ID, 0, h)
+	r.k.Go("faulter", func(p *sim.Proc) {
+		if err := r.pg.Touch(p, r.as, 0x4000, false); err != nil {
+			t.Errorf("Touch: %v", err)
+		}
+	})
+	r.k.Run()
+	if r.pg.Stats().LocalServes != 1 {
+		t.Fatalf("pager stats %+v: the fault was not served locally", r.pg.Stats())
+	}
+	live.Write(0, 0, []byte("overwritten"))
+	if got := owed.Read(0, 0, len(content)); string(got) != string(content) {
+		t.Errorf("a write to the indexed frame reached the served page: %q", got)
+	}
+}

@@ -32,12 +32,9 @@ type FramePoolStats struct {
 	Gets   uint64 // frames handed out
 	Puts   uint64 // frames recycled
 	Arenas uint64 // contiguous arenas allocated
-	// Adopted counts buffers a segment took over without a Get (see
-	// Segment.Adopt); they count as handed out, and a Put recycles
-	// them like any frame. Disowned counts frames that left with an
-	// excised process's context (see Segment.DisownFrames); they count
-	// as returned but are never reused.
-	Adopted  uint64
+	// Disowned counts frames that left with an excised process's
+	// context (see Segment.DisownFrames); they count as returned but
+	// are never reused.
 	Disowned uint64
 }
 
@@ -82,9 +79,6 @@ func (p *FramePool) Put(f []byte) {
 	p.free = append(p.free, f[:p.pageSize])
 }
 
-// adopt counts a buffer a segment took over as handed out.
-func (p *FramePool) adopt() { p.stats.Adopted++ }
-
 // disown counts a frame as returned without recycling it: its bytes
 // now belong to whoever holds them. Like Put, it ignores buffers
 // smaller than a page.
@@ -97,12 +91,12 @@ func (p *FramePool) disown(f []byte) {
 // FreeFrames reports how many recycled frames are ready for reuse.
 func (p *FramePool) FreeFrames() int { return len(p.free) }
 
-// InUse reports how many frames live pages hold: frames handed out or
-// adopted, less those recycled or disowned. The chaos campaign's
+// InUse reports how many frames live pages hold: frames handed out,
+// less those recycled or disowned. The chaos campaign's
 // frame-leak invariant compares each machine's InUse at the end of a
 // trial with the fault-free golden trial's.
 func (p *FramePool) InUse() uint64 {
-	return p.stats.Gets + p.stats.Adopted - p.stats.Puts - p.stats.Disowned
+	return p.stats.Gets - p.stats.Puts - p.stats.Disowned
 }
 
 // Stats returns a snapshot of pool traffic.

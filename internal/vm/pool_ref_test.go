@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestPoolMatchesOwnershipModel runs random Materialize, Adopt, Borrow,
-// Write, ReleaseFrames and DisownFrames steps over segments sharing one
-// pool, against a model that only tracks which pages own their frame.
-// After every step the pool's InUse must equal the frames that live
-// owned pages hold (a borrowed page holds none), so it can never wrap
-// below zero. Adopted windows must become the pages' frames, capped at
-// a page; a disowned frame must keep its bytes and never be handed out
-// again.
+// TestPoolMatchesOwnershipModel runs random Materialize, Receive,
+// Borrow, Write, ReleaseFrames and DisownFrames steps over segments
+// sharing one pool, against a model that only tracks which pages own
+// their frame. After every step the pool's InUse must equal the frames
+// that live owned pages hold (a borrowed page holds none), so it can
+// never wrap below zero. A received image must be borrowed in place,
+// capped at its length, unless the page owns a frame, which takes a
+// copy; no write may reach a received image; a disowned frame must
+// keep its bytes and never be handed out again.
 func TestPoolMatchesOwnershipModel(t *testing.T) {
 	const ps, pages = 64, 24
 	row := bytes.Repeat([]byte{0x5a}, ps) // a lender's image, never written
@@ -28,7 +29,7 @@ func TestPoolMatchesOwnershipModel(t *testing.T) {
 			owned[i] = map[uint64]bool{}
 		}
 		type kept struct{ data, was []byte }
-		var disowned []kept
+		var disowned, received []kept
 		isDisowned := func(f []byte) bool {
 			for _, d := range disowned {
 				if &d.data[0] == &f[0] {
@@ -56,23 +57,28 @@ func TestPoolMatchesOwnershipModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Materialize drew a disowned frame", seed, step)
 				}
 			case r < 11:
-				op = "Adopt"
-				// A window onto a decoded frame: uncapped, and sometimes
-				// short (the final page of a run), which is copied.
-				frame := make([]byte, 3*ps)
-				rng.Read(frame)
+				op = "Receive"
+				// An image a message carried: a window onto a run, and
+				// sometimes short (the final page of a run).
+				run := make([]byte, 3*ps)
+				rng.Read(run)
 				n := ps
 				if rng.Intn(4) == 0 {
 					n = rng.Intn(ps)
 				}
-				w := frame[ps : ps+n]
-				p := seg.Adopt(idx, w)
-				model[idx] = true
-				if n == ps && (&p.Data[0] != &w[0] || cap(p.Data) != ps) {
-					t.Fatalf("seed %d step %d: adopted window not installed capped in place", seed, step)
-				}
-				if n < ps && (len(p.Data) != ps || !bytes.Equal(p.Data[:n], w) || n > 0 && &p.Data[0] == &w[0]) {
-					t.Fatalf("seed %d step %d: a short window was not copied to a full frame", seed, step)
+				w := run[ps : ps+n]
+				received = append(received, kept{w, bytes.Clone(w)})
+				own := model[idx]
+				p := seg.Receive(idx, w)
+				if own {
+					if len(p.Data) != ps || !bytes.Equal(p.Data[:n], w) || n > 0 && &p.Data[0] == &w[0] {
+						t.Fatalf("seed %d step %d: Receive over an owned page did not copy into its frame", seed, step)
+					}
+				} else {
+					model[idx] = false
+					if len(p.Data) != n || cap(p.Data) != n || n > 0 && &p.Data[0] != &w[0] {
+						t.Fatalf("seed %d step %d: the received image was not borrowed in place, capped", seed, step)
+					}
 				}
 			case r < 13:
 				if _, ok := model[idx]; ok {
@@ -117,6 +123,11 @@ func TestPoolMatchesOwnershipModel(t *testing.T) {
 		for _, d := range disowned {
 			if !bytes.Equal(d.data, d.was) {
 				t.Fatalf("seed %d: a disowned frame changed", seed)
+			}
+		}
+		for _, d := range received {
+			if !bytes.Equal(d.data, d.was) {
+				t.Fatalf("seed %d: a write reached a received image", seed)
 			}
 		}
 		if !bytes.Equal(row, bytes.Repeat([]byte{0x5a}, ps)) {

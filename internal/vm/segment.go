@@ -187,48 +187,27 @@ func (s *Segment) Materialize(index uint64, data []byte) *Page {
 	return p
 }
 
-// Adopt installs data as page index's own frame without copying it.
-// The segment takes the buffer over: the caller must hand it a page
-// image nothing else references or will write, which in this simulator
-// means a page window of a message that wire.DecodeMessage produced
-// (ipc.Message.Owned) or a private copy made for this page. The window is capped at its length, so an append
-// through the page cannot reach the bytes after it. A window shorter
-// than a page is copied instead (Materialize), since an owned frame
-// always spans a full page. The attached pool counts an adopted buffer
-// as handed out, and ReleaseFrames recycles it like any frame.
-func (s *Segment) Adopt(index uint64, data []byte) *Page {
-	if len(data) != s.pageSize {
+// Receive installs a page image that arrived in a message by
+// borrowing it: a page image is immutable from the moment a message
+// carries it, so the page reads it in place, capped at its length (an
+// append cannot reach the next image of a run), and a write first gives
+// the page a private frame (see Borrow). Over a present page it copies
+// into an owned page's frame, or re-borrows over a borrowed one, so a
+// duplicate delivery or a repair never changes how many frames the
+// segment holds.
+func (s *Segment) Receive(index uint64, data []byte) *Page {
+	data = data[:len(data):len(data)]
+	p := s.table.get(index)
+	switch {
+	case p == nil:
+		return s.Borrow(index, data)
+	case !p.borrowed && p.Data != nil:
 		return s.Materialize(index, data)
+	case len(data) > s.pageSize:
+		panic(fmt.Sprintf("vm: receive with %d bytes > page size %d", len(data), s.pageSize))
 	}
-	if index >= s.Pages() {
-		panic(fmt.Sprintf("vm: adopt page %d beyond segment %q (%d pages)", index, s.Name, s.Pages()))
-	}
-	p, present := s.table.ensure(index)
-	if !present {
-		p.Index = index
-		p.State = PageState{}
-		p.Version = 0
-	}
-	if s.pool != nil {
-		if p.Data != nil && !p.borrowed {
-			// The frame Materialize would have written into is free again.
-			s.pool.Put(p.Data)
-		}
-		s.pool.adopt()
-	}
-	p.borrowed = false
-	p.Data = data[:len(data):len(data)]
+	p.Data, p.borrowed = data, true
 	return p
-}
-
-// Receive installs a page image that arrived in a message: adopted in
-// place when the message owns its page buffers (owned is the message's
-// ipc.Message.Owned), copied otherwise.
-func (s *Segment) Receive(index uint64, data []byte, owned bool) *Page {
-	if owned {
-		return s.Adopt(index, data)
-	}
-	return s.Materialize(index, data)
 }
 
 // MaterializeRun installs count consecutive pages starting at start

@@ -3,29 +3,28 @@
 // §3.1 property that context messages "do not have to be preprocessed
 // in any way". The simulator could pass Go pointers between machines;
 // instead, every wire crossing encodes to a frame and decodes it at
-// the peer, making accidental cross-machine sharing impossible and
-// catching any forgotten field the moment a test round-trips it.
+// the peer, so the receiver gets a message of its own built from the
+// frame, and a forgotten field shows the moment a test round-trips it.
 //
-// The frame is the crossing's one host copy of each page image:
-// EncodeMessage measures the message, allocates the frame once at its
-// exact length and writes the body and every page image straight into
-// it (body codecs write through the same two-pass Encoder), and
-// DecodeMessage hands out page runs as capped windows onto it (an
-// append reallocates instead of spilling into the next run).
+// Page images cross by reference. The frame holds every header — the
+// envelope, the body, each attachment, and each page run's index, page
+// count and image length — and each non-empty run list rides beside it
+// as one reference (an extra). DecodeMessage checks every run against
+// its reference and hands out a fresh run list whose images are the
+// sender's, each capped at its length, so an append reallocates instead
+// of spilling into the next image. No crossing copies a page image.
 //
-// The ownership rule: a message DecodeMessage returns owns its frame,
-// and carries the ownership bit to say so (ipc.Message.Owned); only
-// the decoder sets it. Its receiver may adopt the page windows as page
-// frames (vm.Segment.Adopt) instead of copying them. Every other
-// message shares its page images with something that keeps them — a
-// dead process's context, an IOU store, a workload template — so its
-// receiver copies them (vm.Segment.Materialize): a sender's own
-// message, a same-machine delivery, the context a rollback reinstalls.
-// A caller must not reuse a frame after decoding it.
+// The immutability rule: a page image is immutable from the moment a
+// message carries it. A receiver installs it by borrowing
+// (vm.Segment.Receive), and a write gives the page a private frame
+// first. A sender whose image is live — a content-index entry aliases a
+// frame that its page may still write — sends a copy, and whatever
+// damages a delivered image damages a copy of it.
 //
 // Costs are still charged from ipc.Message.WireBytes (the calibrated
-// analytic estimate); the encoded frame length tracks it closely and
-// tests assert the two stay within a small factor.
+// analytic estimate); the frame's header bytes plus the referenced
+// image bytes track it closely and tests assert the two stay within a
+// small factor.
 //
 // Message bodies are arbitrary Go values, so ops register a BodyCodec;
 // the copy-on-reference protocol bodies (package imag) are registered
@@ -44,31 +43,30 @@ import (
 )
 
 // BodyCodec encodes and decodes one op's body type. Encode writes the
-// body through w and is called twice per encoding: once to measure,
-// once to write the same fields into the frame (see Encoder). Extras carry opaque
-// references that cannot be byte-encoded (bodies of nested pending
-// mail without codecs); they ride alongside the frame and must be
-// consumed in order by Decode. Most codecs ignore them.
+// body through w in both of an encoding's passes: once to measure, once
+// to write the same fields into the frame (see Encoder). Decode reads
+// the same fields back through r, which also holds the extras the
+// body's page runs and nested messages took.
 type BodyCodec struct {
 	Encode func(w *Encoder, v any) error
-	Decode func(frame []byte, extras []any) (v any, err error)
+	Decode func(r *Decoder) (v any, err error)
 }
 
-// Marshal encodes v alone into a buffer of its exact length: the body
-// bytes a frame carries for it, and the extras riding beside them.
-func (c BodyCodec) Marshal(v any) (body []byte, extras []any, err error) {
-	var m Encoder
-	if err := c.Encode(&m, v); err != nil {
-		return nil, nil, err
+// UnmarshalImages decodes a body that arrives as bytes alone, with no
+// extras: every page run takes its image from the front of images, in
+// order, and a nested message's codec-less body decodes as nil. It lets
+// a fuzzer reach page runs from bytes.
+func (c BodyCodec) UnmarshalImages(body, images []byte) (any, error) {
+	return c.unmarshal(&Decoder{b: body, images: &images})
+}
+
+func (c BodyCodec) unmarshal(r *Decoder) (v any, err error) {
+	defer recoverDecode(&err, "body", len(r.b))
+	if v, err = c.Decode(r); err != nil {
+		return nil, err
 	}
-	w := &Encoder{b: make([]byte, m.n)}
-	if err := c.Encode(w, v); err != nil {
-		return nil, nil, err
-	}
-	if w.n != m.n {
-		return nil, nil, fmt.Errorf("codec wrote %d bytes, measured %d", w.n, m.n)
-	}
-	return w.b, w.extras, nil
+	r.done()
+	return v, nil
 }
 
 var bodyCodecs = map[int]BodyCodec{}
@@ -84,15 +82,15 @@ func LookupBody(op int) (BodyCodec, bool) {
 }
 
 // Encoder writes big-endian fields in two passes: a measuring pass,
-// with no buffer, only counts bytes; a writing pass fills a buffer
-// allocated once at that count. Whoever drives it (EncodeMessage,
-// Marshal) makes both passes, and a codec must write the same fields
-// in each, so every frame and body is allocated once at its exact
-// length and page images are copied once, straight into it.
+// with no buffer, only counts bytes and extras; a writing pass fills a
+// buffer and an extras slice allocated once at those counts.
+// EncodeMessage drives both passes, and a codec must write the same
+// fields in each.
 type Encoder struct {
 	b      []byte // nil while measuring
 	n      int    // bytes measured or written so far
-	extras []any  // collected while writing
+	nx     int    // extras measured or written so far
+	extras []any  // filled while writing
 }
 
 // U8 writes one byte.
@@ -149,41 +147,62 @@ func (w *Encoder) Str(v string) {
 	w.n += len(v)
 }
 
-// Extra appends opaque references that ride beside the frame, in
-// order. Only the writing pass keeps them.
-func (w *Encoder) Extra(vs ...any) {
+// extra appends a reference that rides beside the frame, in order.
+func (w *Encoder) extra(v any) {
 	if w.b != nil {
-		w.extras = append(w.extras, vs...)
+		w.extras = append(w.extras, v)
 	}
+	w.nx++
+}
+
+// Message writes m as a nested message: its frame, and how many extras
+// it took, which ride beside the outer frame. Decoder.Message reads it
+// back.
+func (w *Encoder) Message(m *ipc.Message) error {
+	frame, extras, err := EncodeMessage(m)
+	if err != nil {
+		return err
+	}
+	w.Bytes(frame)
+	w.U32(uint32(len(extras)))
+	for _, x := range extras {
+		w.extra(x)
+	}
+	return nil
 }
 
 // Decoder reads the big-endian fields an Encoder wrote, in the same
-// order. A read past the end of its buffer panics; Decode and
-// DecodeMessage turn that panic into an error.
+// order, and takes the extras riding beside them. A read past the end
+// of its buffer, and a missing, mistyped or mismatched extra, panics;
+// the decode entry points turn that panic into an error.
 type Decoder struct {
-	b   []byte
-	off int
+	b    []byte
+	off  int
+	refs []any // the extras still to take, in order
+	// images, when set, stands in for the extras: each page run takes
+	// its image from the front, and a codec-less body is nil. Fuzzers
+	// decode frames from bytes this way (UnmarshalImages).
+	images *[]byte
 }
 
-type truncated struct{}
+// truncated and badRef are the panics a Decoder raises.
+type (
+	truncated struct{}
+	badRef    string
+)
 
-// Decode runs fn over a Decoder reading b and returns what fn returns.
-// A read past the end of b becomes an error, so a body codec that
-// decodes through it never panics on a truncated body.
-func Decode(b []byte, fn func(*Decoder) (any, error)) (v any, err error) {
-	defer untruncate(&err, "body", len(b))
-	return fn(&Decoder{b: b})
-}
-
-// untruncate turns the panic a Decoder raises on a read past the end
-// of an n-byte buffer into *err, naming what was read; any other panic
-// goes on. It must be deferred directly.
-func untruncate(err *error, what string, n int) {
-	if rec := recover(); rec != nil {
-		if _, ok := rec.(truncated); !ok {
-			panic(rec)
-		}
+// recoverDecode turns the panic a Decoder raises while reading an
+// n-byte buffer into *err, naming what was read; any other panic goes
+// on. It must be deferred directly.
+func recoverDecode(err *error, what string, n int) {
+	switch rec := recover().(type) {
+	case nil:
+	case truncated:
 		*err = fmt.Errorf("wire: truncated %s (%d bytes)", what, n)
+	case badRef:
+		*err = fmt.Errorf("wire: %s (%d bytes): %s", what, n, string(rec))
+	default:
+		panic(rec)
 	}
 }
 
@@ -233,55 +252,110 @@ func (r *Decoder) Count(size int) int {
 	return n
 }
 
-// runs decodes a run list written by writeRuns: page data windows onto
-// the frame, the slice sized once from its checked count.
+// take takes the next n extras; with images standing in, none.
+func (r *Decoder) take(n int) []any {
+	if r.images != nil {
+		return nil
+	}
+	if n > len(r.refs) {
+		panic(badRef(fmt.Sprintf("%d extras missing", n-len(r.refs))))
+	}
+	v := r.refs[:n:n]
+	r.refs = r.refs[n:]
+	return v
+}
+
+// done checks that every extra was taken.
+func (r *Decoder) done() {
+	if len(r.refs) > 0 {
+		panic(badRef(fmt.Sprintf("%d extras left over", len(r.refs))))
+	}
+}
+
+// runs decodes a run list written by writeRuns: the headers from the
+// buffer, each checked against the run list that rides beside it as one
+// extra. The list is fresh, and each image is the sender's, capped at
+// its length.
 func (r *Decoder) runs() []vm.PageRun {
 	n := r.Count(runHeaderBytes)
 	if n == 0 {
 		return nil
 	}
+	var ref []vm.PageRun
+	if r.images == nil {
+		v := r.take(1)[0]
+		var ok bool
+		if ref, ok = v.([]vm.PageRun); !ok || len(ref) != n {
+			panic(badRef(fmt.Sprintf("a list of %d runs has extra %T of length %d", n, v, len(ref))))
+		}
+	}
 	runs := make([]vm.PageRun, n)
 	for i := range runs {
-		runs[i].Index = r.U64()
-		runs[i].Count = int(r.U32())
-		runs[i].Data = r.Bytes()
+		run := vm.PageRun{Index: r.U64(), Count: int(r.U32())}
+		size := int(r.U32())
+		if ref == nil {
+			src := *r.images
+			if size > len(src) {
+				panic(badRef(fmt.Sprintf("run %d wants %d image bytes, %d left", i, size, len(src))))
+			}
+			run.Data, *r.images = src[:size:size], src[size:]
+		} else {
+			got := ref[i]
+			if got.Index != run.Index || got.Count != run.Count || len(got.Data) != size {
+				panic(badRef(fmt.Sprintf("run %d does not match its extra", i)))
+			}
+			run.Data = got.Data[:size:size]
+		}
+		runs[i] = run
 	}
 	return runs
 }
 
-// writeRuns writes a run list: its count, then each run's index, page
-// count and data.
+// writeRuns writes a run list: its count and each run's index, page
+// count and image length. The list itself, images and all, rides beside
+// the frame as one extra.
 func writeRuns(w *Encoder, runs []vm.PageRun) {
 	w.U32(uint32(len(runs)))
 	for _, run := range runs {
 		w.U64(run.Index)
 		w.U32(uint32(run.Count))
-		w.Bytes(run.Data)
+		w.U32(uint32(len(run.Data)))
+	}
+	if len(runs) > 0 {
+		w.extra(runs)
 	}
 }
 
+// Message reads a message nested by Encoder.Message, taking the extras
+// it took.
+func (r *Decoder) Message() (*ipc.Message, error) {
+	frame := r.Bytes()
+	nested := &Decoder{b: frame, refs: r.take(int(r.U32())), images: r.images}
+	return nested.message()
+}
+
 // EncodeMessage serializes m into a fresh frame allocated once at its
-// exact length: a measuring pass sizes it, and a writing pass copies
-// the body and every attachment page image straight into it. The body
-// is encoded through its op's registered codec; with no codec the body
-// is carried out-of-band in extras (it is a simulation-internal payload
-// that never reaches real bytes).
+// exact length: a measuring pass sizes the frame and its extras, and a
+// writing pass fills them. The body is encoded through its op's
+// registered codec; with no codec the body rides beside the frame as
+// its first extra (it is a simulation-internal payload that never
+// reaches real bytes). Every non-empty page-run list rides as one
+// extra after the body's.
 func EncodeMessage(m *ipc.Message) (frame []byte, extras []any, err error) {
 	codec, coded := bodyCodec(m)
-	var meas Encoder
-	bodyLen, err := writeMessage(&meas, m, codec, coded, 0)
+	var w Encoder // serves both passes: a codec call moves it to the heap
+	bodyLen, err := writeMessage(&w, m, codec, coded, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &Encoder{b: make([]byte, meas.n)}
-	if _, err := writeMessage(w, m, codec, coded, bodyLen); err != nil {
+	n, nx := w.n, w.nx
+	w = Encoder{b: make([]byte, n), extras: make([]any, 0, nx)}
+	if _, err := writeMessage(&w, m, codec, coded, bodyLen); err != nil {
 		return nil, nil, err
 	}
-	if w.n != meas.n {
-		return nil, nil, fmt.Errorf("wire: op %#x body codec wrote %d bytes, measured %d", m.Op, w.n, meas.n)
-	}
-	if !coded {
-		w.extras = []any{m.Body}
+	if w.n != n || w.nx != nx {
+		return nil, nil, fmt.Errorf("wire: op %#x body codec wrote %d bytes and %d extras, measured %d and %d",
+			m.Op, w.n, w.nx, n, nx)
 	}
 	return w.b, w.extras, nil
 }
@@ -295,7 +369,9 @@ func bodyCodec(m *ipc.Message) (BodyCodec, bool) {
 
 // writeMessage writes m's frame through w and returns the length of
 // the body its codec wrote. The body's length prefix comes first, so a
-// writing pass passes in the bodyLen its measuring pass returned.
+// writing pass passes in the bodyLen its measuring pass returned. The
+// count of extras the body took follows it, so a decoder knows where
+// the attachments' extras start.
 func writeMessage(w *Encoder, m *ipc.Message, codec BodyCodec, coded bool, bodyLen int) (int, error) {
 	w.I64(int64(m.Op))
 	w.U64(uint64(m.To))
@@ -306,11 +382,14 @@ func writeMessage(w *Encoder, m *ipc.Message, codec BodyCodec, coded bool, bodyL
 	w.Bool(coded)
 	if coded {
 		w.U32(uint32(bodyLen))
-		start := w.n
+		start, nx := w.n, w.nx
 		if err := codec.Encode(w, m.Body); err != nil {
 			return 0, fmt.Errorf("wire: encode op %#x body: %w", m.Op, err)
 		}
 		bodyLen = w.n - start
+		w.U32(uint32(w.nx - nx))
+	} else {
+		w.extra(m.Body)
 	}
 	w.U32(uint32(len(m.Mem)))
 	for _, a := range m.Mem {
@@ -327,7 +406,7 @@ const (
 	// attachmentBytes: kind, VA, size, three flags, segment id, offset
 	// and size, backing port, CompBytes, and the Sums and Runs counts.
 	attachmentBytes = 1 + 8 + 8 + 3 + 8 + 8 + 8 + 8 + 4 + 4 + 4
-	// runHeaderBytes: index, count and data length of one page run.
+	// runHeaderBytes: index, page count and image length of one run.
 	runHeaderBytes = 8 + 4 + 4
 )
 
@@ -350,15 +429,19 @@ func encodeAttachment(w *Encoder, a *ipc.MemAttachment) {
 	writeRuns(w, a.Runs)
 }
 
-// DecodeMessage reconstructs a message from a frame, consuming the
-// extras its encoder produced. Decoded page runs, in attachments and
-// in bodies, are capped windows onto frame rather than copies: the
-// message takes ownership of the frame, which the caller must not
-// reuse or modify afterwards, and is marked owned (ipc.Message.Owned)
-// so its receiver may adopt the windows as page frames.
-func DecodeMessage(frame []byte, extras []any) (_ *ipc.Message, err error) {
-	defer untruncate(&err, "frame", len(frame))
-	r := &Decoder{b: frame}
+// DecodeMessage reconstructs a message from a frame and the extras its
+// encoder produced. Decoded page runs, in attachments and in bodies,
+// are fresh lists whose images are the sender's, so the receiver
+// borrows them (see the package comment). A caller must not reuse or
+// modify the frame afterwards. A truncated frame, trailing bytes, and
+// a missing, mistyped, mismatched or left-over extra are errors.
+func DecodeMessage(frame []byte, extras []any) (*ipc.Message, error) {
+	return (&Decoder{b: frame, refs: extras}).message()
+}
+
+// message decodes the frame r reads, taking every extra r holds.
+func (r *Decoder) message() (_ *ipc.Message, err error) {
+	defer recoverDecode(&err, "frame", len(r.b))
 	m := &ipc.Message{
 		Op:      int(r.I64()),
 		To:      ipc.PortID(r.U64()),
@@ -370,20 +453,18 @@ func DecodeMessage(frame []byte, extras []any) (_ *ipc.Message, err error) {
 
 	if r.U8() == 1 {
 		body := r.Bytes()
+		refs := r.take(int(r.U32()))
 		codec, ok := bodyCodecs[m.Op]
 		if !ok {
 			return nil, fmt.Errorf("wire: frame carries op %#x body but no codec is registered", m.Op)
 		}
-		v, err := codec.Decode(body, extras)
+		v, err := codec.unmarshal(&Decoder{b: body, refs: refs, images: r.images})
 		if err != nil {
 			return nil, fmt.Errorf("wire: decode op %#x body: %w", m.Op, err)
 		}
 		m.Body = v
-	} else {
-		if len(extras) != 1 {
-			return nil, fmt.Errorf("wire: codec-less body wants 1 extra, have %d", len(extras))
-		}
-		m.Body = extras[0]
+	} else if refs := r.take(1); refs != nil {
+		m.Body = refs[0]
 	}
 
 	if n := r.Count(attachmentBytes); n > 0 {
@@ -392,10 +473,10 @@ func DecodeMessage(frame []byte, extras []any) (_ *ipc.Message, err error) {
 			m.Mem[i] = decodeAttachment(r)
 		}
 	}
-	if r.off != len(frame) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(frame)-r.off)
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("wire: %d trailing bytes", len(r.b)-r.off)
 	}
-	m.MarkOwned()
+	r.done()
 	return m, nil
 }
 
@@ -424,10 +505,10 @@ func decodeAttachment(r *Decoder) *ipc.MemAttachment {
 }
 
 // Transfer encodes and immediately decodes a message — the simulator's
-// wire crossing. Attachment page images are copied once, into the
-// private frame, and the result's page runs are windows onto that
-// frame, so the result shares no mutable byte state with the input
-// (codec-less bodies pass by reference, documented above).
+// wire crossing. The result is a new message with its own attachments
+// and run lists; its page images are the input's, which the
+// immutability rule (see the package comment) keeps unchanged.
+// Codec-less bodies pass by reference, documented above.
 func Transfer(m *ipc.Message) (*ipc.Message, error) {
 	frame, extras, err := EncodeMessage(m)
 	if err != nil {
@@ -442,17 +523,6 @@ func Transfer(m *ipc.Message) (*ipc.Message, error) {
 	// the codec never sees it but each hop preserves it.
 	out.ID = m.ID
 	return out, nil
-}
-
-// FrameBytes reports the length of m's encoded frame: EncodeMessage's
-// measuring pass, which copies nothing.
-func FrameBytes(m *ipc.Message) (int, error) {
-	codec, coded := bodyCodec(m)
-	var meas Encoder
-	if _, err := writeMessage(&meas, m, codec, coded, 0); err != nil {
-		return 0, err
-	}
-	return meas.n, nil
 }
 
 // FragCount reports how many link-level fragments a frame of n bytes
@@ -475,11 +545,6 @@ func FragCount(n, fragBytes, headroom int) int {
 
 // --- built-in codecs for the copy-on-reference protocol ---
 
-// DecodeMessage is the only caller of these codecs' Decode, and its
-// recovery covers a truncated body, so they read through a Decoder of
-// their own rather than through Decode: a fault's request and reply
-// then decode without a heap allocation.
-
 func init() {
 	RegisterBody(imag.OpReadRequest, BodyCodec{
 		Encode: func(w *Encoder, v any) error {
@@ -493,8 +558,7 @@ func init() {
 			w.U64(rq.StreamTo)
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			r := &Decoder{b: b}
+		Decode: func(r *Decoder) (any, error) {
 			return &imag.ReadRequest{
 				SegID:    r.U64(),
 				PageIdx:  r.U64(),
@@ -521,8 +585,7 @@ func init() {
 			}
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			r := &Decoder{b: b}
+		Decode: func(r *Decoder) (any, error) {
 			rp := &imag.ReadReply{SegID: r.U64(), Streaming: r.Bool()}
 			rp.Runs = r.runs()
 			if n := r.Count(8 + 4); n > 0 {
@@ -546,8 +609,7 @@ func init() {
 			w.U64(d.SegID)
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			r := &Decoder{b: b}
+		Decode: func(r *Decoder) (any, error) {
 			return &imag.SegmentDeath{SegID: r.U64()}, nil
 		},
 	})
@@ -562,8 +624,7 @@ func init() {
 			w.Str(e.Reason)
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			r := &Decoder{b: b}
+		Decode: func(r *Decoder) (any, error) {
 			return &imag.ReadError{
 				SegID:   r.U64(),
 				PageIdx: r.U64(),
@@ -582,8 +643,7 @@ func init() {
 			w.U64(h.Page)
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			r := &Decoder{b: b}
+		Decode: func(r *Decoder) (any, error) {
 			return &imag.HashRead{Hash: r.U64(), SegID: r.U64(), Page: r.U64()}, nil
 		},
 	})
@@ -597,8 +657,7 @@ func init() {
 			w.U32(uint32(f.MaxPages))
 			return nil
 		},
-		Decode: func(b []byte, _ []any) (any, error) {
-			r := &Decoder{b: b}
+		Decode: func(r *Decoder) (any, error) {
 			return &imag.FlushRequest{SegID: r.U64(), MaxPages: int(r.U32())}, nil
 		},
 	})

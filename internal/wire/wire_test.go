@@ -4,11 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -33,18 +28,14 @@ func roundTrip(t *testing.T, m *ipc.Message) *ipc.Message {
 }
 
 // checkFrameShape reports a frame for m that is not allocated exactly
-// once at the length FrameBytes predicts.
+// once at its length.
 func checkFrameShape(m *ipc.Message) error {
 	frame, _, err := EncodeMessage(m)
 	if err != nil {
 		return err
 	}
-	fb, err := FrameBytes(m)
-	if err != nil {
-		return err
-	}
-	if len(frame) != fb || cap(frame) != fb {
-		return fmt.Errorf("op %#x: frame len %d cap %d, FrameBytes %d", m.Op, len(frame), cap(frame), fb)
+	if len(frame) != cap(frame) {
+		return fmt.Errorf("op %#x: frame len %d cap %d", m.Op, len(frame), cap(frame))
 	}
 	return nil
 }
@@ -80,17 +71,23 @@ func TestRoundTripDataAttachment(t *testing.T) {
 	if len(oa.Runs) != 2 || oa.Runs[1].Index != 7 || !bytes.Equal(oa.Runs[1].Data, att.Runs[1].Data) {
 		t.Error("page data corrupted")
 	}
-	// Deep copy: mutating the original must not affect the decoded one.
-	att.Runs[1].Data[0] = 0xFF
-	if oa.Runs[1].Data[0] == 0xFF {
-		t.Error("decoded message shares page buffers with the source")
+	// Pages cross by reference: each decoded image is the source's
+	// bytes, in a run list of the decoded message's own.
+	if &oa.Runs[1].Data[0] != &att.Runs[1].Data[0] {
+		t.Error("the decoded image is a copy of the source's")
 	}
-	// Decoded runs are capped windows onto one frame: growing the first
-	// past its end must reallocate, not overwrite the next run's header
-	// and data.
-	_ = append(oa.Runs[0].Data, bytes.Repeat([]byte{0xEE}, 64)...)
-	if oa.Runs[1].Index != 7 || !bytes.Equal(oa.Runs[1].Data, bytes.Repeat([]byte{0xAB}, 512)) {
-		t.Error("appending to a decoded run overwrote the next run")
+	oa.Runs[1].Index = 9
+	if att.Runs[1].Index != 7 {
+		t.Error("the decoded message shares its run list with the source")
+	}
+	// Each decoded image is capped at its length: growing the first
+	// must reallocate, not overwrite the source's bytes after it.
+	src := make([]byte, 512)
+	first := &ipc.MemAttachment{Kind: ipc.AttachData, Size: 512,
+		Runs: []vm.PageRun{{Index: 0, Count: 1, Data: src[:18]}}}
+	grown := append(roundTrip(t, &ipc.Message{Op: 1, Mem: []*ipc.MemAttachment{first}}).Mem[0].Runs[0].Data, 0xEE)
+	if src[18] != 0 || &grown[0] == &src[0] {
+		t.Error("appending to a decoded image wrote past its end")
 	}
 }
 
@@ -249,7 +246,8 @@ func TestTrailingBytesRejected(t *testing.T) {
 }
 
 func TestFrameBytesTracksWireBytes(t *testing.T) {
-	// The analytic WireBytes estimate and the real encoded length must
+	// The analytic WireBytes estimate and what really crosses — the
+	// frame's header bytes plus the page images riding beside it — must
 	// stay within a small factor for representative message shapes.
 	mk := func(pages int) *ipc.Message {
 		att := &ipc.MemAttachment{Kind: ipc.AttachData, Size: uint64(pages) * 512}
@@ -258,14 +256,17 @@ func TestFrameBytesTracksWireBytes(t *testing.T) {
 	}
 	for _, pages := range []int{1, 16, 256} {
 		m := mk(pages)
-		fb, err := FrameBytes(m)
+		frame, _, err := EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fb := len(frame)
+		crossed := fb + vm.RunDataBytes(m.Mem[0].Runs)
 		wb := m.WireBytes()
-		ratio := float64(fb) / float64(wb)
+		ratio := float64(crossed) / float64(wb)
 		if ratio < 0.7 || ratio > 1.5 {
-			t.Errorf("%d pages: frame %d vs WireBytes %d (ratio %.2f)", pages, fb, wb, ratio)
+			t.Errorf("%d pages: frame %d + images %d vs WireBytes %d (ratio %.2f)",
+				pages, fb, crossed-fb, wb, ratio)
 		}
 	}
 }
@@ -318,10 +319,9 @@ func TestQuickAttachmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransferAllocsIndependentOfSize: a crossing allocates one frame of
-// the exact length and decodes page runs as windows onto it, so its
-// allocation count does not grow with the payload, and the page images
-// are allocated once, in the frame.
+// TestTransferAllocsIndependentOfSize: a crossing allocates a frame of
+// headers and passes page images by reference, so neither its
+// allocation count nor its allocated bytes grow with the payload.
 func TestTransferAllocsIndependentOfSize(t *testing.T) {
 	msg := func(pages int) *ipc.Message {
 		return &ipc.Message{Op: 1, BodyBytes: 64, Mem: []*ipc.MemAttachment{{
@@ -336,78 +336,73 @@ func TestTransferAllocsIndependentOfSize(t *testing.T) {
 			}
 		}
 	}
-	big := msg(4096)
-	if a, b := testing.AllocsPerRun(20, transfer(msg(1))), testing.AllocsPerRun(20, transfer(big)); a != b {
+	small, big := msg(1), msg(4096)
+	if a, b := testing.AllocsPerRun(20, transfer(small)), testing.AllocsPerRun(20, transfer(big)); a != b {
 		t.Errorf("Transfer allocs: %v for 1 page, %v for 4096 pages", a, b)
 	}
-	const runs = 20
-	transferBig := transfer(big)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		transferBig()
+	bytesPer := func(m *ipc.Message) uint64 {
+		const runs = 20
+		f := transfer(m)
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	runtime.ReadMemStats(&after)
-	fb, err := FrameBytes(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One frame, rounded up to the allocator's page size, plus the
-	// message structs; a second copy of the payload would double it.
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(fb)*3/2 {
-		t.Errorf("Transfer of a %d-byte frame allocates %d bytes", fb, per)
+	if a, b := bytesPer(small), bytesPer(big); a != b {
+		t.Errorf("Transfer allocates %d bytes for 1 page, %d for 4096 pages", a, b)
 	}
 }
 
-// TestOnlyTheDecoderOwnsMessages: a decoded message carries the
-// ownership bit and the message it was encoded from does not, and no
-// code but DecodeMessage sets the bit — a receiver adopts an owned
-// message's page windows as frames, which is safe only for a frame
-// nothing else references.
-func TestOnlyTheDecoderOwnsMessages(t *testing.T) {
-	m := &ipc.Message{Op: 1, Mem: []*ipc.MemAttachment{{
-		Kind: ipc.AttachData, Size: 512,
-		Runs: []vm.PageRun{{Index: 0, Count: 1, Data: make([]byte, 512)}},
-	}}}
-	if out := roundTrip(t, m); !out.Owned() || m.Owned() {
-		t.Errorf("decoded message owned %v, its source owned %v; want true, false", out.Owned(), m.Owned())
-	}
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	var callers []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != root {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "MarkOwned" {
-					callers = append(callers, filepath.ToSlash(path)+":"+fn.Name.Name)
-				}
-				return true
-			})
-		}
-		return nil
-	})
+// TestDecodeRejectsBadExtras: a run list's headers ride in the frame
+// and its images beside it as one extra, which the decoder checks
+// against them. A missing, mistyped, short or left-over extra is an
+// error, never a panic, and so is a coded body that took more extras
+// than ride beside the frame.
+func TestDecodeRejectsBadExtras(t *testing.T) {
+	runs := []vm.PageRun{{Index: 2, Count: 1, Data: make([]byte, 512)}}
+	data := &ipc.Message{Op: 1, Mem: []*ipc.MemAttachment{{Kind: ipc.AttachData, Size: 512, Runs: runs}}}
+	frame, extras, err := EncodeMessage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "../../internal/wire/wire.go:DecodeMessage"; len(callers) != 1 || callers[0] != want {
-		t.Errorf("MarkOwned used by %v, want only %s", callers, want)
+	if len(extras) != 2 || extras[0] != nil {
+		t.Fatalf("extras %v: want the codec-less body, then one run list", extras)
+	}
+	reply := &ipc.Message{Op: imag.OpReadReply, Body: &imag.ReadReply{SegID: 1, Runs: runs}}
+	replyFrame, replyExtras, err := EncodeMessage(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := []vm.PageRun{{Index: 2, Count: 1, Data: make([]byte, 511)}}
+	moved := []vm.PageRun{{Index: 3, Count: 1, Data: runs[0].Data}}
+	for name, c := range map[string]struct {
+		frame  []byte
+		extras []any
+	}{
+		"missing":          {frame, extras[:1]},
+		"mistyped":         {frame, []any{nil, runs[0]}},
+		"short":            {frame, []any{nil, short}},
+		"moved":            {frame, []any{nil, moved}},
+		"too many runs":    {frame, []any{nil, append(runs, runs...)}},
+		"left over":        {frame, append(extras, runs)},
+		"body missing":     {replyFrame, nil},
+		"body left over":   {replyFrame, append(replyExtras, nil)},
+		"body mistyped":    {replyFrame, []any{"runs"}},
+		"codec-less empty": {frame, nil},
+	} {
+		if _, err := DecodeMessage(c.frame, c.extras); err == nil {
+			t.Errorf("%s: decoded without an error", name)
+		}
+	}
+	if _, err := DecodeMessage(frame, extras); err != nil {
+		t.Errorf("the encoder's own extras: %v", err)
+	}
+	if _, err := DecodeMessage(replyFrame, replyExtras); err != nil {
+		t.Errorf("the encoder's own reply extras: %v", err)
 	}
 }
 
@@ -445,17 +440,18 @@ func TestDecodeHugeLengthDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMessage feeds the frame decoder arbitrary bytes. Decoding
-// must never panic, and a frame it accepts must survive a re-encode:
-// decoding the re-encoded message gives back an equal message. The
-// seed corpus in testdata/fuzz covers every frame section: envelope,
-// collapsed data with page sums, a collapsed attachment of one-page
-// runs, multi-run data, a streaming read reply, a read reply of several
-// runs, a truncated frame, a frame claiming a 2 GiB body and one whose
-// run count exceeds its bytes.
+// FuzzDecodeMessage feeds the frame decoder arbitrary bytes, with page
+// images from a second byte string in place of the extras (see
+// Decoder.images). Decoding must never panic, and a frame it accepts must
+// survive a re-encode: decoding the re-encoded message with its extras
+// gives back an equal message. The seed corpus in testdata/fuzz covers
+// every frame section: envelope, collapsed data with page sums, a
+// collapsed attachment of one-page runs, multi-run data, a streaming
+// read reply, a read reply of several runs, a truncated frame, a frame
+// claiming a 2 GiB body and one whose run count exceeds its bytes.
 func FuzzDecodeMessage(f *testing.F) {
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		m, err := DecodeMessage(frame, []any{nil})
+	f.Fuzz(func(t *testing.T, frame, images []byte) {
+		m, err := (&Decoder{b: frame, images: &images}).message()
 		if err != nil {
 			return
 		}
