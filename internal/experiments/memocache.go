@@ -23,10 +23,11 @@ import (
 // calibration constant (DESIGN.md §3 tables them; netmsg's fragCPU or
 // vm.HashPerPageCPU, say) is one, since constants are not config
 // fields; old entries become unreachable (they live in a differently
-// named subdirectory) and are eventually pruned. Epoch 4: pages cross
-// the wire by reference and receivers borrow them, so a
-// ResilienceOutcome's SrcFrames and DstFrames changed.
-const memoEpoch = 4
+// named subdirectory) and are eventually pruned. Epoch 5: pages are
+// named by XXH64 instead of FNV-1a, so a ResilienceOutcome's ImageHash
+// changed; a cached digest compared with a fresh one reports an
+// image-divergence that never happened.
+const memoEpoch = 5
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.

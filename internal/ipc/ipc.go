@@ -148,30 +148,22 @@ func (a *MemAttachment) AppendPage(index uint64, data []byte) {
 
 // PageHashes returns the vm.HashPage name of every page the attachment
 // carries, in run order: entry i names the i-th page across Runs. The
-// first call hashes the pages through vm.HashPages; later calls at the
-// same page size return the same slice, which callers must not modify.
-// Every source-side consumer (the dedup manifest, the integrity stamp,
-// IOU-cache indexing) reads these, so an outgoing page is hashed once.
-// The page data must not change once named.
+// first call hashes the pages; later calls at the same page size return
+// the same slice, which callers must not modify. Every source-side
+// consumer (the dedup manifest, the integrity stamp, IOU-cache
+// indexing) reads these, so an outgoing page is hashed once. The page
+// data must not change once named.
 func (a *MemAttachment) PageHashes(pageSize int) []uint64 {
 	if hs := a.CachedPageHashes(pageSize); hs != nil {
 		return hs
 	}
 	hs := make([]uint64, 0, a.PageCount())
-	// Pages are gathered across runs, so one-page runs (a collapsed
-	// attachment's) still hash four abreast.
-	var batch [64][]byte
-	n := 0
 	for _, r := range a.Runs {
 		for j := 0; j < r.Count; j++ {
-			batch[n] = r.Page(j, pageSize)
-			if n++; n == len(batch) {
-				hs = vm.HashPages(hs, batch[:], pageSize)
-				n = 0
-			}
+			h, _ := vm.HashPage(r.Page(j, pageSize), pageSize)
+			hs = append(hs, h)
 		}
 	}
-	hs = vm.HashPages(hs, batch[:n], pageSize)
 	a.hashes, a.hashPS = hs, pageSize
 	return hs
 }

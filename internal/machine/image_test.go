@@ -37,8 +37,7 @@ func refImageHash(pr *machine.Process, pageSize int) uint64 {
 	return h
 }
 
-// dataSlots places nine patterned pages in two runs around a gap, so
-// batches of four cross a run boundary.
+// dataSlots places nine patterned pages in two runs around a gap.
 var dataSlots = []uint64{0, 1, 2, 4, 5, 6, 7, 8, 9}
 
 // imageProc builds a process with two regions: the k-th patterned page
@@ -139,7 +138,7 @@ func TestImageHashMovedPage(t *testing.T) {
 	}
 }
 
-// TestImageHashSparseLisp checks the gap skipping and batching against
+// TestImageHashSparseLisp checks the gap skipping against
 // the slot-by-slot walk on the sparsest image the workloads build: a
 // Lisp system, whose 4 GB space holds about 8M page slots and a few
 // thousand present pages.

@@ -531,10 +531,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// imageDigest is ImageHash's chain. Present pages are named four at a
-// time through vm.HashPages, across run boundaries, so it batches them
-// with the count of absent pages before each and folds the batch in
-// order once it is full.
+// imageDigest is ImageHash's chain. Present pages are named one at a
+// time as the walk reaches them; absent pages are only counted.
 //
 // An absent page is a zero byte: h ^= 0 is a no-op, so it costs one
 // h *= prime, and a gap of n absent pages is h *= prime^n, computed in
@@ -544,32 +542,16 @@ const (
 type imageDigest struct {
 	h      uint64
 	ps     int
-	absent uint64 // absent pages since the last batched present page
-
-	n     int       // present pages batched
-	pages [4][]byte // their images, in slot order
-	gaps  [4]uint64 // absent pages before each
-	names [4]uint64 // scratch for their names
+	absent uint64 // absent pages since the last present page
 }
 
-// present batches one present page.
+// present folds the absent pages before a present page, then the
+// page's marker and name.
 func (d *imageDigest) present(data []byte) {
-	d.pages[d.n], d.gaps[d.n] = data, d.absent
-	d.absent = 0
-	d.n++
-	if d.n == len(d.pages) {
-		d.flush()
-	}
-}
-
-// flush names the batched pages and folds them into the chain.
-func (d *imageDigest) flush() {
-	for k, name := range vm.HashPages(d.names[:0], d.pages[:d.n], d.ps) {
-		d.skip(d.gaps[k])
-		d.h = (d.h ^ 1) * fnvPrime64
-		d.mix64(name)
-	}
-	d.n = 0
+	d.sum()
+	d.h = (d.h ^ 1) * fnvPrime64
+	name, _ := vm.HashPage(data, d.ps)
+	d.mix64(name)
 }
 
 // region folds everything pending, then the start of the next region.
@@ -580,7 +562,6 @@ func (d *imageDigest) region(start uint64) {
 
 // sum folds everything pending and returns the digest so far.
 func (d *imageDigest) sum() uint64 {
-	d.flush()
 	d.skip(d.absent)
 	d.absent = 0
 	return d.h

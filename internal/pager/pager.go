@@ -485,7 +485,7 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 		}
 		if err := pg.sys.Send(p, m); err != nil {
 			return pg.orphan(p, pl,
-				fmt.Errorf("pager: imaginary fault on seg %d page %d: %w", pl.Seg.ID, pl.PageIdx, err))
+				fmt.Errorf("pager: imaginary fault on seg %s page %d: %w", pl.Seg.Name, pl.PageIdx, err))
 		}
 		if pg.cfg.RetryTimeout <= 0 {
 			rep = pg.sys.Receive(p, reply)
@@ -499,28 +499,28 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 		pg.stats.Retries++
 		pg.inc("fault.retry")
 		if attempt >= pg.cfg.MaxRetries {
-			return pg.orphan(p, pl, fmt.Errorf("%w: seg %d page %d after %d attempts",
-				ErrBackerLost, pl.Seg.ID, pl.PageIdx, attempt+1))
+			return pg.orphan(p, pl, fmt.Errorf("%w: seg %s page %d after %d attempts",
+				ErrBackerLost, pl.Seg.Name, pl.PageIdx, attempt+1))
 		}
 	}
 
 	switch rep.Op {
 	case ipc.OpSendFailed:
 		// The transport declared the backer's machine unreachable.
-		return pg.orphan(p, pl, fmt.Errorf("%w: seg %d page %d: peer unreachable",
-			ErrBackerLost, pl.Seg.ID, pl.PageIdx))
+		return pg.orphan(p, pl, fmt.Errorf("%w: seg %s page %d: peer unreachable",
+			ErrBackerLost, pl.Seg.Name, pl.PageIdx))
 	case imag.OpReadError:
 		reason := "no reason"
 		if e, ok := rep.Body.(*imag.ReadError); ok {
 			reason = e.Reason
 		}
-		return pg.orphan(p, pl, fmt.Errorf("%w: seg %d page %d: %s",
-			ErrSegmentDead, pl.Seg.ID, pl.PageIdx, reason))
+		return pg.orphan(p, pl, fmt.Errorf("%w: seg %s page %d: %s",
+			ErrSegmentDead, pl.Seg.Name, pl.PageIdx, reason))
 	}
 
 	body, ok := rep.Body.(*imag.ReadReply)
 	if !ok || body.PageCount() == 0 {
-		return fmt.Errorf("pager: malformed imaginary read reply for seg %d page %d", pl.Seg.ID, pl.PageIdx)
+		return fmt.Errorf("pager: malformed imaginary read reply for seg %s page %d", pl.Seg.Name, pl.PageIdx)
 	}
 	ps := pl.Seg.PageSize()
 	first := true

@@ -2,14 +2,17 @@ package vm
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"time"
 )
 
-// Content hashing for the content-addressed page store. Pages are named
-// by a 64-bit FNV-1a hash over their full page-size image (short run
+// Content hashing for the content-addressed page store. A page is
+// named by XXH64 (seed 0) of its full page-size image (short run
 // tails hash as if zero-padded, matching Materialize's tail-clearing),
 // so a page's name is independent of how its bytes happened to be
-// sliced into runs. The hash is non-cryptographic: the store is a
+// sliced into runs. XXH64 takes eight bytes per multiply on four
+// independent lanes, so one page is a short pass and no caller needs
+// to batch pages. The hash is non-cryptographic: the store is a
 // performance optimization inside one simulated cluster, not a
 // security boundary, and a verify-on-lookup re-hash guards against
 // recycled frames (see ContentIndex).
@@ -21,126 +24,98 @@ import (
 const ZeroHash uint64 = 0
 
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	prime1 uint64 = 0x9E3779B185EBCA87
+	prime2 uint64 = 0xC2B2AE3D27D4EB4F
+	prime3 uint64 = 0x165667B19E3779F9
+	prime4 uint64 = 0x85EBCA77C2B2AE63
+	prime5 uint64 = 0x27D4EB2F165667C5
 )
 
 // HashPage names a page image: data is the page's bytes (possibly a
 // short final-page slice), pageSize the page stride. Missing tail bytes
 // hash as zeros. The second result reports whether the page is entirely
-// zero, in which case the hash is the ZeroHash sentinel.
+// zero, in which case the hash is the ZeroHash sentinel; a non-zero
+// page whose XXH64 is 0 is named 1. It does not allocate.
 func HashPage(data []byte, pageSize int) (uint64, bool) {
-	h := finishPage(fnvOffset64, data, 0, pageSize)
-	return h, h == ZeroHash
-}
-
-// HashRun appends HashPage's name of every page of r to dst, in page
-// order, and returns the extended slice. It is the sweep every hashing
-// path uses: the pages go through HashPages four at a time. With enough
-// capacity in dst it does not allocate.
-func HashRun(dst []uint64, r PageRun, pageSize int) []uint64 {
-	var group [4][]byte
-	for i := 0; i < r.Count; i += len(group) {
-		n := min(len(group), r.Count-i)
-		for k := 0; k < n; k++ {
-			group[k] = r.Page(i+k, pageSize)
+	data = data[:min(len(data), pageSize)]
+	if allZero(data) {
+		return ZeroHash, true
+	}
+	var pad [32]byte // image bytes past the end of data
+	var h uint64
+	off := 0
+	if pageSize >= 32 {
+		// The lanes start at prime1+prime2, prime2, 0 and -prime1,
+		// wrapped to 64 bits.
+		v1, v2, v3, v4 := prime2, prime2, uint64(0), uint64(0)
+		v1 += prime1
+		v4 -= prime1
+		// The whole stripes of data, then each stripe of the image
+		// that data does not fill, zero-padded in pad.
+		off = len(data) &^ 31
+		for s := data[:off]; ; s = pad[:] {
+			for ; len(s) >= 32; s = s[32:] {
+				v1 = round(v1, binary.LittleEndian.Uint64(s[0:8:len(s)]))
+				v2 = round(v2, binary.LittleEndian.Uint64(s[8:16:len(s)]))
+				v3 = round(v3, binary.LittleEndian.Uint64(s[16:24:len(s)]))
+				v4 = round(v4, binary.LittleEndian.Uint64(s[24:32:len(s)]))
+			}
+			if off+32 > pageSize {
+				break
+			}
+			pad = [32]byte{}
+			copy(pad[:], data[min(off, len(data)):])
+			off += 32
 		}
-		dst = HashPages(dst, group[:n], pageSize)
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
+			bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = merge(merge(merge(merge(h, v1), v2), v3), v4)
+	} else {
+		h = prime5
 	}
-	return dst
-}
+	h += uint64(pageSize)
 
-// HashPages appends HashPage's name of each image in pages to dst and
-// returns the extended slice. The images need not be contiguous or of
-// one length. Four pages are hashed abreast, as four independent
-// FNV-1a chains: one chain waits on its multiply for every byte, four
-// keep the multiplier busy. With enough capacity in dst it does not
-// allocate.
-func HashPages(dst []uint64, pages [][]byte, pageSize int) []uint64 {
-	for len(pages) > 1 {
-		// Two or three pages left: the last one fills the spare lanes.
-		// The chains run side by side, so a spare lane is nearly free.
-		last := len(pages) - 1
-		names := hash4(pages[0], pages[1], pages[min(2, last)], pages[min(3, last)], pageSize)
-		n := min(4, len(pages))
-		dst = append(dst, names[:n]...)
-		pages = pages[n:]
+	// The last pageSize%32 bytes.
+	t := data[min(off, len(data)):]
+	if len(t) < pageSize-off {
+		pad = [32]byte{}
+		copy(pad[:], t)
+		t = pad[:pageSize-off]
 	}
-	if len(pages) == 1 {
-		h, _ := HashPage(pages[0], pageSize)
-		dst = append(dst, h)
+	for ; len(t) >= 8; t = t[8:] {
+		h = bits.RotateLeft64(h^round(0, binary.LittleEndian.Uint64(t)), 27)*prime1 + prime4
 	}
-	return dst
-}
+	if len(t) >= 4 {
+		h = bits.RotateLeft64(h^uint64(binary.LittleEndian.Uint32(t))*prime1, 23)*prime2 + prime3
+		t = t[4:]
+	}
+	for _, b := range t {
+		h = bits.RotateLeft64(h^uint64(b)*prime5, 11) * prime1
+	}
 
-// hash4 names four page images at once. The chains run together over
-// the bytes all four pages have; each then finishes alone (a short
-// final page ends early, and its tail is hashed as zeros).
-func hash4(p0, p1, p2, p3 []byte, pageSize int) [4]uint64 {
-	n := min(len(p0), len(p1), len(p2), len(p3), pageSize) &^ 1
-	h0, h1, h2, h3 := fnvChains4(p0[:n], p1, p2, p3)
-	return [4]uint64{
-		finishPage(h0, p0, n, pageSize),
-		finishPage(h1, p1, n, pageSize),
-		finishPage(h2, p2, n, pageSize),
-		finishPage(h3, p3, n, pageSize),
-	}
-}
-
-// fnvChains4 runs four FNV-1a chains over len(a) bytes of each slice;
-// len(a) must be even and no longer than the others. Two bytes per
-// step halve the loop overhead. It is kept apart from hash4 so the
-// eight live values (four chains, four slice bases) stay in registers.
-func fnvChains4(a, b, c, d []byte) (h0, h1, h2, h3 uint64) {
-	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
-	h0, h1, h2, h3 = fnvOffset64, fnvOffset64, fnvOffset64, fnvOffset64
-	for i := 1; i < len(a); i += 2 {
-		h0 = (h0 ^ uint64(a[i-1])) * fnvPrime64
-		h1 = (h1 ^ uint64(b[i-1])) * fnvPrime64
-		h2 = (h2 ^ uint64(c[i-1])) * fnvPrime64
-		h3 = (h3 ^ uint64(d[i-1])) * fnvPrime64
-		h0 = (h0 ^ uint64(a[i])) * fnvPrime64
-		h1 = (h1 ^ uint64(b[i])) * fnvPrime64
-		h2 = (h2 ^ uint64(c[i])) * fnvPrime64
-		h3 = (h3 ^ uint64(d[i])) * fnvPrime64
-	}
-	return h0, h1, h2, h3
-}
-
-// finishPage completes one chain that has hashed the first n bytes of
-// data, returning what HashPage(data, pageSize) returns. The chain
-// itself tells a zero page: after m zero bytes it holds exactly
-// fnvOffset64·prime^m, so only a page that lands there is scanned.
-// The zero tail of a short page is one multiply by prime^(pageSize-m).
-func finishPage(h uint64, data []byte, n, pageSize int) uint64 {
-	m := min(len(data), pageSize)
-	for _, b := range data[n:m] {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	if h == fnvOffset64*primePow(m) && allZero(data[:m]) {
-		return ZeroHash
-	}
-	h *= primePow(pageSize - m)
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	if h == ZeroHash {
-		h = 1 // keep the sentinel unambiguous, as HashPage does
+		h = 1 // keep the sentinel unambiguous
 	}
-	return h
+	return h, false
 }
 
-// primePow returns fnvPrime64^n mod 2^64 by square-and-multiply: the
-// effect of n zero bytes on an FNV-1a chain, since h ^= 0 is a no-op.
-func primePow(n int) uint64 {
-	r, p := uint64(1), fnvPrime64
-	for ; n > 0; n >>= 1 {
-		if n&1 != 0 {
-			r *= p
-		}
-		p *= p
-	}
-	return r
+// round folds one eight-byte word into an XXH64 lane.
+func round(acc, in uint64) uint64 {
+	return bits.RotateLeft64(acc+in*prime2, 31) * prime1
 }
 
-// allZero reports whether every byte of b is zero, eight at a time.
+// merge folds a finished lane into the XXH64 state.
+func merge(h, v uint64) uint64 {
+	return (h^round(0, v))*prime1 + prime4
+}
+
+// allZero reports whether every byte of b is zero, eight at a time. A
+// non-zero page usually stops it at its first word.
 func allZero(b []byte) bool {
 	for ; len(b) >= 8; b = b[8:] {
 		if binary.LittleEndian.Uint64(b) != 0 {

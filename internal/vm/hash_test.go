@@ -1,7 +1,11 @@
 package vm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -52,118 +56,149 @@ func TestHashPageDistinguishesContent(t *testing.T) {
 	}
 }
 
-// refHashPage is the definition HashPage and the four-abreast kernel
-// must reproduce: one byte-serial FNV-1a chain over the page image with
-// its missing tail as zeros, the all-zero page named ZeroHash, and a
-// non-zero page that lands on ZeroHash renamed 1.
-func refHashPage(data []byte, pageSize int) uint64 {
-	h := fnvOffset64
-	zero := true
-	for i := 0; i < pageSize; i++ {
-		var b byte
-		if i < len(data) {
-			b = data[i]
+// refXXH64 is XXH64 as its specification states it: four lanes over
+// 32-byte stripes, then eight-, four- and one-byte steps over the
+// tail, then the avalanche.
+func refXXH64(b []byte, seed uint64) uint64 {
+	p := [5]uint64{0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x85EBCA77C2B2AE63, 0x27D4EB2F165667C5}
+	rotl := bits.RotateLeft64
+	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
+	round := func(acc, in uint64) uint64 { return rotl(acc+in*p[1], 31) * p[0] }
+	n, i := len(b), 0
+	var h uint64
+	if n >= 32 {
+		v := [4]uint64{seed + p[0] + p[1], seed + p[1], seed, seed - p[0]}
+		for ; i+32 <= n; i += 32 {
+			for l := range v {
+				v[l] = round(v[l], u64(i+8*l))
+			}
 		}
-		if b != 0 {
-			zero = false
+		h = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18)
+		for _, x := range v {
+			h = (h^round(0, x))*p[0] + p[3]
 		}
-		h = (h ^ uint64(b)) * fnvPrime64
+	} else {
+		h = seed + p[4]
 	}
-	switch {
-	case zero:
-		return ZeroHash
-	case h == ZeroHash:
-		return 1
+	h += uint64(n)
+	for ; i+8 <= n; i += 8 {
+		h = rotl(h^round(0, u64(i)), 27)*p[0] + p[3]
 	}
+	if i+4 <= n {
+		h = rotl(h^uint64(binary.LittleEndian.Uint32(b[i:]))*p[0], 23)*p[1] + p[2]
+		i += 4
+	}
+	for ; i < n; i++ {
+		h = rotl(h^uint64(b[i])*p[4], 11) * p[0]
+	}
+	h ^= h >> 33
+	h *= p[1]
+	h ^= h >> 29
+	h *= p[2]
+	h ^= h >> 32
 	return h
 }
 
+func TestRefXXH64Vectors(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xef46db3751d8e999},
+		{"a", 0xd24ec4f1a98c6e5b},
+		{"abc", 0x44bc2cf5ad770999},
+		{"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1},
+	} {
+		if got := refXXH64([]byte(c.in), 0); got != c.want {
+			t.Errorf("XXH64(%q) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+}
+
+// refHashPage is the definition HashPage must reproduce: XXH64 (seed 0)
+// of the page-size image with its missing tail as zeros, the all-zero
+// page named ZeroHash, and a non-zero page that lands on ZeroHash
+// renamed 1.
+func refHashPage(data []byte, pageSize int) uint64 {
+	image := make([]byte, pageSize)
+	copy(image, data)
+	if bytes.Count(image, []byte{0}) == pageSize {
+		return ZeroHash
+	}
+	if h := refXXH64(image, 0); h != ZeroHash {
+		return h
+	}
+	return 1
+}
+
+// TestHashPageMatchesReference checks HashPage against refHashPage at
+// every data length from 0 to the page size, for each page size the
+// page-size ablation runs and two odd ones (an image shorter than one
+// stripe, and one whose tail takes every step), with sparse content and
+// with zeros, and requires that no length allocates.
 func TestHashPageMatchesReference(t *testing.T) {
-	ps := DefaultPageSize
 	rng := rand.New(rand.NewSource(1))
-	for it := 0; it < 500; it++ {
-		data := make([]byte, rng.Intn(ps+1))
-		for i := range data {
+	for _, ps := range []int{20, 45, 256, 512, 1024, 2048} {
+		sparse := make([]byte, ps)
+		for i := range sparse {
 			if rng.Intn(8) == 0 {
-				data[i] = byte(rng.Intn(256))
+				sparse[i] = byte(rng.Intn(256))
 			}
 		}
-		got, zero := HashPage(data, ps)
-		if want := refHashPage(data, ps); got != want || zero != (want == ZeroHash) {
-			t.Fatalf("len %d: HashPage = %#x zero=%v, want %#x", len(data), got, zero, want)
-		}
-	}
-}
-
-// TestHashRun checks the four-abreast kernel against HashPage page by
-// page: every run length from 0 to 9 (so every lane count and every
-// remainder), zero pages mixed in at every lane, and a short final page.
-func TestHashRun(t *testing.T) {
-	ps := DefaultPageSize
-	rng := rand.New(rand.NewSource(2))
-	for count := 0; count <= 9; count++ {
-		for _, tail := range []int{ps, ps - 1, 17, 1} {
-			if count == 0 && tail != ps {
-				continue
-			}
-			size := count * ps
-			if count > 0 {
-				size = (count-1)*ps + tail
-			}
-			data := make([]byte, size)
-			for i := range data {
-				data[i] = byte(rng.Intn(256))
-			}
-			for p := 0; p < count; p++ {
-				if rng.Intn(3) == 0 { // a zero page
-					clear(data[p*ps : min((p+1)*ps, size)])
-				}
-			}
-			r := PageRun{Index: 5, Count: count, Data: data}
-			dst := make([]uint64, 1, 1+count)
-			dst[0] = 99
-			got := HashRun(dst, r, ps)
-			if len(got) != 1+count || got[0] != 99 {
-				t.Fatalf("count %d tail %d: HashRun returned %d entries %v, want 99 then %d names", count, tail, len(got), got, count)
-			}
-			for p := 0; p < count; p++ {
-				want, _ := HashPage(r.Page(p, ps), ps)
-				if got[1+p] != want {
-					t.Errorf("count %d tail %d page %d: HashRun %#x, HashPage %#x", count, tail, p, got[1+p], want)
+		sparse[ps-1] = 1 // the full-length page is non-zero
+		zeros := make([]byte, ps)
+		for n := 0; n <= ps; n++ {
+			for _, data := range [][]byte{sparse[:n], zeros[:n]} {
+				got, zero := HashPage(data, ps)
+				if want := refHashPage(data, ps); got != want || zero != (want == ZeroHash) {
+					t.Fatalf("page size %d, len %d: HashPage = %#x zero=%v, want %#x", ps, n, got, zero, want)
 				}
 			}
 		}
-	}
-}
-
-func TestHashPagesMixedLengths(t *testing.T) {
-	ps := DefaultPageSize
-	full := make([]byte, ps)
-	for i := range full {
-		full[i] = byte(i*7 + 1)
-	}
-	pages := [][]byte{full, nil, full[:3], make([]byte, ps), full[:ps-1], {0, 0, 9}, full}
-	got := HashPages(nil, pages, ps)
-	for i, pg := range pages {
-		if want := refHashPage(pg, ps); got[i] != want {
-			t.Errorf("page %d (len %d): %#x, want %#x", i, len(pg), got[i], want)
+		allocs := testing.AllocsPerRun(1, func() {
+			for n := 0; n <= ps; n++ {
+				HashPage(sparse[:n], ps)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("page size %d: HashPage allocates %.0f objects over every length", ps, allocs)
 		}
 	}
 }
 
-func TestAllocsHashRun(t *testing.T) {
+// TestHashPageNamesFillRowFlipsApart names every workload fill row (the
+// 256 images byte(s + j*7) a real page can hold) and every single-bit
+// flip of each, 256 × (1 + 4096) images, and fails on any two that
+// share a name or on any named ZeroHash (none is all zero). Corruption
+// faults flip bits, so a collision here would let an integrity check
+// pass a corrupted fill page.
+func TestHashPageNamesFillRowFlipsApart(t *testing.T) {
 	ps := DefaultPageSize
-	data := make([]byte, 64*ps)
-	for i := range data {
-		data[i] = byte(i)
+	names := make([]uint64, 0, 256*(1+8*ps))
+	img := make([]byte, ps)
+	name := func(s, bit int) {
+		h, zero := HashPage(img, ps)
+		if zero || h == ZeroHash {
+			t.Fatalf("fill row %d, bit %d flipped: named ZeroHash", s, bit)
+		}
+		names = append(names, h)
 	}
-	r := PageRun{Count: 64, Data: data}
-	dst := make([]uint64, 0, r.Count)
-	allocs := testing.AllocsPerRun(50, func() {
-		dst = HashRun(dst[:0], r, ps)
-	})
-	if allocs != 0 {
-		t.Errorf("HashRun into a preallocated dst allocates %.1f objects/op, want 0", allocs)
+	for s := 0; s < 256; s++ {
+		for j := range img {
+			img[j] = byte(s + j*7)
+		}
+		name(s, -1)
+		for bit := 0; bit < 8*ps; bit++ {
+			img[bit/8] ^= 1 << (bit % 8)
+			name(s, bit)
+			img[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	slices.Sort(names)
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			t.Fatalf("two of %d images share the name %#x", len(names), names[i])
+		}
 	}
 }
 
@@ -177,7 +212,7 @@ func TestModelCompressedSize(t *testing.T) {
 		t.Errorf("linear page models as %d bytes, want well under %d", got, ps/4)
 	}
 	noisy := make([]byte, ps)
-	h := uint64(fnvOffset64)
+	h := uint64(14695981039346656037)
 	for i := range noisy {
 		h = h*6364136223846793005 + 1442695040888963407
 		noisy[i] = byte(h >> 56)

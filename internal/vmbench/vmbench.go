@@ -124,10 +124,11 @@ func COWBreak(b *testing.B) {
 }
 
 // PageHash measures naming one page for the content-addressed store:
-// a single FNV-1a pass over a full 512-byte image. This is the
-// per-page cost of building a migration manifest and of every
-// verify-on-lookup re-hash, so it bounds how cheaply elision can ever
-// break even. Must be zero-alloc.
+// one XXH64 pass over a full 512-byte image. Every hashing path names
+// one page at a time, so this is the per-page cost of building a
+// migration manifest, of stamping and checking integrity sums, and of
+// every verify-on-lookup re-hash: it bounds how cheaply elision can
+// ever break even. Must be zero-alloc.
 func PageHash(b *testing.B) {
 	page := make([]byte, vm.DefaultPageSize)
 	for i := range page {
@@ -146,31 +147,6 @@ func PageHash(b *testing.B) {
 	b.StopTimer()
 	if sink == 0 {
 		b.Log("hash sink zero") // keep the loop body live
-	}
-}
-
-// HashRun measures naming a 64-page run through the four-abreast
-// kernel: the sweep that hashes an outgoing attachment's pages once per
-// migration and names every present page of an image digest. It
-// reports ns/page beside ns/op, to read against PageHash. Must be
-// zero-alloc.
-func HashRun(b *testing.B) {
-	const pages = 64
-	data := make([]byte, pages*vm.DefaultPageSize)
-	for i := range data {
-		data[i] = byte(i*31 + 7)
-	}
-	r := vm.PageRun{Count: pages, Data: data}
-	dst := make([]uint64, 0, pages)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = vm.HashRun(dst[:0], r, vm.DefaultPageSize)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/page")
-	if len(dst) != pages || dst[0] == vm.ZeroHash {
-		b.Fatalf("named %d pages, first %#x", len(dst), dst[0])
 	}
 }
 

@@ -225,13 +225,13 @@ func TestInstallMatchesReference(t *testing.T) {
 // install can never drift from the calibrated layout.
 func TestImageHashPinned(t *testing.T) {
 	want := map[Kind]uint64{
-		Minprog: 0x749792bf7e363992,
-		LispT:   0x873d369450875d06,
-		LispDel: 0xcf2da0973d5bf146,
-		PMStart: 0x431028a1593e53fa,
-		PMMid:   0xb113e33154e5f356,
-		PMEnd:   0x844972e73f6a9325,
-		Chess:   0xdc444f595fefc673,
+		Minprog: 0xe2a53a4d4a86c77a,
+		LispT:   0x28fa7b9dab75ff10,
+		LispDel: 0xbacbc5b18bfb7669,
+		PMStart: 0xe7397edb4cb5e3ed,
+		PMMid:   0x730224484e6b3938,
+		PMEnd:   0x0cf2f38130edf34f,
+		Chess:   0xf324983cf4035817,
 	}
 	for _, k := range Kinds() {
 		m, _ := build(t, k)
