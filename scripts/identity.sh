@@ -7,10 +7,13 @@
 # testdata/exp_all.golden byte for byte, and every line of
 # testdata/identity.txt ("ARGS | SHA256(stdout) SHA256(stderr) EXIT")
 # must reproduce its three values. A mismatch prints the line the
-# binary would commit in its place. Exits 1 on any mismatch.
+# binary would commit in its place. Exits 1 on any mismatch. The runs
+# start in the repository root, so a line's relative paths (a -faults
+# plan) resolve the same from any working directory.
 set -u
-bin=$1
+bin=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fail=0
