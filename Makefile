@@ -19,7 +19,7 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
-check: build vet fmt test race smoke identity benchmod
+check: build vet fmt test race smoke identity unreached benchmod
 
 # Smoke gate for what no test runs: the VM, workload-install, sim
 # kernel, excise and wire-crossing microbenchmark bodies at a token
@@ -42,9 +42,10 @@ benchmod:
 identity:
 	@d=$$(mktemp -d) && $(GO) build -o "$$d/migsim" ./cmd/migsim && sh scripts/identity.sh "$$d/migsim"; s=$$?; rm -rf "$$d"; exit $$s
 
-# Report only, not part of check: build migsim, migreport, the examples
-# and the benchmark with coverage, run them all, and list the functions
-# in internal/ that no run reaches (scripts/unreached.sh).
+# Reachability gate (about 30 s): build migsim, migreport, the examples
+# and the benchmark with coverage, run them all, and check the functions
+# in internal/ that no run reaches against testdata/unreached.txt, which
+# gives each its reason (scripts/unreached.sh).
 unreached:
 	sh scripts/unreached.sh
 

@@ -47,13 +47,15 @@ var experimentOrder = []string{
 	"resilience",
 }
 
-// extraExperiments run only when named explicitly. The pipeline sweep
-// flips the transport out of its paper-faithful stop-and-wait default,
-// the dedup sweep turns on the content-addressed page store, the
-// bottleneck sweep re-runs every cell traced, and the chaos campaign
-// runs hundreds of randomized fault trials, and the shard-stress
-// scenario prints host-measured throughput, so all stay out of
-// -exp all to keep that output byte-identical across releases.
+// extraExperiments run only when named explicitly, so -exp all stays
+// the paper's evaluation and testdata/exp_all.golden stays its output.
+// The pipeline sweep flips the transport out of its paper-faithful
+// stop-and-wait default, the dedup sweep turns on the
+// content-addressed page store, the bottleneck sweep re-runs every
+// cell traced, the chaos campaign runs hundreds of randomized fault
+// trials, and the shard-stress scenario runs 16- and 32-machine
+// clusters on its own migration model. Each has its own line in
+// testdata/identity.txt.
 var extraExperiments = []string{"pipeline", "dedup", "bottleneck", "chaos", "shardstress"}
 
 var tunables struct {

@@ -60,7 +60,7 @@ const (
 	opTagIOWait
 	opTagTouch
 	opTagSeqScan
-	opTagRandTouch
+	_ // 4 is retired (a random-touch op) and must not be reused
 	opTagWSLoop
 	opTagMigrate
 )
@@ -88,14 +88,6 @@ func encodeProgram(w *wire.Encoder, pr *trace.Program) error {
 			w.U64(uint64(o.Start))
 			w.U64(o.Bytes)
 			w.U64(o.Stride)
-			w.Bool(o.Write)
-			w.I64(int64(o.PerTouch))
-		case trace.RandTouch:
-			w.U8(opTagRandTouch)
-			w.U64(uint64(o.Start))
-			w.U64(o.Bytes)
-			w.I64(int64(o.Count))
-			w.U64(o.Seed)
 			w.Bool(o.Write)
 			w.I64(int64(o.PerTouch))
 		case trace.WSLoop:
@@ -132,11 +124,6 @@ func decodeProgram(r *wire.Decoder) (*trace.Program, error) {
 			pr.Ops = append(pr.Ops, trace.SeqScan{
 				Start: vm.Addr(r.U64()), Bytes: r.U64(), Stride: r.U64(),
 				Write: r.Bool(), PerTouch: time.Duration(r.I64()),
-			})
-		case opTagRandTouch:
-			pr.Ops = append(pr.Ops, trace.RandTouch{
-				Start: vm.Addr(r.U64()), Bytes: r.U64(), Count: int(r.I64()),
-				Seed: r.U64(), Write: r.Bool(), PerTouch: time.Duration(r.I64()),
 			})
 		case opTagWSLoop:
 			pr.Ops = append(pr.Ops, trace.WSLoop{

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +27,6 @@ func TestCoreBodyRoundTrip(t *testing.T) {
 		trace.IOWait{D: time.Second},
 		trace.Touch{Addr: 512, Write: true},
 		trace.SeqScan{Start: 0, Bytes: 4096, Stride: 1024, Write: true, PerTouch: time.Millisecond},
-		trace.RandTouch{Start: 1 << 20, Bytes: 1 << 16, Count: 7, Seed: 42, PerTouch: 2 * time.Millisecond},
 		trace.WSLoop{Start: 0, Pages: 8, Iters: 3, Compute: 50 * time.Millisecond, Write: true},
 		trace.MigratePoint{},
 	}}
@@ -129,6 +130,34 @@ func TestPreCopyBodyRoundTrip(t *testing.T) {
 	got := out.Body.(*PreCopyBody)
 	if got.ProcName != "w" || got.Round != 3 {
 		t.Errorf("precopy body mismatch: %+v", got)
+	}
+}
+
+// TestDecodeRejectsRetiredOpTag: program op tag 4 named a random-touch
+// op that no workload built. The tag stays unused, so a Core body that
+// carries it is refused instead of decoding as another op.
+func TestDecodeRejectsRetiredOpTag(t *testing.T) {
+	prog := &trace.Program{Ops: []trace.Op{trace.Compute{D: 0x0102030405060708}, trace.MigratePoint{}}}
+	frame, extras, err := wire.EncodeMessage(&ipc.Message{
+		Op:        OpCore,
+		Body:      &CoreBody{ProcName: "p", AMap: &vm.AMap{PageSize: 512}, Program: prog},
+		BodyBytes: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Compute duration, then the MigratePoint's tag.
+	at := bytes.Index(frame, []byte{1, 2, 3, 4, 5, 6, 7, 8, opTagMigrate})
+	if at < 0 {
+		t.Fatal("program ops not found in the frame")
+	}
+	frame[at+8] = 4
+	if _, err := wire.DecodeMessage(frame, extras); err == nil || !strings.Contains(err.Error(), "unknown trace op tag 4") {
+		t.Fatalf("decode of op tag 4: err = %v, want unknown trace op tag 4", err)
+	}
+	frame[at+8] = opTagMigrate
+	if _, err := wire.DecodeMessage(frame, extras); err != nil {
+		t.Fatalf("decode of the unpatched frame: %v", err)
 	}
 }
 

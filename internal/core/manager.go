@@ -610,7 +610,6 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 	if err != nil {
 		return err
 	}
-	elided := 0
 	mem := make([]*ipc.MemAttachment, len(ctx.RIMAS.Mem))
 	copy(mem, ctx.RIMAS.Mem)
 	for i, a := range mem {
@@ -622,9 +621,7 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 			continue
 		}
 		if i < len(ack.Needed) && len(ack.Needed[i]) == (n+7)/8 {
-			na, e := elideAttachment(a, ack.Needed[i], ps)
-			mem[i] = na
-			elided += e
+			mem[i] = elideAttachment(a, ack.Needed[i], ps)
 		}
 		if d.Compress {
 			if mem[i] == a {
@@ -638,11 +635,6 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 		}
 	}
 	ctx.RIMAS.Mem = mem
-	if elided > 0 {
-		if rec := mgr.M.Recorder(); rec != nil {
-			rec.Inc("pages.elided", uint64(elided))
-		}
-	}
 	return nil
 }
 

@@ -214,18 +214,16 @@ func classifyManifest(mb *ManifestBody, index *vm.ContentIndex, led *vm.Delivery
 // images — nothing is copied, and the original attachment (held by the
 // rollback snapshot) is untouched. The copy carries the cached names of
 // the pages it keeps.
-func elideAttachment(a *ipc.MemAttachment, needed []byte, ps int) (*ipc.MemAttachment, int) {
+func elideAttachment(a *ipc.MemAttachment, needed []byte, ps int) *ipc.MemAttachment {
 	na := *a
 	na.Runs = nil
 	names := a.PageHashes(ps) // computed by buildManifest
 	kept := make([]uint64, 0, len(names))
-	elided := 0
 	for _, run := range a.Runs {
 		grow := false // the last kept run lies in this run and ends just before page j
 		for i := 0; i < run.Count; i++ {
 			j := int(run.Index) + i
 			if needed[j>>3]&(1<<(j&7)) == 0 {
-				elided++
 				grow = false
 				continue
 			}
@@ -242,7 +240,7 @@ func elideAttachment(a *ipc.MemAttachment, needed []byte, ps int) (*ipc.MemAttac
 		}
 	}
 	na.SetPageHashes(kept, ps)
-	return &na, elided
+	return &na
 }
 
 // compressAttachment runs the modeled compressor over the attachment's

@@ -61,8 +61,8 @@ func TestPageNamesSurviveElisionAndCompression(t *testing.T) {
 	// Ship pages 0, 1, 2, 5, 8 and 10: runs of three, one, one and the
 	// short final page.
 	needed := []byte{0b0010_0111, 0b0000_0101}
-	na, elided := elideAttachment(a, needed, ps)
-	if elided != 5 || na.PageCount() != 6 {
+	na := elideAttachment(a, needed, ps)
+	if elided := a.PageCount() - na.PageCount(); elided != 5 || na.PageCount() != 6 {
 		t.Fatalf("elision kept %d pages and dropped %d, want 6 and 5", na.PageCount(), elided)
 	}
 	checkNames(t, "elided", na, ps)

@@ -67,22 +67,13 @@ func (d *Disk) Read(p *sim.Proc, n int) {
 	d.bytesRead += uint64(n)
 }
 
-// Write blocks p for one write of n bytes.
-func (d *Disk) Write(p *sim.Proc, n int) {
-	d.arm.Acquire(p)
-	p.Sleep(d.xferTime(n))
-	d.arm.Release()
-	d.writes++
-	d.bytesWrite += uint64(n)
-}
-
 // WriteAsync queues a background write of n bytes (page write-back)
-// without blocking the caller. The write still serializes on the arm,
-// at normal priority. It runs as callbacks, not as a proc, on the event
-// schedule a writer proc calling Write would have: a zero-delay start,
-// the arm grant (at once if the arm is free, else in the zero-delay
-// event of the Release that hands it over), then completion at the
-// grant time plus the transfer time.
+// without blocking the caller. The write serializes on the arm, at
+// normal priority. It runs as callbacks, not as a proc, on the event
+// schedule a writer proc would have: a zero-delay start, the arm grant
+// (at once if the arm is free, else in the zero-delay event of the
+// Release that hands it over), then completion at the grant time plus
+// the transfer time.
 func (d *Disk) WriteAsync(k *sim.Kernel, n int) {
 	k.Schedule(0, func() {
 		d.arm.AcquireFunc("disk.writeback", func() {

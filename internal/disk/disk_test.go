@@ -76,12 +76,23 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// syncWrite blocks p for one write of n bytes: the proc-based write the
+// callback write-back replaced, kept as the reference
+// TestWriteAsyncMatchesProcReference holds WriteAsync to.
+func syncWrite(d *Disk, p *sim.Proc, n int) {
+	d.arm.Acquire(p)
+	p.Sleep(d.xferTime(n))
+	d.arm.Release()
+	d.writes++
+	d.bytesWrite += uint64(n)
+}
+
 func TestBusyTimeAccounting(t *testing.T) {
 	k := sim.New()
 	d := New(k, "d0", Config{Seek: 20 * time.Millisecond, BytesPerSecond: 1 << 20})
 	k.Go("w", func(p *sim.Proc) {
-		d.Write(p, 0)
-		d.Write(p, 0)
+		syncWrite(d, p, 0)
+		syncWrite(d, p, 0)
 	})
 	k.Run()
 	if d.BusyTime() != 40*time.Millisecond {
@@ -112,11 +123,11 @@ func TestReadPreemptsWriteBacklog(t *testing.T) {
 	}
 }
 
-// procWriteAsync is the write-back as a proc per write calling Write:
-// the reference TestWriteAsyncMatchesProcReference holds the callback
-// write-back to.
+// procWriteAsync is the write-back as a proc per write calling
+// syncWrite: the reference TestWriteAsyncMatchesProcReference holds the
+// callback write-back to.
 func procWriteAsync(d *Disk, k *sim.Kernel, n int) {
-	k.Go("disk.writeback", func(p *sim.Proc) { d.Write(p, n) })
+	k.Go("disk.writeback", func(p *sim.Proc) { syncWrite(d, p, n) })
 }
 
 // diskOp is one step of a randomized disk script: after think time, a
@@ -125,7 +136,7 @@ func procWriteAsync(d *Disk, k *sim.Kernel, n int) {
 type diskOp struct {
 	proc  int
 	think time.Duration
-	kind  int // 0 WriteAsync burst, 1 Write, 2 Read
+	kind  int // 0 WriteAsync burst, 1 syncWrite, 2 Read
 	n     int
 	burst int
 }
@@ -205,7 +216,7 @@ func runDiskScript(cfg Config, procs int, ops []diskOp, step time.Duration, writ
 						writeAsync(d, k, op.n)
 					}
 				case 1:
-					d.Write(p, op.n)
+					syncWrite(d, p, op.n)
 				case 2:
 					d.Read(p, op.n)
 				}

@@ -533,17 +533,14 @@ func RunShardStress(o ShardStressOptions) (*ShardStressResult, *ShardStressPerf,
 		arriveUntil: o.Span * 3 / 4,
 		stopAt:      o.Span + ssGrace,
 	}
+	// Sharded, every kernel object of a machine lives on its own lane,
+	// so it touches no other lane's state; cross-machine traffic goes
+	// through the lane-aware netlink.Iface.
 	for i := range s.nodes {
 		name := fmt.Sprintf("m%02d", i)
-		var m *machine.Machine
-		if sharded {
-			m = machine.NewOnLane(cl, i, name, machine.Config{})
-		} else {
-			m = machine.New(kernels[i], name, machine.Config{})
-		}
 		s.nodes[i] = &ssNode{
 			idx:      i,
-			m:        m,
+			m:        machine.New(kernels[i], name, machine.Config{}),
 			iface:    netlink.NewIface(cl, kernels[i], i, name+".net", ssLinkCfg),
 			inbox:    sim.NewQueue[ssMsg](kernels[i]),
 			backq:    sim.NewQueue[ssMsg](kernels[i]),

@@ -327,8 +327,9 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	tr.PeakRate = tb.Rec.PeakRate()
 	tr.Messages = tb.Rec.Messages()
 	tr.MsgTime = tb.Rec.MessageTime()
-	tr.DataPages = tb.Rec.Counter("pages.shipped.data")
-	tr.FaultPages = tb.Rec.Counter("pages.shipped.fault")
+	srcNet, dstNet := tb.Src.Net.Stats(), tb.Dst.Net.Stats()
+	tr.DataPages = srcNet.DataPages + dstNet.DataPages
+	tr.FaultPages = srcNet.FaultPages + dstNet.FaultPages
 	tr.DestPager = tb.Dst.Pager.Stats()
 	tr.RemoteFaultMean = tb.Rec.Dist("latency.fault.imag").Mean()
 	tr.DiskFaultMean = tb.Rec.Dist("latency.fault.disk").Mean()

@@ -6,7 +6,6 @@
 package imag
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -302,17 +301,6 @@ func (g *StoreSegment) findRun(idx uint64) (int, int) {
 	return -1, 0
 }
 
-// PutRun stores count consecutive pages starting at idx whose bytes are
-// concatenated in data. The data slice is retained (absorption is
-// copy-free); it must not overlap pages the store already holds.
-func (g *StoreSegment) PutRun(idx uint64, count int, data []byte) {
-	pages := make([][]byte, count)
-	for i := range pages {
-		pages[i] = vm.PageRun{Count: count, Data: data}.Page(i, g.PageSize)
-	}
-	g.PutPages(idx, pages)
-}
-
 // PutPages stores consecutive pages starting at idx, one image each.
 // The page list and the images are retained, not copied; the pages
 // must not overlap pages the store already holds.
@@ -352,9 +340,6 @@ func (g *StoreSegment) Get(idx uint64) ([]byte, bool) {
 	return g.runs[ri].pages[off], true
 }
 
-// Pages reports how many page images the segment holds.
-func (g *StoreSegment) Pages() int { return g.pageCount }
-
 // Remaining reports pages held but not yet delivered — the residual
 // dependency the source carries for a lazily migrated process.
 func (g *StoreSegment) Remaining() int {
@@ -370,8 +355,8 @@ func (g *StoreSegment) deliver(ri, off int) {
 
 // appendPage adds page (ri, off) to the reply, extending the final
 // reply run when the page follows it in index space and its image
-// starts where the run's data ends in the same buffer (pages stored
-// from one PutRun buffer) — copy-free run slicing. Other pages each
+// starts where the run's data ends in the same buffer (pages absorbed
+// from one run's buffer) — copy-free run slicing. Other pages each
 // start a run of their own.
 func (g *StoreSegment) appendPage(rep *ReadReply, ri, off int) {
 	r := &g.runs[ri]
@@ -414,10 +399,6 @@ func (g *StoreSegment) Serve(req *ReadRequest) *ReadReply {
 	return rep
 }
 
-// FlushAll returns every undelivered page in index order and marks them
-// delivered. Used to dissolve the residual dependency eagerly.
-func (g *StoreSegment) FlushAll() *ReadReply { return g.Flush(0) }
-
 // Flush returns up to max undelivered pages in index order and marks
 // them delivered (max <= 0 means all). Callers dissolve a large
 // residual dependency with a sequence of bounded flushes so the backer
@@ -441,9 +422,4 @@ func (g *StoreSegment) Flush(max int) *ReadReply {
 		}
 	}
 	return rep
-}
-
-// String summarizes the segment.
-func (g *StoreSegment) String() string {
-	return fmt.Sprintf("storeSeg(%d: %d pages, %d owed)", g.ID, g.pageCount, g.Remaining())
 }

@@ -100,7 +100,7 @@ func TestServeMissingPage(t *testing.T) {
 func TestFlushAllOrdersAndDrains(t *testing.T) {
 	_, seg := seed(t)
 	seg.Serve(&ReadRequest{PageIdx: 4})
-	rep := seg.FlushAll()
+	rep := seg.Flush(0)
 	pages := flatten(rep, 512)
 	if len(pages) != 9 {
 		t.Fatalf("flushed %d, want 9", len(pages))
@@ -113,9 +113,20 @@ func TestFlushAllOrdersAndDrains(t *testing.T) {
 	if seg.Remaining() != 0 {
 		t.Errorf("Remaining = %d after flush", seg.Remaining())
 	}
-	if again := seg.FlushAll(); again.PageCount() != 0 {
+	if again := seg.Flush(0); again.PageCount() != 0 {
 		t.Errorf("second flush returned %d pages", again.PageCount())
 	}
+}
+
+// runPages slices a run's buffer into its page images, as the IOU cache
+// does when it absorbs an attachment.
+func runPages(data []byte, ps int) [][]byte {
+	run := vm.PageRun{Count: len(data) / ps, Data: data}
+	pages := make([][]byte, run.Count)
+	for i := range pages {
+		pages[i] = run.Page(i, ps)
+	}
+	return pages
 }
 
 // TestRunBatchedServe checks that contiguous pages of one store run
@@ -128,7 +139,7 @@ func TestRunBatchedServe(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i / 512)
 	}
-	seg.PutRun(4, 8, data)
+	seg.PutPages(4, runPages(data, 512))
 	rep := seg.Serve(&ReadRequest{PageIdx: 5, Prefetch: 4})
 	if len(rep.Runs) != 1 {
 		t.Fatalf("reply has %d runs, want 1 coalesced: %+v", len(rep.Runs), rep.Runs)
@@ -221,7 +232,7 @@ func TestPutReplacesImage(t *testing.T) {
 		data[i] = byte(i / 512)
 	}
 	was := append([]byte(nil), data...)
-	seg.PutRun(0, 4, data)
+	seg.PutPages(0, runPages(data, 512))
 	img := []byte{0xaa, 0xbb}
 	seg.Put(1, img)
 	if got, ok := seg.Get(1); !ok || &got[0] != &img[0] {
@@ -230,8 +241,8 @@ func TestPutReplacesImage(t *testing.T) {
 	if string(data) != string(was) {
 		t.Error("Put wrote into the image it replaced")
 	}
-	if seg.Pages() != 4 {
-		t.Errorf("Pages = %d, want 4", seg.Pages())
+	if seg.Remaining() != 4 {
+		t.Errorf("Remaining = %d, want 4", seg.Remaining())
 	}
 }
 

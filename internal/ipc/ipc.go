@@ -57,9 +57,6 @@ type Port struct {
 	dead  bool
 }
 
-// String identifies the port for logs.
-func (p *Port) String() string { return fmt.Sprintf("port(%d:%s)", p.ID, p.Name) }
-
 // Pending reports queued, unreceived messages.
 func (p *Port) Pending() int { return p.queue.Len() }
 

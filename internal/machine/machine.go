@@ -19,7 +19,6 @@ import (
 	"accentmig/internal/sim"
 	"accentmig/internal/trace"
 	"accentmig/internal/vm"
-	"accentmig/internal/xrand"
 )
 
 // quantum is the CPU scheduling quantum: user compute bursts hold the
@@ -154,11 +153,6 @@ type Machine struct {
 	cfg   Config
 	rec   *metrics.Recorder
 	procs map[string]*Process
-
-	// shard is the event lane the machine lives on when the simulation
-	// runs under a sim.Cluster; 0 (with K the shared kernel) otherwise.
-	// See shard.go.
-	shard int
 }
 
 // New builds a machine on kernel k and starts its NetMsgServer.
@@ -215,17 +209,11 @@ func (m *Machine) DedupConfig() vm.DedupConfig { return m.cfg.Dedup }
 // attachments the server will absorb as IOUs.
 func (m *Machine) NetConfig() netmsg.Config { return m.cfg.Net }
 
-// SetRecorder points the machine's metric producers at rec. CPU
-// scheduling waits feed the recorder's "wait.cpu" distribution.
+// SetRecorder points the machine's metric producers at rec.
 func (m *Machine) SetRecorder(rec *metrics.Recorder) {
 	m.rec = rec
 	m.Pager.SetRecorder(rec)
 	m.Net.SetRecorder(rec)
-	if rec == nil {
-		m.CPU.SetWaitObserver(nil)
-		return
-	}
-	m.CPU.SetWaitObserver(func(d time.Duration) { rec.Observe("wait.cpu", d) })
 }
 
 // Recorder returns the active recorder, possibly nil.
@@ -393,15 +381,6 @@ func (m *Machine) exec(p *sim.Proc, pr *Process) error {
 					return err
 				}
 			}
-		case trace.RandTouch:
-			for _, a := range expandRand(o, ps) {
-				if o.PerTouch > 0 {
-					m.compute(p, o.PerTouch)
-				}
-				if err := m.Pager.Touch(p, pr.AS, a, o.Write); err != nil {
-					return err
-				}
-			}
 		case trace.WSLoop:
 			for it := 0; it < o.Iters; it++ {
 				for pg := 0; pg < o.Pages; pg++ {
@@ -437,25 +416,6 @@ func (m *Machine) compute(p *sim.Proc, d time.Duration) {
 		m.CPU.Use(p, q)
 		d -= q
 	}
-}
-
-// expandRand mirrors trace.Program.Touches for a single RandTouch.
-func expandRand(o trace.RandTouch, pageSize uint64) []vm.Addr {
-	npages := int(o.Bytes / pageSize)
-	if npages == 0 {
-		return nil
-	}
-	count := o.Count
-	if count > npages {
-		count = npages
-	}
-	rng := xrand.New(o.Seed)
-	perm := rng.Perm(npages)
-	out := make([]vm.Addr, 0, count)
-	for _, pg := range perm[:count] {
-		out = append(out, o.Start+vm.Addr(uint64(pg)*pageSize))
-	}
-	return out
 }
 
 // WaitDone blocks p until the process body finishes and surfaces any

@@ -123,24 +123,6 @@ func TestExecSeqScanAndWSLoop(t *testing.T) {
 	}
 }
 
-func TestExecRandTouchDeterministic(t *testing.T) {
-	run := func() uint64 {
-		k := sim.New()
-		m := New(k, "host", Config{})
-		pr, _ := m.NewProcess("job", 0)
-		pr.AS.Validate(0, 256*512, "data")
-		pr.Program = &trace.Program{Ops: []trace.Op{
-			trace.RandTouch{Start: 0, Bytes: 256 * 512, Count: 40, Seed: 99},
-		}}
-		m.Start(pr)
-		k.Run()
-		return m.Pager.Stats().FillZero
-	}
-	if a, b := run(), run(); a != b || a != 40 {
-		t.Errorf("FillZero runs = %d, %d; want 40, 40", a, b)
-	}
-}
-
 func TestExecErrorSurfaced(t *testing.T) {
 	k := sim.New()
 	m := New(k, "host", Config{})

@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"time"
@@ -34,9 +33,7 @@ type Recorder struct {
 	msgTime  time.Duration
 
 	phases map[string]*Phase
-
-	counters map[string]uint64
-	dists    map[string]*Distribution
+	dists  map[string]*Distribution
 
 	// Downtime accounting: the frozen interval of the most recent
 	// migration, from excise-freeze (MarkFreeze) to the first
@@ -54,14 +51,6 @@ type Phase struct {
 	Name       string
 	Start, End time.Duration
 	open       bool
-}
-
-// Elapsed reports End-Start for a closed phase, or zero.
-func (p *Phase) Elapsed() time.Duration {
-	if p == nil || p.open {
-		return 0
-	}
-	return p.End - p.Start
 }
 
 type rateBucket struct {
@@ -84,11 +73,10 @@ func NewRecorder(bucket time.Duration) *Recorder {
 		bucket = time.Second
 	}
 	return &Recorder{
-		bucket:   bucket,
-		buckets:  make(map[int64]*rateBucket),
-		phases:   make(map[string]*Phase),
-		counters: make(map[string]uint64),
-		dists:    make(map[string]*Distribution),
+		bucket:  bucket,
+		buckets: make(map[int64]*rateBucket),
+		phases:  make(map[string]*Phase),
+		dists:   make(map[string]*Distribution),
 	}
 }
 
@@ -119,13 +107,10 @@ func (r *Recorder) AddMessage(cpu time.Duration) {
 	r.msgTime += cpu
 }
 
-// Inc bumps a free-form named counter (faults by kind, prefetch hits...).
-func (r *Recorder) Inc(name string, delta uint64) { r.counters[name] += delta }
-
 // Observe records one sample of a named duration distribution (fault
-// latencies, queue waits). Recording is O(1): besides count/sum/min/max
-// the sample lands in one log-bucketed histogram cell, from which
-// Quantile reconstructs p50/p95/p99 within ~6% relative error.
+// latencies). Recording is O(1): besides count/sum/min/max the sample
+// lands in one log-bucketed histogram cell, from which Quantile
+// reconstructs p50/p95/p99 within ~6% relative error.
 func (r *Recorder) Observe(name string, v time.Duration) {
 	d := r.dists[name]
 	if d == nil {
@@ -242,9 +227,6 @@ func (d *Distribution) Quantile(q float64) time.Duration {
 // Dist returns the named distribution, possibly nil.
 func (r *Recorder) Dist(name string) *Distribution { return r.dists[name] }
 
-// Counter reads a named counter.
-func (r *Recorder) Counter(name string) uint64 { return r.counters[name] }
-
 // BytesTotal reports all bytes recorded.
 func (r *Recorder) BytesTotal() uint64 { return r.bytesTotal }
 
@@ -294,10 +276,6 @@ func (r *Recorder) Downtime() time.Duration {
 	return r.resumeAt - r.freezeAt
 }
 
-// FreezeAt reports the last recorded freeze instant and whether one
-// was recorded at all.
-func (r *Recorder) FreezeAt() (time.Duration, bool) { return r.freezeAt, r.frozen }
-
 // StartPhase opens (or reopens) a named phase at time at.
 func (r *Recorder) StartPhase(name string, at time.Duration) {
 	r.phases[name] = &Phase{Name: name, Start: at, open: true}
@@ -313,11 +291,6 @@ func (r *Recorder) EndPhase(name string, at time.Duration) {
 	}
 	p.End = at
 	p.open = false
-}
-
-// PhaseElapsed reports the elapsed time of a closed named phase.
-func (r *Recorder) PhaseElapsed(name string) time.Duration {
-	return r.phases[name].Elapsed()
 }
 
 // Phases returns all closed phases sorted by start time.
@@ -368,10 +341,4 @@ func (r *Recorder) PeakRate() uint64 {
 		}
 	}
 	return max
-}
-
-// String summarizes the recorder for logs.
-func (r *Recorder) String() string {
-	return fmt.Sprintf("bytes=%d (fault %d) msgs=%d msgtime=%v",
-		r.bytesTotal, r.bytesFault, r.messages, r.msgTime)
 }

@@ -40,7 +40,6 @@ type Iface struct {
 	k    *sim.Kernel
 	cl   *sim.Cluster // nil when the whole cluster shares one kernel
 	lane int
-	name string
 	wire *sim.Resource
 	rate int
 	lat  time.Duration
@@ -68,19 +67,12 @@ func NewIface(cl *sim.Cluster, k *sim.Kernel, lane int, name string, cfg Config)
 		k:    k,
 		cl:   cl,
 		lane: lane,
-		name: name,
 		wire: sim.NewResource(k, name+".wire", 1),
 		rate: cfg.BytesPerSecond,
 		lat:  cfg.Latency,
 		skew: time.Duration(lane + 1),
 	}
 }
-
-// Name reports the interface name.
-func (f *Iface) Name() string { return f.name }
-
-// Lane reports the machine index the interface belongs to.
-func (f *Iface) Lane() int { return f.lane }
 
 // Kernel returns the lane kernel the interface schedules on.
 func (f *Iface) Kernel() *sim.Kernel { return f.k }

@@ -76,18 +76,7 @@ func (l *Link) MayCorrupt() bool { return l.inj.CorruptActive() }
 func (l *Link) CorruptPage(at time.Duration) bool { return l.inj.CorruptPage(at) }
 
 // SetRecorder directs byte accounting to rec (may be nil to disable).
-// Wire-contention waits feed the recorder's "wait.wire" distribution.
-func (l *Link) SetRecorder(rec *metrics.Recorder) {
-	l.rec = rec
-	if rec == nil {
-		l.wire.SetWaitObserver(nil)
-		return
-	}
-	l.wire.SetWaitObserver(func(d time.Duration) { rec.Observe("wait.wire", d) })
-}
-
-// Recorder returns the active recorder, possibly nil.
-func (l *Link) Recorder() *metrics.Recorder { return l.rec }
+func (l *Link) SetRecorder(rec *metrics.Recorder) { l.rec = rec }
 
 // Transmit occupies the wire for n bytes plus propagation and reports
 // whether the frame survived (false under injected loss). The bytes are
@@ -164,9 +153,6 @@ func (l *Link) Drops() uint64 { return l.drops }
 
 // Bytes reports total bytes put on the wire.
 func (l *Link) Bytes() uint64 { return l.bytesMove }
-
-// BusyTime reports accumulated wire occupancy.
-func (l *Link) BusyTime() time.Duration { return l.wire.BusyTime() }
 
 // Latency reports the configured one-way latency.
 func (l *Link) Latency() time.Duration { return l.cfg.Latency }

@@ -116,6 +116,10 @@ type Stats struct {
 	// Robustness counters.
 	CreditedPages uint64 // pages of aborted transfers credited to the peer's ledger
 	CorruptPages  uint64 // delivered payload pages bit-flipped by the failure model
+
+	// Shipped pages, Table 4-3's transferred fraction.
+	DataPages  uint64 // data-attachment pages forwarded to peers
+	FaultPages uint64 // pages sent in answer to imaginary faults and hash reads
 }
 
 // Server is one machine's NetMsgServer.
@@ -311,29 +315,23 @@ func (s *Server) forward(p *sim.Proc, m *ipc.Message, pl *peerLink) {
 
 	// Account physically shipped data pages (Table 4-3's transferred
 	// fraction).
-	if s.rec != nil || s.k.Tracing() {
-		dataPages, dataBytes := 0, 0
-		for _, a := range m.Mem {
-			if a.Kind == ipc.AttachData {
-				dataPages += a.PageCount()
-				dataBytes += a.DataBytes()
-			}
+	dataPages, dataBytes := 0, 0
+	for _, a := range m.Mem {
+		if a.Kind == ipc.AttachData {
+			dataPages += a.PageCount()
+			dataBytes += a.DataBytes()
 		}
-		if dataPages > 0 {
-			if s.rec != nil {
-				s.rec.Inc("pages.shipped.data", uint64(dataPages))
-			}
-			if s.k.Tracing() {
-				s.k.Emit(obs.Event{
-					Kind:    obs.PageTransfer,
-					Machine: s.name,
-					Proc:    p.Name(),
-					Name:    "data",
-					Bytes:   dataBytes,
-					Op:      m.Op,
-				})
-			}
-		}
+	}
+	s.stats.DataPages += uint64(dataPages)
+	if dataPages > 0 && s.k.Tracing() {
+		s.k.Emit(obs.Event{
+			Kind:    obs.PageTransfer,
+			Machine: s.name,
+			Proc:    p.Name(),
+			Name:    "data",
+			Bytes:   dataBytes,
+			Op:      m.Op,
+		})
 	}
 
 	bytes := m.WireBytes()
@@ -434,17 +432,13 @@ func (s *Server) account(m *ipc.Message, cpu time.Duration) {
 }
 
 // backoffWait charges one retransmission: it sleeps the current
-// backoff, records the resend in stats/metrics/trace, and returns the
+// backoff, records the resend in stats and trace, and returns the
 // next (doubled, capped) backoff.
 func (s *Server) backoffWait(p *sim.Proc, backoff time.Duration, frame int, op int) time.Duration {
 	p.Sleep(backoff)
 	s.stats.BackoffTime += backoff
 	s.stats.Retransmits++
 	s.stats.RetransmitBytes += uint64(frame)
-	if s.rec != nil {
-		s.rec.Inc("net.retransmit.frames", 1)
-		s.rec.Inc("net.retransmit.bytes", uint64(frame))
-	}
 	if s.k.Tracing() {
 		s.k.Emit(obs.Event{
 			Kind:    obs.NetRetransmit,
@@ -566,9 +560,6 @@ func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covere
 	})
 	if credited > 0 {
 		s.stats.CreditedPages += credited
-		if s.rec != nil {
-			s.rec.Inc("pages.credited", credited)
-		}
 		if s.k.Tracing() {
 			s.k.Emit(obs.Event{
 				Kind:    obs.PageTransfer,
@@ -610,9 +601,6 @@ func (s *Server) corruptDelivered(m *ipc.Message, pl *peerLink) {
 				if len(pg) > 0 {
 					pg[0] ^= 0x80
 					s.stats.CorruptPages++
-					if s.rec != nil {
-						s.rec.Inc("pages.corrupted", 1)
-					}
 				}
 			}
 		}
@@ -735,9 +723,7 @@ func (s *Server) backer(p *sim.Proc) {
 			}
 			s.cpu.UseHigh(p, serveCPU)
 			s.stats.Served++
-			if s.rec != nil {
-				s.rec.Inc("pages.shipped.fault", uint64(rep.PageCount()))
-			}
+			s.stats.FaultPages += uint64(rep.PageCount())
 			if s.k.Tracing() {
 				s.k.Emit(obs.Event{
 					Kind:    obs.PageTransfer,
@@ -798,10 +784,7 @@ func (s *Server) backer(p *sim.Proc) {
 				continue
 			}
 			s.stats.HashServed++
-			if s.rec != nil {
-				s.rec.Inc("pages.shipped.fault", 1)
-				s.rec.Inc("pages.served.holder", 1)
-			}
+			s.stats.FaultPages++
 			if s.k.Tracing() {
 				s.k.Emit(obs.Event{
 					Kind:    obs.PageTransfer,
@@ -886,6 +869,3 @@ func (s *Server) Crash() {
 	// machine, so a retry against a restarted host starts from zero.
 	s.ledger.Clear()
 }
-
-// String identifies the server.
-func (s *Server) String() string { return fmt.Sprintf("netmsg(%s)", s.name) }

@@ -222,10 +222,6 @@ func (s *Server) sendWindow(p *sim.Proc, pl *peerLink, m *ipc.Message, batch []*
 			s.stats.RetransmitBytes += uint64(frame)
 			resentFrames++
 			resentBytes += frame
-			if s.rec != nil {
-				s.rec.Inc("net.retransmit.frames", 1)
-				s.rec.Inc("net.retransmit.bytes", uint64(frame))
-			}
 		}
 		f.attempts++
 		w := time.Duration(frame) * time.Second / rate

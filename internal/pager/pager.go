@@ -209,7 +209,7 @@ func (pg *Pager) Outstanding() int {
 	return pg.cfg.Outstanding
 }
 
-// SetRecorder directs counters to rec (may be nil).
+// SetRecorder directs fault-latency observations to rec (may be nil).
 func (pg *Pager) SetRecorder(rec *metrics.Recorder) { pg.rec = rec }
 
 // SetContentIndex attaches the machine's content index; faults on
@@ -240,18 +240,6 @@ func (pg *Pager) RegisterHint(segID, pageIdx, hash uint64) {
 
 // Stats returns a copy of the fault counters.
 func (pg *Pager) Stats() Stats { return pg.stats }
-
-// ResetStats clears fault counters (between experiment phases).
-func (pg *Pager) ResetStats() {
-	pg.stats = Stats{}
-	pg.prefetched = make(map[pageKey]bool)
-}
-
-func (pg *Pager) inc(name string) {
-	if pg.rec != nil {
-		pg.rec.Inc(name, 1)
-	}
-}
 
 func (pg *Pager) observe(name string, v time.Duration) {
 	if pg.rec != nil {
@@ -317,8 +305,6 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		pl.Seg.MaterializeZero(pl.PageIdx)
 		pg.insert(pl.Seg, pl.PageIdx)
 		pg.stats.FillZero++
-		pg.inc("fault.fillzero")
-		pg.observe("latency.fault.fillzero", p.Now()-start)
 		pg.faultResolved(p, "fillzero", addr, start)
 	case page.State.Resident:
 		pg.phys.Touch(pl.Seg, pl.PageIdx)
@@ -329,7 +315,6 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		pg.dsk.Read(p, as.PageSize())
 		pg.insert(pl.Seg, pl.PageIdx)
 		pg.stats.DiskFaults++
-		pg.inc("fault.disk")
 		pg.observe("latency.fault.disk", p.Now()-start)
 		pg.faultResolved(p, "disk", addr, start)
 	default:
@@ -344,7 +329,6 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 	if pg.prefetched[key] {
 		delete(pg.prefetched, key)
 		pg.stats.PrefetchHits++
-		pg.inc("prefetch.hit")
 	}
 	if write {
 		pl.Seg.BreakCOW(pl.PageIdx)
@@ -400,7 +384,6 @@ func (pg *Pager) insert(seg *vm.Segment, idx uint64) {
 	for _, ev := range pg.phys.Insert(seg, idx) {
 		if ev.WasDirty {
 			pg.dsk.WriteAsync(pg.k, seg.PageSize())
-			pg.inc("pageout")
 		}
 	}
 }
@@ -410,7 +393,6 @@ func (pg *Pager) insert(seg *vm.Segment, idx uint64) {
 // page plus any prefetched neighbours.
 func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 	pg.stats.ImagFaults++
-	pg.inc("fault.imag")
 	if h, hinted := pg.hints[pageKey{pl.Seg.ID, pl.PageIdx}]; hinted &&
 		!pg.streamPending[pageKey{pl.Seg.ID, pl.PageIdx}] {
 		// The page's content is known by hash: try the local content
@@ -428,7 +410,6 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 		// duplicate request keeps the wire clear for the stream itself.
 		pg.cpu.UseHigh(p, faultCPU)
 		pg.stats.StreamWaits++
-		pg.inc("fault.streamwait")
 		q := sim.NewQueue[struct{}](pg.k)
 		key := pageKey{pl.Seg.ID, pl.PageIdx}
 		pg.streamWaiters[key] = append(pg.streamWaiters[key], q)
@@ -497,7 +478,6 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			break
 		}
 		pg.stats.Retries++
-		pg.inc("fault.retry")
 		if attempt >= pg.cfg.MaxRetries {
 			return pg.orphan(p, pl, fmt.Errorf("%w: seg %s page %d after %d attempts",
 				ErrBackerLost, pl.Seg.Name, pl.PageIdx, attempt+1))
@@ -548,7 +528,6 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			if !first && idx != pl.PageIdx {
 				pg.stats.PrefetchedPages++
 				pg.prefetched[pageKey{pl.Seg.ID, idx}] = true
-				pg.inc("prefetch.page")
 			}
 			first = false
 		}
@@ -577,7 +556,6 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 		pg.insert(pl.Seg, pl.PageIdx)
 		delete(pg.hints, key)
 		pg.stats.LocalServes++
-		pg.inc("fault.served.local")
 		return true
 	}
 	if pg.resolver == nil {
@@ -622,7 +600,6 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	}
 	delete(pg.hints, key)
 	pg.stats.HolderServes++
-	pg.inc("fault.served.holder")
 	return true
 }
 
@@ -650,7 +627,6 @@ func (pg *Pager) RepairPage(p *sim.Proc, seg *vm.Segment, idx, hash uint64) bool
 		page.State.Dirty = true
 	}
 	pg.stats.Repairs++
-	pg.inc("fault.repaired")
 	return true
 }
 
@@ -683,7 +659,6 @@ func (pg *Pager) ensureStreamRecv() {
 				continue
 			}
 			pg.stats.StreamedPages++
-			pg.inc("prefetch.stream")
 			ps := seg.PageSize()
 			for _, run := range body.Runs {
 				for j := 0; j < run.Count; j++ {
@@ -697,7 +672,6 @@ func (pg *Pager) ensureStreamRecv() {
 						pg.insert(seg, idx)
 						pg.stats.PrefetchedPages++
 						pg.prefetched[key] = true
-						pg.inc("prefetch.page")
 					}
 					delete(pg.streamPending, key)
 					for _, q := range pg.streamWaiters[key] {
@@ -728,6 +702,5 @@ func (pg *Pager) orphan(p *sim.Proc, pl vm.Place, cause error) error {
 	pl.Seg.MaterializeZero(pl.PageIdx)
 	pg.insert(pl.Seg, pl.PageIdx)
 	pg.stats.ZeroFills++
-	pg.inc("fault.zerofill.orphan")
 	return nil
 }

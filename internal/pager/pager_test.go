@@ -310,20 +310,6 @@ func TestBackerLostAfterMaxRetries(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	r := newRig(t, 4)
-	r.as.Validate(0, 512, "d")
-	r.k.Go("u", func(p *sim.Proc) { r.pg.Touch(p, r.as, 0, false) })
-	r.k.Run()
-	if r.pg.Stats().FillZero != 1 {
-		t.Fatal("setup failed")
-	}
-	r.pg.ResetStats()
-	if r.pg.Stats().FillZero != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
-}
-
 // Property: after an arbitrary sequence of touches on a validated
 // region, every touched page is materialized, the resident count never
 // exceeds physical memory, and written content survives faulting.

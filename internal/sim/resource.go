@@ -28,8 +28,7 @@ type Resource struct {
 	lastStamp time.Duration
 	acquires  uint64
 
-	// waitObs, when set, receives every nonzero queueing delay (wired
-	// to a metrics recorder for queue-wait tail distributions).
+	// waitObs, when set, receives every nonzero queueing delay.
 	waitObs func(time.Duration)
 }
 
@@ -65,9 +64,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	}
 	return &Resource{k: k, name: name, capacity: capacity}
 }
-
-// Name reports the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // InUse reports the currently held units.
 func (r *Resource) InUse() int { return r.inUse }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"accentmig/internal/vm"
-	"accentmig/internal/xrand"
 )
 
 // Op is one step of a reference program.
@@ -39,18 +38,6 @@ type SeqScan struct {
 	PerTouch time.Duration
 }
 
-// RandTouch references Count distinct pages drawn pseudo-randomly from
-// [Start, Start+Bytes) — the Lisp pattern with no locality. PerTouch
-// compute time is charged between touches.
-type RandTouch struct {
-	Start    vm.Addr
-	Bytes    uint64
-	Count    int
-	Seed     uint64
-	Write    bool
-	PerTouch time.Duration
-}
-
 // WSLoop repeatedly touches a working set: Iters passes over Pages
 // pages starting at Start, with Compute time charged per pass — the
 // long-lived compute-bound Chess pattern.
@@ -70,7 +57,6 @@ func (Compute) isOp()      {}
 func (IOWait) isOp()       {}
 func (Touch) isOp()        {}
 func (SeqScan) isOp()      {}
-func (RandTouch) isOp()    {}
 func (WSLoop) isOp()       {}
 func (MigratePoint) isOp() {}
 
@@ -108,8 +94,6 @@ func (pr *Program) Touches(from int, pageSize int) []vm.Addr {
 			for off := uint64(0); off < o.Bytes; off += stride {
 				out = append(out, o.Start+vm.Addr(off))
 			}
-		case RandTouch:
-			out = append(out, randPages(o, ps)...)
 		case WSLoop:
 			for it := 0; it < o.Iters; it++ {
 				for pg := 0; pg < o.Pages; pg++ {
@@ -117,26 +101,6 @@ func (pr *Program) Touches(from int, pageSize int) []vm.Addr {
 				}
 			}
 		}
-	}
-	return out
-}
-
-// randPages deterministically expands a RandTouch into page addresses:
-// Count distinct pages of the range, in a shuffled order.
-func randPages(o RandTouch, pageSize uint64) []vm.Addr {
-	npages := int(o.Bytes / pageSize)
-	if npages == 0 {
-		return nil
-	}
-	count := o.Count
-	if count > npages {
-		count = npages
-	}
-	rng := xrand.New(o.Seed)
-	perm := rng.Perm(npages)
-	out := make([]vm.Addr, 0, count)
-	for _, pg := range perm[:count] {
-		out = append(out, o.Start+vm.Addr(uint64(pg)*pageSize))
 	}
 	return out
 }

@@ -38,35 +38,6 @@ func TestSeqScanCustomStride(t *testing.T) {
 	}
 }
 
-func TestRandTouchDistinctAndDeterministic(t *testing.T) {
-	op := RandTouch{Start: 0, Bytes: 100 * 512, Count: 30, Seed: 5}
-	a := (&Program{Ops: []Op{op}}).Touches(0, 512)
-	b := (&Program{Ops: []Op{op}}).Touches(0, 512)
-	if len(a) != 30 {
-		t.Fatalf("touches = %d, want 30", len(a))
-	}
-	seen := map[vm.Addr]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("RandTouch not deterministic")
-		}
-		if seen[a[i]] {
-			t.Fatal("RandTouch repeated a page")
-		}
-		seen[a[i]] = true
-		if uint64(a[i]) >= 100*512 {
-			t.Fatalf("touch %#x outside range", a[i])
-		}
-	}
-}
-
-func TestRandTouchCountClamped(t *testing.T) {
-	pr := &Program{Ops: []Op{RandTouch{Bytes: 4 * 512, Count: 100, Seed: 1}}}
-	if got := pr.Touches(0, 512); len(got) != 4 {
-		t.Errorf("touches = %d, want clamped 4", len(got))
-	}
-}
-
 func TestWSLoopTouches(t *testing.T) {
 	pr := &Program{Ops: []Op{WSLoop{Start: 0, Pages: 3, Iters: 2}}}
 	got := pr.Touches(0, 512)

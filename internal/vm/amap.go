@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // AMapEntry is one coalesced run of addresses sharing an accessibility.
 type AMapEntry struct {
@@ -121,29 +118,6 @@ func (m *AMap) Classify(a Addr) Accessibility {
 	return BadMem
 }
 
-// Slice returns the entries overlapping [start, end), clipped to that
-// window. Used by the NetMsgServer to fragment message memory (§2.4).
-// Entries are sorted, so a binary search finds the first overlap and
-// the scan exits at the first entry past the window.
-func (m *AMap) Slice(start, end Addr) []AMapEntry {
-	i := sort.Search(len(m.Entries), func(i int) bool { return m.Entries[i].End > start })
-	var out []AMapEntry
-	for ; i < len(m.Entries); i++ {
-		e := m.Entries[i]
-		if e.Start >= end {
-			break
-		}
-		if e.Start < start {
-			e.Start = start
-		}
-		if e.End > end {
-			e.End = end
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // TotalBytes sums entry extents by accessibility class.
 func (m *AMap) TotalBytes() map[Accessibility]uint64 {
 	out := make(map[Accessibility]uint64, 3)
@@ -159,10 +133,3 @@ func (m *AMap) TotalBytes() map[Accessibility]uint64 {
 // larger than others", §4.3.2, even for 4 GB Lisp spaces). Core context
 // messages carry the AMap, so its size feeds the transfer cost.
 func (m *AMap) WireBytes() int { return 16 + 6*len(m.Entries) }
-
-// String summarizes the map.
-func (m *AMap) String() string {
-	t := m.TotalBytes()
-	return fmt.Sprintf("AMap{%d entries, real=%d realzero=%d imag=%d}",
-		len(m.Entries), t[RealMem], t[RealZeroMem], t[ImagMem])
-}

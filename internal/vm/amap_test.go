@@ -69,27 +69,6 @@ func TestAMapClassifyAndGaps(t *testing.T) {
 	}
 }
 
-func TestAMapSlice(t *testing.T) {
-	as := mustSpace(t)
-	r, _ := as.Validate(0, 8*512, "d")
-	r.Seg.MaterializeZero(3)
-	m := BuildAMap(as)
-	got := m.Slice(2*512, 5*512)
-	want := []AMapEntry{
-		{2 * 512, 3 * 512, RealZeroMem},
-		{3 * 512, 4 * 512, RealMem},
-		{4 * 512, 5 * 512, RealZeroMem},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Slice = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("slice[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestAMapTotalBytes(t *testing.T) {
 	as := mustSpace(t)
 	r, _ := as.Validate(0, 4*512, "d")

@@ -17,14 +17,6 @@ const (
 	ImagSeg
 )
 
-// String names the class.
-func (c SegmentClass) String() string {
-	if c == RealSeg {
-		return "RealSeg"
-	}
-	return "ImagSeg"
-}
-
 // PageState tracks where a materialized page's data currently is.
 type PageState struct {
 	Resident bool // a physical frame holds the data
@@ -121,9 +113,6 @@ func (s *Segment) SetPool(p *FramePool) {
 	s.pool = p
 }
 
-// Pool returns the attached frame pool, if any.
-func (s *Segment) Pool() *FramePool { return s.pool }
-
 // frame obtains a page-size data frame from the pool or the allocator.
 // Contents are unspecified; every caller overwrites the full frame.
 func (s *Segment) frame() []byte {
@@ -143,9 +132,6 @@ func (s *Segment) Pages() uint64 {
 
 // Page returns the materialized page at index, or nil.
 func (s *Segment) Page(index uint64) *Page { return s.table.get(index) }
-
-// MaterializedPages reports how many pages hold actual data.
-func (s *Segment) MaterializedPages() int { return s.table.count }
 
 // NextRun finds the next contiguous run of materialized pages within
 // [from, last] (inclusive bounds, end exclusive). It is the batching

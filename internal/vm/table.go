@@ -25,8 +25,8 @@ import "math/bits"
 // never moved. A sparse segment therefore pays about 1 KB per chunk it
 // touches (which the collector never scans) plus one Page per page it
 // holds. A page keeps its slab slot for the life of the table, across
-// clear and a later ensure, so every *Page handed out for an index is
-// the same pointer.
+// a reset that keeps frame links and a later ensure, so every *Page
+// handed out for an index is the same pointer.
 // A lookup is a few shifts and masks and four indexing operations.
 
 const (
@@ -86,7 +86,7 @@ func (t *pageTable) get(idx uint64) *Page {
 
 // lookup returns the slab page idx was ever given, materialized or not
 // (nil if none), and whether it is materialized now. PhysMem reaches a
-// page's LRU link through it, since a link outlives a clear.
+// page's LRU link through it, since a link outlives a reset.
 func (t *pageTable) lookup(idx uint64) (*Page, bool) {
 	ci := idx >> tableChunkShift
 	if ci >= uint64(len(t.chunks)) {
@@ -135,22 +135,6 @@ func (t *pageTable) ensure(idx uint64) (*Page, bool) {
 		t.count++
 	}
 	return t.page(s), present
-}
-
-// clear removes the page at idx from the table, returning its slot (for
-// frame recycling) or nil if it was not materialized. The slot stays
-// assigned to idx.
-func (t *pageTable) clear(idx uint64) *Page {
-	p, present := t.lookup(idx)
-	if !present {
-		return nil
-	}
-	c := t.chunks[idx>>tableChunkShift]
-	slot := idx & tableChunkMask
-	c.bits[slot>>6] &^= 1 << (slot & 63)
-	c.live--
-	t.count--
-	return p
 }
 
 // reset empties the table. If no page links to a PhysMem frame, the

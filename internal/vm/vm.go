@@ -39,22 +39,6 @@ const (
 	BadMem
 )
 
-// String returns the paper's name for the accessibility class.
-func (a Accessibility) String() string {
-	switch a {
-	case RealZeroMem:
-		return "RealZeroMem"
-	case RealMem:
-		return "RealMem"
-	case ImagMem:
-		return "ImagMem"
-	case BadMem:
-		return "BadMem"
-	default:
-		return fmt.Sprintf("Accessibility(%d)", int(a))
-	}
-}
-
 // Config parameterizes an address space. The zero value selects the
 // Accent defaults.
 type Config struct {
