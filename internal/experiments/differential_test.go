@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"accentmig/internal/core"
+	"accentmig/internal/faults"
 	"accentmig/internal/sim"
 	"accentmig/internal/vm"
 	"accentmig/internal/workload"
@@ -110,5 +113,66 @@ func TestHashFeaturesKeepFinalImage(t *testing.T) {
 				t.Errorf("final image %#x with %s, %#x with every hashing feature off", got, mix, want)
 			}
 		})
+	}
+}
+
+// heldReport migrates k under strat at prefetch 0 with the destination
+// held: the process is inserted there but never runs, so nothing it
+// would do remotely can reach the report.
+func heldReport(t *testing.T, cfg Config, k workload.Kind, strat core.Strategy) *core.Report {
+	t.Helper()
+	tb := NewTestbed(cfg)
+	defer tb.K.Close()
+	built, err := workload.Build(tb.Src, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Src.Start(built.Proc)
+	opts := core.Options{Strategy: strat, WaitMigratePoint: true, HoldAtDest: true}
+	cfg.applyRecovery(&opts)
+	var rep *core.Report
+	var migErr error
+	tb.K.Go("driver", func(p *sim.Proc) {
+		rep, migErr = tb.SrcMgr.MigrateTo(p, k.String(), tb.DstMgr.Port.ID, opts)
+	})
+	tb.K.Run()
+	if migErr != nil {
+		t.Fatal(migErr)
+	}
+	return rep
+}
+
+// TestGridCellsMatchHeldMigrations is the premise that lets Tables
+// 4-2, 4-4 and 4-5 read grid cells: everything they report (the
+// resident set excision collapsed, the excision and insertion times,
+// the Core and RIMAS transfer times) is stamped before insertion starts
+// the process, so the report of a grid cell, whose process then runs
+// at the destination, equals that of a migration whose destination is
+// held. Every kind and strategy at prefetch 0, fault-free and under the
+// committed burst-and-partition plan with a retry policy.
+func TestGridCellsMatchHeldMigrations(t *testing.T) {
+	plan, err := faults.Load("../../testdata/faults/burst-partition.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := Config{Faults: plan, Recovery: &ResilienceOptions{MaxRetries: 3, Degrade: true, AckTimeout: 15 * time.Minute}}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"fault-free", Config{}}, {"burst-partition", faulted}} {
+		for _, k := range workload.Kinds() {
+			for _, s := range core.Strategies() {
+				c, k, s := c, k, s
+				t.Run(fmt.Sprintf("%s/%s/%s", c.name, k, s), func(t *testing.T) {
+					tr, err := RunTrial(c.cfg, k, s, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if held := heldReport(t, c.cfg, k, s); !reflect.DeepEqual(tr.Report, held) {
+						t.Errorf("grid cell report\n%+v\nheld migration report\n%+v", *tr.Report, *held)
+					}
+				})
+			}
+		}
 	}
 }
