@@ -9,7 +9,6 @@ import (
 	"accentmig/internal/machine"
 	"accentmig/internal/netlink"
 	"accentmig/internal/netmsg"
-	"accentmig/internal/sim"
 	"accentmig/internal/trace"
 	"accentmig/internal/vm"
 )
@@ -71,38 +70,12 @@ func syntheticTrial(cfg Config, realPages, touchedPages int, strat core.Strategy
 		trace.SeqScan{Start: 0, Bytes: uint64(touchedPages) * ps, PerTouch: 10 * time.Millisecond},
 		trace.Compute{D: time.Second},
 	}}
-	tb.Src.Start(pr)
-
-	tr := &TrialResult{Strategy: strat, Prefetch: prefetch}
-	var migErr error
-	var doneAt time.Duration
-	tb.K.Go("driver", func(p *sim.Proc) {
-		rep, err := tb.SrcMgr.MigrateTo(p, "synthetic", tb.DstMgr.Port.ID, core.Options{
-			Strategy:         strat,
-			Prefetch:         prefetch,
-			WaitMigratePoint: true,
-		})
-		if err != nil {
-			migErr = err
-			return
-		}
-		tr.Report = rep
-		npr, _ := tb.Dst.Process("synthetic")
-		if npr == nil {
-			migErr = fmt.Errorf("experiments: synthetic process lost")
-			return
-		}
-		if err := npr.WaitDone(p); err != nil {
-			migErr = err
-			return
-		}
-		doneAt = p.Now()
-	})
-	tb.K.Run()
-	if migErr != nil {
-		return nil, migErr
+	m := tb.migrate(cfg, pr, core.Options{Strategy: strat, Prefetch: prefetch, WaitMigratePoint: true})
+	if err := m.remoteErr(pr.Name); err != nil {
+		return nil, err
 	}
-	tr.RemoteExec = doneAt - tr.Report.InsertDoneAt
+	tr := &TrialResult{Strategy: strat, Prefetch: prefetch, Report: m.rep}
+	tr.RemoteExec = m.end - tr.Report.InsertDoneAt
 	tr.EndToEnd = tr.Report.RIMASTransfer + tr.RemoteExec
 	tr.BytesTotal = tb.Rec.BytesTotal()
 	return tr, nil

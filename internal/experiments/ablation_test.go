@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"accentmig/internal/core"
+	"accentmig/internal/faults"
 	"accentmig/internal/workload"
 )
 
@@ -177,6 +179,24 @@ func TestResidualSeries(t *testing.T) {
 	}
 	if peak < final {
 		t.Error("series never peaked")
+	}
+}
+
+// TestSideExperimentsReturnFailedMigration partitions the link for the
+// first minute, so every migration the bystander and residual
+// experiments start aborts; each must return that error instead of
+// panicking or reporting a series of a migration that never happened.
+func TestSideExperimentsReturnFailedMigration(t *testing.T) {
+	plan, err := faults.Parse([]byte(`{"seed":1,"partitions":[{"start":"0s","end":"60s"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Faults: plan}
+	if _, err := BystanderImpact(cfg); !errors.Is(err, core.ErrMigrationAborted) {
+		t.Errorf("BystanderImpact: err = %v, want an aborted migration", err)
+	}
+	if _, err := ResidualSeries(cfg, workload.LispDel, 0, 5*time.Second); !errors.Is(err, core.ErrMigrationAborted) {
+		t.Errorf("ResidualSeries: err = %v, want an aborted migration", err)
 	}
 }
 

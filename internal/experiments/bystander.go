@@ -26,6 +26,10 @@ type BystanderRow struct {
 	SlowdownPct float64
 }
 
+// bystanderBursts is how many 100 ms compute bursts the bystander runs
+// (≈20 s of compute).
+const bystanderBursts = 200
+
 // BystanderImpact quantifies §4.4.2/§4.4.3's point that "each second of
 // execution time spent by the NetMsgServer ... is a second stolen from
 // all processes in both systems": a compute-bound bystander shares the
@@ -33,8 +37,6 @@ type BystanderRow struct {
 // Pure-copy's bulk transfer burst steals far more of the bystander's
 // time than the IOU trickle does.
 func BystanderImpact(cfg Config) ([]BystanderRow, error) {
-	const bystanderBursts = 200 // ≈20 s of compute
-
 	baseline, err := bystanderRun(cfg, nil)
 	if err != nil {
 		return nil, err
@@ -53,7 +55,6 @@ func BystanderImpact(cfg Config) ([]BystanderRow, error) {
 			SlowdownPct:   100 * (with.Seconds() - baseline.Seconds()) / baseline.Seconds(),
 		})
 	}
-	_ = bystanderBursts
 	return rows, nil
 }
 
@@ -68,11 +69,12 @@ func bystanderRun(cfg Config, strat *core.Strategy) (time.Duration, error) {
 		return 0, err
 	}
 	var ops []trace.Op
-	for i := 0; i < 200; i++ {
+	for i := 0; i < bystanderBursts; i++ {
 		ops = append(ops, trace.Compute{D: 100 * time.Millisecond})
 	}
 	by.Program = &trace.Program{Ops: ops}
 
+	var migErr error
 	if strat != nil {
 		mig, err := tb.Src.NewProcess("migrant", 1)
 		if err != nil {
@@ -98,11 +100,9 @@ func bystanderRun(cfg Config, strat *core.Strategy) (time.Duration, error) {
 		mig.Program = &trace.Program{Ops: migOps}
 		tb.Src.Start(mig)
 		tb.K.Go("migrate-driver", func(p *sim.Proc) {
-			if _, err := tb.SrcMgr.MigrateTo(p, "migrant", tb.DstMgr.Port.ID, core.Options{
+			_, migErr = tb.SrcMgr.MigrateTo(p, "migrant", tb.DstMgr.Port.ID, core.Options{
 				Strategy: *strat, WaitMigratePoint: true,
-			}); err != nil {
-				panic(fmt.Sprintf("bystander trial migration failed: %v", err))
-			}
+			})
 		})
 	}
 
@@ -113,6 +113,9 @@ func bystanderRun(cfg Config, strat *core.Strategy) (time.Duration, error) {
 		done = p.Now()
 	})
 	tb.K.RunUntil(30 * time.Minute)
+	if migErr != nil {
+		return 0, migErr
+	}
 	if done == 0 {
 		return 0, fmt.Errorf("experiments: bystander never finished")
 	}
@@ -152,10 +155,11 @@ func ResidualSeries(cfg Config, kind workload.Kind, prefetch int, step time.Dura
 	}
 	tb.Src.Start(built.Proc)
 	done := false
+	var migErr error
 	tb.K.Go("driver", func(p *sim.Proc) {
-		if _, err := tb.SrcMgr.MigrateTo(p, kind.String(), tb.DstMgr.Port.ID, core.Options{
+		if _, migErr = tb.SrcMgr.MigrateTo(p, kind.String(), tb.DstMgr.Port.ID, core.Options{
 			Strategy: core.PureIOU, Prefetch: prefetch, WaitMigratePoint: true,
-		}); err != nil {
+		}); migErr != nil {
 			done = true
 			return
 		}
@@ -167,6 +171,9 @@ func ResidualSeries(cfg Config, kind workload.Kind, prefetch int, step time.Dura
 	for t := step; !done && t < 2*time.Hour; t += step {
 		tb.K.RunUntil(t)
 		series = append(series, ResidualPoint{T: t, Pages: tb.Src.Net.Store().TotalRemaining()})
+	}
+	if migErr != nil {
+		return nil, migErr
 	}
 	tb.K.Run()
 	series = append(series, ResidualPoint{T: tb.K.Now(), Pages: tb.Src.Net.Store().TotalRemaining()})

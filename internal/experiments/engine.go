@@ -9,8 +9,6 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/obs"
-	"accentmig/internal/sim"
-	"accentmig/internal/vm"
 	"accentmig/internal/workload"
 	"accentmig/internal/xrand"
 )
@@ -42,8 +40,8 @@ type Engine struct {
 }
 
 // cacheKey addresses one memoized trial. variant names the memoized
-// method, and with it the result type: grid and hold trials share a
-// config fingerprint and GridKey{k, s, 0}, so without it they collide.
+// method, and with it the result type, so entries of two types never
+// share a key or a disk file name.
 type cacheKey struct {
 	fp      uint64
 	variant uint8
@@ -52,7 +50,6 @@ type cacheKey struct {
 
 const (
 	variantGrid uint8 = iota
-	variantHold
 	variantResilience
 	variantShard
 )
@@ -73,7 +70,7 @@ func NewEngine(workers int) *Engine {
 }
 
 // Default is the process-wide engine the package-level experiment
-// harnesses (RunGrid, Table43..45, Figure45) share, so one `migsim -exp
+// harnesses (RunGrid, Table42..45, Figure45) share, so one `migsim -exp
 // all` sweep simulates each grid cell exactly once.
 var Default = NewEngine(0)
 
@@ -183,58 +180,6 @@ func (e *Engine) trial(fp uint64, cfg Config, g GridKey) (*TrialResult, error) {
 		return run()
 	}
 	return memo(e, cacheKey{fp: fp, variant: variantGrid, GridKey: g}, run)
-}
-
-// HoldResult is what a held-at-destination migration trial measures:
-// the migration report plus the address-space usage sampled at the
-// migration point. Tables 4-2, 4-4, and 4-5 are all formatted from it.
-type HoldResult struct {
-	Report *core.Report
-	Usage  vm.Usage
-}
-
-// RunHoldTrial excises and transfers representative k under the given
-// strategy with the destination held (no remote execution), the setup
-// behind the paper's timing tables.
-func RunHoldTrial(cfg Config, k workload.Kind, strat core.Strategy) (*HoldResult, error) {
-	tb := NewTestbed(cfg)
-	defer tb.K.Close()
-	b, err := workload.Build(tb.Src, k)
-	if err != nil {
-		return nil, err
-	}
-	u := b.Proc.AS.Usage()
-	tb.Src.Start(b.Proc)
-	var rep *core.Report
-	var migErr error
-	tb.K.Go("driver", func(p *sim.Proc) {
-		opts := core.Options{
-			Strategy:         strat,
-			WaitMigratePoint: true,
-			HoldAtDest:       true,
-		}
-		cfg.applyRecovery(&opts)
-		rep, migErr = tb.SrcMgr.MigrateTo(p, k.String(), tb.DstMgr.Port.ID, opts)
-	})
-	tb.K.Run()
-	if migErr != nil {
-		return nil, migErr
-	}
-	return &HoldResult{Report: rep, Usage: u}, nil
-}
-
-// HoldTrial is the memoized form of RunHoldTrial.
-func (e *Engine) HoldTrial(cfg Config, k workload.Kind, s core.Strategy) (*HoldResult, error) {
-	return e.hold(cfg.fingerprint(), cfg, holdPair{k, s})
-}
-
-// hold is HoldTrial with a caller-supplied config fingerprint.
-func (e *Engine) hold(fp uint64, cfg Config, p holdPair) (*HoldResult, error) {
-	run := func() (*HoldResult, error) { return RunHoldTrial(cfg, p.kind, p.strat) }
-	if cfg.Sink != nil {
-		return run()
-	}
-	return memo(e, cacheKey{fp: fp, variant: variantHold, GridKey: GridKey{p.kind, p.strat, 0}}, run)
 }
 
 // ResilienceTrial is the memoized form of RunResilienceTrial. The
@@ -353,20 +298,6 @@ func (e *Engine) Trials(cfg Config, keys []GridKey) ([]*TrialResult, error) {
 	cfg = cfg.forParallel(e.Workers())
 	fp := cfg.fingerprint() // hashed once for the whole sweep
 	return sweep(e, keys, func(g GridKey) (*TrialResult, error) { return e.trial(fp, cfg, g) })
-}
-
-// holdPair addresses one held-at-destination trial.
-type holdPair struct {
-	kind  workload.Kind
-	strat core.Strategy
-}
-
-// holdTrials simulates held-at-destination trials concurrently
-// (memoized) and returns results in pair order.
-func (e *Engine) holdTrials(cfg Config, pairs []holdPair) ([]*HoldResult, error) {
-	cfg = cfg.forParallel(e.Workers())
-	fp := cfg.fingerprint() // hashed once for the whole sweep
-	return sweep(e, pairs, func(p holdPair) (*HoldResult, error) { return e.hold(fp, cfg, p) })
 }
 
 // GridKeys enumerates the full paper grid for the given workloads in

@@ -17,17 +17,16 @@ import (
 
 // memoEpoch is the on-disk schema version of a cached trial. Bump it
 // whenever the entry body (the gob encoding of the result value itself:
-// TrialResult, HoldResult, ResilienceOutcome, ShardStressResult and
-// everything they embed) or the simulation's observable semantics
-// change in a way the config fingerprint cannot see — a changed
-// calibration constant (DESIGN.md §3 tables them; netmsg's fragCPU or
-// vm.HashPerPageCPU, say) is one, since constants are not config
-// fields; old entries become unreachable (they live in a differently
-// named subdirectory) and are eventually pruned. Epoch 5: pages are
-// named by XXH64 instead of FNV-1a, so a ResilienceOutcome's ImageHash
-// changed; a cached digest compared with a fresh one reports an
-// image-divergence that never happened.
-const memoEpoch = 5
+// TrialResult, ResilienceOutcome, ShardStressResult and everything they
+// embed), the variant numbering in the file name, or the simulation's
+// observable semantics change in a way the config fingerprint cannot
+// see — a changed calibration constant (DESIGN.md §3 tables them;
+// netmsg's fragCPU or vm.HashPerPageCPU, say) is one, since constants
+// are not config fields; old entries become unreachable (they live in a
+// differently named subdirectory) and are eventually pruned. Epoch 6:
+// TrialResult lost DestUsage, and deleting the held-trial variant
+// renumbered the resilience and shard variants in entry file names.
+const memoEpoch = 6
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.

@@ -61,7 +61,7 @@ func newDiskEngine(t *testing.T, dir string) (*Engine, *DiskCache) {
 	return e, d
 }
 
-// TestDiskCacheWarmIdentity runs grid, hold, and resilience trials
+// TestDiskCacheWarmIdentity runs grid and resilience trials
 // cold, then again through a fresh engine over the same directory, and
 // demands every warm result be served from disk with no value drift.
 func TestDiskCacheWarmIdentity(t *testing.T) {
@@ -72,10 +72,6 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 
 	cold, cd := newDiskEngine(t, dir)
 	coldTrials, err := cold.Trials(cfg, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldHold, err := cold.HoldTrial(cfg, workload.Minprog, core.PureCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +88,6 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmHold, err := warm.HoldTrial(cfg, workload.Minprog, core.PureCopy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	warmRes, err := warm.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts)
 	if err != nil {
 		t.Fatal(err)
@@ -104,16 +96,13 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	if st.Misses != 0 || st.Rejects != 0 {
 		t.Fatalf("warm stats = %+v, want every lookup served from disk", st)
 	}
-	if want := uint64(len(keys) + 2); st.Hits != want {
+	if want := uint64(len(keys) + 1); st.Hits != want {
 		t.Fatalf("warm hits = %d, want %d", st.Hits, want)
 	}
 	for i := range keys {
 		if !sameResult(t, coldTrials[i], warmTrials[i]) {
 			t.Errorf("%v: warm trial drifted from cold", keys[i])
 		}
-	}
-	if !sameResult(t, coldHold, warmHold) {
-		t.Error("warm hold trial drifted from cold")
 	}
 	if !sameResult(t, coldRes, warmRes) {
 		t.Error("warm resilience trial drifted from cold")
@@ -247,8 +236,8 @@ func TestDiskCacheCorruptionFallback(t *testing.T) {
 }
 
 // TestDiskCacheVariantsAreDistinct guards the filename keying: a grid
-// trial, a hold trial and a resilience trial of the same (kind,
-// strategy) must not collide.
+// trial and a resilience trial of the same (kind, strategy) must not
+// collide.
 func TestDiskCacheVariantsAreDistinct(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{}
@@ -257,17 +246,14 @@ func TestDiskCacheVariantsAreDistinct(t *testing.T) {
 	if _, err := cold.Trial(cfg, workload.Minprog, core.PureCopy, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.HoldTrial(cfg, workload.Minprog, core.PureCopy); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := cold.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts); err != nil {
 		t.Fatal(err)
 	}
-	if st := cd.Stats(); st.Writes != 3 {
-		t.Fatalf("writes = %d, want 3 distinct entries", st.Writes)
+	if st := cd.Stats(); st.Writes != 2 {
+		t.Fatalf("writes = %d, want 2 distinct entries", st.Writes)
 	}
-	if files := entryFiles(t, cd); len(files) != 3 {
-		t.Fatalf("entry files = %d, want 3", len(files))
+	if files := entryFiles(t, cd); len(files) != 2 {
+		t.Fatalf("entry files = %d, want 2", len(files))
 	}
 }
 

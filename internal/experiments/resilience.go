@@ -9,7 +9,6 @@ import (
 	"accentmig/internal/core"
 	"accentmig/internal/faults"
 	"accentmig/internal/pager"
-	"accentmig/internal/sim"
 	"accentmig/internal/workload"
 )
 
@@ -153,45 +152,25 @@ func RunResilienceTrial(cfg Config, k workload.Kind, strat core.Strategy, ropts 
 	if err != nil {
 		return nil, err
 	}
-	tb.Src.Start(built.Proc)
+	cfg.Recovery = &ropts // the trial's retry policy, not the config's
+	m := tb.migrate(cfg, built.Proc, core.Options{Strategy: strat, WaitMigratePoint: true})
 
 	out := &ResilienceOutcome{Kind: k, Strategy: strat}
-	tb.K.Go("resilience-driver", func(p *sim.Proc) {
-		rep, migErr := tb.SrcMgr.MigrateTo(p, k.String(), tb.DstMgr.Port.ID, core.Options{
-			Strategy:         strat,
-			WaitMigratePoint: true,
-			AckTimeout:       ropts.AckTimeout,
-			MaxRetries:       ropts.MaxRetries,
-			Degrade:          ropts.Degrade,
-		})
-		if migErr != nil {
-			out.MigClass = classifyErr(migErr)
-			out.Aborted = errors.Is(migErr, core.ErrMigrationAborted)
-			// An aborted migration rolls the process back to the
-			// source and resumes it there; run it to local completion.
-			if pr, ok := tb.Src.Process(k.String()); ok {
-				out.ExecClass = classifyErr(pr.WaitDone(p))
-				out.Completed = out.ExecClass == ""
-			}
-			out.TotalTime = p.Now()
-			return
-		}
+	out.MigClass = classifyErr(m.err)
+	out.Aborted = errors.Is(m.err, core.ErrMigrationAborted)
+	if m.rep != nil {
 		out.Migrated = true
-		out.Attempts = rep.Attempts
-		out.FinalStrategy = rep.FinalStrategy
-		out.ResumedPages = rep.Insert.ResumedPages
-		out.ResumedBytes = uint64(rep.Insert.ResumedPages) * uint64(tb.Src.PageSize())
-		out.RepairedPages = rep.Insert.RepairedPages
-		// Crashes keyed to the "remote" phase fire once remote
-		// execution has begun.
-		tb.FirePhase(p, "remote")
-		if pr, ok := tb.Dst.Process(k.String()); ok {
-			out.ExecClass = classifyErr(pr.WaitDone(p))
-			out.Completed = out.ExecClass == ""
-		}
-		out.TotalTime = p.Now()
-	})
-	tb.K.Run()
+		out.Attempts = m.rep.Attempts
+		out.FinalStrategy = m.rep.FinalStrategy
+		out.ResumedPages = m.rep.Insert.ResumedPages
+		out.ResumedBytes = uint64(m.rep.Insert.ResumedPages) * uint64(tb.Src.PageSize())
+		out.RepairedPages = m.rep.Insert.RepairedPages
+	}
+	if m.found && m.finished {
+		out.ExecClass = classifyErr(m.exec)
+		out.Completed = out.ExecClass == ""
+	}
+	out.TotalTime = m.end
 
 	srcStats, dstStats := tb.Src.Net.Stats(), tb.Dst.Net.Stats()
 	out.Retransmits = srcStats.Retransmits + dstStats.Retransmits

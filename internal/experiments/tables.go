@@ -53,6 +53,19 @@ func FormatTable41(rows []Row41) string {
 	return b.String()
 }
 
+// tableCells returns the prefetch-0 grid cells of each kind under each
+// strategy, kind-major, from the default engine: the tables read the
+// same memoized cells the figures do.
+func tableCells(cfg Config, kinds []workload.Kind, strats ...core.Strategy) ([]*TrialResult, error) {
+	var keys []GridKey
+	for _, k := range kinds {
+		for _, s := range strats {
+			keys = append(keys, GridKey{k, s, 0})
+		}
+	}
+	return Default.Trials(cfg, keys)
+}
+
 // Row42 is one Table 4-2 row: resident sets.
 type Row42 struct {
 	Kind     workload.Kind
@@ -62,18 +75,15 @@ type Row42 struct {
 }
 
 // Table42 measures resident sets at migration time: each
-// representative is run to its migration point and migrated under the
-// resident-set strategy (destination held), so the RS size is what the
-// excision actually collapsed as resident — the same quantity the
-// paper's instrumented migrations report. The trials run concurrently
-// on the default engine and are shared with Table 4-5's RS column.
+// representative's resident-set (prefetch 0) grid cell reports what
+// excision actually collapsed as resident, the same quantity the
+// paper's instrumented migrations report. The transfer ends before
+// insertion starts the process, so its remote run cannot reach the
+// count. The percentages are of the published Real and Total, which
+// workload.Build holds every representative to.
 func Table42(cfg Config) ([]Row42, error) {
 	kinds := workload.Kinds()
-	pairs := make([]holdPair, len(kinds))
-	for i, k := range kinds {
-		pairs[i] = holdPair{kind: k, strat: core.ResidentSet}
-	}
-	hrs, err := Default.holdTrials(cfg, pairs)
+	trs, err := tableCells(cfg, kinds, core.ResidentSet)
 	if err != nil {
 		return nil, err
 	}
@@ -83,13 +93,13 @@ func Table42(cfg Config) ([]Row42, error) {
 	}
 	var rows []Row42
 	for i, k := range kinds {
-		hr := hrs[i]
-		rs := uint64(hr.Report.ResidentPages) * uint64(pageSize)
+		rs := uint64(trs[i].Report.ResidentPages) * uint64(pageSize)
+		paper := workload.PaperNumbers(k)
 		rows = append(rows, Row42{
 			Kind:     k,
 			RSSize:   rs,
-			PctReal:  100 * float64(rs) / float64(hr.Usage.Real),
-			PctTotal: 100 * float64(rs) / float64(hr.Usage.Total),
+			PctReal:  100 * float64(rs) / float64(paper.RealBytes),
+			PctTotal: 100 * float64(rs) / float64(paper.TotalBytes),
 		})
 	}
 	return rows, nil
@@ -116,15 +126,10 @@ type Row43 struct {
 	RSTotal  float64
 }
 
-// Table43 runs IOU and RS trials (no prefetch) and measures what
-// fraction of each space actually moved. The cells run concurrently on
-// the default engine and are the same cells Figures 4-1..4-4 reuse.
+// Table43 reads the IOU and RS grid cells (no prefetch) and measures
+// what fraction of each space actually moved.
 func Table43(cfg Config, kinds []workload.Kind) ([]Row43, error) {
-	var keys []GridKey
-	for _, k := range kinds {
-		keys = append(keys, GridKey{k, core.PureIOU, 0}, GridKey{k, core.ResidentSet, 0})
-	}
-	trs, err := Default.Trials(cfg, keys)
+	trs, err := tableCells(cfg, kinds, core.PureIOU, core.ResidentSet)
 	if err != nil {
 		return nil, err
 	}
@@ -162,39 +167,27 @@ type Row44 struct {
 	RIMAS   time.Duration
 	Overall time.Duration
 	Insert  time.Duration
-	// Down is the measured downtime of a full (unheld) pure-copy
-	// migration: excise-freeze to the first instruction executed at the
+	// Down is the measured downtime of the pure-copy migration:
+	// excise-freeze to the first instruction executed at the
 	// destination.
 	Down time.Duration
 }
 
-// Table44 excises each representative (the breakdown is strategy-
-// independent; pure-copy is used so insertion covers arrived data, as
-// in the paper's testbed). The trials run concurrently on the default
-// engine and are shared with Table 4-5's Copy column.
+// Table44 reads each representative's pure-copy (prefetch 0) grid
+// cell: the excision breakdown is strategy-independent, and pure-copy
+// makes insertion cover arrived data, as in the paper's testbed. The
+// excision and insertion times are stamped before insertion starts the
+// process, and the downtime runs to its first instruction at the
+// destination.
 func Table44(cfg Config) ([]Row44, error) {
 	kinds := workload.Kinds()
-	pairs := make([]holdPair, len(kinds))
-	for i, k := range kinds {
-		pairs[i] = holdPair{kind: k, strat: core.PureCopy}
-	}
-	hrs, err := Default.holdTrials(cfg, pairs)
-	if err != nil {
-		return nil, err
-	}
-	// Downtime needs a destination that actually resumes, so it comes
-	// from the full pure-copy grid cells (shared with the figures).
-	keys := make([]GridKey, len(kinds))
-	for i, k := range kinds {
-		keys[i] = GridKey{k, core.PureCopy, 0}
-	}
-	trs, err := Default.Trials(cfg, keys)
+	trs, err := tableCells(cfg, kinds, core.PureCopy)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Row44
 	for i, k := range kinds {
-		rep := hrs[i].Report
+		rep := trs[i].Report
 		rows = append(rows, Row44{
 			Kind:    k,
 			AMap:    rep.Excise.AMap,
@@ -231,18 +224,11 @@ type Row45 struct {
 }
 
 // Table45 measures address-space transfer times under all three
-// strategies, with the destination held so execution doesn't overlap.
-// The trials run concurrently on the default engine; the RS and Copy
-// cells are shared with Tables 4-2 and 4-4.
+// strategies from the prefetch-0 grid cells. The transfer ends before
+// insertion starts the process, so remote execution cannot overlap it.
 func Table45(cfg Config, kinds []workload.Kind) ([]Row45, error) {
 	strats := core.Strategies()
-	var pairs []holdPair
-	for _, k := range kinds {
-		for _, strat := range strats {
-			pairs = append(pairs, holdPair{kind: k, strat: strat})
-		}
-	}
-	hrs, err := Default.holdTrials(cfg, pairs)
+	trs, err := tableCells(cfg, kinds, strats...)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +236,7 @@ func Table45(cfg Config, kinds []workload.Kind) ([]Row45, error) {
 	for i, k := range kinds {
 		row := Row45{Kind: k}
 		for j, strat := range strats {
-			rep := hrs[i*len(strats)+j].Report
+			rep := trs[i*len(strats)+j].Report
 			switch strat {
 			case core.PureIOU:
 				row.IOU = rep.RIMASTransfer

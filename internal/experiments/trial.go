@@ -17,7 +17,6 @@ import (
 	"accentmig/internal/obs"
 	"accentmig/internal/pager"
 	"accentmig/internal/sim"
-	"accentmig/internal/vm"
 	"accentmig/internal/workload"
 )
 
@@ -156,8 +155,8 @@ func (tb *Testbed) ArmFaults(plan *faults.Plan) {
 }
 
 // FirePhase triggers any crash keyed to the named phase. The source
-// manager calls it as migration phases begin; resilience trial drivers
-// call it with "remote" once remote execution starts.
+// manager calls it as migration phases begin; migrate calls it with
+// "remote" once remote execution starts.
 func (tb *Testbed) FirePhase(p *sim.Proc, phase string) {
 	cs := tb.phaseCrash[phase]
 	if len(cs) == 0 {
@@ -225,7 +224,6 @@ type TrialResult struct {
 	FaultPages uint64
 
 	DestPager pager.Stats
-	DestUsage vm.Usage
 
 	// Observed mean fault latencies during the trial (zero if none of
 	// that kind occurred).
@@ -270,6 +268,69 @@ func (tr *TrialResult) TransferredTotalPct() float64 {
 	return 100 * float64(tr.DataPages+tr.FaultPages) / total
 }
 
+// migration is what a trial driver saw of one process: the migration's
+// report or error, then the program's run wherever the migration left
+// it.
+type migration struct {
+	rep *core.Report // nil unless the migration succeeded
+	err error        // the migration's error
+
+	// found reports that the program was on the machine the migration
+	// left it on, and exec is what its run there returned.
+	found bool
+	exec  error
+
+	// finished reports that the driver got to the end: the kernel did
+	// not run dry with it parked. end is the virtual time it did.
+	finished bool
+	end      time.Duration
+}
+
+// migrate starts pr on the source and drives it through the trial every
+// two-machine experiment runs: migrate it to the destination with opts
+// (the config's retry policy applied), fire the crashes keyed to the
+// "remote" phase once remote execution has begun (the manager's hook
+// only covers source-side phases), and wait for the program on the
+// machine it ends up on: the destination after a migration, the source
+// after one that failed and rolled back. It runs the kernel until
+// nothing is left to happen.
+func (tb *Testbed) migrate(cfg Config, pr *machine.Process, opts core.Options) *migration {
+	cfg.applyRecovery(&opts)
+	tb.Src.Start(pr)
+	m := &migration{}
+	tb.K.Go("trial-driver", func(p *sim.Proc) {
+		m.rep, m.err = tb.SrcMgr.MigrateTo(p, pr.Name, tb.DstMgr.Port.ID, opts)
+		host := tb.Src
+		if m.err == nil {
+			host = tb.Dst
+			tb.FirePhase(p, "remote")
+		}
+		var npr *machine.Process
+		if npr, m.found = host.Process(pr.Name); m.found {
+			m.exec = npr.WaitDone(p)
+		}
+		m.finished, m.end = true, p.Now()
+	})
+	tb.K.Run()
+	return m
+}
+
+// remoteErr reports why a trial that must run its program at the
+// destination did not, or nil if it did.
+func (m *migration) remoteErr(name string) error {
+	switch {
+	case m.err != nil:
+		return m.err
+	case !m.finished:
+		return fmt.Errorf("experiments: %v trial never completed", name)
+	case !m.found:
+		return fmt.Errorf("experiments: %v not on destination after migration", name)
+	case m.exec != nil:
+		return fmt.Errorf("experiments: %v remote execution: %w", name, m.exec)
+	}
+	return nil
+}
+
 // RunTrial migrates representative k under the given strategy and
 // prefetch on a fresh testbed and runs it to completion.
 func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*TrialResult, error) {
@@ -279,47 +340,13 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	if err != nil {
 		return nil, err
 	}
-	tb.Src.Start(built.Proc)
-
-	tr := &TrialResult{Kind: k, Strategy: strat, Prefetch: prefetch}
-	var migErr error
-	var doneAt time.Duration
-	tb.K.Go("trial-driver", func(p *sim.Proc) {
-		opts := core.Options{
-			Strategy:         strat,
-			Prefetch:         prefetch,
-			WaitMigratePoint: true,
-		}
-		cfg.applyRecovery(&opts)
-		rep, err := tb.SrcMgr.MigrateTo(p, k.String(), tb.DstMgr.Port.ID, opts)
-		if err != nil {
-			migErr = err
-			return
-		}
-		tr.Report = rep
-		npr, ok := tb.Dst.Process(k.String())
-		if !ok {
-			migErr = fmt.Errorf("experiments: %v not on destination after migration", k)
-			return
-		}
-		// Crashes keyed to the "remote" phase fire once remote execution
-		// has begun (the manager's hook only covers source-side phases).
-		tb.FirePhase(p, "remote")
-		if err := npr.WaitDone(p); err != nil {
-			migErr = fmt.Errorf("experiments: %v remote execution: %w", k, err)
-			return
-		}
-		doneAt = p.Now()
-	})
-	tb.K.Run()
-	if migErr != nil {
-		return nil, migErr
-	}
-	if tr.Report == nil {
-		return nil, fmt.Errorf("experiments: %v trial never completed", k)
+	m := tb.migrate(cfg, built.Proc, core.Options{Strategy: strat, Prefetch: prefetch, WaitMigratePoint: true})
+	if err := m.remoteErr(k.String()); err != nil {
+		return nil, err
 	}
 
-	tr.RemoteExec = doneAt - tr.Report.InsertDoneAt
+	tr := &TrialResult{Kind: k, Strategy: strat, Prefetch: prefetch, Report: m.rep}
+	tr.RemoteExec = m.end - tr.Report.InsertDoneAt
 	tr.EndToEnd = tr.Report.RIMASTransfer + tr.RemoteExec
 	tr.BytesTotal = tb.Rec.BytesTotal()
 	tr.BytesFault = tb.Rec.BytesFault()
@@ -339,9 +366,6 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	tr.FaultP99 = imagDist.Quantile(0.99)
 	tr.Phases = tb.Rec.Phases()
 	tr.Downtime = tb.Rec.Downtime()
-	if npr, ok := tb.Dst.Process(k.String()); ok {
-		tr.DestUsage = npr.AS.Usage()
-	}
 	tr.ResidualPages = tb.Src.Net.Store().TotalRemaining()
 	tr.ResumedPages = tr.Report.Insert.ResumedPages
 	tr.ResumedBytes = uint64(tr.ResumedPages) * uint64(tb.Src.PageSize())

@@ -6,7 +6,7 @@
 // answers the question the paper's whole argument turns on: where did
 // the migration's time go?
 //
-// Three products come out of a Build:
+// Two products come out of a Build:
 //
 //   - the critical path with per-resource blame: the migration phases
 //     are strictly sequential (excise → xfer.core → xfer.rimas →
@@ -18,9 +18,6 @@
 //   - the downtime span: excise-freeze to the first post-insert
 //     instruction at the destination (the StateChange "Resumed" event),
 //     the metric every pre-copy/cluster/dedup follow-up is judged on.
-//   - per-resource utilization timelines: time-bucketed busy and
-//     queue-depth gauges for each CPU, link, and disk arm, accumulated
-//     into a metrics.Utilization.
 //
 // The builder tolerates back-dated events (sim.Kernel.EmitAt stamps an
 // earlier T under a monotonic Seq): events are ordered by (T, Seq)
@@ -35,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"accentmig/internal/metrics"
 	"accentmig/internal/obs"
 )
 
@@ -173,8 +169,6 @@ type Options struct {
 	// Src and Dst name the source and destination machines (defaults
 	// "src" and "dst").
 	Src, Dst string
-	// Bucket is the utilization-timeline bucket width (default 1s).
-	Bucket time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -183,9 +177,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Dst == "" {
 		o.Dst = "dst"
-	}
-	if o.Bucket <= 0 {
-		o.Bucket = time.Second
 	}
 	return o
 }
@@ -227,9 +218,6 @@ type Profile struct {
 	Blame Breakdown
 	// PhaseBlame partitions each canonical phase's own interval.
 	PhaseBlame map[string]*Breakdown
-
-	// Util is the per-resource busy/queue-depth timeline of the run.
-	Util *metrics.Utilization
 }
 
 // Total reports the migration interval length (the critical path: the
@@ -290,7 +278,6 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 		Src:        opt.Src,
 		Dst:        opt.Dst,
 		PhaseBlame: make(map[string]*Breakdown, len(MigrationPhases)),
-		Util:       metrics.NewUtilization(opt.Bucket),
 	}
 
 	phaseOpen := make(map[string]obs.Event) // machine|name -> begin event
@@ -358,7 +345,6 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 					Class: cl, Resource: ev.Name, Proc: ev.Proc,
 					Start: ev.T - ev.Dur, End: ev.T, Seq: ev.Seq,
 				})
-				pf.Util.AddBusy(ev.Name, ev.T-ev.Dur, ev.T)
 			}
 		case obs.LinkXmit:
 			if ev.Dur > 0 {
@@ -366,7 +352,6 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 					Class: Wire, Resource: ev.Machine, Proc: ev.Proc,
 					Start: ev.T - ev.Dur, End: ev.T, Seq: ev.Seq,
 				})
-				pf.Util.AddBusy(ev.Machine, ev.T-ev.Dur, ev.T)
 			}
 		case obs.QueueWait:
 			if ev.Dur > 0 {
@@ -374,7 +359,6 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 					Class: Queue, Resource: ev.Name, Proc: ev.Proc,
 					Start: ev.T - ev.Dur, End: ev.T, Seq: ev.Seq,
 				})
-				pf.Util.AddWait(ev.Name, ev.T-ev.Dur, ev.T)
 			}
 		}
 	}

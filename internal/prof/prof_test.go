@@ -113,31 +113,6 @@ func TestBuildSyntheticMigration(t *testing.T) {
 	if pf.UnmatchedMsgs != 0 || pf.UnmatchedFaults != 0 {
 		t.Fatalf("unmatched msgs=%d faults=%d, want 0/0", pf.UnmatchedMsgs, pf.UnmatchedFaults)
 	}
-
-	// Utilization: the wire track accumulated 3s of busy time across
-	// buckets 2..4; the src CPU 3s across 0..2.
-	wire := pf.Util.Track("src-dst.wire")
-	if wire == nil {
-		t.Fatalf("no wire utilization track")
-	}
-	var busy time.Duration
-	for _, d := range wire.Busy {
-		busy += d
-	}
-	if busy != 3*s {
-		t.Fatalf("wire busy = %v, want 3s", busy)
-	}
-	if got := wire.BusyFrac(pf.Util.Bucket(), 2); got != 1 {
-		t.Fatalf("wire BusyFrac(bucket 2) = %v, want 1", got)
-	}
-	dst := pf.Util.Track("dst.cpu")
-	var wait time.Duration
-	for _, d := range dst.Wait {
-		wait += d
-	}
-	if wait != s {
-		t.Fatalf("dst.cpu wait = %v, want 1s", wait)
-	}
 }
 
 func TestBuildPhaseRetryLastWins(t *testing.T) {

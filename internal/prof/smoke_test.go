@@ -53,12 +53,9 @@ func TestProfSmoke(t *testing.T) {
 	}
 
 	// The migration must have exercised real resources: some CPU blame
-	// on both ends, some utilization recorded.
+	// on both ends.
 	if pf.Blame[prof.SrcCPU] <= 0 || pf.Blame[prof.DstCPU] <= 0 {
 		t.Errorf("expected CPU blame on both machines, got src=%v dst=%v",
 			pf.Blame[prof.SrcCPU], pf.Blame[prof.DstCPU])
-	}
-	if len(pf.Util.Tracks()) == 0 {
-		t.Errorf("no utilization tracks recorded")
 	}
 }

@@ -31,9 +31,9 @@ const nilNode = int32(-1)
 //
 // A segment's pages link into one PhysMem at a time (the machine's):
 // the link lives in the page, not in this structure. It outlives a
-// ReleaseFrames that no Remove or RemoveSegment preceded, as an entry
-// keyed by (segment, index) would: the page table keeps a linked
-// page's slot until the frame is evicted or removed.
+// ReleaseFrames that no RemoveSegment preceded, as an entry keyed by
+// (segment, index) would: the page table keeps a linked page's slot
+// until the frame is evicted or removed.
 type PhysMem struct {
 	capFrames int
 	nodes     []frameNode
@@ -204,15 +204,6 @@ func (pm *PhysMem) Insert(seg *Segment, index uint64) []Evicted {
 	pm.used++
 	pg.State.Resident = true
 	return evicted
-}
-
-// Remove releases the page's frame without write-back bookkeeping; the
-// page keeps whatever disk state it had. Used when pages leave the
-// machine wholesale (process excision).
-func (pm *PhysMem) Remove(seg *Segment, index uint64) {
-	if n := pm.node(seg, index); n != nilNode {
-		pm.drop(n)
-	}
 }
 
 // RemoveSegment releases every frame belonging to seg.

@@ -133,21 +133,6 @@ func (pm *refPhysMem) Insert(seg *Segment, index uint64) []Evicted {
 	return evicted
 }
 
-func (pm *refPhysMem) Remove(seg *Segment, index uint64) {
-	key := refFrameKey{seg.ID, index}
-	n, ok := pm.index[key]
-	if !ok {
-		return
-	}
-	pm.unlink(n)
-	pm.release(n)
-	pm.used--
-	delete(pm.index, key)
-	if pg := seg.Page(index); pg != nil {
-		pg.State.Resident = false
-	}
-}
-
 func (pm *refPhysMem) RemoveSegment(seg *Segment) {
 	var next int32
 	for n := pm.head; n != nilNode; n = next {
@@ -176,7 +161,7 @@ func (pm *refPhysMem) ResidentPages() []Evicted {
 }
 
 // TestPhysMatchesReferenceModel drives PhysMem and the map-keyed
-// reference with the same random Insert/Touch/Remove/RemoveSegment/
+// reference with the same random Insert/Touch/RemoveSegment/
 // Materialize/Write/ReleaseFrames sequence over several segments, each
 // model owning its own copy of the segments, and compares every
 // observable: evictions with their WasDirty, Touch and Resident
@@ -235,13 +220,10 @@ func TestPhysMatchesReferenceModel(t *testing.T) {
 				if s.Page(idx) != nil {
 					same(step, "Insert", pm.Insert(s, idx), ref.Insert(rs, idx))
 				}
-			case op < 80:
+			case op < 88:
 				if got, want := pm.Touch(s, idx), ref.Touch(rs, idx); got != want {
 					t.Fatalf("seed %d step %d: Touch(s%d, %d) = %v, reference %v", seed, step, si, idx, got, want)
 				}
-			case op < 88:
-				pm.Remove(s, idx)
-				ref.Remove(rs, idx)
 			case op < 92:
 				pm.RemoveSegment(s)
 				ref.RemoveSegment(rs)

@@ -100,18 +100,6 @@ func TestPhysRemoveSegment(t *testing.T) {
 	}
 }
 
-func TestPhysRemoveSingle(t *testing.T) {
-	pm := NewPhysMem(2)
-	s := NewSegment("s", 512, 512)
-	s.MaterializeZero(0)
-	pm.Insert(s, 0)
-	pm.Remove(s, 0)
-	if pm.Len() != 0 || s.Page(0).State.Resident {
-		t.Error("Remove did not release the frame")
-	}
-	pm.Remove(s, 0) // idempotent
-}
-
 func TestPhysResidentPagesOrder(t *testing.T) {
 	pm := NewPhysMem(3)
 	s := NewSegment("s", 3*512, 512)
