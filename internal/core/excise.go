@@ -149,9 +149,10 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	ps := pr.AS.PageSize()
 	var runs []CollapsedRun
 	// The page images bound for each collapsed attachment, one
-	// page-size run each. The lazy half usually takes every page.
+	// page-size run each. The lazy half usually takes every page, and
+	// under the resident-set strategy all but the resident few.
 	var lazy, res []vm.PageRun
-	if strat != PreCopied && strat != ResidentSet {
+	if strat != PreCopied {
 		lazy = make([]vm.PageRun, 0, amap.Stats.MaterializedPages)
 	}
 	var imagAtts []*ipc.MemAttachment

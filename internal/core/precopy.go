@@ -56,11 +56,11 @@ type PreCopyReport struct {
 // page whose content is newer than what was last sent.
 type stalePage struct {
 	va      vm.Addr
-	version uint64
+	version uint32
 	data    []byte
 }
 
-func collectStale(pr *machine.Process, sent map[vm.Addr]uint64) []stalePage {
+func collectStale(pr *machine.Process, sent map[vm.Addr]uint32) []stalePage {
 	ps := uint64(pr.AS.PageSize())
 	var out []stalePage
 	for _, r := range pr.AS.Regions() {
@@ -128,7 +128,7 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID)
 	}
 	start := p.Now()
 	rep := &PreCopyReport{}
-	sent := make(map[vm.Addr]uint64)
+	sent := make(map[vm.Addr]uint32)
 
 	for round := 0; round < preCopyMaxRounds; round++ {
 		stale := collectStale(pr, sent)

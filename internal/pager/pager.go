@@ -143,10 +143,6 @@ type Pager struct {
 	rec      *metrics.Recorder
 	stats    Stats
 
-	// prefetched tracks pages that arrived unrequested and have not
-	// been touched yet, for hit-ratio accounting.
-	prefetched map[pageKey]bool
-
 	// Windowed IOU streaming state (Outstanding > 1 only); nil until
 	// the first streamed fault so default runs schedule exactly the
 	// processes they always did. streamPort receives the background
@@ -182,14 +178,13 @@ type pageKey struct {
 // New assembles a pager from the machine's parts.
 func New(k *sim.Kernel, name string, cpu *sim.Resource, phys *vm.PhysMem, dsk *disk.Disk, sys *ipc.System, cfg Config) *Pager {
 	return &Pager{
-		k:          k,
-		name:       name,
-		cpu:        cpu,
-		phys:       phys,
-		dsk:        dsk,
-		sys:        sys,
-		cfg:        cfg.withDefaults(),
-		prefetched: make(map[pageKey]bool),
+		k:    k,
+		name: name,
+		cpu:  cpu,
+		phys: phys,
+		dsk:  dsk,
+		sys:  sys,
+		cfg:  cfg.withDefaults(),
 	}
 }
 
@@ -279,13 +274,15 @@ func (pg *Pager) faultResolved(p *sim.Proc, kind string, addr vm.Addr, start tim
 // updates LRU. write additionally marks the page dirty, first giving a
 // borrowed page its private frame (a host-side copy no simulated cost
 // charges). This is the MMU+fault path every simulated memory reference
-// takes.
+// takes. A resident reference costs one region compare (the address
+// space's translation cache), one page-table lookup and an LRU relink
+// through the page's own frame link; only a fault looks the page up
+// again, once it is in.
 func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write bool) error {
 	pl, ok := as.Resolve(addr)
 	if !ok {
 		return fmt.Errorf("%w: %#x in %s", ErrAddressError, addr, pg.name)
 	}
-	key := pageKey{pl.Seg.ID, pl.PageIdx}
 	page := pl.Seg.Page(pl.PageIdx)
 
 	switch {
@@ -307,7 +304,7 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		pg.stats.FillZero++
 		pg.faultResolved(p, "fillzero", addr, start)
 	case page.State.Resident:
-		pg.phys.Touch(pl.Seg, pl.PageIdx)
+		pg.phys.Touch(page)
 	case page.State.OnDisk:
 		start := p.Now()
 		pg.faultStart(p, "disk", addr)
@@ -326,13 +323,16 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		pg.stats.MapIns++
 	}
 
-	if pg.prefetched[key] {
-		delete(pg.prefetched, key)
+	if page == nil {
+		page = pl.Seg.Page(pl.PageIdx)
+	}
+	if page.Prefetched {
+		page.Prefetched = false
 		pg.stats.PrefetchHits++
 	}
 	if write {
-		pl.Seg.BreakCOW(pl.PageIdx)
-		pl.Seg.Page(pl.PageIdx).MarkWritten()
+		pl.Seg.BreakCOW(page)
+		page.MarkWritten()
 	}
 	return nil
 }
@@ -511,7 +511,7 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			// can show up under retries; newest data wins either way. The
 			// per-page map-in charge and residency insertion keep their
 			// original order even though data arrives run-batched.
-			pl.Seg.Receive(idx, run.Page(j, ps))
+			page := pl.Seg.Receive(idx, run.Page(j, ps))
 			pg.cpu.UseHigh(p, mapInCPU)
 			pg.insert(pl.Seg, idx)
 			if pg.index != nil {
@@ -527,7 +527,7 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 			}
 			if !first && idx != pl.PageIdx {
 				pg.stats.PrefetchedPages++
-				pg.prefetched[pageKey{pl.Seg.ID, idx}] = true
+				page.Prefetched = true
 			}
 			first = false
 		}
@@ -665,13 +665,13 @@ func (pg *Pager) ensureStreamRecv() {
 					idx := run.Index + uint64(j)
 					key := pageKey{seg.ID, idx}
 					if seg.Page(idx) == nil {
-						seg.Receive(idx, run.Page(j, ps))
+						page := seg.Receive(idx, run.Page(j, ps))
 						// Mapping in opportunistic pages yields the CPU
 						// to fault handling.
 						pg.cpu.Use(p, mapInCPU)
 						pg.insert(seg, idx)
 						pg.stats.PrefetchedPages++
-						pg.prefetched[key] = true
+						page.Prefetched = true
 					}
 					delete(pg.streamPending, key)
 					for _, q := range pg.streamWaiters[key] {

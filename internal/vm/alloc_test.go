@@ -41,7 +41,7 @@ func TestAllocsResidentFaultResolution(t *testing.T) {
 		if pg == nil || !pg.State.Resident {
 			t.Fatal("page not resident")
 		}
-		phys.Touch(pl.Seg, pl.PageIdx)
+		phys.Touch(pg)
 		i++
 	})
 	if allocs != 0 {
@@ -136,7 +136,7 @@ func TestAllocsDedupOff(t *testing.T) {
 		if !ok {
 			t.Fatal("resolve failed")
 		}
-		phys.Touch(pl.Seg, pl.PageIdx)
+		phys.Touch(pl.Seg.Page(pl.PageIdx))
 		pg := reg.Seg.Materialize(uint64(i%64), data)
 		ix.Put(42, pg.Data)
 		if _, hit := ix.Lookup(42); hit {
@@ -179,7 +179,7 @@ func TestAllocsIntegrityOff(t *testing.T) {
 				t.Fatal("checksum mismatch")
 			}
 		}
-		phys.Touch(reg.Seg, idx)
+		phys.Touch(pg)
 		i++
 	})
 	if allocs != 0 {
@@ -198,7 +198,7 @@ func TestAllocsLedgerOff(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		idx := uint64(i % 64)
 		pg := reg.Seg.Materialize(idx, data)
-		phys.Touch(reg.Seg, idx)
+		phys.Touch(pg)
 		led.Credit("proc", 42, pg.Data)
 		if led.Lookup("proc", 42, DefaultPageSize) != nil {
 			t.Fatal("disabled ledger hit")

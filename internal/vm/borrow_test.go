@@ -42,8 +42,7 @@ func TestBorrowReadsInPlaceWithoutFrames(t *testing.T) {
 func TestWriteToBorrowedPageCopiesFirst(t *testing.T) {
 	s, pool := pooledSegment(1)
 	data, want := lender()
-	s.Borrow(0, data)
-	s.BreakCOW(0)
+	s.BreakCOW(s.Borrow(0, data))
 	if got := pool.Stats().Gets; got != 1 {
 		t.Errorf("BreakCOW drew %d pool frames, want 1", got)
 	}

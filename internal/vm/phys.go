@@ -69,16 +69,8 @@ func (pm *PhysMem) Len() int { return pm.used }
 
 // Resident reports whether the page occupies a frame.
 func (pm *PhysMem) Resident(seg *Segment, index uint64) bool {
-	return pm.node(seg, index) != nilNode
-}
-
-// node returns the LRU node holding the page, or nilNode.
-func (pm *PhysMem) node(seg *Segment, index uint64) int32 {
 	p, _ := seg.table.lookup(index)
-	if p == nil {
-		return nilNode
-	}
-	return p.frame - 1
+	return p != nil && p.frame != 0
 }
 
 // drop frees node n: it leaves the LRU list for the free chain and its
@@ -146,10 +138,11 @@ func (pm *PhysMem) release(n int32) {
 	pm.free = n
 }
 
-// Touch marks the page most recently used. It reports whether the page
-// was resident.
-func (pm *PhysMem) Touch(seg *Segment, index uint64) bool {
-	n := pm.node(seg, index)
+// Touch marks p, a materialized page of a segment that links into pm,
+// most recently used. It follows the page's own link, so a touch
+// resolves nothing. It reports whether the page was resident.
+func (pm *PhysMem) Touch(p *Page) bool {
+	n := p.frame - 1
 	if n == nilNode {
 		return false
 	}

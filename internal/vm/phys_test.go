@@ -20,8 +20,8 @@ func TestPhysInsertAndTouch(t *testing.T) {
 	if !s.Page(0).State.Resident {
 		t.Error("page state not marked resident")
 	}
-	if pm.Touch(s, 3) {
-		t.Error("Touch of absent page returned true")
+	if pm.Touch(s.MaterializeZero(3)) {
+		t.Error("Touch of a non-resident page returned true")
 	}
 }
 
@@ -33,7 +33,7 @@ func TestPhysLRUEviction(t *testing.T) {
 	}
 	pm.Insert(s, 0)
 	pm.Insert(s, 1)
-	pm.Touch(s, 0) // 1 becomes LRU
+	pm.Touch(s.Page(0)) // 1 becomes LRU
 	ev := pm.Insert(s, 2)
 	if len(ev) != 1 || ev[0].Index != 1 {
 		t.Fatalf("evicted %+v, want page 1", ev)
@@ -107,7 +107,7 @@ func TestPhysResidentPagesOrder(t *testing.T) {
 		s.MaterializeZero(i)
 		pm.Insert(s, i)
 	}
-	pm.Touch(s, 0)
+	pm.Touch(s.Page(0))
 	rp := pm.ResidentPages()
 	if len(rp) != 3 || rp[0].Index != 0 || rp[1].Index != 2 || rp[2].Index != 1 {
 		t.Errorf("ResidentPages order = %+v", rp)

@@ -35,6 +35,12 @@ type Page struct {
 	Data  []byte
 	State PageState
 
+	// Prefetched marks a page that arrived unrequested, with a fault
+	// reply or a prefetch stream, and has not been touched since. Only
+	// the pager sets and clears it, to count prefetch hits; it is
+	// host-side accounting that no simulated cost reads.
+	Prefetched bool
+
 	// borrowed marks Data as a slice the segment does not own (see
 	// Borrow): it is never written through and never recycled. The mark
 	// is host-side only; no simulated cost reads it. A page that is not
@@ -42,13 +48,14 @@ type Page struct {
 	borrowed bool
 
 	// frame links the page to its PhysMem LRU node (node index + 1; 0:
-	// no frame). Only PhysMem sets it. It sits in the padding after
-	// borrowed, so a Page is 48 bytes.
+	// no frame). Only PhysMem sets it.
 	frame int32
 
 	// Version counts content mutations, so incremental transfer schemes
-	// (pre-copy) can detect staleness cheaply.
-	Version uint64
+	// (pre-copy) can detect staleness cheaply. It is 32 bits so that,
+	// with the flags and frame above packed into one word, a Page is 48
+	// bytes.
+	Version uint32
 }
 
 // MarkWritten records a mutation: the page becomes dirty relative to
@@ -154,10 +161,9 @@ func (s *Segment) Materialize(index uint64, data []byte) *Page {
 	p, present := s.table.ensure(index)
 	if !present {
 		// The slot may be recycled from an earlier page's tenure; reset
-		// everything but keep any frame left behind for reuse.
-		p.Index = index
-		p.State = PageState{}
-		p.Version = 0
+		// everything but the PhysMem link and any data frame left behind
+		// for reuse.
+		*p = Page{Index: index, Data: p.Data, borrowed: p.borrowed, frame: p.frame}
 	}
 	if p.borrowed {
 		// The bytes belong to a lender: drop the reference without
@@ -273,14 +279,16 @@ func (s *Segment) Write(index uint64, off int, data []byte) {
 	if p == nil {
 		panic(fmt.Sprintf("vm: write to unmaterialized page %d of %q", index, s.Name))
 	}
-	s.breakCOW(p)
+	s.BreakCOW(p)
 	copy(p.Data[off:], data)
 	p.MarkWritten()
 }
 
-// breakCOW gives a borrowed page a private copy of its data, the copy
-// on first write; an owned page is left as it is.
-func (s *Segment) breakCOW(p *Page) {
+// BreakCOW gives p, a materialized page of s, a private copy of its
+// data ahead of a write if it is borrowed: the copy on first write. An
+// owned page is left as it is. The copy is host-side: no simulated
+// cost is charged for it.
+func (s *Segment) BreakCOW(p *Page) {
 	if !p.borrowed {
 		return
 	}
@@ -291,15 +299,6 @@ func (s *Segment) breakCOW(p *Page) {
 	}
 	p.Data = fresh
 	p.borrowed = false
-}
-
-// BreakCOW makes the page at index, if it is borrowed, private ahead of
-// a write. The copy is host-side: no simulated cost is charged for it.
-// A missing or owned page is left as it is.
-func (s *Segment) BreakCOW(index uint64) {
-	if p := s.table.get(index); p != nil {
-		s.breakCOW(p)
-	}
 }
 
 // ReleaseFrames returns every privately owned page frame to the

@@ -3,7 +3,18 @@ package vm
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
+
+// TestPageIs48Bytes pins the Page layout. Pages live by value in the
+// page table's slab, one per materialized page of every trial, so a
+// field that widens Page costs every install; the prefetch bit and the
+// borrowed mark share a word with the frame link and a 32-bit Version.
+func TestPageIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Page{}); n != 48 {
+		t.Errorf("Page is %d bytes, want 48", n)
+	}
+}
 
 func TestMaterializeAndRead(t *testing.T) {
 	s := NewSegment("s", 4*512, 512)

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -27,7 +28,14 @@ func (r *Region) Contains(a Addr) bool { return a >= r.Start && a < r.End }
 type AddressSpace struct {
 	cfg     Config
 	ps      uint64 // page size as uint64 for address math
+	shift   uint   // log2 of the page size
 	regions []*Region
+
+	// last is the region the latest Lookup found: a one-entry
+	// translation cache, so a run of references into one region costs
+	// a bounds compare instead of a search. Regions never change their
+	// bounds and never overlap, so only Unmap and Clear can stale it.
+	last *Region
 }
 
 // NewAddressSpace returns an empty address space.
@@ -35,7 +43,8 @@ func NewAddressSpace(cfg Config) (*AddressSpace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &AddressSpace{cfg: cfg, ps: uint64(cfg.pageSize())}, nil
+	ps := cfg.pageSize()
+	return &AddressSpace{cfg: cfg, ps: uint64(ps), shift: uint(bits.TrailingZeros(uint(ps)))}, nil
 }
 
 // MustNewAddressSpace is NewAddressSpace for static configurations.
@@ -108,6 +117,9 @@ func (as *AddressSpace) Unmap(r *Region) error {
 	for i, rr := range as.regions {
 		if rr == r {
 			as.regions = append(as.regions[:i], as.regions[i+1:]...)
+			if as.last == r {
+				as.last = nil
+			}
 			r.Seg.Unref()
 			return nil
 		}
@@ -121,6 +133,7 @@ func (as *AddressSpace) Clear() {
 		r.Seg.Unref()
 	}
 	as.regions = nil
+	as.last = nil
 }
 
 // Regions returns the regions in address order. The slice is shared;
@@ -129,9 +142,13 @@ func (as *AddressSpace) Regions() []*Region { return as.regions }
 
 // Lookup finds the region containing a, or nil.
 func (as *AddressSpace) Lookup(a Addr) *Region {
+	if r := as.last; r != nil && r.Contains(a) {
+		return r
+	}
 	idx := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].End > a })
 	if idx < len(as.regions) && as.regions[idx].Contains(a) {
-		return as.regions[idx]
+		as.last = as.regions[idx]
+		return as.last
 	}
 	return nil
 }
@@ -155,8 +172,8 @@ func (as *AddressSpace) Resolve(a Addr) (Place, bool) {
 	return Place{
 		Region:  r,
 		Seg:     r.Seg,
-		PageIdx: segByte / as.ps,
-		Offset:  int(segByte % as.ps),
+		PageIdx: segByte >> as.shift,
+		Offset:  int(segByte & (as.ps - 1)),
 	}, true
 }
 

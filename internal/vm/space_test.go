@@ -234,6 +234,73 @@ func TestLookupBinarySearch(t *testing.T) {
 	}
 }
 
+// TestTranslationCacheFollowsUnmapAndClear resolves an address, so
+// the space caches its region, then takes the region away: a cache
+// that outlived its region would still resolve the address. A region
+// later mapped over the old range must be found, up to its own end.
+func TestTranslationCacheFollowsUnmapAndClear(t *testing.T) {
+	as := mustSpace(t)
+	a, err := as.Validate(0x10000, 4*512, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := as.Validate(0x40000, 4*512, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := func(addr Addr, want *Region) {
+		t.Helper()
+		pl, ok := as.Resolve(addr)
+		switch {
+		case want == nil && ok:
+			t.Fatalf("Resolve(%#x) found %q, want BadMem", addr, pl.Region.Name)
+		case want != nil && (!ok || pl.Region != want):
+			t.Fatalf("Resolve(%#x) = %v, %v; want %q", addr, pl.Region, ok, want.Name)
+		}
+		if want == nil && as.Classify(addr) != BadMem {
+			t.Fatalf("Classify(%#x) = %v, want BadMem", addr, as.Classify(addr))
+		}
+	}
+
+	in(0x10000+512, a)
+	if err := as.Unmap(a); err != nil {
+		t.Fatal(err)
+	}
+	in(0x10000+512, nil)
+	in(0x40000, b)
+
+	// Unmapping a region the cache does not hold keeps the one it does.
+	c, err := as.Validate(0x10000, 2*512, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in(0x40000+512, b)
+	if err := as.Unmap(c); err != nil {
+		t.Fatal(err)
+	}
+	in(0x40000+3*512, b)
+
+	// A region mapped over the old range is found, and the old range
+	// past its end stays BadMem.
+	d, err := as.Validate(0x10000, 2*512, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in(0x10000+512, d)
+	in(0x10000+3*512, nil)
+
+	in(0x40000, b)
+	as.Clear()
+	in(0x40000, nil)
+	in(0x10000, nil)
+	e, err := as.Validate(0x40000, 512, "e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in(0x40000, e)
+	in(0x40000+512, nil)
+}
+
 // Property: Classify agrees with a fresh AMap's Classify at arbitrary
 // probe addresses for arbitrary sparse layouts.
 func TestQuickClassifyMatchesAMap(t *testing.T) {

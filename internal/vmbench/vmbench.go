@@ -12,10 +12,13 @@ import (
 )
 
 // ResidentTouch measures the steady-state cost of one memory reference
-// that hits a resident page: address resolution through the region
-// tree, the page-table lookup, and the LRU touch. This is the path the
-// simulated CPU takes for every instruction-stream reference, so it
-// dominates dense-touch workload cells. Must be zero-alloc.
+// that hits a resident page, step for step as pager.Pager.Touch takes
+// it: address resolution (a hit in the address space's one-region
+// translation cache), one page-table lookup, the LRU relink through the
+// page's frame link, and the prefetch-hit check of the page's own bit.
+// This is the path the simulated CPU takes for every instruction-stream
+// reference, so it dominates dense-touch workload cells. Must be
+// zero-alloc.
 func ResidentTouch(b *testing.B) {
 	const pages = 64
 	pool := vm.NewFramePool(vm.DefaultPageSize)
@@ -42,7 +45,10 @@ func ResidentTouch(b *testing.B) {
 		if pg == nil || !pg.State.Resident {
 			b.Fatal("page not resident")
 		}
-		phys.Touch(pl.Seg, pl.PageIdx)
+		phys.Touch(pg)
+		if pg.Prefetched {
+			b.Fatal("page marked prefetched")
+		}
 	}
 }
 
@@ -102,8 +108,7 @@ func COWBreak(b *testing.B) {
 	// Warm one chunk so the pool and the table hold every frame and
 	// slot the loop reuses.
 	for i := uint64(0); i < pages; i++ {
-		seg.Borrow(i, image)
-		seg.BreakCOW(i)
+		seg.BreakCOW(seg.Borrow(i, image))
 	}
 	phys.Insert(seg, 0)
 	seg.ReleaseFrames()
@@ -111,8 +116,7 @@ func COWBreak(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := uint64(i % pages)
-		seg.Borrow(idx, image)
-		seg.BreakCOW(idx)
+		seg.BreakCOW(seg.Borrow(idx, image))
 		if idx == pages-1 {
 			seg.ReleaseFrames()
 		}
