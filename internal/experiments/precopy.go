@@ -78,17 +78,21 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 	}
 	defer tb.K.Close()
 	var rep *core.PreCopyReport
-	var runErr error
+	m := &migration{}
 	tb.K.Go("driver", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		rep, runErr = tb.SrcMgr.PreCopyTo(p, "writer", tb.DstMgr.Port.ID)
+		rep, m.err = tb.SrcMgr.PreCopyTo(p, "writer", tb.DstMgr.Port.ID)
+		tb.settle(p, m, "writer")
 	})
 	tb.K.RunUntil(30 * time.Minute)
-	if runErr != nil {
-		return nil, runErr
+	if m.err != nil {
+		return nil, m.err
 	}
 	if rep == nil || rep.ProcCompleted {
 		return nil, fmt.Errorf("experiments: pre-copy trial did not migrate")
+	}
+	if err := m.remoteErr("writer"); err != nil {
+		return nil, err
 	}
 	rows = append(rows, PreCopyRow{
 		Label:    fmt.Sprintf("precopy(x%d)", len(rep.Rounds)),
@@ -106,6 +110,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 		defer tb.K.Close()
 		var down, total time.Duration
 		var stopErr error
+		m := &migration{}
 		tb.K.Go("driver", func(p *sim.Proc) {
 			p.Sleep(time.Second)
 			start := p.Now()
@@ -116,19 +121,21 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 				return
 			}
 			downStart := p.Now()
-			r, err := tb.SrcMgr.MigrateTo(p, "writer", tb.DstMgr.Port.ID, core.Options{
+			m.rep, m.err = tb.SrcMgr.MigrateTo(p, "writer", tb.DstMgr.Port.ID, core.Options{
 				Strategy: strat, WaitMigratePoint: true,
 			})
-			if err != nil {
-				stopErr = err
-				return
+			if m.err == nil {
+				down = m.rep.InsertDoneAt - downStart
+				total = m.rep.InsertDoneAt - start
 			}
-			down = r.InsertDoneAt - downStart
-			total = r.InsertDoneAt - start
+			tb.settle(p, m, "writer")
 		})
 		tb.K.RunUntil(30 * time.Minute)
 		if stopErr != nil {
 			return nil, stopErr
+		}
+		if err := m.remoteErr("writer"); err != nil {
+			return nil, err
 		}
 		rows = append(rows, PreCopyRow{
 			Label:    "stop+" + strat.String(),
