@@ -222,6 +222,9 @@ func TestSideExperimentsReturnRemoteFailure(t *testing.T) {
 	if _, err := HopPenalty(cfg); !errors.Is(err, pager.ErrBackerLost) {
 		t.Errorf("HopPenalty: err = %v, want a lost backer", err)
 	}
+	if _, err := NearestHolder(cfg); !errors.Is(err, pager.ErrBackerLost) {
+		t.Errorf("NearestHolder: err = %v, want a lost backer", err)
+	}
 }
 
 func TestHopPenalty(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"accentmig/internal/core"
-	"accentmig/internal/faults"
 	"accentmig/internal/machine"
 	"accentmig/internal/metrics"
 	"accentmig/internal/sim"
@@ -214,19 +213,7 @@ type HopPenaltyRow struct {
 func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 	tb := NewTestbed(cfg)
 	defer tb.K.Close()
-	cfg = cfg.armed()
-	far := machine.New(tb.K, "far", cfg.Machine)
-	farMgr := core.NewManager(far, core.DefaultTuning())
-	for _, m := range []*machine.Machine{tb.Src, tb.Dst} {
-		link := machine.Connect(m, far, cfg.Link)
-		if cfg.Faults != nil {
-			link.SetFaults(faults.NewInjector(cfg.Faults, ""))
-		}
-	}
-	tb.Src.Net.AddRoute(farMgr.Port.ID, far.Name)
-	tb.Dst.Net.AddRoute(farMgr.Port.ID, far.Name)
-	far.Net.AddRoute(tb.SrcMgr.Port.ID, tb.Src.Name)
-	far.Net.AddRoute(tb.DstMgr.Port.ID, tb.Dst.Name)
+	far, farMgr := tb.addMachine(cfg, "far", cfg.Link, cfg.Link)
 	// The hopper never runs at src, so the testbed's recorder holds only
 	// dst's faults, the one-hop ones; far's are the two-hop ones.
 	farRec := metrics.NewRecorder(time.Second)

@@ -7,7 +7,6 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/machine"
-	"accentmig/internal/metrics"
 	"accentmig/internal/sim"
 	"accentmig/internal/trace"
 	"accentmig/internal/vm"
@@ -143,6 +142,12 @@ const nearestHolderPages = 64
 // touches every page. With the store off every fault crosses the slow
 // link to the origin backer; with it on, the manifest's hash hints let
 // the destination fetch each page from the bystander next door.
+//
+// Origin and the destination are a testbed, origin its src, so a fault
+// plan, the pager's retry timeout under it and crashes keyed to a
+// migration phase reach the scenario as they reach every trial;
+// "remote" fires once the job runs at dst. The bystander, near, is
+// linked to both under the same plan.
 func NearestHolder(cfg Config) ([]NearestHolderRow, error) {
 	var rows []NearestHolderRow
 	for _, mode := range []struct {
@@ -161,39 +166,18 @@ func NearestHolder(cfg Config) ([]NearestHolderRow, error) {
 
 func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 	var row NearestHolderRow
-	k := sim.New()
-	defer k.Close()
-	mcfg := cfg.Machine
-	mcfg.Dedup = vm.DedupConfig{Enabled: dedup}
-	origin := machine.New(k, "origin", mcfg)
-	near := machine.New(k, "near", mcfg)
-	dst := machine.New(k, "dst", mcfg)
-
+	cfg.Machine.Dedup = vm.DedupConfig{Enabled: dedup}
+	// Origin's links, to dst (the testbed's) and to near, are slow; near
+	// to dst keeps the configured link.
 	nearLink := cfg.Link
-	farLink := cfg.Link
-	if farLink.Latency == 0 {
-		farLink.Latency = 5 * time.Millisecond
+	if cfg.Link.Latency == 0 {
+		cfg.Link.Latency = 5 * time.Millisecond
 	}
-	farLink.Latency *= 8
-	machine.Connect(origin, dst, farLink)
-	machine.Connect(origin, near, farLink)
-	machine.Connect(near, dst, nearLink)
-
-	ms := []*machine.Machine{origin, near, dst}
-	mgrs := make([]*core.Manager, len(ms))
-	recs := make([]*metrics.Recorder, len(ms))
-	for i, m := range ms {
-		mgrs[i] = core.NewManager(m, core.DefaultTuning())
-	}
-	for i, m := range ms {
-		recs[i] = metrics.NewRecorder(time.Second)
-		m.SetRecorder(recs[i])
-		for j := range ms {
-			if i != j {
-				m.Net.AddRoute(mgrs[j].Port.ID, ms[j].Name)
-			}
-		}
-	}
+	cfg.Link.Latency *= 8
+	tb := NewTestbed(cfg)
+	defer tb.K.Close()
+	origin, dst := tb.Src, tb.Dst
+	near, nearMgr := tb.addMachine(cfg, "near", cfg.Link, nearLink)
 	if dedup {
 		// Listed nearest-first from the destination's point of view.
 		WireHolderResolvers(near, origin, dst)
@@ -239,36 +223,29 @@ func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 	origin.Start(seed)
 	origin.Start(job)
 
-	var runErr error
-	k.Go("driver", func(p *sim.Proc) {
+	m := &migration{}
+	tb.K.Go("driver", func(p *sim.Proc) {
 		// Seed the bystander's content index; the held process keeps its
 		// frames (and so the index entries) live for the whole trial.
-		if _, err := mgrs[0].MigrateTo(p, "seed", mgrs[1].Port.ID, core.Options{
+		if _, m.err = tb.SrcMgr.MigrateTo(p, "seed", nearMgr.Port.ID, core.Options{
 			Strategy: core.PureCopy, WaitMigratePoint: true, HoldAtDest: true,
-		}); err != nil {
-			runErr = err
+		}); m.err != nil {
 			return
 		}
-		if _, err := mgrs[0].MigrateTo(p, "job", mgrs[2].Port.ID, core.Options{
+		_, m.err = tb.SrcMgr.MigrateTo(p, "job", tb.DstMgr.Port.ID, core.Options{
 			Strategy: core.PureIOU, WaitMigratePoint: true,
-		}); err != nil {
-			runErr = err
-			return
-		}
-		npr, ok := dst.Process("job")
-		if !ok {
-			runErr = fmt.Errorf("experiments: job not on destination")
-			return
-		}
-		runErr = npr.WaitDone(p)
+		})
+		tb.settle(p, m, "job")
 	})
-	k.Run()
-	if runErr != nil {
-		return row, runErr
+	tb.K.Run()
+	if err := m.remoteErr("job"); err != nil {
+		return row, err
 	}
 
+	// Only the job runs, and only at dst, so the testbed's recorder
+	// holds dst's faults alone.
 	st := dst.Pager.Stats()
-	dist := recs[2].Dist("latency.fault.imag")
+	dist := tb.Rec.Dist("latency.fault.imag")
 	row.FaultMean = dist.Mean()
 	row.FaultP95 = dist.Quantile(0.95)
 	row.Local = st.LocalServes
