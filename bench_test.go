@@ -1,7 +1,11 @@
 package accentmig
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"accentmig/internal/core"
 	"accentmig/internal/experiments"
@@ -219,6 +223,75 @@ func BenchmarkGridSweepEngine(b *testing.B) {
 		e.Reset()
 		if _, err := e.RunGrid(experiments.Config{}, kinds); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGridSpeedup times the seven-workload grid sequentially, then
+// through a fresh four-worker engine, and reports the speedup. Four
+// workers contend for the cores even on a host with fewer. On a host
+// with more than one CPU an engine with more than one worker must beat
+// the sequential sweep. The check is a wall-clock ratio, so only `make
+// bench` runs it.
+func BenchmarkGridSpeedup(b *testing.B) {
+	kinds := workload.Kinds()
+	var seq, par time.Duration
+	var workers int
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if _, err := experiments.RunGridSeq(experiments.Config{}, kinds); err != nil {
+			b.Fatal(err)
+		}
+		seq += time.Since(start)
+		e := experiments.NewEngine(4)
+		workers = e.Workers()
+		start = time.Now()
+		if _, err := e.RunGrid(experiments.Config{}, kinds); err != nil {
+			b.Fatal(err)
+		}
+		par += time.Since(start)
+	}
+	speedup := seq.Seconds() / par.Seconds()
+	b.ReportMetric(seq.Seconds()*1e3/float64(b.N), "seq-ms")
+	b.ReportMetric(par.Seconds()*1e3/float64(b.N), "engine-ms")
+	b.ReportMetric(speedup, "speedup")
+	if runtime.NumCPU() > 1 && workers > 1 && speedup <= 1 {
+		b.Errorf("grid speedup %.2fx <= 1 on a %d-core host (%d workers): parallel engine regressed",
+			speedup, runtime.NumCPU(), workers)
+	}
+}
+
+// BenchmarkShardSweep runs the 32-machine shard-stress scenario at 1,
+// 2, 4 and 8 lanes and reports each sharded count's speedup over the
+// sequential kernel. A sharded result that differs from the sequential
+// one fails it: a fast kernel that computes something else is
+// worthless. On a host with more than one CPU every count of four or
+// more lanes must be at least twice as fast. Like BenchmarkGridSpeedup
+// it is a wall-clock check that only `make bench` runs.
+func BenchmarkShardSweep(b *testing.B) {
+	lanes := []int{1, 2, 4, 8} // one lane is the sequential kernel
+	wall := make([]time.Duration, len(lanes))
+	for i := 0; i < b.N; i++ {
+		var seq *experiments.ShardStressResult
+		for j, n := range lanes {
+			res, perf, err := experiments.RunShardStress(experiments.ShardStressOptions{Machines: 32, Shards: n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n == 1 {
+				seq = res
+			} else if !reflect.DeepEqual(res, seq) {
+				b.Fatalf("%d-lane result differs from the sequential kernel's", n)
+			}
+			wall[j] += perf.Wall
+		}
+	}
+	for j := 1; j < len(lanes); j++ {
+		speedup := wall[0].Seconds() / wall[j].Seconds()
+		b.ReportMetric(speedup, fmt.Sprintf("lanes%d-speedup", lanes[j]))
+		if runtime.NumCPU() > 1 && lanes[j] >= 4 && speedup < 2 {
+			b.Errorf("%.2fx speedup at %d lanes on a %d-core host, want >= 2x",
+				speedup, lanes[j], runtime.NumCPU())
 		}
 	}
 }

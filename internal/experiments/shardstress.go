@@ -139,7 +139,7 @@ type ShardMachineStats struct {
 // ShardStressResult is everything the scenario measures inside the
 // simulation. It is the byte-identity surface: a sharded run at any
 // worker count must DeepEqual the sequential run. Host-side figures
-// (wall clock, events/sec, barrier stalls) live in ShardStressPerf.
+// (wall clock, event counts, barrier stalls) live in ShardStressPerf.
 type ShardStressResult struct {
 	Machines  int
 	Spawned   int
@@ -165,15 +165,13 @@ type ShardStressResult struct {
 // kernel(s) chewed through the event load. Everything here depends on
 // the machine and worker count and must stay out of the result proper.
 type ShardStressPerf struct {
-	Sharded      bool
-	Workers      int
-	Wall         time.Duration
-	Events       uint64
-	EventsPerSec float64
-	Windows      uint64
-	CrossEvents  uint64
-	StallPct     float64 // barrier stall, sharded runs only
-	LaneWall     []time.Duration
+	Sharded     bool
+	Workers     int
+	Wall        time.Duration
+	Events      uint64
+	Windows     uint64
+	CrossEvents uint64
+	StallPct    float64 // barrier stall, sharded runs only
 }
 
 // ssKind discriminates scenario control messages.
@@ -633,12 +631,8 @@ func RunShardStress(o ShardStressOptions) (*ShardStressResult, *ShardStressPerf,
 		perf.Windows = st.Windows
 		perf.CrossEvents = st.CrossEvents
 		perf.StallPct = st.BarrierStall() * 100
-		perf.LaneWall = st.LaneWall
 	} else {
 		perf.Events = kernels[0].EventsRun()
-	}
-	if wall > 0 {
-		perf.EventsPerSec = float64(perf.Events) / wall.Seconds()
 	}
 	return res, perf, nil
 }
