@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check smoke identity unreached benchmod report bench clean
+.PHONY: all build test race vet fmt check smoke identity unreached benchmod fuzz report bench clean
 
 all: build
 
@@ -47,6 +47,16 @@ identity:
 # gives each its reason (scripts/unreached.sh).
 unreached:
 	sh scripts/unreached.sh
+
+# Fuzz each of the module's four decoders for 10 s, starting from its
+# seed corpus in testdata/fuzz: fault-plan JSON, disk-cache entries, wire
+# frames and core message bodies. `make test` runs the seeds alone; CI
+# runs this after `make check`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/core/
 
 # Regenerate the measured side of EXPERIMENTS.md.
 report:

@@ -3,11 +3,11 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -16,17 +16,21 @@ import (
 )
 
 // memoEpoch is the on-disk schema version of a cached trial. Bump it
-// whenever the entry body (the gob encoding of the result value itself:
-// TrialResult, ResilienceOutcome, ShardStressResult and everything they
-// embed), the variant numbering in the file name, or the simulation's
-// observable semantics change in a way the config fingerprint cannot
-// see — a changed calibration constant (DESIGN.md §3 tables them;
-// netmsg's fragCPU or vm.HashPerPageCPU, say) is one, since constants
-// are not config fields; old entries become unreachable (they live in a
-// differently named subdirectory) and are eventually pruned. Epoch 6:
-// TrialResult lost DestUsage, and deleting the held-trial variant
-// renumbered the resilience and shard variants in entry file names.
-const memoEpoch = 6
+// whenever the entry encoding (entryCodec), the variant numbering in
+// the file name, or the simulation's observable semantics change in a
+// way neither the config fingerprint nor the shape digest can see — a
+// changed calibration constant (DESIGN.md §3 tables them; netmsg's
+// fragCPU or vm.HashPerPageCPU, say) is one, since constants are not
+// config fields. A changed result type needs no bump: its shape digest
+// is part of the subdirectory name (cacheSubdir). Entries of an older
+// epoch, Go version or shape become unreachable, since they live in a
+// differently named subdirectory, but nothing deletes them: prune and
+// scanSize walk only the current subdirectory, so they stay on disk
+// until the cache directory (.migcache by default) is removed by hand.
+// Epoch 6: TrialResult lost DestUsage, and deleting the held-trial
+// variant renumbered the resilience and shard variants in entry file
+// names. Epoch 7: entry bodies moved from gob to entryCodec.
+const memoEpoch = 7
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.
@@ -51,14 +55,15 @@ type DiskStats struct {
 }
 
 // DiskCache is the persistent second level of the engine's memo cache:
-// a directory of checksummed, gob-encoded trial results keyed by the
-// same (config fingerprint, trial coordinates) tuple as the in-memory
-// map, namespaced by schema epoch and Go version. Entries are written
-// atomically (tmp + rename) and verified on load; anything torn,
-// truncated, or stale is discarded and silently recomputed. All methods
-// are safe for concurrent use by the engine's worker pool.
+// a directory of checksummed, entryCodec-encoded trial results keyed by
+// the same (config fingerprint, trial coordinates) tuple as the
+// in-memory map, namespaced by schema epoch, Go version and the shape
+// of the result types. Entries are written atomically (tmp + rename)
+// and verified on load; anything torn, truncated, or stale is discarded
+// and silently recomputed. All methods are safe for concurrent use by
+// the engine's worker pool.
 type DiskCache struct {
-	dir      string // epoch+version-scoped entry directory
+	dir      string // entry directory: dir/cacheSubdir(shape)
 	maxBytes int64
 
 	size    atomic.Int64 // approximate bytes of entries in dir
@@ -67,11 +72,14 @@ type DiskCache struct {
 	hits, misses, writes, rejects atomic.Uint64
 }
 
-// cacheSubdir names the epoch+Go-version namespace. Results are only
-// portable across processes running the same schema and toolchain: the
-// fingerprint's %#v rendering and gob's float/struct encodings are
-// stable for a fixed Go version, so the version joins the key.
-func cacheSubdir() string {
+// cacheSubdir names the namespace entries live in: the schema epoch,
+// the Go version and the digest of the cached types' shapes. Results
+// are only portable across processes running the same schema,
+// toolchain and result types: the fingerprint's %#v rendering is
+// stable for a fixed Go version, so the version joins the name, and
+// the entry codec is positional, so an entry decodes right only as the
+// type layout that wrote it, which the shape digest pins.
+func cacheSubdir(shape uint64) string {
 	v := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '-':
@@ -79,7 +87,7 @@ func cacheSubdir() string {
 		}
 		return '-'
 	}, runtime.Version())
-	return fmt.Sprintf("e%d-%s", memoEpoch, v)
+	return fmt.Sprintf("e%d-%s-%016x", memoEpoch, v, shape)
 }
 
 // OpenDiskCache opens (creating if needed) a persistent memo cache
@@ -92,7 +100,8 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	d := &DiskCache{dir: filepath.Join(dir, cacheSubdir()), maxBytes: maxBytes}
+	_, shape := entryCodecs()
+	d := &DiskCache{dir: filepath.Join(dir, cacheSubdir(shape)), maxBytes: maxBytes}
 	if err := os.MkdirAll(d.dir, 0o777); err != nil {
 		return nil, fmt.Errorf("memo cache: %w", err)
 	}
@@ -101,7 +110,7 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 }
 
 // Dir reports the directory entries are stored in (including the
-// epoch+version namespace).
+// epoch, version and shape namespace).
 func (d *DiskCache) Dir() string { return d.dir }
 
 // Stats reports the cache traffic counters.
@@ -166,7 +175,7 @@ func frameEntry(body []byte) []byte {
 	return append(buf, body...)
 }
 
-// decodeEntry validates the framing (magic, length, checksum) and gob-
+// decodeEntry validates the framing (magic, length, checksum) and
 // decodes the body as a T.
 func decodeEntry[T any](raw []byte) (*T, bool) {
 	const hdr = 8 + 8 + 8 // magic + body length + checksum
@@ -180,23 +189,25 @@ func decodeEntry[T any](raw []byte) (*T, bool) {
 		return nil, false
 	}
 	var v T
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
+	if !codecOf(reflect.TypeFor[T]()).decode(body, reflect.ValueOf(&v).Elem()) {
 		return nil, false
 	}
 	return &v, true
+}
+
+// encodeEntry encodes the result *v as an entry body.
+func encodeEntry(v any) []byte {
+	rv := reflect.ValueOf(v).Elem()
+	return codecOf(rv.Type()).enc(nil, rv)
 }
 
 // store persists one entry atomically: encode, write to a temp file in
 // the same directory, fsync-free rename into place. Failures are
 // swallowed — the cache is an accelerator, never a correctness
 // dependency — and a size cap overrun triggers a prune. v is the result
-// pointer itself; its gob encoding is the entry body.
+// pointer itself; its encoding is the entry body.
 func (d *DiskCache) store(key cacheKey, v any) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return
-	}
-	buf := frameEntry(body.Bytes())
+	buf := frameEntry(encodeEntry(v))
 
 	tmp, err := os.CreateTemp(d.dir, "tmp-*")
 	if err != nil {
@@ -278,4 +289,255 @@ func (d *DiskCache) prune() {
 			d.size.Add(-f.size)
 		}
 	}
+}
+
+// entryCodec is the positional binary encoding of one type, compiled
+// by reflection: the exported fields of a struct in declaration order,
+// integers as varints (signed ones zig-zagged), a bool or a pointer's
+// presence as one byte 0 or 1 (a present pointer's value follows), and
+// a string or slice as a uvarint length and then its bytes or
+// elements. Nothing in an entry names a field or a type, so an entry
+// decodes right only as the layout that wrote it; cacheSubdir's shape
+// digest keeps entries of any other layout out of reach.
+type entryCodec struct {
+	enc func(b []byte, v reflect.Value) []byte
+	dec func(r *entryReader, v reflect.Value)
+	// min is the fewest bytes a value takes, so a decoded slice length
+	// is checked against the bytes left before the slice is made.
+	min int
+}
+
+// entryCodecs compiles, once per process, the codec of each result
+// type a DiskCache entry holds (one per memo variant) and the digest
+// of their shapes.
+var entryCodecs = sync.OnceValues(func() (map[reflect.Type]*entryCodec, uint64) {
+	return compileCodecs(reflect.TypeFor[TrialResult](), reflect.TypeFor[ResilienceOutcome](), reflect.TypeFor[ShardStressResult]())
+})
+
+// compileCodecs compiles each type's codec and returns them with the
+// FNV-64a digest of the types' shapes: field names, types and nesting,
+// everything the encoding depends on.
+func compileCodecs(types ...reflect.Type) (map[reflect.Type]*entryCodec, uint64) {
+	var shape strings.Builder
+	codecs := make(map[reflect.Type]*entryCodec, len(types))
+	for _, t := range types {
+		codecs[t] = compileCodec(t, &shape)
+		shape.WriteString("\n")
+	}
+	h := fnv.New64a()
+	h.Write([]byte(shape.String()))
+	return codecs, h.Sum64()
+}
+
+// codecOf returns the codec of a cached result type.
+func codecOf(t reflect.Type) *entryCodec {
+	codecs, _ := entryCodecs()
+	c := codecs[t]
+	if c == nil {
+		panic(fmt.Sprintf("memo cache: %v is not a cached result type", t))
+	}
+	return c
+}
+
+// compileCodec builds t's codec and writes t's shape to shape. It
+// panics on a kind the encoding has no form for (a float, a map, an
+// interface, ...): only a new field of a cached result type can bring
+// one, and then the first cache use fails. A type that contains itself
+// has no codec either.
+func compileCodec(t reflect.Type, shape *strings.Builder) *entryCodec {
+	switch t.Kind() {
+	case reflect.Struct:
+		var idx []int
+		var fields []*entryCodec
+		n := 0
+		shape.WriteString("{")
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			shape.WriteString(f.Name + " ")
+			c := compileCodec(f.Type, shape)
+			shape.WriteString("; ")
+			idx = append(idx, i)
+			fields = append(fields, c)
+			n += c.min
+		}
+		shape.WriteString("}")
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte {
+				for j, c := range fields {
+					b = c.enc(b, v.Field(idx[j]))
+				}
+				return b
+			},
+			dec: func(r *entryReader, v reflect.Value) {
+				for j, c := range fields {
+					c.dec(r, v.Field(idx[j]))
+				}
+			},
+			min: n,
+		}
+	case reflect.Pointer:
+		shape.WriteString("*")
+		elem := compileCodec(t.Elem(), shape)
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte {
+				if v.IsNil() {
+					return append(b, 0)
+				}
+				return elem.enc(append(b, 1), v.Elem())
+			},
+			dec: func(r *entryReader, v reflect.Value) {
+				if r.flag() {
+					p := reflect.New(t.Elem())
+					elem.dec(r, p.Elem())
+					v.Set(p)
+				}
+			},
+			min: 1,
+		}
+	case reflect.Slice:
+		shape.WriteString("[]")
+		elem := compileCodec(t.Elem(), shape)
+		size := max(elem.min, 1)
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte {
+				b = binary.AppendUvarint(b, uint64(v.Len()))
+				for i := 0; i < v.Len(); i++ {
+					b = elem.enc(b, v.Index(i))
+				}
+				return b
+			},
+			dec: func(r *entryReader, v reflect.Value) {
+				n := r.count(size)
+				if n == 0 {
+					return
+				}
+				s := reflect.MakeSlice(t, n, n)
+				for i := 0; i < n; i++ {
+					elem.dec(r, s.Index(i))
+				}
+				v.Set(s)
+			},
+			min: 1,
+		}
+	}
+	// A scalar's shape is its type and kind: "time.Duration=int64".
+	shape.WriteString(t.String() + "=" + t.Kind().String())
+	switch t.Kind() {
+	case reflect.Bool:
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte {
+				if v.Bool() {
+					return append(b, 1)
+				}
+				return append(b, 0)
+			},
+			dec: func(r *entryReader, v reflect.Value) { v.SetBool(r.flag()) },
+			min: 1,
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte { return binary.AppendVarint(b, v.Int()) },
+			dec: func(r *entryReader, v reflect.Value) {
+				x := r.varint()
+				if v.OverflowInt(x) {
+					panic(badEntry{})
+				}
+				v.SetInt(x)
+			},
+			min: 1,
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte { return binary.AppendUvarint(b, v.Uint()) },
+			dec: func(r *entryReader, v reflect.Value) {
+				x := r.uvarint()
+				if v.OverflowUint(x) {
+					panic(badEntry{})
+				}
+				v.SetUint(x)
+			},
+			min: 1,
+		}
+	case reflect.String:
+		return &entryCodec{
+			enc: func(b []byte, v reflect.Value) []byte {
+				b = binary.AppendUvarint(b, uint64(v.Len()))
+				return append(b, v.String()...)
+			},
+			dec: func(r *entryReader, v reflect.Value) {
+				n := r.count(1)
+				v.SetString(string(r.b[:n]))
+				r.b = r.b[n:]
+			},
+			min: 1,
+		}
+	}
+	panic(fmt.Sprintf("memo cache: no entry encoding for %v", t))
+}
+
+// decode fills v, a settable zero value of the codec's type, from
+// body. It reports false, leaving v partly filled, when body is not
+// exactly one well-formed value.
+func (c *entryCodec) decode(body []byte, v reflect.Value) (ok bool) {
+	defer func() {
+		switch rec := recover().(type) {
+		case nil:
+		case badEntry:
+			ok = false
+		default:
+			panic(rec)
+		}
+	}()
+	r := entryReader{body}
+	c.dec(&r, v)
+	return len(r.b) == 0
+}
+
+// entryReader reads an entry body front to back. A read past the end
+// or a malformed value panics with badEntry, which decode turns into a
+// miss.
+type entryReader struct{ b []byte }
+
+type badEntry struct{}
+
+func (r *entryReader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		panic(badEntry{})
+	}
+	r.b = r.b[n:]
+	return x
+}
+
+func (r *entryReader) varint() int64 {
+	x, n := binary.Varint(r.b)
+	if n <= 0 {
+		panic(badEntry{})
+	}
+	r.b = r.b[n:]
+	return x
+}
+
+// flag reads a bool or a pointer's presence byte: 0 or 1.
+func (r *entryReader) flag() bool {
+	if len(r.b) == 0 || r.b[0] > 1 {
+		panic(badEntry{})
+	}
+	f := r.b[0] == 1
+	r.b = r.b[1:]
+	return f
+}
+
+// count reads a length and checks it against the bytes left, at least
+// size bytes an item, as wire.Decoder.Count does, so nothing is sized
+// from a length the body could not fill.
+func (r *entryReader) count(size int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/size) {
+		panic(badEntry{})
+	}
+	return int(n)
 }

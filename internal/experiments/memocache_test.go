@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,23 +18,19 @@ import (
 	"accentmig/internal/workload"
 )
 
-// sameResult compares two results through a gob round trip of each, so
-// a freshly simulated value and one decoded from disk compare equal
-// despite gob's canonicalizations (empty slices decode as nil), while
-// any real value drift — a changed number anywhere in the tree — does
-// not.
+// sameResult compares two results through an entry-codec round trip of
+// each, so a freshly simulated value and one decoded from disk compare
+// equal despite the codec's canonicalizations (empty slices decode as
+// nil, unexported fields as zero), while any real value drift — a
+// changed number anywhere in the tree — does not.
 func sameResult[T any](t *testing.T, a, b *T) bool {
 	t.Helper()
 	norm := func(p *T) *T {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-			t.Fatal(err)
+		v, ok := decodeEntry[T](frameEntry(encodeEntry(p)))
+		if !ok {
+			t.Fatalf("%T does not survive an entry round trip", p)
 		}
-		var out T
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return &out
+		return v
 	}
 	return reflect.DeepEqual(norm(a), norm(b))
 }
@@ -257,22 +256,24 @@ func TestDiskCacheVariantsAreDistinct(t *testing.T) {
 	}
 }
 
-// TestDiskCachePrune stores entries past a tiny size cap and asserts
-// the oldest are evicted, the newest survive, and the directory ends up
-// under the cap.
+// TestDiskCachePrune stores entries past a size cap of ten entries and
+// asserts the oldest are evicted, the newest survive, and the directory
+// ends up under the cap.
 func TestDiskCachePrune(t *testing.T) {
-	d, err := OpenDiskCache(t.TempDir(), 8192)
+	entry := &TrialResult{BytesTotal: 1}
+	maxBytes := int64(10 * len(frameEntry(encodeEntry(entry))))
+	d, err := OpenDiskCache(t.TempDir(), maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := func(i int) cacheKey { return cacheKey{fp: uint64(i), variant: variantGrid} }
 	const n = 40
 	for i := 0; i < n; i++ {
-		d.store(key(i), &TrialResult{BytesTotal: 1})
+		d.store(key(i), entry)
 		time.Sleep(2 * time.Millisecond) // distinct mtimes for eviction order
 	}
-	if got := d.scanSize(); got > 8192 {
-		t.Fatalf("cache size %d exceeds cap 8192 after prune", got)
+	if got := d.scanSize(); got > maxBytes {
+		t.Fatalf("cache size %d exceeds cap %d after prune", got, maxBytes)
 	}
 	if _, ok := diskLoad[TrialResult](d, key(0)); ok {
 		t.Error("oldest entry survived the prune")
@@ -304,12 +305,223 @@ func TestDiskCacheSkipsErrors(t *testing.T) {
 	}
 }
 
+// fillExported sets every exported field reachable from v, which must
+// be settable, to a non-zero value: each integer and string distinct,
+// each bool true. With elems > 0, pointers point at filled values and
+// slices hold elems filled elements; otherwise pointers stay nil and
+// slices are empty (elems 0) or nil (elems < 0). A codec that drops a
+// field decodes it as zero, which no filled field is.
+func fillExported(t *testing.T, v reflect.Value, n *int, elems int) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillExported(t, v.Field(i), n, elems)
+			}
+		}
+	case reflect.Pointer:
+		if elems > 0 {
+			v.Set(reflect.New(v.Type().Elem()))
+			fillExported(t, v.Elem(), n, elems)
+		}
+	case reflect.Slice:
+		if elems >= 0 {
+			v.Set(reflect.MakeSlice(v.Type(), elems, elems))
+			for i := 0; i < elems; i++ {
+				fillExported(t, v.Index(i), n, elems)
+			}
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		*n++
+		v.SetString(fmt.Sprintf("s%d·", *n))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*n++
+		x := int64(*n) << 40 // a multi-byte varint, negative every other field
+		if *n%2 == 1 {
+			x = -x
+		}
+		if v.OverflowInt(x) {
+			x = int64(*n)
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*n++
+		x := uint64(*n)<<56 | uint64(*n)
+		if v.OverflowUint(x) {
+			x = uint64(*n)
+		}
+		v.SetUint(x)
+	default:
+		t.Fatalf("fillExported: no value for %v", v.Type())
+	}
+}
+
+// roundTrip checks that a value of T filled with elems survives an
+// entry round trip as one filled with wantElems, and that no proper
+// prefix of its body, nor the body with a byte appended, decodes.
+func roundTrip[T any](t *testing.T, elems, wantElems int) {
+	t.Helper()
+	var in, want T
+	var n, wn int
+	fillExported(t, reflect.ValueOf(&in).Elem(), &n, elems)
+	fillExported(t, reflect.ValueOf(&want).Elem(), &wn, wantElems)
+	body := encodeEntry(&in)
+	got, ok := decodeEntry[T](frameEntry(body))
+	if !ok {
+		t.Fatalf("%T (elems %d): round trip rejected its own entry", in, elems)
+	}
+	if !reflect.DeepEqual(got, &want) {
+		t.Errorf("%T (elems %d): round trip gave\n%+v\nwant\n%+v", in, elems, *got, want)
+	}
+	for i := 0; i < len(body); i++ {
+		if _, ok := decodeEntry[T](frameEntry(body[:i])); ok {
+			t.Errorf("%T (elems %d): a %d-byte prefix of the %d-byte body decoded", in, elems, i, len(body))
+		}
+	}
+	if _, ok := decodeEntry[T](frameEntry(append(body, 0))); ok {
+		t.Errorf("%T (elems %d): a body with a trailing byte decoded", in, elems)
+	}
+}
+
+// TestEntryCodecRoundTrip sets every exported field of each cached
+// result type and of everything it embeds, and demands the value back
+// from an entry: full (pointers set, slices of two) and sparse (nil
+// pointers, empty slices, which come back nil).
+func TestEntryCodecRoundTrip(t *testing.T) {
+	roundTrip[TrialResult](t, 2, 2)
+	roundTrip[TrialResult](t, 0, -1)
+	roundTrip[ResilienceOutcome](t, 2, 2)
+	roundTrip[ResilienceOutcome](t, 0, -1)
+	roundTrip[ShardStressResult](t, 2, 2)
+	roundTrip[ShardStressResult](t, 0, -1)
+}
+
+// TestEntryCountBoundsAllocation gives a shard-stress body a slice
+// length of a million machines and no bytes to fill them: the decoder
+// must refuse it before making the slice.
+func TestEntryCountBoundsAllocation(t *testing.T) {
+	body := encodeEntry(&ShardStressResult{})
+	// Sixteen scalar fields of one byte each, then PerMachine's length.
+	if len(body) != 18 || body[16] != 0 {
+		t.Fatalf("zero ShardStressResult body = %x, want 16 scalars and two empty slices", body)
+	}
+	huge := append(binary.AppendUvarint(body[:16:16], 1<<20), 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := decodeEntry[ShardStressResult](frameEntry(huge))
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("decoded a million machines from two bytes")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the length allocated %d bytes", grew)
+	}
+}
+
+// TestShapeDigestNamesTheLayout checks that the cache subdirectory
+// follows the shape of the cached types: adding, renaming, reordering
+// or retyping an exported field, at the top or nested, names another
+// subdirectory, while an unexported field, which no entry carries, does
+// not.
+func TestShapeDigestNamesTheLayout(t *testing.T) {
+	type inner struct{ A, B int }
+	type innerWide struct{ A, B, C int }
+	type base struct {
+		N  int
+		S  string
+		In inner
+		P  *inner
+		L  []inner
+	}
+	type hidden struct {
+		N  int
+		S  string
+		In inner
+		P  *inner
+		L  []inner
+		x  bool
+	}
+	variants := map[string]reflect.Type{
+		"added": reflect.TypeFor[struct {
+			N  int
+			S  string
+			In inner
+			P  *inner
+			L  []inner
+			X  bool
+		}](),
+		"renamed": reflect.TypeFor[struct {
+			M  int
+			S  string
+			In inner
+			P  *inner
+			L  []inner
+		}](),
+		"reordered": reflect.TypeFor[struct {
+			S  string
+			N  int
+			In inner
+			P  *inner
+			L  []inner
+		}](),
+		"retyped": reflect.TypeFor[struct {
+			N  uint
+			S  string
+			In inner
+			P  *inner
+			L  []inner
+		}](),
+		"nested": reflect.TypeFor[struct {
+			N  int
+			S  string
+			In innerWide
+			P  *inner
+			L  []inner
+		}](),
+		"pointer": reflect.TypeFor[struct {
+			N  int
+			S  string
+			In inner
+			P  *innerWide
+			L  []inner
+		}](),
+		"slice": reflect.TypeFor[struct {
+			N  int
+			S  string
+			In inner
+			P  *inner
+			L  []innerWide
+		}](),
+	}
+	subdir := func(ty reflect.Type) string {
+		_, shape := compileCodecs(reflect.TypeFor[TrialResult](), ty)
+		return cacheSubdir(shape)
+	}
+	seen := map[string]string{subdir(reflect.TypeFor[base]()): "base"}
+	for name, ty := range variants {
+		d := subdir(ty)
+		if other, ok := seen[d]; ok {
+			t.Errorf("%s and %s share subdirectory %s", name, other, d)
+		}
+		seen[d] = name
+	}
+	if subdir(reflect.TypeFor[hidden]()) != subdir(reflect.TypeFor[base]()) {
+		t.Error("an unexported field changed the subdirectory")
+	}
+	if _, shape := entryCodecs(); !strings.HasPrefix(cacheSubdir(shape), fmt.Sprintf("e%d-", memoEpoch)) {
+		t.Errorf("subdirectory %s does not start with the epoch", cacheSubdir(shape))
+	}
+}
+
 // FuzzDecodeEntry feeds the disk-entry decoder arbitrary file bytes, and
-// an arbitrary body wrapped in a valid frame so gob decoding is reached
-// past the checksum. Decoding must never panic, and anything it does
-// not accept is a miss: no value, and never a value from a bad frame.
-// The seed corpus in testdata/fuzz holds a real Minprog pure-copy entry
-// and damaged variants of it.
+// an arbitrary body wrapped in a valid frame so the entry codec is
+// reached past the checksum. Decoding must never panic, and anything it
+// does not accept is a miss: no value, and never a value from a bad
+// frame. The seed corpus in testdata/fuzz holds a real Minprog
+// pure-copy entry and damaged variants of it.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw, body []byte) {
 		if v, ok := decodeEntry[TrialResult](raw); ok != (v != nil) {

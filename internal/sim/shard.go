@@ -63,7 +63,6 @@ type Cluster struct {
 	workers    int
 	windows    uint64
 	crossSent  uint64
-	runWall    int64 // ns, host wall inside Run
 	parWall    int64 // ns, host wall inside parallel window sections
 	laneWallNS []int64
 }
@@ -159,7 +158,6 @@ func (c *Cluster) Run(workers int) time.Duration {
 		workers = len(c.lanes)
 	}
 	c.workers = workers
-	runStart := time.Now()
 
 	var work chan int32
 	var wg sync.WaitGroup
@@ -231,7 +229,6 @@ func (c *Cluster) Run(workers int) time.Duration {
 		}
 	}
 
-	atomic.AddInt64(&c.runWall, int64(time.Since(runStart)))
 	var end time.Duration
 	for _, k := range c.lanes {
 		if k.Now() > end {
@@ -347,7 +344,6 @@ type ClusterStats struct {
 	Windows     uint64
 	CrossEvents uint64
 
-	RunWall      time.Duration   // total wall inside Run
 	ParallelWall time.Duration   // wall inside the window sections
 	LaneWall     []time.Duration // per-lane wall summed over windows
 }
@@ -359,7 +355,6 @@ func (c *Cluster) Stats() ClusterStats {
 		Workers:      c.workers,
 		Windows:      c.windows,
 		CrossEvents:  c.crossSent,
-		RunWall:      time.Duration(atomic.LoadInt64(&c.runWall)),
 		ParallelWall: time.Duration(atomic.LoadInt64(&c.parWall)),
 		LaneWall:     make([]time.Duration, len(c.lanes)),
 	}
