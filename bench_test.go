@@ -18,6 +18,15 @@ import (
 // time, bytes on the simulated wire, and so on — absolute wall time
 // only measures the simulator itself.
 
+// regenerate drops the default engine's memo with the timer stopped,
+// so the op that follows rebuilds its table from simulation instead of
+// timing memo hits of the previous op.
+func regenerate(b *testing.B) {
+	b.StopTimer()
+	experiments.Default.Reset()
+	b.StartTimer()
+}
+
 func reportTrial(b *testing.B, tr *experiments.TrialResult) {
 	b.ReportMetric(tr.Report.RIMASTransfer.Seconds(), "sim-xfer-s")
 	b.ReportMetric(tr.RemoteExec.Seconds(), "sim-exec-s")
@@ -28,6 +37,7 @@ func reportTrial(b *testing.B, tr *experiments.TrialResult) {
 // BenchmarkTable41 regenerates the address-space composition table.
 func BenchmarkTable41(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		rows, err := experiments.Table41(experiments.Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -41,6 +51,7 @@ func BenchmarkTable41(b *testing.B) {
 // BenchmarkTable42 regenerates the resident-set table.
 func BenchmarkTable42(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		rows, err := experiments.Table42(experiments.Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -54,6 +65,7 @@ func BenchmarkTable42(b *testing.B) {
 // BenchmarkTable43 regenerates the percent-of-space-accessed table.
 func BenchmarkTable43(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		rows, err := experiments.Table43(experiments.Config{}, workload.Kinds())
 		if err != nil {
 			b.Fatal(err)
@@ -67,6 +79,7 @@ func BenchmarkTable43(b *testing.B) {
 // BenchmarkTable44 regenerates the excision/insertion timing table.
 func BenchmarkTable44(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		rows, err := experiments.Table44(experiments.Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -80,6 +93,7 @@ func BenchmarkTable44(b *testing.B) {
 // BenchmarkTable45 regenerates the address-space transfer time table.
 func BenchmarkTable45(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		rows, err := experiments.Table45(experiments.Config{}, workload.Kinds())
 		if err != nil {
 			b.Fatal(err)
@@ -190,6 +204,7 @@ func BenchmarkFigure44(b *testing.B) {
 func BenchmarkFigure45(b *testing.B) {
 	var panels []experiments.Figure45Panel
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		var err error
 		panels, err = experiments.Figure45(experiments.Config{})
 		if err != nil {
@@ -299,6 +314,7 @@ func BenchmarkShardSweep(b *testing.B) {
 // BenchmarkSummary regenerates the §4.5 aggregates.
 func BenchmarkSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		regenerate(b)
 		g, err := experiments.RunGrid(experiments.Config{}, []workload.Kind{
 			workload.Minprog, workload.LispDel, workload.Chess,
 		})

@@ -103,8 +103,9 @@ func TestGoldenWithDiskCache(t *testing.T) {
 	if !bytes.Equal(cold, golden) {
 		t.Fatalf("cold output with cache enabled differs from golden (%d vs %d bytes)", len(cold), len(golden))
 	}
-	if st := d.Stats(); st.Writes == 0 {
-		t.Fatalf("cold run persisted nothing (stats %+v)", st)
+	st := d.Stats()
+	if st.Writes == 0 || st.Hits != 0 {
+		t.Fatalf("cold run stats %+v, want writes and no hits", st)
 	}
 
 	// Drop the in-memory level so the warm run can only be served from
@@ -114,8 +115,11 @@ func TestGoldenWithDiskCache(t *testing.T) {
 	if !bytes.Equal(warm, golden) {
 		t.Fatalf("warm output from disk cache differs from golden (%d vs %d bytes)", len(warm), len(golden))
 	}
-	if st := d.Stats(); st.Hits == 0 {
-		t.Fatalf("warm run never hit the disk cache (stats %+v)", st)
+	want := st
+	want.Hits = st.Writes
+	if got := d.Stats(); got != want {
+		t.Fatalf("warm run stats %+v, want %+v: every entry the cold run wrote hit, with no new miss, write or reject",
+			got, want)
 	}
 }
 

@@ -152,12 +152,11 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 			// hints: a later fault on these pages first tries the local
 			// content index, then the nearest holder, before the backer.
 			if acts := recipeActsFor(rcp, ai); acts != nil {
-				base := a.SegOff / uint64(ps)
+				hashes := make([]uint64, len(acts))
 				for i, act := range acts {
-					if act.hash != vm.ZeroHash {
-						m.Pager.RegisterHint(seg.ID, base+uint64(i), act.hash)
-					}
+					hashes[i] = act.hash
 				}
+				m.Pager.RegisterHints(seg.ID, a.SegOff/uint64(ps), hashes)
 			}
 			return seg, nil
 		}

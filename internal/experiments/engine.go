@@ -9,6 +9,7 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/obs"
+	"accentmig/internal/vm"
 	"accentmig/internal/workload"
 	"accentmig/internal/xrand"
 )
@@ -21,11 +22,15 @@ import (
 // on what ran beside it. The cache is keyed by a fingerprint of the
 // Config plus the trial coordinates, so every table, figure, and summary
 // that needs the same cell reuses one simulated result instead of
-// re-running it.
+// re-running it. Beside the trials (grid, resilience and shard-stress),
+// the engine memoizes the two measurements the paper's tables take
+// without migrating: an installed workload's address-space composition
+// (Usage, Table 4-1) and the single-fault costs (FaultCosts, the
+// summary's §4.3.3 probe).
 //
-// Trials driven with a flight-recorder sink installed bypass the cache
-// (a cached result would silently emit no trace events); they still run
-// in parallel, with the shared sink synchronized.
+// Work driven with a flight-recorder sink installed bypasses the cache
+// (a cached result would silently emit no trace events); trials still
+// run in parallel, with the shared sink synchronized.
 type Engine struct {
 	// workers is the pool width; <= 0 selects runtime.GOMAXPROCS(0).
 	workers int
@@ -39,7 +44,7 @@ type Engine struct {
 	cache map[cacheKey]*cacheEntry
 }
 
-// cacheKey addresses one memoized trial. variant names the memoized
+// cacheKey addresses one memoized result. variant names the memoized
 // method, and with it the result type, so entries of two types never
 // share a key or a disk file name.
 type cacheKey struct {
@@ -52,6 +57,8 @@ const (
 	variantGrid uint8 = iota
 	variantResilience
 	variantShard
+	variantUsage
+	variantFaultCosts
 )
 
 // cacheEntry is a single-flight slot: the first requester computes, any
@@ -70,8 +77,8 @@ func NewEngine(workers int) *Engine {
 }
 
 // Default is the process-wide engine the package-level experiment
-// harnesses (RunGrid, Table42..45, Figure45) share, so one `migsim -exp
-// all` sweep simulates each grid cell exactly once.
+// harnesses (RunGrid, Table41..45, Figure45, Summarize) share, so one
+// `migsim -exp all` sweep simulates each grid cell exactly once.
 var Default = NewEngine(0)
 
 // SetWorkers sets the default engine's pool width (<= 0 restores the
@@ -212,6 +219,36 @@ func (e *Engine) ShardTrial(o ShardStressOptions) (*ShardStressResult, error) {
 		res, _, err := RunShardStress(o)
 		return res, err
 	})
+}
+
+// Usage is the memoized address-space composition of workload k
+// installed on a fresh testbed: what Table 4-1 prints for it. Configs
+// with a Sink installed run uncached, as in Trial.
+func (e *Engine) Usage(cfg Config, k workload.Kind) (*vm.Usage, error) {
+	run := func() (*vm.Usage, error) {
+		tb := NewTestbed(cfg)
+		defer tb.K.Close()
+		b, err := workload.Build(tb.Src, k)
+		if err != nil {
+			return nil, err
+		}
+		u := b.Proc.AS.Usage()
+		return &u, nil
+	}
+	if cfg.Sink != nil {
+		return run()
+	}
+	return memo(e, cacheKey{fp: cfg.fingerprint(), variant: variantUsage, GridKey: GridKey{Kind: k}}, run)
+}
+
+// FaultCosts is the memoized form of MeasureFaultCosts. Configs with a
+// Sink installed run uncached, as in Trial.
+func (e *Engine) FaultCosts(cfg Config) (*FaultCosts, error) {
+	run := func() (*FaultCosts, error) { return MeasureFaultCosts(cfg) }
+	if cfg.Sink != nil {
+		return run()
+	}
+	return memo(e, cacheKey{fp: cfg.fingerprint(), variant: variantFaultCosts}, run)
 }
 
 // forParallel prepares a config for concurrent trials: a shared

@@ -163,6 +163,81 @@ func TestEngineSinkBypassesCache(t *testing.T) {
 	}
 }
 
+// TestEngineMemoizesUsageAndFaultCosts verifies that a second request
+// for a workload's address-space usage or for the fault costs returns
+// the first result, not a re-measurement.
+func TestEngineMemoizesUsageAndFaultCosts(t *testing.T) {
+	e := NewEngine(1)
+	u1, err := e.Usage(Config{}, workload.Minprog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u2, err := e.Usage(Config{}, workload.Minprog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u1 != u2 {
+		t.Error("second Usage call rebuilt the workload instead of hitting the cache")
+	}
+	fc1, err := e.FaultCosts(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc2, err := e.FaultCosts(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc1 != fc2 {
+		t.Error("second FaultCosts call re-measured instead of hitting the cache")
+	}
+	if n := e.CachedCells(); n != 2 {
+		t.Errorf("CachedCells = %d, want 2", n)
+	}
+}
+
+// TestEngineSinkBypassesCacheForUsageAndFaultCosts is
+// TestEngineSinkBypassesCache for the two measurements that do not
+// migrate: under a Sink each runs again on every call, and the fault
+// probe emits its events every time.
+func TestEngineSinkBypassesCacheForUsageAndFaultCosts(t *testing.T) {
+	e := NewEngine(1)
+	mem := obs.NewMemorySink()
+	cfg := Config{Sink: mem}
+	u1, err := e.Usage(cfg, workload.Minprog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u2, err := e.Usage(cfg, workload.Minprog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u1 == u2 {
+		t.Error("traced usage was served from cache")
+	}
+	n0 := mem.Len()
+	fc1, err := e.FaultCosts(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1 := mem.Len() - n0
+	if n1 == 0 {
+		t.Fatal("traced fault probe emitted no events")
+	}
+	fc2, err := e.FaultCosts(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc1 == fc2 {
+		t.Error("traced fault costs were served from cache")
+	}
+	if got := mem.Len() - n0 - n1; got != n1 {
+		t.Errorf("second traced fault probe emitted %d events, want %d", got, n1)
+	}
+	if n := e.CachedCells(); n != 0 {
+		t.Errorf("CachedCells = %d after traced calls, want 0", n)
+	}
+}
+
 // TestGridKeysShape pins the sweep enumeration the figures rely on:
 // per workload one pure-copy cell plus IOU and RS at every prefetch
 // value, in chart order.

@@ -15,6 +15,7 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/faults"
+	"accentmig/internal/vm"
 	"accentmig/internal/workload"
 )
 
@@ -60,9 +61,10 @@ func newDiskEngine(t *testing.T, dir string) (*Engine, *DiskCache) {
 	return e, d
 }
 
-// TestDiskCacheWarmIdentity runs grid and resilience trials
-// cold, then again through a fresh engine over the same directory, and
-// demands every warm result be served from disk with no value drift.
+// TestDiskCacheWarmIdentity runs grid and resilience trials, an
+// address-space usage and the fault costs cold, then again through a
+// fresh engine over the same directory, and demands every warm result
+// be served from disk with no value drift.
 func TestDiskCacheWarmIdentity(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{}
@@ -75,6 +77,14 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldRes, err := cold.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldUsage, err := cold.Usage(cfg, workload.Minprog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldFaults, err := cold.FaultCosts(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +101,19 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmUsage, err := warm.Usage(cfg, workload.Minprog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmFaults, err := warm.FaultCosts(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := wd.Stats()
 	if st.Misses != 0 || st.Rejects != 0 {
 		t.Fatalf("warm stats = %+v, want every lookup served from disk", st)
 	}
-	if want := uint64(len(keys) + 1); st.Hits != want {
+	if want := uint64(len(keys) + 3); st.Hits != want {
 		t.Fatalf("warm hits = %d, want %d", st.Hits, want)
 	}
 	for i := range keys {
@@ -105,6 +123,12 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	}
 	if !sameResult(t, coldRes, warmRes) {
 		t.Error("warm resilience trial drifted from cold")
+	}
+	if *warmUsage != *coldUsage {
+		t.Errorf("warm usage %+v drifted from cold %+v", *warmUsage, *coldUsage)
+	}
+	if *warmFaults != *coldFaults {
+		t.Errorf("warm fault costs %+v drifted from cold %+v", *warmFaults, *coldFaults)
 	}
 }
 
@@ -231,6 +255,42 @@ func TestDiskCacheCorruptionFallback(t *testing.T) {
 	}
 	if st := rd.Stats(); st.Hits != 2 || st.Rejects != 0 {
 		t.Fatalf("post-repair stats = %+v, want both served from disk", st)
+	}
+}
+
+// TestPaperHarnessesMeasureThroughDefault checks that Table41 and
+// Summarize take their measurements through the default engine: a
+// disk cache attached to it is filled with one usage per workload and
+// the fault costs, and serves all of them to a second pass.
+func TestPaperHarnessesMeasureThroughDefault(t *testing.T) {
+	d, err := OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Default.Reset()
+	Default.SetDisk(d)
+	t.Cleanup(func() {
+		Default.SetDisk(nil)
+		Default.Reset()
+	})
+	pass := func() {
+		t.Helper()
+		if _, err := Table41(Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Summarize(Config{}, &Grid{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := uint64(len(workload.Kinds()) + 1)
+	pass()
+	if st := d.Stats(); st.Writes != want || st.Hits != 0 {
+		t.Fatalf("first pass stats = %+v, want %d writes and no hits", st, want)
+	}
+	Default.Reset()
+	pass()
+	if st := d.Stats(); st.Hits != want || st.Writes != want {
+		t.Fatalf("second pass stats = %+v, want %d hits and no new write", st, want)
 	}
 }
 
@@ -397,6 +457,8 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	roundTrip[ResilienceOutcome](t, 0, -1)
 	roundTrip[ShardStressResult](t, 2, 2)
 	roundTrip[ShardStressResult](t, 0, -1)
+	roundTrip[vm.Usage](t, 2, 2)
+	roundTrip[FaultCosts](t, 2, 2)
 }
 
 // TestEntryCountBoundsAllocation gives a shard-stress body a slice
@@ -516,21 +578,46 @@ func TestShapeDigestNamesTheLayout(t *testing.T) {
 	}
 }
 
+// decodesAs decodes raw as a T entry, failing t if the decoder reports
+// a value without ok or ok without a value, and reports whether it
+// decoded.
+func decodesAs[T any](t *testing.T, raw []byte) bool {
+	v, ok := decodeEntry[T](raw)
+	if ok != (v != nil) {
+		t.Fatalf("decodeEntry[%v] = %v, %v", reflect.TypeFor[T](), v, ok)
+	}
+	return ok
+}
+
+// entryDecoders holds decodesAs for every cached result type.
+var entryDecoders = map[reflect.Type]func(*testing.T, []byte) bool{
+	reflect.TypeFor[TrialResult]():       decodesAs[TrialResult],
+	reflect.TypeFor[ResilienceOutcome](): decodesAs[ResilienceOutcome],
+	reflect.TypeFor[ShardStressResult](): decodesAs[ShardStressResult],
+	reflect.TypeFor[vm.Usage]():          decodesAs[vm.Usage],
+	reflect.TypeFor[FaultCosts]():        decodesAs[FaultCosts],
+}
+
 // FuzzDecodeEntry feeds the disk-entry decoder arbitrary file bytes, and
 // an arbitrary body wrapped in a valid frame so the entry codec is
-// reached past the checksum. Decoding must never panic, and anything it
-// does not accept is a miss: no value, and never a value from a bad
-// frame. The seed corpus in testdata/fuzz holds a real Minprog
-// pure-copy entry and damaged variants of it.
+// reached past the checksum, and decodes each as every type entryCodecs
+// compiles. Decoding must never panic, and anything it does not accept
+// is a miss: no value, and never a value from a bad frame. The seed
+// corpus in testdata/fuzz holds a real Minprog pure-copy entry, damaged
+// variants of it, and a real Minprog usage entry.
 func FuzzDecodeEntry(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw, body []byte) {
-		if v, ok := decodeEntry[TrialResult](raw); ok != (v != nil) {
-			t.Fatalf("decodeEntry(raw) = %v, %v", v, ok)
-		} else if ok && !bytes.Equal(raw, frameEntry(raw[24:])) {
-			t.Fatal("decoded an entry with a corrupt frame")
+	codecs, _ := entryCodecs()
+	for typ := range codecs {
+		if entryDecoders[typ] == nil {
+			f.Fatalf("entryDecoders has no decoder for the cached type %v", typ)
 		}
-		if v, ok := decodeEntry[TrialResult](frameEntry(body)); ok != (v != nil) {
-			t.Fatalf("decodeEntry(framed body) = %v, %v", v, ok)
+	}
+	f.Fuzz(func(t *testing.T, raw, body []byte) {
+		for typ, decodes := range entryDecoders {
+			if decodes(t, raw) && !bytes.Equal(raw, frameEntry(raw[24:])) {
+				t.Fatalf("decoded a %v entry with a corrupt frame", typ)
+			}
+			decodes(t, frameEntry(body))
 		}
 	})
 }

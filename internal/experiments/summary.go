@@ -61,11 +61,11 @@ func Summarize(cfg Config, g *Grid, kinds []workload.Kind) (*Summary, error) {
 		s.AvgMsgTimeSavingsPct = msgSum / float64(n)
 	}
 
-	var err error
-	s.RemoteFault, s.DiskFault, err = MeasureFaultCosts(cfg)
+	fc, err := Default.FaultCosts(cfg)
 	if err != nil {
 		return nil, err
 	}
+	s.RemoteFault, s.DiskFault = fc.Remote, fc.Local
 	s.FaultRatio = s.RemoteFault.Seconds() / s.DiskFault.Seconds()
 
 	if cp, iou := g.Cell(workload.LispDel, core.PureCopy, 0), g.Cell(workload.LispDel, core.PureIOU, 0); cp != nil && iou != nil {
@@ -79,17 +79,23 @@ func Summarize(cfg Config, g *Grid, kinds []workload.Kind) (*Summary, error) {
 	return s, nil
 }
 
+// FaultCosts is what the §4.3.3 microbenchmark measures: the stall of
+// one remote imaginary fault and of one local disk fault.
+type FaultCosts struct {
+	Remote, Local time.Duration
+}
+
 // MeasureFaultCosts measures one remote imaginary fault and one local
 // disk fault on a fresh testbed (the §4.3.3 microbenchmark: 115 ms vs
 // 40.8 ms).
-func MeasureFaultCosts(cfg Config) (remote, local time.Duration, err error) {
+func MeasureFaultCosts(cfg Config) (*FaultCosts, error) {
 	tb := NewTestbed(cfg)
 	defer tb.K.Close()
 	// Local disk fault on the source machine.
 	as := vm.MustNewAddressSpace(vm.Config{PageSize: tb.Src.PageSize()})
 	reg, err := as.Validate(0, 8*uint64(tb.Src.PageSize()), "probe")
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	pg0 := reg.Seg.MaterializeZero(0)
 	pg0.State.OnDisk = true
@@ -101,10 +107,11 @@ func MeasureFaultCosts(cfg Config) (remote, local time.Duration, err error) {
 	iseg := vm.NewImaginarySegment("probe-owed", 8*uint64(tb.Src.PageSize()), tb.Src.PageSize(), uint64(tb.Dst.Net.BackingPort()))
 	iseg.ID = segID
 	if _, err := as.MapSegment(1<<20, 8*uint64(tb.Src.PageSize()), iseg, 0, "probe-owed"); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	tb.Src.Net.AddRoute(tb.Dst.Net.BackingPort(), "dst")
 
+	var fc FaultCosts
 	var faultErr error
 	tb.K.Go("probe", func(p *sim.Proc) {
 		start := p.Now()
@@ -112,16 +119,19 @@ func MeasureFaultCosts(cfg Config) (remote, local time.Duration, err error) {
 			faultErr = e
 			return
 		}
-		local = p.Now() - start
+		fc.Local = p.Now() - start
 		start = p.Now()
 		if e := tb.Src.Pager.Touch(p, as, 1<<20, false); e != nil {
 			faultErr = e
 			return
 		}
-		remote = p.Now() - start
+		fc.Remote = p.Now() - start
 	})
 	tb.K.Run()
-	return remote, local, faultErr
+	if faultErr != nil {
+		return nil, faultErr
+	}
+	return &fc, nil
 }
 
 // FormatSummary renders the §4.5 aggregates with the paper's values.

@@ -20,17 +20,15 @@ type Row41 struct {
 }
 
 // Table41 measures address-space composition at migration time by
-// building each representative and scanning its space.
+// building each representative and scanning its space, through the
+// default engine (Engine.Usage), so a warm cache builds nothing.
 func Table41(cfg Config) ([]Row41, error) {
 	var rows []Row41
 	for _, k := range workload.Kinds() {
-		tb := NewTestbed(cfg)
-		b, err := workload.Build(tb.Src, k)
+		u, err := Default.Usage(cfg, k)
 		if err != nil {
 			return nil, err
 		}
-		u := b.Proc.AS.Usage()
-		tb.K.Close()
 		rows = append(rows, Row41{
 			Kind:     k,
 			Real:     u.Real,

@@ -71,7 +71,7 @@ func TestHolderWriteAfterHashReadLeavesRequesterPage(t *testing.T) {
 	if _, err := as.MapSegment(0x4000, 512, mine, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}
-	a.pg.RegisterHint(mine.ID, 0, h)
+	a.pg.RegisterHints(mine.ID, 0, []uint64{h})
 	k.Go("faulter", func(p *sim.Proc) {
 		if err := a.pg.Touch(p, as, 0x4000, false); err != nil {
 			t.Errorf("Touch: %v", err)

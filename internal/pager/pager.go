@@ -160,14 +160,22 @@ type Pager struct {
 
 	// Content-addressed fault serving (dedup enabled only; all nil/zero
 	// otherwise). hints remembers the content hash of still-owed
-	// imaginary pages, registered at process insertion from the
-	// migration manifest. index is the machine's content index. resolver
-	// maps a hash to the backing port of the nearest machine holding
-	// that content (nearest by link cost; wired by the testbed), letting
-	// a fault bypass a distant origin backer.
+	// imaginary pages, one run per segment ID, registered at process
+	// insertion from the migration manifest. index is the machine's
+	// content index. resolver maps a hash to the backing port of the
+	// nearest machine holding that content (nearest by link cost; wired
+	// by the testbed), letting a fault bypass a distant origin backer.
 	index    *vm.ContentIndex
-	hints    map[pageKey]uint64
+	hints    map[uint64]hintRun
 	resolver func(hash uint64) (ipc.PortID, bool)
+}
+
+// hintRun holds the content hashes of pages first, first+1, ... of one
+// segment. vm.ZeroHash marks a page with no hint: a zero page, or one
+// whose content is local now.
+type hintRun struct {
+	first  uint64
+	hashes []uint64
 }
 
 type pageKey struct {
@@ -219,18 +227,37 @@ func (pg *Pager) SetHolderResolver(fn func(hash uint64) (ipc.PortID, bool)) {
 	pg.resolver = fn
 }
 
-// RegisterHint remembers the content hash of a still-owed imaginary
-// page, so a later fault on it can consult the content index before
-// buying a wire round trip. Zero-page hints are not retained: elided
-// zero pages are reconstructed at insertion and never fault.
-func (pg *Pager) RegisterHint(segID, pageIdx, hash uint64) {
-	if hash == vm.ZeroHash {
-		return
-	}
+// RegisterHints remembers the content hashes of still-owed pages
+// first, first+1, ... of imaginary segment segID, so a later fault on
+// one can consult the content index before buying a wire round trip.
+// A vm.ZeroHash entry registers nothing: elided zero pages are
+// reconstructed at insertion and never fault. The pager keeps hashes
+// and clears an entry once its page is local. A segment registered
+// again has only its new hints: a segment is one absorbed attachment,
+// whose content fixes its hashes.
+func (pg *Pager) RegisterHints(segID, first uint64, hashes []uint64) {
 	if pg.hints == nil {
-		pg.hints = make(map[pageKey]uint64)
+		pg.hints = make(map[uint64]hintRun)
 	}
-	pg.hints[pageKey{segID, pageIdx}] = hash
+	pg.hints[segID] = hintRun{first, hashes}
+}
+
+// hint reports the content hash registered for page idx of segment
+// segID.
+func (pg *Pager) hint(segID, idx uint64) (uint64, bool) {
+	r := pg.hints[segID]
+	if off := idx - r.first; off < uint64(len(r.hashes)) && r.hashes[off] != vm.ZeroHash {
+		return r.hashes[off], true
+	}
+	return 0, false
+}
+
+// dropHint forgets page idx's hint once the page's content is local.
+func (pg *Pager) dropHint(segID, idx uint64) {
+	r := pg.hints[segID]
+	if off := idx - r.first; off < uint64(len(r.hashes)) {
+		r.hashes[off] = vm.ZeroHash
+	}
 }
 
 // Stats returns a copy of the fault counters.
@@ -393,7 +420,7 @@ func (pg *Pager) insert(seg *vm.Segment, idx uint64) {
 // page plus any prefetched neighbours.
 func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 	pg.stats.ImagFaults++
-	if h, hinted := pg.hints[pageKey{pl.Seg.ID, pl.PageIdx}]; hinted &&
+	if h, hinted := pg.hint(pl.Seg.ID, pl.PageIdx); hinted &&
 		!pg.streamPending[pageKey{pl.Seg.ID, pl.PageIdx}] {
 		// The page's content is known by hash: try the local content
 		// index (zero wire cost), then the nearest holder (one short
@@ -518,11 +545,11 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 				// The page's content is now local: index it under its
 				// manifest hash so duplicate content faults stop paying
 				// for the wire.
-				if hh, hinted := pg.hints[pageKey{pl.Seg.ID, idx}]; hinted {
+				if hh, hinted := pg.hint(pl.Seg.ID, idx); hinted {
 					if page := pl.Seg.Page(idx); page != nil {
 						pg.index.Put(hh, page.Data)
 					}
-					delete(pg.hints, pageKey{pl.Seg.ID, idx})
+					pg.dropHint(pl.Seg.ID, idx)
 				}
 			}
 			if !first && idx != pl.PageIdx {
@@ -549,12 +576,11 @@ func (pg *Pager) imagFault(p *sim.Proc, pl vm.Place) error {
 // the resolver names. It reports whether the page was installed; false
 // means the caller proceeds with the ordinary backing-port request.
 func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
-	key := pageKey{pl.Seg.ID, pl.PageIdx}
 	if data, hit := pg.index.Lookup(h); hit {
 		pg.cpu.UseHigh(p, faultCPU+vm.LocalServeCPU+mapInCPU)
 		pl.Seg.Receive(pl.PageIdx, bytes.Clone(data))
 		pg.insert(pl.Seg, pl.PageIdx)
-		delete(pg.hints, key)
+		pg.dropHint(pl.Seg.ID, pl.PageIdx)
 		pg.stats.LocalServes++
 		return true
 	}
@@ -598,7 +624,7 @@ func (pg *Pager) contentFault(p *sim.Proc, pl vm.Place, h uint64) bool {
 	if page := pl.Seg.Page(pl.PageIdx); page != nil {
 		pg.index.Put(h, page.Data)
 	}
-	delete(pg.hints, key)
+	pg.dropHint(pl.Seg.ID, pl.PageIdx)
 	pg.stats.HolderServes++
 	return true
 }

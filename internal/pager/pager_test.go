@@ -2,6 +2,7 @@ package pager
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -438,7 +439,7 @@ func TestLocalHitIsAPrivateCopy(t *testing.T) {
 	if _, err := r.as.MapSegment(0x4000, 512, owed, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}
-	r.pg.RegisterHint(owed.ID, 0, h)
+	r.pg.RegisterHints(owed.ID, 0, []uint64{h})
 	r.k.Go("faulter", func(p *sim.Proc) {
 		if err := r.pg.Touch(p, r.as, 0x4000, false); err != nil {
 			t.Errorf("Touch: %v", err)
@@ -451,5 +452,55 @@ func TestLocalHitIsAPrivateCopy(t *testing.T) {
 	live.Write(0, 0, []byte("overwritten"))
 	if got := owed.Read(0, 0, len(content)); string(got) != string(content) {
 		t.Errorf("a write to the indexed frame reached the served page: %q", got)
+	}
+}
+
+// TestHintsMatchPerPageMap drives RegisterHints and dropHint with
+// random registrations and drops over a few segments, and checks every
+// lookup against the per-page map the runs replaced: a registration
+// sets each page it names with a non-zero hash, and a drop deletes the
+// page's entry. Each segment always registers the same run, zero
+// hashes included, as an absorbed attachment does.
+func TestHintsMatchPerPageMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type run struct {
+		first  uint64
+		hashes []uint64
+	}
+	runs := make([]run, 4)
+	for seg := range runs {
+		r := &runs[seg]
+		r.first = uint64(rng.Intn(20))
+		r.hashes = make([]uint64, rng.Intn(30))
+		for i := range r.hashes {
+			if rng.Intn(3) > 0 {
+				r.hashes[i] = uint64(1 + rng.Intn(5))
+			}
+		}
+	}
+	pg := &Pager{}
+	ref := map[pageKey]uint64{}
+	for step := 0; step < 2000; step++ {
+		seg, idx := rng.Intn(len(runs)), uint64(rng.Intn(60))
+		if rng.Intn(5) == 0 {
+			r := runs[seg]
+			for i, h := range r.hashes {
+				if h != vm.ZeroHash {
+					ref[pageKey{uint64(seg), r.first + uint64(i)}] = h
+				}
+			}
+			pg.RegisterHints(uint64(seg), r.first, append([]uint64(nil), r.hashes...))
+		} else {
+			pg.dropHint(uint64(seg), idx)
+			delete(ref, pageKey{uint64(seg), idx})
+		}
+		for s := range runs {
+			for i := uint64(0); i < 60; i++ {
+				want, hinted := ref[pageKey{uint64(s), i}]
+				if got, ok := pg.hint(uint64(s), i); ok != hinted || got != want {
+					t.Fatalf("step %d: hint %d/%d = %d, %v; want %d, %v", step, s, i, got, ok, want, hinted)
+				}
+			}
+		}
 	}
 }
