@@ -1,6 +1,10 @@
 // Command migreport regenerates the measured side of EXPERIMENTS.md:
 // it runs every experiment and emits a Markdown report with paper
-// values alongside the simulator's measurements.
+// values alongside the simulator's measurements. Each fenced block is
+// what an entry of experiments.Experiments renders, the bytes `migsim
+// -exp <id>` prints; the paper-vs-measured tables of 4-3 to 4-5, the
+// migration timelines and the per-lane shard table are the report's
+// own.
 //
 // Usage:
 //
@@ -10,6 +14,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"accentmig/internal/core"
@@ -26,8 +31,7 @@ func main() {
 
 func report() error {
 	start := time.Now()
-	cfg := experiments.Config{}
-	kinds := workload.Kinds()
+	p := experiments.Params{Kinds: workload.Kinds(), ChaosTrials: 64}
 
 	fmt.Println("# EXPERIMENTS — paper vs. measured")
 	fmt.Println()
@@ -45,33 +49,23 @@ func report() error {
 	fmt.Println()
 
 	// Table 4-1 / 4-2: exact by construction.
-	r41, err := experiments.Table41(cfg)
-	if err != nil {
-		return err
-	}
 	fmt.Println("## Table 4-1 — address space composition")
 	fmt.Println()
 	fmt.Println("Byte-for-byte identical to the paper (the compositions are the")
 	fmt.Println("workload characterization inputs; this verifies the builders and the")
 	fmt.Println("AMap/Usage scan machinery).")
 	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatTable41(r41))
-	fmt.Println("```")
-	fmt.Println()
-
-	r42, err := experiments.Table42(cfg)
-	if err != nil {
+	if err := fence(p, "table4-1"); err != nil {
 		return err
 	}
+
 	fmt.Println("## Table 4-2 — resident sets")
 	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatTable42(r42))
-	fmt.Println("```")
-	fmt.Println()
+	if err := fence(p, "table4-2"); err != nil {
+		return err
+	}
 
-	r43, err := experiments.Table43(cfg, kinds)
+	r43, err := experiments.Table43(p.Config, p.Kinds)
 	if err != nil {
 		return err
 	}
@@ -84,7 +78,7 @@ func report() error {
 	}
 	fmt.Println()
 
-	r44, err := experiments.Table44(cfg)
+	r44, err := experiments.Table44(p.Config)
 	if err != nil {
 		return err
 	}
@@ -103,7 +97,7 @@ func report() error {
 	}
 	fmt.Println()
 
-	r45, err := experiments.Table45(cfg, kinds)
+	r45, err := experiments.Table45(p.Config, p.Kinds)
 	if err != nil {
 		return err
 	}
@@ -118,56 +112,19 @@ func report() error {
 	}
 	fmt.Println()
 
-	g, err := experiments.RunGrid(cfg, kinds)
-	if err != nil {
-		return err
+	for _, f := range []struct{ id, title string }{
+		{"figure4-1", "Figure 4-1 — remote execution times (s)"},
+		{"figure4-2", "Figure 4-2 — overall speedup over pure-copy (%)"},
+		{"figure4-3", "Figure 4-3 — bytes transferred"},
+		{"figure4-4", "Figure 4-4 — message handling time (s)"},
+		{"figure4-5", "Figure 4-5 — byte transfer rates, Lisp-Del"},
+		{"summary", "§4.5 summary"},
+	} {
+		fmt.Printf("## %s\n\n", f.title)
+		if err := fence(p, f.id); err != nil {
+			return err
+		}
 	}
-	fmt.Println("## Figure 4-1 — remote execution times (s)")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFigure("Figure 4-1", "s", experiments.Figure41(g, kinds), kinds))
-	fmt.Println("```")
-	fmt.Println()
-	fmt.Println("## Figure 4-2 — overall speedup over pure-copy (%)")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFigure("Figure 4-2", "%", experiments.Figure42(g, kinds), kinds))
-	fmt.Println("```")
-	fmt.Println()
-	fmt.Println("## Figure 4-3 — bytes transferred")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFigure("Figure 4-3", "B", experiments.Figure43(g, kinds), kinds))
-	fmt.Println("```")
-	fmt.Println()
-	fmt.Println("## Figure 4-4 — message handling time (s)")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFigure("Figure 4-4", "s", experiments.Figure44(g, kinds), kinds))
-	fmt.Println("```")
-	fmt.Println()
-
-	panels, err := experiments.Figure45(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("## Figure 4-5 — byte transfer rates, Lisp-Del")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatFigure45(panels))
-	fmt.Println("```")
-	fmt.Println()
-
-	s, err := experiments.Summarize(cfg, g, kinds)
-	if err != nil {
-		return err
-	}
-	fmt.Println("## §4.5 summary")
-	fmt.Println()
-	fmt.Println("```")
-	fmt.Print(experiments.FormatSummary(s))
-	fmt.Println("```")
-	fmt.Println()
 
 	fmt.Println("## Migration timeline (flight recorder)")
 	fmt.Println()
@@ -178,7 +135,7 @@ func report() error {
 	fmt.Println("`migsim -trace out.json -trace-format chrome`.")
 	fmt.Println()
 	for _, strat := range []core.Strategy{core.PureIOU, core.ResidentSet} {
-		tr, sink, err := experiments.TraceTrial(cfg, workload.LispDel, strat, 0)
+		tr, sink, err := experiments.TraceTrial(p.Config, workload.LispDel, strat, 0)
 		if err != nil {
 			return err
 		}
@@ -198,91 +155,25 @@ func report() error {
 	fmt.Println("source CPU, disk, queue wait, other — so each row sums to 100%.")
 	fmt.Println("Downtime extends the interval to the first instruction the process")
 	fmt.Println("executes at the destination. Reproduce any row with")
-	fmt.Println("`migsim -profile -kinds <workload>`; see docs/OBSERVABILITY.md for")
+	fmt.Println("`migsim -exp profile -kinds <workload>`; see docs/OBSERVABILITY.md for")
 	fmt.Println("the DAG model and attribution rules.")
 	fmt.Println()
-	bn, err := experiments.Bottleneck(cfg, kinds)
-	if err != nil {
+	if err := fence(p, "bottleneck"); err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatBottleneck(bn))
-	fmt.Println("```")
-	fmt.Println()
 
-	fmt.Println("## Ablations")
-	fmt.Println()
-	for _, ab := range []struct {
-		title string
-		run   func() ([]experiments.AblationRow, error)
-	}{
-		{"prefetch (synthetic sequential)", func() ([]experiments.AblationRow, error) {
-			return experiments.PrefetchAblation(core.PrefetchValues())
-		}},
-		{"page size", func() ([]experiments.AblationRow, error) {
-			return experiments.PageSizeAblation([]int{256, 512, 1024, 2048})
-		}},
-		{"network bandwidth (IOU vs Copy)", func() ([]experiments.AblationRow, error) {
-			return experiments.BandwidthAblation([]int{375_000, 3_750_000, 37_500_000})
-		}},
-		{"NetMsgServer IOU cache", experiments.IOUCacheAblation},
-		{"IPC copy/map threshold", func() ([]experiments.AblationRow, error) {
-			return experiments.CopyThresholdAblation([]int{512, 4096, 65536, 1 << 20})
-		}},
+	for _, f := range []struct{ id, title string }{
+		{"ablations", "Ablations"},
+		{"precopy", "Extension: iterative pre-copy (V-system, related work §5)"},
+		{"breakeven", "Extension: breakeven sweep (§4.3.4's ≈¼-of-RealMem crossover)"},
+		{"bystander", "Extension: cost distribution — bystander interference (§4.4.3)"},
+		{"hops", "Extension: backer-distance penalty (re-migration hops)"},
 	} {
-		rows, err := ab.run()
-		if err != nil {
+		fmt.Printf("## %s\n\n", f.title)
+		if err := fence(p, f.id); err != nil {
 			return err
 		}
-		fmt.Println("```")
-		fmt.Print(experiments.FormatAblation("Ablation: "+ab.title, rows))
-		fmt.Println("```")
-		fmt.Println()
 	}
-
-	fmt.Println("## Extension: iterative pre-copy (V-system, related work §5)")
-	fmt.Println()
-	pc, err := experiments.PreCopyComparison(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatPreCopy(pc))
-	fmt.Println("```")
-	fmt.Println()
-
-	fmt.Println("## Extension: breakeven sweep (§4.3.4's ≈¼-of-RealMem crossover)")
-	fmt.Println()
-	be, err := experiments.BreakevenSweep(cfg, []int{5, 10, 15, 20, 25, 30, 40, 50, 60})
-	if err != nil {
-		return err
-	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatBreakeven(be))
-	fmt.Println("```")
-	fmt.Println()
-
-	fmt.Println("## Extension: cost distribution — bystander interference (§4.4.3)")
-	fmt.Println()
-	bys, err := experiments.BystanderImpact(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatBystander(bys))
-	fmt.Println("```")
-	fmt.Println()
-
-	fmt.Println("## Extension: backer-distance penalty (re-migration hops)")
-	fmt.Println()
-	hp, err := experiments.HopPenalty(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatHopPenalty(hp))
-	fmt.Println("```")
-	fmt.Println()
 
 	fmt.Println("## Extension: pipelined transport and windowed IOU streaming")
 	fmt.Println()
@@ -294,14 +185,9 @@ func report() error {
 	fmt.Println("faithful path; every other cell is the measured win. See")
 	fmt.Println("docs/ARCHITECTURE.md (transport) and docs/PERFORMANCE.md.")
 	fmt.Println()
-	pt, err := experiments.Pipeline(cfg, kinds)
-	if err != nil {
+	if err := fence(p, "pipeline"); err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatPipeline(pt))
-	fmt.Println("```")
-	fmt.Println()
 
 	fmt.Println("## Extension: content-addressed page store (dedup, compression, nearest holder)")
 	fmt.Println()
@@ -318,14 +204,9 @@ func report() error {
 	fmt.Println("docs/ARCHITECTURE.md (content-addressed store) and")
 	fmt.Println("docs/PERFORMANCE.md.")
 	fmt.Println()
-	dt, err := experiments.Dedup(cfg, kinds)
-	if err != nil {
+	if err := fence(p, "dedup"); err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatDedup(dt))
-	fmt.Println("```")
-	fmt.Println()
 
 	fmt.Println("## Extension: resilience under injected faults")
 	fmt.Println()
@@ -336,14 +217,9 @@ func report() error {
 	fmt.Println("docs/RESILIENCE.md for how to read the table and replicate single")
 	fmt.Println("scenarios with `migsim -faults`.")
 	fmt.Println()
-	rt, err := experiments.Resilience(cfg)
-	if err != nil {
+	if err := fence(p, "resilience"); err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatResilience(rt))
-	fmt.Println("```")
-	fmt.Println()
 
 	fmt.Println("## Extension: chaos and resume")
 	fmt.Println()
@@ -361,14 +237,9 @@ func report() error {
 	fmt.Println("-exp chaos -chaos-trials N`; what the ledger saves a retried 1 MB")
 	fmt.Println("transfer is pinned by `TestTransfer1MBPinned`. See docs/RESILIENCE.md.")
 	fmt.Println()
-	ch, err := experiments.Chaos(cfg, 64, 1)
-	if err != nil {
+	if err := fence(p, "chaos"); err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatChaos(ch))
-	fmt.Println("```")
-	fmt.Println()
 
 	fmt.Println("## Extension: sharded parallel kernel (shard-stress scenario)")
 	fmt.Println()
@@ -387,14 +258,9 @@ func report() error {
 	fmt.Println("checks the speedup at 4 and 8 lanes.")
 	fmt.Println("See docs/PERFORMANCE.md (sharded kernel) and docs/ARCHITECTURE.md.")
 	fmt.Println()
-	ssOut, err := experiments.ShardStress(experiments.NewEngine(1), 4)
-	if err != nil {
+	if err := fence(p, "shardstress"); err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(ssOut)
-	fmt.Println("```")
-	fmt.Println()
 	ssRes, _, err := experiments.RunShardStress(experiments.ShardStressOptions{})
 	if err != nil {
 		return err
@@ -406,5 +272,19 @@ func report() error {
 
 	fmt.Printf("_Generated in %s of wall time; the simulation itself is deterministic._\n",
 		time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// fence prints what experiment id renders from p as one fenced block.
+func fence(p experiments.Params, id string) error {
+	e, ok := experiments.Lookup(id)
+	if !ok {
+		return fmt.Errorf("no experiment %q", id)
+	}
+	out, err := e.Render(p)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("```\n%s\n```\n\n", strings.TrimRight(out, "\n"))
 	return nil
 }

@@ -2,8 +2,8 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"accentmig/internal/experiments"
@@ -47,36 +47,28 @@ func TestParseKindsUnknown(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("table9-9", workload.Kinds()); err == nil {
+	if err := run("table9-9", experiments.Params{Kinds: workload.Kinds()}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
-// captureRunAll runs every -exp all experiment with stdout captured,
-// exactly as `migsim -exp all` would emit it.
+// captureRunAll renders every -exp all experiment in order, exactly as
+// `migsim -exp all` prints them at the default flags.
 func captureRunAll(t *testing.T) []byte {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
-	done := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- b
-	}()
-	for _, id := range experimentOrder {
-		if err := run(id, workload.Kinds()); err != nil {
-			os.Stdout = old
-			w.Close()
-			t.Fatalf("%s: %v", id, err)
+	var out bytes.Buffer
+	p := experiments.Params{Kinds: workload.Kinds()}
+	for _, e := range experiments.Experiments() {
+		if !e.InAll {
+			continue
 		}
+		s, err := e.Render(p)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		out.WriteString(s)
 	}
-	w.Close()
-	return <-done
+	return out.Bytes()
 }
 
 // TestGoldenWithDiskCache is the warm-vs-cold byte-identity gate: the
@@ -123,18 +115,35 @@ func TestGoldenWithDiskCache(t *testing.T) {
 	}
 }
 
-func TestExperimentOrderMatchesDispatch(t *testing.T) {
-	// Every listed id must dispatch without "unknown experiment"; use a
-	// cheap workload subset so the run stays fast. Only the fast ones
-	// execute here; the expensive grid-based ids are covered by the
-	// experiments package's own tests.
-	fast := map[string]bool{"table4-1": true, "table4-2": true}
-	for _, id := range experimentOrder {
-		if !fast[id] {
+// TestIdentityNamesEveryExtraExperiment checks that each experiment
+// outside -exp all, which the golden cannot cover, has a line of its own
+// in testdata/identity.txt.
+func TestIdentityNamesEveryExtraExperiment(t *testing.T) {
+	lines, err := os.ReadFile("../../testdata/identity.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, line := range strings.Split(string(lines), "\n") {
+		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		if err := run(id, []workload.Kind{workload.Minprog}); err != nil {
-			t.Errorf("%s: %v", id, err)
+		args, _, _ := strings.Cut(line, "|")
+		fs := strings.Fields(args)
+		for i := 0; i+1 < len(fs); i++ {
+			if fs[i] == "-exp" {
+				named[fs[i+1]] = true
+			}
 		}
+	}
+	for _, e := range experiments.Experiments() {
+		if e.InAll {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			if !named[e.ID] {
+				t.Errorf("no line of testdata/identity.txt runs -exp %s", e.ID)
+			}
+		})
 	}
 }

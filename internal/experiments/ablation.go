@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"accentmig/internal/core"
-	"accentmig/internal/machine"
 	"accentmig/internal/netlink"
 	"accentmig/internal/netmsg"
 	"accentmig/internal/trace"
@@ -41,23 +40,15 @@ func FormatAblation(title string, rows []AblationRow) string {
 func syntheticTrial(cfg Config, realPages, touchedPages int, strat core.Strategy, prefetch int) (*TrialResult, error) {
 	tb := NewTestbed(cfg)
 	defer tb.K.Close()
-	ps := uint64(tb.Src.PageSize())
-	pr, err := tb.Src.NewProcess("synthetic", 2)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := pr.AS.Validate(0, uint64(realPages)*ps, "data")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < realPages; i++ {
-		data := make([]byte, ps)
-		for j := range data {
-			data[j] = byte(i + j)
+	pr, err := tb.dataProcess("synthetic", 2, realPages, func(i int, page []byte) {
+		for j := range page {
+			page[j] = byte(i + j)
 		}
-		pg := reg.Seg.Materialize(uint64(i), data)
-		pg.State.OnDisk = true
+	})
+	if err != nil {
+		return nil, err
 	}
+	ps := uint64(tb.Src.PageSize())
 	var res []vm.Addr
 	for i := 0; i < realPages/4; i++ {
 		res = append(res, vm.Addr(uint64(i)*ps))
@@ -181,6 +172,3 @@ func PrefetchAblation(values []int) ([]AblationRow, error) {
 	}
 	return rows, nil
 }
-
-// Guard: ablations use machine knobs that must keep existing.
-var _ = machine.Config{}

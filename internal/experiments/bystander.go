@@ -76,17 +76,9 @@ func bystanderRun(cfg Config, strat *core.Strategy) (time.Duration, error) {
 
 	var m *migration
 	if strat != nil {
-		mig, err := tb.Src.NewProcess("migrant", 1)
+		mig, err := tb.dataProcess("migrant", 1, 512, nil)
 		if err != nil {
 			return 0, err
-		}
-		reg, err := mig.AS.Validate(0, 512*512, "data")
-		if err != nil {
-			return 0, err
-		}
-		for i := uint64(0); i < 512; i++ {
-			pg := reg.Seg.Materialize(i, make([]byte, 512))
-			pg.State.OnDisk = true
 		}
 		var res []vm.Addr
 		for i := 0; i < 128; i++ {
@@ -219,17 +211,9 @@ func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 	farRec := metrics.NewRecorder(time.Second)
 	far.SetRecorder(farRec)
 
-	pr, err := tb.Src.NewProcess("hopper", 1)
+	pr, err := tb.dataProcess("hopper", 1, 64, nil)
 	if err != nil {
 		return nil, err
-	}
-	reg, err := pr.AS.Validate(0, 64*512, "data")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < 64; i++ {
-		pg := reg.Seg.Materialize(i, make([]byte, 512))
-		pg.State.OnDisk = true
 	}
 	var ops []trace.Op
 	ops = append(ops, trace.MigratePoint{})

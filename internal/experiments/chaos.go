@@ -422,11 +422,6 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 	return rep, nil
 }
 
-// Chaos runs a campaign on the default engine.
-func Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error) {
-	return Default.Chaos(cfg, trials, seed)
-}
-
 // FormatChaos renders a campaign report.
 func FormatChaos(r *ChaosReport) string {
 	var b strings.Builder

@@ -16,7 +16,7 @@ import (
 // scenarios, every trial checked against the chaos invariants. Any
 // violation fails with the shrunk minimal reproducer in the message.
 func TestChaosSmoke(t *testing.T) {
-	rep, err := Chaos(Config{}, 32, 1)
+	rep, err := Default.Chaos(Config{}, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

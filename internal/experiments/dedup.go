@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"accentmig/internal/core"
-	"accentmig/internal/machine"
 	"accentmig/internal/sim"
 	"accentmig/internal/trace"
 	"accentmig/internal/vm"
@@ -124,12 +123,6 @@ func (e *Engine) Dedup(cfg Config, kinds []workload.Kind) (*DedupTable, error) {
 	return t, nil
 }
 
-// Dedup runs the content-addressed store experiment on the default
-// engine.
-func Dedup(cfg Config, kinds []workload.Kind) (*DedupTable, error) {
-	return Default.Dedup(cfg, kinds)
-}
-
 // nearestHolderPages sizes the migrating process in the three-machine
 // comparison.
 const nearestHolderPages = 64
@@ -183,43 +176,26 @@ func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 		WireHolderResolvers(near, origin, dst)
 	}
 
-	ps := origin.PageSize()
-	content := func(i int) []byte {
-		d := make([]byte, ps)
-		for j := range d {
-			d[j] = byte(i*31 + j*7 + 1)
+	// The seed and the job hold the same content.
+	content := func(i int, page []byte) {
+		for j := range page {
+			page[j] = byte(i*31 + j*7 + 1)
 		}
-		return d
 	}
-	build := func(name string, ops []trace.Op) (*machine.Process, error) {
-		pr, err := origin.NewProcess(name, 1)
-		if err != nil {
-			return nil, err
-		}
-		reg, err := pr.AS.Validate(0, uint64(nearestHolderPages*ps), "data")
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < nearestHolderPages; i++ {
-			pg := reg.Seg.Materialize(uint64(i), content(i))
-			pg.State.OnDisk = true
-		}
-		pr.Program = &trace.Program{Ops: ops}
-		return pr, nil
+	seed, err := tb.dataProcess("seed", 1, nearestHolderPages, content)
+	if err != nil {
+		return row, err
 	}
-
-	seed, err := build("seed", []trace.Op{trace.MigratePoint{}})
+	seed.Program = &trace.Program{Ops: []trace.Op{trace.MigratePoint{}}}
+	job, err := tb.dataProcess("job", 1, nearestHolderPages, content)
 	if err != nil {
 		return row, err
 	}
 	jobOps := []trace.Op{trace.MigratePoint{}}
 	for i := 0; i < nearestHolderPages; i++ {
-		jobOps = append(jobOps, trace.Touch{Addr: vm.Addr(i * ps)})
+		jobOps = append(jobOps, trace.Touch{Addr: vm.Addr(i * origin.PageSize())})
 	}
-	job, err := build("job", jobOps)
-	if err != nil {
-		return row, err
-	}
+	job.Program = &trace.Program{Ops: jobOps}
 	origin.Start(seed)
 	origin.Start(job)
 

@@ -12,7 +12,7 @@ import (
 // migration must put at least 30% fewer bytes on the wire than the
 // untouched baseline — net of the manifest round trip itself.
 func TestDedupSweepSavesBytes(t *testing.T) {
-	tab, err := Dedup(Config{}, []workload.Kind{workload.Minprog, workload.LispDel})
+	tab, err := Default.Dedup(Config{}, []workload.Kind{workload.Minprog, workload.LispDel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDedupSweepSavesBytes(t *testing.T) {
 // sweep's off rows come from the identical code path as the default
 // experiments — same bytes on the wire, bit for bit.
 func TestDedupOffMatchesDefault(t *testing.T) {
-	tab, err := Dedup(Config{}, []workload.Kind{workload.Minprog})
+	tab, err := Default.Dedup(Config{}, []workload.Kind{workload.Minprog})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,12 +141,6 @@ func (e *Engine) Pipeline(cfg Config, kinds []workload.Kind) (*PipelineTable, er
 	return t, nil
 }
 
-// Pipeline runs the pipelined-transport experiment on the default
-// engine.
-func Pipeline(cfg Config, kinds []workload.Kind) (*PipelineTable, error) {
-	return Default.Pipeline(cfg, kinds)
-}
-
 // window normalizes the stored knob back to the effective value (the
 // zero default means stop-and-wait, i.e. W=1).
 func (r PipelineRow) window() int {

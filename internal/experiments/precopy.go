@@ -35,21 +35,13 @@ func FormatPreCopy(rows []PreCopyRow) string {
 // program that keeps dirtying a hot window.
 func preCopyTestbed(cfg Config, pages, hot, bursts int) (*Testbed, error) {
 	tb := NewTestbed(cfg)
-	pr, err := tb.Src.NewProcess("writer", 1)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := pr.AS.Validate(0, uint64(pages)*512, "data")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < pages; i++ {
-		data := make([]byte, 512)
-		for j := range data {
-			data[j] = byte(i * j)
+	pr, err := tb.dataProcess("writer", 1, pages, func(i int, page []byte) {
+		for j := range page {
+			page[j] = byte(i * j)
 		}
-		pg := reg.Seg.Materialize(uint64(i), data)
-		pg.State.OnDisk = true
+	})
+	if err != nil {
+		return nil, err
 	}
 	var ops []trace.Op
 	for b := 0; b < bursts; b++ {

@@ -370,11 +370,6 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 	return t, nil
 }
 
-// Resilience runs the resilience experiment on the default engine.
-func Resilience(cfg Config) (*ResilienceTable, error) {
-	return Default.Resilience(cfg)
-}
-
 // FormatResilience renders the resilience table. Completion-time
 // inflation is relative to the same strategy's fault-free row.
 func FormatResilience(t *ResilienceTable) string {

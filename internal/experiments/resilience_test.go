@@ -69,7 +69,7 @@ func TestResilienceDeterministic(t *testing.T) {
 // zero-drop baseline migrates and completes everywhere, and each crash
 // scenario resolves to its policy's documented fate.
 func TestResilienceTableShape(t *testing.T) {
-	tab, err := Resilience(Config{})
+	tab, err := Default.Resilience(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

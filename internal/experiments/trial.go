@@ -133,6 +133,33 @@ func (tb *Testbed) addMachine(cfg Config, name string, toSrc, toDst netlink.Conf
 	return m, mgr
 }
 
+// dataProcess creates a process, name, with ports ports on the source
+// machine, holding pages data pages from address 0 in one region. Every
+// page is on disk, in index order; fill writes page i's content, and a
+// nil fill leaves every page zero.
+func (tb *Testbed) dataProcess(name string, ports, pages int, fill func(i int, page []byte)) (*machine.Process, error) {
+	pr, err := tb.Src.NewProcess(name, ports)
+	if err != nil {
+		return nil, err
+	}
+	ps := tb.Src.PageSize()
+	reg, err := pr.AS.Validate(0, uint64(pages*ps), "data")
+	if err != nil {
+		return nil, err
+	}
+	var page []byte // Materialize copies, so one buffer serves every page
+	if fill != nil {
+		page = make([]byte, ps)
+	}
+	for i := 0; i < pages; i++ {
+		if fill != nil {
+			fill(i, page)
+		}
+		reg.Seg.Materialize(uint64(i), page).State.OnDisk = true
+	}
+	return pr, nil
+}
+
 // WireHolderResolvers gives each machine a nearest-holder resolver
 // over the others: a fault on a hash-hinted page that misses the local
 // content index asks the first listed peer whose index holds the
@@ -243,8 +270,7 @@ type TrialResult struct {
 	PeakRate   uint64
 
 	// Message handling (Figure 4-4).
-	Messages uint64
-	MsgTime  time.Duration
+	MsgTime time.Duration
 
 	// Transferred data for Table 4-3: physically shipped pages plus
 	// fault-delivered pages.
@@ -391,7 +417,6 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	tr.BytesFault = tb.Rec.BytesFault()
 	tr.Series = tb.Rec.Series()
 	tr.PeakRate = tb.Rec.PeakRate()
-	tr.Messages = tb.Rec.Messages()
 	tr.MsgTime = tb.Rec.MessageTime()
 	srcNet, dstNet := tb.Src.Net.Stats(), tb.Dst.Net.Stats()
 	tr.DataPages = srcNet.DataPages + dstNet.DataPages

@@ -1,7 +1,7 @@
 // Package metrics accumulates the measurements the paper reports:
 // bytes exchanged between machines (split into imaginary-fault support
-// traffic and everything else, as in Figure 4-5), IPC message counts and
-// message-handling CPU time (Figure 4-4), and named phase timings
+// traffic and everything else, as in Figure 4-5), IPC message-handling
+// CPU time (Figure 4-4), and named phase timings
 // (packaging, transfer, remote execution).
 //
 // The package is passive — it never touches the simulation kernel — so
@@ -29,8 +29,7 @@ type Recorder struct {
 	bytesTotal uint64
 	bytesFault uint64
 
-	messages uint64
-	msgTime  time.Duration
+	msgTime time.Duration
 
 	phases map[string]*Phase
 	dists  map[string]*Distribution
@@ -103,7 +102,6 @@ func (r *Recorder) AddBytes(at time.Duration, n int, fault bool) {
 // AddMessage records one IPC message whose handling consumed cpu of
 // processing time (summed across both endpoints by the caller).
 func (r *Recorder) AddMessage(cpu time.Duration) {
-	r.messages++
 	r.msgTime += cpu
 }
 
@@ -232,9 +230,6 @@ func (r *Recorder) BytesTotal() uint64 { return r.bytesTotal }
 
 // BytesFault reports bytes recorded as imaginary-fault support traffic.
 func (r *Recorder) BytesFault() uint64 { return r.bytesFault }
-
-// Messages reports the number of messages recorded.
-func (r *Recorder) Messages() uint64 { return r.messages }
 
 // MessageTime reports total message-handling CPU time.
 func (r *Recorder) MessageTime() time.Duration { return r.msgTime }

@@ -70,9 +70,6 @@ func TestMessages(t *testing.T) {
 	r := NewRecorder(time.Second)
 	r.AddMessage(10 * time.Millisecond)
 	r.AddMessage(5 * time.Millisecond)
-	if r.Messages() != 2 {
-		t.Errorf("Messages = %d, want 2", r.Messages())
-	}
 	if r.MessageTime() != 15*time.Millisecond {
 		t.Errorf("MessageTime = %v, want 15ms", r.MessageTime())
 	}

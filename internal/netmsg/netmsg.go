@@ -746,7 +746,7 @@ func (s *Server) backer(p *sim.Proc) {
 				// background priority, yielding the wire to any demand
 				// traffic that arrives meanwhile.
 				demand, rest := rep.Split()
-				s.reply(p, m, imag.OpReadReply, demand, false)
+				s.reply(p, m, imag.OpReadReply, demand)
 				if rest != nil {
 					// One page per reply: same wire cost as the batched
 					// run, but a demand reply that arrives meanwhile
@@ -767,7 +767,7 @@ func (s *Server) backer(p *sim.Proc) {
 				}
 				continue
 			}
-			s.reply(p, m, imag.OpReadReply, rep, false)
+			s.reply(p, m, imag.OpReadReply, rep)
 		case imag.OpHashRead:
 			req, ok := m.Body.(*imag.HashRead)
 			if !ok {
@@ -803,7 +803,7 @@ func (s *Server) backer(p *sim.Proc) {
 			s.reply(p, m, imag.OpReadReply, &imag.ReadReply{
 				SegID: req.SegID,
 				Runs:  []vm.PageRun{{Index: req.Page, Count: 1, Data: bytes.Clone(data)}},
-			}, false)
+			})
 		case imag.OpFlush:
 			req, ok := m.Body.(*imag.FlushRequest)
 			if !ok {
@@ -815,7 +815,7 @@ func (s *Server) backer(p *sim.Proc) {
 			}
 			rep := seg.Flush(req.MaxPages)
 			s.cpu.UseHigh(p, serveCPU)
-			s.reply(p, m, imag.OpFlushReply, rep, false)
+			s.reply(p, m, imag.OpFlushReply, rep)
 		case imag.OpSegmentDeath:
 			if d, ok := m.Body.(*imag.SegmentDeath); ok {
 				s.store.Drop(d.SegID)
@@ -841,7 +841,9 @@ func (s *Server) replyErr(p *sim.Proc, req *ipc.Message, e *imag.ReadError) {
 	}
 }
 
-func (s *Server) reply(p *sim.Proc, req *ipc.Message, op int, rep *imag.ReadReply, background bool) {
+// reply sends rep to the requester at demand priority. Streamed
+// prefetch pages go out at background priority on their own path.
+func (s *Server) reply(p *sim.Proc, req *ipc.Message, op int, rep *imag.ReadReply) {
 	if req.ReplyTo == 0 {
 		return
 	}
@@ -851,7 +853,6 @@ func (s *Server) reply(p *sim.Proc, req *ipc.Message, op int, rep *imag.ReadRepl
 		Body:         rep,
 		BodyBytes:    rep.Bytes(),
 		FaultSupport: true,
-		Background:   background,
 	})
 	if err != nil {
 		s.stats.DeadLetters++

@@ -398,9 +398,6 @@ func TestMessageAccounting(t *testing.T) {
 		a.sys.Send(p, &ipc.Message{To: dst.ID, BodyBytes: 8})
 	})
 	k.Run()
-	if rec.Messages() != 1 {
-		t.Errorf("Messages = %d", rec.Messages())
-	}
 	if rec.MessageTime() == 0 {
 		t.Error("no message-handling time recorded")
 	}
