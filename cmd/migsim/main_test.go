@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
 
 	"accentmig/internal/experiments"
+	"accentmig/internal/obs"
 	"accentmig/internal/workload"
 )
 
@@ -49,6 +51,31 @@ func TestParseKindsUnknown(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("table9-9", experiments.Params{Kinds: workload.Kinds()}); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestProfileTraceHoldsEvents: -exp profile traces each trial into a
+// sink of its own to build the profile, and -trace must still get
+// those events.
+func TestProfileTraceHoldsEvents(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewChromeSink(&buf)
+	tunables.sink = sink
+	defer func() { tunables.sink = nil }()
+	if err := run("profile", experiments.Params{Kinds: []workload.Kind{workload.Minprog}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	if len(trace.TraceEvents) == 0 {
+		t.Fatalf("-exp profile -trace wrote %d bytes and no traceEvents", buf.Len())
 	}
 }
 

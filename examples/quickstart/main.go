@@ -33,7 +33,7 @@ func run() error {
 	src := machine.New(k, "perq-a", machine.Config{})
 	dst := machine.New(k, "perq-b", machine.Config{})
 	link := machine.Connect(src, dst, netlink.Config{})
-	rec := metrics.NewRecorder(time.Second)
+	rec := metrics.NewRecorder()
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 	link.SetRecorder(rec)
@@ -79,9 +79,8 @@ func run() error {
 	var verified bool
 	k.Go("driver", func(p *sim.Proc) {
 		rep, err := srcMgr.MigrateTo(p, "worker", dstMgr.Port.ID, core.Options{
-			Strategy:         core.PureIOU,
-			Prefetch:         1,
-			WaitMigratePoint: true,
+			Strategy: core.PureIOU,
+			Prefetch: 1,
 		})
 		if err != nil {
 			log.Printf("migration failed: %v", err)

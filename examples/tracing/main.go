@@ -55,7 +55,7 @@ func run() error {
 	src := machine.New(k, "perq-a", machine.Config{})
 	dst := machine.New(k, "perq-b", machine.Config{})
 	machine.Connect(src, dst, netlink.Config{})
-	rec := metrics.NewRecorder(time.Second)
+	rec := metrics.NewRecorder()
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 
@@ -89,10 +89,7 @@ func run() error {
 
 	var report *core.Report
 	k.Go("driver", func(p *sim.Proc) {
-		rep, err := srcMgr.MigrateTo(p, "worker", dstMgr.Port.ID, core.Options{
-			Strategy:         core.PureIOU,
-			WaitMigratePoint: true,
-		})
+		rep, err := srcMgr.MigrateTo(p, "worker", dstMgr.Port.ID, core.Options{Strategy: core.PureIOU})
 		if err != nil {
 			log.Printf("migration failed: %v", err)
 			return

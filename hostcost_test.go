@@ -32,7 +32,7 @@ type hostCost struct {
 // the same on every run of one toolchain. Two loads are measured:
 //
 //   - paper-sweep: the paper's evaluation (every table and figure, and
-//     the summary, formatted as migsim prints them) on the default
+//     the summary, rendered as migsim prints them) on the default
 //     engine with one worker, after a first sweep has drawn the
 //     workload templates and the engine has been reset;
 //   - chaos-campaign: one 64-trial chaos campaign, seed 1, on a fresh
@@ -92,56 +92,20 @@ func measure(load func() error) (hostCost, error) {
 	return hostCost{after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs}, err
 }
 
-// paperSweep runs and formats the harness of every table and figure of
-// the paper's evaluation, and the summary, on the default engine.
+// paperSweep renders the paper's evaluation exactly as migsim prints
+// it: the entries of experiments.Experiments from the first, table4-1,
+// through summary, on the default engine.
 func paperSweep() error {
-	var cfg experiments.Config
-	kinds := workload.Kinds()
-	var out strings.Builder
-	r41, err := experiments.Table41(cfg)
-	if err != nil {
-		return err
+	p := experiments.Params{Kinds: workload.Kinds()}
+	for _, e := range experiments.Experiments() {
+		if _, err := e.Render(p); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		if e.ID == "summary" {
+			return nil
+		}
 	}
-	out.WriteString(experiments.FormatTable41(r41))
-	r42, err := experiments.Table42(cfg)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatTable42(r42))
-	r43, err := experiments.Table43(cfg, kinds)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatTable43(r43))
-	r44, err := experiments.Table44(cfg)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatTable44(r44))
-	r45, err := experiments.Table45(cfg, kinds)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatTable45(r45))
-	g, err := experiments.RunGrid(cfg, kinds)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatFigure("Figure 4-1", "s", experiments.Figure41(g, kinds), kinds))
-	out.WriteString(experiments.FormatFigure("Figure 4-2", "%", experiments.Figure42(g, kinds), kinds))
-	out.WriteString(experiments.FormatFigure("Figure 4-3", "B", experiments.Figure43(g, kinds), kinds))
-	out.WriteString(experiments.FormatFigure("Figure 4-4", "s", experiments.Figure44(g, kinds), kinds))
-	panels, err := experiments.Figure45(cfg)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatFigure45(panels))
-	s, err := experiments.Summarize(cfg, g, kinds)
-	if err != nil {
-		return err
-	}
-	out.WriteString(experiments.FormatSummary(s))
-	return nil
+	return fmt.Errorf("experiments.Experiments has no summary entry")
 }
 
 // chaosCampaign runs one 64-trial campaign at seed 1 on one worker.

@@ -12,10 +12,14 @@ import (
 
 // This file registers wire codecs for the migration protocol bodies,
 // making the Core and RIMAS context messages genuinely byte-
-// serializable: the destination reconstructs the AMap, the run table,
-// the port rights (with their pending mail), and the reference program
-// from the frame alone. Pending mail nests as whole messages
-// (wire.Encoder.Message), whose extras ride beside the outer frame.
+// serializable: the destination reconstructs the AMap, the run table
+// and the port rights (with their pending mail) from the frame alone.
+// Pending mail nests as whole messages (wire.Encoder.Message), whose
+// extras ride beside the outer frame. The reference program crosses by
+// reference, like page images (wire.Encoder.Ref): it is the simulator's
+// stand-in for instructions that live in the address space RIMAS
+// moves, immutable and shared by every install of its workload, and
+// BodyBytes counts none of it.
 
 // Bodies are written through wire.Encoder, measured and then written
 // straight into the frame, and read back through wire.Decoder, whose
@@ -54,91 +58,6 @@ func decodeAMap(r *wire.Decoder) *vm.AMap {
 	return m
 }
 
-// trace op tags for the program codec.
-const (
-	opTagCompute = iota
-	opTagIOWait
-	opTagTouch
-	opTagSeqScan
-	_ // 4 is retired (a random-touch op) and must not be reused
-	opTagWSLoop
-	opTagMigrate
-)
-
-func encodeProgram(w *wire.Encoder, pr *trace.Program) error {
-	if pr == nil {
-		w.U32(0)
-		return nil
-	}
-	w.U32(uint32(len(pr.Ops)))
-	for _, op := range pr.Ops {
-		switch o := op.(type) {
-		case trace.Compute:
-			w.U8(opTagCompute)
-			w.I64(int64(o.D))
-		case trace.IOWait:
-			w.U8(opTagIOWait)
-			w.I64(int64(o.D))
-		case trace.Touch:
-			w.U8(opTagTouch)
-			w.U64(uint64(o.Addr))
-			w.Bool(o.Write)
-		case trace.SeqScan:
-			w.U8(opTagSeqScan)
-			w.U64(uint64(o.Start))
-			w.U64(o.Bytes)
-			w.U64(o.Stride)
-			w.Bool(o.Write)
-			w.I64(int64(o.PerTouch))
-		case trace.WSLoop:
-			w.U8(opTagWSLoop)
-			w.U64(uint64(o.Start))
-			w.I64(int64(o.Pages))
-			w.I64(int64(o.Iters))
-			w.I64(int64(o.Compute))
-			w.Bool(o.Write)
-		case trace.MigratePoint:
-			w.U8(opTagMigrate)
-		default:
-			return fmt.Errorf("core: cannot encode trace op %T", op)
-		}
-	}
-	return nil
-}
-
-func decodeProgram(r *wire.Decoder) (*trace.Program, error) {
-	n := int(r.U32())
-	if n == 0 {
-		return nil, nil
-	}
-	pr := &trace.Program{}
-	for i := 0; i < n; i++ {
-		switch tag := r.U8(); tag {
-		case opTagCompute:
-			pr.Ops = append(pr.Ops, trace.Compute{D: time.Duration(r.I64())})
-		case opTagIOWait:
-			pr.Ops = append(pr.Ops, trace.IOWait{D: time.Duration(r.I64())})
-		case opTagTouch:
-			pr.Ops = append(pr.Ops, trace.Touch{Addr: vm.Addr(r.U64()), Write: r.Bool()})
-		case opTagSeqScan:
-			pr.Ops = append(pr.Ops, trace.SeqScan{
-				Start: vm.Addr(r.U64()), Bytes: r.U64(), Stride: r.U64(),
-				Write: r.Bool(), PerTouch: time.Duration(r.I64()),
-			})
-		case opTagWSLoop:
-			pr.Ops = append(pr.Ops, trace.WSLoop{
-				Start: vm.Addr(r.U64()), Pages: int(r.I64()), Iters: int(r.I64()),
-				Compute: time.Duration(r.I64()), Write: r.Bool(),
-			})
-		case opTagMigrate:
-			pr.Ops = append(pr.Ops, trace.MigratePoint{})
-		default:
-			return nil, fmt.Errorf("core: unknown trace op tag %d", tag)
-		}
-	}
-	return pr, nil
-}
-
 func init() {
 	wire.RegisterBody(OpCore, wire.BodyCodec{
 		Encode: func(w *wire.Encoder, v any) error {
@@ -163,9 +82,7 @@ func init() {
 			w.I64(int64(cb.KernelStackBytes))
 			w.I64(int64(cb.PCBBytes))
 			w.I64(int64(cb.PC))
-			if err := encodeProgram(w, cb.Program); err != nil {
-				return err
-			}
+			w.Ref(cb.Program)
 			w.I64(int64(cb.Prefetch))
 			w.I64(int64(cb.Attempt))
 			return nil
@@ -190,10 +107,12 @@ func init() {
 			cb.KernelStackBytes = int(r.I64())
 			cb.PCBBytes = int(r.I64())
 			cb.PC = int(r.I64())
-			var err error
-			cb.Program, err = decodeProgram(r)
-			if err != nil {
-				return nil, err
+			switch pr := r.Ref().(type) {
+			case nil:
+			case *trace.Program:
+				cb.Program = pr
+			default:
+				return nil, fmt.Errorf("program rides as %T", pr)
 			}
 			cb.Prefetch = int(r.I64())
 			cb.Attempt = int(r.I64())

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,14 +20,7 @@ func TestCoreBodyRoundTrip(t *testing.T) {
 		},
 		Stats: vm.AMapStats{Regions: 2, Runs: 3, MaterializedPages: 4, ValidatedPages: 1 << 21},
 	}
-	prog := &trace.Program{Ops: []trace.Op{
-		trace.Compute{D: 100 * time.Millisecond},
-		trace.IOWait{D: time.Second},
-		trace.Touch{Addr: 512, Write: true},
-		trace.SeqScan{Start: 0, Bytes: 4096, Stride: 1024, Write: true, PerTouch: time.Millisecond},
-		trace.WSLoop{Start: 0, Pages: 8, Iters: 3, Compute: 50 * time.Millisecond, Write: true},
-		trace.MigratePoint{},
-	}}
+	prog := &trace.Program{Ops: []trace.Op{trace.Compute{D: 100 * time.Millisecond}, trace.MigratePoint{}}}
 	mail := &ipc.Message{Op: 0x9999, To: 3, Body: "user payload", BodyBytes: 12}
 	cb := &CoreBody{
 		ProcName:         "roundtrip",
@@ -70,13 +61,22 @@ func TestCoreBodyRoundTrip(t *testing.T) {
 	if pm.Op != 0x9999 || pm.Body.(string) != "user payload" {
 		t.Errorf("pending mail corrupted: %+v", pm)
 	}
-	if len(got.Program.Ops) != len(prog.Ops) {
-		t.Fatalf("program length %d, want %d", len(got.Program.Ops), len(prog.Ops))
+	if got.Program != prog {
+		t.Errorf("program %p, want the sender's %p: it crosses by reference", got.Program, prog)
 	}
-	for i := range prog.Ops {
-		if got.Program.Ops[i] != prog.Ops[i] {
-			t.Errorf("op %d: %+v vs %+v", i, got.Program.Ops[i], prog.Ops[i])
+
+	// A reference of another type in the program's place is refused.
+	frame, extras, err := wire.EncodeMessage(&ipc.Message{Op: OpCore, Body: cb, BodyBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range extras {
+		if x == any(prog) {
+			extras[i] = "not a program"
 		}
+	}
+	if _, err := wire.DecodeMessage(frame, extras); err == nil {
+		t.Error("a Core body whose program reference is a string decoded")
 	}
 }
 
@@ -130,34 +130,6 @@ func TestPreCopyBodyRoundTrip(t *testing.T) {
 	got := out.Body.(*PreCopyBody)
 	if got.ProcName != "w" || got.Round != 3 {
 		t.Errorf("precopy body mismatch: %+v", got)
-	}
-}
-
-// TestDecodeRejectsRetiredOpTag: program op tag 4 named a random-touch
-// op that no workload built. The tag stays unused, so a Core body that
-// carries it is refused instead of decoding as another op.
-func TestDecodeRejectsRetiredOpTag(t *testing.T) {
-	prog := &trace.Program{Ops: []trace.Op{trace.Compute{D: 0x0102030405060708}, trace.MigratePoint{}}}
-	frame, extras, err := wire.EncodeMessage(&ipc.Message{
-		Op:        OpCore,
-		Body:      &CoreBody{ProcName: "p", AMap: &vm.AMap{PageSize: 512}, Program: prog},
-		BodyBytes: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Compute duration, then the MigratePoint's tag.
-	at := bytes.Index(frame, []byte{1, 2, 3, 4, 5, 6, 7, 8, opTagMigrate})
-	if at < 0 {
-		t.Fatal("program ops not found in the frame")
-	}
-	frame[at+8] = 4
-	if _, err := wire.DecodeMessage(frame, extras); err == nil || !strings.Contains(err.Error(), "unknown trace op tag 4") {
-		t.Fatalf("decode of op tag 4: err = %v, want unknown trace op tag 4", err)
-	}
-	frame[at+8] = opTagMigrate
-	if _, err := wire.DecodeMessage(frame, extras); err != nil {
-		t.Fatalf("decode of the unpatched frame: %v", err)
 	}
 }
 

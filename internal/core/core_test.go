@@ -101,7 +101,7 @@ func TestMigratePureIOUEndToEnd(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 32, 8, 10)
 	tb.src.Start(pr)
-	rep := tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true})
+	rep := tb.migrate(t, "job", Options{Strategy: PureIOU})
 
 	// Source no longer has the process; destination does.
 	if _, ok := tb.src.Process("job"); ok {
@@ -141,7 +141,7 @@ func TestMigrateDataIntegrityAllStrategies(t *testing.T) {
 			tb := newTestbed(t)
 			pr := tb.makeProc(t, "job", 16, 4, 0)
 			tb.src.Start(pr)
-			tb.migrate(t, "job", Options{Strategy: strat, WaitMigratePoint: true, HoldAtDest: true})
+			tb.migrate(t, "job", Options{Strategy: strat, HoldAtDest: true})
 			npr, ok := tb.dst.Process("job")
 			if !ok {
 				t.Fatal("process missing on destination")
@@ -186,7 +186,7 @@ func TestStrategiesShapeWireTraffic(t *testing.T) {
 		tb := newTestbed(t)
 		pr := tb.makeProc(t, "job", 64, 16, 4)
 		tb.src.Start(pr)
-		tb.migrate(t, "job", Options{Strategy: strat, WaitMigratePoint: true})
+		tb.migrate(t, "job", Options{Strategy: strat})
 		npr, _ := tb.dst.Process("job")
 		tb.k.Go("wait", func(p *sim.Proc) { npr.WaitDone(p) })
 		tb.k.Run()
@@ -206,7 +206,7 @@ func TestRIMASTransferTimes(t *testing.T) {
 		tb := newTestbed(t)
 		pr := tb.makeProc(t, "job", pages, 8, 0)
 		tb.src.Start(pr)
-		rep := tb.migrate(t, "job", Options{Strategy: strat, WaitMigratePoint: true, HoldAtDest: true})
+		rep := tb.migrate(t, "job", Options{Strategy: strat, HoldAtDest: true})
 		return rep.RIMASTransfer
 	}
 	iouSmall := timeFor(PureIOU, 32)
@@ -228,7 +228,7 @@ func TestCoreTransferAboutOneSecond(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 32, 8, 0)
 	tb.src.Start(pr)
-	rep := tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	rep := tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	if rep.CoreTransfer < 500*time.Millisecond || rep.CoreTransfer > 2*time.Second {
 		t.Errorf("CoreTransfer = %v, want ≈1s", rep.CoreTransfer)
 	}
@@ -239,7 +239,7 @@ func TestPortRightsSurviveMigration(t *testing.T) {
 	pr := tb.makeProc(t, "job", 8, 2, 0)
 	portID := pr.Ports[0].ID
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	npr, _ := tb.dst.Process("job")
 	if len(npr.Ports) != 2 || npr.Ports[0].ID != portID {
 		t.Fatalf("rights not preserved: %+v", npr.Ports)
@@ -265,7 +265,7 @@ func TestPrefetchPropagates(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 32, 4, 12)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, Prefetch: 3, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, Prefetch: 3})
 	npr, _ := tb.dst.Process("job")
 	tb.k.Go("wait", func(p *sim.Proc) { npr.WaitDone(p) })
 	tb.k.Run()
@@ -286,7 +286,7 @@ func TestSegmentDeathReleasesSourceCache(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 16, 4, 2)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU})
 	npr, _ := tb.dst.Process("job")
 	tb.k.Go("cleanup", func(p *sim.Proc) {
 		npr.WaitDone(p)
@@ -302,7 +302,7 @@ func TestResidualDependencyAccounting(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 40, 4, 10)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU})
 	npr, _ := tb.dst.Process("job")
 	tb.k.Go("wait", func(p *sim.Proc) { npr.WaitDone(p) })
 	tb.k.Run()
@@ -337,7 +337,7 @@ func TestPreexistingImaginaryRegionForwards(t *testing.T) {
 		trace.Touch{Addr: 3 * 512},
 	}}
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU})
 	npr, _ := tb.dst.Process("job")
 	var execErr error
 	tb.k.Go("wait", func(p *sim.Proc) { execErr = npr.WaitDone(p) })
@@ -379,7 +379,7 @@ func TestExciseTimingsBreakdown(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 64, 16, 0)
 	tb.src.Start(pr)
-	rep := tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	rep := tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	e := rep.Excise
 	if e.AMap <= 0 || e.RIMAS <= 0 {
 		t.Errorf("timings not positive: %+v", e)
@@ -393,7 +393,7 @@ func TestHoldAtDest(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 8, 2, 4)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	npr, _ := tb.dst.Process("job")
 	if npr.Done.Opened() {
 		t.Error("held process ran")

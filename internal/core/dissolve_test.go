@@ -19,7 +19,7 @@ func runDissolve(t *testing.T, mcfg machine.Config) (int, time.Duration, *testbe
 	tb := newFaultTestbed(t, netlink.Config{}, mcfg)
 	pr := tb.makeProc(t, "job", 600, 4, 0)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	npr, ok := tb.dst.Process("job")
 	if !ok {
 		t.Fatal("process missing on destination")

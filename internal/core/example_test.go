@@ -36,10 +36,7 @@ func Example() {
 	src.Start(pr)
 
 	k.Go("driver", func(p *sim.Proc) {
-		rep, err := srcMgr.MigrateTo(p, "job", dstMgr.Port.ID, core.Options{
-			Strategy:         core.PureIOU,
-			WaitMigratePoint: true,
-		})
+		rep, err := srcMgr.MigrateTo(p, "job", dstMgr.Port.ID, core.Options{Strategy: core.PureIOU})
 		if err != nil {
 			fmt.Println("error:", err)
 			return

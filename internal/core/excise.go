@@ -43,8 +43,11 @@ type CoreBody struct {
 	KernelStackBytes int
 	PCBBytes         int
 	PC               int
-	Program          *trace.Program
-	Prefetch         int
+	// Program is the process's reference program. It is immutable and
+	// shared by every install of its workload, so it crosses by
+	// reference (wire.Encoder.Ref), and BodyBytes counts none of it.
+	Program  *trace.Program
+	Prefetch int
 	// Attempt numbers the migration try this context belongs to, so
 	// acknowledgements delayed past a retransmission are recognized as
 	// stale by the source.

@@ -20,7 +20,10 @@ var coreBodyOps = []int{
 // headers ask for (wire.BodyCodec.UnmarshalImages). Decoding must never
 // panic, and a body it accepts must survive a re-encode: a message
 // carrying it decodes, with its extras, to an equal body, which encodes
-// to the same frame again. The seed corpus in testdata/fuzz holds a
+// to the same frame again. A Core body decoded from bytes alone has no
+// program, which crosses by reference (wire.Decoder.Ref), and a body
+// with bytes its codec does not read is refused. The seed corpus in
+// testdata/fuzz holds a
 // body of every op written by the codecs themselves (a Core context
 // with pending mail, a RIMAS run table, acks, a pre-copy round, a
 // manifest built from a real attachment and its answer), a truncated

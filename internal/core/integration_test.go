@@ -46,17 +46,13 @@ func TestReMigrationChainsBackers(t *testing.T) {
 	ms[0].Start(pr)
 	var hopErr error
 	k.Go("driver", func(p *sim.Proc) {
-		if _, err := mgrs[0].MigrateTo(p, "hopper", mgrs[1].Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
-		}); err != nil {
+		if _, err := mgrs[0].MigrateTo(p, "hopper", mgrs[1].Port.ID, Options{Strategy: PureIOU}); err != nil {
 			hopErr = err
 			return
 		}
 		pr2, _ := ms[1].Process("hopper")
 		pr2.AtMigrate.Wait(p) // executes touches, then parks at hop 2
-		if _, err := mgrs[1].MigrateTo(p, "hopper", mgrs[2].Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
-		}); err != nil {
+		if _, err := mgrs[1].MigrateTo(p, "hopper", mgrs[2].Port.ID, Options{Strategy: PureIOU}); err != nil {
 			hopErr = err
 			return
 		}
@@ -128,9 +124,7 @@ func TestMigrationOverLossyLink(t *testing.T) {
 
 	var migErr error
 	k.Go("driver", func(p *sim.Proc) {
-		if _, err := srcM.MigrateTo(p, "job", dstM.Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
-		}); err != nil {
+		if _, err := srcM.MigrateTo(p, "job", dstM.Port.ID, Options{Strategy: PureIOU}); err != nil {
 			migErr = err
 			return
 		}
@@ -215,7 +209,7 @@ func TestQuickMigrationPreservesAMap(t *testing.T) {
 		var after *vm.AMap
 		tb.k.Go("driver", func(p *sim.Proc) {
 			if _, err := tb.srcM.MigrateTo(p, "q", tb.dstM.Port.ID, Options{
-				Strategy: strat, WaitMigratePoint: true, HoldAtDest: true,
+				Strategy: strat, HoldAtDest: true,
 			}); err != nil {
 				t.Logf("migrate: %v", err)
 				return
@@ -292,9 +286,7 @@ func TestBackerCrashSurfacesError(t *testing.T) {
 
 	var execErr error
 	k.Go("driver", func(p *sim.Proc) {
-		if _, err := srcM.MigrateTo(p, "job", dstM.Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
-		}); err != nil {
+		if _, err := srcM.MigrateTo(p, "job", dstM.Port.ID, Options{Strategy: PureIOU}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -319,7 +311,7 @@ func TestDissolveProtectsAgainstBackerCrash(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 16, 4, 0)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	npr, _ := tb.dst.Process("job")
 	tb.k.Go("driver", func(p *sim.Proc) {
 		if _, err := DissolveIOUs(p, tb.dst, npr); err != nil {
@@ -351,7 +343,7 @@ func TestPendingMailSurvivesMigration(t *testing.T) {
 			t.Errorf("send: %v", err)
 		}
 	})
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	npr, _ := tb.dst.Process("job")
 	var got *ipc.Message
 	tb.k.Go("reader", func(p *sim.Proc) {
@@ -392,14 +384,10 @@ func TestCrossMigration(t *testing.T) {
 
 	var errA, errB error
 	tb.k.Go("driverA", func(p *sim.Proc) {
-		_, errA = tb.srcM.MigrateTo(p, "jobA", tb.dstM.Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
-		})
+		_, errA = tb.srcM.MigrateTo(p, "jobA", tb.dstM.Port.ID, Options{Strategy: PureIOU})
 	})
 	tb.k.Go("driverB", func(p *sim.Proc) {
-		_, errB = tb.dstM.MigrateTo(p, "jobB", tb.srcM.Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
-		})
+		_, errB = tb.dstM.MigrateTo(p, "jobB", tb.srcM.Port.ID, Options{Strategy: PureIOU})
 	})
 	tb.k.Run()
 	if errA != nil || errB != nil {

@@ -17,9 +17,6 @@ type Options struct {
 	Strategy Strategy
 	// Prefetch pages per imaginary fault at the destination.
 	Prefetch int
-	// WaitMigratePoint makes the source manager wait for the process to
-	// reach its MigratePoint before excising (the normal trial setup).
-	WaitMigratePoint bool
 	// HoldAtDest leaves the process stopped after insertion instead of
 	// resuming it immediately.
 	HoldAtDest bool
@@ -312,8 +309,9 @@ func (mgr *Manager) handlePreCopy(p *sim.Proc, pb *PreCopyBody, m *ipc.Message) 
 
 // MigrateTo migrates the named process from this manager's machine to
 // the manager listening on destPort, using the given options. It runs
-// in the caller's proc on the source machine and blocks until the
-// destination acknowledges insertion — or, under Options' recovery
+// in the caller's proc on the source machine, waits for the process to
+// reach its MigratePoint, and blocks until the destination acknowledges
+// insertion — or, under Options' recovery
 // knobs, until every attempt has failed, in which case the process is
 // rolled back and resumed at the source and the error explains the
 // abort. A recoverable failure (phase timeout, dead peer) triggers up
@@ -390,9 +388,7 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 	if !ok {
 		return nil, fmt.Errorf("core: no process %q on %s", procName, mgr.M.Name)
 	}
-	if opts.WaitMigratePoint {
-		pr.AtMigrate.Wait(p)
-	}
+	pr.AtMigrate.Wait(p)
 	startAt := p.Now()
 	if rec := mgr.M.Recorder(); rec != nil {
 		// Downtime opens here: the process executes no further

@@ -82,7 +82,7 @@ func TestManifestElidesIntraMessageDuplicates(t *testing.T) {
 	tb := newDedupTestbed(t, false)
 	pr := dupProc(t, tb.src, "job", 32, 4)
 	tb.src.Start(pr)
-	rep := tb.migrate(t, "job", Options{Strategy: PureCopy, WaitMigratePoint: true, HoldAtDest: true})
+	rep := tb.migrate(t, "job", Options{Strategy: PureCopy, HoldAtDest: true})
 	if rep.Insert.ElidedPages != 32-4 {
 		t.Errorf("ElidedPages = %d, want %d", rep.Insert.ElidedPages, 32-4)
 	}
@@ -99,11 +99,11 @@ func TestManifestElidesPriorVisitPages(t *testing.T) {
 	tb := newDedupTestbed(t, false)
 	first := dupProc(t, tb.src, "first", 8, 8)
 	tb.src.Start(first)
-	tb.migrate(t, "first", Options{Strategy: PureCopy, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "first", Options{Strategy: PureCopy, HoldAtDest: true})
 
 	second := dupProc(t, tb.src, "second", 8, 8)
 	tb.src.Start(second)
-	rep := tb.migrate(t, "second", Options{Strategy: PureCopy, WaitMigratePoint: true, HoldAtDest: true})
+	rep := tb.migrate(t, "second", Options{Strategy: PureCopy, HoldAtDest: true})
 	if rep.Insert.ElidedPages != 8 {
 		t.Errorf("ElidedPages = %d, want 8 (all local hits)", rep.Insert.ElidedPages)
 	}
@@ -135,7 +135,7 @@ func TestManifestElidesZeroPages(t *testing.T) {
 	}
 	pr.Program = &trace.Program{Ops: []trace.Op{trace.MigratePoint{}}}
 	tb.src.Start(pr)
-	rep := tb.migrate(t, "job", Options{Strategy: PureCopy, WaitMigratePoint: true, HoldAtDest: true})
+	rep := tb.migrate(t, "job", Options{Strategy: PureCopy, HoldAtDest: true})
 	if rep.Insert.ElidedPages != 4 {
 		t.Errorf("ElidedPages = %d, want 4 (the zero pages)", rep.Insert.ElidedPages)
 	}
@@ -178,7 +178,7 @@ func TestManifestHintsServeFaultsLocally(t *testing.T) {
 	}
 	pr.Program = &trace.Program{Ops: ops}
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: ResidentSet, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: ResidentSet})
 
 	npr, _ := tb.dst.Process("job")
 	var doneErr error
@@ -202,7 +202,7 @@ func TestManifestCompressionShrinksTransfer(t *testing.T) {
 		tb := newDedupTestbed(t, compress)
 		pr := dupProc(t, tb.src, "job", 64, 64)
 		tb.src.Start(pr)
-		rep := tb.migrate(t, "job", Options{Strategy: PureCopy, WaitMigratePoint: true, HoldAtDest: true})
+		rep := tb.migrate(t, "job", Options{Strategy: PureCopy, HoldAtDest: true})
 		return rep.RIMASTransfer
 	}
 	plain := run(false)
@@ -218,7 +218,7 @@ func TestManifestDisabledIsInert(t *testing.T) {
 	tb := newTestbed(t)
 	pr := dupProc(t, tb.src, "job", 16, 2)
 	tb.src.Start(pr)
-	rep := tb.migrate(t, "job", Options{Strategy: PureCopy, WaitMigratePoint: true, HoldAtDest: true})
+	rep := tb.migrate(t, "job", Options{Strategy: PureCopy, HoldAtDest: true})
 	if rep.Insert.ElidedPages != 0 {
 		t.Errorf("ElidedPages = %d with store disabled", rep.Insert.ElidedPages)
 	}
@@ -254,7 +254,7 @@ func TestManifestRollbackSurvivesElision(t *testing.T) {
 	var migErr, doneErr error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		_, migErr = tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, Options{
-			Strategy: PureCopy, WaitMigratePoint: true, AckTimeout: 5 * time.Second,
+			Strategy: PureCopy, AckTimeout: 5 * time.Second,
 		})
 		if migErr == nil {
 			return

@@ -55,7 +55,7 @@ type Balancer struct {
 func NewBalancer(mgrs ...*Manager) *Balancer {
 	return &Balancer{
 		Mgrs:      mgrs,
-		Opts:      Options{Strategy: PureIOU, Prefetch: 1, WaitMigratePoint: true},
+		Opts:      Options{Strategy: PureIOU, Prefetch: 1},
 		Threshold: 2,
 	}
 }
@@ -146,9 +146,7 @@ func (b *Balancer) Rebalance(p *sim.Proc) (bool, error) {
 		// Finished before it could be stopped; nothing to move.
 		return false, nil
 	}
-	opts := b.Opts
-	opts.WaitMigratePoint = true
-	if _, err := src.MigrateTo(p, cand.Name, dst.Port.ID, opts); err != nil {
+	if _, err := src.MigrateTo(p, cand.Name, dst.Port.ID, b.Opts); err != nil {
 		return false, fmt.Errorf("core: rebalance %q %s->%s: %w", cand.Name, src.M.Name, dst.M.Name, err)
 	}
 	b.migrations++
@@ -186,9 +184,7 @@ func (mgr *Manager) Evacuate(p *sim.Proc, destPort ipc.PortID, opts Options) ([]
 		if !mgr.M.WaitStopped(p, pr) {
 			continue // ran to completion instead
 		}
-		o := opts
-		o.WaitMigratePoint = true
-		if _, err := mgr.MigrateTo(p, name, destPort, o); err != nil {
+		if _, err := mgr.MigrateTo(p, name, destPort, opts); err != nil {
 			return moved, fmt.Errorf("core: evacuate %q: %w", name, err)
 		}
 		moved = append(moved, name)

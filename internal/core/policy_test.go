@@ -219,7 +219,7 @@ func TestLoadsReportResiduals(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 32, 8, 4)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU})
 	npr, _ := tb.dst.Process("job")
 	tb.k.Go("wait", func(p *sim.Proc) { npr.WaitDone(p) })
 	tb.k.Run()

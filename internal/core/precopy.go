@@ -167,10 +167,7 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID)
 		}
 	}
 
-	r, err := mgr.MigrateTo(p, procName, destPort, Options{
-		Strategy:         PreCopied,
-		WaitMigratePoint: true,
-	})
+	r, err := mgr.MigrateTo(p, procName, destPort, Options{Strategy: PreCopied})
 	if err != nil {
 		return nil, err
 	}

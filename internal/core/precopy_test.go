@@ -181,9 +181,7 @@ func TestPreCopyDowntimeBeatsPureCopy(t *testing.T) {
 					return
 				}
 				start := p.Now()
-				rep, err := tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, Options{
-					Strategy: PureCopy, WaitMigratePoint: true,
-				})
+				rep, err := tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, Options{Strategy: PureCopy})
 				if err != nil {
 					t.Error(err)
 					return
@@ -236,7 +234,7 @@ func TestDissolveIOUs(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 40, 8, 5)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU})
 	npr, _ := tb.dst.Process("job")
 	var fetched int
 	var err error
@@ -291,7 +289,7 @@ func TestDissolveIdempotent(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 16, 4, 0)
 	tb.src.Start(pr)
-	tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+	tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 	npr, _ := tb.dst.Process("job")
 	tb.k.Go("driver", func(p *sim.Proc) {
 		n1, err := DissolveIOUs(p, tb.dst, npr)

@@ -54,7 +54,7 @@ func TestAbortRollsBackAndResumesLocally(t *testing.T) {
 	var err error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		rep, err = tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
+			Strategy:   PureIOU,
 			AckTimeout: 5 * time.Second, MaxRetries: 1, Degrade: true,
 		})
 	})
@@ -117,7 +117,7 @@ func TestRetryDegradesAndSucceeds(t *testing.T) {
 	var err error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		rep, err = tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, Options{
-			Strategy: PureIOU, WaitMigratePoint: true,
+			Strategy:   PureIOU,
 			AckTimeout: 5 * time.Second, MaxRetries: 2, Degrade: true,
 		})
 	})
@@ -162,7 +162,7 @@ func TestOrphanPolicies(t *testing.T) {
 		tb := newFaultTestbed(t, netlink.Config{}, mcfg)
 		pr := tb.makeProc(t, "job", 24, 4, 12)
 		tb.src.Start(pr)
-		tb.migrate(t, "job", Options{Strategy: PureIOU, WaitMigratePoint: true, HoldAtDest: true})
+		tb.migrate(t, "job", Options{Strategy: PureIOU, HoldAtDest: true})
 		npr, ok := tb.dst.Process("job")
 		if !ok {
 			t.Fatal("process missing on destination")

@@ -61,7 +61,7 @@ func syntheticTrial(cfg Config, realPages, touchedPages int, strat core.Strategy
 		trace.SeqScan{Start: 0, Bytes: uint64(touchedPages) * ps, PerTouch: 10 * time.Millisecond},
 		trace.Compute{D: time.Second},
 	}}
-	m := tb.migrate(cfg, pr, core.Options{Strategy: strat, Prefetch: prefetch, WaitMigratePoint: true})
+	m := tb.migrate(cfg, pr, core.Options{Strategy: strat, Prefetch: prefetch})
 	if err := m.remoteErr(pr.Name); err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func Bottleneck(cfg Config, kinds []workload.Kind) ([]BottleneckRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			pf, err := prof.Build(sink.Events(), prof.Options{})
+			pf, err := prof.Build(sink.Events())
 			if err != nil {
 				return nil, fmt.Errorf("experiments: profiling %v/%v: %w", k, strat, err)
 			}

@@ -93,9 +93,7 @@ func bystanderRun(cfg Config, strat *core.Strategy) (time.Duration, error) {
 		tb.Src.Start(mig)
 		m = &migration{}
 		tb.K.Go("migrate-driver", func(p *sim.Proc) {
-			m.rep, m.err = tb.SrcMgr.MigrateTo(p, "migrant", tb.DstMgr.Port.ID, core.Options{
-				Strategy: *strat, WaitMigratePoint: true,
-			})
+			m.rep, m.err = tb.SrcMgr.MigrateTo(p, "migrant", tb.DstMgr.Port.ID, core.Options{Strategy: *strat})
 			tb.settle(p, m, "migrant")
 		})
 	}
@@ -153,7 +151,7 @@ func ResidualSeries(cfg Config, kind workload.Kind, prefetch int, step time.Dura
 	m := &migration{}
 	tb.K.Go("driver", func(p *sim.Proc) {
 		m.rep, m.err = tb.SrcMgr.MigrateTo(p, kind.String(), tb.DstMgr.Port.ID, core.Options{
-			Strategy: core.PureIOU, Prefetch: prefetch, WaitMigratePoint: true,
+			Strategy: core.PureIOU, Prefetch: prefetch,
 		})
 		tb.settle(p, m, kind.String())
 	})
@@ -208,7 +206,7 @@ func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 	far, farMgr := tb.addMachine(cfg, "far", cfg.Link, cfg.Link)
 	// The hopper never runs at src, so the testbed's recorder holds only
 	// dst's faults, the one-hop ones; far's are the two-hop ones.
-	farRec := metrics.NewRecorder(time.Second)
+	farRec := metrics.NewRecorder()
 	far.SetRecorder(farRec)
 
 	pr, err := tb.dataProcess("hopper", 1, 64, nil)
@@ -230,7 +228,7 @@ func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 	var rows []HopPenaltyRow
 	var runErr error
 	var hopper *machine.Process // the hopper where it last arrived
-	iou := core.Options{Strategy: core.PureIOU, WaitMigratePoint: true}
+	iou := core.Options{Strategy: core.PureIOU}
 	tb.K.Go("driver", func(p *sim.Proc) {
 		if _, runErr = tb.SrcMgr.MigrateTo(p, "hopper", tb.DstMgr.Port.ID, iou); runErr != nil {
 			return

@@ -45,14 +45,13 @@ import (
 	"accentmig/internal/xrand"
 )
 
-// chaosCase is one generated trial: a scenario (config, strategy,
-// recovery options) plus the fault plan thrown at it.
+// chaosCase is one generated trial: a scenario (config with its
+// recovery options, strategy) plus the fault plan thrown at it.
 type chaosCase struct {
 	name   string
 	cfg    Config
 	golden Config
 	strat  core.Strategy
-	opts   ResilienceOptions
 	plan   *faults.Plan
 }
 
@@ -101,7 +100,7 @@ var goldenOpts = ResilienceOptions{MaxRetries: 2, Degrade: false, AckTimeout: 15
 
 // chaosScenario draws one scenario: strategy × transport window ×
 // dedup/resume/integrity combination × retry budget.
-func chaosScenario(rng *xrand.RNG, base Config) (Config, core.Strategy, ResilienceOptions, string) {
+func chaosScenario(rng *xrand.RNG, base Config) (Config, core.Strategy, string) {
 	strat := chaosStrategies[rng.Intn(len(chaosStrategies))]
 	cfg := base
 	win := []int{1, 8}[rng.Intn(2)]
@@ -117,13 +116,13 @@ func chaosScenario(rng *xrand.RNG, base Config) (Config, core.Strategy, Resilien
 		cfg.Machine.Dedup.Resume = true
 		cfg.Machine.Dedup.Integrity = true
 	}
-	opts := ResilienceOptions{
+	cfg.Recovery = &ResilienceOptions{
 		MaxRetries: 1 + rng.Intn(3),
 		Degrade:    false,
 		AckTimeout: 15 * time.Minute,
 	}
-	name := fmt.Sprintf("%s/w%d/%s/r%d", strat, win, dd, opts.MaxRetries)
-	return cfg, strat, opts, name
+	name := fmt.Sprintf("%s/w%d/%s/r%d", strat, win, dd, cfg.Recovery.MaxRetries)
+	return cfg, strat, name
 }
 
 // chaosPlanFor draws one fault plan. Windows are scattered across the
@@ -309,10 +308,10 @@ func chaosViolation(c chaosCase, invariant, detail string, recheck func(*faults.
 // themselves. Every 16th trial is additionally re-run under the flight
 // recorder to check the blame-partition invariant.
 func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error) {
-	// Inherited plans or recovery options would break the campaign's
-	// seed-determinism, exactly as in the resilience sweep.
+	// An inherited plan would break the campaign's seed-determinism,
+	// exactly as in the resilience sweep; each scenario draws its own
+	// plan and recovery options.
 	cfg.Faults = nil
-	cfg.Recovery = nil
 	cfg.Sink = nil
 
 	h := fnv.New64a()
@@ -323,8 +322,9 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 	for i := range cases {
 		trng := rng.Fork()
 		c := chaosCase{}
-		c.cfg, c.strat, c.opts, c.name = chaosScenario(trng, cfg)
+		c.cfg, c.strat, c.name = chaosScenario(trng, cfg)
 		c.golden = c.cfg
+		c.golden.Recovery = &goldenOpts
 		c.plan = chaosPlanFor(trng, seed+uint64(i), c.cfg.Machine.Dedup.Integrity)
 		c.cfg.Faults = c.plan
 		cases[i] = c
@@ -342,11 +342,11 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 	e.fanOut(trials, func(i int) {
 		c := cases[i]
 		r := &results[i]
-		r.gold, r.err = e.ResilienceTrial(c.golden, resilienceKind, c.strat, goldenOpts)
+		r.gold, r.err = e.ResilienceTrial(c.golden, resilienceKind, c.strat)
 		if r.err != nil {
 			return
 		}
-		r.out, r.err = e.ResilienceTrial(c.cfg, resilienceKind, c.strat, c.opts)
+		r.out, r.err = e.ResilienceTrial(c.cfg, resilienceKind, c.strat)
 		if r.err != nil {
 			r.invariant, r.detail = "trial-error", classifyErr(r.err)
 			r.err = nil
@@ -362,11 +362,11 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 		sink := obs.NewMemorySink()
 		pcfg := c.cfg
 		pcfg.Sink = sink
-		if _, perr := RunResilienceTrial(pcfg, resilienceKind, c.strat, c.opts); perr != nil {
+		if _, perr := RunResilienceTrial(pcfg, resilienceKind, c.strat); perr != nil {
 			return
 		}
 		r.profiled = true
-		pf, perr := prof.Build(sink.Events(), prof.Options{})
+		pf, perr := prof.Build(sink.Events())
 		if perr != nil {
 			r.invariant, r.detail = "profile-error", perr.Error()
 			return
@@ -410,7 +410,7 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 		recheck := func(p *faults.Plan) string {
 			cc := c.cfg
 			cc.Faults = p
-			out, err := e.ResilienceTrial(cc, resilienceKind, c.strat, c.opts)
+			out, err := e.ResilienceTrial(cc, resilienceKind, c.strat)
 			if err != nil {
 				return "trial-error"
 			}

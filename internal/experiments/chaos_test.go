@@ -67,11 +67,11 @@ func TestChaosSentinelShrinksOrphanedIOU(t *testing.T) {
 			Machine: "src", AtPhase: "remote", Policy: faults.CrashZeroFill,
 		}},
 	}
-	opts := ResilienceOptions{MaxRetries: 2, Degrade: false, AckTimeout: 15 * time.Minute}
+	cfg.Recovery = &ResilienceOptions{MaxRetries: 2, Degrade: false, AckTimeout: 15 * time.Minute}
 	recheck := func(p *faults.Plan) string {
 		c := cfg
 		c.Faults = p
-		out, err := RunResilienceTrial(c, resilienceKind, core.PureIOU, opts)
+		out, err := RunResilienceTrial(c, resilienceKind, core.PureIOU)
 		if err != nil {
 			return "trial-error"
 		}
@@ -132,17 +132,16 @@ func killFirstAttempt(t *testing.T, cfg Config) *faults.Plan {
 // fault-free golden — which also proves attempt one's retained recipe
 // and ledger content cannot leak a stale page into attempt two.
 func TestResumeRetrySavesBytes(t *testing.T) {
-	opts := ResilienceOptions{MaxRetries: 3, Degrade: false, AckTimeout: 15 * time.Minute}
 	run := func(resume bool) (*ResilienceOutcome, *ResilienceOutcome) {
-		cfg := Config{}
+		cfg := Config{Recovery: &ResilienceOptions{MaxRetries: 3, Degrade: false, AckTimeout: 15 * time.Minute}}
 		cfg.Machine.Dedup.Resume = resume
 		fcfg := cfg
 		fcfg.Faults = killFirstAttempt(t, cfg)
-		out, err := RunResilienceTrial(fcfg, resilienceKind, core.PureCopy, opts)
+		out, err := RunResilienceTrial(fcfg, resilienceKind, core.PureCopy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gold, err := RunResilienceTrial(cfg, resilienceKind, core.PureCopy, opts)
+		gold, err := RunResilienceTrial(cfg, resilienceKind, core.PureCopy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +186,15 @@ func TestResumeRetrySavesBytes(t *testing.T) {
 // Before the MarkFreeze fix, each retry re-stamped the freeze instant
 // and reported only the last attempt's slice.
 func TestRetryDowntimeCoversAllAttempts(t *testing.T) {
-	cfg := Config{}
+	cfg := Config{Recovery: &ResilienceOptions{MaxRetries: 3, Degrade: false, AckTimeout: 15 * time.Minute}}
 	cfg.Machine.Dedup.Resume = true
 	fcfg := cfg
 	fcfg.Faults = killFirstAttempt(t, cfg)
-	opts := ResilienceOptions{MaxRetries: 3, Degrade: false, AckTimeout: 15 * time.Minute}
-	out, err := RunResilienceTrial(fcfg, resilienceKind, core.PureCopy, opts)
+	out, err := RunResilienceTrial(fcfg, resilienceKind, core.PureCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gold, err := RunResilienceTrial(cfg, resilienceKind, core.PureCopy, opts)
+	gold, err := RunResilienceTrial(cfg, resilienceKind, core.PureCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +219,12 @@ func TestRetryDowntimeCoversAllAttempts(t *testing.T) {
 // a typed error, the process rolls back and completes at the source,
 // and nothing of the dead destination's state survives.
 func TestManifestCrashRollsBackCleanly(t *testing.T) {
-	cfg := Config{}
+	cfg := Config{Recovery: &ResilienceOptions{MaxRetries: 1, Degrade: false, AckTimeout: 2 * time.Second}}
 	cfg.Machine.Dedup.Resume = true // manifest phase runs
 	cfg.Faults = &faults.Plan{Seed: 1, Crashes: []faults.Crash{{
 		Machine: "dst", AtPhase: "xfer.manifest",
 	}}}
-	out, err := RunResilienceTrial(cfg, resilienceKind, core.PureCopy,
-		ResilienceOptions{MaxRetries: 1, Degrade: false, AckTimeout: 2 * time.Second})
+	out, err := RunResilienceTrial(cfg, resilienceKind, core.PureCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +261,9 @@ func TestManifestCrashClearsLedger(t *testing.T) {
 	tb.Src.Start(built.Proc)
 	tb.K.Go("driver", func(p *sim.Proc) {
 		rep, migErr := tb.SrcMgr.MigrateTo(p, resilienceKind.String(), tb.DstMgr.Port.ID, core.Options{
-			Strategy:         core.PureCopy,
-			WaitMigratePoint: true,
-			AckTimeout:       15 * time.Minute,
-			MaxRetries:       3,
+			Strategy:   core.PureCopy,
+			AckTimeout: 15 * time.Minute,
+			MaxRetries: 3,
 		})
 		if migErr != nil || rep == nil {
 			return

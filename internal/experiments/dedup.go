@@ -204,13 +204,11 @@ func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 		// Seed the bystander's content index; the held process keeps its
 		// frames (and so the index entries) live for the whole trial.
 		if _, m.err = tb.SrcMgr.MigrateTo(p, "seed", nearMgr.Port.ID, core.Options{
-			Strategy: core.PureCopy, WaitMigratePoint: true, HoldAtDest: true,
+			Strategy: core.PureCopy, HoldAtDest: true,
 		}); m.err != nil {
 			return
 		}
-		_, m.err = tb.SrcMgr.MigrateTo(p, "job", tb.DstMgr.Port.ID, core.Options{
-			Strategy: core.PureIOU, WaitMigratePoint: true,
-		})
+		_, m.err = tb.SrcMgr.MigrateTo(p, "job", tb.DstMgr.Port.ID, core.Options{Strategy: core.PureIOU})
 		tb.settle(p, m, "job")
 	})
 	tb.K.Run()

@@ -59,7 +59,7 @@ func finalImage(t *testing.T, cfg Config, k workload.Kind, strat core.Strategy, 
 	var migErr, execErr, dissolveErr error
 	tb.K.Go("driver", func(p *sim.Proc) {
 		rep, migErr = tb.SrcMgr.MigrateTo(p, k.String(), tb.DstMgr.Port.ID, core.Options{
-			Strategy: strat, Prefetch: prefetch, WaitMigratePoint: true,
+			Strategy: strat, Prefetch: prefetch,
 		})
 		if migErr != nil {
 			return
@@ -128,7 +128,7 @@ func heldReport(t *testing.T, cfg Config, k workload.Kind, strat core.Strategy) 
 		t.Fatal(err)
 	}
 	tb.Src.Start(built.Proc)
-	opts := core.Options{Strategy: strat, WaitMigratePoint: true, HoldAtDest: true}
+	opts := core.Options{Strategy: strat, HoldAtDest: true}
 	cfg.applyRecovery(&opts)
 	var rep *core.Report
 	var migErr error

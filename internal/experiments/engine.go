@@ -190,16 +190,14 @@ func (e *Engine) trial(fp uint64, cfg Config, g GridKey) (*TrialResult, error) {
 }
 
 // ResilienceTrial is the memoized form of RunResilienceTrial. The
-// trial options join the config in the cache key, so sweeps varying
-// retry budgets over one fault plan stay distinct.
-func (e *Engine) ResilienceTrial(cfg Config, k workload.Kind, s core.Strategy, ropts ResilienceOptions) (*ResilienceOutcome, error) {
-	run := func() (*ResilienceOutcome, error) { return RunResilienceTrial(cfg, k, s, ropts) }
+// config fingerprint covers the retry policy (cfg.Recovery), so sweeps
+// varying retry budgets over one fault plan stay distinct.
+func (e *Engine) ResilienceTrial(cfg Config, k workload.Kind, s core.Strategy) (*ResilienceOutcome, error) {
+	run := func() (*ResilienceOutcome, error) { return RunResilienceTrial(cfg, k, s) }
 	if cfg.Sink != nil {
 		return run()
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%#v", cfg.fingerprint(), ropts)
-	return memo(e, cacheKey{fp: h.Sum64(), variant: variantResilience, GridKey: GridKey{k, s, 0}}, run)
+	return memo(e, cacheKey{fp: cfg.fingerprint(), variant: variantResilience, GridKey: GridKey{k, s, 0}}, run)
 }
 
 // ShardTrial is the memoized form of RunShardStress. Only the

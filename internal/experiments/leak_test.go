@@ -29,7 +29,8 @@ func TestFinishedTrialsLeaveNothingBehind(t *testing.T) {
 		Machine: "src", AtPhase: "remote", Policy: faults.CrashFlush,
 	}}}}
 	for _, cfg := range []Config{{}, crash} {
-		if _, err := e.ResilienceTrial(cfg, resilienceKind, core.PureIOU, ResilienceOptions{MaxRetries: 1}); err != nil {
+		cfg.Recovery = &ResilienceOptions{MaxRetries: 1}
+		if _, err := e.ResilienceTrial(cfg, resilienceKind, core.PureIOU); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,14 +69,14 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{}
 	keys := GridKeys([]workload.Kind{workload.Minprog, workload.Chess})
-	ropts := ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: time.Minute}
+	rcfg := Config{Recovery: &ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: time.Minute}}
 
 	cold, cd := newDiskEngine(t, dir)
 	coldTrials, err := cold.Trials(cfg, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldRes, err := cold.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts)
+	coldRes, err := cold.ResilienceTrial(rcfg, workload.Minprog, core.PureCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDiskCacheWarmIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := warm.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts)
+	warmRes, err := warm.ResilienceTrial(rcfg, workload.Minprog, core.PureCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,17 +295,16 @@ func TestPaperHarnessesMeasureThroughDefault(t *testing.T) {
 }
 
 // TestDiskCacheVariantsAreDistinct guards the filename keying: a grid
-// trial and a resilience trial of the same (kind, strategy) must not
-// collide.
+// trial and a resilience trial of the same config, kind and strategy
+// must not collide.
 func TestDiskCacheVariantsAreDistinct(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{}
-	ropts := ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: time.Minute}
+	cfg := Config{Recovery: &ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: time.Minute}}
 	cold, cd := newDiskEngine(t, dir)
 	if _, err := cold.Trial(cfg, workload.Minprog, core.PureCopy, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.ResilienceTrial(cfg, workload.Minprog, core.PureCopy, ropts); err != nil {
+	if _, err := cold.ResilienceTrial(cfg, workload.Minprog, core.PureCopy); err != nil {
 		t.Fatal(err)
 	}
 	if st := cd.Stats(); st.Writes != 2 {

@@ -61,14 +61,12 @@ func TestWindowedTransferSpeedup(t *testing.T) {
 // window must still resolve into a clean abort with rollback to the
 // source, exactly like the stop-and-wait recovery path.
 func TestWindowedPartitionAborts(t *testing.T) {
-	cfg := Config{}
+	cfg := Config{Recovery: &ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: 2 * time.Second}}
 	cfg.Machine.Net.Window = 16
 	cfg.Faults = &faults.Plan{Seed: 1, Partitions: []faults.Window{
 		{Start: 0, End: faults.Duration(60 * time.Second)},
 	}}
-	o, err := RunResilienceTrial(cfg, workload.Minprog, core.PureIOU, ResilienceOptions{
-		MaxRetries: 1, Degrade: true, AckTimeout: 2 * time.Second,
-	})
+	o, err := RunResilienceTrial(cfg, workload.Minprog, core.PureIOU)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 				return
 			}
 			downStart := p.Now()
-			m.rep, m.err = tb.SrcMgr.MigrateTo(p, "writer", tb.DstMgr.Port.ID, core.Options{
-				Strategy: strat, WaitMigratePoint: true,
-			})
+			m.rep, m.err = tb.SrcMgr.MigrateTo(p, "writer", tb.DstMgr.Port.ID, core.Options{Strategy: strat})
 			if m.err == nil {
 				down = m.rep.InsertDoneAt - downStart
 				total = m.rep.InsertDoneAt - start

@@ -12,7 +12,7 @@ import (
 	"accentmig/internal/workload"
 )
 
-// ResilienceOptions are the recovery knobs one resilience trial hands
+// ResilienceOptions are the recovery knobs a config's Recovery hands
 // the source migration manager.
 type ResilienceOptions struct {
 	// MaxRetries is the source manager's retry budget after a
@@ -139,12 +139,12 @@ func resilienceDefaults(cfg Config) Config {
 }
 
 // RunResilienceTrial migrates representative k under the given
-// strategy on a fault-injected testbed, drives the process to
-// completion wherever it ends up (destination on success, source after
-// an abort), and reports what happened. It terminates for any fault
-// plan with drop probability < 1: every wait in the recovery path is
-// deadlined.
-func RunResilienceTrial(cfg Config, k workload.Kind, strat core.Strategy, ropts ResilienceOptions) (*ResilienceOutcome, error) {
+// strategy on a fault-injected testbed, with cfg.Recovery as the retry
+// policy, drives the process to completion wherever it ends up
+// (destination on success, source after an abort), and reports what
+// happened. It terminates for any fault plan with drop probability
+// < 1: every wait in the recovery path is deadlined.
+func RunResilienceTrial(cfg Config, k workload.Kind, strat core.Strategy) (*ResilienceOutcome, error) {
 	cfg = resilienceDefaults(cfg)
 	tb := NewTestbed(cfg)
 	defer tb.K.Close()
@@ -152,8 +152,7 @@ func RunResilienceTrial(cfg Config, k workload.Kind, strat core.Strategy, ropts 
 	if err != nil {
 		return nil, err
 	}
-	cfg.Recovery = &ropts // the trial's retry policy, not the config's
-	m := tb.migrate(cfg, built.Proc, core.Options{Strategy: strat, WaitMigratePoint: true})
+	m := tb.migrate(cfg, built.Proc, core.Options{Strategy: strat})
 
 	out := &ResilienceOutcome{Kind: k, Strategy: strat}
 	out.MigClass = classifyErr(m.err)
@@ -265,19 +264,19 @@ const resilienceKind = workload.LispDel
 // fault seeds) and runs the crash-timing scenarios, all on the engine's
 // worker pool with memoization.
 func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
-	// The ack deadline is a backstop: a genuinely dead peer surfaces in
-	// seconds through the transport's dead-peer nack, while a pure-copy
-	// transfer at 30% drop legitimately takes many virtual minutes of
-	// backoff, so the deadline sits far above any viable transfer.
-	ropts := ResilienceOptions{MaxRetries: 2, Degrade: true, AckTimeout: 15 * time.Minute}
-	if cfg.Recovery != nil {
-		ropts = *cfg.Recovery
+	// Every cell but the partition scenario retries under the command
+	// line's policy, or else this one. Its ack deadline is a backstop: a
+	// genuinely dead peer surfaces in seconds through the transport's
+	// dead-peer nack, while a pure-copy transfer at 30% drop
+	// legitimately takes many virtual minutes of backoff, so the
+	// deadline sits far above any viable transfer.
+	if cfg.Recovery == nil {
+		cfg.Recovery = &ResilienceOptions{MaxRetries: 2, Degrade: true, AckTimeout: 15 * time.Minute}
 	}
-	// The sweep builds its own fault plans per cell; a plan or retry
-	// policy inherited from the command line would skew the fault-free
-	// baseline rows and break the fixed-seed determinism contract.
+	// The sweep builds its own fault plans per cell; a plan inherited
+	// from the command line would skew the fault-free baseline rows and
+	// break the fixed-seed determinism contract.
 	cfg.Faults = nil
-	cfg.Recovery = nil
 	cfg = cfg.forParallel(e.Workers())
 
 	type cell struct {
@@ -285,7 +284,6 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 		idx   int
 		cfg   Config
 		strat core.Strategy
-		opts  ResilienceOptions
 	}
 	var cells []cell
 
@@ -304,7 +302,7 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 				if drop > 0 {
 					c.Faults = faults.FromDropRate(drop, seed)
 				}
-				cells = append(cells, cell{row: row, idx: i, cfg: c, strat: strat, opts: ropts})
+				cells = append(cells, cell{row: row, idx: i, cfg: c, strat: strat})
 			}
 		}
 	}
@@ -335,7 +333,7 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 			Outcomes: make([]*ResilienceOutcome, 1),
 		}
 		t.Scenarios = append(t.Scenarios, row)
-		cells = append(cells, cell{row: row, idx: 0, cfg: c, strat: core.PureIOU, opts: ropts})
+		cells = append(cells, cell{row: row, idx: 0, cfg: c, strat: core.PureIOU})
 	}
 
 	// Partition scenario: the link is dead from the start, so every
@@ -352,14 +350,12 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 			Outcomes: make([]*ResilienceOutcome, 1),
 		}
 		t.Scenarios = append(t.Scenarios, row)
-		cells = append(cells, cell{
-			row: row, idx: 0, cfg: c, strat: core.PureIOU,
-			opts: ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: 2 * time.Second},
-		})
+		c.Recovery = &ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: 2 * time.Second}
+		cells = append(cells, cell{row: row, idx: 0, cfg: c, strat: core.PureIOU})
 	}
 
 	outs, err := sweep(e, cells, func(c cell) (*ResilienceOutcome, error) {
-		return e.ResilienceTrial(c.cfg, resilienceKind, c.strat, c.opts)
+		return e.ResilienceTrial(c.cfg, resilienceKind, c.strat)
 	})
 	if err != nil {
 		return nil, err

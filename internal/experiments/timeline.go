@@ -12,11 +12,18 @@ import (
 
 // TraceTrial runs one migration trial with an in-memory flight
 // recorder attached and returns the result alongside the captured
-// event stream, for timeline and critical-path reporting.
+// event stream, for timeline and critical-path reporting. The config's
+// own sink, if any, then receives the captured events in order.
 func TraceTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*TrialResult, *obs.MemorySink, error) {
 	sink := obs.NewMemorySink()
+	next := cfg.Sink
 	cfg.Sink = sink
 	tr, err := RunTrial(cfg, k, strat, prefetch)
+	if next != nil {
+		for _, ev := range sink.Events() {
+			next.Emit(ev)
+		}
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -131,7 +131,7 @@ func TestTransfer1MBPinned(t *testing.T) {
 			End:   faults.Duration(48 * time.Second),
 		}}})
 		return runTransfer(tb, distinctPages, core.Options{
-			WaitMigratePoint: true, MaxRetries: retries, AckTimeout: 15 * time.Minute,
+			MaxRetries: retries, AckTimeout: 15 * time.Minute,
 		})
 	}
 	for _, c := range []struct {

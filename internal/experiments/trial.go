@@ -89,7 +89,7 @@ func NewTestbed(cfg Config) *Testbed {
 	src := machine.New(k, "src", cfg.Machine)
 	dst := machine.New(k, "dst", cfg.Machine)
 	link := machine.Connect(src, dst, cfg.Link)
-	rec := metrics.NewRecorder(time.Second)
+	rec := metrics.NewRecorder()
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 	link.SetRecorder(rec)
@@ -405,7 +405,7 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	if err != nil {
 		return nil, err
 	}
-	m := tb.migrate(cfg, built.Proc, core.Options{Strategy: strat, Prefetch: prefetch, WaitMigratePoint: true})
+	m := tb.migrate(cfg, built.Proc, core.Options{Strategy: strat, Prefetch: prefetch})
 	if err := m.remoteErr(k.String()); err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ func TestQuantileEmptyAndNil(t *testing.T) {
 }
 
 func TestQuantileAgainstExact(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	// A deterministic skewed sample set: most values small, a heavy
 	// tail, mimicking fault-latency distributions.
 	var samples []time.Duration
@@ -82,7 +82,7 @@ func TestQuantileAgainstExact(t *testing.T) {
 }
 
 func TestQuantileSingleSample(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.Observe("one", 42*time.Millisecond)
 	d := r.Dist("one")
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
@@ -93,7 +93,7 @@ func TestQuantileSingleSample(t *testing.T) {
 }
 
 func TestQuantileClampsToEnvelope(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.Observe("x", 100*time.Millisecond)
 	r.Observe("x", 101*time.Millisecond)
 	d := r.Dist("x")
@@ -103,7 +103,7 @@ func TestQuantileClampsToEnvelope(t *testing.T) {
 }
 
 func TestObserveZeroAndNegative(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.Observe("z", 0)
 	r.Observe("z", -time.Millisecond) // clamped into bucket 0; Min stays exact
 	d := r.Dist("z")
@@ -122,7 +122,7 @@ func TestObserveZeroAndNegative(t *testing.T) {
 // no traffic between the first and last non-empty buckets appear with
 // zero bytes (plots must show gaps honestly).
 func TestSeriesInteriorGaps(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.AddBytes(500*time.Millisecond, 100, false)
 	r.AddBytes(4500*time.Millisecond, 200, true)
 	s := r.Series()
@@ -144,7 +144,7 @@ func TestSeriesInteriorGaps(t *testing.T) {
 
 // TestPeakRateEmpty pins PeakRate's behaviour on a fresh recorder.
 func TestPeakRateEmpty(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	if got := r.PeakRate(); got != 0 {
 		t.Errorf("PeakRate on empty recorder = %d, want 0", got)
 	}
@@ -154,7 +154,7 @@ func TestPeakRateEmpty(t *testing.T) {
 // second StartPhase discards the earlier span entirely, and the phase
 // is invisible in Phases() while open.
 func TestReopenedPhase(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.StartPhase("xfer", 1*time.Second)
 	r.EndPhase("xfer", 2*time.Second)
 	if got := elapsed(r, "xfer"); got != time.Second {

@@ -23,7 +23,6 @@ import (
 // Recorder belongs to one trial's kernel: concurrent trials each record
 // into their own.
 type Recorder struct {
-	bucket  time.Duration
 	buckets map[int64]*rateBucket
 
 	bytesTotal uint64
@@ -57,22 +56,21 @@ type rateBucket struct {
 	fault uint64
 }
 
+// bucketWidth is the byte-rate series' sampling interval: Figure 4-5
+// plots bytes per second.
+const bucketWidth = time.Second
+
 // RatePoint is one sample of the byte-rate time series: bytes moved in
-// [T, T+bucket), split as in Figure 4-5.
+// [T, T+1s), split as in Figure 4-5.
 type RatePoint struct {
 	T          time.Duration
 	Bytes      uint64 // all traffic in the bucket
 	FaultBytes uint64 // subset carried in support of imaginary faults
 }
 
-// NewRecorder returns a recorder whose byte-rate series uses the given
-// bucket width (e.g. one second).
-func NewRecorder(bucket time.Duration) *Recorder {
-	if bucket <= 0 {
-		bucket = time.Second
-	}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder {
 	return &Recorder{
-		bucket:  bucket,
 		buckets: make(map[int64]*rateBucket),
 		phases:  make(map[string]*Phase),
 		dists:   make(map[string]*Distribution),
@@ -86,7 +84,7 @@ func (r *Recorder) AddBytes(at time.Duration, n int, fault bool) {
 		return
 	}
 	r.bytesTotal += uint64(n)
-	idx := int64(at / r.bucket)
+	idx := int64(at / bucketWidth)
 	b := r.buckets[idx]
 	if b == nil {
 		b = &rateBucket{}
@@ -315,7 +313,7 @@ func (r *Recorder) Series() []RatePoint {
 	lo, hi := idxs[0], idxs[len(idxs)-1]
 	out := make([]RatePoint, 0, hi-lo+1)
 	for i := lo; i <= hi; i++ {
-		pt := RatePoint{T: time.Duration(i) * r.bucket}
+		pt := RatePoint{T: time.Duration(i) * bucketWidth}
 		if b := r.buckets[i]; b != nil {
 			pt.Bytes = b.total
 			pt.FaultBytes = b.fault

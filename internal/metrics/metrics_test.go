@@ -7,7 +7,7 @@ import (
 )
 
 func TestAddBytesTotals(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.AddBytes(0, 100, false)
 	r.AddBytes(500*time.Millisecond, 50, true)
 	r.AddBytes(2*time.Second, 25, true)
@@ -20,7 +20,7 @@ func TestAddBytesTotals(t *testing.T) {
 }
 
 func TestAddBytesIgnoresNonPositive(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.AddBytes(0, 0, false)
 	r.AddBytes(0, -5, true)
 	if r.BytesTotal() != 0 {
@@ -29,7 +29,7 @@ func TestAddBytesIgnoresNonPositive(t *testing.T) {
 }
 
 func TestSeriesBucketing(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.AddBytes(100*time.Millisecond, 10, false)
 	r.AddBytes(900*time.Millisecond, 20, true)
 	r.AddBytes(3500*time.Millisecond, 40, false)
@@ -49,14 +49,14 @@ func TestSeriesBucketing(t *testing.T) {
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	if s := r.Series(); s != nil {
 		t.Errorf("Series on empty recorder = %v, want nil", s)
 	}
 }
 
 func TestPeakRate(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.AddBytes(0, 10, false)
 	r.AddBytes(time.Second, 500, false)
 	r.AddBytes(1500*time.Millisecond, 500, false)
@@ -67,7 +67,7 @@ func TestPeakRate(t *testing.T) {
 }
 
 func TestMessages(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.AddMessage(10 * time.Millisecond)
 	r.AddMessage(5 * time.Millisecond)
 	if r.MessageTime() != 15*time.Millisecond {
@@ -87,7 +87,7 @@ func elapsed(r *Recorder, name string) time.Duration {
 }
 
 func TestPhases(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	r.StartPhase("transfer", 2*time.Second)
 	r.EndPhase("transfer", 5*time.Second)
 	if got := elapsed(r, "transfer"); got != 3*time.Second {
@@ -116,7 +116,7 @@ func TestQuickSeriesConservation(t *testing.T) {
 		N     uint8
 		Fault bool
 	}) bool {
-		r := NewRecorder(time.Second)
+		r := NewRecorder()
 		for _, e := range events {
 			r.AddBytes(time.Duration(e.At)*time.Millisecond, int(e.N), e.Fault)
 		}
@@ -136,7 +136,7 @@ func TestQuickSeriesConservation(t *testing.T) {
 }
 
 func TestObserveDistribution(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	if r.Dist("lat") != nil {
 		t.Error("Dist on empty name not nil")
 	}

@@ -54,7 +54,7 @@ func TestWireSharedHalfDuplex(t *testing.T) {
 func TestRecorderAccounting(t *testing.T) {
 	k := sim.New()
 	l := New(k, "net", Config{})
-	rec := metrics.NewRecorder(time.Second)
+	rec := metrics.NewRecorder()
 	l.SetRecorder(rec)
 	k.Go("tx", func(p *sim.Proc) {
 		l.Transmit(p, 100, false)

@@ -109,7 +109,7 @@ func TestDeadLetterOnMissingPeer(t *testing.T) {
 func TestFaultSupportSplitInRecorder(t *testing.T) {
 	k := sim.New()
 	a, b, link := pair(k, netlink.Config{})
-	rec := metrics.NewRecorder(time.Second)
+	rec := metrics.NewRecorder()
 	a.srv.SetRecorder(rec)
 	b.srv.SetRecorder(rec)
 	link.SetRecorder(rec)

@@ -388,7 +388,7 @@ func TestBulkARQSurvivesLoss(t *testing.T) {
 func TestMessageAccounting(t *testing.T) {
 	k := sim.New()
 	a, b, _ := pair(k, netlink.Config{})
-	rec := metrics.NewRecorder(time.Second)
+	rec := metrics.NewRecorder()
 	a.srv.SetRecorder(rec)
 	b.srv.SetRecorder(rec)
 	dst := b.sys.AllocPort("svc")

@@ -163,28 +163,15 @@ func (b *Breakdown) Fraction(c Class) float64 {
 	return float64(b[c]) / float64(t)
 }
 
-// Options parameterizes a Build. The zero value matches the standard
-// two-machine testbed.
-type Options struct {
-	// Src and Dst name the source and destination machines (defaults
-	// "src" and "dst").
-	Src, Dst string
-}
-
-func (o Options) withDefaults() Options {
-	if o.Src == "" {
-		o.Src = "src"
-	}
-	if o.Dst == "" {
-		o.Dst = "dst"
-	}
-	return o
-}
+// The testbed's machine names: the profiler blames the CPU holds of
+// these two and looks for the resume on the second.
+const (
+	srcMachine = "src"
+	dstMachine = "dst"
+)
 
 // Profile is the reconstruction of one migration.
 type Profile struct {
-	Src, Dst string
-
 	// Phases holds the closed canonical phases found, in canonical
 	// order (missing phases are absent).
 	Phases []Phase
@@ -263,8 +250,7 @@ type msgSite struct {
 // arrive in emission order with back-dated timestamps (EmitAt); they
 // are re-ordered by (T, Seq) first. An end-before-begin phase pair —
 // which would be a negative-duration span — is an error.
-func Build(events []obs.Event, opt Options) (*Profile, error) {
-	opt = opt.withDefaults()
+func Build(events []obs.Event) (*Profile, error) {
 	evs := make([]obs.Event, len(events))
 	copy(evs, events)
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -274,11 +260,7 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 		return evs[i].Seq < evs[j].Seq
 	})
 
-	pf := &Profile{
-		Src:        opt.Src,
-		Dst:        opt.Dst,
-		PhaseBlame: make(map[string]*Breakdown, len(MigrationPhases)),
-	}
+	pf := &Profile{PhaseBlame: make(map[string]*Breakdown, len(MigrationPhases))}
 
 	phaseOpen := make(map[string]obs.Event) // machine|name -> begin event
 	phases := make(map[string]Phase)        // name -> last closed span
@@ -336,11 +318,11 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 				}
 			}
 		case obs.StateChange:
-			if ev.Name == "Resumed" && ev.Machine == opt.Dst {
+			if ev.Name == "Resumed" && ev.Machine == dstMachine {
 				resumes = append(resumes, ev.T)
 			}
 		case obs.ResourceHold:
-			if cl, ok := classifyHold(ev, opt); ok && ev.Dur > 0 {
+			if cl, ok := classifyHold(ev); ok && ev.Dur > 0 {
 				pf.Spans = append(pf.Spans, Span{
 					Class: cl, Resource: ev.Name, Proc: ev.Proc,
 					Start: ev.T - ev.Dur, End: ev.T, Seq: ev.Seq,
@@ -417,11 +399,11 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 // name: "<machine>.cpu" to the machine's CPU class, anything with
 // ".disk" to Disk. Unknown resources are unattributed (covered by
 // Other in the partition).
-func classifyHold(ev obs.Event, opt Options) (Class, bool) {
+func classifyHold(ev obs.Event) (Class, bool) {
 	switch {
-	case ev.Name == opt.Src+".cpu":
+	case ev.Name == srcMachine+".cpu":
 		return SrcCPU, true
-	case ev.Name == opt.Dst+".cpu":
+	case ev.Name == dstMachine+".cpu":
 		return DstCPU, true
 	case strings.Contains(ev.Name, ".disk"):
 		return Disk, true

@@ -56,7 +56,7 @@ func syntheticMigration() []obs.Event {
 }
 
 func TestBuildSyntheticMigration(t *testing.T) {
-	pf, err := Build(syntheticMigration(), Options{})
+	pf, err := Build(syntheticMigration())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestBuildPhaseRetryLastWins(t *testing.T) {
 	evs = append(evs, phasePair(&seq, "src", "xfer.core", 6*s, 7*s)...)
 	evs = append(evs, phasePair(&seq, "src", "xfer.rimas", 7*s, 8*s)...)
 	evs = append(evs, phasePair(&seq, "src", "insert", 8*s, 9*s)...)
-	pf, err := Build(evs, Options{})
+	pf, err := Build(evs)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestBuildNegativePhaseErrors(t *testing.T) {
 	// The (T, Seq) sort puts the end first, making it an end with no
 	// open begin — either failure mode must surface as an error, never
 	// as a negative-duration span.
-	if _, err := Build(evs, Options{}); err == nil {
+	if _, err := Build(evs); err == nil {
 		t.Fatalf("Build accepted an end-before-begin phase pair")
 	}
 }
@@ -161,7 +161,7 @@ func TestBuildUnmatchedCounts(t *testing.T) {
 		obs.Event{Kind: obs.MsgSend, MsgID: 9, T: s, Seq: 100},
 		obs.Event{Kind: obs.FaultStart, Machine: "dst", Proc: "p", Name: "imag", Addr: 4096, T: 2 * s, Seq: 101},
 	)
-	pf, err := Build(evs, Options{})
+	pf, err := Build(evs)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestBackdatedEmitAt(t *testing.T) {
 		}
 	}
 
-	pf, err := Build(evs, Options{})
+	pf, err := Build(evs)
 	if err != nil {
 		t.Fatalf("Build on back-dated stream: %v", err)
 	}

@@ -18,7 +18,7 @@ func TestProfSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TraceTrial: %v", err)
 	}
-	pf, err := prof.Build(sink.Events(), prof.Options{})
+	pf, err := prof.Build(sink.Events())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

@@ -13,13 +13,16 @@
 // its reference and hands out a fresh run list whose images are the
 // sender's, each capped at its length, so an append reallocates instead
 // of spilling into the next image. No crossing copies a page image.
+// A body codec may send any other immutable value the same way
+// (Encoder.Ref): the Core context's reference program crosses so.
 //
-// The immutability rule: a page image is immutable from the moment a
-// message carries it. A receiver installs it by borrowing
-// (vm.Segment.Receive), and a write gives the page a private frame
-// first. A sender whose image is live — a content-index entry aliases a
-// frame that its page may still write — sends a copy, and whatever
-// damages a delivered image damages a copy of it.
+// The immutability rule: a page image or a program is immutable from
+// the moment a message carries it. A receiver installs a page image by
+// borrowing (vm.Segment.Receive), and a write gives the page a private
+// frame first. A sender whose image is live — a content-index entry
+// aliases a frame that its page may still write — sends a copy, and
+// whatever damages a delivered image damages a copy of it. A program is
+// shared by every install of its workload and never written.
 //
 // Costs are still charged from ipc.Message.WireBytes (the calibrated
 // analytic estimate); the frame's header bytes plus the referenced
@@ -54,8 +57,8 @@ type BodyCodec struct {
 
 // UnmarshalImages decodes a body that arrives as bytes alone, with no
 // extras: every page run takes its image from the front of images, in
-// order, and a nested message's codec-less body decodes as nil. It lets
-// a fuzzer reach page runs from bytes.
+// order, and a reference (Decoder.Ref) or a nested message's codec-less
+// body decodes as nil. It lets a fuzzer reach page runs from bytes.
 func (c BodyCodec) UnmarshalImages(body, images []byte) (any, error) {
 	return c.unmarshal(&Decoder{b: body, images: &images})
 }
@@ -64,6 +67,9 @@ func (c BodyCodec) unmarshal(r *Decoder) (v any, err error) {
 	defer recoverDecode(&err, "body", len(r.b))
 	if v, err = c.Decode(r); err != nil {
 		return nil, err
+	}
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("wire: %d trailing body bytes", len(r.b)-r.off)
 	}
 	r.done()
 	return v, nil
@@ -147,8 +153,10 @@ func (w *Encoder) Str(v string) {
 	w.n += len(v)
 }
 
-// extra appends a reference that rides beside the frame, in order.
-func (w *Encoder) extra(v any) {
+// Ref sends v by reference: it rides beside the frame as the next
+// extra, and no byte of it enters the frame. v must be immutable from
+// here on (see the package comment). Decoder.Ref takes it back.
+func (w *Encoder) Ref(v any) {
 	if w.b != nil {
 		w.extras = append(w.extras, v)
 	}
@@ -166,7 +174,7 @@ func (w *Encoder) Message(m *ipc.Message) error {
 	w.Bytes(frame)
 	w.U32(uint32(len(extras)))
 	for _, x := range extras {
-		w.extra(x)
+		w.Ref(x)
 	}
 	return nil
 }
@@ -180,8 +188,8 @@ type Decoder struct {
 	off  int
 	refs []any // the extras still to take, in order
 	// images, when set, stands in for the extras: each page run takes
-	// its image from the front, and a codec-less body is nil. Fuzzers
-	// decode frames from bytes this way (UnmarshalImages).
+	// its image from the front, and a reference or a codec-less body is
+	// nil. Fuzzers decode frames from bytes this way (UnmarshalImages).
 	images *[]byte
 }
 
@@ -265,6 +273,15 @@ func (r *Decoder) take(n int) []any {
 	return v
 }
 
+// Ref takes the value an Encoder.Ref sent. A body decoded from bytes
+// alone (UnmarshalImages) has no extras, and its references are nil.
+func (r *Decoder) Ref() any {
+	if v := r.take(1); v != nil {
+		return v[0]
+	}
+	return nil
+}
+
 // done checks that every extra was taken.
 func (r *Decoder) done() {
 	if len(r.refs) > 0 {
@@ -322,7 +339,7 @@ func writeRuns(w *Encoder, runs []vm.PageRun) {
 		w.U32(uint32(len(run.Data)))
 	}
 	if len(runs) > 0 {
-		w.extra(runs)
+		w.Ref(runs)
 	}
 }
 
@@ -389,7 +406,7 @@ func writeMessage(w *Encoder, m *ipc.Message, codec BodyCodec, coded bool, bodyL
 		bodyLen = w.n - start
 		w.U32(uint32(w.nx - nx))
 	} else {
-		w.extra(m.Body)
+		w.Ref(m.Body)
 	}
 	w.U32(uint32(len(m.Mem)))
 	for _, a := range m.Mem {

@@ -243,6 +243,15 @@ func TestTrailingBytesRejected(t *testing.T) {
 	if _, err := DecodeMessage(append(frame, 0xEE), extras); err == nil {
 		t.Error("trailing garbage not detected")
 	}
+	// A body its codec does not read to the end is refused too.
+	codec, _ := LookupBody(imag.OpSegmentDeath)
+	body := []byte{0, 0, 0, 0, 0, 0, 0, 7, 0xEE}
+	if _, err := codec.UnmarshalImages(body, nil); err == nil || err.Error() != "wire: 1 trailing body bytes" {
+		t.Errorf("a body with one unread byte: err = %v, want wire: 1 trailing body bytes", err)
+	}
+	if v, err := codec.UnmarshalImages(body[:8], nil); err != nil || v.(*imag.SegmentDeath).SegID != 7 {
+		t.Errorf("the body without it: %v, %v", v, err)
+	}
 }
 
 func TestFrameBytesTracksWireBytes(t *testing.T) {

@@ -60,11 +60,13 @@ func TestBorrowedRowsSurviveTrials(t *testing.T) {
 		requireFillRowsIntact(t, s.String()+" trial")
 	}
 
-	cfg := experiments.Config{Faults: &faults.Plan{Seed: 1, Partitions: []faults.Window{
-		{Start: 0, End: faults.Duration(60 * time.Second)},
-	}}}
-	out, err := experiments.RunResilienceTrial(cfg, workload.LispDel, core.PureIOU,
-		experiments.ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: 2 * time.Second})
+	cfg := experiments.Config{
+		Faults: &faults.Plan{Seed: 1, Partitions: []faults.Window{
+			{Start: 0, End: faults.Duration(60 * time.Second)},
+		}},
+		Recovery: &experiments.ResilienceOptions{MaxRetries: 1, Degrade: true, AckTimeout: 2 * time.Second},
+	}
+	out, err := experiments.RunResilienceTrial(cfg, workload.LispDel, core.PureIOU)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func migrate(tb *experiments.Testbed, kind workload.Kind, strat core.Strategy, h
 	var err error
 	tb.K.Go("driver."+name, func(p *sim.Proc) {
 		rep, err = tb.SrcMgr.MigrateTo(p, name, tb.DstMgr.Port.ID, core.Options{
-			Strategy: strat, Prefetch: 2, WaitMigratePoint: true, HoldAtDest: hold, MaxRetries: 8,
+			Strategy: strat, Prefetch: 2, HoldAtDest: hold, MaxRetries: 8,
 		})
 		if err != nil || hold {
 			return

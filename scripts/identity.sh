@@ -6,8 +6,10 @@
 # MIGSIM is a built migsim binary. `-exp all` must reproduce
 # testdata/exp_all.golden byte for byte, and every line of
 # testdata/identity.txt ("ARGS | SHA256(stdout) SHA256(stderr) EXIT")
-# must reproduce its three values. A mismatch prints the line the
-# binary would commit in its place. Exits 1 on any mismatch. The runs
+# must reproduce its three values. A golden mismatch prints the first
+# 40 lines of `diff -u` of the golden against the run; a digest mismatch
+# prints the line the binary would commit in its place. Exits 1 on any
+# mismatch. The runs
 # start in the repository root, so a line's relative paths (a -faults
 # plan) resolve the same from any working directory.
 set -u
@@ -20,7 +22,8 @@ fail=0
 
 "$bin" -exp all > "$tmp/all.out" 2> "$tmp/all.err"
 if ! cmp -s "$tmp/all.out" "$root/testdata/exp_all.golden"; then
-	echo "identity: -exp all differs from testdata/exp_all.golden" >&2
+	echo "identity: -exp all differs from testdata/exp_all.golden; the first 40 lines of diff -u:" >&2
+	diff -u testdata/exp_all.golden "$tmp/all.out" | head -n 40 >&2
 	fail=1
 fi
 
