@@ -51,12 +51,14 @@ unreached:
 # Fuzz each of the module's four decoders for 10 s, starting from its
 # seed corpus in testdata/fuzz: fault-plan JSON, disk-cache entries, wire
 # frames and core message bodies. `make test` runs the seeds alone; CI
-# runs this after `make check`.
+# runs this after `make check`. Minimizing a new-coverage input may take
+# 60 s by default, so one input could stall a 10 s run at 0 execs/sec
+# for most of its budget; each line bounds minimization to 1 s.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/faults/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/experiments/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 
 # Regenerate the measured side of EXPERIMENTS.md.
 report:

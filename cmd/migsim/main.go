@@ -56,6 +56,8 @@ var tunables struct {
 	window      int
 	outstanding int
 
+	chaosTrials, shards int
+
 	dedup     bool
 	compress  bool
 	resume    bool
@@ -83,8 +85,8 @@ func main() {
 	flag.BoolVar(&tunables.compress, "compress", false, "enable the modeled wire compressor (implies -dedup)")
 	flag.BoolVar(&tunables.resume, "resume", false, "enable the delivery ledger: retries resume from pages an aborted attempt already delivered")
 	flag.BoolVar(&tunables.integrity, "integrity", false, "enable per-page checksums with targeted re-fetch of corrupt installs")
-	chaosTrials := flag.Int("chaos-trials", 200, "randomized fault trials for -exp chaos")
-	shards := flag.Int("shards", 1, "event-lane workers for the sharded kernel in -exp shardstress (1 = sequential kernel, the default path)")
+	flag.IntVar(&tunables.chaosTrials, "chaos-trials", 200, "randomized fault trials for -exp chaos")
+	flag.IntVar(&tunables.shards, "shards", 1, "event-lane workers for the sharded kernel in -exp shardstress (1 = sequential kernel, the default path)")
 	csv := flag.Bool("csv", false, "emit figure data as CSV instead of text")
 	trace := flag.String("trace", "", "write a flight-recorder trace of every simulation to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl or chrome (Perfetto-loadable)")
@@ -93,6 +95,9 @@ func main() {
 	memoCache := flag.Bool("memo-cache", false, "persist trial results in a disk cache (default .migcache/) reused across runs")
 	memoCacheDir := flag.String("memo-cache-dir", "", "disk cache directory (implies -memo-cache)")
 	flag.Parse()
+	if err := checkRanges(); err != nil {
+		fatal(err)
+	}
 
 	experiments.SetWorkers(*parallel)
 	if *memoCache || *memoCacheDir != "" {
@@ -137,7 +142,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p := experiments.Params{Config: cfg, Kinds: kinds, CSV: *csv, ChaosTrials: *chaosTrials, Seed: *seed, Shards: *shards}
+	p := experiments.Params{Config: cfg, Kinds: kinds, CSV: *csv, ChaosTrials: tunables.chaosTrials, Seed: *seed, Shards: tunables.shards}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = nil
@@ -181,6 +186,28 @@ func parseKinds(s string) ([]workload.Kind, error) {
 		out = append(out, k)
 	}
 	return out, nil
+}
+
+// checkRanges rejects a numeric flag no run can use: a negative count,
+// size, rate or width, or a retry budget below -1 (the default).
+func checkRanges() error {
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"chaos-trials", tunables.chaosTrials, 0},
+		{"physframes", tunables.physFrames, 0},
+		{"bandwidth", tunables.bandwidth, 0},
+		{"window", tunables.window, 0},
+		{"outstanding", tunables.outstanding, 0},
+		{"shards", tunables.shards, 0},
+		{"max-retries", tunables.maxRetries, -1},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("-%s %d is out of range (want %d or more)", f.name, f.val, f.min)
+		}
+	}
+	return nil
 }
 
 // faultPlan compiles the fault-related flags into one plan: an
@@ -258,8 +285,9 @@ func run(id string, p experiments.Params) error {
 		return fmt.Errorf("unknown experiment %q (try -list)", id)
 	}
 	if tunables.sink != nil {
-		// Namespace every trial's machines by experiment, so one trace
-		// file holds the whole run with distinguishable process groups.
+		// Namespace every trial's machines by experiment and trial
+		// number (obs.ForTrial), so one trace file holds the whole run
+		// with a process group per trial's machine.
 		p.Config.Sink = obs.WithPrefix(tunables.sink, id+"/")
 	}
 	out, err := e.Render(p)

@@ -79,6 +79,97 @@ func TestProfileTraceHoldsEvents(t *testing.T) {
 	}
 }
 
+// TestRejectsOutOfRangeNumbers: a numeric flag no run can use is an
+// error that names the flag, not a panic or a run on a negative rate.
+func TestRejectsOutOfRangeNumbers(t *testing.T) {
+	saved := tunables
+	defer func() { tunables = saved }()
+	tunables.maxRetries = -1 // the flag's default
+	defaults := tunables
+	if err := checkRanges(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		flag string
+		set  func()
+	}{
+		{"-chaos-trials", func() { tunables.chaosTrials = -1 }},
+		{"-physframes", func() { tunables.physFrames = -1 }},
+		{"-bandwidth", func() { tunables.bandwidth = -5 }},
+		{"-window", func() { tunables.window = -1 }},
+		{"-outstanding", func() { tunables.outstanding = -1 }},
+		{"-shards", func() { tunables.shards = -1 }},
+		{"-max-retries", func() { tunables.maxRetries = -2 }},
+	} {
+		tunables = defaults
+		tc.set()
+		err := checkRanges()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%s out of range: err = %v, want one naming the flag", tc.flag, err)
+		}
+	}
+}
+
+// traceRun returns the JSONL trace of `migsim -exp id -parallel
+// workers` over kinds.
+func traceRun(t *testing.T, id string, workers int, kinds ...workload.Kind) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	tunables.sink = sink
+	experiments.SetWorkers(workers)
+	defer func() {
+		tunables.sink = nil
+		experiments.SetWorkers(0)
+	}()
+	if err := run(id, experiments.Params{Kinds: kinds}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceSameAtAnyParallel: traced trials run one at a time, so a
+// trace file is the same bytes at any -parallel, on every run.
+func TestTraceSameAtAnyParallel(t *testing.T) {
+	seq := traceRun(t, "table4-3", 1, workload.Minprog)
+	if len(seq) == 0 {
+		t.Fatal("-parallel 1 wrote an empty trace")
+	}
+	for i := 0; i < 3; i++ {
+		if par := traceRun(t, "table4-3", 4, workload.Minprog); !bytes.Equal(seq, par) {
+			t.Fatalf("-parallel 1 wrote %d trace bytes, -parallel 4 run %d wrote %d different ones", len(seq), i, len(par))
+		}
+	}
+}
+
+// TestEachTrialHasItsOwnTracks: every trial of a traced run writes on
+// tracks of its own. Each trial migrates its process once, so a track
+// with two excise phases holds two trials.
+func TestEachTrialHasItsOwnTracks(t *testing.T) {
+	trace := traceRun(t, "table4-3", 0, workload.Minprog)
+	excises := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		var ev struct{ Kind, Machine, Name string }
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Kind == "PhaseBegin" && ev.Name == "excise" {
+			excises[ev.Machine]++
+		}
+	}
+	if len(excises) < 2 {
+		t.Fatalf("excise phases on %v, want one track per trial", excises)
+	}
+	for track, n := range excises {
+		if n != 1 {
+			t.Errorf("track %s holds %d trials' excise phases", track, n)
+		}
+	}
+}
+
 // captureRunAll renders every -exp all experiment in order, exactly as
 // `migsim -exp all` prints them at the default flags.
 func captureRunAll(t *testing.T) []byte {

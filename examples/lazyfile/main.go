@@ -47,7 +47,7 @@ func run() error {
 
 	// The server publishes the file from its NetMsgServer-backed store:
 	// one imaginary segment, owed page by page.
-	segID := imag.NextSegID()
+	segID := k.NextID()
 	sseg := server.Net.Store().AddSegment(segID, filePages*pageSize, pageSize)
 	for i := uint64(0); i < filePages; i++ {
 		sseg.Put(i, fileContent(i))
@@ -55,8 +55,7 @@ func run() error {
 
 	// The client maps the file without moving a byte.
 	as := vm.MustNewAddressSpace(vm.Config{})
-	fileSeg := vm.NewImaginarySegment("remote-file", filePages*pageSize, pageSize, uint64(server.Net.BackingPort()))
-	fileSeg.ID = segID
+	fileSeg := vm.NewImaginarySegment("remote-file", filePages*pageSize, pageSize, uint64(server.Net.BackingPort()), segID)
 	if _, err := as.MapSegment(0, filePages*pageSize, fileSeg, 0, "remote-file"); err != nil {
 		return err
 	}

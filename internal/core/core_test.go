@@ -327,8 +327,7 @@ func TestPreexistingImaginaryRegionForwards(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		sseg.Put(i, pattern(100+i))
 	}
-	iseg := vm.NewImaginarySegment("owed", 8*512, 512, uint64(tb.src.Net.BackingPort()))
-	iseg.ID = segID
+	iseg := vm.NewImaginarySegment("owed", 8*512, 512, uint64(tb.src.Net.BackingPort()), segID)
 	if _, err := pr.AS.MapSegment(0, 8*512, iseg, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}

@@ -142,11 +142,10 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 			}
 			return seg, nil
 		case ipc.AttachIOU:
-			seg := vm.NewImaginarySegment(fmt.Sprintf("%s.%s", cb.ProcName, label), a.SegSize, int(ps), uint64(a.Backing))
-			attachPool(m, seg)
 			// Keep the backer's identity so read requests name the
 			// object it knows.
-			seg.ID = a.SegID
+			seg := vm.NewImaginarySegment(fmt.Sprintf("%s.%s", cb.ProcName, label), a.SegSize, int(ps), uint64(a.Backing), a.SegID)
+			attachPool(m, seg)
 			registerDeathNotice(m, seg)
 			// An absorbed attachment's manifest hashes become fault-time
 			// hints: a later fault on these pages first tries the local
@@ -257,9 +256,8 @@ unfold:
 		case ii < len(imagAtts):
 			a := imagAtts[ii]
 			ii++
-			seg := vm.NewImaginarySegment(fmt.Sprintf("%s.owed@%#x", cb.ProcName, a.VA), a.SegSize, int(ps), uint64(a.Backing))
+			seg := vm.NewImaginarySegment(fmt.Sprintf("%s.owed@%#x", cb.ProcName, a.VA), a.SegSize, int(ps), uint64(a.Backing), a.SegID)
 			attachPool(m, seg)
-			seg.ID = a.SegID
 			if _, err = as.MapSegment(a.VA, a.Size, seg, a.SegOff, seg.Name); err == nil {
 				registerDeathNotice(m, seg)
 				t.IOURuns++

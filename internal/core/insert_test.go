@@ -27,7 +27,7 @@ func mixedProc(t *testing.T, m *machine.Machine) *machine.Process {
 	for _, i := range []uint64{2, 3, 4, 5, 9, 10, 11, 20, 30, 31} {
 		heap.Seg.Materialize(i, pattern(i)).State.OnDisk = true
 	}
-	owed := vm.NewImaginarySegment("owed", 16*512, 512, 77)
+	owed := vm.NewImaginarySegment("owed", 16*512, 512, 77, 1)
 	if _, err := pr.AS.MapSegment(40*512, 8*512, owed, 4*512, "owed"); err != nil {
 		t.Fatal(err)
 	}

@@ -186,8 +186,7 @@ func TestBalancerPrefersUndispersedCandidates(t *testing.T) {
 	for i := uint64(0); i < 16; i++ {
 		sseg.Put(i, []byte{byte(i)})
 	}
-	iseg := vm.NewImaginarySegment("owed", 16*512, 512, uint64(ms[1].Net.BackingPort()))
-	iseg.ID = segID
+	iseg := vm.NewImaginarySegment("owed", 16*512, 512, uint64(ms[1].Net.BackingPort()), segID)
 	if _, err := prA.AS.MapSegment(1<<20, 16*512, iseg, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}

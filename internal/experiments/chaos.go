@@ -39,7 +39,6 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/faults"
-	"accentmig/internal/obs"
 	"accentmig/internal/prof"
 	"accentmig/internal/workload"
 	"accentmig/internal/xrand"
@@ -306,13 +305,14 @@ func chaosViolation(c chaosCase, invariant, detail string, recheck func(*faults.
 // memoized across trials (there are only a few dozen distinct
 // scenarios), so the campaign cost is dominated by the faulted trials
 // themselves. Every 16th trial is additionally re-run under the flight
-// recorder to check the blame-partition invariant.
+// recorder to check the blame-partition invariant. Under a sink the
+// campaign runs uncached on one worker, as the sweeps do, and records
+// every trial it runs.
 func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error) {
 	// An inherited plan would break the campaign's seed-determinism,
 	// exactly as in the resilience sweep; each scenario draws its own
 	// plan and recovery options.
 	cfg.Faults = nil
-	cfg.Sink = nil
 
 	h := fnv.New64a()
 	h.Write([]byte("chaos"))
@@ -339,7 +339,7 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 		profiled  bool
 	}
 	results := make([]result, trials)
-	e.fanOut(trials, func(i int) {
+	e.fanOut(cfg.Sink, trials, func(i int) {
 		c := cases[i]
 		r := &results[i]
 		r.gold, r.err = e.ResilienceTrial(c.golden, resilienceKind, c.strat)
@@ -359,10 +359,11 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 		// Blame-partition invariant on the profiled subset: re-run the
 		// same trial with a flight recorder (traced trials bypass the
 		// memoization cache by design) and rebuild the critical path.
-		sink := obs.NewMemorySink()
-		pcfg := c.cfg
-		pcfg.Sink = sink
-		if _, perr := RunResilienceTrial(pcfg, resilienceKind, c.strat); perr != nil {
+		sink, perr := traced(c.cfg, func(pcfg Config) error {
+			_, err := RunResilienceTrial(pcfg, resilienceKind, c.strat)
+			return err
+		})
+		if perr != nil {
 			return
 		}
 		r.profiled = true

@@ -6,6 +6,7 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/faults"
+	"accentmig/internal/obs"
 	"accentmig/internal/pager"
 	"accentmig/internal/sim"
 	"accentmig/internal/workload"
@@ -26,6 +27,32 @@ func TestChaosSmoke(t *testing.T) {
 	for _, v := range rep.Violations {
 		t.Errorf("seed %d %s: %s — %s\n  minimal plan: %s",
 			v.Seed, v.Scenario, v.Invariant, v.Detail, v.PlanJSON)
+	}
+}
+
+// countSink counts events. It takes no lock: the race detector catches
+// two workers emitting into it at once.
+type countSink struct{ n int }
+
+func (s *countSink) Emit(obs.Event) { s.n++ }
+
+// TestChaosTraces: a campaign under a sink records its trials on one
+// worker and reports exactly what it reports untraced.
+func TestChaosTraces(t *testing.T) {
+	want, err := NewEngine(2).Chaos(Config{}, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countSink{}
+	got, err := NewEngine(2).Chaos(Config{Sink: sink}, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.n == 0 {
+		t.Error("a traced campaign emitted no events")
+	}
+	if g, w := FormatChaos(got), FormatChaos(want); g != w {
+		t.Errorf("traced report differs:\n%s\nuntraced:\n%s", g, w)
 	}
 }
 

@@ -74,7 +74,6 @@ type DedupTable struct {
 // off column runs the untouched transfer path, so it is byte-identical
 // to the default experiments.
 func (e *Engine) Dedup(cfg Config, kinds []workload.Kind) (*DedupTable, error) {
-	cfg = cfg.forParallel(e.Workers())
 	type cell struct {
 		cfg   Config
 		mode  string
@@ -92,7 +91,7 @@ func (e *Engine) Dedup(cfg Config, kinds []workload.Kind) (*DedupTable, error) {
 		}
 	}
 
-	out, err := sweep(e, cells, func(c cell) (*TrialResult, error) {
+	out, err := sweep(e, cfg.Sink, cells, func(c cell) (*TrialResult, error) {
 		return e.Trial(c.cfg, c.kind, c.strat, 0)
 	})
 	if err != nil {

@@ -29,8 +29,9 @@ import (
 // summary's §4.3.3 probe).
 //
 // Work driven with a flight-recorder sink installed bypasses the cache
-// (a cached result would silently emit no trace events); trials still
-// run in parallel, with the shared sink synchronized.
+// (a cached result would silently emit no trace events) and runs on one
+// worker, so the sink sees one trial at a time, in cell order, at any
+// pool width.
 type Engine struct {
 	// workers is the pool width; <= 0 selects runtime.GOMAXPROCS(0).
 	workers int
@@ -146,8 +147,12 @@ func (c Config) fingerprint() uint64 {
 // share a single computation. The owner consults the disk level before
 // running, and writes a freshly computed result behind only after the
 // waiters are released. Errors are never stored on disk: a failed trial
-// re-runs next process.
-func memo[T any](e *Engine, key cacheKey, run func() (*T, error)) (*T, error) {
+// re-runs next process. Work that records to a sink runs uncached, so
+// its flight-recorder stream is always emitted.
+func memo[T any](e *Engine, sink obs.Sink, key cacheKey, run func() (*T, error)) (*T, error) {
+	if sink != nil {
+		return run()
+	}
 	e.mu.Lock()
 	if ent, ok := e.cache[key]; ok {
 		e.mu.Unlock()
@@ -173,8 +178,7 @@ func memo[T any](e *Engine, key cacheKey, run func() (*T, error)) (*T, error) {
 }
 
 // Trial returns the memoized result for one grid cell, simulating it on
-// this goroutine if no one has yet. Configs with a Sink installed run
-// uncached so their flight-recorder stream is always emitted.
+// this goroutine if no one has yet.
 func (e *Engine) Trial(cfg Config, k workload.Kind, s core.Strategy, pf int) (*TrialResult, error) {
 	return e.trial(cfg.fingerprint(), cfg, GridKey{k, s, pf})
 }
@@ -182,22 +186,18 @@ func (e *Engine) Trial(cfg Config, k workload.Kind, s core.Strategy, pf int) (*T
 // trial is Trial with the config fingerprint supplied by the caller,
 // so sweeps hash the config once instead of once per cell.
 func (e *Engine) trial(fp uint64, cfg Config, g GridKey) (*TrialResult, error) {
-	run := func() (*TrialResult, error) { return RunTrial(cfg, g.Kind, g.Strategy, g.Prefetch) }
-	if cfg.Sink != nil {
-		return run()
-	}
-	return memo(e, cacheKey{fp: fp, variant: variantGrid, GridKey: g}, run)
+	return memo(e, cfg.Sink, cacheKey{fp: fp, variant: variantGrid, GridKey: g}, func() (*TrialResult, error) {
+		return RunTrial(cfg, g.Kind, g.Strategy, g.Prefetch)
+	})
 }
 
 // ResilienceTrial is the memoized form of RunResilienceTrial. The
 // config fingerprint covers the retry policy (cfg.Recovery), so sweeps
 // varying retry budgets over one fault plan stay distinct.
 func (e *Engine) ResilienceTrial(cfg Config, k workload.Kind, s core.Strategy) (*ResilienceOutcome, error) {
-	run := func() (*ResilienceOutcome, error) { return RunResilienceTrial(cfg, k, s) }
-	if cfg.Sink != nil {
-		return run()
-	}
-	return memo(e, cacheKey{fp: cfg.fingerprint(), variant: variantResilience, GridKey: GridKey{k, s, 0}}, run)
+	return memo(e, cfg.Sink, cacheKey{fp: cfg.fingerprint(), variant: variantResilience, GridKey: GridKey{k, s, 0}}, func() (*ResilienceOutcome, error) {
+		return RunResilienceTrial(cfg, k, s)
+	})
 }
 
 // ShardTrial is the memoized form of RunShardStress. Only the
@@ -213,17 +213,16 @@ func (e *Engine) ShardTrial(o ShardStressOptions) (*ShardStressResult, error) {
 	keyOpts.Shards = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "shardstress|%d|%#v", xrand.BaseSeed(), keyOpts)
-	return memo(e, cacheKey{fp: h.Sum64(), variant: variantShard}, func() (*ShardStressResult, error) {
+	return memo(e, nil, cacheKey{fp: h.Sum64(), variant: variantShard}, func() (*ShardStressResult, error) {
 		res, _, err := RunShardStress(o)
 		return res, err
 	})
 }
 
 // Usage is the memoized address-space composition of workload k
-// installed on a fresh testbed: what Table 4-1 prints for it. Configs
-// with a Sink installed run uncached, as in Trial.
+// installed on a fresh testbed: what Table 4-1 prints for it.
 func (e *Engine) Usage(cfg Config, k workload.Kind) (*vm.Usage, error) {
-	run := func() (*vm.Usage, error) {
+	return memo(e, cfg.Sink, cacheKey{fp: cfg.fingerprint(), variant: variantUsage, GridKey: GridKey{Kind: k}}, func() (*vm.Usage, error) {
 		tb := NewTestbed(cfg)
 		defer tb.K.Close()
 		b, err := workload.Build(tb.Src, k)
@@ -232,46 +231,34 @@ func (e *Engine) Usage(cfg Config, k workload.Kind) (*vm.Usage, error) {
 		}
 		u := b.Proc.AS.Usage()
 		return &u, nil
-	}
-	if cfg.Sink != nil {
-		return run()
-	}
-	return memo(e, cacheKey{fp: cfg.fingerprint(), variant: variantUsage, GridKey: GridKey{Kind: k}}, run)
+	})
 }
 
-// FaultCosts is the memoized form of MeasureFaultCosts. Configs with a
-// Sink installed run uncached, as in Trial.
+// FaultCosts is the memoized form of MeasureFaultCosts.
 func (e *Engine) FaultCosts(cfg Config) (*FaultCosts, error) {
-	run := func() (*FaultCosts, error) { return MeasureFaultCosts(cfg) }
-	if cfg.Sink != nil {
-		return run()
-	}
-	return memo(e, cacheKey{fp: cfg.fingerprint(), variant: variantFaultCosts}, run)
-}
-
-// forParallel prepares a config for concurrent trials: a shared
-// flight-recorder sink must be synchronized once kernels emit from
-// more than one goroutine.
-func (c Config) forParallel(workers int) Config {
-	if c.Sink != nil && workers > 1 {
-		c.Sink = obs.Synchronized(c.Sink)
-	}
-	return c
+	return memo(e, cfg.Sink, cacheKey{fp: cfg.fingerprint(), variant: variantFaultCosts}, func() (*FaultCosts, error) {
+		return MeasureFaultCosts(cfg)
+	})
 }
 
 // fanOut runs fn(i) for i in [0, n) on the engine's worker pool and
-// blocks until all complete. Work is claimed in contiguous batches —
-// one shared-counter bump per batch instead of per item — so sweeps of
-// sub-millisecond memoized cells are not dominated by cross-core
-// contention on the dispatch counter. Batches stay small relative to
-// n/w to keep the tail balanced when cell costs are skewed.
+// blocks until all complete. Work that records to a sink runs on one
+// worker, in index order, so no sink is written from two goroutines and
+// its stream is the same at any pool width. Work is claimed in
+// contiguous batches — one shared-counter bump per batch instead of per
+// item — so sweeps of sub-millisecond memoized cells are not dominated
+// by cross-core contention on the dispatch counter. Batches stay small
+// relative to n/w to keep the tail balanced when cell costs are skewed.
 //
 // Each cell ends with a yield to the Go scheduler: a trial's procs hand
 // off as coroutines, which never enter it, so on one P a collection's
 // mark worker would wait for the 10 ms preemption tick while the trial
 // allocates on, and the overrun doubles the next heap goal.
-func (e *Engine) fanOut(n int, fn func(i int)) {
+func (e *Engine) fanOut(sink obs.Sink, n int, fn func(i int)) {
 	w := e.Workers()
+	if sink != nil {
+		w = 1
+	}
 	if w > n {
 		w = n
 	}
@@ -311,13 +298,13 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// sweep runs fn over cells on the engine's worker pool and returns the
-// results in cell order. On error the first failure in cell order is
-// reported.
-func sweep[C, T any](e *Engine, cells []C, fn func(C) (T, error)) ([]T, error) {
+// sweep runs fn over cells on the engine's worker pool (one worker when
+// the cells record to sink) and returns the results in cell order. On
+// error the first failure in cell order is reported.
+func sweep[C, T any](e *Engine, sink obs.Sink, cells []C, fn func(C) (T, error)) ([]T, error) {
 	out := make([]T, len(cells))
 	errs := make([]error, len(cells))
-	e.fanOut(len(cells), func(i int) { out[i], errs[i] = fn(cells[i]) })
+	e.fanOut(sink, len(cells), func(i int) { out[i], errs[i] = fn(cells[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -330,9 +317,8 @@ func sweep[C, T any](e *Engine, cells []C, fn func(C) (T, error)) ([]T, error) {
 // returns their results in key order. On error the first failure in key
 // order is reported.
 func (e *Engine) Trials(cfg Config, keys []GridKey) ([]*TrialResult, error) {
-	cfg = cfg.forParallel(e.Workers())
 	fp := cfg.fingerprint() // hashed once for the whole sweep
-	return sweep(e, keys, func(g GridKey) (*TrialResult, error) { return e.trial(fp, cfg, g) })
+	return sweep(e, cfg.Sink, keys, func(g GridKey) (*TrialResult, error) { return e.trial(fp, cfg, g) })
 }
 
 // GridKeys enumerates the full paper grid for the given workloads in

@@ -34,7 +34,7 @@ func TestMemoSingleFlight(t *testing.T) {
 			if started.Add(1) == n {
 				close(allStarted)
 			}
-			v, err := memo(e, key, run)
+			v, err := memo(e, nil, key, run)
 			if err != nil {
 				t.Error(err)
 			}

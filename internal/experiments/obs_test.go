@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"accentmig/internal/core"
@@ -144,5 +145,36 @@ func TestTrialTracedMatchesUntraced(t *testing.T) {
 	if plain.BytesTotal != traced.BytesTotal || plain.BytesFault != traced.BytesFault {
 		t.Errorf("tracing changed byte counts: %d/%d vs %d/%d",
 			plain.BytesTotal, plain.BytesFault, traced.BytesTotal, traced.BytesFault)
+	}
+}
+
+// TestTraceTrialTracks: TraceTrial hands the profiler the testbed's
+// own machine names, and passes its events on to a prefixed sink on
+// tracks of their own, one set per trial.
+func TestTraceTrialTracks(t *testing.T) {
+	outer := obs.NewMemorySink()
+	cfg := Config{Sink: obs.WithPrefix(outer, "p/")}
+	for n := 1; n <= 2; n++ {
+		_, sink, err := TraceTrial(cfg, workload.Minprog, core.PureIOU, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range sink.Events() {
+			if strings.Contains(ev.Machine, "/") {
+				t.Fatalf("trial %d: TraceTrial's own sink saw machine %q", n, ev.Machine)
+			}
+		}
+	}
+	tracks := map[string]bool{}
+	for _, ev := range outer.Events() {
+		tracks[ev.Machine] = true
+	}
+	for _, want := range []string{"p/1/src", "p/1/dst", "p/2/src", "p/2/dst"} {
+		if !tracks[want] {
+			t.Errorf("no events on track %s; tracks: %v", want, tracks)
+		}
+	}
+	if tracks["p/src"] {
+		t.Error("a trial wrote on the unnumbered track p/src")
 	}
 }

@@ -70,7 +70,6 @@ type PipelineTable struct {
 // stop-and-wait path, so the baseline column is byte-identical to the
 // default experiments.
 func (e *Engine) Pipeline(cfg Config, kinds []workload.Kind) (*PipelineTable, error) {
-	cfg = cfg.forParallel(e.Workers())
 	type cell struct {
 		cfg   Config
 		kind  workload.Kind
@@ -106,7 +105,7 @@ func (e *Engine) Pipeline(cfg Config, kinds []workload.Kind) (*PipelineTable, er
 		}
 	}
 
-	out, err := sweep(e, cells, func(c cell) (*TrialResult, error) {
+	out, err := sweep(e, cfg.Sink, cells, func(c cell) (*TrialResult, error) {
 		return e.Trial(c.cfg, c.kind, c.strat, c.pf)
 	})
 	if err != nil {

@@ -27,9 +27,9 @@ type ResilienceOptions struct {
 
 // ResilienceOutcome is everything one fault-injected migration trial
 // reports. Error outcomes are recorded as stable class strings, never
-// raw error text — raw messages embed globally allocated segment and
-// port IDs that differ run to run, and the resilience table must be
-// byte-identical for a fixed seed.
+// raw error text, so the table names a failure alike however its
+// message is worded. The IDs a message may name no longer differ from
+// run to run: each trial's kernel numbers its own ports and segments.
 type ResilienceOutcome struct {
 	Kind     workload.Kind
 	Strategy core.Strategy
@@ -277,7 +277,6 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 	// from the command line would skew the fault-free baseline rows and
 	// break the fixed-seed determinism contract.
 	cfg.Faults = nil
-	cfg = cfg.forParallel(e.Workers())
 
 	type cell struct {
 		row   *ResilienceRow
@@ -354,7 +353,7 @@ func (e *Engine) Resilience(cfg Config) (*ResilienceTable, error) {
 		cells = append(cells, cell{row: row, idx: 0, cfg: c, strat: core.PureIOU})
 	}
 
-	outs, err := sweep(e, cells, func(c cell) (*ResilienceOutcome, error) {
+	outs, err := sweep(e, cfg.Sink, cells, func(c cell) (*ResilienceOutcome, error) {
 		return e.ResilienceTrial(c.cfg, resilienceKind, c.strat)
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"accentmig/internal/core"
-	"accentmig/internal/imag"
 	"accentmig/internal/sim"
 	"accentmig/internal/vm"
 	"accentmig/internal/workload"
@@ -101,11 +100,10 @@ func MeasureFaultCosts(cfg Config) (*FaultCosts, error) {
 	pg0.State.OnDisk = true
 
 	// Remote fault: a page owed by the destination's NetMsgServer cache.
-	segID := imag.NextSegID()
+	segID := tb.K.NextID()
 	sseg := tb.Dst.Net.Store().AddSegment(segID, 8*uint64(tb.Src.PageSize()), tb.Src.PageSize())
 	sseg.Put(0, make([]byte, tb.Src.PageSize()))
-	iseg := vm.NewImaginarySegment("probe-owed", 8*uint64(tb.Src.PageSize()), tb.Src.PageSize(), uint64(tb.Dst.Net.BackingPort()))
-	iseg.ID = segID
+	iseg := vm.NewImaginarySegment("probe-owed", 8*uint64(tb.Src.PageSize()), tb.Src.PageSize(), uint64(tb.Dst.Net.BackingPort()), segID)
 	if _, err := as.MapSegment(1<<20, 8*uint64(tb.Src.PageSize()), iseg, 0, "probe-owed"); err != nil {
 		return nil, err
 	}

@@ -14,20 +14,32 @@ import (
 // recorder attached and returns the result alongside the captured
 // event stream, for timeline and critical-path reporting. The config's
 // own sink, if any, then receives the captured events in order.
-func TraceTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*TrialResult, *obs.MemorySink, error) {
+func TraceTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (tr *TrialResult, sink *obs.MemorySink, err error) {
+	sink, err = traced(cfg, func(c Config) (err error) {
+		tr, err = RunTrial(c, k, strat, prefetch)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, sink, nil
+}
+
+// traced runs one trial with a memory sink in place of cfg's and
+// returns the captured events, whose machine names are the testbed's
+// own (src, dst). cfg's sink, if any, then receives them in order, on
+// the trial's own tracks (obs.ForTrial).
+func traced(cfg Config, run func(Config) error) (*obs.MemorySink, error) {
 	sink := obs.NewMemorySink()
-	next := cfg.Sink
+	next := obs.ForTrial(cfg.Sink)
 	cfg.Sink = sink
-	tr, err := RunTrial(cfg, k, strat, prefetch)
+	err := run(cfg)
 	if next != nil {
 		for _, ev := range sink.Events() {
 			next.Emit(ev)
 		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, sink, nil
+	return sink, err
 }
 
 // FormatTimeline renders one traced migration as a phase timeline with

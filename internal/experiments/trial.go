@@ -38,7 +38,9 @@ type Config struct {
 	Recovery *ResilienceOptions
 
 	// Sink, when non-nil, receives the flight-recorder event stream of
-	// every kernel built from this config.
+	// every kernel built from this config, each testbed's on tracks of
+	// its own (obs.ForTrial). Work under a sink runs uncached on one
+	// worker, so the sink is never written from two goroutines.
 	Sink obs.Sink
 }
 
@@ -83,9 +85,7 @@ type Testbed struct {
 func NewTestbed(cfg Config) *Testbed {
 	cfg = cfg.armed()
 	k := sim.New()
-	if cfg.Sink != nil {
-		k.SetSink(cfg.Sink)
-	}
+	k.SetSink(obs.ForTrial(cfg.Sink))
 	src := machine.New(k, "src", cfg.Machine)
 	dst := machine.New(k, "dst", cfg.Machine)
 	link := machine.Connect(src, dst, cfg.Link)

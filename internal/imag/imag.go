@@ -7,7 +7,6 @@ package imag
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"accentmig/internal/vm"
 )
@@ -176,21 +175,6 @@ type FlushRequest struct {
 // FlushRequestBytes is the encoded size of a FlushRequest body.
 const FlushRequestBytes = 16
 
-// segIDCounter hands out simulation-wide unique imaginary segment IDs,
-// offset far from vm's segment IDs so the two namespaces never collide.
-// It is atomic so that independent simulation kernels on concurrent
-// goroutines (parallel experiment trials) can allocate without racing;
-// ID values are identities only and never influence behavior.
-var segIDCounter atomic.Uint64
-
-func init() { segIDCounter.Store(1 << 32) }
-
-// NextSegID returns a fresh simulation-wide unique segment identity
-// for an imaginary object created by a backer.
-func NextSegID() uint64 {
-	return segIDCounter.Add(1)
-}
-
 // Store holds the page images a backer owes to remote imaginary
 // segments, tracking what has already been delivered so residual
 // dependencies can be measured and flushed.
@@ -239,7 +223,8 @@ func NewStore() *Store {
 	return &Store{segs: make(map[uint64]*StoreSegment)}
 }
 
-// AddSegment registers a segment the store will back.
+// AddSegment registers a segment the store will back, under the id the
+// backer's kernel numbered it with (sim.Kernel.NextID).
 func (s *Store) AddSegment(id, size uint64, pageSize int) *StoreSegment {
 	seg := &StoreSegment{
 		ID:       id,

@@ -9,7 +9,6 @@ package ipc
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"accentmig/internal/obs"
@@ -18,14 +17,11 @@ import (
 )
 
 // PortID names a port uniquely across the whole simulation, so that
-// port identity survives migration and proxying between machines.
+// port identity survives migration and proxying between machines. The
+// simulation's kernel numbers ports (sim.Kernel.NextID), so the same
+// simulation numbers its ports alike on every run; the values are
+// opaque identities that no simulated cost reads.
 type PortID uint64
-
-// nextPortID is atomic so that independent simulation kernels running
-// on concurrent goroutines (parallel experiment trials) can allocate
-// ports without racing. Port IDs are opaque identities; their numeric
-// values never influence simulation behavior.
-var nextPortID atomic.Uint64
 
 // ErrDeadPort is returned when sending to a deallocated or unknown port.
 var ErrDeadPort = errors.New("ipc: send to dead port")
@@ -351,7 +347,7 @@ func (s *System) PageSize() int { return s.pageSize }
 
 // AllocPort creates a new port owned by this machine.
 func (s *System) AllocPort(name string) *Port {
-	p := &Port{ID: PortID(nextPortID.Add(1)), Name: name, sys: s, queue: sim.NewQueue[*Message](s.k)}
+	p := &Port{ID: PortID(s.k.NextID()), Name: name, sys: s, queue: sim.NewQueue[*Message](s.k)}
 	s.ports[p.ID] = p
 	return p
 }

@@ -67,7 +67,7 @@ func TestHolderWriteAfterHashReadLeavesRequesterPage(t *testing.T) {
 	// The requester's page is owed by its own backer, which the fault
 	// never asks: the hinted content comes from the holder.
 	as := vm.MustNewAddressSpace(vm.Config{})
-	mine := vm.NewImaginarySegment("owed", 512, 512, uint64(a.srv.BackingPort()))
+	mine := vm.NewImaginarySegment("owed", 512, 512, uint64(a.srv.BackingPort()), k.NextID())
 	if _, err := as.MapSegment(0x4000, 512, mine, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}

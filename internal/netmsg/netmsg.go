@@ -611,9 +611,8 @@ func (s *Server) corruptDelivered(m *ipc.Message, pl *peerLink) {
 // replacement IOU attachment. Page indices in the store are relative to
 // the attachment base.
 func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
-	segID := imag.NextSegID()
 	ps := s.ps
-	seg := s.store.AddSegment(segID, a.Size, ps)
+	seg := s.store.AddSegment(s.k.NextID(), a.Size, ps)
 	// The cache aliases the attachment's page images instead of copying
 	// them: each stretch of consecutive pages becomes one page list (one
 	// for a collapsed attachment, whose pages number densely from zero).
@@ -650,7 +649,7 @@ func (s *Server) absorb(p *sim.Proc, a *ipc.MemAttachment) *ipc.MemAttachment {
 		Size:      a.Size,
 		Collapsed: a.Collapsed,
 		Resident:  a.Resident,
-		SegID:     segID,
+		SegID:     seg.ID,
 		SegOff:    0,
 		SegSize:   a.Size,
 		Backing:   s.backPort.ID,

@@ -214,10 +214,9 @@ func TestRemoteImaginaryFaultEndToEnd(t *testing.T) {
 			return
 		}
 		as := vm.MustNewAddressSpace(vm.Config{})
-		seg := vm.NewImaginarySegment("standin", iou.SegSize, 512, uint64(iou.Backing))
 		// Stand-in keeps the backer's segment identity so read requests
 		// name the right object.
-		seg.ID = iou.SegID
+		seg := vm.NewImaginarySegment("standin", iou.SegSize, 512, uint64(iou.Backing), iou.SegID)
 		if _, err := as.MapSegment(iou.VA, iou.Size, seg, 0, "owed"); err != nil {
 			t.Error(err)
 			return

@@ -18,7 +18,7 @@
 package obs
 
 import (
-	"sync"
+	"strconv"
 	"time"
 )
 
@@ -144,7 +144,7 @@ type Event struct {
 
 // Sink receives events. Emit is called from the single simulation
 // goroutine that is live at any instant, so implementations need no
-// locking unless they are shared across kernels driven concurrently.
+// locking: a sink is never shared by kernels driven concurrently.
 type Sink interface {
 	Emit(Event)
 }
@@ -183,6 +183,7 @@ func (m *MemorySink) CountKinds() map[Kind]int {
 type prefixSink struct {
 	next   Sink
 	prefix string
+	trials int // how many trials ForTrial has numbered under prefix
 }
 
 // WithPrefix returns a sink that forwards to next with prefix prepended
@@ -196,27 +197,16 @@ func (s *prefixSink) Emit(ev Event) {
 	s.next.Emit(ev)
 }
 
-// syncSink serializes Emit calls with a mutex, for one sink shared by
-// several kernels driven from concurrent goroutines (e.g. parallel
-// experiment trials tracing into one file). Events from different
-// kernels interleave in arrival order, but each kernel's own stream
-// keeps its order and no event is torn.
-type syncSink struct {
-	mu   sync.Mutex
-	next Sink
-}
-
-// Synchronized wraps next so concurrent emitters do not race. Wrapping
-// an already-synchronized sink returns it unchanged.
-func Synchronized(next Sink) Sink {
-	if _, ok := next.(*syncSink); ok {
-		return next
+// ForTrial returns the sink one trial's simulation records to. Under a
+// WithPrefix sink the n-th trial gets the prefix "<prefix><n>/", so no
+// two trials of one trace file share a machine's track; any other sink
+// (nil included) is returned as it is. The names are the same on every
+// run when trials are numbered in a fixed order.
+func ForTrial(s Sink) Sink {
+	p, ok := s.(*prefixSink)
+	if !ok {
+		return s
 	}
-	return &syncSink{next: next}
-}
-
-func (s *syncSink) Emit(ev Event) {
-	s.mu.Lock()
-	s.next.Emit(ev)
-	s.mu.Unlock()
+	p.trials++
+	return WithPrefix(p.next, p.prefix+strconv.Itoa(p.trials)+"/")
 }

@@ -45,6 +45,26 @@ func TestMemorySink(t *testing.T) {
 	}
 }
 
+// TestForTrialNumbersTracks: each trial under a WithPrefix sink gets
+// tracks of its own; any other sink is handed back as it is.
+func TestForTrialNumbersTracks(t *testing.T) {
+	m := NewMemorySink()
+	s := WithPrefix(m, "exp/")
+	ForTrial(s).Emit(Event{Machine: "src"})
+	ForTrial(s).Emit(Event{Machine: "src"})
+	s.Emit(Event{Machine: "src"})
+	var got []string
+	for _, ev := range m.Events() {
+		got = append(got, ev.Machine)
+	}
+	if want := "exp/1/src exp/2/src exp/src"; strings.Join(got, " ") != want {
+		t.Errorf("machines = %v, want %s", got, want)
+	}
+	if ForTrial(m) != Sink(m) || ForTrial(nil) != nil {
+		t.Error("ForTrial changed a sink that numbers no trials")
+	}
+}
+
 func TestWithPrefix(t *testing.T) {
 	m := NewMemorySink()
 	s := WithPrefix(m, "trial-1/")

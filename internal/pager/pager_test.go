@@ -161,7 +161,7 @@ func TestImaginaryFaultFetchesData(t *testing.T) {
 	r := newRig(t, 16)
 	store := imag.NewStore()
 	port := r.startBacker(store, false)
-	iseg := vm.NewImaginarySegment("owed", 8*512, 512, uint64(port.ID))
+	iseg := vm.NewImaginarySegment("owed", 8*512, 512, uint64(port.ID), r.k.NextID())
 	sseg := store.AddSegment(iseg.ID, 8*512, 512)
 	want := []byte("remote page content")
 	page := make([]byte, 512)
@@ -201,7 +201,7 @@ func TestPrefetchDeliveryAndHits(t *testing.T) {
 	r := newRig(t, 64)
 	store := imag.NewStore()
 	port := r.startBacker(store, false)
-	iseg := vm.NewImaginarySegment("owed", 16*512, 512, uint64(port.ID))
+	iseg := vm.NewImaginarySegment("owed", 16*512, 512, uint64(port.ID), r.k.NextID())
 	sseg := store.AddSegment(iseg.ID, 16*512, 512)
 	for i := uint64(0); i < 16; i++ {
 		sseg.Put(i, make([]byte, 512))
@@ -241,7 +241,7 @@ func TestPrefetchHitCountsOnce(t *testing.T) {
 	r := newRig(t, 64)
 	store := imag.NewStore()
 	port := r.startBacker(store, false)
-	iseg := vm.NewImaginarySegment("owed", 16*512, 512, uint64(port.ID))
+	iseg := vm.NewImaginarySegment("owed", 16*512, 512, uint64(port.ID), r.k.NextID())
 	sseg := store.AddSegment(iseg.ID, 16*512, 512)
 	for i := uint64(0); i < 16; i++ {
 		sseg.Put(i, make([]byte, 512))
@@ -330,7 +330,7 @@ func TestRetryAfterLostRequest(t *testing.T) {
 	r.pg.cfg.RetryTimeout = 500 * time.Millisecond
 	store := imag.NewStore()
 	port := r.startBacker(store, true) // drops first request
-	iseg := vm.NewImaginarySegment("owed", 512, 512, uint64(port.ID))
+	iseg := vm.NewImaginarySegment("owed", 512, 512, uint64(port.ID), r.k.NextID())
 	sseg := store.AddSegment(iseg.ID, 512, 512)
 	sseg.Put(0, make([]byte, 512))
 	r.as.MapSegment(0, 512, iseg, 0, "owed")
@@ -353,7 +353,7 @@ func TestBackerLostAfterMaxRetries(t *testing.T) {
 	r.pg.cfg.MaxRetries = 2
 	// A port with no server behind it: requests pile up unanswered.
 	port := r.sys.AllocPort("deaf")
-	iseg := vm.NewImaginarySegment("owed", 512, 512, uint64(port.ID))
+	iseg := vm.NewImaginarySegment("owed", 512, 512, uint64(port.ID), r.k.NextID())
 	r.as.MapSegment(0, 512, iseg, 0, "owed")
 	var err error
 	r.k.Go("u", func(p *sim.Proc) {
@@ -435,7 +435,7 @@ func TestLocalHitIsAPrivateCopy(t *testing.T) {
 	ix := vm.NewContentIndex(512)
 	ix.Put(h, live.Page(0).Data)
 	r.pg.SetContentIndex(ix)
-	owed := vm.NewImaginarySegment("owed", 512, 512, 99)
+	owed := vm.NewImaginarySegment("owed", 512, 512, 99, r.k.NextID())
 	if _, err := r.as.MapSegment(0x4000, 512, owed, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,7 @@ type Kernel struct {
 	sink    obs.Sink
 	evSeq   uint64
 	traceID uint64
+	lastID  uint64 // the last id NextID handed out
 }
 
 // New returns an empty kernel with the clock at zero.
@@ -99,6 +100,14 @@ func (k *Kernel) EmitAt(t time.Duration, ev obs.Event) {
 func (k *Kernel) NextTraceID() uint64 {
 	k.traceID++
 	return k.traceID
+}
+
+// NextID hands out a fresh nonzero identity: the name of a port, or of
+// a segment a backer owes. Each simulation numbers its own, alike on
+// every run; the lanes of a Cluster number from disjoint ranges.
+func (k *Kernel) NextID() uint64 {
+	k.lastID++
+	return k.lastID
 }
 
 // machineOf derives the owning machine from a dotted component name

@@ -100,6 +100,7 @@ func NewCluster(n int, lookahead time.Duration) *Cluster {
 	}
 	for i := range c.lanes {
 		c.lanes[i] = New()
+		c.lanes[i].lastID = uint64(i) << 40 // lane i's NextID range
 	}
 	return c
 }

@@ -296,6 +296,22 @@ func TestClusterOneLaneDelegates(t *testing.T) {
 	}
 }
 
+// TestClusterLanesNumberApart: each lane numbers from a range of its
+// own, so the ports and segments of a sharded run never share an id.
+func TestClusterLanesNumberApart(t *testing.T) {
+	cl := NewCluster(3, testLookahead)
+	seen := map[uint64]bool{}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3; i++ {
+			id := cl.Lane(i).NextID()
+			if id == 0 || seen[id] {
+				t.Fatalf("lane %d handed out id %d, seen %v", i, id, seen)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 // TestAllocsShardsOff is the allocation-regression gate for the
 // -shards 1 dispatch path: a one-lane cluster must add nothing to the
 // sequential kernel's zero-allocation schedule+dispatch cycle.

@@ -32,7 +32,7 @@ func TestAMapCoalescing(t *testing.T) {
 
 func TestAMapImaginaryRuns(t *testing.T) {
 	as := mustSpace(t)
-	seg := NewImaginarySegment("owed", 6*512, 512, 3)
+	seg := NewImaginarySegment("owed", 6*512, 512, 3, 1)
 	if _, err := as.MapSegment(0x10000, 6*512, seg, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAMapTotalBytes(t *testing.T) {
 	as := mustSpace(t)
 	r, _ := as.Validate(0, 4*512, "d")
 	r.Seg.MaterializeZero(0)
-	seg := NewImaginarySegment("i", 2*512, 512, 1)
+	seg := NewImaginarySegment("i", 2*512, 512, 1, 1)
 	as.MapSegment(1<<20, 2*512, seg, 0, "i")
 	tot := BuildAMap(as).TotalBytes()
 	if tot[RealMem] != 512 || tot[RealZeroMem] != 3*512 || tot[ImagMem] != 2*512 {

@@ -174,7 +174,7 @@ func TestQuickUsagePartition(t *testing.T) {
 			start := Addr(uint64(sp.Start) * 32 * 512)
 			var seg *Segment
 			if sp.Imag {
-				seg = NewImaginarySegment("i", pages*512, 512, 1)
+				seg = NewImaginarySegment("i", pages*512, 512, 1, 1)
 			} else {
 				seg = NewSegment("r", pages*512, 512)
 			}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// refPhysMem is PhysMem as it was when a map keyed by (segment ID, page
+// refPhysMem is PhysMem as it was when a map keyed by (segment, page
 // index) found a page's LRU node: the reference model for the link the
 // node now keeps in the page itself.
 type refPhysMem struct {
@@ -20,7 +20,7 @@ type refPhysMem struct {
 }
 
 type refFrameKey struct {
-	segID uint64
+	seg   *Segment
 	index uint64
 }
 
@@ -32,7 +32,7 @@ func newRefPhysMem(frames int) *refPhysMem {
 func (pm *refPhysMem) Len() int { return pm.used }
 
 func (pm *refPhysMem) Resident(seg *Segment, index uint64) bool {
-	_, ok := pm.index[refFrameKey{seg.ID, index}]
+	_, ok := pm.index[refFrameKey{seg, index}]
 	return ok
 }
 
@@ -81,7 +81,7 @@ func (pm *refPhysMem) release(n int32) {
 }
 
 func (pm *refPhysMem) Touch(seg *Segment, index uint64) bool {
-	n, ok := pm.index[refFrameKey{seg.ID, index}]
+	n, ok := pm.index[refFrameKey{seg, index}]
 	if !ok {
 		return false
 	}
@@ -97,7 +97,7 @@ func (pm *refPhysMem) Insert(seg *Segment, index uint64) []Evicted {
 	if pg == nil {
 		panic(fmt.Sprintf("vm: Insert of unmaterialized page %d of %q", index, seg.Name))
 	}
-	key := refFrameKey{seg.ID, index}
+	key := refFrameKey{seg, index}
 	if n, ok := pm.index[key]; ok {
 		if pm.head != n {
 			pm.unlink(n)
@@ -113,7 +113,7 @@ func (pm *refPhysMem) Insert(seg *Segment, index uint64) []Evicted {
 		pm.unlink(back)
 		pm.release(back)
 		pm.used--
-		delete(pm.index, refFrameKey{fe.seg.ID, fe.index})
+		delete(pm.index, refFrameKey{fe.seg, fe.index})
 		ev := Evicted{Seg: fe.seg, Index: fe.index}
 		if vp := fe.seg.Page(fe.index); vp != nil {
 			ev.WasDirty = vp.State.Dirty
@@ -138,13 +138,13 @@ func (pm *refPhysMem) RemoveSegment(seg *Segment) {
 	for n := pm.head; n != nilNode; n = next {
 		next = pm.nodes[n].next
 		fe := pm.nodes[n]
-		if fe.seg.ID != seg.ID {
+		if fe.seg != seg {
 			continue
 		}
 		pm.unlink(n)
 		pm.release(n)
 		pm.used--
-		delete(pm.index, refFrameKey{fe.seg.ID, fe.index})
+		delete(pm.index, refFrameKey{fe.seg, fe.index})
 		if pg := fe.seg.Page(fe.index); pg != nil {
 			pg.State.Resident = false
 		}

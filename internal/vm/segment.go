@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // SegmentClass distinguishes locally backed segments from imaginary
 // (port-backed) ones.
@@ -65,11 +62,14 @@ func (p *Page) MarkWritten() {
 	p.Version++
 }
 
-// Segment is a memory object: a numbered container of pages. Real
-// segments are backed by local memory/disk; imaginary segments are
-// backed by an IPC port (identified here by an opaque uint64 port id so
-// this package stays below the IPC layer).
+// Segment is a memory object: a container of pages. Real segments are
+// backed by local memory/disk; imaginary segments are backed by an IPC
+// port (identified here by an opaque uint64 port id so this package
+// stays below the IPC layer).
 type Segment struct {
+	// ID is the number an imaginary segment's backer knows it by, so
+	// read requests and death notices name the object the backer owes.
+	// Real segments need no number and leave it zero.
 	ID          uint64
 	Name        string
 	Class       SegmentClass
@@ -84,16 +84,9 @@ type Segment struct {
 	onDeath func() // invoked when refs drops to zero (§2.2 Death message)
 }
 
-// nextSegID is atomic so that independent simulation kernels running
-// on concurrent goroutines (parallel experiment trials) can allocate
-// segments without racing. ID values never influence simulation
-// behavior, only identity, so allocation order does not matter.
-var nextSegID atomic.Uint64
-
 // NewSegment creates a real segment of the given size.
 func NewSegment(name string, size uint64, pageSize int) *Segment {
 	return &Segment{
-		ID:       nextSegID.Add(1),
 		Name:     name,
 		Class:    RealSeg,
 		Size:     size,
@@ -102,9 +95,10 @@ func NewSegment(name string, size uint64, pageSize int) *Segment {
 }
 
 // NewImaginarySegment creates an imaginary segment whose data is owed by
-// the given backing port.
-func NewImaginarySegment(name string, size uint64, pageSize int, backingPort uint64) *Segment {
+// the given backing port, which knows it as segment id.
+func NewImaginarySegment(name string, size uint64, pageSize int, backingPort, id uint64) *Segment {
 	s := NewSegment(name, size, pageSize)
+	s.ID = id
 	s.Class = ImagSeg
 	s.BackingPort = backingPort
 	return s

@@ -92,14 +92,6 @@ func TestRefcountDeath(t *testing.T) {
 	s.Unref()
 }
 
-func TestSegmentIDsUnique(t *testing.T) {
-	a := NewSegment("a", 512, 512)
-	b := NewSegment("b", 512, 512)
-	if a.ID == b.ID {
-		t.Error("segment IDs collide")
-	}
-}
-
 func TestPagesCount(t *testing.T) {
 	s := NewSegment("s", 1000, 512)
 	if s.Pages() != 2 {

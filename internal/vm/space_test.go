@@ -105,7 +105,7 @@ func TestMapBeyond4GBRejected(t *testing.T) {
 
 func TestImaginaryClassification(t *testing.T) {
 	as := mustSpace(t)
-	seg := NewImaginarySegment("owed", 8*512, 512, 77)
+	seg := NewImaginarySegment("owed", 8*512, 512, 77, 1)
 	if _, err := as.MapSegment(0x2000, 8*512, seg, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestUsageAccounting(t *testing.T) {
 	}
 	pg := r.Seg.Page(0)
 	pg.State.Resident = true
-	iseg := NewImaginarySegment("owed", 4*512, 512, 9)
+	iseg := NewImaginarySegment("owed", 4*512, 512, 9, 1)
 	if _, err := as.MapSegment(1<<20, 4*512, iseg, 0, "owed"); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestHugeSparseSpaceIsCheap(t *testing.T) {
 func TestUnmapDropsSegmentRef(t *testing.T) {
 	as := mustSpace(t)
 	died := false
-	seg := NewImaginarySegment("owed", 512, 512, 1)
+	seg := NewImaginarySegment("owed", 512, 512, 1, 1)
 	seg.OnDeath(func() { died = true })
 	r, err := as.MapSegment(0, 512, seg, 0, "owed")
 	if err != nil {

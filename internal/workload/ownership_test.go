@@ -39,7 +39,7 @@ func frames(pr *machine.Process, into map[*byte]bool) {
 	}
 }
 
-// writeEveryPage writes a marker naming the page into every page of
+// writeEveryPage writes a marker numbering the page into every page of
 // pr's address space through Segment.Write, which copies a shared or
 // borrowed page first and writes an owned one in place. Then every
 // page must still hold its own marker: two pages that share a frame
@@ -54,10 +54,12 @@ func writeEveryPage(t *testing.T, pr *machine.Process, tag byte, restore bool) i
 	}
 	marks := make(map[*vm.Page]written)
 	ps := uint64(pr.AS.PageSize())
+	var n uint64
 	for _, r := range pr.AS.Regions() {
 		for idx := r.SegOff / ps; idx*ps < r.SegOff+r.Size(); idx++ {
 			if pg := r.Seg.Page(idx); pg != nil && pg.Data != nil {
-				mark := binary.BigEndian.AppendUint64([]byte{tag}, r.Seg.ID<<32|idx)
+				n++
+				mark := binary.BigEndian.AppendUint64([]byte{tag}, n)
 				was := bytes.Clone(pg.Data[:len(mark)])
 				r.Seg.Write(idx, 0, mark)
 				marks[pg] = written{r.Seg, mark, was}

@@ -19,9 +19,7 @@
 # it computes differs from the file's in either direction, and prints
 # the lines to add (a function no run reaches any more) and to remove
 # (a function a run now reaches, or one that is gone). GOMAXPROCS is
-# fixed at 2: with one P the engine runs trials on one worker and never
-# wraps the trace sink in obs.Synchronized, so the list would depend on
-# the host.
+# fixed at 2, so every run sizes its worker pools alike on any host.
 set -eu
 GOMAXPROCS=2
 export GOMAXPROCS
