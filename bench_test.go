@@ -4,216 +4,33 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"accentmig/internal/core"
 	"accentmig/internal/experiments"
 	"accentmig/internal/workload"
 )
 
-// The benchmarks regenerate every table and figure of the paper's
-// evaluation. Each op is a full simulated trial (or table sweep); the
-// interesting output is the custom metrics: sim-seconds of virtual
-// time, bytes on the simulated wire, and so on — absolute wall time
-// only measures the simulator itself.
-
-// regenerate drops the default engine's memo with the timer stopped,
-// so the op that follows rebuilds its table from simulation instead of
-// timing memo hits of the previous op.
-func regenerate(b *testing.B) {
-	b.StopTimer()
-	experiments.Default.Reset()
-	b.StartTimer()
-}
-
-func reportTrial(b *testing.B, tr *experiments.TrialResult) {
-	b.ReportMetric(tr.Report.RIMASTransfer.Seconds(), "sim-xfer-s")
-	b.ReportMetric(tr.RemoteExec.Seconds(), "sim-exec-s")
-	b.ReportMetric(float64(tr.BytesTotal), "sim-bytes")
-	b.ReportMetric(tr.MsgTime.Seconds(), "sim-msg-s")
-}
-
-// BenchmarkTable41 regenerates the address-space composition table.
-func BenchmarkTable41(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		rows, err := experiments.Table41(experiments.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable41(rows))
-		}
-	}
-}
-
-// BenchmarkTable42 regenerates the resident-set table.
-func BenchmarkTable42(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		rows, err := experiments.Table42(experiments.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable42(rows))
-		}
-	}
-}
-
-// BenchmarkTable43 regenerates the percent-of-space-accessed table.
-func BenchmarkTable43(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		rows, err := experiments.Table43(experiments.Config{}, workload.Kinds())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable43(rows))
-		}
-	}
-}
-
-// BenchmarkTable44 regenerates the excision/insertion timing table.
-func BenchmarkTable44(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		rows, err := experiments.Table44(experiments.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable44(rows))
-		}
-	}
-}
-
-// BenchmarkTable45 regenerates the address-space transfer time table.
-func BenchmarkTable45(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		rows, err := experiments.Table45(experiments.Config{}, workload.Kinds())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable45(rows))
-		}
-	}
-}
-
-// benchGridCell runs one (workload, strategy, prefetch) trial per op.
-func benchGridCell(b *testing.B, k workload.Kind, s core.Strategy, pf int) {
-	b.Helper()
-	var last *experiments.TrialResult
-	for i := 0; i < b.N; i++ {
-		tr, err := experiments.RunTrial(experiments.Config{}, k, s, pf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tr
-	}
-	reportTrial(b, last)
-}
-
-// figureGrid drives the shared sweep behind Figures 4-1 through 4-4:
-// sub-benchmarks per workload × strategy × prefetch.
-func figureGrid(b *testing.B) {
-	for _, k := range workload.Kinds() {
-		k := k
-		b.Run(k.String()+"/Copy", func(b *testing.B) { benchGridCell(b, k, core.PureCopy, 0) })
-		for _, pf := range core.PrefetchValues() {
-			pf := pf
-			b.Run(benchName(k, core.PureIOU, pf), func(b *testing.B) { benchGridCell(b, k, core.PureIOU, pf) })
-			b.Run(benchName(k, core.ResidentSet, pf), func(b *testing.B) { benchGridCell(b, k, core.ResidentSet, pf) })
-		}
-	}
-}
-
-func benchName(k workload.Kind, s core.Strategy, pf int) string {
-	return k.String() + "/" + s.String() + "-PF" + itoa(pf)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [4]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkFigure41 regenerates remote execution times (per cell, see
-// sim-exec-s).
-func BenchmarkFigure41(b *testing.B) { figureGrid(b) }
-
-// BenchmarkFigure42 regenerates the end-to-end speedup comparison: one
-// op runs the full grid for one workload and reports the PF0 IOU
-// speedup over pure-copy.
-func BenchmarkFigure42(b *testing.B) {
-	for _, k := range workload.Kinds() {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
-			var speedup float64
+// BenchmarkExperiments regenerates each entry of the experiment table,
+// one sub-benchmark per id, with the arguments `migsim -exp <id>` runs
+// at its default flags: every workload, a 200-trial chaos campaign.
+// Each op renders the entry from an empty memo, so it simulates what it
+// reads instead of timing memo hits of the previous op; absolute wall
+// time only measures the simulator itself.
+func BenchmarkExperiments(b *testing.B) {
+	p := experiments.Params{Kinds: workload.Kinds(), ChaosTrials: 200}
+	for _, e := range experiments.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cp, err := experiments.RunTrial(experiments.Config{}, k, core.PureCopy, 0)
-				if err != nil {
+				b.StopTimer()
+				experiments.Default.Reset()
+				b.StartTimer()
+				if _, err := e.Render(p); err != nil {
 					b.Fatal(err)
 				}
-				iou, err := experiments.RunTrial(experiments.Config{}, k, core.PureIOU, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				speedup = 100 * (cp.EndToEnd.Seconds() - iou.EndToEnd.Seconds()) / cp.EndToEnd.Seconds()
 			}
-			b.ReportMetric(speedup, "speedup-pct")
 		})
-	}
-}
-
-// BenchmarkFigure43 regenerates bytes-transferred per cell (sim-bytes).
-func BenchmarkFigure43(b *testing.B) {
-	for _, k := range workload.Kinds() {
-		k := k
-		for _, s := range core.Strategies() {
-			s := s
-			b.Run(k.String()+"/"+s.String(), func(b *testing.B) { benchGridCell(b, k, s, 0) })
-		}
-	}
-}
-
-// BenchmarkFigure44 regenerates message-handling costs (sim-msg-s).
-func BenchmarkFigure44(b *testing.B) {
-	for _, k := range workload.Kinds() {
-		k := k
-		for _, s := range core.Strategies() {
-			s := s
-			b.Run(k.String()+"/"+s.String(), func(b *testing.B) { benchGridCell(b, k, s, 0) })
-		}
-	}
-}
-
-// BenchmarkFigure45 regenerates the Lisp-Del byte-rate panels.
-func BenchmarkFigure45(b *testing.B) {
-	var panels []experiments.Figure45Panel
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		var err error
-		panels, err = experiments.Figure45(experiments.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(panels) == 3 {
-		b.ReportMetric(panels[0].Total.Seconds(), "sim-iou-total-s")
-		b.ReportMetric(panels[2].Total.Seconds(), "sim-copy-total-s")
 	}
 }
 
@@ -242,38 +59,51 @@ func BenchmarkGridSweepEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkGridSpeedup times the seven-workload grid sequentially, then
-// through a fresh four-worker engine, and reports the speedup. Four
-// workers contend for the cores even on a host with fewer. On a host
-// with more than one CPU an engine with more than one worker must beat
-// the sequential sweep. The check is a wall-clock ratio, so only `make
-// bench` runs it.
+// BenchmarkGridSpeedup times the seven-workload grid sequentially and
+// through a fresh four-worker engine, five alternating samples of each
+// per op, and compares the two medians, so one noisy sample cannot
+// decide it. Four workers contend for the cores even on a host with
+// fewer. On a host with more than one CPU an engine with more than one
+// worker must beat the sequential sweep. The check is a wall-clock
+// ratio, so only `make bench` runs it.
 func BenchmarkGridSpeedup(b *testing.B) {
+	const samples = 5
 	kinds := workload.Kinds()
-	var seq, par time.Duration
+	var seq, par []time.Duration
 	var workers int
 	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := experiments.RunGridSeq(experiments.Config{}, kinds); err != nil {
-			b.Fatal(err)
+		for j := 0; j < samples; j++ {
+			start := time.Now()
+			if _, err := experiments.RunGridSeq(experiments.Config{}, kinds); err != nil {
+				b.Fatal(err)
+			}
+			seq = append(seq, time.Since(start))
+			e := experiments.NewEngine(4)
+			workers = e.Workers()
+			start = time.Now()
+			if _, err := e.RunGrid(experiments.Config{}, kinds); err != nil {
+				b.Fatal(err)
+			}
+			par = append(par, time.Since(start))
 		}
-		seq += time.Since(start)
-		e := experiments.NewEngine(4)
-		workers = e.Workers()
-		start = time.Now()
-		if _, err := e.RunGrid(experiments.Config{}, kinds); err != nil {
-			b.Fatal(err)
-		}
-		par += time.Since(start)
 	}
-	speedup := seq.Seconds() / par.Seconds()
-	b.ReportMetric(seq.Seconds()*1e3/float64(b.N), "seq-ms")
-	b.ReportMetric(par.Seconds()*1e3/float64(b.N), "engine-ms")
+	seqMed, parMed := median(seq), median(par)
+	speedup := seqMed.Seconds() / parMed.Seconds()
+	b.ReportMetric(seqMed.Seconds()*1e3, "seq-median-ms")
+	b.ReportMetric(parMed.Seconds()*1e3, "engine-median-ms")
 	b.ReportMetric(speedup, "speedup")
 	if runtime.NumCPU() > 1 && workers > 1 && speedup <= 1 {
-		b.Errorf("grid speedup %.2fx <= 1 on a %d-core host (%d workers): parallel engine regressed",
-			speedup, runtime.NumCPU(), workers)
+		b.Errorf("grid speedup %.2fx <= 1 on a %d-core host (%d workers, medians of %d samples): parallel engine regressed",
+			speedup, runtime.NumCPU(), workers, len(seq))
 	}
+}
+
+// median returns the middle sample (the upper of the two middle ones
+// for an even count).
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // BenchmarkShardSweep runs the 32-machine shard-stress scenario at 1,
@@ -307,130 +137,6 @@ func BenchmarkShardSweep(b *testing.B) {
 		if runtime.NumCPU() > 1 && lanes[j] >= 4 && speedup < 2 {
 			b.Errorf("%.2fx speedup at %d lanes on a %d-core host, want >= 2x",
 				speedup, lanes[j], runtime.NumCPU())
-		}
-	}
-}
-
-// BenchmarkSummary regenerates the §4.5 aggregates.
-func BenchmarkSummary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		regenerate(b)
-		g, err := experiments.RunGrid(experiments.Config{}, []workload.Kind{
-			workload.Minprog, workload.LispDel, workload.Chess,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := experiments.Summarize(experiments.Config{}, g, []workload.Kind{
-			workload.Minprog, workload.LispDel, workload.Chess,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s.AvgByteSavingsPct, "byte-savings-pct")
-		b.ReportMetric(s.AvgMsgTimeSavingsPct, "msg-savings-pct")
-		b.ReportMetric(s.FaultRatio, "fault-ratio")
-	}
-}
-
-// BenchmarkAblationPrefetch sweeps prefetch on a sequential workload.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PrefetchAblation(core.PrefetchValues())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatAblation("Prefetch sweep (synthetic sequential)", rows))
-		}
-	}
-}
-
-// BenchmarkAblationPageSize sweeps the VM page size.
-func BenchmarkAblationPageSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PageSizeAblation([]int{256, 512, 1024, 2048})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatAblation("Page-size sweep", rows))
-		}
-	}
-}
-
-// BenchmarkAblationBandwidth finds where pure-copy overtakes IOU as
-// the network speeds up.
-func BenchmarkAblationBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.BandwidthAblation([]int{375_000, 3_750_000, 37_500_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatAblation("Bandwidth sweep (IOU vs Copy)", rows))
-		}
-	}
-}
-
-// BenchmarkAblationIOUCache shows the NetMsgServer cache is what makes
-// lazy shipment possible.
-func BenchmarkAblationIOUCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.IOUCacheAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatAblation("IOU cache on/off", rows))
-		}
-	}
-}
-
-// BenchmarkAblationCopyThreshold sweeps the IPC copy/map threshold.
-func BenchmarkAblationCopyThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CopyThresholdAblation([]int{512, 4096, 65536, 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatAblation("IPC copy/map threshold sweep", rows))
-		}
-	}
-}
-
-// BenchmarkPreCopy compares the V-system iterative pre-copy against
-// stop-and-copy and copy-on-reference on a writer workload, reporting
-// downtimes.
-func BenchmarkPreCopy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PreCopyComparison(experiments.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatPreCopy(rows))
-		}
-		b.ReportMetric(rows[0].Downtime.Seconds(), "sim-precopy-down-s")
-		b.ReportMetric(rows[1].Downtime.Seconds(), "sim-copy-down-s")
-		b.ReportMetric(rows[2].Downtime.Seconds(), "sim-iou-down-s")
-	}
-}
-
-// BenchmarkBreakeven sweeps the touched fraction to locate the IOU/copy
-// crossover (§4.3.4: ≈¼ of RealMem).
-func BenchmarkBreakeven(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.BreakevenSweep(experiments.Config{}, []int{5, 15, 25, 40, 60})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if be := experiments.Breakeven(rows); be > 0 {
-			b.ReportMetric(be, "breakeven-pct")
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatBreakeven(rows))
 		}
 	}
 }

@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -88,7 +89,7 @@ func main() {
 	flag.IntVar(&tunables.chaosTrials, "chaos-trials", 200, "randomized fault trials for -exp chaos")
 	flag.IntVar(&tunables.shards, "shards", 1, "event-lane workers for the sharded kernel in -exp shardstress (1 = sequential kernel, the default path)")
 	csv := flag.Bool("csv", false, "emit figure data as CSV instead of text")
-	trace := flag.String("trace", "", "write a flight-recorder trace of every simulation to this file")
+	trace := flag.String("trace", "", "write a flight-recorder trace of every simulation to this file: each trial once, on the tracks of the first experiment that asks for it, with the disk cache skipped (table4-1 and shardstress write no events)")
 	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl or chrome (Perfetto-loadable)")
 	seed := flag.Uint64("seed", 0, "base seed perturbing all random streams (0 = calibrated defaults)")
 	parallel := flag.Int("parallel", 0, "trial worker-pool width (0 = GOMAXPROCS; 1 = sequential)")
@@ -153,7 +154,7 @@ func main() {
 		}
 	}
 	for _, id := range ids {
-		if err := run(id, p); err != nil {
+		if err := run(os.Stdout, id, p); err != nil {
 			fatal(err)
 		}
 	}
@@ -278,8 +279,8 @@ func baseConfig() (experiments.Config, error) {
 	return cfg, nil
 }
 
-// run prints experiment id's output for p, as `migsim -exp id` does.
-func run(id string, p experiments.Params) error {
+// run prints experiment id's output for p to w, as `migsim -exp id` does.
+func run(w io.Writer, id string, p experiments.Params) error {
 	e, ok := experiments.Lookup(id)
 	if !ok {
 		return fmt.Errorf("unknown experiment %q (try -list)", id)
@@ -291,6 +292,6 @@ func run(id string, p experiments.Params) error {
 		p.Config.Sink = obs.WithPrefix(tunables.sink, id+"/")
 	}
 	out, err := e.Render(p)
-	fmt.Print(out)
+	fmt.Fprint(w, out)
 	return err
 }

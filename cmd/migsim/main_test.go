@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func TestParseKindsUnknown(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("table9-9", experiments.Params{Kinds: workload.Kinds()}); err == nil {
+	if err := run(io.Discard, "table9-9", experiments.Params{Kinds: workload.Kinds()}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -62,7 +63,7 @@ func TestProfileTraceHoldsEvents(t *testing.T) {
 	sink := obs.NewChromeSink(&buf)
 	tunables.sink = sink
 	defer func() { tunables.sink = nil }()
-	if err := run("profile", experiments.Params{Kinds: []workload.Kind{workload.Minprog}}); err != nil {
+	if err := run(io.Discard, "profile", experiments.Params{Kinds: []workload.Kind{workload.Minprog}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -111,18 +112,22 @@ func TestRejectsOutOfRangeNumbers(t *testing.T) {
 }
 
 // traceRun returns the JSONL trace of `migsim -exp id -parallel
-// workers` over kinds.
+// workers` over kinds. A traced trial the engine already holds writes
+// nothing, so each run starts from an empty engine, as a fresh migsim
+// process does.
 func traceRun(t *testing.T, id string, workers int, kinds ...workload.Kind) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
 	tunables.sink = sink
 	experiments.SetWorkers(workers)
+	experiments.Default.Reset()
 	defer func() {
 		tunables.sink = nil
 		experiments.SetWorkers(0)
+		experiments.Default.Reset()
 	}()
-	if err := run(id, experiments.Params{Kinds: kinds}); err != nil {
+	if err := run(io.Discard, id, experiments.Params{Kinds: kinds}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -167,6 +172,131 @@ func TestEachTrialHasItsOwnTracks(t *testing.T) {
 		if n != 1 {
 			t.Errorf("track %s holds %d trials' excise phases", track, n)
 		}
+	}
+}
+
+// countingSink counts the events a traced run writes.
+type countingSink struct{ n int }
+
+func (s *countingSink) Emit(obs.Event) { s.n++ }
+func (s *countingSink) Close() error   { return nil }
+
+// TestEveryExperimentReadsTheRun is the flag contract over the
+// experiment table, through run and the flag-compiled config: every id
+// writes at least one event under -trace, exits 1 under -crash-at
+// excise, and prints something other than its default output (or exits
+// 1) under -droprate 0.3. An id that does not is named below with its
+// reason, and is not run under that flag.
+func TestEveryExperimentReadsTheRun(t *testing.T) {
+	const trace, crash, drop = "-trace", "-crash-at", "-droprate"
+	migratesNothing := "it builds address spaces and migrates nothing"
+	ownPlans := "it draws its own fault plans"
+	ownModel := "it runs its own migration model and kernels (ROADMAP item 4)"
+	except := map[string]map[string]string{
+		"table4-1":    {trace: migratesNothing, crash: migratesNothing, drop: migratesNothing},
+		"table4-2":    {drop: "resident sets are fixed at excision"},
+		"table4-4":    {crash: "its pure-copy cells never fault on the crashed backer"},
+		"resilience":  {crash: ownPlans, drop: ownPlans},
+		"chaos":       {crash: ownPlans, drop: ownPlans},
+		"shardstress": {trace: ownModel, crash: ownModel, drop: ownModel},
+	}
+	for id := range except {
+		if _, ok := experiments.Lookup(id); !ok {
+			t.Errorf("exception names %q, which is not an experiment", id)
+		}
+	}
+	saved := tunables
+	defer func() {
+		tunables = saved
+		experiments.Default.Reset()
+	}()
+	defaults := saved
+	defaults.maxRetries = -1 // the flag's default
+	// Minprog's table4-3 rows do not move under -droprate 0.3; PM-End's do.
+	p := experiments.Params{Kinds: []workload.Kind{workload.Minprog, workload.PMEnd}, ChaosTrials: 4, Shards: 2}
+	render := func(t *testing.T, id string, set func()) (string, error) {
+		t.Helper()
+		tunables = defaults
+		set()
+		cfg, err := baseConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := p
+		q.Config = cfg
+		var out bytes.Buffer
+		err = run(&out, id, q)
+		return out.String(), err
+	}
+	for _, e := range experiments.Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			skip := except[e.ID]
+			if _, ok := skip[trace]; !ok {
+				sink := &countingSink{}
+				experiments.Default.Reset()
+				if _, err := render(t, e.ID, func() { tunables.sink = sink }); err != nil {
+					t.Errorf("-trace: %v", err)
+				}
+				if sink.n == 0 {
+					t.Errorf("-trace wrote no events")
+				}
+			}
+			if _, ok := skip[crash]; !ok {
+				if _, err := render(t, e.ID, func() { tunables.crashAt = "excise" }); err == nil {
+					t.Errorf("-crash-at excise exits 0")
+				}
+			}
+			if _, ok := skip[drop]; !ok {
+				plain, err := render(t, e.ID, func() {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out, err := render(t, e.ID, func() { tunables.dropProb = 0.3 }); err == nil && out == plain {
+					t.Errorf("-droprate 0.3 prints the default output and exits 0")
+				}
+			}
+		})
+	}
+}
+
+// TestTracedRunTracesEachCellOnce: traced work memoizes in memory, so
+// in one traced run of table4-2 to summary each Minprog grid cell's
+// excise phase lands on exactly one experiment's tracks, the first
+// that asks for the cell.
+func TestTracedRunTracesEachCellOnce(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	tunables.sink = sink
+	experiments.Default.Reset()
+	defer func() {
+		tunables.sink = nil
+		experiments.Default.Reset()
+	}()
+	p := experiments.Params{Kinds: []workload.Kind{workload.Minprog}}
+	for _, id := range []string{"table4-2", "table4-3", "table4-4", "table4-5",
+		"figure4-1", "figure4-2", "figure4-3", "figure4-4", "figure4-5", "summary"} {
+		if err := run(io.Discard, id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	excises := map[string]int{} // experiment id -> Minprog excise phases
+	total := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var ev struct{ Kind, Machine, Proc, Name string }
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Kind == "PhaseBegin" && ev.Name == "excise" && ev.Proc == workload.Minprog.String() {
+			id, _, _ := strings.Cut(ev.Machine, "/")
+			excises[id]++
+			total++
+		}
+	}
+	if want := len(experiments.GridKeys(p.Kinds)); total != want {
+		t.Errorf("%d Minprog excise phases (per experiment: %v), want one per grid cell (%d)", total, excises, want)
 	}
 }
 

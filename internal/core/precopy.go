@@ -87,7 +87,8 @@ func collectStale(pr *machine.Process, sent map[vm.Addr]uint32) []stalePage {
 }
 
 // stageRound ships one batch of pages to the destination manager and
-// waits for the ack. Pages are packed into per-VA-run attachments.
+// waits for the ack, which a transport nack or DefaultAckTimeout fails.
+// Pages are packed into per-VA-run attachments.
 func (mgr *Manager) stageRound(p *sim.Proc, procName string, destPort ipc.PortID, round int, pages []stalePage) error {
 	ps := uint64(mgr.M.PageSize())
 	var atts []*ipc.MemAttachment
@@ -114,13 +115,16 @@ func (mgr *Manager) stageRound(p *sim.Proc, procName string, destPort ipc.PortID
 	if err != nil {
 		return fmt.Errorf("core: pre-copy round %d: %w", round, err)
 	}
-	mgr.M.IPC.Receive(p, reply)
-	return nil
+	return mgr.awaitReply(p, reply, DefaultAckTimeout, func(*ipc.Message) (bool, error) { return true, nil },
+		func(cause error, _ string) error {
+			return fmt.Errorf("%w: %q in pre-copy round %d", cause, procName, round)
+		})
 }
 
 // PreCopyTo migrates procName to the manager at destPort using
 // iterative pre-copy. The process keeps running during the copy rounds;
-// writes race the transfer and are caught by page versioning.
+// writes race the transfer and are caught by page versioning. A failed
+// round returns its error with the process running at the source.
 func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID) (*PreCopyReport, error) {
 	pr, ok := mgr.M.Process(procName)
 	if !ok {
@@ -163,6 +167,7 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID)
 	rep.FinalPages = len(final)
 	if len(final) > 0 {
 		if err := mgr.stageRound(p, procName, destPort, len(rep.Rounds), final); err != nil {
+			mgr.resumeLocal(p, procName)
 			return nil, err
 		}
 	}

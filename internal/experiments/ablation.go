@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"accentmig/internal/core"
-	"accentmig/internal/netlink"
-	"accentmig/internal/netmsg"
 	"accentmig/internal/trace"
 	"accentmig/internal/vm"
 )
@@ -85,14 +83,14 @@ func ablate(tr *TrialResult, label string) AblationRow {
 // PageSizeAblation sweeps the VM page size: smaller pages mean more,
 // cheaper faults; larger pages amortize the fault round trip but haul
 // more dead weight per miss.
-func PageSizeAblation(pageSizes []int) ([]AblationRow, error) {
+func PageSizeAblation(cfg Config, pageSizes []int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, ps := range pageSizes {
-		cfg := Config{}
-		cfg.Machine.PageSize = ps
+		c := cfg
+		c.Machine.PageSize = ps
 		// Keep the byte volume constant across page sizes.
 		realPages := 256 * 1024 / ps
-		tr, err := syntheticTrial(cfg, realPages, realPages/4, core.PureIOU, 1)
+		tr, err := syntheticTrial(c, realPages, realPages/4, core.PureIOU, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -105,13 +103,13 @@ func PageSizeAblation(pageSizes []int) ([]AblationRow, error) {
 // overtakes copy-on-reference: as the wire gets fast, shipping
 // everything up front stops being the bottleneck while the per-fault
 // round trip cost remains.
-func BandwidthAblation(rates []int) ([]AblationRow, error) {
+func BandwidthAblation(cfg Config, rates []int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, bps := range rates {
 		for _, strat := range []core.Strategy{core.PureIOU, core.PureCopy} {
-			cfg := Config{}
-			cfg.Link = netlink.Config{BytesPerSecond: bps}
-			tr, err := syntheticTrial(cfg, 512, 128, strat, 0)
+			c := cfg
+			c.Link.BytesPerSecond = bps
+			tr, err := syntheticTrial(c, 512, 128, strat, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -125,12 +123,12 @@ func BandwidthAblation(rates []int) ([]AblationRow, error) {
 // server that refuses to cache — without a backer, lazy shipment
 // degenerates into physical copy at migration time, demonstrating that
 // the cache is the mechanism that makes IOUs possible at all (§2.4).
-func IOUCacheAblation() ([]AblationRow, error) {
+func IOUCacheAblation(cfg Config) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, disable := range []bool{false, true} {
-		cfg := Config{}
-		cfg.Machine.Net = netmsg.Config{DisableIOUCache: disable}
-		tr, err := syntheticTrial(cfg, 512, 128, core.PureIOU, 0)
+		c := cfg
+		c.Machine.Net.DisableIOUCache = disable
+		tr, err := syntheticTrial(c, 512, 128, core.PureIOU, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -146,12 +144,12 @@ func IOUCacheAblation() ([]AblationRow, error) {
 // CopyThresholdAblation sweeps the IPC copy/map threshold (§2.1): a
 // huge threshold forces physical copies of large messages inside each
 // machine, inflating migration-time costs.
-func CopyThresholdAblation(thresholds []int) ([]AblationRow, error) {
+func CopyThresholdAblation(cfg Config, thresholds []int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, th := range thresholds {
-		cfg := Config{}
-		cfg.Machine.IPC.CopyThreshold = th
-		tr, err := syntheticTrial(cfg, 512, 128, core.PureCopy, 0)
+		c := cfg
+		c.Machine.IPC.CopyThreshold = th
+		tr, err := syntheticTrial(c, 512, 128, core.PureCopy, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -161,10 +159,10 @@ func CopyThresholdAblation(thresholds []int) ([]AblationRow, error) {
 }
 
 // PrefetchAblation sweeps prefetch on a sequential synthetic workload.
-func PrefetchAblation(values []int) ([]AblationRow, error) {
+func PrefetchAblation(cfg Config, values []int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, pf := range values {
-		tr, err := syntheticTrial(Config{}, 512, 256, core.PureIOU, pf)
+		tr, err := syntheticTrial(cfg, 512, 256, core.PureIOU, pf)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestPageSizeAblation(t *testing.T) {
-	rows, err := PageSizeAblation([]int{256, 512, 2048})
+	rows, err := PageSizeAblation(Config{}, []int{256, 512, 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestPageSizeAblation(t *testing.T) {
 }
 
 func TestBandwidthAblation(t *testing.T) {
-	rows, err := BandwidthAblation([]int{375_000, 37_500_000})
+	rows, err := BandwidthAblation(Config{}, []int{375_000, 37_500_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBandwidthAblation(t *testing.T) {
 }
 
 func TestIOUCacheAblation(t *testing.T) {
-	rows, err := IOUCacheAblation()
+	rows, err := IOUCacheAblation(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestIOUCacheAblation(t *testing.T) {
 }
 
 func TestCopyThresholdAblation(t *testing.T) {
-	rows, err := CopyThresholdAblation([]int{4096, 1 << 20})
+	rows, err := CopyThresholdAblation(Config{}, []int{4096, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCopyThresholdAblation(t *testing.T) {
 }
 
 func TestPrefetchAblation(t *testing.T) {
-	rows, err := PrefetchAblation(core.PrefetchValues())
+	rows, err := PrefetchAblation(Config{}, core.PrefetchValues())
 	if err != nil {
 		t.Fatal(err)
 	}

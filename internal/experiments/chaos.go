@@ -306,8 +306,8 @@ func chaosViolation(c chaosCase, invariant, detail string, recheck func(*faults.
 // scenarios), so the campaign cost is dominated by the faulted trials
 // themselves. Every 16th trial is additionally re-run under the flight
 // recorder to check the blame-partition invariant. Under a sink the
-// campaign runs uncached on one worker, as the sweeps do, and records
-// every trial it runs.
+// campaign runs on one worker, as the sweeps do, and records each
+// distinct trial it runs once.
 func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error) {
 	// An inherited plan would break the campaign's seed-determinism,
 	// exactly as in the resilience sweep; each scenario draws its own
@@ -357,8 +357,8 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 			return
 		}
 		// Blame-partition invariant on the profiled subset: re-run the
-		// same trial with a flight recorder (traced trials bypass the
-		// memoization cache by design) and rebuild the critical path.
+		// same trial, unmemoized, with a flight recorder and rebuild the
+		// critical path.
 		sink, perr := traced(c.cfg, func(pcfg Config) error {
 			_, err := RunResilienceTrial(pcfg, resilienceKind, c.strat)
 			return err

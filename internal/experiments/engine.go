@@ -28,10 +28,10 @@ import (
 // (Usage, Table 4-1) and the single-fault costs (FaultCosts, the
 // summary's §4.3.3 probe).
 //
-// Work driven with a flight-recorder sink installed bypasses the cache
-// (a cached result would silently emit no trace events) and runs on one
-// worker, so the sink sees one trial at a time, in cell order, at any
-// pool width.
+// Work under a flight-recorder sink memoizes in memory only, so each
+// trial is traced once, on the tracks of the first experiment that asks
+// for it, and runs on one worker, so the sink sees one trial at a time,
+// in cell order, at any pool width.
 type Engine struct {
 	// workers is the pool width; <= 0 selects runtime.GOMAXPROCS(0).
 	workers int
@@ -123,13 +123,14 @@ func (e *Engine) CachedCells() int {
 // workload reference traces. The calibration constants are not config
 // values, so a change to one must bump memoEpoch instead. The Sink is
 // deliberately excluded — it observes a trial without affecting it —
-// and sink-carrying configs skip the cache anyway. The fingerprint also keys the persistent disk cache, so it
-// must be stable across processes: every nested config struct is a
-// plain value type (no pointers, maps, or funcs), which makes the %#v
+// so traced and untraced requests share an entry in memory. The
+// fingerprint also keys the persistent disk cache, so it must be
+// stable across processes: every nested config struct is a plain
+// value type (no pointers, maps, or funcs), which makes the %#v
 // rendering a canonical form for a fixed Go version — and the disk
 // cache namespaces its entries by Go version precisely so that a
-// toolchain change (or a struct change, which alters the rendering and
-// hence the fingerprint) can never revive a stale entry.
+// toolchain change (or a struct change, which alters the rendering
+// and hence the fingerprint) can never revive a stale entry.
 func (c Config) fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%#v|%#v|%#v|%d", c.Machine, c.Link, core.DefaultTuning(), xrand.BaseSeed())
@@ -147,11 +148,12 @@ func (c Config) fingerprint() uint64 {
 // share a single computation. The owner consults the disk level before
 // running, and writes a freshly computed result behind only after the
 // waiters are released. Errors are never stored on disk: a failed trial
-// re-runs next process. Work that records to a sink runs uncached, so
-// its flight-recorder stream is always emitted.
+// re-runs next process. Work that records to a sink skips the disk
+// level, where a hit would emit no events.
 func memo[T any](e *Engine, sink obs.Sink, key cacheKey, run func() (*T, error)) (*T, error) {
+	disk := e.disk
 	if sink != nil {
-		return run()
+		disk = nil
 	}
 	e.mu.Lock()
 	if ent, ok := e.cache[key]; ok {
@@ -163,7 +165,7 @@ func memo[T any](e *Engine, sink obs.Sink, key cacheKey, run func() (*T, error))
 	e.cache[key] = ent
 	e.mu.Unlock()
 
-	if v, ok := diskLoad[T](e.disk, key); ok {
+	if v, ok := diskLoad[T](disk, key); ok {
 		ent.val = v
 		close(ent.done)
 		return v, nil
@@ -171,8 +173,8 @@ func memo[T any](e *Engine, sink obs.Sink, key cacheKey, run func() (*T, error))
 	v, err := run()
 	ent.val, ent.err = v, err
 	close(ent.done)
-	if err == nil && e.disk != nil {
-		e.disk.store(key, v)
+	if err == nil && disk != nil {
+		disk.store(key, v)
 	}
 	return v, err
 }

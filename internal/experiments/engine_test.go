@@ -133,11 +133,34 @@ func TestEngineDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// TestEngineSinkBypassesCache verifies that trace-carrying configs are
-// never served from cache (each run must emit its event stream) and
-// that their events still arrive when trials run on the pool.
-func TestEngineSinkBypassesCache(t *testing.T) {
+// filledDisk returns a disk cache that an untraced engine has filled
+// by running fill, and its stats after the fill: a traced engine that
+// attaches it must neither read nor write it.
+func filledDisk(t *testing.T, fill func(*Engine) error) (*DiskCache, DiskStats) {
+	t.Helper()
+	d, err := OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewEngine(1)
+	warm.SetDisk(d)
+	if err := fill(warm); err != nil {
+		t.Fatal(err)
+	}
+	return d, d.Stats()
+}
+
+// TestEngineTracesEachTrialOnce verifies that a traced trial is
+// simulated and traced on its first request and served from memory
+// after it, so a second request writes no events, and that a disk
+// cache attached under a sink is neither read nor written.
+func TestEngineTracesEachTrialOnce(t *testing.T) {
+	d, filled := filledDisk(t, func(e *Engine) error {
+		_, err := e.Trial(Config{}, workload.Minprog, core.PureIOU, 0)
+		return err
+	})
 	e := NewEngine(1)
+	e.SetDisk(d)
 	mem := obs.NewMemorySink()
 	cfg := Config{Sink: mem}
 	tr1, err := e.Trial(cfg, workload.Minprog, core.PureIOU, 0)
@@ -152,14 +175,17 @@ func TestEngineSinkBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr1 == tr2 {
-		t.Error("traced trial was served from cache")
+	if tr1 != tr2 {
+		t.Error("second traced request re-simulated instead of hitting the memo")
 	}
-	if mem.Len() != 2*n1 {
-		t.Errorf("second traced trial emitted %d events, want %d", mem.Len()-n1, n1)
+	if got := mem.Len() - n1; got != 0 {
+		t.Errorf("memo hit emitted %d events, want 0", got)
 	}
-	if n := e.CachedCells(); n != 0 {
-		t.Errorf("CachedCells = %d after traced trials, want 0", n)
+	if n := e.CachedCells(); n != 1 {
+		t.Errorf("CachedCells = %d after traced trials, want 1", n)
+	}
+	if got := d.Stats(); got != filled {
+		t.Errorf("disk stats %+v under a sink, want %+v: traced work must neither read nor write the disk", got, filled)
 	}
 }
 
@@ -195,12 +221,20 @@ func TestEngineMemoizesUsageAndFaultCosts(t *testing.T) {
 	}
 }
 
-// TestEngineSinkBypassesCacheForUsageAndFaultCosts is
-// TestEngineSinkBypassesCache for the two measurements that do not
-// migrate: under a Sink each runs again on every call, and the fault
-// probe emits its events every time.
-func TestEngineSinkBypassesCacheForUsageAndFaultCosts(t *testing.T) {
+// TestEngineTracesUsageAndFaultCostsOnce is TestEngineTracesEachTrialOnce
+// for the two measurements that do not migrate: under a Sink each is
+// measured once, the fault probe emits its events on the first call
+// only, and the disk is neither read nor written.
+func TestEngineTracesUsageAndFaultCostsOnce(t *testing.T) {
+	d, filled := filledDisk(t, func(e *Engine) error {
+		if _, err := e.Usage(Config{}, workload.Minprog); err != nil {
+			return err
+		}
+		_, err := e.FaultCosts(Config{})
+		return err
+	})
 	e := NewEngine(1)
+	e.SetDisk(d)
 	mem := obs.NewMemorySink()
 	cfg := Config{Sink: mem}
 	u1, err := e.Usage(cfg, workload.Minprog)
@@ -211,8 +245,8 @@ func TestEngineSinkBypassesCacheForUsageAndFaultCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u1 == u2 {
-		t.Error("traced usage was served from cache")
+	if u1 != u2 {
+		t.Error("second traced Usage call rebuilt the workload instead of hitting the memo")
 	}
 	n0 := mem.Len()
 	fc1, err := e.FaultCosts(cfg)
@@ -227,14 +261,17 @@ func TestEngineSinkBypassesCacheForUsageAndFaultCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc1 == fc2 {
-		t.Error("traced fault costs were served from cache")
+	if fc1 != fc2 {
+		t.Error("second traced FaultCosts call re-measured instead of hitting the memo")
 	}
-	if got := mem.Len() - n0 - n1; got != n1 {
-		t.Errorf("second traced fault probe emitted %d events, want %d", got, n1)
+	if got := mem.Len() - n0 - n1; got != 0 {
+		t.Errorf("memo hit of the fault probe emitted %d events, want 0", got)
 	}
-	if n := e.CachedCells(); n != 0 {
-		t.Errorf("CachedCells = %d after traced calls, want 0", n)
+	if n := e.CachedCells(); n != 2 {
+		t.Errorf("CachedCells = %d after traced calls, want 2", n)
+	}
+	if got := d.Stats(); got != filled {
+		t.Errorf("disk stats %+v under a sink, want %+v: traced work must neither read nor write the disk", got, filled)
 	}
 }
 

@@ -189,24 +189,25 @@ func gridFigure(title, unit string, figure func(*Grid, []workload.Kind) map[work
 	}
 }
 
-// renderAblations renders the design-choice sweeps, in order.
-func renderAblations(Params) (string, error) {
+// renderAblations renders the design-choice sweeps, in order, each on
+// the run's config with its one field set.
+func renderAblations(p Params) (string, error) {
 	ablations := []struct {
 		title string
 		run   func() ([]AblationRow, error)
 	}{
 		{"prefetch (synthetic sequential)", func() ([]AblationRow, error) {
-			return PrefetchAblation(core.PrefetchValues())
+			return PrefetchAblation(p.Config, core.PrefetchValues())
 		}},
 		{"page size", func() ([]AblationRow, error) {
-			return PageSizeAblation([]int{256, 512, 1024, 2048})
+			return PageSizeAblation(p.Config, []int{256, 512, 1024, 2048})
 		}},
 		{"network bandwidth (IOU vs Copy)", func() ([]AblationRow, error) {
-			return BandwidthAblation([]int{375_000, 3_750_000, 37_500_000})
+			return BandwidthAblation(p.Config, []int{375_000, 3_750_000, 37_500_000})
 		}},
-		{"NetMsgServer IOU cache", IOUCacheAblation},
+		{"NetMsgServer IOU cache", func() ([]AblationRow, error) { return IOUCacheAblation(p.Config) }},
 		{"IPC copy/map threshold", func() ([]AblationRow, error) {
-			return CopyThresholdAblation([]int{512, 4096, 65536, 1 << 20})
+			return CopyThresholdAblation(p.Config, []int{512, 4096, 65536, 1 << 20})
 		}},
 	}
 	var b strings.Builder

@@ -39,8 +39,8 @@ type Config struct {
 
 	// Sink, when non-nil, receives the flight-recorder event stream of
 	// every kernel built from this config, each testbed's on tracks of
-	// its own (obs.ForTrial). Work under a sink runs uncached on one
-	// worker, so the sink is never written from two goroutines.
+	// its own (obs.ForTrial). Work under a sink runs on one worker and
+	// memoizes in memory only: a trial the engine holds writes nothing.
 	Sink obs.Sink
 }
 
