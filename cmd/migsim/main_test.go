@@ -189,11 +189,11 @@ func (s *countingSink) Close() error   { return nil }
 // reason, and is not run under that flag.
 func TestEveryExperimentReadsTheRun(t *testing.T) {
 	const trace, crash, drop = "-trace", "-crash-at", "-droprate"
-	migratesNothing := "it builds address spaces and migrates nothing"
+	characterization := "it prints the paper's characterization, which every install is checked against, and simulates nothing"
 	ownPlans := "it draws its own fault plans"
 	ownModel := "it runs its own migration model and kernels (ROADMAP item 4)"
 	except := map[string]map[string]string{
-		"table4-1":    {trace: migratesNothing, crash: migratesNothing, drop: migratesNothing},
+		"table4-1":    {trace: characterization, crash: characterization, drop: characterization},
 		"table4-2":    {drop: "resident sets are fixed at excision"},
 		"table4-4":    {crash: "its pure-copy cells never fault on the crashed backer"},
 		"resilience":  {crash: ownPlans, drop: ownPlans},
@@ -253,6 +253,66 @@ func TestEveryExperimentReadsTheRun(t *testing.T) {
 				}
 				if out, err := render(t, e.ID, func() { tunables.dropProb = 0.3 }); err == nil && out == plain {
 					t.Errorf("-droprate 0.3 prints the default output and exits 0")
+				}
+			}
+		})
+	}
+}
+
+// kindSink records the process names a traced run's events carry: a
+// grid trial's process is named after its workload.
+type kindSink struct{ procs map[string]bool }
+
+func (s *kindSink) Emit(ev obs.Event) { s.procs[ev.Proc] = true }
+func (s *kindSink) Close() error      { return nil }
+
+// TestEveryExperimentReadsKinds is the -kinds contract over the
+// experiment table: rendered with -kinds Minprog, no id prints a row of
+// another workload (a line that starts with its name) or simulates a
+// process of another workload (its trace names one). An id that does is
+// named below with its reason.
+func TestEveryExperimentReadsKinds(t *testing.T) {
+	lispDel := "it runs Lisp-Del by design"
+	except := map[string]string{
+		"figure4-5":  lispDel,
+		"residual":   lispDel,
+		"resilience": lispDel,
+		"chaos":      lispDel,
+	}
+	for id := range except {
+		if _, ok := experiments.Lookup(id); !ok {
+			t.Errorf("exception names %q, which is not an experiment", id)
+		}
+	}
+	defer func() {
+		tunables.sink = nil
+		experiments.Default.Reset()
+	}()
+	p := experiments.Params{Kinds: []workload.Kind{workload.Minprog}, Shards: 2}
+	for _, e := range experiments.Experiments() {
+		if _, ok := except[e.ID]; ok {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			sink := &kindSink{procs: map[string]bool{}}
+			tunables.sink = sink
+			experiments.Default.Reset()
+			var out bytes.Buffer
+			if err := run(&out, e.ID, p); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range workload.Kinds() {
+				if k == workload.Minprog {
+					continue
+				}
+				for _, line := range strings.Split(out.String(), "\n") {
+					if strings.HasPrefix(strings.TrimSpace(line), k.String()) {
+						t.Errorf("prints a %s row: %q", k, line)
+						break
+					}
+				}
+				if sink.procs[k.String()] {
+					t.Errorf("simulates %s", k)
 				}
 			}
 		})

@@ -9,7 +9,6 @@ import (
 
 	"accentmig/internal/core"
 	"accentmig/internal/obs"
-	"accentmig/internal/vm"
 	"accentmig/internal/workload"
 	"accentmig/internal/xrand"
 )
@@ -22,11 +21,10 @@ import (
 // on what ran beside it. The cache is keyed by a fingerprint of the
 // Config plus the trial coordinates, so every table, figure, and summary
 // that needs the same cell reuses one simulated result instead of
-// re-running it. Beside the trials (grid, resilience and shard-stress),
-// the engine memoizes the two measurements the paper's tables take
-// without migrating: an installed workload's address-space composition
-// (Usage, Table 4-1) and the single-fault costs (FaultCosts, the
-// summary's §4.3.3 probe).
+// re-running it. Beside the grid and resilience trials, the engine
+// memoizes the one measurement the paper's tables take without
+// migrating: the single-fault costs (FaultCosts, the summary's §4.3.3
+// probe).
 //
 // Work under a flight-recorder sink memoizes in memory only, so each
 // trial is traced once, on the tracks of the first experiment that asks
@@ -57,8 +55,6 @@ type cacheKey struct {
 const (
 	variantGrid uint8 = iota
 	variantResilience
-	variantShard
-	variantUsage
 	variantFaultCosts
 )
 
@@ -78,7 +74,7 @@ func NewEngine(workers int) *Engine {
 }
 
 // Default is the process-wide engine the package-level experiment
-// harnesses (RunGrid, Table41..45, Figure45, Summarize) share, so one
+// harnesses (RunGrid, Table42..45, Figure45, Summarize) share, so one
 // `migsim -exp all` sweep simulates each grid cell exactly once.
 var Default = NewEngine(0)
 
@@ -199,40 +195,6 @@ func (e *Engine) trial(fp uint64, cfg Config, g GridKey) (*TrialResult, error) {
 func (e *Engine) ResilienceTrial(cfg Config, k workload.Kind, s core.Strategy) (*ResilienceOutcome, error) {
 	return memo(e, cfg.Sink, cacheKey{fp: cfg.fingerprint(), variant: variantResilience, GridKey: GridKey{k, s, 0}}, func() (*ResilienceOutcome, error) {
 		return RunResilienceTrial(cfg, k, s)
-	})
-}
-
-// ShardTrial is the memoized form of RunShardStress. Only the
-// deterministic result is cached; the host-side perf figures are a
-// property of one run and never stored. The worker count is erased
-// from the key — the scenario's results are byte-identical at any
-// Shards value, so a cached entry serves every execution mode. The
-// process-wide base seed joins the key because the scenario's decision
-// streams derive from it.
-func (e *Engine) ShardTrial(o ShardStressOptions) (*ShardStressResult, error) {
-	o = o.withDefaults()
-	keyOpts := o
-	keyOpts.Shards = 0
-	h := fnv.New64a()
-	fmt.Fprintf(h, "shardstress|%d|%#v", xrand.BaseSeed(), keyOpts)
-	return memo(e, nil, cacheKey{fp: h.Sum64(), variant: variantShard}, func() (*ShardStressResult, error) {
-		res, _, err := RunShardStress(o)
-		return res, err
-	})
-}
-
-// Usage is the memoized address-space composition of workload k
-// installed on a fresh testbed: what Table 4-1 prints for it.
-func (e *Engine) Usage(cfg Config, k workload.Kind) (*vm.Usage, error) {
-	return memo(e, cfg.Sink, cacheKey{fp: cfg.fingerprint(), variant: variantUsage, GridKey: GridKey{Kind: k}}, func() (*vm.Usage, error) {
-		tb := NewTestbed(cfg)
-		defer tb.K.Close()
-		b, err := workload.Build(tb.Src, k)
-		if err != nil {
-			return nil, err
-		}
-		u := b.Proc.AS.Usage()
-		return &u, nil
 	})
 }
 

@@ -189,22 +189,10 @@ func TestEngineTracesEachTrialOnce(t *testing.T) {
 	}
 }
 
-// TestEngineMemoizesUsageAndFaultCosts verifies that a second request
-// for a workload's address-space usage or for the fault costs returns
-// the first result, not a re-measurement.
-func TestEngineMemoizesUsageAndFaultCosts(t *testing.T) {
+// TestEngineMemoizesFaultCosts verifies that a second request for the
+// fault costs returns the first result, not a re-measurement.
+func TestEngineMemoizesFaultCosts(t *testing.T) {
 	e := NewEngine(1)
-	u1, err := e.Usage(Config{}, workload.Minprog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := e.Usage(Config{}, workload.Minprog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u1 != u2 {
-		t.Error("second Usage call rebuilt the workload instead of hitting the cache")
-	}
 	fc1, err := e.FaultCosts(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -216,20 +204,17 @@ func TestEngineMemoizesUsageAndFaultCosts(t *testing.T) {
 	if fc1 != fc2 {
 		t.Error("second FaultCosts call re-measured instead of hitting the cache")
 	}
-	if n := e.CachedCells(); n != 2 {
-		t.Errorf("CachedCells = %d, want 2", n)
+	if n := e.CachedCells(); n != 1 {
+		t.Errorf("CachedCells = %d, want 1", n)
 	}
 }
 
-// TestEngineTracesUsageAndFaultCostsOnce is TestEngineTracesEachTrialOnce
-// for the two measurements that do not migrate: under a Sink each is
-// measured once, the fault probe emits its events on the first call
-// only, and the disk is neither read nor written.
-func TestEngineTracesUsageAndFaultCostsOnce(t *testing.T) {
+// TestEngineTracesFaultCostsOnce is TestEngineTracesEachTrialOnce for
+// the one measurement that does not migrate: under a Sink the fault
+// probe is measured once and emits its events on the first call only,
+// and the disk is neither read nor written.
+func TestEngineTracesFaultCostsOnce(t *testing.T) {
 	d, filled := filledDisk(t, func(e *Engine) error {
-		if _, err := e.Usage(Config{}, workload.Minprog); err != nil {
-			return err
-		}
 		_, err := e.FaultCosts(Config{})
 		return err
 	})
@@ -237,23 +222,11 @@ func TestEngineTracesUsageAndFaultCostsOnce(t *testing.T) {
 	e.SetDisk(d)
 	mem := obs.NewMemorySink()
 	cfg := Config{Sink: mem}
-	u1, err := e.Usage(cfg, workload.Minprog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := e.Usage(cfg, workload.Minprog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u1 != u2 {
-		t.Error("second traced Usage call rebuilt the workload instead of hitting the memo")
-	}
-	n0 := mem.Len()
 	fc1, err := e.FaultCosts(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := mem.Len() - n0
+	n1 := mem.Len()
 	if n1 == 0 {
 		t.Fatal("traced fault probe emitted no events")
 	}
@@ -264,11 +237,11 @@ func TestEngineTracesUsageAndFaultCostsOnce(t *testing.T) {
 	if fc1 != fc2 {
 		t.Error("second traced FaultCosts call re-measured instead of hitting the memo")
 	}
-	if got := mem.Len() - n0 - n1; got != 0 {
+	if got := mem.Len() - n1; got != 0 {
 		t.Errorf("memo hit of the fault probe emitted %d events, want 0", got)
 	}
-	if n := e.CachedCells(); n != 2 {
-		t.Errorf("CachedCells = %d after traced calls, want 2", n)
+	if n := e.CachedCells(); n != 1 {
+		t.Errorf("CachedCells = %d after traced calls, want 1", n)
 	}
 	if got := d.Stats(); got != filled {
 		t.Errorf("disk stats %+v under a sink, want %+v: traced work must neither read nor write the disk", got, filled)

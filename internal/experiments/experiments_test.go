@@ -29,18 +29,31 @@ func sharedGrid(t *testing.T) *Grid {
 	return gridVal
 }
 
+// TestTable41ExactPaperMatch: each printed Table 4-1 row is what an
+// install of its representative measures, so the characterization
+// Build checks every install against is the one the table prints.
 func TestTable41ExactPaperMatch(t *testing.T) {
 	rows, err := Table41(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != len(workload.Kinds()) {
+		t.Fatalf("%d rows, want one per kind", len(rows))
+	}
 	for _, r := range rows {
-		p := workload.PaperNumbers(r.Kind)
-		if r.Real != p.RealBytes || r.Total != p.TotalBytes {
-			t.Errorf("%v: Real/Total = %d/%d, paper %d/%d", r.Kind, r.Real, r.Total, p.RealBytes, p.TotalBytes)
+		tb := NewTestbed(Config{})
+		b, err := workload.Build(tb.Src, r.Kind)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.RealZ != p.TotalBytes-p.RealBytes {
-			t.Errorf("%v: RealZ = %d", r.Kind, r.RealZ)
+		u := b.Proc.AS.Usage()
+		tb.K.Close()
+		if r.Real != u.Real || r.RealZ != u.RealZero || r.Total != u.Total {
+			t.Errorf("%v: row Real/RealZ/Total = %d/%d/%d, install %d/%d/%d",
+				r.Kind, r.Real, r.RealZ, r.Total, u.Real, u.RealZero, u.Total)
+		}
+		if want := 100 * float64(u.RealZero) / float64(u.Total); r.PctRealZ != want {
+			t.Errorf("%v: %%RealZ = %v, install %v", r.Kind, r.PctRealZ, want)
 		}
 	}
 }

@@ -13,31 +13,28 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"accentmig/internal/vm"
 )
 
-// memoEpoch is the on-disk schema version of a cached result (a grid,
-// resilience or shard-stress trial, an address-space usage, or the
-// fault costs). Bump it whenever the entry encoding (entryCodec), the
-// variant numbering in the file name, or the simulation's observable
-// semantics change in a way neither the config fingerprint nor the
-// shape digest can see — a changed calibration constant (DESIGN.md §3
-// tables them; netmsg's fragCPU or vm.HashPerPageCPU, say) is one,
-// since constants are not config fields. A changed or added result
-// type needs no bump: its shape digest is part of the subdirectory
-// name (cacheSubdir). Entries of an older epoch, Go version or shape
-// become unreachable, since they live in a differently named
-// subdirectory, but nothing deletes them: prune and scanSize walk only
-// the current subdirectory, so they stay on disk until the cache
-// directory (.migcache by default) is removed by hand. Epoch 6:
-// TrialResult lost DestUsage, and deleting the held-trial variant
-// renumbered the resilience and shard variants in entry file names.
-// Epoch 7: entry bodies moved from gob to entryCodec. Still epoch 7:
-// the usage and fault-cost variants were appended after the shard
-// variant, so no file name was renumbered, and vm.Usage and FaultCosts
-// joined the shape digest, which moved the cache to a new
-// subdirectory.
+// memoEpoch is the on-disk schema version of a cached result (a grid
+// or resilience trial, or the fault costs). Bump it whenever the entry
+// encoding (entryCodec), the variant numbering in the file name, or the
+// simulation's observable semantics change in a way neither the config
+// fingerprint nor the shape digest can see — a changed calibration
+// constant (DESIGN.md §3 tables them; netmsg's fragCPU or
+// vm.HashPerPageCPU, say) is one, since constants are not config
+// fields. A changed, added or removed result type needs no bump: its
+// shape digest is part of the subdirectory name (cacheSubdir). Entries
+// of an older epoch, Go version or shape become unreachable, since they
+// live in a differently named subdirectory, but nothing deletes them:
+// prune and scanSize walk only the current subdirectory, so they stay
+// on disk until the cache directory (.migcache by default) is removed
+// by hand. Epoch 6: TrialResult lost DestUsage, and deleting the
+// held-trial variant renumbered the resilience and shard variants in
+// entry file names. Epoch 7: entry bodies moved from gob to entryCodec.
+// Still epoch 7: deleting the shard-stress and usage variants
+// renumbered the fault-cost variant, but it also dropped
+// ShardStressResult and vm.Usage from the shape digest, so the
+// renumbered names live in a new subdirectory.
 const memoEpoch = 7
 
 // memoMagic heads every cache entry so a torn or foreign file is
@@ -64,7 +61,7 @@ type DiskStats struct {
 
 // DiskCache is the persistent second level of the engine's memo cache:
 // a directory of checksummed, entryCodec-encoded results of every
-// memoized engine method (trials, address-space usages and fault
+// memoized engine method (grid and resilience trials and the fault
 // costs) keyed by the same (config fingerprint, variant, coordinates)
 // tuple as the in-memory map, namespaced by schema epoch, Go version
 // and the shape of the result types. Entries are written atomically
@@ -320,8 +317,7 @@ type entryCodec struct {
 // type a DiskCache entry holds (one per memo variant) and the digest
 // of their shapes.
 var entryCodecs = sync.OnceValues(func() (map[reflect.Type]*entryCodec, uint64) {
-	return compileCodecs(reflect.TypeFor[TrialResult](), reflect.TypeFor[ResilienceOutcome](), reflect.TypeFor[ShardStressResult](),
-		reflect.TypeFor[vm.Usage](), reflect.TypeFor[FaultCosts]())
+	return compileCodecs(reflect.TypeFor[TrialResult](), reflect.TypeFor[ResilienceOutcome](), reflect.TypeFor[FaultCosts]())
 })
 
 // compileCodecs compiles each type's codec and returns them with the

@@ -52,11 +52,10 @@ type Experiment struct {
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table4-1", true, func(p Params) (string, error) {
-			rows, err := Table41(p.Config)
-			return printed(rows, err, FormatTable41)
+			return printed(Table41For(p.Kinds), nil, FormatTable41)
 		}},
 		{"table4-2", true, func(p Params) (string, error) {
-			rows, err := Table42(p.Config)
+			rows, err := Table42For(p.Config, p.Kinds)
 			return printed(rows, err, FormatTable42)
 		}},
 		{"table4-3", true, func(p Params) (string, error) {
@@ -64,7 +63,7 @@ func Experiments() []Experiment {
 			return printed(rows, err, FormatTable43)
 		}},
 		{"table4-4", true, func(p Params) (string, error) {
-			rows, err := Table44(p.Config)
+			rows, err := Table44For(p.Config, p.Kinds)
 			return printed(rows, err, FormatTable44)
 		}},
 		{"table4-5", true, func(p Params) (string, error) {
@@ -136,7 +135,7 @@ func Experiments() []Experiment {
 			return out, err
 		}},
 		{"shardstress", false, func(p Params) (string, error) {
-			out, err := ShardStress(Default, p.Shards)
+			out, err := ShardStress(p.Shards)
 			return printed(out, err, func(s string) string { return s })
 		}},
 		// profile prints the critical path, blame partition and downtime of

@@ -669,27 +669,15 @@ func ssQuantile(sorted []time.Duration, q float64) time.Duration {
 }
 
 // ShardStress runs the experiment behind `migsim -exp shardstress`: the
-// deterministic scenario table at two cluster scales (memoized through
-// the engine), followed by a live sequential-vs-sharded comparison at
-// the base scale that verifies byte-identity and reports each kernel's
-// event count and the sharded run's windows and cross-lane events. Its
-// output depends on its arguments alone: host timings are the
-// benchmark's to measure (bench/, workload cluster-32).
-func ShardStress(e *Engine, shards int) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shard-stress: many-machine migration load (lookahead %v, arrivals + concurrent migrations)\n\n", ssLinkCfg.Latency)
-	fmt.Fprintf(&b, "%-9s %7s %7s %7s %7s %7s %10s %10s %10s %10s\n",
-		"machines", "procs", "offers", "migs", "reject", "cancel", "downP50", "downP99", "migP50", "fetchstall")
-	for _, m := range []int{16, 32} {
-		r, err := e.ShardTrial(ShardStressOptions{Machines: m})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-9d %7d %7d %7d %7d %7d %10v %10v %10v %10v\n",
-			r.Machines, r.Spawned, r.Offers, r.Completed, r.Rejected, r.Cancelled,
-			r.DownP50, r.DownP99, r.MigP50, r.FetchStallMean)
-	}
-
+// deterministic scenario table at two cluster scales, followed by a
+// sequential-vs-sharded comparison at the base scale that verifies
+// byte-identity and reports each kernel's event count and the sharded
+// run's windows and cross-lane events. The base scale's sequential run
+// serves both its table row and the comparison, so the experiment
+// simulates three scenarios. Its output depends on its argument alone:
+// host timings are the benchmark's to measure (bench/, workload
+// cluster-32).
+func ShardStress(shards int) (string, error) {
 	if shards < 2 {
 		shards = 4
 	}
@@ -697,9 +685,23 @@ func ShardStress(e *Engine, shards int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	wide, _, err := RunShardStress(ShardStressOptions{Machines: 32})
+	if err != nil {
+		return "", err
+	}
 	shRes, shPerf, err := RunShardStress(ShardStressOptions{Shards: shards})
 	if err != nil {
 		return "", err
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "Shard-stress: many-machine migration load (lookahead %v, arrivals + concurrent migrations)\n\n", ssLinkCfg.Latency)
+	fmt.Fprintf(&b, "%-9s %7s %7s %7s %7s %7s %10s %10s %10s %10s\n",
+		"machines", "procs", "offers", "migs", "reject", "cancel", "downP50", "downP99", "migP50", "fetchstall")
+	for _, r := range []*ShardStressResult{seqRes, wide} {
+		fmt.Fprintf(&b, "%-9d %7d %7d %7d %7d %7d %10v %10v %10v %10v\n",
+			r.Machines, r.Spawned, r.Offers, r.Completed, r.Rejected, r.Cancelled,
+			r.DownP50, r.DownP99, r.MigP50, r.FetchStallMean)
 	}
 	identical := reflect.DeepEqual(seqRes, shRes)
 	fmt.Fprintf(&b, "\nExecution modes at %d machines:\n", seqRes.Machines)

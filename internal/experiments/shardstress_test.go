@@ -92,70 +92,13 @@ func TestShardStressInvariants(t *testing.T) {
 	}
 }
 
-// TestShardTrialMemoized: the engine caches the scenario under a key
-// that erases the worker count, so a sharded request is served by the
-// sequential run's cached result (and vice versa).
-func TestShardTrialMemoized(t *testing.T) {
-	e := NewEngine(1)
-	a, err := e.ShardTrial(ssTestOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := ssTestOpts
-	o.Shards = 4
-	b, err := e.ShardTrial(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("ShardTrial at a different worker count did not hit the memo cache")
-	}
-}
-
-// TestShardTrialDiskRoundTrip: the scenario result survives the
-// persistent cache — a second engine with the same disk serves it
-// without resimulating (the payloads are pointer-distinct but equal).
-func TestShardTrialDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := OpenDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := NewEngine(1)
-	e1.SetDisk(d1)
-	a, err := e1.ShardTrial(ssTestOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Stats().Writes == 0 {
-		t.Fatal("no disk write for the shard trial")
-	}
-
-	d2, err := OpenDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(1)
-	e2.SetDisk(d2)
-	b, err := e2.ShardTrial(ssTestOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Stats().Hits != 1 {
-		t.Errorf("disk hits = %d, want 1", d2.Stats().Hits)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("disk round trip changed the shard-stress result")
-	}
-}
-
 // TestShardStressReport: the experiment harness runs end to end and
 // asserts its own identity check.
 func TestShardStressReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shardstress experiment in -short mode")
 	}
-	out, err := ShardStress(NewEngine(1), 2)
+	out, err := ShardStress(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,26 +19,29 @@ type Row41 struct {
 	PctRealZ float64
 }
 
-// Table41 measures address-space composition at migration time by
-// building each representative and scanning its space, through the
-// default engine (Engine.Usage), so a warm cache builds nothing.
-func Table41(cfg Config) ([]Row41, error) {
+// Table41For returns the published characterization of each kind. Table
+// 4-1 is an input of this reproduction, not a measurement (DESIGN.md
+// §1): workload.Build refuses any install whose Real, RealZero or Total
+// differs from these rows, so every trial checks them and printing them
+// simulates nothing.
+func Table41For(kinds []workload.Kind) []Row41 {
 	var rows []Row41
-	for _, k := range workload.Kinds() {
-		u, err := Default.Usage(cfg, k)
-		if err != nil {
-			return nil, err
-		}
+	for _, k := range kinds {
+		p := workload.PaperNumbers(k)
+		realZ := p.TotalBytes - p.RealBytes
 		rows = append(rows, Row41{
 			Kind:     k,
-			Real:     u.Real,
-			RealZ:    u.RealZero,
-			Total:    u.Total,
-			PctRealZ: u.PctRealZero(),
+			Real:     p.RealBytes,
+			RealZ:    realZ,
+			Total:    p.TotalBytes,
+			PctRealZ: 100 * float64(realZ) / float64(p.TotalBytes),
 		})
 	}
-	return rows, nil
+	return rows
 }
+
+// Table41 is Table41For over every kind, the form bench/workloads.go calls.
+func Table41(Config) ([]Row41, error) { return Table41For(workload.Kinds()), nil }
 
 // FormatTable41 renders the rows as the paper prints them.
 func FormatTable41(rows []Row41) string {
@@ -72,15 +75,14 @@ type Row42 struct {
 	PctTotal float64
 }
 
-// Table42 measures resident sets at migration time: each
+// Table42For measures resident sets at migration time: each
 // representative's resident-set (prefetch 0) grid cell reports what
 // excision actually collapsed as resident, the same quantity the
 // paper's instrumented migrations report. The transfer ends before
 // insertion starts the process, so its remote run cannot reach the
 // count. The percentages are of the published Real and Total, which
 // workload.Build holds every representative to.
-func Table42(cfg Config) ([]Row42, error) {
-	kinds := workload.Kinds()
+func Table42For(cfg Config, kinds []workload.Kind) ([]Row42, error) {
 	trs, err := tableCells(cfg, kinds, core.ResidentSet)
 	if err != nil {
 		return nil, err
@@ -102,6 +104,9 @@ func Table42(cfg Config) ([]Row42, error) {
 	}
 	return rows, nil
 }
+
+// Table42 is Table42For over every kind, the form bench/workloads.go calls.
+func Table42(cfg Config) ([]Row42, error) { return Table42For(cfg, workload.Kinds()) }
 
 // FormatTable42 renders Table 4-2.
 func FormatTable42(rows []Row42) string {
@@ -171,14 +176,13 @@ type Row44 struct {
 	Down time.Duration
 }
 
-// Table44 reads each representative's pure-copy (prefetch 0) grid
+// Table44For reads each representative's pure-copy (prefetch 0) grid
 // cell: the excision breakdown is strategy-independent, and pure-copy
 // makes insertion cover arrived data, as in the paper's testbed. The
 // excision and insertion times are stamped before insertion starts the
 // process, and the downtime runs to its first instruction at the
 // destination.
-func Table44(cfg Config) ([]Row44, error) {
-	kinds := workload.Kinds()
+func Table44For(cfg Config, kinds []workload.Kind) ([]Row44, error) {
 	trs, err := tableCells(cfg, kinds, core.PureCopy)
 	if err != nil {
 		return nil, err
@@ -197,6 +201,9 @@ func Table44(cfg Config) ([]Row44, error) {
 	}
 	return rows, nil
 }
+
+// Table44 is Table44For over every kind, the form bench/workloads.go calls.
+func Table44(cfg Config) ([]Row44, error) { return Table44For(cfg, workload.Kinds()) }
 
 // FormatTable44 renders Table 4-4 (with the insertion column from
 // §4.3.1 appended).

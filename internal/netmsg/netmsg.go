@@ -98,13 +98,11 @@ type Stats struct {
 	DeadLetters uint64 // inbound messages with no local port or route
 	CachedPages uint64 // pages absorbed into the IOU cache
 	Served      uint64 // read requests answered from the cache
-	HashServed  uint64 // content-addressed reads answered from the index
 	Retransmits uint64 // frames resent after injected loss
 	Lost        uint64 // messages abandoned after the peer was declared dead
 
 	// Reliable-transport counters (lossy links only).
 	AckFrames       uint64        // acknowledgement frames sent by the peer
-	Duplicates      uint64        // retransmitted frames the peer had already seen
 	DeadPeers       uint64        // retransmit budgets exhausted
 	RetransmitBytes uint64        // wire bytes consumed by resends
 	BackoffTime     time.Duration // total virtual time spent waiting to resend
@@ -114,8 +112,7 @@ type Stats struct {
 	WindowRounds uint64 // in-flight bursts (window rounds) sent
 
 	// Robustness counters.
-	CreditedPages uint64 // pages of aborted transfers credited to the peer's ledger
-	CorruptPages  uint64 // delivered payload pages bit-flipped by the failure model
+	CorruptPages uint64 // delivered payload pages bit-flipped by the failure model
 
 	// Shipped pages, Table 4-3's transferred fraction.
 	DataPages  uint64 // data-attachment pages forwarded to peers
@@ -481,7 +478,6 @@ func (s *Server) sendReliable(p *sim.Proc, pl *peerLink, m *ipc.Message, bytes i
 			handling += perSide
 			delivered = true
 		} else {
-			s.stats.Duplicates++
 			pl.peer.cpu.UseHigh(p, smallCPU)
 			handling += smallCPU
 		}
@@ -545,7 +541,7 @@ func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covere
 	proc := body.MigrationProc()
 	ps := pl.peer.ps
 	mayCorrupt := pl.link.MayCorrupt()
-	credited := uint64(0)
+	credited := 0
 	m.PageSpans(ps, func(lo, hi int, pg []byte) {
 		if !covered(lo, hi) {
 			return
@@ -558,18 +554,15 @@ func (s *Server) creditPartial(p *sim.Proc, m *ipc.Message, pl *peerLink, covere
 			credited++
 		}
 	})
-	if credited > 0 {
-		s.stats.CreditedPages += credited
-		if s.k.Tracing() {
-			s.k.Emit(obs.Event{
-				Kind:    obs.PageTransfer,
-				Machine: s.name,
-				Proc:    p.Name(),
-				Name:    "credit",
-				Bytes:   int(credited) * ps,
-				Op:      m.Op,
-			})
-		}
+	if credited > 0 && s.k.Tracing() {
+		s.k.Emit(obs.Event{
+			Kind:    obs.PageTransfer,
+			Machine: s.name,
+			Proc:    p.Name(),
+			Name:    "credit",
+			Bytes:   credited * ps,
+			Op:      m.Op,
+		})
 	}
 }
 
@@ -782,7 +775,6 @@ func (s *Server) backer(p *sim.Proc) {
 				})
 				continue
 			}
-			s.stats.HashServed++
 			s.stats.FaultPages++
 			if s.k.Tracing() {
 				s.k.Emit(obs.Event{

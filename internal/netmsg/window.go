@@ -239,7 +239,6 @@ func (s *Server) sendWindow(p *sim.Proc, pl *peerLink, m *ipc.Message, batch []*
 		if f.delivered {
 			// Duplicate of an already-received fragment (its ack was
 			// lost): recognized cheaply by sequence number.
-			s.stats.Duplicates++
 			cost = smallCPU
 		}
 		f.delivered = true

@@ -105,7 +105,6 @@ type Stats struct {
 	FillZero   uint64
 	DiskFaults uint64
 	ImagFaults uint64
-	MapIns     uint64 // cheap missing-mapping completions
 	Retries    uint64
 	ZeroFills  uint64 // orphaned imaginary faults resolved by zero-fill
 
@@ -117,7 +116,6 @@ type Stats struct {
 	// Content-addressed store counters (dedup enabled only).
 	LocalServes  uint64 // imaginary faults satisfied from the local content index
 	HolderServes uint64 // imaginary faults satisfied by a nearest-holder fetch
-	Repairs      uint64 // corrupt installs re-fetched by hash (integrity on)
 }
 
 // HitRatio reports the fraction of prefetched pages that were
@@ -347,7 +345,6 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		// case).
 		pg.cpu.UseHigh(p, mapInCPU)
 		pg.insert(pl.Seg, pl.PageIdx)
-		pg.stats.MapIns++
 	}
 
 	if page == nil {
@@ -652,7 +649,6 @@ func (pg *Pager) RepairPage(p *sim.Proc, seg *vm.Segment, idx, hash uint64) bool
 		// The repaired content still exists nowhere on local disk.
 		page.State.Dirty = true
 	}
-	pg.stats.Repairs++
 	return true
 }
 

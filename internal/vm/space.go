@@ -211,14 +211,6 @@ type Usage struct {
 	Resident uint64 // bytes resident in physical memory
 }
 
-// PctRealZero reports RealZero as a percentage of Total.
-func (u Usage) PctRealZero() float64 {
-	if u.Total == 0 {
-		return 0
-	}
-	return 100 * float64(u.RealZero) / float64(u.Total)
-}
-
 // Usage scans the space and tallies its composition. Materialized page
 // counts come from page-table bitmap popcounts, and residency from an
 // ordered run sweep, so even a fully validated 4 GB Lisp space (8M page

@@ -170,8 +170,8 @@ func TestHugeSparseSpaceIsCheap(t *testing.T) {
 	if u.Real != 100*512 {
 		t.Errorf("Real = %d", u.Real)
 	}
-	if got := u.PctRealZero(); got < 99.9 {
-		t.Errorf("PctRealZero = %.3f, want > 99.9", got)
+	if want := uint64(MaxSpace - 100*512); u.RealZero != want {
+		t.Errorf("RealZero = %d, want %d", u.RealZero, want)
 	}
 }
 

@@ -246,7 +246,8 @@ func (t *template) install(m *machine.Machine, name string, nports int) (*Built,
 }
 
 // check verifies an installed representative against the published
-// numbers.
+// numbers: every number of its Table 4-1 row (Real, RealZ = Total -
+// Real, Total) and its Table 4-2 resident set.
 func check(k Kind, u vm.Usage) error {
 	paper := PaperNumbers(k)
 	if u.Total != paper.TotalBytes {
@@ -254,6 +255,9 @@ func check(k Kind, u vm.Usage) error {
 	}
 	if u.Real != paper.RealBytes {
 		return fmt.Errorf("workload %v: Real = %d, paper %d", k, u.Real, paper.RealBytes)
+	}
+	if u.RealZero != paper.TotalBytes-paper.RealBytes {
+		return fmt.Errorf("workload %v: RealZero = %d, paper %d", k, u.RealZero, paper.TotalBytes-paper.RealBytes)
 	}
 	if u.Resident != paper.ResidentBytes {
 		return fmt.Errorf("workload %v: Resident = %d, paper %d", k, u.Resident, paper.ResidentBytes)

@@ -114,15 +114,13 @@ func TestLispSpacesDwarfOthers(t *testing.T) {
 	for _, k := range Kinds() {
 		_, b := build(t, k)
 		u := b.Proc.AS.Usage()
-		if pct := u.PctRealZero(); pct < 40 {
+		pct := 100 * float64(u.RealZero) / float64(u.Total)
+		if pct < 40 {
 			t.Errorf("%v: RealZero = %.1f%%, want > 40%%", k, pct)
 		}
-		if k == LispT || k == LispDel {
-			if pct := b.Proc.AS.Usage().PctRealZero(); pct < 99.9 {
-				t.Errorf("%v: RealZero = %.2f%%, want 99.9%%", k, pct)
-			}
+		if (k == LispT || k == LispDel) && pct < 99.9 {
+			t.Errorf("%v: RealZero = %.2f%%, want 99.9%%", k, pct)
 		}
-		_ = u
 	}
 }
 
