@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check smoke identity unreached benchmod fuzz report bench clean
+.PHONY: all build test race vet fmt check smoke identity unreached benchmod fuzz report report-check bench clean
 
 all: build
 
@@ -19,7 +19,7 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
-check: build vet fmt test race smoke identity unreached benchmod
+check: build vet fmt test race smoke identity unreached benchmod report-check
 
 # Smoke gate for what no test runs: the VM, workload-install, sim
 # kernel, excise and wire-crossing microbenchmark bodies at a token
@@ -63,6 +63,12 @@ fuzz:
 # Regenerate the measured side of EXPERIMENTS.md.
 report:
 	$(GO) run ./cmd/migreport > EXPERIMENTS.md
+
+# EXPERIMENTS.md must be what migreport prints: regenerate it into a
+# temporary file and fail on any difference but the closing
+# "_Generated in ..._" line, whose host wall time varies run to run.
+report-check:
+	@d=$$(mktemp -d) && $(GO) run ./cmd/migreport > "$$d/EXPERIMENTS.md" && diff -u -I '^_Generated in ' EXPERIMENTS.md "$$d/EXPERIMENTS.md"; s=$$?; rm -rf "$$d"; exit $$s
 
 # The two parallel-speedup checks (bench_test.go): the paper grid through
 # a four-worker engine must beat the sequential sweep, and the 32-machine

@@ -259,17 +259,14 @@ func report() error {
 	fmt.Println("checks the speedup at 4 and 8 lanes.")
 	fmt.Println("See docs/PERFORMANCE.md (sharded kernel) and docs/ARCHITECTURE.md.")
 	fmt.Println()
-	if err := fence(p, "shardstress"); err != nil {
-		return err
-	}
-	ssRes, _, err := experiments.RunShardStress(experiments.ShardStressOptions{})
+	// The shardstress entry's text, then the per-lane table of the
+	// sequential run it simulated.
+	ss, seq, err := experiments.ShardStress(p.Shards)
 	if err != nil {
 		return err
 	}
-	fmt.Println("```")
-	fmt.Print(experiments.FormatShardLanes(experiments.ShardStressOptions{}, ssRes))
-	fmt.Println("```")
-	fmt.Println()
+	printFence(ss)
+	printFence(experiments.FormatShardLanes(experiments.ShardStressOptions{}, seq))
 
 	fmt.Printf("_Generated in %s of wall time; the simulation itself is deterministic._\n",
 		time.Since(start).Round(time.Millisecond))
@@ -286,6 +283,11 @@ func fence(p experiments.Params, id string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("```\n%s\n```\n\n", strings.TrimRight(out, "\n"))
+	printFence(out)
 	return nil
+}
+
+// printFence prints out as one fenced block.
+func printFence(out string) {
+	fmt.Printf("```\n%s\n```\n\n", strings.TrimRight(out, "\n"))
 }

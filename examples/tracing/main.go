@@ -119,7 +119,7 @@ func run() error {
 		}
 	}
 	fmt.Println()
-	if d := rec.Dist("latency.fault.imag"); d != nil {
+	if d := rec.RemoteFaults(); d != nil {
 		fmt.Printf("  remote fault latency p50/p95/p99: %.1f / %.1f / %.1f ms\n",
 			d.Quantile(0.50).Seconds()*1000, d.Quantile(0.95).Seconds()*1000,
 			d.Quantile(0.99).Seconds()*1000)

@@ -163,8 +163,6 @@ func init() {
 			w.I64(int64(ab.InsertDone))
 			w.I64(int64(ab.Insert.Overall))
 			w.I64(int64(ab.Insert.ArrivedPages))
-			w.I64(int64(ab.Insert.IOURuns))
-			w.I64(int64(ab.Insert.ZeroRuns))
 			w.I64(int64(ab.Insert.ElidedPages))
 			w.I64(int64(ab.Insert.ResumedPages))
 			w.I64(int64(ab.Insert.RepairedPages))
@@ -179,8 +177,6 @@ func init() {
 			ab.InsertDone = time.Duration(r.I64())
 			ab.Insert.Overall = time.Duration(r.I64())
 			ab.Insert.ArrivedPages = int(r.I64())
-			ab.Insert.IOURuns = int(r.I64())
-			ab.Insert.ZeroRuns = int(r.I64())
 			ab.Insert.ElidedPages = int(r.I64())
 			ab.Insert.ResumedPages = int(r.I64())
 			ab.Insert.RepairedPages = int(r.I64())

@@ -109,7 +109,7 @@ func TestAckBodyRoundTrip(t *testing.T) {
 		CoreArrived:  time.Second,
 		RIMASArrived: 2 * time.Second,
 		InsertDone:   3 * time.Second,
-		Insert:       InsertTimings{Overall: 400 * time.Millisecond, ArrivedPages: 7, IOURuns: 2, ZeroRuns: 3},
+		Insert:       InsertTimings{Overall: 400 * time.Millisecond, ArrivedPages: 7, ElidedPages: 2, ResumedPages: 1, RepairedPages: 3},
 		Err:          "some failure",
 	}
 	out, err := wire.Transfer(&ipc.Message{Op: OpMigrateAck, Body: ab, BodyBytes: 96})

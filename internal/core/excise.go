@@ -122,7 +122,6 @@ type Context struct {
 	// experiment reporting.
 	RealPages     int
 	ResidentPages int
-	Attachments   int
 }
 
 // ExciseProcess removes the complete context of pr from machine m
@@ -266,7 +265,6 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	}
 	ctx.RealPages = real
 	ctx.ResidentPages = resident
-	ctx.Attachments = len(attachments)
 	return ctx, nil
 }
 

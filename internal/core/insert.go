@@ -15,8 +15,6 @@ import (
 type InsertTimings struct {
 	Overall      time.Duration
 	ArrivedPages int
-	IOURuns      int
-	ZeroRuns     int
 	// ElidedPages counts pages the manifest exchange kept off the wire:
 	// rebuilt here from the retained recipe (zero pages, local content-
 	// index hits, intra-message duplicates, ledger-retained content)
@@ -239,7 +237,6 @@ unfold:
 		case zeroFirst:
 			_, err = as.Validate(zeros[0].Start, zeros[0].Size(), "zero")
 			zeros = zeros[1:]
-			t.ZeroRuns++
 		case runFirst:
 			run := runTable[ri]
 			ri++
@@ -260,7 +257,6 @@ unfold:
 			attachPool(m, seg)
 			if _, err = as.MapSegment(a.VA, a.Size, seg, a.SegOff, seg.Name); err == nil {
 				registerDeathNotice(m, seg)
-				t.IOURuns++
 			}
 		default:
 			break unfold

@@ -59,7 +59,6 @@ type Report struct {
 
 	RealPages     int
 	ResidentPages int
-	Attachments   int
 
 	// Attempts counts the tries the migration took (1 = first try).
 	Attempts int
@@ -127,15 +126,9 @@ func NewManager(m *machine.Machine, tun Tuning) *Manager {
 	return mgr
 }
 
-// phase records the migration phase [start, end] twice — in the
-// machine's metrics recorder and in the flight recorder — with the same
-// endpoints, so a trace's summed phase spans agree exactly with the
-// recorder's Phases() output.
+// phase records the migration phase [start, end] in the flight
+// recorder, the one record of the migration's phase timeline.
 func (mgr *Manager) phase(procName, name string, start, end time.Duration) {
-	if rec := mgr.M.Recorder(); rec != nil {
-		rec.StartPhase(name, start)
-		rec.EndPhase(name, end)
-	}
 	if mgr.M.K.Tracing() {
 		mgr.M.K.EmitAt(start, obs.Event{
 			Kind: obs.PhaseBegin, Machine: mgr.M.Name, Proc: procName, Name: name,
@@ -485,7 +478,6 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 		InsertDoneAt:  ack.InsertDone,
 		RealPages:     ctx.RealPages,
 		ResidentPages: ctx.ResidentPages,
-		Attachments:   ctx.Attachments,
 	}, nil
 }
 
@@ -503,7 +495,6 @@ func (mgr *Manager) adoptedReport(p *sim.Proc, procName string, ctx *Context, ac
 		InsertDoneAt:  ack.InsertDone,
 		RealPages:     ctx.RealPages,
 		ResidentPages: ctx.ResidentPages,
-		Attachments:   ctx.Attachments,
 	}
 }
 

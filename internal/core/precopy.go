@@ -45,10 +45,8 @@ const (
 // PreCopyReport accounts one pre-copy migration.
 type PreCopyReport struct {
 	Rounds        []int // pages sent per running round
-	FinalPages    int   // pages sent during the stopped round
 	Downtime      time.Duration
 	Total         time.Duration
-	InsertDoneAt  time.Duration
 	ProcCompleted bool // the program finished before it could be moved
 }
 
@@ -164,7 +162,6 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID)
 	}
 	downStart := p.Now()
 	final := collectStale(pr, sent)
-	rep.FinalPages = len(final)
 	if len(final) > 0 {
 		if err := mgr.stageRound(p, procName, destPort, len(rep.Rounds), final); err != nil {
 			mgr.resumeLocal(p, procName)
@@ -178,6 +175,5 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID)
 	}
 	rep.Downtime = r.InsertDoneAt - downStart
 	rep.Total = r.InsertDoneAt - start
-	rep.InsertDoneAt = r.InsertDoneAt
 	return rep, nil
 }

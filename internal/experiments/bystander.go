@@ -236,13 +236,13 @@ func HopPenalty(cfg Config) ([]HopPenaltyRow, error) {
 		tb.FirePhase(p, "remote")
 		hopper, _ = tb.Dst.Process("hopper")
 		hopper.AtMigrate.Wait(p) // 16 one-hop faults done
-		rows = append(rows, HopPenaltyRow{Hops: 1, FaultMean: tb.Rec.Dist("latency.fault.imag").Mean()})
+		rows = append(rows, HopPenaltyRow{Hops: 1, FaultMean: tb.Rec.RemoteFaults().Mean()})
 		if _, runErr = tb.DstMgr.MigrateTo(p, "hopper", farMgr.Port.ID, iou); runErr != nil {
 			return
 		}
 		hopper, _ = far.Process("hopper")
 		if hopper.WaitDone(p) == nil {
-			rows = append(rows, HopPenaltyRow{Hops: 2, FaultMean: farRec.Dist("latency.fault.imag").Mean()})
+			rows = append(rows, HopPenaltyRow{Hops: 2, FaultMean: farRec.RemoteFaults().Mean()})
 		}
 	})
 	tb.K.Run()

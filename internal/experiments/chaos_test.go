@@ -9,6 +9,7 @@ import (
 	"accentmig/internal/obs"
 	"accentmig/internal/pager"
 	"accentmig/internal/sim"
+	"accentmig/internal/vm"
 	"accentmig/internal/workload"
 )
 
@@ -119,18 +120,24 @@ func TestChaosSentinelShrinksOrphanedIOU(t *testing.T) {
 	}
 }
 
-// probeRIMAS measures the xfer.rimas span of a fault-free PureCopy
+// probeRIMAS reads the xfer.rimas span of a traced fault-free PureCopy
 // migration under cfg, so fault windows can be aimed at a chosen
 // fraction of the transfer.
 func probeRIMAS(t *testing.T, cfg Config) (start, end time.Duration) {
 	t.Helper()
-	tr, err := RunTrial(cfg, resilienceKind, core.PureCopy, 0)
+	_, sink, err := TraceTrial(cfg, resilienceKind, core.PureCopy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ph := range tr.Phases {
-		if ph.Name == "xfer.rimas" {
-			return ph.Start, ph.End
+	for _, ev := range sink.Events() {
+		if ev.Name != "xfer.rimas" {
+			continue
+		}
+		switch ev.Kind {
+		case obs.PhaseBegin:
+			start = ev.T
+		case obs.PhaseEnd:
+			return start, ev.T
 		}
 	}
 	t.Fatal("no xfer.rimas phase in probe trial")
@@ -194,8 +201,8 @@ func TestResumeRetrySavesBytes(t *testing.T) {
 	if on.BytesTotal >= off.BytesTotal {
 		t.Errorf("ledger saved nothing: %d bytes on vs %d off", on.BytesTotal, off.BytesTotal)
 	}
-	if saved := off.BytesTotal - on.BytesTotal; saved < on.ResumedBytes/2 {
-		t.Errorf("saved only %d wire bytes for %d resumed bytes", saved, on.ResumedBytes)
+	if saved, resumed := off.BytesTotal-on.BytesTotal, uint64(on.ResumedPages)*vm.DefaultPageSize; saved < resumed/2 {
+		t.Errorf("saved only %d wire bytes for %d resumed bytes", saved, resumed)
 	}
 	if on.ImageHash != onGold.ImageHash || !on.ImageOnDst {
 		t.Errorf("resumed retry image %#x diverges from fault-free %#x", on.ImageHash, onGold.ImageHash)

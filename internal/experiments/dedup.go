@@ -218,7 +218,7 @@ func runNearestHolder(cfg Config, dedup bool) (NearestHolderRow, error) {
 	// Only the job runs, and only at dst, so the testbed's recorder
 	// holds dst's faults alone.
 	st := dst.Pager.Stats()
-	dist := tb.Rec.Dist("latency.fault.imag")
+	dist := tb.Rec.RemoteFaults()
 	row.FaultMean = dist.Mean()
 	row.FaultP95 = dist.Quantile(0.95)
 	row.Local = st.LocalServes

@@ -28,13 +28,7 @@ import (
 // live in a differently named subdirectory, but nothing deletes them:
 // prune and scanSize walk only the current subdirectory, so they stay
 // on disk until the cache directory (.migcache by default) is removed
-// by hand. Epoch 6: TrialResult lost DestUsage, and deleting the
-// held-trial variant renumbered the resilience and shard variants in
-// entry file names. Epoch 7: entry bodies moved from gob to entryCodec.
-// Still epoch 7: deleting the shard-stress and usage variants
-// renumbered the fault-cost variant, but it also dropped
-// ShardStressResult and vm.Usage from the shape digest, so the
-// renumbered names live in a new subdirectory.
+// by hand.
 const memoEpoch = 7
 
 // memoMagic heads every cache entry so a torn or foreign file is

@@ -453,12 +453,12 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 // refuse it before making the slice.
 func TestEntryCountBoundsAllocation(t *testing.T) {
 	body := encodeEntry(&TrialResult{})
-	// Seven scalar fields and the nil Report, one byte each, then
+	// Six scalar fields and the nil Report, one byte each, then
 	// Series' length.
-	if len(body) < 9 || body[3] != 0 || body[8] != 0 {
-		t.Fatalf("zero TrialResult body = %x, want eight one-byte fields and an empty Series", body)
+	if len(body) < 8 || body[3] != 0 || body[7] != 0 {
+		t.Fatalf("zero TrialResult body = %x, want seven one-byte fields and an empty Series", body)
 	}
-	huge := append(binary.AppendUvarint(body[:8:8], 1<<20), body[9:]...)
+	huge := append(binary.AppendUvarint(body[:7:7], 1<<20), body[8:]...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, ok := decodeEntry[TrialResult](frameEntry(huge))

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"accentmig/internal/core"
 	"accentmig/internal/obs"
@@ -10,47 +12,50 @@ import (
 )
 
 // TestTraceTrialPhaseAgreement is the observability acceptance check:
-// the flight recorder's PhaseBegin/PhaseEnd spans must agree exactly
-// with the metrics recorder's Phases() for the same trial, because the
-// manager writes both from the same timestamps.
+// the flight recorder is the one record of a migration's phases, so
+// under every strategy each traced PhaseBegin/PhaseEnd span must equal
+// the core.Report duration it stands for, and each phase is traced
+// once.
 func TestTraceTrialPhaseAgreement(t *testing.T) {
-	tr, sink, err := TraceTrial(Config{}, workload.LispDel, core.PureIOU, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Phases) == 0 {
-		t.Fatal("trial recorded no phases")
-	}
-
-	type span struct{ begin, end int64 }
-	spans := map[string]*span{}
-	for _, ev := range sink.Events() {
-		switch ev.Kind {
-		case obs.PhaseBegin:
-			if spans[ev.Name] == nil {
-				spans[ev.Name] = &span{begin: -1, end: -1}
+	for _, strat := range core.Strategies() {
+		tr, sink, err := TraceTrial(Config{}, workload.LispDel, strat, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := tr.Report
+		want := map[string]time.Duration{
+			"excise":     rep.Excise.Overall,
+			"xfer.core":  rep.CoreTransfer,
+			"xfer.rimas": rep.RIMASTransfer,
+			"insert":     rep.Insert.Overall,
+		}
+		begun := map[string]time.Duration{}
+		got := map[string]time.Duration{}
+		for _, ev := range sink.Events() {
+			switch ev.Kind {
+			case obs.PhaseBegin:
+				begun[ev.Name] = ev.T
+			case obs.PhaseEnd:
+				start, ok := begun[ev.Name]
+				if !ok {
+					t.Errorf("%v: phase %q ends without a begin", strat, ev.Name)
+				}
+				if _, twice := got[ev.Name]; twice {
+					t.Errorf("%v: phase %q traced twice", strat, ev.Name)
+				}
+				got[ev.Name] = ev.T - start
 			}
-			spans[ev.Name].begin = int64(ev.T)
-		case obs.PhaseEnd:
-			if spans[ev.Name] == nil {
-				spans[ev.Name] = &span{begin: -1, end: -1}
+		}
+		for name, d := range want {
+			if g, ok := got[name]; !ok {
+				t.Errorf("%v: phase %q not traced", strat, name)
+			} else if g != d {
+				t.Errorf("%v: phase %q traced %v, report says %v", strat, name, g, d)
 			}
-			spans[ev.Name].end = int64(ev.T)
 		}
-	}
-	for _, ph := range tr.Phases {
-		sp := spans[ph.Name]
-		if sp == nil {
-			t.Errorf("phase %q has no trace events", ph.Name)
-			continue
+		if len(got) != len(want) {
+			t.Errorf("%v: traced phases %v, want exactly %d", strat, got, len(want))
 		}
-		if sp.begin != int64(ph.Start) || sp.end != int64(ph.End) {
-			t.Errorf("phase %q: trace span [%d,%d] != recorder span [%d,%d]",
-				ph.Name, sp.begin, sp.end, int64(ph.Start), int64(ph.End))
-		}
-	}
-	if len(spans) != len(tr.Phases) {
-		t.Errorf("trace has %d phase spans, recorder has %d phases", len(spans), len(tr.Phases))
 	}
 }
 
@@ -142,9 +147,9 @@ func TestTrialTracedMatchesUntraced(t *testing.T) {
 		t.Errorf("tracing changed the simulation: %v/%v vs %v/%v",
 			plain.Report.Total, plain.RemoteExec, traced.Report.Total, traced.RemoteExec)
 	}
-	if plain.BytesTotal != traced.BytesTotal || plain.BytesFault != traced.BytesFault {
-		t.Errorf("tracing changed byte counts: %d/%d vs %d/%d",
-			plain.BytesTotal, plain.BytesFault, traced.BytesTotal, traced.BytesFault)
+	if plain.BytesTotal != traced.BytesTotal || !slices.Equal(plain.Series, traced.Series) {
+		t.Errorf("tracing changed byte counts: %d %v vs %d %v",
+			plain.BytesTotal, plain.Series, traced.BytesTotal, traced.Series)
 	}
 }
 

@@ -135,7 +135,7 @@ func Experiments() []Experiment {
 			return out, err
 		}},
 		{"shardstress", false, func(p Params) (string, error) {
-			out, err := ShardStress(p.Shards)
+			out, _, err := ShardStress(p.Shards)
 			return printed(out, err, func(s string) string { return s })
 		}},
 		// profile prints the critical path, blame partition and downtime of

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"accentmig/internal/workload"
@@ -13,6 +14,26 @@ func TestExperimentIDsAreUnique(t *testing.T) {
 			t.Errorf("experiment id %q is taken", e.ID)
 		}
 		seen[e.ID] = true
+	}
+}
+
+// TestSummaryWithoutLispDel: when the run's workloads leave out
+// Lisp-Del, the summary prints none of the figures measured from its
+// cells, which would read zero beside the paper's values, and one line
+// saying why.
+func TestSummaryWithoutLispDel(t *testing.T) {
+	e, _ := Lookup("summary")
+	out, err := e.Render(Params{Kinds: []workload.Kind{workload.Minprog}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "Lisp-Del") && !strings.Contains(line, "leave out Lisp-Del") {
+			t.Errorf("summary without Lisp-Del prints %q", line)
+		}
+	}
+	if !strings.Contains(out, "leave out Lisp-Del") {
+		t.Errorf("summary does not say why its Lisp-Del lines are missing:\n%s", out)
 	}
 }
 

@@ -78,11 +78,10 @@ type ResilienceOutcome struct {
 
 	// Resumable-retry and integrity accounting for the successful
 	// attempt: pages the destination rebuilt from its delivery ledger
-	// instead of re-receiving, the wire bytes that elision saved, and
-	// corrupt installs repaired by hash re-fetch. All zero when the
-	// ledger and per-page checksums are off.
+	// instead of re-receiving, and corrupt installs repaired by hash
+	// re-fetch. Both zero when the ledger and per-page checksums are
+	// off.
 	ResumedPages  int
-	ResumedBytes  uint64
 	RepairedPages int
 	// CorruptPages counts payload pages the fault plan bit-flipped in
 	// flight, summed over both machines' transports.
@@ -162,7 +161,6 @@ func RunResilienceTrial(cfg Config, k workload.Kind, strat core.Strategy) (*Resi
 		out.Attempts = m.rep.Attempts
 		out.FinalStrategy = m.rep.FinalStrategy
 		out.ResumedPages = m.rep.Insert.ResumedPages
-		out.ResumedBytes = uint64(m.rep.Insert.ResumedPages) * uint64(tb.Src.PageSize())
 		out.RepairedPages = m.rep.Insert.RepairedPages
 	}
 	if m.found && m.finished {

@@ -674,24 +674,25 @@ func ssQuantile(sorted []time.Duration, q float64) time.Duration {
 // byte-identity and reports each kernel's event count and the sharded
 // run's windows and cross-lane events. The base scale's sequential run
 // serves both its table row and the comparison, so the experiment
-// simulates three scenarios. Its output depends on its argument alone:
-// host timings are the benchmark's to measure (bench/, workload
-// cluster-32).
-func ShardStress(shards int) (string, error) {
+// simulates three scenarios, and it returns that run's result beside
+// the text, for the per-lane table (FormatShardLanes). Its output
+// depends on its argument alone: host timings are the benchmark's to
+// measure (bench/, workload cluster-32).
+func ShardStress(shards int) (string, *ShardStressResult, error) {
 	if shards < 2 {
 		shards = 4
 	}
 	seqRes, seqPerf, err := RunShardStress(ShardStressOptions{Shards: 1})
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	wide, _, err := RunShardStress(ShardStressOptions{Machines: 32})
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	shRes, shPerf, err := RunShardStress(ShardStressOptions{Shards: shards})
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 
 	var b strings.Builder
@@ -710,7 +711,7 @@ func ShardStress(shards int) (string, error) {
 		shPerf.Workers, shPerf.Events, shPerf.Windows, shPerf.CrossEvents)
 	fmt.Fprintf(&b, "  sharded result byte-identical to sequential: %v\n", identical)
 	if !identical {
-		return "", fmt.Errorf("shardstress: sharded result diverges from sequential kernel")
+		return "", nil, fmt.Errorf("shardstress: sharded result diverges from sequential kernel")
 	}
-	return b.String(), nil
+	return b.String(), seqRes, nil
 }

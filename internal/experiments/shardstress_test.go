@@ -98,7 +98,7 @@ func TestShardStressReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shardstress experiment in -short mode")
 	}
-	out, err := ShardStress(2)
+	out, _, err := ShardStress(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,10 @@ type Summary struct {
 	RemoteFault time.Duration
 	DiskFault   time.Duration
 	FaultRatio  float64
+	// LispDel reports that the grid held Lisp-Del's prefetch-0 cells,
+	// which the fields below are measured from; without them they stay
+	// zero and FormatSummary leaves them out.
+	LispDel bool
 	// PeakRateReductionPct: reduction in peak sustained transmission
 	// rate, IOU vs copy, for Lisp-Del. Paper: up to 66%.
 	PeakRateReductionPct float64
@@ -39,8 +43,8 @@ type Summary struct {
 	DownIOU, DownRS, DownCopy time.Duration
 }
 
-// Summarize computes the summary from a full grid (it must include
-// Lisp-Del for the peak-rate figure).
+// Summarize computes the summary from a grid; the Lisp-Del figures
+// need its Lisp-Del cells.
 func Summarize(cfg Config, g *Grid, kinds []workload.Kind) (*Summary, error) {
 	s := &Summary{}
 	var byteSum, msgSum float64
@@ -67,13 +71,14 @@ func Summarize(cfg Config, g *Grid, kinds []workload.Kind) (*Summary, error) {
 	s.RemoteFault, s.DiskFault = fc.Remote, fc.Local
 	s.FaultRatio = s.RemoteFault.Seconds() / s.DiskFault.Seconds()
 
-	if cp, iou := g.Cell(workload.LispDel, core.PureCopy, 0), g.Cell(workload.LispDel, core.PureIOU, 0); cp != nil && iou != nil {
+	cp := g.Cell(workload.LispDel, core.PureCopy, 0)
+	iou := g.Cell(workload.LispDel, core.PureIOU, 0)
+	rs := g.Cell(workload.LispDel, core.ResidentSet, 0)
+	if cp != nil && iou != nil && rs != nil {
+		s.LispDel = true
 		s.PeakRateReductionPct = 100 * (1 - float64(iou.PeakRate)/float64(cp.PeakRate))
 		s.FaultP50, s.FaultP95, s.FaultP99 = iou.FaultP50, iou.FaultP95, iou.FaultP99
-		s.DownIOU, s.DownCopy = iou.Downtime, cp.Downtime
-	}
-	if rs := g.Cell(workload.LispDel, core.ResidentSet, 0); rs != nil {
-		s.DownRS = rs.Downtime
+		s.DownIOU, s.DownRS, s.DownCopy = iou.Downtime, rs.Downtime, cp.Downtime
 	}
 	return s, nil
 }
@@ -141,6 +146,10 @@ func FormatSummary(s *Summary) string {
 	fmt.Fprintf(&b, "  remote imaginary fault:             %6.1fms (paper: 115ms)\n", s.RemoteFault.Seconds()*1000)
 	fmt.Fprintf(&b, "  local disk fault:                   %6.1fms (paper: 40.8ms)\n", s.DiskFault.Seconds()*1000)
 	fmt.Fprintf(&b, "  remote/local fault ratio:           %6.2f  (paper: 2.8)\n", s.FaultRatio)
+	if !s.LispDel {
+		fmt.Fprintf(&b, "  peak rate, fault latency, downtime: not measured, the run's workloads leave out Lisp-Del\n")
+		return b.String()
+	}
 	fmt.Fprintf(&b, "  peak-rate reduction (Lisp-Del):     %5.1f%%  (paper: up to 66%%)\n", s.PeakRateReductionPct)
 	fmt.Fprintf(&b, "  remote fault latency p50/p95/p99:   %.1f / %.1f / %.1f ms (Lisp-Del IOU)\n",
 		s.FaultP50.Seconds()*1000, s.FaultP95.Seconds()*1000, s.FaultP99.Seconds()*1000)

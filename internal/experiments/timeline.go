@@ -42,31 +42,38 @@ func traced(cfg Config, run func(Config) error) (*obs.MemorySink, error) {
 	return sink, err
 }
 
-// FormatTimeline renders one traced migration as a phase timeline with
-// a critical-path decomposition and the fault-latency quantiles. The
-// bars are scaled to the longest span.
+// FormatTimeline renders one traced migration, the result and events
+// TraceTrial returned, as a phase timeline with a critical-path
+// decomposition and the fault-latency quantiles. The bars are scaled
+// to the longest span.
 func FormatTimeline(k workload.Kind, strat core.Strategy, tr *TrialResult, sink *obs.MemorySink) string {
 	var b strings.Builder
 	total := tr.Report.Total + tr.RemoteExec
 	fmt.Fprintf(&b, "Migration timeline — %s under %s (migration %.2fs + remote exec %.2fs)\n",
 		k, strat, tr.Report.Total.Seconds(), tr.RemoteExec.Seconds())
 
-	// Phase rows: recorder spans plus the remote-execution tail.
+	// Phase rows: the traced phase spans, then the remote-execution
+	// tail. The source manager emits each phase's begin and end
+	// together once the migration succeeds, in phase order, which is
+	// start order: the phases run strictly in sequence.
 	type row struct {
 		name       string
 		start, end time.Duration
 	}
-	rows := make([]row, 0, len(tr.Phases)+1)
-	var longest time.Duration
-	for _, ph := range tr.Phases {
-		rows = append(rows, row{ph.Name, ph.Start, ph.End})
-		if d := ph.End - ph.Start; d > longest {
-			longest = d
+	var rows []row
+	var begun time.Duration
+	for _, ev := range sink.Events() {
+		switch ev.Kind {
+		case obs.PhaseBegin:
+			begun = ev.T
+		case obs.PhaseEnd:
+			rows = append(rows, row{ev.Name, begun, ev.T})
 		}
 	}
 	rows = append(rows, row{"remote-exec", tr.Report.InsertDoneAt, tr.Report.InsertDoneAt + tr.RemoteExec})
-	if tr.RemoteExec > longest {
-		longest = tr.RemoteExec
+	var longest time.Duration
+	for _, r := range rows {
+		longest = max(longest, r.end-r.start)
 	}
 	const barWidth = 40
 	for _, r := range rows {
@@ -98,7 +105,7 @@ func FormatTimeline(k workload.Kind, strat core.Strategy, tr *TrialResult, sink 
 			tr.RemoteFaultMean.Seconds()*1000, tr.DestPager.ImagFaults)
 	}
 
-	if sink != nil && sink.Len() > 0 {
+	if sink.Len() > 0 {
 		counts := sink.CountKinds()
 		fmt.Fprintf(&b, "Flight recorder: %d events —", sink.Len())
 		for _, kind := range obs.Kinds() {

@@ -265,7 +265,6 @@ type TrialResult struct {
 
 	// Wire traffic (Figure 4-3, 4-5).
 	BytesTotal uint64
-	BytesFault uint64
 	Series     []metrics.RatePoint
 	PeakRate   uint64
 
@@ -279,33 +278,18 @@ type TrialResult struct {
 
 	DestPager pager.Stats
 
-	// Observed mean fault latencies during the trial (zero if none of
-	// that kind occurred).
+	// RemoteFaultMean is the observed mean remote-fault latency during
+	// the trial (zero if none occurred).
 	RemoteFaultMean time.Duration
-	DiskFaultMean   time.Duration
 
 	// Remote (imaginary) fault-resolution latency quantiles from the
 	// recorder's log-bucketed histogram; zero if no remote faults
 	// occurred.
 	FaultP50, FaultP95, FaultP99 time.Duration
 
-	// Phases are the migration phase spans (excise, xfer.core,
-	// xfer.rimas, insert) the source manager recorded, sorted by start.
-	Phases []metrics.Phase
-
 	// Downtime is the frozen interval: excise-freeze to the first
 	// post-insert instruction at the destination.
 	Downtime time.Duration
-
-	// ResidualPages is what the source still owes after completion.
-	ResidualPages int
-
-	// Resumable-retry and integrity accounting (RESILIENCE.md). A
-	// single-attempt trial resumes nothing; the fields stay zero unless
-	// the delivery ledger or per-page checksums are enabled.
-	ResumedPages  int    // pages rebuilt from the delivery ledger
-	ResumedBytes  uint64 // wire bytes those pages did not re-travel
-	RepairedPages int    // corrupt installs re-fetched by hash
 }
 
 // TransferredRealPct reports the fraction of the RealMem portion that
@@ -414,7 +398,6 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	tr.RemoteExec = m.end - tr.Report.InsertDoneAt
 	tr.EndToEnd = tr.Report.RIMASTransfer + tr.RemoteExec
 	tr.BytesTotal = tb.Rec.BytesTotal()
-	tr.BytesFault = tb.Rec.BytesFault()
 	tr.Series = tb.Rec.Series()
 	tr.PeakRate = tb.Rec.PeakRate()
 	tr.MsgTime = tb.Rec.MessageTime()
@@ -422,18 +405,12 @@ func RunTrial(cfg Config, k workload.Kind, strat core.Strategy, prefetch int) (*
 	tr.DataPages = srcNet.DataPages + dstNet.DataPages
 	tr.FaultPages = srcNet.FaultPages + dstNet.FaultPages
 	tr.DestPager = tb.Dst.Pager.Stats()
-	tr.RemoteFaultMean = tb.Rec.Dist("latency.fault.imag").Mean()
-	tr.DiskFaultMean = tb.Rec.Dist("latency.fault.disk").Mean()
-	imagDist := tb.Rec.Dist("latency.fault.imag")
-	tr.FaultP50 = imagDist.Quantile(0.50)
-	tr.FaultP95 = imagDist.Quantile(0.95)
-	tr.FaultP99 = imagDist.Quantile(0.99)
-	tr.Phases = tb.Rec.Phases()
+	faults := tb.Rec.RemoteFaults()
+	tr.RemoteFaultMean = faults.Mean()
+	tr.FaultP50 = faults.Quantile(0.50)
+	tr.FaultP95 = faults.Quantile(0.95)
+	tr.FaultP99 = faults.Quantile(0.99)
 	tr.Downtime = tb.Rec.Downtime()
-	tr.ResidualPages = tb.Src.Net.Store().TotalRemaining()
-	tr.ResumedPages = tr.Report.Insert.ResumedPages
-	tr.ResumedBytes = uint64(tr.ResumedPages) * uint64(tb.Src.PageSize())
-	tr.RepairedPages = tr.Report.Insert.RepairedPages
 	return tr, nil
 }
 

@@ -116,13 +116,6 @@ type Process struct {
 	// ExecError records a fault-handling failure that killed the body.
 	ExecError error
 
-	// ResumedAt is the virtual time the body last resumed interpreting
-	// from a saved context (PC > 0) — after insertion at a migration
-	// destination, or after a rollback at the source. With the freeze
-	// instant it bounds the migration's downtime. Zero until the first
-	// resume.
-	ResumedAt time.Duration
-
 	// preempt asks the executor to stop at the next op boundary, as if
 	// a MigratePoint had been reached (set via RequestPreempt).
 	preempt bool
@@ -343,7 +336,6 @@ func (m *Machine) exec(p *sim.Proc, pr *Process) error {
 		// Resuming a saved context: the first instruction after a
 		// migration insert (or a rollback) runs now. This instant closes
 		// the downtime span that opened at excise-freeze.
-		pr.ResumedAt = p.Now()
 		if m.rec != nil {
 			m.rec.MarkResume(p.Now())
 		}

@@ -62,9 +62,9 @@ func TestQuantileAgainstExact(t *testing.T) {
 		samples = append(samples, time.Duration(100+i*5)*time.Millisecond)
 	}
 	for _, s := range samples {
-		r.Observe("lat", s)
+		r.ObserveRemoteFault(s)
 	}
-	d := r.Dist("lat")
+	d := r.RemoteFaults()
 
 	sorted := append([]time.Duration(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -83,8 +83,8 @@ func TestQuantileAgainstExact(t *testing.T) {
 
 func TestQuantileSingleSample(t *testing.T) {
 	r := NewRecorder()
-	r.Observe("one", 42*time.Millisecond)
-	d := r.Dist("one")
+	r.ObserveRemoteFault(42 * time.Millisecond)
+	d := r.RemoteFaults()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := d.Quantile(q); got != 42*time.Millisecond {
 			t.Errorf("Quantile(%.2f) = %v, want 42ms", q, got)
@@ -94,9 +94,9 @@ func TestQuantileSingleSample(t *testing.T) {
 
 func TestQuantileClampsToEnvelope(t *testing.T) {
 	r := NewRecorder()
-	r.Observe("x", 100*time.Millisecond)
-	r.Observe("x", 101*time.Millisecond)
-	d := r.Dist("x")
+	r.ObserveRemoteFault(100 * time.Millisecond)
+	r.ObserveRemoteFault(101 * time.Millisecond)
+	d := r.RemoteFaults()
 	if got := d.Quantile(0.5); got < d.Min || got > d.Max {
 		t.Errorf("Quantile(0.5) = %v outside [%v, %v]", got, d.Min, d.Max)
 	}
@@ -104,9 +104,9 @@ func TestQuantileClampsToEnvelope(t *testing.T) {
 
 func TestObserveZeroAndNegative(t *testing.T) {
 	r := NewRecorder()
-	r.Observe("z", 0)
-	r.Observe("z", -time.Millisecond) // clamped into bucket 0; Min stays exact
-	d := r.Dist("z")
+	r.ObserveRemoteFault(0)
+	r.ObserveRemoteFault(-time.Millisecond) // clamped into bucket 0; Min stays exact
+	d := r.RemoteFaults()
 	if d.Count != 2 {
 		t.Fatalf("Count = %d", d.Count)
 	}
@@ -147,41 +147,5 @@ func TestPeakRateEmpty(t *testing.T) {
 	r := NewRecorder()
 	if got := r.PeakRate(); got != 0 {
 		t.Errorf("PeakRate on empty recorder = %d, want 0", got)
-	}
-}
-
-// TestReopenedPhase pins StartPhase/EndPhase reopen semantics: a
-// second StartPhase discards the earlier span entirely, and the phase
-// is invisible in Phases() while open.
-func TestReopenedPhase(t *testing.T) {
-	r := NewRecorder()
-	r.StartPhase("xfer", 1*time.Second)
-	r.EndPhase("xfer", 2*time.Second)
-	if got := elapsed(r, "xfer"); got != time.Second {
-		t.Fatalf("first span elapsed = %v", got)
-	}
-
-	r.StartPhase("xfer", 10*time.Second)
-	// While reopened, the phase must not appear closed.
-	if got := elapsed(r, "xfer"); got != 0 {
-		t.Errorf("reopened phase elapsed = %v, want 0", got)
-	}
-	if phs := r.Phases(); len(phs) != 0 {
-		t.Errorf("reopened phase visible in Phases(): %+v", phs)
-	}
-
-	r.EndPhase("xfer", 13*time.Second)
-	phs := r.Phases()
-	if len(phs) != 1 || phs[0].End-phs[0].Start != 3*time.Second {
-		t.Errorf("reopened span = %+v, want one 3s phase", phs)
-	}
-
-	// Ending a never-opened phase records a zero-length span.
-	r.EndPhase("ghost", 5*time.Second)
-	if got := elapsed(r, "ghost"); got != 0 {
-		t.Errorf("unopened EndPhase elapsed = %v", got)
-	}
-	if phs := r.Phases(); len(phs) != 2 {
-		t.Errorf("ghost phase missing from Phases(): %+v", phs)
 	}
 }

@@ -1,8 +1,9 @@
-// Package metrics accumulates the measurements the paper reports:
+// Package metrics accumulates the aggregate costs the paper reports:
 // bytes exchanged between machines (split into imaginary-fault support
 // traffic and everything else, as in Figure 4-5), IPC message-handling
-// CPU time (Figure 4-4), and named phase timings
-// (packaging, transfer, remote execution).
+// CPU time (Figure 4-4), remote-fault latency and downtime. The
+// migration's phase timeline (excise, transfer, insertion) lives only
+// in the flight recorder (package obs), as PhaseBegin/PhaseEnd events.
 //
 // The package is passive — it never touches the simulation kernel — so
 // any layer can record into a shared Recorder without import cycles.
@@ -26,12 +27,12 @@ type Recorder struct {
 	buckets map[int64]*rateBucket
 
 	bytesTotal uint64
-	bytesFault uint64
 
 	msgTime time.Duration
 
-	phases map[string]*Phase
-	dists  map[string]*Distribution
+	// faults is the remote (imaginary) fault-resolution latency
+	// distribution; nil until the first sample.
+	faults *Distribution
 
 	// Downtime accounting: the frozen interval of the most recent
 	// migration, from excise-freeze (MarkFreeze) to the first
@@ -42,13 +43,6 @@ type Recorder struct {
 	resumeAt time.Duration
 	frozen   bool
 	resumed  bool
-}
-
-// Phase is a named span of virtual time.
-type Phase struct {
-	Name       string
-	Start, End time.Duration
-	open       bool
 }
 
 type rateBucket struct {
@@ -70,11 +64,7 @@ type RatePoint struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		buckets: make(map[int64]*rateBucket),
-		phases:  make(map[string]*Phase),
-		dists:   make(map[string]*Distribution),
-	}
+	return &Recorder{buckets: make(map[int64]*rateBucket)}
 }
 
 // AddBytes records n bytes crossing the network at virtual time at.
@@ -92,7 +82,6 @@ func (r *Recorder) AddBytes(at time.Duration, n int, fault bool) {
 	}
 	b.total += uint64(n)
 	if fault {
-		r.bytesFault += uint64(n)
 		b.fault += uint64(n)
 	}
 }
@@ -103,17 +92,15 @@ func (r *Recorder) AddMessage(cpu time.Duration) {
 	r.msgTime += cpu
 }
 
-// Observe records one sample of a named duration distribution (fault
-// latencies). Recording is O(1): besides count/sum/min/max the sample
-// lands in one log-bucketed histogram cell, from which Quantile
+// ObserveRemoteFault records the resolution latency of one remote
+// (imaginary) fault. Recording is O(1): besides count/sum/min/max the
+// sample lands in one log-bucketed histogram cell, from which Quantile
 // reconstructs p50/p95/p99 within ~6% relative error.
-func (r *Recorder) Observe(name string, v time.Duration) {
-	d := r.dists[name]
-	if d == nil {
-		d = &Distribution{Min: v, Max: v}
-		r.dists[name] = d
+func (r *Recorder) ObserveRemoteFault(v time.Duration) {
+	if r.faults == nil {
+		r.faults = &Distribution{Min: v, Max: v}
 	}
-	d.add(v)
+	r.faults.add(v)
 }
 
 // Log-linear histogram layout (HDR-histogram style): values below 8 ns
@@ -220,14 +207,12 @@ func (d *Distribution) Quantile(q float64) time.Duration {
 	return d.Max
 }
 
-// Dist returns the named distribution, possibly nil.
-func (r *Recorder) Dist(name string) *Distribution { return r.dists[name] }
+// RemoteFaults returns the remote-fault latency distribution, nil
+// before the first sample.
+func (r *Recorder) RemoteFaults() *Distribution { return r.faults }
 
 // BytesTotal reports all bytes recorded.
 func (r *Recorder) BytesTotal() uint64 { return r.bytesTotal }
-
-// BytesFault reports bytes recorded as imaginary-fault support traffic.
-func (r *Recorder) BytesFault() uint64 { return r.bytesFault }
 
 // MessageTime reports total message-handling CPU time.
 func (r *Recorder) MessageTime() time.Duration { return r.msgTime }
@@ -267,35 +252,6 @@ func (r *Recorder) Downtime() time.Duration {
 		return 0
 	}
 	return r.resumeAt - r.freezeAt
-}
-
-// StartPhase opens (or reopens) a named phase at time at.
-func (r *Recorder) StartPhase(name string, at time.Duration) {
-	r.phases[name] = &Phase{Name: name, Start: at, open: true}
-}
-
-// EndPhase closes a named phase at time at. Ending an unopened phase
-// records a zero-length phase at at, which keeps callers simple.
-func (r *Recorder) EndPhase(name string, at time.Duration) {
-	p := r.phases[name]
-	if p == nil {
-		p = &Phase{Name: name, Start: at}
-		r.phases[name] = p
-	}
-	p.End = at
-	p.open = false
-}
-
-// Phases returns all closed phases sorted by start time.
-func (r *Recorder) Phases() []Phase {
-	out := make([]Phase, 0, len(r.phases))
-	for _, p := range r.phases {
-		if !p.open {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }
 
 // Series returns the byte-rate time series with one point per non-empty

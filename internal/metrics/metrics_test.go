@@ -14,8 +14,12 @@ func TestAddBytesTotals(t *testing.T) {
 	if r.BytesTotal() != 175 {
 		t.Errorf("BytesTotal = %d, want 175", r.BytesTotal())
 	}
-	if r.BytesFault() != 75 {
-		t.Errorf("BytesFault = %d, want 75", r.BytesFault())
+	var fault uint64
+	for _, pt := range r.Series() {
+		fault += pt.FaultBytes
+	}
+	if fault != 75 {
+		t.Errorf("fault bytes over the series = %d, want 75", fault)
 	}
 }
 
@@ -75,41 +79,9 @@ func TestMessages(t *testing.T) {
 	}
 }
 
-// elapsed reports the length of the closed phase called name, or zero
-// when Phases holds none by that name.
-func elapsed(r *Recorder, name string) time.Duration {
-	for _, p := range r.Phases() {
-		if p.Name == name {
-			return p.End - p.Start
-		}
-	}
-	return 0
-}
-
-func TestPhases(t *testing.T) {
-	r := NewRecorder()
-	r.StartPhase("transfer", 2*time.Second)
-	r.EndPhase("transfer", 5*time.Second)
-	if got := elapsed(r, "transfer"); got != 3*time.Second {
-		t.Errorf("transfer elapsed = %v, want 3s", got)
-	}
-	if got := elapsed(r, "missing"); got != 0 {
-		t.Errorf("missing phase elapsed = %v, want 0", got)
-	}
-	r.StartPhase("exec", 5*time.Second)
-	// open phase reports zero
-	if got := elapsed(r, "exec"); got != 0 {
-		t.Errorf("open phase elapsed = %v, want 0", got)
-	}
-	r.EndPhase("exec", 9*time.Second)
-	ps := r.Phases()
-	if len(ps) != 2 || ps[0].Name != "transfer" || ps[1].Name != "exec" {
-		t.Errorf("Phases = %+v", ps)
-	}
-}
-
-// Property: sum over series buckets always equals BytesTotal, and fault
-// bytes never exceed total bytes per bucket.
+// Property: sum over series buckets always equals BytesTotal, the
+// fault bytes sum to the fault traffic recorded, and they never exceed
+// total bytes per bucket.
 func TestQuickSeriesConservation(t *testing.T) {
 	f := func(events []struct {
 		At    uint16
@@ -117,8 +89,12 @@ func TestQuickSeriesConservation(t *testing.T) {
 		Fault bool
 	}) bool {
 		r := NewRecorder()
+		var fault uint64
 		for _, e := range events {
 			r.AddBytes(time.Duration(e.At)*time.Millisecond, int(e.N), e.Fault)
+			if e.Fault {
+				fault += uint64(e.N)
+			}
 		}
 		var sum, fsum uint64
 		for _, pt := range r.Series() {
@@ -128,7 +104,7 @@ func TestQuickSeriesConservation(t *testing.T) {
 			sum += pt.Bytes
 			fsum += pt.FaultBytes
 		}
-		return sum == r.BytesTotal() && fsum == r.BytesFault()
+		return sum == r.BytesTotal() && fsum == fault
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -137,13 +113,13 @@ func TestQuickSeriesConservation(t *testing.T) {
 
 func TestObserveDistribution(t *testing.T) {
 	r := NewRecorder()
-	if r.Dist("lat") != nil {
-		t.Error("Dist on empty name not nil")
+	if r.RemoteFaults() != nil {
+		t.Error("RemoteFaults before any sample not nil")
 	}
-	r.Observe("lat", 10*time.Millisecond)
-	r.Observe("lat", 30*time.Millisecond)
-	r.Observe("lat", 20*time.Millisecond)
-	d := r.Dist("lat")
+	r.ObserveRemoteFault(10 * time.Millisecond)
+	r.ObserveRemoteFault(30 * time.Millisecond)
+	r.ObserveRemoteFault(20 * time.Millisecond)
+	d := r.RemoteFaults()
 	if d.Count != 3 || d.Min != 10*time.Millisecond || d.Max != 30*time.Millisecond {
 		t.Errorf("dist = %+v", d)
 	}

@@ -61,8 +61,12 @@ func TestRecorderAccounting(t *testing.T) {
 		l.Transmit(p, 50, true)
 	})
 	k.Run()
-	if rec.BytesTotal() != 150 || rec.BytesFault() != 50 {
-		t.Errorf("recorder: total=%d fault=%d", rec.BytesTotal(), rec.BytesFault())
+	var fault uint64
+	for _, pt := range rec.Series() {
+		fault += pt.FaultBytes
+	}
+	if rec.BytesTotal() != 150 || fault != 50 {
+		t.Errorf("recorder: total=%d fault=%d", rec.BytesTotal(), fault)
 	}
 	if l.Bytes() != 150 || l.Frames() != 2 {
 		t.Errorf("link: bytes=%d frames=%d", l.Bytes(), l.Frames())

@@ -124,10 +124,14 @@ func TestFaultSupportSplitInRecorder(t *testing.T) {
 		a.sys.Send(p, &ipc.Message{To: dst.ID, BodyBytes: 100, FaultSupport: true})
 	})
 	k.Run()
-	if rec.BytesFault() == 0 {
+	var fault uint64
+	for _, pt := range rec.Series() {
+		fault += pt.FaultBytes
+	}
+	if fault == 0 {
 		t.Error("fault-support traffic not split out")
 	}
-	if rec.BytesFault() >= rec.BytesTotal() {
+	if fault >= rec.BytesTotal() {
 		t.Error("all traffic marked fault-support")
 	}
 }

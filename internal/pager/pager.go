@@ -210,7 +210,8 @@ func (pg *Pager) Outstanding() int {
 	return pg.cfg.Outstanding
 }
 
-// SetRecorder directs fault-latency observations to rec (may be nil).
+// SetRecorder directs remote-fault latency observations to rec (may be
+// nil).
 func (pg *Pager) SetRecorder(rec *metrics.Recorder) { pg.rec = rec }
 
 // SetContentIndex attaches the machine's content index; faults on
@@ -260,12 +261,6 @@ func (pg *Pager) dropHint(segID, idx uint64) {
 
 // Stats returns a copy of the fault counters.
 func (pg *Pager) Stats() Stats { return pg.stats }
-
-func (pg *Pager) observe(name string, v time.Duration) {
-	if pg.rec != nil {
-		pg.rec.Observe(name, v)
-	}
-}
 
 // faultStart opens a fault span in the flight recorder; kind is the
 // fault class (fillzero, disk, imag).
@@ -317,7 +312,9 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		if err := pg.imagFault(p, pl); err != nil {
 			return err
 		}
-		pg.observe("latency.fault.imag", p.Now()-start)
+		if pg.rec != nil {
+			pg.rec.ObserveRemoteFault(p.Now() - start)
+		}
 		pg.faultResolved(p, "imag", addr, start)
 	case page == nil:
 		// FillZero: conjure a zero frame; never touches the disk.
@@ -337,7 +334,6 @@ func (pg *Pager) Touch(p *sim.Proc, as *vm.AddressSpace, addr vm.Addr, write boo
 		pg.dsk.Read(p, as.PageSize())
 		pg.insert(pl.Seg, pl.PageIdx)
 		pg.stats.DiskFaults++
-		pg.observe("latency.fault.disk", p.Now()-start)
 		pg.faultResolved(p, "disk", addr, start)
 	default:
 		// Materialized, not resident, not on disk: data just arrived in
